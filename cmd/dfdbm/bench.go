@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -9,11 +10,13 @@ import (
 	"time"
 
 	"dfdbm"
+	"dfdbm/internal/core"
 	"dfdbm/internal/heap"
 	"dfdbm/internal/obs"
 	"dfdbm/internal/pred"
 	"dfdbm/internal/relalg"
 	"dfdbm/internal/relation"
+	"dfdbm/internal/wire"
 )
 
 // The machine-readable benchmark harness behind `dfdbm bench -json`.
@@ -463,6 +466,80 @@ func benchHeap(db *dfdbm.DB) ([]benchEntry, error) {
 	}, nil
 }
 
+// benchCore measures the functional engine as the server drives it —
+// one shared engine at page granularity with four workers — and the
+// wire encoder behind it: the paper's ten-query mix collected through
+// ExecuteContext, a whole-relation restrict streamed through
+// ExecuteStream with every page handed back to the pool (the controller
+// event queue and the root's page stream, with no socket), and one
+// result page framed into a reused buffer.
+func benchCore(db *dfdbm.DB, queries []*dfdbm.Query, pageSize int) ([]benchEntry, error) {
+	eng := core.New(db.Catalog(), core.Options{Granularity: core.PageLevel, Workers: 4, PageSize: pageSize})
+	fetch, err := db.Parse(`restrict(r1, val < 1000)`)
+	if err != nil {
+		return nil, err
+	}
+	r1, err := db.Get("r1")
+	if err != nil {
+		return nil, err
+	}
+	page := r1.Page(0)
+	ctx := context.Background()
+	var mixPackets, fetchPages int64
+	var frame []byte
+	rs := benchBestRound(3,
+		func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				mixPackets = 0
+				for _, q := range queries {
+					res, err := eng.ExecuteContext(ctx, q)
+					if err != nil {
+						b.Fatal(err)
+					}
+					mixPackets += res.Stats.InstructionPackets
+				}
+			}
+		},
+		func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				fetchPages = 0
+				_, err := eng.ExecuteStream(ctx, fetch, func(pg *relation.Page) error {
+					fetchPages++
+					eng.Recycle(pg)
+					return nil
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		},
+		func(b *testing.B) {
+			b.ReportAllocs()
+			rp := &wire.ResultPage{QueryID: 1, Seq: 1, Source: page}
+			for i := 0; i < b.N; i++ {
+				var err error
+				if frame, err = wire.AppendFrame(frame[:0], rp, wire.Version); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	return []benchEntry{
+		entryFrom("core/paper-mix", rs[0], map[string]float64{
+			"queries":             float64(len(queries)),
+			"instruction_packets": float64(mixPackets),
+		}),
+		entryFrom("core/fetch-restrict", rs[1], map[string]float64{
+			"pages_in":  float64(r1.NumPages()),
+			"pages_out": float64(fetchPages),
+		}),
+		entryFrom("wire/encode-page", rs[2], map[string]float64{
+			"frame_bytes": float64(len(frame)),
+		}),
+	}, nil
+}
+
 // benchMachineHotPath measures the machine's per-IP hot loop — pooled
 // paginator out, JoinState kernel, operand pages recycled after use —
 // with and without the page pool, over a paper-sized join.
@@ -843,6 +920,16 @@ func runBenchJSON(db *dfdbm.DB, queries []*dfdbm.Query, out string, scale float6
 		check(err)
 		rep.Benchmarks = append(rep.Benchmarks, hb...)
 		for _, k := range hb {
+			fmt.Fprintf(os.Stderr, "bench:   %-28s %.0f ns/op\n", k.Name, k.NsPerOp)
+		}
+	}
+
+	if filter.match("core/paper-mix", "core/fetch-restrict", "wire/encode-page") {
+		fmt.Fprintln(os.Stderr, "bench: functional engine (paper mix, streamed fetch) and frame encoder...")
+		cb, err := benchCore(db, queries, pageSize)
+		check(err)
+		rep.Benchmarks = append(rep.Benchmarks, cb...)
+		for _, k := range cb {
 			fmt.Fprintf(os.Stderr, "bench:   %-28s %.0f ns/op\n", k.Name, k.NsPerOp)
 		}
 	}

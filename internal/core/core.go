@@ -21,7 +21,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"dfdbm/internal/catalog"
@@ -228,18 +227,70 @@ func (e *Engine) Execute(t *query.Tree) (*Result, error) {
 
 // ExecuteContext is Execute under a context: when ctx is cancelled or
 // times out, the run's workers and controllers are stopped, blocked
-// channel operations unwind, and the context's error is returned.
+// channel operations unwind, and the context's error is returned. It
+// is ExecuteStream with a collector for emit: the result relation
+// retains the pages the root produced.
 func (e *Engine) ExecuteContext(ctx context.Context, t *query.Tree) (*Result, error) {
-	res, err := e.execute(ctx, t)
-	if err == nil {
-		e.exportMetrics(res)
+	root := t.Root()
+	collected, err := relation.New(root.Label(), root.Schema(), e.ResultPageSize(root))
+	if err != nil {
+		return nil, err
 	}
-	if err == nil {
-		if serr := e.opts.Obs.Err(); serr != nil {
-			return nil, fmt.Errorf("core: trace sink: %w", serr)
-		}
+	res, err := e.ExecuteStream(ctx, t, collected.AppendPage)
+	if err != nil {
+		return nil, err
 	}
-	return res, err
+	if res.Relation == nil { // not an effect root: the pages went to the collector
+		res.Relation = collected
+	}
+	return res, nil
+}
+
+// ExecuteStream runs a bound query tree and hands every page of its
+// result to emit while the query is still executing: the root operator
+// emits each page as it leaves the root's compressor, so at page
+// granularity every page but the last is full. emit is called by one
+// goroutine at a time and never after ExecuteStream returns; an error
+// from it fails the run. Result.Relation is nil — the pages went to
+// emit.
+//
+// An emitted page belongs to the consumer: it may keep it, or hand it
+// back with Recycle once it has no further use for its bytes. The one
+// exception is a bare-scan root, which emits the stored relation's own
+// pages: those are shared with every other reader, so the consumer must
+// not write to them, and they are stable only while the caller excludes
+// writers of that relation (Recycle ignores them).
+//
+// Effect roots (append, delete) are not streamed: their result is a
+// stored relation, already at rest. emit is never called and
+// Result.Relation is that live relation, for the caller to read under
+// whatever exclusion guards its catalog.
+func (e *Engine) ExecuteStream(ctx context.Context, t *query.Tree, emit func(*relation.Page) error) (*Result, error) {
+	res, err := e.execute(ctx, t, emit)
+	if err != nil {
+		return nil, err
+	}
+	e.exportMetrics(res)
+	if serr := e.opts.Obs.Err(); serr != nil {
+		return nil, fmt.Errorf("core: trace sink: %w", serr)
+	}
+	return res, nil
+}
+
+// Recycle returns a page received through ExecuteStream's emit to the
+// engine's page pool. Pages the pool did not hand out are ignored.
+func (e *Engine) Recycle(pg *relation.Page) { e.pool.Put(pg) }
+
+// ResultPageSize is the page size of the result relation a subtree
+// rooted at top produces: the engine's, raised to fit one tuple. A
+// streaming consumer needs it to describe the result before the first
+// page exists.
+func (e *Engine) ResultPageSize(top *query.Node) int {
+	size := e.opts.PageSize
+	if min := relation.PageHeaderLen + top.Schema().TupleLen(); size < min {
+		size = min
+	}
+	return size
 }
 
 // exportMetrics re-expresses one execution's Stats through the metrics
@@ -269,7 +320,7 @@ func (e *Engine) exportMetrics(res *Result) {
 	r.SetGauge("core.elapsed_seconds", s.Elapsed.Seconds())
 }
 
-func (e *Engine) execute(ctx context.Context, t *query.Tree) (*Result, error) {
+func (e *Engine) execute(ctx context.Context, t *query.Tree, emit func(*relation.Page) error) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -290,7 +341,12 @@ func (e *Engine) execute(ctx context.Context, t *query.Tree) (*Result, error) {
 		return &Result{Relation: target, Stats: Stats{Elapsed: time.Since(start)}}, nil
 
 	case query.OpAppend:
-		sub, err := e.executeStream(ctx, t, root.Inputs[0])
+		top := root.Inputs[0]
+		sub, err := relation.New(top.Label(), top.Schema(), e.ResultPageSize(top))
+		if err != nil {
+			return nil, err
+		}
+		st, err := e.stream(ctx, t, top, sub.AppendPage)
 		if err != nil {
 			return nil, err
 		}
@@ -298,32 +354,34 @@ func (e *Engine) execute(ctx context.Context, t *query.Tree) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := relalg.Append(dst, sub.Relation); err != nil {
+		if _, err := relalg.Append(dst, sub); err != nil {
 			return nil, err
 		}
-		sub.Relation = dst
-		sub.Stats.Elapsed = time.Since(start)
-		return sub, nil
+		st.Elapsed = time.Since(start)
+		return &Result{Relation: dst, Stats: st}, nil
 
 	default:
-		res, err := e.executeStream(ctx, t, root)
+		st, err := e.stream(ctx, t, root, emit)
 		if err != nil {
 			return nil, err
 		}
-		res.Stats.Elapsed = time.Since(start)
-		return res, nil
+		st.Elapsed = time.Since(start)
+		return &Result{Stats: st}, nil
 	}
 }
 
-// executeStream runs the pure (side-effect free) subtree rooted at top.
-func (e *Engine) executeStream(ctx context.Context, t *query.Tree, top *query.Node) (*Result, error) {
+// stream runs the pure (side-effect free) subtree rooted at top,
+// handing its output pages to emit as top produces them. Only top's
+// controller (or, for a bare scan, its feeder) calls emit, and
+// shutdown waits for it, so calls never overlap or outlive the run.
+func (e *Engine) stream(ctx context.Context, t *query.Tree, top *query.Node, emit func(*relation.Page) error) (Stats, error) {
 	run := newEngineRun(ctx, e, t)
 	defer run.shutdown()
 
 	if e.opts.Adaptive && e.opts.Granularity != RelationLevel {
 		plan, err := query.PlanTree(t, e.cat, e.pool.Budget())
 		if err != nil {
-			return nil, err
+			return Stats{}, err
 		}
 		run.plan = plan
 	}
@@ -344,21 +402,11 @@ func (e *Engine) executeStream(ctx context.Context, t *query.Tree, top *query.No
 	}
 
 	sinkDone := make(chan struct{})
-	resultName := top.Label()
-	outPageSize := e.opts.PageSize
-	if min := relation.PageHeaderLen + top.Schema().TupleLen(); outPageSize < min {
-		outPageSize = min
-	}
-	resultRel, err := relation.New(resultName, top.Schema(), outPageSize)
-	if err != nil {
-		return nil, err
-	}
-	var sinkMu sync.Mutex
+	var tuplesOut int64 // written by the emitting goroutine, read after sinkDone
 	sink := outlet{
 		send: func(pg *relation.Page) {
-			sinkMu.Lock()
-			defer sinkMu.Unlock()
-			if err := resultRel.AppendPage(pg); err != nil {
+			tuplesOut += int64(pg.TupleCount())
+			if err := emit(pg); err != nil {
 				run.fail(err)
 			}
 		},
@@ -366,7 +414,7 @@ func (e *Engine) executeStream(ctx context.Context, t *query.Tree, top *query.No
 	}
 
 	if err := run.build(top, sink); err != nil {
-		return nil, err
+		return Stats{}, err
 	}
 	run.start()
 
@@ -375,10 +423,10 @@ func (e *Engine) executeStream(ctx context.Context, t *query.Tree, top *query.No
 	case <-run.stopped:
 	}
 	if err := run.errValue(); err != nil {
-		return nil, err
+		return Stats{}, err
 	}
 
 	st := run.snapshotStats()
-	st.TuplesOut = int64(resultRel.Cardinality())
-	return &Result{Relation: resultRel, Stats: st}, nil
+	st.TuplesOut = tuplesOut
+	return st, nil
 }

@@ -2,7 +2,7 @@ package core
 
 import "sync"
 
-// infChan is an unbounded channel of events with an explicit stop.
+// infChan is an unbounded two-class event queue with an explicit stop.
 //
 // Every node's instruction controller receives its events (operand
 // pages, completion notices, task results) through one infChan. Making
@@ -11,65 +11,93 @@ import "sync"
 // memory cells), and the only goroutines that block on it are
 // controllers dispatching work — workers and forwarders always make
 // progress, so the arbitration network always drains.
+//
+// Task results are handed to the controller before operand events: a
+// finished task's output is what the consumer above is waiting for,
+// while an operand page only becomes more work for the same processors.
+// In one FIFO a restrict's first result would queue behind every input
+// page not yet dispatched, and so leave its controller only once its
+// last input had. Within a class order is FIFO, so an evInputDone never
+// overtakes the evPages of its input.
 type infChan struct {
-	in   chan event
-	out  chan event
-	stop chan struct{}
-	once sync.Once
+	mu       sync.Mutex
+	ready    sync.Cond // signalled when the queue goes non-empty or stops
+	results  evRing    // evTaskDone
+	operands evRing    // evPage, evInputDone
+	stopped  bool
 }
 
 func newInfChan() *infChan {
-	c := &infChan{
-		in:   make(chan event),
-		out:  make(chan event),
-		stop: make(chan struct{}),
-	}
-	go c.pump()
+	c := &infChan{}
+	c.ready.L = &c.mu
 	return c
 }
 
-func (c *infChan) pump() {
-	var buf []event
-	for {
-		var outCh chan event
-		var next event
-		if len(buf) > 0 {
-			outCh = c.out
-			next = buf[0]
-		}
-		select {
-		case ev := <-c.in:
-			buf = append(buf, ev)
-		case outCh <- next:
-			buf = buf[1:]
-		case <-c.stop:
-			return
-		}
-	}
-}
-
-// Send enqueues an event. It never blocks indefinitely: if the channel
-// has been stopped the event is dropped.
+// Send enqueues an event. It never blocks; once the channel has been
+// stopped the event is dropped.
 func (c *infChan) Send(ev event) {
-	select {
-	case c.in <- ev:
-	case <-c.stop:
+	c.mu.Lock()
+	if !c.stopped {
+		if ev.kind == evTaskDone {
+			c.results.push(ev)
+		} else {
+			c.operands.push(ev)
+		}
+		c.ready.Signal()
 	}
+	c.mu.Unlock()
 }
 
-// Recv dequeues the next event. It returns ok == false once the channel
-// has been stopped.
+// Recv dequeues the next event, task results first. It returns
+// ok == false once the channel has been stopped.
 func (c *infChan) Recv() (event, bool) {
-	select {
-	case ev := <-c.out:
-		return ev, true
-	case <-c.stop:
-		return event{}, false
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for {
+		switch {
+		case c.stopped:
+			return event{}, false
+		case c.results.n > 0:
+			return c.results.pop(), true
+		case c.operands.n > 0:
+			return c.operands.pop(), true
+		}
+		c.ready.Wait()
 	}
 }
 
-// Stop terminates the pump goroutine and releases blocked senders and
-// receivers. Safe to call more than once.
+// Stop drops whatever is queued and releases a blocked receiver; later
+// sends are dropped. Safe to call more than once.
 func (c *infChan) Stop() {
-	c.once.Do(func() { close(c.stop) })
+	c.mu.Lock()
+	c.stopped = true
+	c.results, c.operands = evRing{}, evRing{}
+	c.ready.Broadcast()
+	c.mu.Unlock()
+}
+
+// evRing is a growable ring buffer of events: push and pop allocate
+// nothing once it has reached the backlog's high-water mark.
+type evRing struct {
+	buf     []event // len is zero or a power of two
+	head, n int
+}
+
+func (q *evRing) push(ev event) {
+	if q.n == len(q.buf) {
+		grown := make([]event, max(16, 2*len(q.buf)))
+		k := copy(grown, q.buf[q.head:])
+		copy(grown[k:], q.buf[:q.head])
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = ev
+	q.n++
+}
+
+func (q *evRing) pop() event {
+	ev := q.buf[q.head]
+	q.buf[q.head] = event{} // drop the page references
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return ev
 }

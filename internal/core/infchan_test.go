@@ -120,3 +120,61 @@ func TestInfChanConcurrentSenders(t *testing.T) {
 		}
 	}
 }
+
+// TestInfChanResultsFirst: task results are handed over before operand
+// events however they were interleaved on the way in, and each class
+// stays FIFO — over 10,000 sends with no receiver, so an evInputDone
+// can never overtake the evPages of its input.
+func TestInfChanResultsFirst(t *testing.T) {
+	c := newInfChan()
+	defer c.Stop()
+	const n = 10_000
+	for i := 0; i < n; i++ {
+		c.Send(event{kind: evPage, input: i})
+		if i%4 == 0 {
+			c.Send(event{kind: evTaskDone, input: i})
+		}
+	}
+	c.Send(event{kind: evInputDone, input: n})
+	for i := 0; i < n; i += 4 {
+		ev, ok := c.Recv()
+		if !ok || ev.kind != evTaskDone || ev.input != i {
+			t.Fatalf("want task result %d, got kind %d input %d (ok=%v)", i, ev.kind, ev.input, ok)
+		}
+	}
+	for i := 0; i < n; i++ {
+		ev, ok := c.Recv()
+		if !ok || ev.kind != evPage || ev.input != i {
+			t.Fatalf("want operand page %d, got kind %d input %d (ok=%v)", i, ev.kind, ev.input, ok)
+		}
+	}
+	if ev, ok := c.Recv(); !ok || ev.kind != evInputDone {
+		t.Fatalf("input-done did not arrive last (kind %d, ok=%v)", ev.kind, ok)
+	}
+	// A result sent while operands are waiting still goes first.
+	c.Send(event{kind: evPage, input: 1})
+	c.Send(event{kind: evTaskDone, input: 2})
+	if ev, _ := c.Recv(); ev.kind != evTaskDone {
+		t.Fatalf("result did not overtake the waiting operand (kind %d)", ev.kind)
+	}
+}
+
+// TestInfChanSteadyStateAllocs: once the rings have reached the
+// backlog's size, a Send/Recv pair allocates nothing.
+func TestInfChanSteadyStateAllocs(t *testing.T) {
+	c := newInfChan()
+	defer c.Stop()
+	for i := 0; i < 100; i++ { // a standing backlog in both classes
+		c.Send(event{kind: evPage})
+		c.Send(event{kind: evTaskDone})
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		c.Send(event{kind: evPage})
+		c.Send(event{kind: evTaskDone})
+		c.Recv()
+		c.Recv()
+	})
+	if allocs != 0 {
+		t.Errorf("%.1f allocations per two Send/Recv pairs, want 0", allocs)
+	}
+}

@@ -1,0 +1,176 @@
+package core
+
+import (
+	"context"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"dfdbm/internal/obs"
+	"dfdbm/internal/query"
+	"dfdbm/internal/relation"
+)
+
+// dispatchCounter is an event sink that counts instruction packets as
+// the controllers dispatch them (one EvInstr each), so a test can read
+// Stats.InstructionPackets while the run is still going. It also makes
+// every dispatch slow, so that the controller, not the scan feeding it,
+// is the bottleneck — as it is on a loaded server — and the operand
+// backlog in its queue is as long as it can get.
+type dispatchCounter struct{ n atomic.Int64 }
+
+func (c *dispatchCounter) Emit(ev obs.Event) error {
+	if ev.Kind == obs.EvInstr {
+		c.n.Add(1)
+		time.Sleep(20 * time.Microsecond)
+	}
+	return nil
+}
+
+func (c *dispatchCounter) Close() error { return nil }
+
+// TestStreamFirstPageLeavesEarly is the pipeline's own test: the root
+// of a 400-page restrict must hand over its first result page while
+// most of its input is still undispatched. With results queued behind
+// operand pages in one FIFO, the first page left only after all but a
+// handful of the packets had been dispatched.
+func TestStreamFirstPageLeavesEarly(t *testing.T) {
+	cat, _ := testDB(t, 0.5, 1000) // r1: 4000 tuples, 9 to a page
+	tr, err := query.Bind(query.MustParse(`restrict(r1, val < 900)`), cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dispatched dispatchCounter
+	eng := New(cat, Options{Granularity: PageLevel, Workers: 4, PageSize: 1000, Obs: obs.New(&dispatched, nil)})
+
+	atFirst := int64(-1)
+	pages := 0
+	res, err := eng.ExecuteStream(context.Background(), tr, func(pg *relation.Page) error {
+		if pages == 0 {
+			atFirst = dispatched.n.Load()
+		}
+		pages++
+		eng.Recycle(pg)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := res.Stats.InstructionPackets
+	if total < 300 {
+		t.Fatalf("restrict dispatched %d packets; the test needs at least 300 input pages", total)
+	}
+	if got := dispatched.n.Load(); got != total {
+		t.Fatalf("sink counted %d dispatches, Stats.InstructionPackets is %d", got, total)
+	}
+	if pages == 0 {
+		t.Fatal("no page was emitted")
+	}
+	if atFirst >= total/2 {
+		t.Errorf("first page emitted after %d of %d instruction packets; want fewer than half", atFirst, total)
+	}
+}
+
+// TestStreamMatchesCollector: what ExecuteStream emits is what
+// ExecuteContext collects — same tuples, same number of pages — at
+// every granularity, for every benchmark query and a bare scan; and
+// emit is never entered by two goroutines at once.
+func TestStreamMatchesCollector(t *testing.T) {
+	cat, qs := testDB(t, 0.02, 1000)
+	scan, err := query.Bind(query.MustParse("r3"), cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for qi, q := range append(qs, scan) {
+		for _, g := range allGranularities() {
+			eng := New(cat, Options{Granularity: g, Workers: 4, PageSize: 1000})
+			want, err := eng.ExecuteContext(context.Background(), q)
+			if err != nil {
+				t.Fatalf("query %d at %s: %v", qi+1, g, err)
+			}
+			got := relation.MustNew("streamed", q.Root().Schema(), 1000)
+			var inEmit atomic.Int32
+			res, err := eng.ExecuteStream(context.Background(), q, func(pg *relation.Page) error {
+				if inEmit.Add(1) != 1 {
+					t.Error("emit entered by two goroutines at once")
+				}
+				defer inEmit.Add(-1)
+				return got.AppendPage(pg)
+			})
+			if err != nil {
+				t.Fatalf("query %d at %s, streamed: %v", qi+1, g, err)
+			}
+			if res.Relation != nil {
+				t.Errorf("query %d at %s: a streamed pure query returned a relation", qi+1, g)
+			}
+			if !got.EqualMultiset(want.Relation) {
+				t.Errorf("query %d at %s: streamed %d tuples, collected %d",
+					qi+1, g, got.Cardinality(), want.Relation.Cardinality())
+			}
+			if got.NumPages() != want.Relation.NumPages() {
+				t.Errorf("query %d at %s: streamed %d pages, collected %d",
+					qi+1, g, got.NumPages(), want.Relation.NumPages())
+			}
+			if res.Stats.TuplesOut != int64(got.Cardinality()) {
+				t.Errorf("query %d at %s: TuplesOut %d, emitted %d tuples",
+					qi+1, g, res.Stats.TuplesOut, got.Cardinality())
+			}
+		}
+	}
+}
+
+// TestStreamEffectRootReturnsLiveRelation: append and delete are not
+// streamed; the caller gets the live destination relation instead.
+func TestStreamEffectRootReturnsLiveRelation(t *testing.T) {
+	cat, _ := testDB(t, 0.01, 1000)
+	tr, err := query.Bind(query.MustParse(`append(r15, restrict(r1, val < 100))`), cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := New(cat, Options{PageSize: 1000})
+	res, err := eng.ExecuteStream(context.Background(), tr, func(*relation.Page) error {
+		t.Error("emit called for an append root")
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live, _ := cat.Get("r15"); res.Relation != live {
+		t.Error("append root did not return the live destination relation")
+	}
+}
+
+// TestConcurrentBareScans is the regression test for a data race: a
+// bare-scan root hands the stored relation's own pages to the result,
+// and collecting them used to clear a flag on each page — a write to
+// memory every concurrent reader of that relation shares. Run under
+// -race.
+func TestConcurrentBareScans(t *testing.T) {
+	cat, _ := testDB(t, 0.02, 1000)
+	eng := New(cat, Options{PageSize: 1000})
+	want, _ := cat.Get("r1")
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				tr, err := query.Bind(query.Scan("r1"), cat)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				res, err := eng.Execute(tr)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if res.Relation.Cardinality() != want.Cardinality() {
+					t.Errorf("scan returned %d tuples, want %d", res.Relation.Cardinality(), want.Cardinality())
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -40,6 +40,9 @@ type Pool struct {
 	table map[frameKey]*frame
 	ring  []*frame
 	hand  int
+	// pinned counts frames with pins > 0, kept on every 0<->1 edge so
+	// the gauges cost nothing per Pin; Snapshot recounts it by walking.
+	pinned int
 
 	reg   *obs.Registry
 	epoch time.Time
@@ -98,6 +101,9 @@ func (p *Pool) Pin(f *File, i int) (*relation.Page, error) {
 	defer p.mu.Unlock()
 	key := frameKey{f, i}
 	if fr, ok := p.table[key]; ok {
+		if fr.pins == 0 {
+			p.pinned++
+		}
 		fr.pins++
 		fr.ref = true
 		p.count("bufpool.hits", 1)
@@ -118,6 +124,7 @@ func (p *Pool) Pin(f *File, i int) (*relation.Page, error) {
 	p.count("bufpool.misses", 1)
 	fr.key, fr.pg, fr.pins, fr.ref, fr.dirty = key, pg, 1, true, false
 	p.table[key] = fr
+	p.pinned++
 	p.gauges()
 	return pg, nil
 }
@@ -134,6 +141,9 @@ func (p *Pool) Unpin(f *File, i int, dirty bool) {
 		panic("heap: Unpin without matching Pin")
 	}
 	fr.pins--
+	if fr.pins == 0 {
+		p.pinned--
+	}
 	if dirty {
 		fr.dirty = true
 		if err := f.NotePage(i, fr.pg.TupleCount()); err != nil {
@@ -236,6 +246,9 @@ func (p *Pool) DropFile(f *File) {
 			continue
 		}
 		delete(p.table, key)
+		if fr.pins > 0 {
+			p.pinned--
+		}
 		fr.key, fr.pg, fr.pins, fr.ref, fr.dirty = frameKey{}, nil, 0, false, false
 	}
 	p.gauges()
@@ -278,12 +291,6 @@ func (p *Pool) gauges() {
 	if p.reg == nil {
 		return
 	}
-	pinned := 0
-	for _, fr := range p.table {
-		if fr.pins > 0 {
-			pinned++
-		}
-	}
 	p.reg.SetGauge("bufpool.frames_in_use", float64(len(p.table)))
-	p.reg.SetGauge("bufpool.pinned", float64(pinned))
+	p.reg.SetGauge("bufpool.pinned", float64(p.pinned))
 }

@@ -443,3 +443,51 @@ func TestAuditCatchesCorruption(t *testing.T) {
 		t.Fatalf("bad: err = %v, want ErrCorrupt", byRel["bad"].Err)
 	}
 }
+
+// TestPoolGaugesTrackSnapshot: the pool keeps bufpool.pinned and
+// bufpool.frames_in_use on the 0<->1 pin edges instead of walking the
+// frame table; with pins held, doubled, released, evicted around and
+// dropped with their file, the gauges must equal the walking audit.
+func TestPoolGaugesTrackSnapshot(t *testing.T) {
+	schema := testSchema(t)
+	rel := seedRelation(t, "r", schema, 256, 90) // 6 pages
+	hf, err := CreateFrom(filepath.Join(t.TempDir(), "r.heap"), rel, SchemaHash(schema), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hf.Close()
+	reg := obs.NewRegistry(0)
+	pool := NewPool(4, obs.New(nil, reg))
+	check := func(after string, wantPinned int) {
+		t.Helper()
+		st := pool.Snapshot()
+		pinned, _ := reg.Gauge("bufpool.pinned")
+		inUse, _ := reg.Gauge("bufpool.frames_in_use")
+		if int(pinned) != st.Pinned || int(inUse) != st.InUse || st.Pinned != wantPinned {
+			t.Fatalf("after %s: gauges %v pinned, %v in use; snapshot %+v; want %d pinned",
+				after, pinned, inUse, st, wantPinned)
+		}
+	}
+	pin := func(i int) {
+		t.Helper()
+		if _, err := pool.Pin(hf, i); err != nil {
+			t.Fatalf("Pin(%d): %v", i, err)
+		}
+	}
+	pin(0)
+	pin(1)
+	check("two pins", 2)
+	pin(0) // a second pin on a pinned frame is not a second pinned frame
+	check("double pin", 2)
+	pool.Unpin(hf, 0, false)
+	check("one of two pins released", 2)
+	pool.Unpin(hf, 0, false)
+	check("frame released", 1)
+	for i := 2; i < hf.NumPages(); i++ { // evicts around the pinned frame
+		pin(i)
+		pool.Unpin(hf, i, false)
+	}
+	check("scan with eviction", 1)
+	pool.DropFile(hf)
+	check("DropFile with a pin held", 0)
+}

@@ -167,13 +167,18 @@ func (p *Page) Clone() *Page {
 // Marshal serializes the page (header plus payload). The result is
 // WireSize() bytes long.
 func (p *Page) Marshal() []byte {
-	out := make([]byte, 0, p.WireSize())
-	out = binary.LittleEndian.AppendUint32(out, pageMagic)
-	out = binary.LittleEndian.AppendUint32(out, uint32(p.size))
-	out = binary.LittleEndian.AppendUint32(out, uint32(p.tupleLen))
-	out = binary.LittleEndian.AppendUint32(out, uint32(p.TupleCount()))
-	out = append(out, p.data...)
-	return out
+	return p.AppendMarshal(make([]byte, 0, p.WireSize()))
+}
+
+// AppendMarshal appends the page's serialized form (what Marshal
+// returns) to dst and returns the extended slice, so a caller framing
+// many pages encodes each straight into its own buffer.
+func (p *Page) AppendMarshal(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, pageMagic)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(p.size))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(p.tupleLen))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(p.TupleCount()))
+	return append(dst, p.data...)
 }
 
 // UnmarshalPage parses a page serialized by Marshal.

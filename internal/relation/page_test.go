@@ -106,6 +106,9 @@ func TestPageMarshalRoundTrip(t *testing.T) {
 	if len(blob) != p.WireSize() {
 		t.Errorf("Marshal length = %d, want WireSize %d", len(blob), p.WireSize())
 	}
+	if framed := p.AppendMarshal([]byte("hdr")); !bytes.Equal(framed, append([]byte("hdr"), blob...)) {
+		t.Error("AppendMarshal behind a prefix differs from the prefix plus Marshal")
+	}
 	q, err := UnmarshalPage(blob)
 	if err != nil {
 		t.Fatalf("UnmarshalPage: %v", err)

@@ -21,12 +21,21 @@ func TestPagePoolRoundTrip(t *testing.T) {
 	if s := p.Stats(); s.Recycled != 1 {
 		t.Fatalf("after Put: %+v", s)
 	}
-	got := p.MustGet(256, 12)
-	if got.TupleCount() != 0 {
-		t.Errorf("recycled page came back with %d tuples", got.TupleCount())
-	}
-	if s := p.Stats(); s.Hits != 1 {
-		t.Errorf("recycled Get did not count as hit: %+v", s)
+	// A sync.Pool may drop what it is given (under the race detector it
+	// drops a quarter of all Puts on purpose), so a recycled page comes
+	// back on some round trip, not necessarily the first.
+	for try := 0; p.Stats().Hits == 0; try++ {
+		if try == 50 {
+			t.Fatalf("no recycled page was ever served from the pool: %+v", p.Stats())
+		}
+		got := p.MustGet(256, 12)
+		if got.TupleCount() != 0 {
+			t.Fatalf("pooled page came back with %d tuples", got.TupleCount())
+		}
+		if err := got.AppendRaw(make([]byte, 12)); err != nil {
+			t.Fatal(err)
+		}
+		p.Put(got)
 	}
 }
 

@@ -171,8 +171,12 @@ func (r *Relation) AppendPage(p *Page) error {
 		return fmt.Errorf("relation: page holds %d-byte tuples, relation %q needs %d", p.TupleLen(), r.name, r.schema.TupleLen())
 	}
 	// The relation retains (aliases) the page: it must never be handed
-	// back to a PagePool, however it was obtained.
-	p.pooled = false
+	// back to a PagePool, however it was obtained. A page that is not
+	// pooled may be a stored relation's, shared with concurrent readers,
+	// so it is not written to.
+	if p.pooled {
+		p.pooled = false
+	}
 	if r.store != nil {
 		return r.store.Install(r.store.NumPages(), p)
 	}

@@ -427,7 +427,7 @@ func TestDisabledObservabilityAllocsServicePath(t *testing.T) {
 	cat, _ := testDB(t, 0.05)
 	s := startServer(t, cat, Config{}) // no Obs: everything disabled
 	allocs := testing.AllocsPerRun(1000, func() {
-		// The exact hook shapes handleQuery and streamResult go through.
+		// The exact hook shapes handleQuery and finishResult go through.
 		s.count("server.queries", 1)
 		s.gauge("server.sessions_active", 1)
 		s.event(obs.EvNote, -1, "quiet")

@@ -10,7 +10,9 @@
 //
 // Results stream back as page frames in relation wire form, so the
 // relation a client reassembles is byte-for-byte the relation the
-// engine produced. Overload is shed, never buffered: a full admission
+// engine produced, and they stream while the query executes: the core
+// engine's root hands each page to the session as it is produced (see
+// resultStream). Overload is shed, never buffered: a full admission
 // queue, a full per-session in-flight window, or a full session table
 // answers with an "overloaded" error frame immediately.
 package server
@@ -424,47 +426,124 @@ type bindError struct{ err error }
 func (e *bindError) Error() string { return e.err.Error() }
 func (e *bindError) Unwrap() error { return e.err }
 
-// queryResult is a self-contained, wire-ready copy of one result
-// relation. See snapshotResult.
-type queryResult struct {
-	name     string
-	pageSize uint32
-	schema   []wire.SchemaAttr
-	pages    [][]byte // relation.Page wire form, one blob per page
-	tuples   int64
+// resultStream is one query's queue of encoded result frames: the
+// scheduled Exec appends to it and the query's streamer goroutine
+// writes whatever is queued to the connection, while the query is still
+// executing. The producer never waits for the client — unsent bytes are
+// bounded by the result — so a stalled client neither holds the
+// admission slot nor lengthens Stats.Exec.
+//
+// Every frame is encoded inside the job's scheduled Exec. Reads on the
+// core engine encode each page as the root operator emits it; append,
+// delete and the machine engine hand back a whole relation (for writes
+// the live catalog relation, which a conflicting writer may mutate the
+// moment the scheduler retires the job), encoded by relation before
+// Exec returns. Either way the streamed bytes are pinned to the state
+// this query produced, under the admission exclusion that guarded its
+// execution, and no page is referenced past it.
+type resultStream struct {
+	c *session
+
+	// Producer state: touched only from Exec and the engine goroutine
+	// calling page, one at a time; the streamer reads the totals after
+	// the scheduler has delivered the outcome.
+	frame wire.ResultPage // reused for every encode
+	// held is the newest page, kept back until its successor arrives
+	// or the result ends: only then is its Last flag known.
+	held                 *relation.Page
+	pages, bytes, tuples int64
+
+	mu   sync.Mutex
+	buf  []byte        // encoded frames the streamer has not taken yet
+	wake chan struct{} // signalled when buf goes from empty to non-empty
 }
 
-// snapshotResult deep-copies rel into wire-ready form. It must run
-// inside a job's scheduled Exec: append and delete queries hand back
-// the live shared catalog relation, and once the scheduler retires the
-// job a conflicting writer may be admitted and mutate that relation
-// concurrently. Snapshotting while the job still occupies the running
-// set pins the streamed bytes to the state this query produced, under
-// the same admission exclusion that guarded its execution.
-func snapshotResult(rel *relation.Relation) (*queryResult, error) {
-	schema := rel.Schema()
+func (c *session) newResultStream(qid uint32) *resultStream {
+	return &resultStream{
+		c:     c,
+		frame: wire.ResultPage{QueryID: qid},
+		buf:   c.getBuf(),
+		wake:  make(chan struct{}, 1),
+	}
+}
+
+// describe sets what the first frame says about the result relation.
+func (st *resultStream) describe(name string, pageSize int, schema *relation.Schema) {
 	attrs := make([]wire.SchemaAttr, schema.NumAttrs())
 	for i := range attrs {
 		a := schema.Attr(i)
 		attrs[i] = wire.SchemaAttr{Name: a.Name, Type: uint8(a.Type), Width: uint32(a.Width)}
 	}
-	// EachPage streams stored relations through the buffer pool one
-	// pinned frame at a time, so snapshotting never needs the whole
-	// relation resident.
-	blobs := make([][]byte, 0, rel.NumPages())
-	if err := rel.EachPage(func(pg *relation.Page) error {
-		blobs = append(blobs, pg.Marshal())
-		return nil
-	}); err != nil {
-		return nil, fmt.Errorf("server: snapshot of %q: %w", rel.Name(), err)
+	st.frame.Name, st.frame.PageSize, st.frame.Schema = name, uint32(pageSize), attrs
+}
+
+// page queues the next result page; it is the engine's emit. The page
+// is encoded once its successor arrives (or finish runs) and then
+// handed back to the engine's page pool; a stored relation's own pages
+// pass through untouched, Recycle ignores them.
+func (st *resultStream) page(pg *relation.Page) error {
+	var err error
+	if st.held != nil {
+		err = st.encode(st.held, false)
 	}
-	return &queryResult{
-		name:     rel.Name(),
-		pageSize: uint32(rel.PageSize()),
-		schema:   attrs,
-		pages:    blobs,
-		tuples:   int64(rel.Cardinality()),
-	}, nil
+	st.held = pg
+	return err
+}
+
+// finish queues the final frame: the held page with Last set, or the
+// page-less Last frame that terminates an empty result.
+func (st *resultStream) finish() error {
+	pg := st.held
+	st.held = nil
+	return st.encode(pg, true)
+}
+
+// relation queues all of rel. EachPage walks a stored relation through
+// the buffer pool one pinned frame at a time, so the whole relation is
+// never resident at once.
+func (st *resultStream) relation(rel *relation.Relation) error {
+	st.describe(rel.Name(), rel.PageSize(), rel.Schema())
+	if err := rel.EachPage(st.page); err != nil {
+		return fmt.Errorf("server: streaming %q: %w", rel.Name(), err)
+	}
+	return st.finish()
+}
+
+func (st *resultStream) encode(pg *relation.Page, last bool) error {
+	st.frame.Seq, st.frame.Last, st.frame.Source = uint32(st.pages), last, nil
+	if pg != nil {
+		st.frame.Source = pg
+		st.pages++
+		st.bytes += int64(pg.WireSize())
+		st.tuples += int64(pg.TupleCount())
+	}
+	st.mu.Lock()
+	wasEmpty := len(st.buf) == 0
+	var err error
+	st.buf, err = wire.AppendFrame(st.buf, &st.frame, st.c.ver)
+	st.mu.Unlock()
+	if pg != nil {
+		st.c.srv.engine.Recycle(pg)
+	}
+	if wasEmpty {
+		// One wake-up per batch, not per page: while the streamer is
+		// inside a write the queue stays non-empty and later pages ride
+		// along with its next one.
+		select {
+		case st.wake <- struct{}{}:
+		default:
+		}
+	}
+	return err
+}
+
+// take swaps the queued frames for the streamer's spent buffer.
+func (st *resultStream) take(spent []byte) []byte {
+	st.mu.Lock()
+	out := st.buf
+	st.buf = spent[:0]
+	st.mu.Unlock()
+	return out
 }
 
 // execDurable runs a write query through the write-ahead log: build
@@ -476,7 +555,7 @@ func snapshotResult(rel *relation.Relation) (*queryResult, error) {
 // write footprint is the exclusion that keeps log order equal to
 // apply order per relation.
 func (s *Server) execDurable(ctx context.Context, root *query.Node,
-	exec func(context.Context, *query.Tree) (*relation.Relation, error)) (any, error) {
+	exec func(context.Context, *query.Tree) (*relation.Relation, error)) (*relation.Relation, error) {
 	rec := &wal.Record{Rel: root.Rel}
 	switch root.Kind {
 	case query.OpAppend:
@@ -524,12 +603,8 @@ func (s *Server) execDurable(ctx context.Context, root *query.Node,
 		return nil, fmt.Errorf("server: logged write failed to apply (recovery will replay it): %w", err)
 	}
 	s.count("server.durable_writes", 1)
-	res, err := snapshotResult(rel)
-	if err != nil {
-		return nil, err
-	}
 	s.maybeCheckpoint()
-	return res, nil
+	return rel, nil
 }
 
 // maybeCheckpoint schedules a checkpoint job once the log outgrows the
@@ -673,6 +748,9 @@ type session struct {
 	ver    uint16 // negotiated wire version; frames cross at this version
 
 	wmu sync.Mutex // serializes frame writes across query streamers
+
+	bmu  sync.Mutex // guards bufs
+	bufs [][]byte   // idle frame buffers (see getBuf)
 
 	imu      sync.Mutex
 	inflight int
@@ -855,10 +933,7 @@ func (c *session) handleQuery(q *wire.Query) {
 	}
 
 	engine := c.engine
-	exec := s.execCore
-	if engine == EngineMachine {
-		exec = s.execMachine
-	}
+	st := c.newResultStream(q.ID)
 	job := &sched.Job{
 		Session:   fmt.Sprintf("s%d", c.id),
 		Label:     fmt.Sprintf("s%d/q%d", c.id, q.ID),
@@ -900,18 +975,7 @@ func (c *session) handleQuery(q *wire.Query) {
 			if err != nil {
 				return nil, &bindError{err}
 			}
-			// With a WAL attached, writes take the durable path: log,
-			// fsync, then apply — all still under this job's admission
-			// exclusion, so the record hits stable storage before the
-			// catalog mutates and before any acknowledgement.
-			if s.cfg.WAL != nil && (root.Kind == query.OpAppend || root.Kind == query.OpDelete) {
-				return s.execDurable(ctx, root, exec)
-			}
-			rel, err := exec(ctx, tree)
-			if err != nil {
-				return nil, err
-			}
-			return snapshotResult(rel)
+			return nil, s.answer(ctx, engine, tree, st)
 		},
 	}
 	submitted := time.Since(s.start)
@@ -920,6 +984,7 @@ func (c *session) handleQuery(q *wire.Query) {
 		release()
 		endSpan()
 		s.queryWg.Done()
+		c.putBuf(st.take(nil))
 		code := wire.CodeOverloaded
 		if errors.Is(err, sched.ErrDraining) || errors.Is(err, sched.ErrClosed) {
 			code = wire.CodeDraining
@@ -934,7 +999,7 @@ func (c *session) handleQuery(q *wire.Query) {
 		defer s.queryWg.Done()
 		defer release()
 		defer endSpan()
-		o := <-outc
+		o, alive := c.stream(st, outc)
 		// The scheduler's outcome is the only place the pre-execution
 		// stages are measured, so the admit-wait and schedule stage
 		// spans are recorded retroactively from it, back to back from
@@ -945,6 +1010,10 @@ func (c *session) handleQuery(q *wire.Query) {
 				"server", "admit-wait", int(q.ID), -1, -1)
 			tr.Record(obs.SpanStage, qspan, submitted+o.AdmitWait, submitted+o.AdmitWait+o.Dispatch,
 				"server", "schedule", int(q.ID), -1, -1)
+		}
+		if !alive {
+			s.flight.Finish(traceID, obs.OutcomeError+":stream", nil)
+			return
 		}
 		if o.Err != nil {
 			code := wire.CodeExec
@@ -964,57 +1033,105 @@ func (c *session) handleQuery(q *wire.Query) {
 				r.Total = time.Since(arrival)
 				r.Deferred = o.Deferred
 			})
+			// Pages of the failed result may already be with the client;
+			// the Error frame in place of Stats tells it to discard them.
 			c.writeFrame(&wire.Error{QueryID: q.ID, Code: code, Msg: o.Err.Error()})
 			return
 		}
-		c.streamResult(q.ID, engine, o.Value.(*queryResult), o, traceID, lane, qspan, arrival)
+		c.finishResult(q.ID, engine, st, o, submitted, traceID, lane, qspan, arrival)
 	}()
 }
 
-// streamResult writes the result pages and closing stats frame. It
-// runs after the scheduler retired the query, so it must only touch
-// the snapshot, never a live relation.
-func (c *session) streamResult(qid uint32, engine string, res *queryResult, o sched.Outcome,
-	traceID uint64, lane sched.Lane, qspan *obs.Span, arrival time.Time) {
+// answer executes one bound query inside its scheduled Exec and queues
+// the whole result on st before returning.
+func (s *Server) answer(ctx context.Context, engine string, tree *query.Tree, st *resultStream) error {
+	root := tree.Root()
+	exec := s.execCore
+	if engine == EngineMachine {
+		exec = s.execMachine
+	}
+	var rel *relation.Relation // a result at rest; nil once streamed
+	var err error
+	switch {
+	case s.cfg.WAL != nil && (root.Kind == query.OpAppend || root.Kind == query.OpDelete):
+		// With a WAL attached, writes take the durable path: log,
+		// fsync, then apply — all still under this job's admission
+		// exclusion, so the record hits stable storage before the
+		// catalog mutates and before any acknowledgement.
+		rel, err = s.execDurable(ctx, root, exec)
+	case engine == EngineMachine:
+		rel, err = s.execMachine(ctx, tree)
+	default:
+		st.describe(root.Label(), s.engine.ResultPageSize(root), root.Schema())
+		var res *core.Result
+		if res, err = s.engine.ExecuteStream(ctx, tree, st.page); err == nil {
+			rel = res.Relation // an effect root's live relation
+		}
+	}
+	if err != nil {
+		return err
+	}
+	if rel != nil {
+		return st.relation(rel)
+	}
+	return st.finish()
+}
+
+// stream is the streamer's loop: write whatever the execution has
+// queued, as often as it queues something, until the scheduler delivers
+// the outcome; then, for a successful query, the rest. After a failed
+// write (alive comes back false) it only discards, but still waits for
+// the outcome, which every drain, close and cancellation path delivers.
+func (c *session) stream(st *resultStream, outc <-chan sched.Outcome) (o sched.Outcome, alive bool) {
+	out := c.getBuf()
+	defer func() {
+		c.putBuf(out)
+		c.putBuf(st.take(nil))
+	}()
+	alive = true
+	flush := func() {
+		out = st.take(out)
+		if alive && len(out) > 0 {
+			alive = c.writeBytes(out)
+		}
+	}
+	for {
+		select {
+		case <-st.wake:
+			flush()
+		case o = <-outc:
+			if o.Err == nil {
+				flush()
+			}
+			return o, alive
+		}
+	}
+}
+
+// finishResult closes a successfully streamed result: the stage
+// accounting, then the Stats frame.
+func (c *session) finishResult(qid uint32, engine string, st *resultStream, o sched.Outcome,
+	submitted time.Duration, traceID uint64, lane sched.Lane, qspan *obs.Span, arrival time.Time) {
 	s := c.srv
-	s.flight.SetStage(traceID, obs.StageStream)
-	streamFrom := time.Now()
-	streamAt := time.Since(s.start)
-	var bytesOut int64
-	if len(res.pages) == 0 {
-		if !c.writeFrame(&wire.ResultPage{QueryID: qid, Seq: 0, Last: true,
-			Name: res.name, PageSize: res.pageSize, Schema: res.schema}) {
-			s.flight.Finish(traceID, obs.OutcomeError+":stream", nil)
-			return
-		}
-	}
-	for i, blob := range res.pages {
-		f := &wire.ResultPage{QueryID: qid, Seq: uint32(i), Last: i == len(res.pages)-1, Page: blob}
-		if i == 0 {
-			f.Name = res.name
-			f.PageSize = res.pageSize
-			f.Schema = res.schema
-		}
-		bytesOut += int64(len(blob))
-		if !c.writeFrame(f) {
-			s.flight.Finish(traceID, obs.OutcomeError+":stream", nil)
-			return
-		}
-	}
-	streamed := time.Since(streamFrom)
+	// The stream stage is what is left after execution: from the end of
+	// Exec to the last result byte written. Pages that left while the
+	// query ran are inside Exec, so admit-wait + sched + exec + stream
+	// still adds up to no more than the server's residence time.
+	execEnd := submitted + o.AdmitWait + o.Dispatch + o.Run
+	streamed := max(0, time.Since(s.start)-execEnd)
 	if qspan != nil {
-		s.cfg.Obs.Spans().Record(obs.SpanStage, qspan, streamAt, streamAt+streamed,
+		s.cfg.Obs.Spans().Record(obs.SpanStage, qspan, execEnd, execEnd+streamed,
 			"server", "stream", int(qid), -1, -1)
 	}
 	s.streamHist.ObserveDuration(streamed)
-	s.count("server.result_pages", int64(len(res.pages)))
-	s.count("server.result_bytes", bytesOut)
+	s.count("server.result_pages", st.pages)
+	s.count("server.result_bytes", st.bytes)
 	c.writeFrame(&wire.Stats{
 		QueryID:     qid,
 		Engine:      engine,
-		Tuples:      res.tuples,
-		Pages:       int64(len(res.pages)),
-		ResultBytes: bytesOut,
+		Tuples:      st.tuples,
+		Pages:       st.pages,
+		ResultBytes: st.bytes,
 		Queued:      o.Queued,
 		Exec:        o.Run,
 		Deferred:    o.Deferred,
@@ -1027,8 +1144,8 @@ func (c *session) streamResult(qid uint32, engine string, res *queryResult, o sc
 	s.flight.Finish(traceID, obs.OutcomeOK, func(r *obs.QueryRecord) {
 		r.AdmitWait, r.Sched, r.Exec, r.Stream = o.AdmitWait, o.Dispatch, o.Run, streamed
 		r.Total = total
-		r.Tuples = res.tuples
-		r.Pages = int64(len(res.pages))
+		r.Tuples = st.tuples
+		r.Pages = st.pages
 		r.Deferred = o.Deferred
 	})
 	if s.cfg.SlowQuery > 0 && total >= s.cfg.SlowQuery {
@@ -1039,11 +1156,50 @@ func (c *session) streamResult(qid uint32, engine string, res *queryResult, o sc
 			traceID, c.id, qid, lane.String(), engine,
 			total.Round(time.Microsecond), o.AdmitWait.Round(time.Microsecond),
 			o.Dispatch.Round(time.Microsecond), o.Run.Round(time.Microsecond),
-			streamed.Round(time.Microsecond), res.tuples)
+			streamed.Round(time.Microsecond), st.tuples)
 		s.slowMu.Unlock()
 	}
 	s.event(obs.EvResult, int(qid), "s%d/q%d: %d tuples in %d pages (%s, queued %v, ran %v)",
-		c.id, qid, res.tuples, len(res.pages), engine, o.Queued.Round(time.Microsecond), o.Run.Round(time.Microsecond))
+		c.id, qid, st.tuples, st.pages, engine, o.Queued.Round(time.Microsecond), o.Run.Round(time.Microsecond))
+}
+
+// getBuf and putBuf lend the session's frame buffers to its queries: a
+// query's stream holds two (one filling, one being written) and gives
+// them back, so steady traffic encodes into memory it already has. A
+// buffer a stalled client let grow past maxKeptBuf is left to the GC.
+func (c *session) getBuf() []byte {
+	c.bmu.Lock()
+	defer c.bmu.Unlock()
+	if n := len(c.bufs); n > 0 {
+		b := c.bufs[n-1]
+		c.bufs = c.bufs[:n-1]
+		return b
+	}
+	return nil
+}
+
+func (c *session) putBuf(b []byte) {
+	if cap(b) == 0 || cap(b) > maxKeptBuf {
+		return
+	}
+	c.bmu.Lock()
+	c.bufs = append(c.bufs, b[:0])
+	c.bmu.Unlock()
+}
+
+// maxKeptBuf bounds what an idle session retains per buffer: enough for
+// the backlog a client that keeps reading leaves, far less than a whole
+// result a stalled one forced the stream to hold.
+const maxKeptBuf = 256 << 10
+
+// writeBytes writes already-encoded frames under the session write
+// lock, in one call; false means the connection is gone.
+func (c *session) writeBytes(b []byte) bool {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	_ = c.conn.SetWriteDeadline(time.Now().Add(c.srv.cfg.SessionTimeout))
+	_, err := c.conn.Write(b)
+	return err == nil
 }
 
 // writeFrame writes one frame under the session write lock; false

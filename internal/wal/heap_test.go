@@ -350,13 +350,28 @@ func TestHeapCrashPointMatrix(t *testing.T) {
 // fully resident shadow catalog receive the same random interleaving
 // of appends, deletes, scans, and checkpoints. After every op the
 // heap-backed relation must hold byte-identical pages; after a crash
-// (unflushed Close) and recovery, still identical.
+// (unflushed Close) and recovery, still identical. The pool keeps its
+// occupancy gauges incrementally; after every op they must equal what
+// Snapshot counts by walking the frame table.
 func TestHeapPropertyShadow(t *testing.T) {
 	const opsN = 80
 	rng := rand.New(rand.NewSource(42))
 	dir := t.TempDir()
-	l, cat := openSeeded(t, dir, heapOptions(4))
+	reg := obs.NewRegistry(time.Second)
+	opts := heapOptions(4)
+	opts.Obs = obs.New(nil, reg)
+	l, cat := openSeeded(t, dir, opts)
 	shadow := seedCatalog(t)
+	requireGauges := func(after string) {
+		t.Helper()
+		st := l.Heap().Pool().Snapshot()
+		pinned, _ := reg.Gauge("bufpool.pinned")
+		inUse, _ := reg.Gauge("bufpool.frames_in_use")
+		if int(pinned) != st.Pinned || int(inUse) != st.InUse {
+			t.Fatalf("after %s: gauges say %v pinned, %v in use; the frame table holds %d and %d",
+				after, pinned, inUse, st.Pinned, st.InUse)
+		}
+	}
 
 	next := 1000
 	for i := 0; i < opsN; i++ {
@@ -372,17 +387,20 @@ func TestHeapPropertyShadow(t *testing.T) {
 			if err := l.Checkpoint(cat); err != nil {
 				t.Fatal(err)
 			}
+			requireGauges("checkpoint")
 			continue
 		default: // full scan under pin/unpin
 			rel, _ := cat.Get("ev")
 			want, _ := shadow.Get("ev")
 			requirePagesEqual(t, rel, want)
+			requireGauges("scan")
 			continue
 		}
 		if err := applyHeapOp(t, l, cat, op); err != nil {
 			t.Fatal(err)
 		}
 		applyHeapOp(t, nil, shadow, op)
+		requireGauges(op.kind)
 
 		rel, _ := cat.Get("ev")
 		want, _ := shadow.Get("ev")

@@ -27,6 +27,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 )
 
@@ -229,8 +230,23 @@ type ResultPage struct {
 	PageSize uint32
 	Schema   []SchemaAttr
 	// Page is the page blob in relation.Page wire form (Marshal), or
-	// empty on a pure end-of-stream marker.
+	// empty on a pure end-of-stream marker. A decoded frame's Page
+	// aliases the payload buffer read for that frame, which the frame
+	// owns.
 	Page []byte
+	// Source, when set on an outgoing frame, stands in for Page: the
+	// encoder has it append the blob straight into the frame buffer, so
+	// the sender never materializes a page's wire form separately. The
+	// decoder never sets it.
+	Source PageSource
+}
+
+// PageSource is a page that can append its own wire form to a buffer.
+// *relation.Page implements it (wire stays a leaf package).
+type PageSource interface {
+	// WireSize is the exact number of bytes AppendMarshal appends.
+	WireSize() int
+	AppendMarshal(dst []byte) []byte
 }
 
 // Type returns TypeResultPage.
@@ -261,7 +277,18 @@ func (p *ResultPage) encode(e *encoder) {
 			e.u32(a.Width)
 		}
 	}
-	e.bytes(p.Page)
+	if p.Source == nil {
+		e.bytes(p.Page)
+		return
+	}
+	n := p.Source.WireSize()
+	e.u32(uint32(n))
+	e.b = slices.Grow(e.b, n)
+	at := len(e.b)
+	e.b = p.Source.AppendMarshal(e.b)
+	if len(e.b)-at != n {
+		e.fail(fmt.Errorf("page source appended %d bytes, announced %d", len(e.b)-at, n))
+	}
 }
 
 func (p *ResultPage) decode(d *decoder) {
@@ -390,22 +417,40 @@ func (s *Stats) decode(d *decoder) {
 func Write(w io.Writer, f Frame) error { return WriteVersion(w, f, Version) }
 
 // WriteVersion encodes f at the given negotiated protocol version and
-// writes it to w as one frame. Sessions use it after the handshake so
-// a v2 server never sends v2 fields to a v1 client.
+// writes it to w as one frame, in one Write. Sessions use it after the
+// handshake so a v2 server never sends v2 fields to a v1 client.
 func WriteVersion(w io.Writer, f Frame, ver uint16) error {
-	e := encoder{ver: ver}
+	b, err := AppendFrame(nil, f, ver)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
+}
+
+// frameHeaderLen is the type byte plus the u32 payload length.
+const frameHeaderLen = 5
+
+// AppendFrame encodes f at the given protocol version onto dst — the
+// payload is built behind a reserved header, in place, so a frame is
+// encoded once and copied never — and returns the extended buffer. A
+// caller queueing several frames appends them to one buffer and hands
+// it to a single Write. A frame that cannot be represented on the wire
+// is refused as Write refuses it, and dst is returned as it came.
+func AppendFrame(dst []byte, f Frame, ver uint16) ([]byte, error) {
+	// Room for any frame's fixed fields up front: an empty dst then grows
+	// at most once more, for a page blob.
+	e := encoder{b: append(slices.Grow(dst, 64), byte(f.Type()), 0, 0, 0, 0), ver: ver}
 	f.encode(&e)
 	if e.err != nil {
-		return fmt.Errorf("wire: encoding %s frame: %w", f.Type(), e.err)
+		return dst, fmt.Errorf("wire: encoding %s frame: %w", f.Type(), e.err)
 	}
-	if len(e.b) > MaxFrameLen {
-		return fmt.Errorf("wire: %s frame payload is %d bytes, max %d", f.Type(), len(e.b), MaxFrameLen)
+	n := len(e.b) - len(dst) - frameHeaderLen
+	if n > MaxFrameLen {
+		return dst, fmt.Errorf("wire: %s frame payload is %d bytes, max %d", f.Type(), n, MaxFrameLen)
 	}
-	hdr := make([]byte, 5, 5+len(e.b))
-	hdr[0] = byte(f.Type())
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(e.b)))
-	_, err := w.Write(append(hdr, e.b...))
-	return err
+	binary.LittleEndian.PutUint32(e.b[len(dst)+1:], uint32(n))
+	return e.b, nil
 }
 
 // Read reads and decodes one frame from r at the current protocol
@@ -418,7 +463,7 @@ func Read(r io.Reader) (Frame, error) { return ReadVersion(r, Version) }
 // negotiated protocol version. Sessions use it after the handshake so
 // a frame from a v1 peer is decoded with the v1 layout.
 func ReadVersion(r io.Reader, ver uint16) (Frame, error) {
-	var hdr [5]byte
+	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
@@ -566,5 +611,11 @@ func (d *decoder) bytes() []byte {
 	if b == nil {
 		return nil
 	}
-	return append([]byte(nil), b...)
+	if n == 0 {
+		return nil
+	}
+	// The payload was allocated for this frame alone, so the field may
+	// alias it; the capacity stops at the field so an append by the
+	// frame's owner cannot reach the bytes behind it.
+	return b[:n:n]
 }
