@@ -807,6 +807,15 @@ func (f benchFilter) match(names ...string) bool {
 	return false
 }
 
+// allocGated names the benchmarks whose allocs/op the regression gate
+// holds, beside their time.
+var allocGated = map[string]bool{
+	"core/paper-mix": true,
+	"heap/scan-cold": true,
+	"heap/append":    true,
+	"equijoin/hash":  true,
+}
+
 // compareBenchReports guards against performance regressions: it loads
 // the committed baseline report and a fresh one and fails when any
 // benchmark present in both lost more than 25% throughput (fresh
@@ -815,6 +824,11 @@ func (f benchFilter) match(names ...string) bool {
 // error, since silently dropping a measurement is how regressions
 // hide. A non-empty filter restricts the comparison to the baseline
 // entries the fresh (filtered) run was asked to measure.
+//
+// The rows in allocGated also fail on allocs/op more than 25% over the
+// baseline: they are the paths that recycle page memory, and unlike
+// time an allocation count repeats from run to run, so a rise is a
+// leak in the recycling, not noise.
 func compareBenchReports(basePath, freshPath string, filter benchFilter) error {
 	load := func(path string) (benchReport, error) {
 		var rep benchReport
@@ -859,11 +873,20 @@ func compareBenchReports(basePath, freshPath string, filter benchFilter) error {
 			regressed = append(regressed,
 				fmt.Sprintf("%s: %.0f -> %.0f ns/op (%.0f%% of baseline throughput)", old.Name, old.NsPerOp, now.NsPerOp, 100*ratio))
 		}
-		fmt.Printf("bench compare: %-28s %10.0f -> %10.0f ns/op  %5.2fx  %s\n",
-			old.Name, old.NsPerOp, now.NsPerOp, ratio, verdict)
+		allocs := ""
+		if allocGated[old.Name] {
+			allocs = fmt.Sprintf("  %d -> %d allocs/op", old.AllocsPerOp, now.AllocsPerOp)
+			if 4*now.AllocsPerOp > 5*old.AllocsPerOp {
+				verdict = "REGRESSION"
+				regressed = append(regressed,
+					fmt.Sprintf("%s: %d -> %d allocs/op", old.Name, old.AllocsPerOp, now.AllocsPerOp))
+			}
+		}
+		fmt.Printf("bench compare: %-28s %10.0f -> %10.0f ns/op  %5.2fx%s  %s\n",
+			old.Name, old.NsPerOp, now.NsPerOp, ratio, allocs, verdict)
 	}
 	if len(regressed) > 0 {
-		msg := "bench compare: throughput regressed more than 25%:"
+		msg := "bench compare: throughput or allocations regressed more than 25%:"
 		for _, r := range regressed {
 			msg += "\n  " + r
 		}

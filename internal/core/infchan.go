@@ -18,11 +18,12 @@ import "sync"
 // In one FIFO a restrict's first result would queue behind every input
 // page not yet dispatched, and so leave its controller only once its
 // last input had. Within a class order is FIFO, so an evInputDone never
-// overtakes the evPages of its input.
+// overtakes the evPages of its input, nor an evTaskDone the evResults of
+// its task.
 type infChan struct {
 	mu       sync.Mutex
 	ready    sync.Cond // signalled when the queue goes non-empty or stops
-	results  evRing    // evTaskDone
+	results  evRing    // evResult, evTaskDone
 	operands evRing    // evPage, evInputDone
 	stopped  bool
 }
@@ -38,7 +39,7 @@ func newInfChan() *infChan {
 func (c *infChan) Send(ev event) {
 	c.mu.Lock()
 	if !c.stopped {
-		if ev.kind == evTaskDone {
+		if ev.kind == evResult || ev.kind == evTaskDone {
 			c.results.push(ev)
 		} else {
 			c.operands.push(ev)

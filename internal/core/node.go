@@ -17,9 +17,8 @@ import (
 // event is one message delivered to an instruction controller.
 type event struct {
 	kind  evKind
-	input int
-	page  *relation.Page   // evPage
-	pages []*relation.Page // evTaskDone
+	input int            // evPage, evInputDone
+	page  *relation.Page // evPage, evResult; evTaskDone's last page or nil
 }
 
 type evKind uint8
@@ -27,15 +26,21 @@ type evKind uint8
 const (
 	evPage evKind = iota + 1
 	evInputDone
+	// evResult carries one result page of a task still running;
+	// evTaskDone ends the task and carries its last page, if any. A task
+	// with at most one page of output — every restrict and project, most
+	// join pairs — is one event.
+	evResult
 	evTaskDone
 )
 
 // task is one instruction packet: a node plus the operand pages sent to
 // a processor. Joins carry two operands (outer page, inner page); the
-// unary operators carry one.
+// unary operators carry one and leave inner nil. It travels by value:
+// a packet costs no allocation.
 type task struct {
-	node     *nodeExec
-	operands []*relation.Page
+	node         *nodeExec
+	outer, inner *relation.Page
 }
 
 // outlet is where a producer delivers its output stream: either a
@@ -55,7 +60,7 @@ type engineRun struct {
 	obs *obs.Observer
 	t0  time.Time
 
-	arb      chan *task
+	arb      chan task
 	stopped  chan struct{}
 	stopOnce sync.Once
 	errMu    sync.Mutex
@@ -103,7 +108,7 @@ func newEngineRun(ctx context.Context, e *Engine, t *query.Tree) *engineRun {
 		obs:     e.opts.Obs,
 		t0:      time.Now(),
 		qid:     -1,
-		arb:     make(chan *task, e.opts.Workers*e.opts.CellsPerWorker),
+		arb:     make(chan task, e.opts.Workers*e.opts.CellsPerWorker),
 		stopped: make(chan struct{}),
 		pool0:   e.pool.Stats(),
 	}
@@ -464,9 +469,13 @@ func (n *nodeExec) runIC() {
 				n.doneCount++
 				n.onInputDone(ev.input)
 			}
+		case evResult:
+			n.onResult(ev.page)
 		case evTaskDone:
 			n.completed++
-			n.onResults(ev.pages)
+			if ev.page != nil {
+				n.onResult(ev.page)
+			}
 		}
 		if n.allInputsDone() && n.completed == n.dispatched {
 			n.finish()
@@ -493,7 +502,7 @@ func (n *nodeExec) onPage(input int, pg *relation.Page) {
 			n.buf[input] = append(n.buf[input], pg)
 			return
 		}
-		n.dispatch(pg)
+		n.dispatch(pg, nil)
 	case query.OpJoin:
 		n.buf[input] = append(n.buf[input], pg)
 		if n.matInput[input] {
@@ -546,7 +555,7 @@ func (n *nodeExec) flushMaterialized(input int) {
 		}
 	default:
 		for _, pg := range n.buf[input] {
-			n.dispatch(pg)
+			n.dispatch(pg, nil)
 		}
 		n.buf[input] = nil
 	}
@@ -567,26 +576,28 @@ func (n *nodeExec) onInputDone(input int) {
 	switch n.node.Kind {
 	case query.OpRestrict, query.OpProject:
 		for _, pg := range n.buf[0] {
-			n.dispatch(pg)
+			n.dispatch(pg, nil)
 		}
+		n.buf[0] = nil
 	case query.OpJoin:
+		// The pairs share these pages: they stay buffered, as at page
+		// level, until finish hands them back.
 		for _, o := range n.buf[0] {
 			for _, i := range n.buf[1] {
 				n.dispatch(o, i)
 			}
 		}
 	}
-	n.buf[0], n.buf[1] = nil, nil
 }
 
 // dispatch sends one instruction packet into the arbitration network,
 // metering it as Section 3.3 does: operand payload plus per-packet
-// overhead.
-func (n *nodeExec) dispatch(ops ...*relation.Page) {
+// overhead. inner is nil for the unary operators.
+func (n *nodeExec) dispatch(outer, inner *relation.Page) {
 	n.dispatched++
-	payload := 0
-	for _, p := range ops {
-		payload += p.TupleCount() * p.TupleLen()
+	payload := outer.TupleCount() * outer.TupleLen()
+	if inner != nil {
+		payload += inner.TupleCount() * inner.TupleLen()
 	}
 	atomic.AddInt64(&n.run.stInstr, 1)
 	atomic.AddInt64(&n.run.stOperand, int64(payload))
@@ -601,43 +612,38 @@ func (n *nodeExec) dispatch(ops ...*relation.Page) {
 		s.Firings.Add(1)
 		s.Bytes.Add(int64(wire))
 	}
-	t := &task{node: n, operands: ops}
 	select {
-	case n.run.arb <- t:
+	case n.run.arb <- task{node: n, outer: outer, inner: inner}:
 	case <-n.run.stopped:
 	}
 }
 
-// onResults forwards a finished task's output pages toward the consumer.
-func (n *nodeExec) onResults(pages []*relation.Page) {
-	if n.node.Kind == query.OpProject && n.dedup != nil {
-		// Serial-IC duplicate elimination: every projected tuple funnels
-		// through this controller.
-		for _, pg := range pages {
-			cnt := pg.TupleCount()
-			for i := 0; i < cnt; i++ {
-				raw := pg.RawTuple(i)
-				if !n.dedup.Add(raw) {
-					continue
-				}
-				full, err := n.icPaginator.Add(raw)
-				if err != nil {
-					n.run.fail(err)
-					return
-				}
-				if full != nil {
-					n.send(full)
-				}
-			}
-			// The page's tuples now live in the dedup set / paginator;
-			// the page itself is dead.
-			n.run.recycle(pg)
-		}
+// onResult forwards one output page of a task toward the consumer.
+func (n *nodeExec) onResult(pg *relation.Page) {
+	if n.dedup == nil {
+		n.forward(pg)
 		return
 	}
-	for _, pg := range pages {
-		n.forward(pg)
+	// Serial-IC duplicate elimination: every projected tuple funnels
+	// through this controller.
+	cnt := pg.TupleCount()
+	for i := 0; i < cnt; i++ {
+		raw := pg.RawTuple(i)
+		if !n.dedup.Add(raw) {
+			continue
+		}
+		full, err := n.icPaginator.Add(raw)
+		if err != nil {
+			n.run.fail(err)
+			return
+		}
+		if full != nil {
+			n.send(full)
+		}
 	}
+	// The page's tuples now live in the dedup set / paginator; the page
+	// itself is dead.
+	n.run.recycle(pg)
 }
 
 // forward routes an owned output page through the compressor: partial
@@ -688,6 +694,16 @@ func (n *nodeExec) finish() {
 	if n.pending != nil && !n.pending.Empty() {
 		n.send(n.pending)
 		n.pending = nil
+	}
+	// A join's operand pages stayed buffered for pairings still to come.
+	// Every packet has now completed and this node's kernel states — the
+	// only caches keyed by these pages — are never consulted again, so
+	// the pages the engine owns go back (Put ignores a scan's).
+	for i := range n.buf {
+		for _, pg := range n.buf[i] {
+			n.run.recycle(pg)
+		}
+		n.buf[i] = nil
 	}
 	if n.run.tracing() {
 		n.run.event(obs.EvInstrDone, fmt.Sprintf("node%d", n.id), n.id, 0,

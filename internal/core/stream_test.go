@@ -10,6 +10,7 @@ import (
 	"dfdbm/internal/obs"
 	"dfdbm/internal/query"
 	"dfdbm/internal/relation"
+	"dfdbm/internal/workload"
 )
 
 // dispatchCounter is an event sink that counts instruction packets as
@@ -173,4 +174,71 @@ func TestConcurrentBareScans(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestExecuteStreamAllocCeiling: in steady state an instruction packet
+// buys nothing — no task, operand slice, paginator, closure or output
+// slice, and every page comes off the free list — so paper query 9 at
+// the benchmark's scale, some 19,500 packets, runs in less than one
+// allocation per four packets; what is left is per query (goroutines,
+// controllers, kernel states), not per packet.
+func TestExecuteStreamAllocCeiling(t *testing.T) {
+	cat, qs, err := workload.Build(workload.Config{Seed: 1, Scale: 1, PageSize: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := New(cat, Options{Granularity: PageLevel, Workers: 4, PageSize: 2048})
+	var packets int64
+	run := func() {
+		res, err := eng.ExecuteStream(context.Background(), qs[8], func(pg *relation.Page) error {
+			eng.Recycle(pg)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		packets = res.Stats.InstructionPackets
+	}
+	allocs := testing.AllocsPerRun(3, run) // its warm-up run fills the free list
+	if packets < 10000 {
+		t.Fatalf("query 9 dispatched %d packets; the ceiling is meant for a join of thousands", packets)
+	}
+	if ceiling := float64(packets) / 4; allocs > ceiling {
+		t.Errorf("query 9: %.0f allocations for %d packets, want at most one per four (%.0f)", allocs, packets, ceiling)
+	}
+	t.Logf("query 9: %.0f allocations, %d packets", allocs, packets)
+}
+
+// TestEveryPageComesBack: with a consumer that recycles what it is
+// emitted, every page a run takes from the pool is back on the free
+// list when the run ends — worker outputs, compressed-away partials,
+// tuple-level scan tokens and a join's buffered operands alike — so
+// gets (hits + misses) and recycled pages agree exactly, for every
+// benchmark query at every granularity and both project strategies.
+func TestEveryPageComesBack(t *testing.T) {
+	cat, qs := testDB(t, 0.02, 1000)
+	for _, strategy := range []ProjectStrategy{ProjectSerialIC, ProjectPartitioned} {
+		for _, g := range allGranularities() {
+			eng := New(cat, Options{Granularity: g, Workers: 4, PageSize: 1000, Project: strategy})
+			for qi, q := range qs {
+				if k := q.Root().Kind; k == query.OpAppend || k == query.OpDelete {
+					continue // effect roots retain their pages in the catalog
+				}
+				res, err := eng.ExecuteStream(context.Background(), q, func(pg *relation.Page) error {
+					eng.Recycle(pg)
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("query %d at %s: %v", qi+1, g, err)
+				}
+				if st := res.Stats; st.PoolHits+st.PoolMisses != st.PagesRecycled {
+					t.Errorf("query %d at %s/%s: %d pages taken (%d hits + %d misses), %d handed back",
+						qi+1, g, strategy, st.PoolHits+st.PoolMisses, st.PoolHits, st.PoolMisses, st.PagesRecycled)
+				}
+			}
+			if ps := eng.pool.Stats(); ps.FreeBytes > eng.pool.Budget() {
+				t.Errorf("%s/%s: free list holds %d bytes, budget %d", g, strategy, ps.FreeBytes, eng.pool.Budget())
+			}
+		}
+	}
 }

@@ -12,105 +12,126 @@ import (
 
 // worker is one instruction processor: it pulls instruction packets off
 // the arbitration network, applies the operation to the operand pages,
-// paginates the result tuples, and sends the result packets back to the
+// paginates the result tuples, and sends the result pages back to the
 // controlling node.
 func (r *engineRun) worker() {
 	defer r.wg.Done()
-	// ks carries this worker's reusable kernel state, one entry per
-	// node: join scratch buffers and cached inner-page hash tables,
-	// batch-compiled restrict predicates with their selection-bitmap
-	// scratch, and project gather buffers all survive across
-	// instruction packets. Kernel states hold mutable scratch, so they
-	// are per-worker, never shared between goroutines.
-	ks := &workerKernels{
-		joins:     make(map[*nodeExec]*relalg.JoinState),
-		restricts: make(map[*nodeExec]*relalg.RestrictState),
-		projects:  make(map[*nodeExec]*relalg.ProjectState),
-	}
+	w := newWorkerState(r)
 	for {
 		select {
 		case t := <-r.arb:
-			r.execTask(t, ks)
+			w.exec(t)
 		case <-r.stopped:
 			return
 		}
 	}
 }
 
-type workerKernels struct {
+// workerState is what one worker keeps between instruction packets, so
+// that a packet buys nothing: the reusable kernel state, one entry per
+// node — join scratch buffers and cached inner-page hash tables,
+// batch-compiled restrict predicates with their selection-bitmap
+// scratch, project gather buffers — and the output side, one paginator
+// and two tuple sinks built once and re-aimed at each packet's node.
+// Kernel states hold mutable scratch, so all of it is per-worker, never
+// shared between goroutines.
+type workerState struct {
+	run       *engineRun
 	joins     map[*nodeExec]*relalg.JoinState
 	restricts map[*nodeExec]*relalg.RestrictState
 	projects  map[*nodeExec]*relalg.ProjectState
+
+	// The packet in hand: its node, the paginator filling its current
+	// output page, and the meters of the pages already sent.
+	node     *nodeExec
+	pgtor    relation.Paginator
+	pages    int
+	tuples   int64
+	resBytes int
+
+	emit     relalg.EmitFunc // paginate one result tuple
+	emitPart relalg.EmitFunc // partitioned project: dedup, then emit
 }
 
-func (r *engineRun) execTask(t *task, ks *workerKernels) {
-	n := t.node
-	start := r.now()
-	pgtor, err := relation.NewPooledPaginator(n.outPageSize, n.outTupleLen, r.eng.pool)
-	if err != nil {
-		r.fail(err)
-		return
+func newWorkerState(r *engineRun) *workerState {
+	w := &workerState{
+		run:       r,
+		joins:     make(map[*nodeExec]*relalg.JoinState),
+		restricts: make(map[*nodeExec]*relalg.RestrictState),
+		projects:  make(map[*nodeExec]*relalg.ProjectState),
 	}
-	var out []*relation.Page
-	emit := func(raw []byte) error {
-		full, err := pgtor.Add(raw)
-		if err != nil {
-			return err
-		}
+	w.emit = func(raw []byte) error {
+		full, err := w.pgtor.Add(raw)
 		if full != nil {
-			out = append(out, full)
+			// A filled page leaves at once; the packet's last page
+			// rides on its completion event.
+			w.meter(full)
+			w.node.events.Send(event{kind: evResult, page: full})
 		}
-		return nil
+		return err
 	}
+	// Partitioned duplicate elimination: byte-equal projections always
+	// hash to the same partition, so partition-local dedup is globally
+	// exact and workers never contend on a single set.
+	w.emitPart = func(raw []byte) error {
+		parts := w.node.parts
+		part := &parts[relalg.HashPartition(raw, len(parts))]
+		part.mu.Lock()
+		fresh := part.d.Add(raw)
+		part.mu.Unlock()
+		if !fresh {
+			return nil
+		}
+		return w.emit(raw)
+	}
+	return w
+}
 
-	// Unary operand pages are dead once the kernel has read them; join
-	// operands stay buffered in the controller for future pairings and
-	// must not be recycled.
-	recycleOperands := false
+// meter charges one result page to the distribution network.
+func (w *workerState) meter(pg *relation.Page) {
+	wire := pg.TupleCount()*pg.TupleLen() + w.run.eng.opts.PacketOverhead
+	atomic.AddInt64(&w.run.stResPkts, 1)
+	atomic.AddInt64(&w.run.stResBytes, int64(wire))
+	w.pages++
+	w.tuples += int64(pg.TupleCount())
+	w.resBytes += wire
+}
 
+func (w *workerState) exec(t task) {
+	r, n := w.run, t.node
+	start := r.now()
+	w.node, w.pages, w.tuples, w.resBytes = n, 0, 0, 0
+	w.pgtor.Reset(n.outPageSize, n.outTupleLen, r.eng.pool)
+
+	var err error
 	switch n.node.Kind {
 	case query.OpRestrict:
-		rs := ks.restricts[n]
+		rs := w.restricts[n]
 		if rs == nil {
 			rs = relalg.NewRestrictState(n.boundPred)
-			ks.restricts[n] = rs
+			w.restricts[n] = rs
 		}
-		_, err = rs.RestrictPage(t.operands[0], emit)
-		recycleOperands = true
+		_, err = rs.RestrictPage(t.outer, w.emit)
 
 	case query.OpJoin:
-		st := ks.joins[n]
+		st := w.joins[n]
 		if st == nil {
 			st = relalg.NewJoinState(n.boundJoin, &r.kstats)
-			ks.joins[n] = st
+			w.joins[n] = st
 		}
-		_, err = st.JoinPages(t.operands[0], t.operands[1], emit)
+		_, err = st.JoinPages(t.outer, t.inner, w.emit)
 
 	case query.OpProject:
-		sink := emit
+		sink := w.emit
 		if n.parts != nil {
-			// Partitioned duplicate elimination: byte-equal projections
-			// always hash to the same partition, so partition-local
-			// dedup is globally exact and workers never contend on a
-			// single set.
-			sink = func(raw []byte) error {
-				part := &n.parts[relalg.HashPartition(raw, len(n.parts))]
-				part.mu.Lock()
-				fresh := part.d.Add(raw)
-				part.mu.Unlock()
-				if !fresh {
-					return nil
-				}
-				return emit(raw)
-			}
+			sink = w.emitPart
 		}
-		ps := ks.projects[n]
+		ps := w.projects[n]
 		if ps == nil {
 			ps = relalg.NewProjectState(n.projector)
-			ks.projects[n] = ps
+			w.projects[n] = ps
 		}
-		_, err = ps.ProjectPage(t.operands[0], nil, sink)
-		recycleOperands = true
+		_, err = ps.ProjectPage(t.outer, nil, sink)
 
 	default:
 		err = fmt.Errorf("core: worker received %s task", n.node.Kind)
@@ -119,42 +140,41 @@ func (r *engineRun) execTask(t *task, ks *workerKernels) {
 		r.fail(err)
 		return
 	}
-	if last := pgtor.Flush(); last != nil {
-		out = append(out, last)
+	last := w.pgtor.Flush()
+	if last != nil {
+		w.meter(last)
 	}
-	if recycleOperands {
-		for _, pg := range t.operands {
-			r.recycle(pg)
-		}
+	operands := 1
+	if t.inner == nil {
+		// A unary operand page is dead once the kernel has read it; join
+		// operands stay buffered in the controller for future pairings
+		// and go back when it finishes.
+		r.recycle(t.outer)
+	} else {
+		operands = 2
 	}
 
-	resBytes := 0
-	for _, pg := range out {
-		atomic.AddInt64(&r.stResPkts, 1)
-		wire := pg.TupleCount()*pg.TupleLen() + r.eng.opts.PacketOverhead
-		atomic.AddInt64(&r.stResBytes, int64(wire))
-		resBytes += wire
-	}
-	if resBytes > 0 {
-		r.observe("core.result_bytes", float64(resBytes))
-	}
 	end := r.now()
-	r.observe("core.worker_busy_us", float64((end - start).Microseconds()))
+	if o := r.obs; o.MetricsOn() {
+		// Both meters close at end, under one registry lock.
+		busy := float64((end - start).Microseconds())
+		if w.resBytes > 0 {
+			o.Registry().AddPair(end, "core.result_bytes", float64(w.resBytes), "core.worker_busy_us", busy)
+		} else {
+			o.Registry().Add("core.worker_busy_us", end, busy)
+		}
+	}
 	if r.spansOn() {
 		r.obs.Spans().Record(obs.SpanExec, n.span, start, end, "worker", "exec", r.qid, n.id, -1)
 		if s := n.span; s != nil {
-			s.PagesIn.Add(int64(len(t.operands)))
-			s.PagesOut.Add(int64(len(out)))
-			var tup int64
-			for _, pg := range out {
-				tup += int64(pg.TupleCount())
-			}
-			s.TuplesOut.Add(tup)
+			s.PagesIn.Add(int64(operands))
+			s.PagesOut.Add(int64(w.pages))
+			s.TuplesOut.Add(w.tuples)
 		}
 	}
 	if r.tracing() {
-		r.event(obs.EvResult, fmt.Sprintf("node%d", n.id), n.id, resBytes,
-			"node%d: task complete (%d result pages)", n.id, len(out))
+		r.event(obs.EvResult, fmt.Sprintf("node%d", n.id), n.id, w.resBytes,
+			"node%d: task complete (%d result pages)", n.id, w.pages)
 	}
-	n.events.Send(event{kind: evTaskDone, pages: out})
+	n.events.Send(event{kind: evTaskDone, page: last})
 }

@@ -33,7 +33,11 @@ const DefaultFrames = 1024
 // eviction only drops the pool's reference, so a *Page handed out
 // earlier remains valid (Go GC) — and writers cannot mutate it
 // concurrently because the admission scheduler gives every relation a
-// single writer.
+// single writer. Frame pages outlive their pin as a matter of course
+// (Relation.EachPage unpins before the engine's worker has read the
+// page), so a miss must never decode into the evicted frame's page: it
+// always gets a fresh one (File.ReadPage), and the collector takes the
+// old one after its last reader.
 type Pool struct {
 	mu    sync.Mutex // lock order: Store.mu -> Pool.mu, never the reverse
 	cap   int

@@ -83,12 +83,26 @@ type File struct {
 	seq        uint64   // header generation (ping-pong selector)
 	baseLSN    uint64
 	schemaHash uint64
+	// spare is an idle slot-sized buffer: reads and writes build their
+	// slot image in it instead of buying one each (takeSlotBufLocked).
+	spare []byte
+}
+
+// takeSlotBufLocked lends the file's spare slot buffer, or a fresh one
+// while another caller has it; the borrower stores it back in spare.
+// The contents are whatever the last user left.
+func (hf *File) takeSlotBufLocked() []byte {
+	if buf := hf.spare; buf != nil {
+		hf.spare = nil
+		return buf
+	}
+	return make([]byte, hf.slotSize)
 }
 
 // Create makes an empty heap file at path with a durable initial
 // header.
 func Create(path string, pageSize, tupleLen int, schemaHash, baseLSN uint64) (*File, error) {
-	if _, err := relation.NewPage(pageSize, tupleLen); err != nil {
+	if err := relation.CheckPageGeometry(pageSize, tupleLen); err != nil {
 		return nil, err
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
@@ -261,7 +275,7 @@ func parseHeader(b []byte) (*headerView, error) {
 		pages:      binary.LittleEndian.Uint64(b[36:44]),
 		baseLSN:    binary.LittleEndian.Uint64(b[44:52]),
 	}
-	if _, err := relation.NewPage(hv.pageSize, hv.tupleLen); err != nil {
+	if err := relation.CheckPageGeometry(hv.pageSize, hv.tupleLen); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return hv, nil
@@ -289,17 +303,20 @@ func (hf *File) writeHeaderLocked(baseLSN uint64) error {
 }
 
 // writeSlotLocked writes page i's full slot (header, blob, padding) at
-// its fixed offset. In-place and unordered: the WAL makes it safe.
+// its fixed offset, marshalling the page straight into a slot buffer.
+// In-place and unordered: the WAL makes it safe.
 func (hf *File) writeSlotLocked(i int, p *relation.Page) error {
-	blob := p.Marshal()
-	if int64(len(blob))+slotHeaderLen > hf.slotSize {
-		return fmt.Errorf("heap: %s: page %d blob of %d bytes exceeds slot size %d", filepath.Base(hf.path), i, len(blob), hf.slotSize)
+	if n := int64(p.WireSize()); n+slotHeaderLen > hf.slotSize {
+		return fmt.Errorf("heap: %s: page %d blob of %d bytes exceeds slot size %d", filepath.Base(hf.path), i, n, hf.slotSize)
 	}
-	buf := make([]byte, hf.slotSize)
+	buf := hf.takeSlotBufLocked()
+	clear(buf[:slotHeaderLen])
+	blob := p.AppendMarshal(buf[:slotHeaderLen])[slotHeaderLen:]
+	clear(buf[slotHeaderLen+len(blob):])
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(blob)))
 	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(blob, castagnoli))
-	copy(buf[slotHeaderLen:], blob)
 	_, err := hf.f.WriteAt(buf, dataOff+int64(i)*hf.slotSize)
+	hf.spare = buf
 	return err
 }
 
@@ -315,16 +332,29 @@ func (hf *File) WritePage(i int, p *relation.Page) error {
 	return hf.writeSlotLocked(i, p)
 }
 
-// ReadPage reads and validates slot i, returning the decoded page.
+// ReadPage reads and validates slot i, returning the decoded page. The
+// page is always a fresh one, never a recycled frame's: a scan unpins a
+// frame as soon as it has passed the page on (Relation.EachPage), so the
+// page a frame held can still be under a worker's kernel after the
+// frame has been evicted and refilled. Only the slot buffer is reused.
 func (hf *File) ReadPage(i int) (*relation.Page, error) {
 	hf.mu.Lock()
-	slotSize := hf.slotSize
-	pages := hf.pages
-	hf.mu.Unlock()
-	if i < 0 || i >= pages {
+	if pages := hf.pages; i < 0 || i >= pages {
+		hf.mu.Unlock()
 		return nil, fmt.Errorf("heap: %s: read of page %d beyond %d pages", filepath.Base(hf.path), i, pages)
 	}
-	buf := make([]byte, slotSize)
+	buf := hf.takeSlotBufLocked()
+	hf.mu.Unlock()
+	p, err := hf.readSlot(i, buf)
+	hf.mu.Lock()
+	hf.spare = buf
+	hf.mu.Unlock()
+	return p, err
+}
+
+// readSlot reads slot i into buf and decodes the page it holds.
+func (hf *File) readSlot(i int, buf []byte) (*relation.Page, error) {
+	slotSize := int64(len(buf))
 	if _, err := hf.f.ReadAt(buf, dataOff+int64(i)*slotSize); err != nil {
 		return nil, fmt.Errorf("heap: %s: slot %d: %w", filepath.Base(hf.path), i, err)
 	}

@@ -491,3 +491,42 @@ func TestPoolGaugesTrackSnapshot(t *testing.T) {
 	pool.DropFile(hf)
 	check("DropFile with a pin held", 0)
 }
+
+// TestColdScanAllocCeiling: a scan of a relation far larger than the
+// pool misses on every page, and a miss buys the decoded page — its
+// struct and its exact-size payload — and nothing else: the slot is
+// read into the file's reusable buffer and the frame is an evicted one.
+// With a metrics registry attached, as on a server.
+func TestColdScanAllocCeiling(t *testing.T) {
+	const frames = 4
+	store, err := OpenStore(t.TempDir(), frames, obs.New(nil, obs.NewRegistry(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	rel := seedRelation(t, "r", testSchema(t), 2048, 10000) // 127 tuples to a page
+	if err := store.Adopt(rel, 1); err != nil {
+		t.Fatal(err)
+	}
+	pages := rel.NumPages()
+	if pages < 10*frames {
+		t.Fatalf("relation has %d pages; the scan must stay cold in a %d-frame pool", pages, frames)
+	}
+	tuples := 0
+	scan := func() {
+		tuples = 0
+		if err := rel.EachPage(func(pg *relation.Page) error {
+			tuples += pg.TupleCount()
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(3, scan)
+	if tuples != 10000 {
+		t.Fatalf("scan read %d tuples, want 10000", tuples)
+	}
+	if ceiling := float64(2 * pages); allocs > ceiling {
+		t.Errorf("cold scan of %d pages: %.0f allocations, want at most 2 per page read (%.0f)", pages, allocs, ceiling)
+	}
+}

@@ -77,13 +77,26 @@ func (r *Registry) Gauge(name string) (float64, bool) {
 // Add accumulates v into the named timeline's bucket at time ts.
 func (r *Registry) Add(name string, ts time.Duration, v float64) {
 	r.mu.Lock()
+	r.timelineLocked(name).Add(ts, v)
+	r.mu.Unlock()
+}
+
+// AddPair is two Adds at one instant under one acquisition of the
+// registry lock, for a hot path that closes two meters together.
+func (r *Registry) AddPair(ts time.Duration, nameA string, a float64, nameB string, b float64) {
+	r.mu.Lock()
+	r.timelineLocked(nameA).Add(ts, a)
+	r.timelineLocked(nameB).Add(ts, b)
+	r.mu.Unlock()
+}
+
+func (r *Registry) timelineLocked(name string) *Timeline {
 	tl, ok := r.timelines[name]
 	if !ok {
 		tl = &Timeline{Bucket: r.bucket}
 		r.timelines[name] = tl
 	}
-	tl.Add(ts, v)
-	r.mu.Unlock()
+	return tl
 }
 
 // AddBusy spreads a busy interval of duration d starting at start
@@ -100,11 +113,7 @@ func (r *Registry) AddBusy(name string, start, d time.Duration) {
 		start = 0
 	}
 	r.mu.Lock()
-	tl, ok := r.timelines[name]
-	if !ok {
-		tl = &Timeline{Bucket: r.bucket}
-		r.timelines[name] = tl
-	}
+	tl := r.timelineLocked(name)
 	end := start + d
 	for t := start; t < end; {
 		next := (t/tl.Bucket + 1) * tl.Bucket

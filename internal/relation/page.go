@@ -34,18 +34,37 @@ type Page struct {
 	pooled   bool   // came from a PagePool and may be recycled by Put
 }
 
-// NewPage returns an empty page that serializes to at most pageSize bytes
-// and holds tuples of tupleLen bytes. pageSize must leave room for the
-// header and at least one tuple.
-func NewPage(pageSize, tupleLen int) (*Page, error) {
+// CheckPageGeometry reports whether a page of pageSize bytes can hold
+// tuples of tupleLen bytes: pageSize must leave room for the header and
+// at least one tuple.
+func CheckPageGeometry(pageSize, tupleLen int) error {
 	if tupleLen <= 0 {
-		return nil, fmt.Errorf("relation: tuple length %d must be positive", tupleLen)
+		return fmt.Errorf("relation: tuple length %d must be positive", tupleLen)
 	}
 	if pageSize < PageHeaderLen+tupleLen {
-		return nil, fmt.Errorf("relation: page size %d too small for header plus one %d-byte tuple", pageSize, tupleLen)
+		return fmt.Errorf("relation: page size %d too small for header plus one %d-byte tuple", pageSize, tupleLen)
 	}
-	capBytes := (pageSize - PageHeaderLen) / tupleLen * tupleLen
-	return &Page{size: pageSize, tupleLen: tupleLen, capBytes: capBytes}, nil
+	return nil
+}
+
+// NewPage returns an empty page that serializes to at most pageSize bytes
+// and holds tuples of tupleLen bytes. The payload is allocated once, at
+// the page's full capacity — pageSize less the header, whatever the
+// tuple length, so a PagePool can reuse it for any tuple length — and
+// filling the page never grows it.
+func NewPage(pageSize, tupleLen int) (*Page, error) {
+	if err := CheckPageGeometry(pageSize, tupleLen); err != nil {
+		return nil, err
+	}
+	p := &Page{size: pageSize, data: make([]byte, 0, pageSize-PageHeaderLen)}
+	p.setTupleLen(tupleLen)
+	return p, nil
+}
+
+// setTupleLen (re)formats an empty page for tuples of tupleLen bytes.
+func (p *Page) setTupleLen(tupleLen int) {
+	p.tupleLen = tupleLen
+	p.capBytes = (p.size - PageHeaderLen) / tupleLen * tupleLen
 }
 
 // MustNewPage is NewPage but panics on error.
@@ -192,10 +211,13 @@ func UnmarshalPage(b []byte) (*Page, error) {
 	size := int(binary.LittleEndian.Uint32(b[4:]))
 	tupleLen := int(binary.LittleEndian.Uint32(b[8:]))
 	count := int(binary.LittleEndian.Uint32(b[12:]))
-	p, err := NewPage(size, tupleLen)
-	if err != nil {
+	if err := CheckPageGeometry(size, tupleLen); err != nil {
 		return nil, err
 	}
+	// A decoded page keeps an exact-size payload: most are read and
+	// never appended to, so full capacity would only be bought to idle.
+	p := &Page{size: size}
+	p.setTupleLen(tupleLen)
 	want := count * tupleLen
 	if len(b) != PageHeaderLen+want {
 		return nil, fmt.Errorf("relation: page blob is %d bytes, header says %d", len(b), PageHeaderLen+want)
@@ -220,21 +242,25 @@ type Paginator struct {
 // NewPaginator returns a paginator producing pages of the given size for
 // tuples of the given length.
 func NewPaginator(pageSize, tupleLen int) (*Paginator, error) {
-	if _, err := NewPage(pageSize, tupleLen); err != nil {
-		return nil, err
-	}
-	return &Paginator{pageSize: pageSize, tupleLen: tupleLen}, nil
+	return NewPooledPaginator(pageSize, tupleLen, nil)
 }
 
 // NewPooledPaginator is NewPaginator drawing its pages from pool (which
 // may be nil for plain allocation).
 func NewPooledPaginator(pageSize, tupleLen int, pool *PagePool) (*Paginator, error) {
-	g, err := NewPaginator(pageSize, tupleLen)
-	if err != nil {
+	if err := CheckPageGeometry(pageSize, tupleLen); err != nil {
 		return nil, err
 	}
-	g.pool = pool
+	g := &Paginator{}
+	g.Reset(pageSize, tupleLen, pool)
 	return g, nil
+}
+
+// Reset re-aims the paginator, zero value included, at a page geometry
+// the caller has already validated, dropping any pending page: one
+// paginator then serves every instruction packet a worker executes.
+func (g *Paginator) Reset(pageSize, tupleLen int, pool *PagePool) {
+	*g = Paginator{pageSize: pageSize, tupleLen: tupleLen, pool: pool}
 }
 
 // Add appends one encoded tuple. If the current page becomes full it is

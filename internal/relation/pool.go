@@ -5,44 +5,55 @@ import (
 	"sync/atomic"
 )
 
-// PagePool recycles Page structs and their payload buffers by size
-// class. The engines allocate intermediate pages at a furious rate —
-// every operator hop produces fresh pages that die as soon as the
-// consumer has read them — so recycling them removes the dominant
+// PagePool is the free list of intermediate pages: the engines' IC
+// memory, bought once and handed out and taken back from then on. The
+// engines produce a fresh page at every operator hop and it dies as
+// soon as the consumer has read it, so recycling removes the dominant
 // allocation on the hot execution path.
+//
+// The list is one stack per page size under one mutex. A page's payload
+// always has the capacity of its size (NewPage), so a recycled page
+// serves any tuple length; the stacks are the pool's own, so a page put
+// back stays until it is taken again — the collector never empties them
+// — and the counters are a function of the Get/Put sequence alone. The
+// bytes held free never exceed Budget(): a Put beyond it drops the page.
 //
 // Ownership discipline: only pages obtained from a pool (Get) are ever
 // recycled (Put); Put on any other page — a catalog page, a result page
 // retained by Relation.AppendPage — is a no-op, because those pages are
-// aliased by live readers. A nil *PagePool is valid and degrades to
-// plain allocation, so pooling is a pure opt-in.
+// aliased by live readers. Whoever Puts a page guarantees nothing can
+// still reach it: not a reader, not a cache keyed by its identity. A
+// nil *PagePool is valid and degrades to plain allocation, so pooling is
+// a pure opt-in.
 type PagePool struct {
-	classes  sync.Map // pageClass -> *sync.Pool
-	hits     int64    // atomic: Gets served from the pool
-	misses   int64    // atomic: Gets that allocated fresh
-	recycled int64    // atomic: Puts accepted
-	budget   int64    // atomic: planner materialization budget in bytes (0 = default)
-}
+	mu        sync.Mutex
+	free      map[int][]*Page // page size -> stack of free pages
+	freeBytes int64           // sum of the free pages' sizes, <= Budget()
+	hits      int64           // Gets served from the free list
+	misses    int64           // Gets that allocated fresh
+	recycled  int64           // Puts the free list kept
 
-type pageClass struct{ size, tupleLen int }
+	budget atomic.Int64 // page-memory budget in bytes (0 = default)
+}
 
 // NewPagePool returns an empty pool.
 func NewPagePool() *PagePool { return &PagePool{} }
 
-// DefaultPoolBudget is the page-memory budget, in bytes, that the
-// adaptive planner assumes when none has been set on the pool: an
-// intermediate estimated to fit within it may be materialized in memory
-// instead of pipelined page by page.
+// DefaultPoolBudget is the page-memory budget, in bytes, of a pool on
+// which none has been set: the most its free list holds, and what the
+// adaptive planner assumes an intermediate may occupy if it is to be
+// materialized in memory instead of pipelined page by page.
 const DefaultPoolBudget = 4 << 20
 
 // SetBudget sets the pool's page-memory budget in bytes. Zero or
-// negative restores the default. The budget is advisory — it steers the
-// planner's pipeline-vs-materialize decision, it does not cap Get.
+// negative restores the default. The budget bounds the free list and
+// steers the planner's pipeline-vs-materialize decision; it does not
+// cap Get, and pages already free stay until they are taken.
 func (p *PagePool) SetBudget(bytes int64) {
 	if p == nil {
 		return
 	}
-	atomic.StoreInt64(&p.budget, bytes)
+	p.budget.Store(bytes)
 }
 
 // Budget returns the pool's page-memory budget in bytes. A nil pool, or
@@ -51,7 +62,7 @@ func (p *PagePool) Budget() int64 {
 	if p == nil {
 		return DefaultPoolBudget
 	}
-	if b := atomic.LoadInt64(&p.budget); b > 0 {
+	if b := p.budget.Load(); b > 0 {
 		return b
 	}
 	return DefaultPoolBudget
@@ -59,47 +70,56 @@ func (p *PagePool) Budget() int64 {
 
 // PoolStats is a point-in-time copy of a pool's counters.
 type PoolStats struct {
-	Hits     int64 // pages served from the pool
-	Misses   int64 // pages freshly allocated
-	Recycled int64 // pages returned for reuse
+	Hits      int64 // pages served from the free list
+	Misses    int64 // pages freshly allocated
+	Recycled  int64 // pages returned and kept for reuse
+	FreeBytes int64 // page memory idle on the free list right now
 }
 
-// Stats returns the pool's counters, read atomically. A nil pool
-// reports zeros.
+// Stats returns the pool's counters. A nil pool reports zeros.
 func (p *PagePool) Stats() PoolStats {
 	if p == nil {
 		return PoolStats{}
 	}
-	return PoolStats{
-		Hits:     atomic.LoadInt64(&p.hits),
-		Misses:   atomic.LoadInt64(&p.misses),
-		Recycled: atomic.LoadInt64(&p.recycled),
-	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return PoolStats{Hits: p.hits, Misses: p.misses, Recycled: p.recycled, FreeBytes: p.freeBytes}
 }
 
-// Get returns an empty page of the given size class, reusing a recycled
-// page when one is available. On a nil pool it simply allocates.
+// Get returns an empty page of the given size for tuples of the given
+// length, reusing a free page of that size when there is one. On a nil
+// pool it simply allocates.
 func (p *PagePool) Get(pageSize, tupleLen int) (*Page, error) {
 	if p == nil {
 		return NewPage(pageSize, tupleLen)
 	}
-	if c, ok := p.classes.Load(pageClass{pageSize, tupleLen}); ok {
-		if pg, _ := c.(*sync.Pool).Get().(*Page); pg != nil {
-			atomic.AddInt64(&p.hits, 1)
-			pg.pooled = true
-			return pg, nil
-		}
+	if err := CheckPageGeometry(pageSize, tupleLen); err != nil {
+		return nil, err
 	}
+	p.mu.Lock()
+	stack := p.free[pageSize]
+	if n := len(stack); n > 0 {
+		pg := stack[n-1]
+		stack[n-1] = nil
+		p.free[pageSize] = stack[:n-1]
+		p.freeBytes -= int64(pageSize)
+		p.hits++
+		p.mu.Unlock()
+		pg.setTupleLen(tupleLen)
+		pg.pooled = true
+		return pg, nil
+	}
+	p.misses++
+	p.mu.Unlock()
 	pg, err := NewPage(pageSize, tupleLen)
 	if err != nil {
 		return nil, err
 	}
-	atomic.AddInt64(&p.misses, 1)
 	pg.pooled = true
 	return pg, nil
 }
 
-// MustGet is Get but panics on error; for size classes already
+// MustGet is Get but panics on error; for page geometries already
 // validated by the caller.
 func (p *PagePool) MustGet(pageSize, tupleLen int) *Page {
 	pg, err := p.Get(pageSize, tupleLen)
@@ -112,18 +132,40 @@ func (p *PagePool) MustGet(pageSize, tupleLen int) *Page {
 // Put returns a page to the pool for reuse. Only pages that came from a
 // pool are accepted — Put on a catalog or retained page is a no-op —
 // and a page is marked non-pooled on the way in, so a double Put cannot
-// hand the same page out twice.
+// hand the same page out twice. A page the budget has no room for is
+// left to the collector.
 func (p *PagePool) Put(pg *Page) {
 	if p == nil || pg == nil || !pg.pooled {
 		return
 	}
 	pg.pooled = false
 	pg.data = pg.data[:0]
-	key := pageClass{pg.size, pg.tupleLen}
-	c, ok := p.classes.Load(key)
-	if !ok {
-		c, _ = p.classes.LoadOrStore(key, &sync.Pool{})
+	if poisonPut.Load() {
+		poison := pg.data[:cap(pg.data)]
+		for i := range poison {
+			poison[i] = 0xDB
+		}
 	}
-	c.(*sync.Pool).Put(pg)
-	atomic.AddInt64(&p.recycled, 1)
+	budget := p.Budget()
+	p.mu.Lock()
+	if p.freeBytes+int64(pg.size) <= budget {
+		if p.free == nil {
+			p.free = make(map[int][]*Page)
+		}
+		p.free[pg.size] = append(p.free[pg.size], pg)
+		p.freeBytes += int64(pg.size)
+		p.recycled++
+	}
+	p.mu.Unlock()
 }
+
+// poisonPut makes Put overwrite the whole payload capacity of every
+// page it is given: a reader that still holds a recycled page then sees
+// 0xDB bytes (and, under the race detector, a write racing its read)
+// rather than plausible stale tuples.
+var poisonPut atomic.Bool
+
+// PoisonRecycledPages switches the use-after-recycle detector on or off
+// for every pool in the process. It is a test hook: packages whose
+// tests exercise page recycling switch it on from TestMain.
+func PoisonRecycledPages(on bool) { poisonPut.Store(on) }

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -18,24 +19,111 @@ func TestPagePoolRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Put(pg)
-	if s := p.Stats(); s.Recycled != 1 {
+	if s := p.Stats(); s.Recycled != 1 || s.FreeBytes != 256 {
 		t.Fatalf("after Put: %+v", s)
 	}
-	// A sync.Pool may drop what it is given (under the race detector it
-	// drops a quarter of all Puts on purpose), so a recycled page comes
-	// back on some round trip, not necessarily the first.
-	for try := 0; p.Stats().Hits == 0; try++ {
-		if try == 50 {
-			t.Fatalf("no recycled page was ever served from the pool: %+v", p.Stats())
+	// The free list is the pool's own: the collector does not empty it,
+	// so the very next Get is a hit, and it is the page that was put.
+	runtime.GC()
+	runtime.GC()
+	got := p.MustGet(256, 12)
+	if got != pg || got.TupleCount() != 0 {
+		t.Fatalf("Get after Put and two GCs returned %p with %d tuples, want the recycled page %p empty", got, got.TupleCount(), pg)
+	}
+	if s := p.Stats(); s != (PoolStats{Hits: 1, Misses: 1, Recycled: 1}) {
+		t.Fatalf("after round trip: %+v", s)
+	}
+}
+
+// TestPagePoolBudgetBoundsFreeList: the bytes held free never exceed
+// the budget — a Put beyond it drops the page — and every Get is
+// exactly one hit or one miss.
+func TestPagePoolBudgetBoundsFreeList(t *testing.T) {
+	p := NewPagePool()
+	p.SetBudget(3 * 256)
+	var pages []*Page
+	for i := 0; i < 5; i++ {
+		pages = append(pages, p.MustGet(256, 12))
+	}
+	for _, pg := range pages {
+		p.Put(pg)
+		if s := p.Stats(); s.FreeBytes > p.Budget() {
+			t.Fatalf("free list holds %d bytes, budget %d", s.FreeBytes, p.Budget())
 		}
-		got := p.MustGet(256, 12)
-		if got.TupleCount() != 0 {
-			t.Fatalf("pooled page came back with %d tuples", got.TupleCount())
-		}
-		if err := got.AppendRaw(make([]byte, 12)); err != nil {
+	}
+	if s := p.Stats(); s.Recycled != 3 || s.FreeBytes != 3*256 {
+		t.Fatalf("5 Puts under a 3-page budget: %+v", s)
+	}
+	for i := 0; i < 5; i++ {
+		p.MustGet(256, 12)
+	}
+	if s := p.Stats(); s.Hits != 3 || s.Misses != 7 || s.FreeBytes != 0 {
+		t.Fatalf("10 Gets, 3 pages ever free: %+v", s)
+	}
+}
+
+// TestPagePoolReformatsAcrossTupleLengths: the size class is the page
+// size alone, so a recycled page serves a different tuple length.
+func TestPagePoolReformatsAcrossTupleLengths(t *testing.T) {
+	p := NewPagePool()
+	pg := p.MustGet(256, 12)
+	p.Put(pg)
+	got := p.MustGet(256, 100)
+	if got != pg {
+		t.Fatal("a free page of the same size was not reused for another tuple length")
+	}
+	if got.TupleLen() != 100 || got.Capacity() != 2 {
+		t.Fatalf("reformatted page: tuple length %d, capacity %d", got.TupleLen(), got.Capacity())
+	}
+	for i := 0; i < 2; i++ {
+		if err := got.AppendRaw(make([]byte, 100)); err != nil {
 			t.Fatal(err)
 		}
-		p.Put(got)
+	}
+	if !got.Full() {
+		t.Error("page not full at its capacity")
+	}
+}
+
+// TestPagePoolPoisonsRecycledPages: with the detector on, Put overwrites
+// the page's whole payload capacity, so a stale reader cannot mistake
+// recycled bytes for tuples.
+func TestPagePoolPoisonsRecycledPages(t *testing.T) {
+	PoisonRecycledPages(true)
+	defer PoisonRecycledPages(false)
+	p := NewPagePool()
+	pg := p.MustGet(256, 12)
+	if err := pg.AppendRaw(make([]byte, 12)); err != nil {
+		t.Fatal(err)
+	}
+	stale := pg.Data()
+	p.Put(pg)
+	whole := stale[:cap(stale)]
+	if len(whole) != 256-PageHeaderLen {
+		t.Fatalf("payload capacity %d, want %d", len(whole), 256-PageHeaderLen)
+	}
+	for i, b := range whole {
+		if b != 0xDB {
+			t.Fatalf("byte %d of a recycled page is %#x, want 0xDB", i, b)
+		}
+	}
+}
+
+// TestNewPageNeverGrows: the payload is bought once, at full capacity —
+// a page filled to the brim costs its struct and its payload, nothing
+// for growth.
+func TestNewPageNeverGrows(t *testing.T) {
+	raw := make([]byte, 100)
+	allocs := testing.AllocsPerRun(10, func() {
+		pg := MustNewPage(2048, 100)
+		for !pg.Full() {
+			if err := pg.AppendRaw(raw); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 2 {
+		t.Errorf("allocating and filling a page took %.0f allocations, want 2", allocs)
 	}
 }
 

@@ -24,7 +24,7 @@ func New(name string, schema *Schema, pageSize int) (*Relation, error) {
 	if name == "" {
 		return nil, fmt.Errorf("relation: empty relation name")
 	}
-	if _, err := NewPage(pageSize, schema.TupleLen()); err != nil {
+	if err := CheckPageGeometry(pageSize, schema.TupleLen()); err != nil {
 		return nil, err
 	}
 	return &Relation{name: name, schema: schema, pageSize: pageSize}, nil

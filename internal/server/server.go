@@ -189,6 +189,8 @@ type Server struct {
 	streamHist *obs.Histogram
 	slowMu     sync.Mutex
 
+	chunks chunkList // result-frame memory, shared by every session
+
 	// ckptBusy singleflights auto-checkpoints: at most one checkpoint
 	// job is queued or running at a time.
 	ckptBusy atomic.Bool
@@ -433,6 +435,13 @@ func (e *bindError) Unwrap() error { return e.err }
 // bounded by the result — so a stalled client neither holds the
 // admission slot nor lengthens Stats.Exec.
 //
+// The queue is a list of fixed-size chunks from the server's free list
+// (chunkList): frames are appended to the last chunk until the next one
+// would not fit, the streamer takes every queued chunk at once, writes
+// them with one vectored write and hands them back. A result of any
+// size is encoded into memory the server already has, and what an idle
+// server keeps is the free list's fixed cap, not its largest result.
+//
 // Every frame is encoded inside the job's scheduled Exec. Reads on the
 // core engine encode each page as the root operator emits it; append,
 // delete and the machine engine hand back a whole relation (for writes
@@ -453,16 +462,15 @@ type resultStream struct {
 	held                 *relation.Page
 	pages, bytes, tuples int64
 
-	mu   sync.Mutex
-	buf  []byte        // encoded frames the streamer has not taken yet
-	wake chan struct{} // signalled when buf goes from empty to non-empty
+	mu     sync.Mutex
+	queued [][]byte      // chunks the streamer has not taken yet; the last is still filling
+	wake   chan struct{} // signalled when queued goes from empty to non-empty
 }
 
 func (c *session) newResultStream(qid uint32) *resultStream {
 	return &resultStream{
 		c:     c,
 		frame: wire.ResultPage{QueryID: qid},
-		buf:   c.getBuf(),
 		wake:  make(chan struct{}, 1),
 	}
 }
@@ -517,10 +525,16 @@ func (st *resultStream) encode(pg *relation.Page, last bool) error {
 		st.bytes += int64(pg.WireSize())
 		st.tuples += int64(pg.TupleCount())
 	}
+	need := st.frame.AppendRoom()
 	st.mu.Lock()
-	wasEmpty := len(st.buf) == 0
+	n := len(st.queued)
+	wasEmpty := n == 0
+	if n == 0 || cap(st.queued[n-1])-len(st.queued[n-1]) < need {
+		st.queued = append(st.queued, st.c.srv.chunks.get(need))
+		n++
+	}
 	var err error
-	st.buf, err = wire.AppendFrame(st.buf, &st.frame, st.c.ver)
+	st.queued[n-1], err = wire.AppendFrame(st.queued[n-1], &st.frame, st.c.ver)
 	st.mu.Unlock()
 	if pg != nil {
 		st.c.srv.engine.Recycle(pg)
@@ -537,13 +551,58 @@ func (st *resultStream) encode(pg *relation.Page, last bool) error {
 	return err
 }
 
-// take swaps the queued frames for the streamer's spent buffer.
-func (st *resultStream) take(spent []byte) []byte {
+// take swaps the queued chunks for the streamer's spent (and released)
+// batch.
+func (st *resultStream) take(spent [][]byte) [][]byte {
 	st.mu.Lock()
-	out := st.buf
-	st.buf = spent[:0]
+	out := st.queued
+	st.queued = spent[:0]
 	st.mu.Unlock()
 	return out
+}
+
+// chunkSize is the size of one result-frame chunk — a few dozen default
+// pages, so a chunk is seldom handed over part-filled and a batch is a
+// short vector — and maxFreeChunks is how many the server keeps idle:
+// 4 MiB, a few results in flight, whatever their size.
+const (
+	chunkSize     = 64 << 10
+	maxFreeChunks = 64
+)
+
+// chunkList is the server's free list of result-frame chunks.
+type chunkList struct {
+	mu   sync.Mutex
+	free [][]byte
+}
+
+// get returns an empty chunk with room for need bytes: one of the
+// fixed-size chunks, or for a frame larger than that a one-off.
+func (l *chunkList) get(need int) []byte {
+	if need > chunkSize {
+		return make([]byte, 0, need)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.free); n > 0 {
+		b := l.free[n-1]
+		l.free = l.free[:n-1]
+		return b
+	}
+	return make([]byte, 0, chunkSize)
+}
+
+// put takes back the chunks of a written batch, up to the cap; one-off
+// chunks and the overflow a stalled client caused are left to the GC.
+func (l *chunkList) put(batch [][]byte) {
+	l.mu.Lock()
+	for i, b := range batch {
+		if cap(b) == chunkSize && len(l.free) < maxFreeChunks {
+			l.free = append(l.free, b[:0])
+		}
+		batch[i] = nil
+	}
+	l.mu.Unlock()
 }
 
 // execDurable runs a write query through the write-ahead log: build
@@ -748,9 +807,6 @@ type session struct {
 	ver    uint16 // negotiated wire version; frames cross at this version
 
 	wmu sync.Mutex // serializes frame writes across query streamers
-
-	bmu  sync.Mutex // guards bufs
-	bufs [][]byte   // idle frame buffers (see getBuf)
 
 	imu      sync.Mutex
 	inflight int
@@ -984,7 +1040,6 @@ func (c *session) handleQuery(q *wire.Query) {
 		release()
 		endSpan()
 		s.queryWg.Done()
-		c.putBuf(st.take(nil))
 		code := wire.CodeOverloaded
 		if errors.Is(err, sched.ErrDraining) || errors.Is(err, sched.ErrClosed) {
 			code = wire.CodeDraining
@@ -1083,26 +1138,23 @@ func (s *Server) answer(ctx context.Context, engine string, tree *query.Tree, st
 // write (alive comes back false) it only discards, but still waits for
 // the outcome, which every drain, close and cancellation path delivers.
 func (c *session) stream(st *resultStream, outc <-chan sched.Outcome) (o sched.Outcome, alive bool) {
-	out := c.getBuf()
-	defer func() {
-		c.putBuf(out)
-		c.putBuf(st.take(nil))
-	}()
+	var batch [][]byte  // chunks taken from st, released after each write
+	var iov net.Buffers // the same chunks, consumed by the write
 	alive = true
-	flush := func() {
-		out = st.take(out)
-		if alive && len(out) > 0 {
-			alive = c.writeBytes(out)
+	flush := func(write bool) {
+		batch = st.take(batch)
+		if write && alive && len(batch) > 0 {
+			iov = append(iov[:0], batch...)
+			alive = c.writeChunks(&iov)
 		}
+		c.srv.chunks.put(batch)
 	}
 	for {
 		select {
 		case <-st.wake:
-			flush()
+			flush(true)
 		case o = <-outc:
-			if o.Err == nil {
-				flush()
-			}
+			flush(o.Err == nil)
 			return o, alive
 		}
 	}
@@ -1163,42 +1215,14 @@ func (c *session) finishResult(qid uint32, engine string, st *resultStream, o sc
 		c.id, qid, st.tuples, st.pages, engine, o.Queued.Round(time.Microsecond), o.Run.Round(time.Microsecond))
 }
 
-// getBuf and putBuf lend the session's frame buffers to its queries: a
-// query's stream holds two (one filling, one being written) and gives
-// them back, so steady traffic encodes into memory it already has. A
-// buffer a stalled client let grow past maxKeptBuf is left to the GC.
-func (c *session) getBuf() []byte {
-	c.bmu.Lock()
-	defer c.bmu.Unlock()
-	if n := len(c.bufs); n > 0 {
-		b := c.bufs[n-1]
-		c.bufs = c.bufs[:n-1]
-		return b
-	}
-	return nil
-}
-
-func (c *session) putBuf(b []byte) {
-	if cap(b) == 0 || cap(b) > maxKeptBuf {
-		return
-	}
-	c.bmu.Lock()
-	c.bufs = append(c.bufs, b[:0])
-	c.bmu.Unlock()
-}
-
-// maxKeptBuf bounds what an idle session retains per buffer: enough for
-// the backlog a client that keeps reading leaves, far less than a whole
-// result a stalled one forced the stream to hold.
-const maxKeptBuf = 256 << 10
-
-// writeBytes writes already-encoded frames under the session write
-// lock, in one call; false means the connection is gone.
-func (c *session) writeBytes(b []byte) bool {
+// writeChunks writes already-encoded frames under the session write
+// lock with one vectored write (consuming iov); false means the
+// connection is gone.
+func (c *session) writeChunks(iov *net.Buffers) bool {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	_ = c.conn.SetWriteDeadline(time.Now().Add(c.srv.cfg.SessionTimeout))
-	_, err := c.conn.Write(b)
+	_, err := iov.WriteTo(c.conn)
 	return err == nil
 }
 

@@ -252,3 +252,94 @@ func TestEngineFailureAfterFirstPage(t *testing.T) {
 		t.Errorf("stats frame says %d tuples in %d pages, decoded %d in %d", stats.Tuples, stats.Pages, tuples, pages)
 	}
 }
+
+// TestResultStreamEncodesIntoWarmChunks: once the server's free list
+// holds the chunks a result needs, encoding that result — a megabyte of
+// 2 KB pages here — allocates nothing: no buffer grows, and taking and
+// releasing the batch reuses the streamer's slices.
+func TestResultStreamEncodesIntoWarmChunks(t *testing.T) {
+	cat, _ := testDB(t, 0.1)
+	s := startServer(t, cat, Config{})
+	r1, err := cat.Get("r1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := (&session{srv: s, ver: wire.Version}).newResultStream(1)
+	st.describe(r1.Name(), r1.PageSize(), r1.Schema())
+	var batch [][]byte
+	var encoded int64
+	result := func() {
+		for st.bytes = 0; st.bytes < 1<<20; {
+			for _, pg := range r1.Pages() {
+				if err := st.page(pg); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := st.finish(); err != nil {
+			t.Fatal(err)
+		}
+		batch = st.take(batch)
+		encoded = 0
+		for _, chunk := range batch {
+			if cap(chunk) != chunkSize {
+				t.Fatalf("a %d-byte chunk in a stream of 2 KB pages, want %d", cap(chunk), chunkSize)
+			}
+			encoded += int64(len(chunk))
+		}
+		s.chunks.put(batch)
+	}
+	result() // buys the chunks, and the first of the two batch slices
+	if allocs := testing.AllocsPerRun(1, result); allocs != 0 {
+		t.Errorf("encoding a warm %d-byte result allocated %.0f times, want 0", encoded, allocs)
+	}
+	if encoded < 1<<20 {
+		t.Errorf("result was %d bytes encoded, the test means to encode a megabyte", encoded)
+	}
+}
+
+// TestStalledResultLeavesOnlyTheChunkCap: a 10 MB result to a client
+// that stops reading is held whole, in chunks — the query does not wait
+// for the client (TestStalledClientDoesNotBlockWriter) — but once the
+// client has resumed and read it, what stays behind is the server's
+// free list at no more than its fixed cap; a session has no buffers of
+// its own to keep.
+func TestStalledResultLeavesOnlyTheChunkCap(t *testing.T) {
+	cat, _ := testDB(t, 0.3)
+	s := startServer(t, cat, Config{})
+	reader := dialRaw(t, s.Addr(), 256<<10)
+	id := reader.send(`join(r1, r2, k1 = k1)`)
+	first, ok := reader.read().(*wire.ResultPage)
+	if !ok || first.Seq != 0 {
+		t.Fatal("no first result page")
+	}
+	// The reader now stops until the query has left the scheduler: its
+	// whole result is then queued behind a socket that took a fraction.
+	for deadline := time.Now().Add(20 * time.Second); s.sched.RunningCount() > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the query did not finish while its client was stalled")
+		}
+	}
+	_, _, stats, rerr := reader.drain(id, 1)
+	if rerr != nil {
+		t.Fatalf("stalled reader's query failed: %s: %s", rerr.Code, rerr.Msg)
+	}
+	const capBytes = maxFreeChunks * chunkSize
+	if stats.ResultBytes < 2*capBytes {
+		t.Fatalf("result is %d bytes; the test needs one well over the %d-byte cap", stats.ResultBytes, capBytes)
+	}
+	// The streamer released its last batch before it wrote the Stats
+	// frame just read.
+	s.chunks.mu.Lock()
+	defer s.chunks.mu.Unlock()
+	held := 0
+	for _, chunk := range s.chunks.free {
+		held += cap(chunk)
+	}
+	if held > capBytes {
+		t.Errorf("idle server holds %d bytes of chunks after a %d-byte result, cap is %d", held, stats.ResultBytes, capBytes)
+	}
+	if held == 0 {
+		t.Error("idle server kept no chunk at all: results are not being encoded into recycled memory")
+	}
+}

@@ -125,3 +125,30 @@ func TestAppendFrame(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendRoomIsEnough: a result frame appended to a buffer with
+// exactly AppendRoom bytes to spare is encoded in that buffer — the
+// promise a caller filling fixed-size buffers relies on — for every
+// shape of result frame, blob or page source.
+func TestAppendRoomIsEnough(t *testing.T) {
+	for i, f := range goldenFrames() {
+		rp, ok := f.(*ResultPage)
+		if !ok {
+			continue
+		}
+		for _, source := range []bool{false, true} {
+			if source && len(rp.Page) > 0 {
+				rp.Source, rp.Page = blobSource{blob: rp.Page}, nil
+			}
+			buf := append(make([]byte, 0, 6+rp.AppendRoom()), "prefix"...)
+			got, err := AppendFrame(buf, rp, Version)
+			if err != nil {
+				t.Fatalf("frame %d: %v", i, err)
+			}
+			if &got[0] != &buf[0] {
+				t.Errorf("frame %d (source %v): %d bytes of room, yet the %d-byte frame moved the buffer",
+					i, source, rp.AppendRoom(), len(got)-len(buf))
+			}
+		}
+	}
+}

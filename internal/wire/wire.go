@@ -438,16 +438,56 @@ const frameHeaderLen = 5
 // it to a single Write. A frame that cannot be represented on the wire
 // is refused as Write refuses it, and dst is returned as it came.
 func AppendFrame(dst []byte, f Frame, ver uint16) ([]byte, error) {
-	// Room for any frame's fixed fields up front: an empty dst then grows
-	// at most once more, for a page blob.
-	e := encoder{b: append(slices.Grow(dst, 64), byte(f.Type()), 0, 0, 0, 0), ver: ver}
+	if p, ok := f.(*ResultPage); ok {
+		// The one frame sent per page is encoded through a direct call:
+		// its encoder then stays on the stack, where the interface call
+		// below sends it to the heap.
+		e := beginFrame(dst, TypeResultPage, ver)
+		p.encode(&e)
+		return e.endFrame(dst, TypeResultPage)
+	}
+	e := beginFrame(dst, f.Type(), ver)
 	f.encode(&e)
+	return e.endFrame(dst, f.Type())
+}
+
+// frameReserve is the room beginFrame makes sure of: more than the
+// header and fixed fields of any frame.
+const frameReserve = 64
+
+// beginFrame reserves the frame header behind dst, with room for any
+// frame's fixed fields up front: an empty dst then grows at most once
+// more, for a page blob.
+func beginFrame(dst []byte, t Type, ver uint16) encoder {
+	return encoder{b: append(slices.Grow(dst, frameReserve), byte(t), 0, 0, 0, 0), ver: ver}
+}
+
+// AppendRoom is the spare capacity with which AppendFrame encodes p in
+// place, without growing dst: what a caller filling fixed-size buffers
+// checks before it appends the next frame to the current one.
+func (p *ResultPage) AppendRoom() int {
+	n := frameReserve + len(p.Page)
+	if p.Source != nil {
+		n = frameReserve + p.Source.WireSize()
+	}
+	if p.Seq == 0 {
+		n += 2 + len(p.Name) + 4 + 2
+		for _, a := range p.Schema {
+			n += 2 + len(a.Name) + 1 + 4
+		}
+	}
+	return n
+}
+
+// endFrame fills in the payload length and returns the extended buffer,
+// or dst as it came if the frame cannot be represented.
+func (e *encoder) endFrame(dst []byte, t Type) ([]byte, error) {
 	if e.err != nil {
-		return dst, fmt.Errorf("wire: encoding %s frame: %w", f.Type(), e.err)
+		return dst, fmt.Errorf("wire: encoding %s frame: %w", t, e.err)
 	}
 	n := len(e.b) - len(dst) - frameHeaderLen
 	if n > MaxFrameLen {
-		return dst, fmt.Errorf("wire: %s frame payload is %d bytes, max %d", f.Type(), n, MaxFrameLen)
+		return dst, fmt.Errorf("wire: %s frame payload is %d bytes, max %d", t, n, MaxFrameLen)
 	}
 	binary.LittleEndian.PutUint32(e.b[len(dst)+1:], uint32(n))
 	return e.b, nil
