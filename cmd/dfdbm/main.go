@@ -259,8 +259,8 @@ func cmdRun(db *dfdbm.DB, args []string) {
 		fmt.Printf("  ... and %d more\n", res.Relation.Cardinality()-shown)
 	}
 	s := res.Stats
-	fmt.Printf("packets=%d arbitration=%dB results=%d pages=%d\n",
-		s.InstructionPackets, s.ArbitrationBytes, s.ResultPackets, s.PagesMoved)
+	fmt.Printf("packets=%d dispatches=%d arbitration=%dB results=%d pages=%d\n",
+		s.InstructionPackets, s.Dispatches, s.ArbitrationBytes, s.ResultPackets, s.PagesMoved)
 	if *adaptive {
 		fmt.Printf("adaptive: %d operand edges materialized\n", s.MaterializedEdges)
 	}

@@ -13,6 +13,13 @@
 // into full pages before travelling up the tree, exactly as the paper's
 // ICs compress arriving partial pages.
 //
+// What crosses a goroutine boundary is a run of pages, not a page: a
+// scan feeder hands over 1, 2, 4 … 32 pages at a time, a controller
+// takes the pages already queued behind the one it received, and one
+// physical packet carries a run of the paper's instruction packets to a
+// processor. The accounting stays the paper's — one logical packet per
+// operand page or page pair — and Stats.Dispatches counts the hand-offs.
+//
 // The engine computes real answers and meters the traffic that the
 // paper's Section 3.3 analyzes: bytes and packets through the
 // arbitration and distribution networks at each granularity.
@@ -152,8 +159,13 @@ func (o Options) withDefaults() Options {
 // carries, plus PacketOverhead control bytes per packet.
 type Stats struct {
 	// InstructionPackets is the number of instruction packets sent
-	// through the arbitration network to processors.
+	// through the arbitration network to processors: the paper's, one
+	// per operand page of a unary operator and one per (outer, inner)
+	// page pair of a join.
 	InstructionPackets int64
+	// Dispatches is the number of physical hand-offs that carried them:
+	// a controller sends a run of instruction packets as one.
+	Dispatches int64
 	// OperandBytes is the tuple payload carried by those packets.
 	OperandBytes int64
 	// ArbitrationBytes = OperandBytes + overhead·InstructionPackets:
@@ -204,6 +216,9 @@ type Engine struct {
 	// pool recycles intermediate pages across the engine's executions;
 	// nil when Options.NoPagePool is set.
 	pool *relation.PagePool
+	// runs is the free list of the run buffers pages cross goroutine
+	// boundaries in.
+	runs runList
 }
 
 // New returns an engine over the catalog.
@@ -277,6 +292,50 @@ func (e *Engine) ExecuteStream(ctx context.Context, t *query.Tree, emit func(*re
 	return res, nil
 }
 
+// ExecuteScratch runs a pure query and collects its result into a
+// scratch relation made of pages the engine still owns. The caller reads
+// the relation — under whatever exclusion guards its catalog, since a
+// bare scan's pages are the stored relation's own — and then calls
+// release, after which it must not touch the relation again; a caller
+// that fails before that just leaves the pages to the collector.
+func (e *Engine) ExecuteScratch(ctx context.Context, t *query.Tree) (rel *relation.Relation, release func(), err error) {
+	sc, err := e.newScratch(t.Root())
+	if err != nil {
+		return nil, nil, err
+	}
+	if _, err := e.ExecuteStream(ctx, t, sc.emit); err != nil {
+		return nil, nil, err
+	}
+	return sc.rel, sc.release, nil
+}
+
+// scratch collects a subtree's output pages into a relation that only
+// borrows them, so that release can hand them back to the pool.
+type scratch struct {
+	pool  *relation.PagePool
+	rel   *relation.Relation
+	pages []*relation.Page
+}
+
+func (e *Engine) newScratch(top *query.Node) (*scratch, error) {
+	rel, err := relation.New(top.Label(), top.Schema(), e.ResultPageSize(top))
+	if err != nil {
+		return nil, err
+	}
+	return &scratch{pool: e.pool, rel: rel}, nil
+}
+
+func (sc *scratch) emit(pg *relation.Page) error {
+	sc.pages = append(sc.pages, pg)
+	return sc.rel.LendPage(pg)
+}
+
+func (sc *scratch) release() {
+	for _, pg := range sc.pages {
+		sc.pool.Put(pg) // ignores a bare scan's pages, which are the catalog's
+	}
+}
+
 // Recycle returns a page received through ExecuteStream's emit to the
 // engine's page pool. Pages the pool did not hand out are ignored.
 func (e *Engine) Recycle(pg *relation.Page) { e.pool.Put(pg) }
@@ -303,6 +362,7 @@ func (e *Engine) exportMetrics(res *Result) {
 	r := o.Registry()
 	s := res.Stats
 	r.Inc("core.instruction_packets", s.InstructionPackets)
+	r.Inc("core.dispatches", s.Dispatches)
 	r.Inc("core.operand_bytes", s.OperandBytes)
 	r.Inc("core.arbitration_bytes_total", s.ArbitrationBytes)
 	r.Inc("core.result_packets", s.ResultPackets)
@@ -342,11 +402,11 @@ func (e *Engine) execute(ctx context.Context, t *query.Tree, emit func(*relation
 
 	case query.OpAppend:
 		top := root.Inputs[0]
-		sub, err := relation.New(top.Label(), top.Schema(), e.ResultPageSize(top))
+		sub, err := e.newScratch(top)
 		if err != nil {
 			return nil, err
 		}
-		st, err := e.stream(ctx, t, top, sub.AppendPage)
+		st, err := e.stream(ctx, t, top, sub.emit)
 		if err != nil {
 			return nil, err
 		}
@@ -354,9 +414,10 @@ func (e *Engine) execute(ctx context.Context, t *query.Tree, emit func(*relation
 		if err != nil {
 			return nil, err
 		}
-		if _, err := relalg.Append(dst, sub); err != nil {
+		if _, err := relalg.Append(dst, sub.rel); err != nil {
 			return nil, err
 		}
+		sub.release() // Append copied the tuples
 		st.Elapsed = time.Since(start)
 		return &Result{Relation: dst, Stats: st}, nil
 
@@ -401,25 +462,14 @@ func (e *Engine) stream(ctx context.Context, t *query.Tree, top *query.Node, emi
 		}()
 	}
 
-	sinkDone := make(chan struct{})
-	var tuplesOut int64 // written by the emitting goroutine, read after sinkDone
-	sink := outlet{
-		send: func(pg *relation.Page) {
-			tuplesOut += int64(pg.TupleCount())
-			if err := emit(pg); err != nil {
-				run.fail(err)
-			}
-		},
-		done: func() { close(sinkDone) },
-	}
-
+	sink := &resultSink{run: run, emit: emit, finished: make(chan struct{})}
 	if err := run.build(top, sink); err != nil {
 		return Stats{}, err
 	}
 	run.start()
 
 	select {
-	case <-sinkDone:
+	case <-sink.finished:
 	case <-run.stopped:
 	}
 	if err := run.errValue(); err != nil {
@@ -427,6 +477,33 @@ func (e *Engine) stream(ctx context.Context, t *query.Tree, top *query.Node, emi
 	}
 
 	st := run.snapshotStats()
-	st.TuplesOut = tuplesOut
+	st.TuplesOut = sink.tuples
 	return st, nil
 }
+
+// resultSink is the outlet at the top of a run: it hands the root's
+// pages to emit. Only one goroutine — the root's controller or, for a
+// bare scan, its feeder — ever calls it; tuples is read once finished
+// is closed.
+type resultSink struct {
+	run      *engineRun
+	emit     func(*relation.Page) error
+	tuples   int64
+	finished chan struct{}
+}
+
+func (s *resultSink) send(pg *relation.Page) {
+	s.tuples += int64(pg.TupleCount())
+	if err := s.emit(pg); err != nil {
+		s.run.fail(err)
+	}
+}
+
+func (s *resultSink) sendRun(run *pageRun) {
+	for _, pg := range run.slice() {
+		s.send(pg)
+	}
+	s.run.eng.runs.put(run)
+}
+
+func (s *resultSink) done() { close(s.finished) }

@@ -20,12 +20,17 @@ import "sync"
 // last input had. Within a class order is FIFO, so an evInputDone never
 // overtakes the evPages of its input, nor an evTaskDone the evResults of
 // its task.
+//
+// An evPage may carry a run buffer in place of a page. The queue owns it
+// while it is queued: an event dropped at or after Stop gives its buffer
+// back to runs (nil in tests that queue none).
 type infChan struct {
 	mu       sync.Mutex
 	ready    sync.Cond // signalled when the queue goes non-empty or stops
 	results  evRing    // evResult, evTaskDone
 	operands evRing    // evPage, evInputDone
 	stopped  bool
+	runs     *runList
 }
 
 func newInfChan() *infChan {
@@ -45,6 +50,8 @@ func (c *infChan) Send(ev event) {
 			c.operands.push(ev)
 		}
 		c.ready.Signal()
+	} else {
+		c.runs.put(ev.run)
 	}
 	c.mu.Unlock()
 }
@@ -67,11 +74,29 @@ func (c *infChan) Recv() (event, bool) {
 	}
 }
 
+// More moves into run the pages of the single-page evPage events for
+// input that are queued at the head of the operand class right now,
+// until run is full or some other event is in the way. It never waits:
+// a controller coalesces the backlog it already has, nothing more.
+func (c *infChan) More(input int32, run *pageRun) {
+	c.mu.Lock()
+	for q := &c.operands; q.n > 0 && !run.full(); {
+		if ev := q.buf[q.head]; ev.kind != evPage || ev.input != input || ev.run != nil {
+			break
+		}
+		run.add(q.pop().page)
+	}
+	c.mu.Unlock()
+}
+
 // Stop drops whatever is queued and releases a blocked receiver; later
 // sends are dropped. Safe to call more than once.
 func (c *infChan) Stop() {
 	c.mu.Lock()
 	c.stopped = true
+	for c.operands.n > 0 {
+		c.runs.put(c.operands.pop().run)
+	}
 	c.results, c.operands = evRing{}, evRing{}
 	c.ready.Broadcast()
 	c.mu.Unlock()

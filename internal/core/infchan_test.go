@@ -10,14 +10,14 @@ func TestInfChanFIFO(t *testing.T) {
 	c := newInfChan()
 	defer c.Stop()
 	for i := 0; i < 100; i++ {
-		c.Send(event{kind: evPage, input: i})
+		c.Send(event{kind: evPage, input: int32(i)})
 	}
 	for i := 0; i < 100; i++ {
 		ev, ok := c.Recv()
 		if !ok {
 			t.Fatalf("Recv %d failed", i)
 		}
-		if ev.input != i {
+		if int(ev.input) != i {
 			t.Fatalf("event %d arrived out of order (input=%d)", i, ev.input)
 		}
 	}
@@ -31,7 +31,7 @@ func TestInfChanUnboundedSendNeverBlocks(t *testing.T) {
 		// Far more sends than any internal channel buffer, with no
 		// receiver draining.
 		for i := 0; i < 10_000; i++ {
-			c.Send(event{input: i})
+			c.Send(event{input: int32(i)})
 		}
 		close(done)
 	}()
@@ -43,7 +43,7 @@ func TestInfChanUnboundedSendNeverBlocks(t *testing.T) {
 	// Everything is still delivered in order.
 	for i := 0; i < 10_000; i++ {
 		ev, ok := c.Recv()
-		if !ok || ev.input != i {
+		if !ok || int(ev.input) != i {
 			t.Fatalf("event %d lost or reordered", i)
 		}
 	}
@@ -64,7 +64,7 @@ func TestInfChanStopReleasesBothSides(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; ; i++ {
-			c.Send(event{input: i})
+			c.Send(event{input: int32(i)})
 			if i > 1000 {
 				return
 			}
@@ -101,7 +101,7 @@ func TestInfChanConcurrentSenders(t *testing.T) {
 		go func(s int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				c.Send(event{kind: evPage, input: s})
+				c.Send(event{kind: evPage, input: int32(s)})
 			}
 		}(s)
 	}
@@ -130,21 +130,21 @@ func TestInfChanResultsFirst(t *testing.T) {
 	defer c.Stop()
 	const n = 10_000
 	for i := 0; i < n; i++ {
-		c.Send(event{kind: evPage, input: i})
+		c.Send(event{kind: evPage, input: int32(i)})
 		if i%4 == 0 {
-			c.Send(event{kind: evTaskDone, input: i})
+			c.Send(event{kind: evTaskDone, input: int32(i)})
 		}
 	}
 	c.Send(event{kind: evInputDone, input: n})
 	for i := 0; i < n; i += 4 {
 		ev, ok := c.Recv()
-		if !ok || ev.kind != evTaskDone || ev.input != i {
+		if !ok || ev.kind != evTaskDone || int(ev.input) != i {
 			t.Fatalf("want task result %d, got kind %d input %d (ok=%v)", i, ev.kind, ev.input, ok)
 		}
 	}
 	for i := 0; i < n; i++ {
 		ev, ok := c.Recv()
-		if !ok || ev.kind != evPage || ev.input != i {
+		if !ok || ev.kind != evPage || int(ev.input) != i {
 			t.Fatalf("want operand page %d, got kind %d input %d (ok=%v)", i, ev.kind, ev.input, ok)
 		}
 	}

@@ -14,11 +14,14 @@ import (
 	"dfdbm/internal/relation"
 )
 
-// event is one message delivered to an instruction controller.
+// event is one message delivered to an instruction controller. It is
+// three words — kind and input share one — because every controller's
+// operand ring holds its whole backlog of them.
 type event struct {
 	kind  evKind
-	input int            // evPage, evInputDone
+	input int32          // evPage, evInputDone
 	page  *relation.Page // evPage, evResult; evTaskDone's last page or nil
+	run   *pageRun       // evPage: a run of pages in place of page
 }
 
 type evKind uint8
@@ -34,20 +37,29 @@ const (
 	evTaskDone
 )
 
-// task is one instruction packet: a node plus the operand pages sent to
-// a processor. Joins carry two operands (outer page, inner page); the
-// unary operators carry one and leave inner nil. It travels by value:
-// a packet costs no allocation.
+// task is one physical instruction packet: a node plus a run of operand
+// pages sent to a processor, each page of the run one of the paper's
+// (logical) instruction packets. For the unary operators pages are the
+// operands. For a join they are each paired with the page with, which
+// arrived on the given input: pages is then a view of the other side's
+// buffer, which only ever grows. run, when set, is the buffer behind
+// pages, for the worker to give back. A task travels by value: a packet
+// costs no allocation.
 type task struct {
-	node         *nodeExec
-	outer, inner *relation.Page
+	node  *nodeExec
+	pages []*relation.Page
+	with  *relation.Page
+	input int
+	run   *pageRun
 }
 
 // outlet is where a producer delivers its output stream: either a
-// consumer node's input, or the engine's result sink.
-type outlet struct {
-	send func(pg *relation.Page)
-	done func()
+// consumer node's input, or the engine's result sink. sendRun hands
+// over a whole run buffer, and the ownership of it.
+type outlet interface {
+	send(pg *relation.Page)
+	sendRun(run *pageRun)
+	done()
 }
 
 // engineRun is the state of one query execution: the arbitration
@@ -78,6 +90,7 @@ type engineRun struct {
 	stMatEdges int64
 
 	stInstr, stOperand, stArb int64
+	stDispatches              int64
 	stResPkts, stResBytes     int64
 	stPages                   int64
 
@@ -190,6 +203,7 @@ func (r *engineRun) snapshotStats() Stats {
 	ps := r.eng.pool.Stats()
 	return Stats{
 		InstructionPackets: atomic.LoadInt64(&r.stInstr),
+		Dispatches:         atomic.LoadInt64(&r.stDispatches),
 		OperandBytes:       atomic.LoadInt64(&r.stOperand),
 		ArbitrationBytes:   atomic.LoadInt64(&r.stArb),
 		ResultPackets:      atomic.LoadInt64(&r.stResPkts),
@@ -239,6 +253,7 @@ func (r *engineRun) build(n *query.Node, out outlet) error {
 			}
 		}
 	}
+	ne.events.runs = &r.eng.runs
 	r.nodes = append(r.nodes, ne)
 	r.chans = append(r.chans, ne.events)
 
@@ -292,7 +307,7 @@ func (r *engineRun) build(n *query.Node, out outlet) error {
 	}
 
 	for i, in := range n.Inputs {
-		if err := r.build(in, ne.inlet(i)); err != nil {
+		if err := r.build(in, inlet{ne.events, int32(i)}); err != nil {
 			return err
 		}
 	}
@@ -333,6 +348,10 @@ func (r *engineRun) shutdown() {
 		c.Stop()
 	}
 	r.wg.Wait()
+	// Packets no worker took still hold their run buffers.
+	for len(r.arb) > 0 {
+		r.eng.runs.put((<-r.arb).run)
+	}
 	if r.spansOn() {
 		// End is idempotent, so node spans already closed by finish stay
 		// as they were; a failed run's open spans close at shutdown time.
@@ -348,15 +367,18 @@ func (r *engineRun) shutdown() {
 	}
 }
 
-// feedScan streams the pages of a source relation to the consumer. At
-// tuple granularity each page is split into single-tuple tokens.
-// EachPage walks disk-backed relations one pinned buffer-pool frame
-// at a time, so a scan's footprint is one frame regardless of the
-// relation's size — working sets larger than RAM execute correctly,
-// just slower.
+// feedScan streams the pages of a source relation to the consumer, a run
+// at a time with a slow start — 1, 2, 4 … maxRun pages — so the first
+// result leaves as early as it would page by page while a long scan
+// costs its consumer one hand-off per maxRun pages. At tuple granularity
+// each page is split into single-tuple tokens. EachPage walks
+// disk-backed relations one pinned buffer-pool frame at a time, so a
+// scan's footprint is one frame regardless of the relation's size —
+// working sets larger than RAM execute correctly, just slower.
 func (r *engineRun) feedScan(rel *relation.Relation, out outlet) {
 	tupleLevel := r.eng.opts.Granularity == TupleLevel
 	errStopped := fmt.Errorf("core: run stopped")
+	f := runFeed{r: r, out: out, run: r.eng.runs.get(), target: 1}
 	err := rel.EachPage(func(pg *relation.Page) error {
 		select {
 		case <-r.stopped:
@@ -364,8 +386,7 @@ func (r *engineRun) feedScan(rel *relation.Relation, out outlet) {
 		default:
 		}
 		if !tupleLevel {
-			atomic.AddInt64(&r.stPages, 1)
-			out.send(pg)
+			f.add(pg)
 			return nil
 		}
 		n := pg.TupleCount()
@@ -377,11 +398,14 @@ func (r *engineRun) feedScan(rel *relation.Relation, out outlet) {
 			if err := one.AppendRaw(pg.RawTuple(i)); err != nil {
 				return err
 			}
-			atomic.AddInt64(&r.stPages, 1)
-			out.send(one)
+			f.add(one)
 		}
 		return nil
 	})
+	if err == nil && f.run.n > 0 {
+		f.flush()
+	}
+	r.eng.runs.put(f.run)
 	if err != nil {
 		if err != errStopped {
 			r.fail(err)
@@ -389,6 +413,28 @@ func (r *engineRun) feedScan(rel *relation.Relation, out outlet) {
 		return
 	}
 	out.done()
+}
+
+// runFeed is a scan feeder's output side: the run being filled and the
+// length at which it leaves, doubling up to maxRun.
+type runFeed struct {
+	r      *engineRun
+	out    outlet
+	run    *pageRun
+	target int
+}
+
+func (f *runFeed) add(pg *relation.Page) {
+	if f.run.add(pg); f.run.n == f.target {
+		f.flush()
+	}
+}
+
+func (f *runFeed) flush() {
+	atomic.AddInt64(&f.r.stPages, int64(f.run.n))
+	f.out.sendRun(f.run)
+	f.run = f.r.eng.runs.get()
+	f.target = min(2*f.target, maxRun)
 }
 
 // dedupPart is one partition of the parallel duplicate-elimination set.
@@ -413,8 +459,9 @@ type nodeExec struct {
 	numInputs  int
 	inputsDone []bool
 	doneCount  int
-	dispatched int
+	dispatched int // physical packets sent; completed counts their ends
 	completed  int
+	fired      int // logical instruction packets
 
 	// buf holds operand pages: at page/tuple level only until they have
 	// been paired (joins keep everything, as nested loops requires); at
@@ -438,17 +485,23 @@ type nodeExec struct {
 	pending     *relation.Page // output compressor
 }
 
-// inlet returns the outlet a child (or scan feeder) uses to deliver
-// input i.
-func (n *nodeExec) inlet(i int) outlet {
-	return outlet{
-		send: func(pg *relation.Page) {
-			n.events.Send(event{kind: evPage, input: i, page: pg})
-		},
-		done: func() {
-			n.events.Send(event{kind: evInputDone, input: i})
-		},
-	}
+// inlet is the outlet a child (or scan feeder) uses to deliver one
+// input of a node.
+type inlet struct {
+	events *infChan
+	input  int32
+}
+
+func (in inlet) send(pg *relation.Page) {
+	in.events.Send(event{kind: evPage, input: in.input, page: pg})
+}
+
+func (in inlet) sendRun(run *pageRun) {
+	in.events.Send(event{kind: evPage, input: in.input, run: run})
+}
+
+func (in inlet) done() {
+	in.events.Send(event{kind: evInputDone, input: in.input})
 }
 
 // runIC is the instruction controller loop: apply the firing rule,
@@ -462,12 +515,20 @@ func (n *nodeExec) runIC() {
 		}
 		switch ev.kind {
 		case evPage:
-			n.onPage(ev.input, ev.page)
+			run := ev.run
+			if run == nil {
+				// A page from an operator edge: it becomes a run with
+				// whatever pages of its input are already queued behind it.
+				run = n.run.eng.runs.get()
+				run.add(ev.page)
+				n.events.More(ev.input, run)
+			}
+			n.onRun(int(ev.input), run)
 		case evInputDone:
 			if !n.inputsDone[ev.input] {
 				n.inputsDone[ev.input] = true
 				n.doneCount++
-				n.onInputDone(ev.input)
+				n.onInputDone(int(ev.input))
 			}
 		case evResult:
 			n.onResult(ev.page)
@@ -486,135 +547,128 @@ func (n *nodeExec) runIC() {
 
 func (n *nodeExec) allInputsDone() bool { return n.doneCount == n.numInputs }
 
-func (n *nodeExec) onPage(input int, pg *relation.Page) {
-	if pg.Empty() {
+// onRun applies the firing rule to a run of pages that arrived on one
+// input. It owns run: a unary operator firing at once sends the buffer
+// on as the packet's operands; every other case copies the pages into
+// buf and gives the buffer back.
+func (n *nodeExec) onRun(input int, run *pageRun) {
+	run.dropEmpty()
+	join := n.node.Kind == query.OpJoin
+	// Relation-level firing buffers until the operands are complete, a
+	// materialized edge until its producer is; a join buffers everything.
+	held := n.run.eng.opts.Granularity == RelationLevel || n.matInput[input]
+	if !join && !held && run.n > 0 {
+		n.dispatch(task{node: n, pages: run.slice(), run: run})
 		return
 	}
-	if n.run.eng.opts.Granularity == RelationLevel {
-		// Relation-level firing: buffer until the operands are complete.
-		n.buf[input] = append(n.buf[input], pg)
+	first := len(n.buf[input])
+	n.buf[input] = append(n.buf[input], run.slice()...)
+	n.run.eng.runs.put(run)
+	if !join || held {
+		// A held side is invisible to the firing rule until complete;
+		// onInputDone fires the backlog then.
 		return
 	}
-	switch n.node.Kind {
-	case query.OpRestrict, query.OpProject:
-		if n.matInput[input] {
-			// Materialized edge: hold until the producer completes.
-			n.buf[input] = append(n.buf[input], pg)
-			return
-		}
-		n.dispatch(pg, nil)
-	case query.OpJoin:
-		n.buf[input] = append(n.buf[input], pg)
-		if n.matInput[input] {
-			// This side is invisible to the firing rule until complete;
-			// flushMaterialized pairs the backlog then.
-			return
-		}
-		// Pair the newcomer with every page already buffered on the
-		// other side; pages arriving later on the other side will pair
-		// with it then, so each (outer, inner) pair is dispatched
-		// exactly once.
-		other := 1 - input
-		if n.matInput[other] && !n.inputsDone[other] {
-			// The other side is still accumulating: it pairs the
-			// newcomer when it completes.
-			return
-		}
-		for _, q := range n.buf[other] {
-			if input == 0 {
-				n.dispatch(pg, q)
-			} else {
-				n.dispatch(q, pg)
-			}
-		}
+	// Pair each newcomer with every page already buffered on the other
+	// side; pages arriving later on the other side will pair with it
+	// then, so each (outer, inner) pair is dispatched exactly once.
+	other := 1 - input
+	if n.matInput[other] && !n.inputsDone[other] {
+		// The other side is still accumulating: it pairs the newcomers
+		// when it completes.
+		return
+	}
+	for _, pg := range n.buf[input][first:] {
+		n.fire(n.buf[other], pg, input)
 	}
 }
 
-// flushMaterialized fires the work a materialized input held back, now
-// that the input is complete. Joins pair the whole buffered side against
-// everything buffered opposite (later arrivals opposite pair against it
-// through onPage), so each (outer, inner) pair still dispatches exactly
-// once; unary operators just drain the backlog.
-func (n *nodeExec) flushMaterialized(input int) {
-	switch n.node.Kind {
-	case query.OpJoin:
-		other := 1 - input
-		if n.matInput[other] && !n.inputsDone[other] {
-			// Both edges materialized and the other is still streaming:
-			// its completion dispatches the full cross product.
-			return
-		}
-		for _, p := range n.buf[input] {
-			for _, q := range n.buf[other] {
-				if input == 0 {
-					n.dispatch(p, q)
-				} else {
-					n.dispatch(q, p)
-				}
-			}
-		}
-	default:
-		for _, pg := range n.buf[input] {
-			n.dispatch(pg, nil)
-		}
+// fire dispatches pages at most maxRun to a packet: the operands of a
+// unary operator or, for a join, the pages to pair with the page with,
+// which arrived on input. For a join pages is a view of the opposite
+// buffer: appends never write below its length, and finish clears the
+// buffer only after every packet has completed.
+func (n *nodeExec) fire(pages []*relation.Page, with *relation.Page, input int) {
+	for len(pages) > 0 {
+		k := min(len(pages), maxRun)
+		n.dispatch(task{node: n, pages: pages[:k], with: with, input: input})
+		pages = pages[k:]
+	}
+}
+
+// fireBuffered fires what an input held back, now that the firing rule
+// lets it go. A join pairs the whole buffered side against everything
+// buffered opposite (later arrivals opposite pair against it through
+// onRun), so each (outer, inner) pair still dispatches exactly once, and
+// the pages stay buffered until finish; a unary operator drains the
+// backlog.
+func (n *nodeExec) fireBuffered(input int) {
+	if n.node.Kind != query.OpJoin {
+		n.fire(n.buf[input], nil, input)
 		n.buf[input] = nil
+		return
+	}
+	other := 1 - input
+	if n.matInput[other] && !n.inputsDone[other] {
+		// Both edges materialized and the other is still streaming: its
+		// completion dispatches the full cross product.
+		return
+	}
+	for _, pg := range n.buf[input] {
+		n.fire(n.buf[other], pg, input)
 	}
 }
 
 func (n *nodeExec) onInputDone(input int) {
 	if n.run.eng.opts.Granularity != RelationLevel {
 		if n.matInput[input] {
-			n.flushMaterialized(input)
+			n.fireBuffered(input)
 		}
 		return
 	}
-	if !n.allInputsDone() {
-		return
-	}
-	// Relation-level firing: the instruction is now enabled; dispatch
-	// all of its work at once.
-	switch n.node.Kind {
-	case query.OpRestrict, query.OpProject:
-		for _, pg := range n.buf[0] {
-			n.dispatch(pg, nil)
-		}
-		n.buf[0] = nil
-	case query.OpJoin:
-		// The pairs share these pages: they stay buffered, as at page
-		// level, until finish hands them back.
-		for _, o := range n.buf[0] {
-			for _, i := range n.buf[1] {
-				n.dispatch(o, i)
-			}
-		}
+	// Relation-level firing: once every operand is complete the
+	// instruction is enabled and dispatches all of its work at once.
+	if n.allInputsDone() {
+		n.fireBuffered(0)
 	}
 }
 
-// dispatch sends one instruction packet into the arbitration network,
-// metering it as Section 3.3 does: operand payload plus per-packet
-// overhead. inner is nil for the unary operators.
-func (n *nodeExec) dispatch(outer, inner *relation.Page) {
+// dispatch sends one physical packet into the arbitration network and
+// meters it as Section 3.3 does, logical packet by logical packet: each
+// operand page of a unary run, each pair of a join run, is one
+// instruction packet of operand payload plus per-packet overhead.
+func (n *nodeExec) dispatch(t task) {
 	n.dispatched++
-	payload := outer.TupleCount() * outer.TupleLen()
-	if inner != nil {
-		payload += inner.TupleCount() * inner.TupleLen()
+	fixed := 0
+	if t.with != nil {
+		fixed = t.with.TupleCount() * t.with.TupleLen()
 	}
-	atomic.AddInt64(&n.run.stInstr, 1)
-	atomic.AddInt64(&n.run.stOperand, int64(payload))
-	wire := payload + n.run.eng.opts.PacketOverhead
+	overhead := n.run.eng.opts.PacketOverhead
+	operand := 0
+	for _, pg := range t.pages {
+		payload := fixed + pg.TupleCount()*pg.TupleLen()
+		operand += payload
+		if n.run.tracing() {
+			n.run.event(obs.EvInstr, fmt.Sprintf("node%d", n.id), n.id, payload+overhead,
+				"node%d: dispatch %s packet (%d operand bytes)", n.id, n.node.Kind, payload)
+		}
+	}
+	k := len(t.pages)
+	n.fired += k
+	wire := operand + k*overhead
+	atomic.AddInt64(&n.run.stDispatches, 1)
+	atomic.AddInt64(&n.run.stInstr, int64(k))
+	atomic.AddInt64(&n.run.stOperand, int64(operand))
 	atomic.AddInt64(&n.run.stArb, int64(wire))
 	n.run.observe("core.arbitration_bytes", float64(wire))
-	if n.run.tracing() {
-		n.run.event(obs.EvInstr, fmt.Sprintf("node%d", n.id), n.id, wire,
-			"node%d: dispatch %s packet (%d operand bytes)", n.id, n.node.Kind, payload)
-	}
 	if s := n.span; s != nil {
-		s.Firings.Add(1)
+		s.Firings.Add(int64(k))
 		s.Bytes.Add(int64(wire))
 	}
 	select {
-	case n.run.arb <- task{node: n, outer: outer, inner: inner}:
+	case n.run.arb <- t:
 	case <-n.run.stopped:
+		n.run.eng.runs.put(t.run)
 	}
 }
 
@@ -707,7 +761,7 @@ func (n *nodeExec) finish() {
 	}
 	if n.run.tracing() {
 		n.run.event(obs.EvInstrDone, fmt.Sprintf("node%d", n.id), n.id, 0,
-			"node%d: %s complete (%d packets dispatched)", n.id, n.node.Kind, n.dispatched)
+			"node%d: %s complete (%d packets dispatched)", n.id, n.node.Kind, n.fired)
 	}
 	if s := n.span; s != nil {
 		n.run.obs.Spans().End(s, n.run.now())

@@ -19,12 +19,17 @@ import (
 // every dispatch slow, so that the controller, not the scan feeding it,
 // is the bottleneck — as it is on a loaded server — and the operand
 // backlog in its queue is as long as it can get.
-type dispatchCounter struct{ n atomic.Int64 }
+type dispatchCounter struct {
+	n     atomic.Int64
+	delay time.Duration // per EvInstr; zero only counts
+}
 
 func (c *dispatchCounter) Emit(ev obs.Event) error {
 	if ev.Kind == obs.EvInstr {
 		c.n.Add(1)
-		time.Sleep(20 * time.Microsecond)
+		if c.delay > 0 {
+			time.Sleep(c.delay)
+		}
 	}
 	return nil
 }
@@ -42,7 +47,7 @@ func TestStreamFirstPageLeavesEarly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dispatched dispatchCounter
+	dispatched := dispatchCounter{delay: 20 * time.Microsecond}
 	eng := New(cat, Options{Granularity: PageLevel, Workers: 4, PageSize: 1000, Obs: obs.New(&dispatched, nil)})
 
 	atFirst := int64(-1)

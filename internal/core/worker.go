@@ -97,45 +97,16 @@ func (w *workerState) meter(pg *relation.Page) {
 	w.resBytes += wire
 }
 
+// exec executes one physical packet: the whole run under one paginator,
+// so its result pages leave full, and one completion for all of it.
 func (w *workerState) exec(t task) {
 	r, n := w.run, t.node
 	start := r.now()
 	w.node, w.pages, w.tuples, w.resBytes = n, 0, 0, 0
 	w.pgtor.Reset(n.outPageSize, n.outTupleLen, r.eng.pool)
 
-	var err error
-	switch n.node.Kind {
-	case query.OpRestrict:
-		rs := w.restricts[n]
-		if rs == nil {
-			rs = relalg.NewRestrictState(n.boundPred)
-			w.restricts[n] = rs
-		}
-		_, err = rs.RestrictPage(t.outer, w.emit)
-
-	case query.OpJoin:
-		st := w.joins[n]
-		if st == nil {
-			st = relalg.NewJoinState(n.boundJoin, &r.kstats)
-			w.joins[n] = st
-		}
-		_, err = st.JoinPages(t.outer, t.inner, w.emit)
-
-	case query.OpProject:
-		sink := w.emit
-		if n.parts != nil {
-			sink = w.emitPart
-		}
-		ps := w.projects[n]
-		if ps == nil {
-			ps = relalg.NewProjectState(n.projector)
-			w.projects[n] = ps
-		}
-		_, err = ps.ProjectPage(t.outer, nil, sink)
-
-	default:
-		err = fmt.Errorf("core: worker received %s task", n.node.Kind)
-	}
+	err := w.apply(t)
+	r.eng.runs.put(t.run) // t.pages keeps its length, not its pages
 	if err != nil {
 		r.fail(err)
 		return
@@ -143,15 +114,6 @@ func (w *workerState) exec(t task) {
 	last := w.pgtor.Flush()
 	if last != nil {
 		w.meter(last)
-	}
-	operands := 1
-	if t.inner == nil {
-		// A unary operand page is dead once the kernel has read it; join
-		// operands stay buffered in the controller for future pairings
-		// and go back when it finishes.
-		r.recycle(t.outer)
-	} else {
-		operands = 2
 	}
 
 	end := r.now()
@@ -167,6 +129,10 @@ func (w *workerState) exec(t task) {
 	if r.spansOn() {
 		r.obs.Spans().Record(obs.SpanExec, n.span, start, end, "worker", "exec", r.qid, n.id, -1)
 		if s := n.span; s != nil {
+			operands := len(t.pages)
+			if t.with != nil {
+				operands *= 2 // each logical packet carried a pair
+			}
 			s.PagesIn.Add(int64(operands))
 			s.PagesOut.Add(int64(w.pages))
 			s.TuplesOut.Add(w.tuples)
@@ -177,4 +143,63 @@ func (w *workerState) exec(t task) {
 			"node%d: task complete (%d result pages)", n.id, w.pages)
 	}
 	n.events.Send(event{kind: evTaskDone, page: last})
+}
+
+// apply runs the node's kernel over every logical packet of t. A unary
+// operand page is dead once the kernel has read it and goes back at
+// once; join operands stay buffered in the controller for future
+// pairings and go back when it finishes.
+func (w *workerState) apply(t task) error {
+	r, n := w.run, t.node
+	switch n.node.Kind {
+	case query.OpRestrict:
+		rs := w.restricts[n]
+		if rs == nil {
+			rs = relalg.NewRestrictState(n.boundPred)
+			w.restricts[n] = rs
+		}
+		for _, pg := range t.pages {
+			if _, err := rs.RestrictPage(pg, w.emit); err != nil {
+				return err
+			}
+			r.recycle(pg)
+		}
+
+	case query.OpJoin:
+		st := w.joins[n]
+		if st == nil {
+			st = relalg.NewJoinState(n.boundJoin, &r.kstats)
+			w.joins[n] = st
+		}
+		for _, pg := range t.pages {
+			outer, inner := t.with, pg
+			if t.input == 1 {
+				outer, inner = pg, t.with
+			}
+			if _, err := st.JoinPages(outer, inner, w.emit); err != nil {
+				return err
+			}
+		}
+
+	case query.OpProject:
+		sink := w.emit
+		if n.parts != nil {
+			sink = w.emitPart
+		}
+		ps := w.projects[n]
+		if ps == nil {
+			ps = relalg.NewProjectState(n.projector)
+			w.projects[n] = ps
+		}
+		for _, pg := range t.pages {
+			if _, err := ps.ProjectPage(pg, nil, sink); err != nil {
+				return err
+			}
+			r.recycle(pg)
+		}
+
+	default:
+		return fmt.Errorf("core: worker received %s task", n.node.Kind)
+	}
+	return nil
 }

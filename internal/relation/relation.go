@@ -167,8 +167,8 @@ func (r *Relation) insertRawStored(raw []byte) error {
 // AppendPage appends an entire page to the relation. The page must hold
 // tuples of the schema's length.
 func (r *Relation) AppendPage(p *Page) error {
-	if p.TupleLen() != r.schema.TupleLen() {
-		return fmt.Errorf("relation: page holds %d-byte tuples, relation %q needs %d", p.TupleLen(), r.name, r.schema.TupleLen())
+	if err := r.LendPage(p); err != nil {
+		return err
 	}
 	// The relation retains (aliases) the page: it must never be handed
 	// back to a PagePool, however it was obtained. A page that is not
@@ -176,6 +176,17 @@ func (r *Relation) AppendPage(p *Page) error {
 	// so it is not written to.
 	if p.pooled {
 		p.pooled = false
+	}
+	return nil
+}
+
+// LendPage appends a page its owner goes on owning: the relation reads
+// it but does not retain it, so a pooled page stays recyclable. It is
+// for a scratch relation that is built, read once and dropped — the
+// owner hands the page back to its pool only after that.
+func (r *Relation) LendPage(p *Page) error {
+	if p.TupleLen() != r.schema.TupleLen() {
+		return fmt.Errorf("relation: page holds %d-byte tuples, relation %q needs %d", p.TupleLen(), r.name, r.schema.TupleLen())
 	}
 	if r.store != nil {
 		return r.store.Install(r.store.NumPages(), p)

@@ -613,9 +613,9 @@ func (l *chunkList) put(batch [][]byte) {
 // construction. Must run inside the query's scheduled Exec: the job's
 // write footprint is the exclusion that keeps log order equal to
 // apply order per relation.
-func (s *Server) execDurable(ctx context.Context, root *query.Node,
-	exec func(context.Context, *query.Tree) (*relation.Relation, error)) (*relation.Relation, error) {
+func (s *Server) execDurable(ctx context.Context, root *query.Node, engine string) (*relation.Relation, error) {
 	rec := &wal.Record{Rel: root.Rel}
+	release := func() {} // hands the append source's pages back to the engine
 	switch root.Kind {
 	case query.OpAppend:
 		dst, err := s.cat.Get(root.Rel)
@@ -630,7 +630,12 @@ func (s *Server) execDurable(ctx context.Context, root *query.Node,
 		if err != nil {
 			return nil, &bindError{err}
 		}
-		src, err := exec(ctx, srcTree)
+		var src *relation.Relation
+		if engine == EngineMachine {
+			src, err = s.execMachine(ctx, srcTree)
+		} else {
+			src, release, err = s.engine.ExecuteScratch(ctx, srcTree)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -661,6 +666,10 @@ func (s *Server) execDurable(ctx context.Context, root *query.Node,
 		s.count("server.durable_apply_errors", 1)
 		return nil, fmt.Errorf("server: logged write failed to apply (recovery will replay it): %w", err)
 	}
+	// The record holds its own images of the source and they are now
+	// installed, so the source's pages are dead; after a failure above
+	// they are left to the collector instead.
+	release()
 	s.count("server.durable_writes", 1)
 	s.maybeCheckpoint()
 	return rel, nil
@@ -730,15 +739,6 @@ func (s *Server) Checkpoint(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// execCore runs one query on the shared concurrent engine.
-func (s *Server) execCore(ctx context.Context, t *query.Tree) (*relation.Relation, error) {
-	res, err := s.engine.ExecuteContext(ctx, t)
-	if err != nil {
-		return nil, err
-	}
-	return res.Relation, nil
 }
 
 // execMachine runs one query on a fresh simulated ring machine (the
@@ -1101,10 +1101,6 @@ func (c *session) handleQuery(q *wire.Query) {
 // the whole result on st before returning.
 func (s *Server) answer(ctx context.Context, engine string, tree *query.Tree, st *resultStream) error {
 	root := tree.Root()
-	exec := s.execCore
-	if engine == EngineMachine {
-		exec = s.execMachine
-	}
 	var rel *relation.Relation // a result at rest; nil once streamed
 	var err error
 	switch {
@@ -1113,7 +1109,7 @@ func (s *Server) answer(ctx context.Context, engine string, tree *query.Tree, st
 		// fsync, then apply — all still under this job's admission
 		// exclusion, so the record hits stable storage before the
 		// catalog mutates and before any acknowledgement.
-		rel, err = s.execDurable(ctx, root, exec)
+		rel, err = s.execDurable(ctx, root, engine)
 	case engine == EngineMachine:
 		rel, err = s.execMachine(ctx, tree)
 	default:
@@ -1161,7 +1157,7 @@ func (c *session) stream(st *resultStream, outc <-chan sched.Outcome) (o sched.O
 }
 
 // finishResult closes a successfully streamed result: the stage
-// accounting, then the Stats frame.
+// accounting and the flight record, then the Stats frame.
 func (c *session) finishResult(qid uint32, engine string, st *resultStream, o sched.Outcome,
 	submitted time.Duration, traceID uint64, lane sched.Lane, qspan *obs.Span, arrival time.Time) {
 	s := c.srv
@@ -1178,6 +1174,17 @@ func (c *session) finishResult(qid uint32, engine string, st *resultStream, o sc
 	s.streamHist.ObserveDuration(streamed)
 	s.count("server.result_pages", st.pages)
 	s.count("server.result_bytes", st.bytes)
+	total := time.Since(arrival)
+	s.flight.Finish(traceID, obs.OutcomeOK, func(r *obs.QueryRecord) {
+		r.AdmitWait, r.Sched, r.Exec, r.Stream = o.AdmitWait, o.Dispatch, o.Run, streamed
+		r.Total = total
+		r.Tuples = st.tuples
+		r.Pages = st.pages
+		r.Deferred = o.Deferred
+	})
+	// The Stats frame acknowledges the query, so it goes out only once
+	// the flight record is finished: /queries/recent never lags a query
+	// its client has seen complete.
 	c.writeFrame(&wire.Stats{
 		QueryID:     qid,
 		Engine:      engine,
@@ -1191,14 +1198,6 @@ func (c *session) finishResult(qid uint32, engine string, st *resultStream, o sc
 		AdmitWait:   o.AdmitWait,
 		Sched:       o.Dispatch,
 		Stream:      streamed,
-	})
-	total := time.Since(arrival)
-	s.flight.Finish(traceID, obs.OutcomeOK, func(r *obs.QueryRecord) {
-		r.AdmitWait, r.Sched, r.Exec, r.Stream = o.AdmitWait, o.Dispatch, o.Run, streamed
-		r.Total = total
-		r.Tuples = st.tuples
-		r.Pages = st.pages
-		r.Deferred = o.Deferred
 	})
 	if s.cfg.SlowQuery > 0 && total >= s.cfg.SlowQuery {
 		s.count("server.slow_queries", 1)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dfdbm/internal/catalog"
+	"dfdbm/internal/obs"
 	"dfdbm/internal/wal"
 )
 
@@ -204,5 +205,37 @@ func TestServerCheckpointWaits(t *testing.T) {
 	}
 	if !bytes.Equal(catBytes(t, cat2), live) {
 		t.Fatal("snapshot recovery differs from live catalog")
+	}
+}
+
+// TestAppendSourcePagesComeBack: the pages an append's input subtree
+// produced go back to the engine's pool once the record is applied, so
+// after the first append a hundred more buy next to nothing — a page
+// when a run happens to hold more at once than any before it (four
+// workers and a compressor bound that), where each append used to
+// retain, and so buy, at least one.
+func TestAppendSourcePagesComeBack(t *testing.T) {
+	l, cat := openDurable(t, t.TempDir(), wal.Options{Fsync: wal.FsyncNone})
+	reg := obs.NewRegistry(time.Millisecond)
+	s := startServer(t, cat, Config{WAL: l, CheckpointEvery: -1, Obs: obs.New(nil, reg)})
+	c, err := Dial(s.Addr(), ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var afterFirst int64
+	for i := 0; i <= 100; i++ {
+		if _, err := c.Query(context.Background(), `append(r15, restrict(r1, val < 300))`); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			afterFirst = reg.Counter("core.pool_misses")
+		}
+	}
+	if afterFirst == 0 {
+		t.Fatal("the first append bought no page: the test measures nothing")
+	}
+	if got := reg.Counter("core.pool_misses"); got-afterFirst > 8 {
+		t.Errorf("100 appends after the first bought %d more pages (pool misses %d -> %d)", got-afterFirst, afterFirst, got)
 	}
 }
