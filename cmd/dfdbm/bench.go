@@ -3,9 +3,11 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -347,10 +349,14 @@ func benchKernels(db *dfdbm.DB) ([]benchEntry, error) {
 
 // benchHeap measures the paged-storage path on the paper database's
 // r5: a full scan with the buffer pool far below the relation (every
-// page faults and a victim evicts — the disk-bound cold case), the
-// same scan with the pool above the relation (steady-state cache
-// hits), and stored appends streaming post-image pages through the
-// pool under eviction and write-back pressure.
+// page faults and a victim evicts — the disk-bound cold case; the pool
+// is too small for runs longer than a page), the same scan with the
+// pool above the relation (steady-state cache hits), stored appends
+// streaming post-image pages through the pool under eviction and
+// write-back pressure, and the run path: r5's pages repeated up to 400,
+// whatever the scale, scanned through a 64-frame pool — by one scanner
+// (reads = physical reads per scan) and by 2 and 8 scanners at once,
+// each over a relation of its own, all sharing the pool.
 func benchHeap(db *dfdbm.DB) ([]benchEntry, error) {
 	src, err := db.Get("r5")
 	if err != nil {
@@ -401,6 +407,32 @@ func benchHeap(db *dfdbm.DB) ([]benchEntry, error) {
 	defer os.RemoveAll(appStore.Dir())
 	defer appStore.Close()
 
+	const runPages, runFrames, maxScanners = 400, 64, 8
+	r400 := relation.MustNew("bench_heap_run", src.Schema(), src.PageSize())
+	for i := 0; i < runPages; i++ {
+		if err := r400.AppendPage(src.Page(i % n).Clone()); err != nil {
+			return nil, err
+		}
+	}
+	runReg := obs.NewRegistry(time.Second)
+	runDir, err := os.MkdirTemp("", "dfdbm-bench-heap-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(runDir)
+	runStore, err := heap.OpenStore(runDir, runFrames, obs.New(nil, runReg))
+	if err != nil {
+		return nil, err
+	}
+	defer runStore.Close()
+	runs := make([]*relation.Relation, maxScanners)
+	for i := range runs {
+		runs[i] = r400.Clone(fmt.Sprintf("bench_heap_run%d", i))
+		if err := runStore.Adopt(runs[i], 1); err != nil {
+			return nil, err
+		}
+	}
+
 	scan := func(rel *relation.Relation) error {
 		tuples := 0
 		return rel.EachPage(func(pg *relation.Page) error {
@@ -410,6 +442,28 @@ func benchHeap(db *dfdbm.DB) ([]benchEntry, error) {
 	}
 	if err := scan(warm); err != nil { // warm the pool before measuring
 		return nil, err
+	}
+	// scanTogether is one op of heap/scan-concurrent: k scanners, one
+	// relation each, started together and all waited for.
+	scanTogether := func(k int) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			errs := make([]error, k)
+			for i := 0; i < b.N; i++ {
+				var wg sync.WaitGroup
+				for j := 0; j < k; j++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						errs[j] = scan(runs[j])
+					}()
+				}
+				wg.Wait()
+				if err := errors.Join(errs...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
 	}
 	const appendBatch = 256
 	raw := append([]byte(nil), src.Page(0).RawTuple(0)...)
@@ -440,7 +494,23 @@ func benchHeap(db *dfdbm.DB) ([]benchEntry, error) {
 					}
 				}
 			}
-		})
+		},
+		func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := scan(runs[0]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		},
+		scanTogether(2), scanTogether(maxScanners))
+	// A lone scan's physical reads are a function of its length and the
+	// pool's size, so one more scan counts them.
+	reads := runReg.Counter("bufpool.reads")
+	if err := scan(runs[0]); err != nil {
+		return nil, err
+	}
+	reads = runReg.Counter("bufpool.reads") - reads
 	hitRate := func(reg *obs.Registry) float64 {
 		hits, misses := float64(reg.Counter("bufpool.hits")), float64(reg.Counter("bufpool.misses"))
 		if hits+misses == 0 {
@@ -464,6 +534,19 @@ func benchHeap(db *dfdbm.DB) ([]benchEntry, error) {
 			"tuples_per_op": appendBatch,
 			"frames":        float64(coldFrames),
 			"writebacks":    float64(appReg.Counter("bufpool.writebacks")),
+		}),
+		entryFrom("heap/scan-run", rs[3], map[string]float64{
+			"pages":  runPages,
+			"frames": runFrames,
+			"reads":  float64(reads),
+		}),
+		entryFrom("heap/scan-concurrent/2", rs[4], map[string]float64{
+			"pages":  2 * runPages,
+			"frames": runFrames,
+		}),
+		entryFrom(fmt.Sprintf("heap/scan-concurrent/%d", maxScanners), rs[5], map[string]float64{
+			"pages":  maxScanners * runPages,
+			"frames": runFrames,
 		}),
 	}, nil
 }
@@ -856,21 +939,29 @@ var allocGated = map[string]bool{
 // timeGated names the benchmarks held to a tighter time bound than the
 // rest — more than 25% more ns/op fails, where the general floor of 75%
 // of baseline throughput allows a third more: the two engine rows a
-// change to the hand-off path moves first.
+// change to the hand-off path moves first, and the storage row a change
+// to the buffer pool's run path does.
 var timeGated = map[string]bool{
 	"core/paper-mix":      true,
 	"core/fetch-restrict": true,
+	"heap/scan-run":       true,
 }
 
-// dispatchSlack is how far a row's "dispatches" metric — physical
-// packets through the arbitration network — may exceed the baseline's.
-// A lone scan's runs are a function of its length, so any rise there is
-// a change in the hand-off path; in the mix a join's packet count
-// depends on how much of the other side was buffered when each page
-// arrived, which moves by a tenth or so from run to run.
-var dispatchSlack = map[string]float64{
-	"core/restrict-400": 1,
-	"core/paper-mix":    1.25,
+// countSlack is how far a row's counted metric may exceed the
+// baseline's: "dispatches", physical packets through the arbitration
+// network, and "reads", physical reads of a heap file. A lone scan's
+// runs are a function of its length (and its reads of the pool's size
+// too), so any rise there is a change in the hand-off or the storage
+// path; in the mix a join's packet count depends on how much of the
+// other side was buffered when each page arrived, which moves by a
+// tenth or so from run to run.
+var countSlack = map[string]struct {
+	metric string
+	slack  float64
+}{
+	"core/restrict-400": {"dispatches", 1},
+	"core/paper-mix":    {"dispatches", 1.25},
+	"heap/scan-run":     {"reads", 1},
 }
 
 // compareBenchReports guards against performance regressions: it loads
@@ -886,8 +977,8 @@ var dispatchSlack = map[string]float64{
 // baseline: they are the paths that recycle page memory, and unlike
 // time an allocation count repeats from run to run, so a rise is a
 // leak in the recycling, not noise. The rows in timeGated fail on more
-// than 25% more ns/op, and those in dispatchSlack on more dispatches
-// than the baseline's times their slack.
+// than 25% more ns/op, and those in countSlack on a counted metric above
+// the baseline's times their slack.
 func compareBenchReports(basePath, freshPath string, filter benchFilter) error {
 	load := func(path string) (benchReport, error) {
 		var rep benchReport
@@ -941,20 +1032,20 @@ func compareBenchReports(basePath, freshPath string, filter benchFilter) error {
 					fmt.Sprintf("%s: %d -> %d allocs/op", old.Name, old.AllocsPerOp, now.AllocsPerOp))
 			}
 		}
-		if slack, ok := dispatchSlack[old.Name]; ok && old.Metrics["dispatches"] > 0 {
-			was, is := old.Metrics["dispatches"], now.Metrics["dispatches"]
-			notes += fmt.Sprintf("  %.0f -> %.0f dispatches", was, is)
-			if is > slack*was {
+		if g, ok := countSlack[old.Name]; ok && old.Metrics[g.metric] > 0 {
+			was, is := old.Metrics[g.metric], now.Metrics[g.metric]
+			notes += fmt.Sprintf("  %.0f -> %.0f %s", was, is, g.metric)
+			if is > g.slack*was {
 				verdict = "REGRESSION"
 				regressed = append(regressed,
-					fmt.Sprintf("%s: %.0f -> %.0f dispatches", old.Name, was, is))
+					fmt.Sprintf("%s: %.0f -> %.0f %s", old.Name, was, is, g.metric))
 			}
 		}
 		fmt.Printf("bench compare: %-28s %10.0f -> %10.0f ns/op  %5.2fx%s  %s\n",
 			old.Name, old.NsPerOp, now.NsPerOp, ratio, notes, verdict)
 	}
 	if len(regressed) > 0 {
-		msg := "bench compare: throughput, allocations or dispatches regressed:"
+		msg := "bench compare: throughput, allocations, dispatches or reads regressed:"
 		for _, r := range regressed {
 			msg += "\n  " + r
 		}
@@ -1005,8 +1096,9 @@ func runBenchJSON(db *dfdbm.DB, queries []*dfdbm.Query, out string, scale float6
 		}
 	}
 
-	if filter.match("heap/scan-cold", "heap/scan-warm", "heap/append") {
-		fmt.Fprintln(os.Stderr, "bench: heap storage, cold vs warm scans and stored appends...")
+	if filter.match("heap/scan-cold", "heap/scan-warm", "heap/append",
+		"heap/scan-run", "heap/scan-concurrent/2", "heap/scan-concurrent/8") {
+		fmt.Fprintln(os.Stderr, "bench: heap storage, cold vs warm scans, stored appends, run scans alone and together...")
 		hb, err := benchHeap(db)
 		check(err)
 		rep.Benchmarks = append(rep.Benchmarks, hb...)

@@ -371,9 +371,10 @@ func (r *engineRun) shutdown() {
 // at a time with a slow start — 1, 2, 4 … maxRun pages — so the first
 // result leaves as early as it would page by page while a long scan
 // costs its consumer one hand-off per maxRun pages. At tuple granularity
-// each page is split into single-tuple tokens. EachPage walks
-// disk-backed relations one pinned buffer-pool frame at a time, so a
-// scan's footprint is one frame regardless of the relation's size —
+// each page is split into single-tuple tokens. EachPage walks a
+// disk-backed relation a pinned run of buffer-pool frames at a time with
+// the same slow start, a run being at most an eighth of the pool, so a
+// scan's footprint is bounded by the pool and not by the relation —
 // working sets larger than RAM execute correctly, just slower.
 func (r *engineRun) feedScan(rel *relation.Relation, out outlet) {
 	tupleLevel := r.eng.opts.Granularity == TupleLevel

@@ -9,7 +9,9 @@ import (
 // maxRun is the most pages one hand-off carries: a scan feeder's event,
 // an instruction packet's operand run, the pairs of one join packet. It
 // is small enough that the packets at the tail of a query still spread
-// over the workers.
+// over the workers. A stored relation is pinned in runs of up to the same
+// length (relation.EachPage), so one visit to the buffer pool fills one
+// run.
 const maxRun = 32
 
 // pageRun is a run buffer: consecutive pages of one input, handed from

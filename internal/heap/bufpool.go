@@ -2,6 +2,8 @@ package heap
 
 import (
 	"errors"
+	"fmt"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -24,45 +26,79 @@ const DefaultFrames = 1024
 // memory. It holds a fixed budget of frames keyed by (file, page),
 // with pin/unpin reference counts, dirty tracking, and CLOCK
 // second-chance eviction that writes dirty victims back to their heap
-// file before reuse.
+// file before reuse. The unit of a visit is a run of consecutive pages
+// (PinRun / UnpinRun); one page is a run of one.
 //
-// Concurrency: one mutex covers the table, the ring, and the I/O done
-// on miss/eviction. That serializes disk traffic like the paper's
-// single-ported disk would, and keeps the write-back/redirty race
-// closed. Readers of an evicted frame stay safe without latching:
-// eviction only drops the pool's reference, so a *Page handed out
-// earlier remains valid (Go GC) — and writers cannot mutate it
-// concurrently because the admission scheduler gives every relation a
-// single writer. Frame pages outlive their pin as a matter of course
-// (Relation.EachPage unpins before the engine's worker has read the
-// page), so a miss must never decode into the evicted frame's page: it
-// always gets a fresh one (File.ReadPage), and the collector takes the
-// old one after its last reader.
+// Concurrency: one mutex covers the table, the ring and the spare read
+// buffers, and it is multiport for hits — a miss's disk read, CRC and
+// decode happen outside it. PinRun claims a frame for each missing page
+// under the lock (in the table, pinned by its loader so CLOCK passes it
+// over, marked loading, no page yet), reads with the lock released, and
+// takes the lock again to publish the pages and wake whoever waited
+// (loaded, the pool's one condition variable). Whoever finds a page
+// loading — a reader at the head of its run, Install, DropFile — waits
+// for it holding no claimed frame of its own, and a loader never waits
+// before it publishes, so waits cannot form a cycle. What stays under
+// the lock is the dirty victim's write-back (freeFrameLocked) and
+// FlushFile: a write-back outside it could race with a re-dirtying
+// writer and lose the newer image, and the workloads that miss have no
+// dirty pages to write (a background cleaner is ROADMAP's).
+//
+// Readers of an evicted frame stay safe without latching: eviction only
+// drops the pool's reference, so a *Page handed out earlier remains
+// valid (Go GC) — and writers cannot mutate it concurrently because the
+// admission scheduler gives every relation a single writer. Frame pages
+// outlive their pin as a matter of course (Relation.EachPage unpins a
+// run before the engine's workers have read its pages), so a miss must
+// never decode into the evicted frame's page: it always gets a fresh
+// one (File.ReadPages), and the collector takes the old one after its
+// last reader.
 type Pool struct {
-	mu    sync.Mutex // lock order: Store.mu -> Pool.mu, never the reverse
-	cap   int
-	table map[frameKey]*frame
-	ring  []*frame
-	hand  int
+	mu     sync.Mutex // lock order: Store.mu -> Pool.mu, never the reverse
+	loaded sync.Cond  // on mu: a loading frame was published or released
+	cap    int
+	table  map[frameKey]*frame
+	ring   []*frame
+	hand   int
 	// pinned counts frames with pins > 0, kept on every 0<->1 edge so
-	// the gauges cost nothing per Pin; Snapshot recounts it by walking.
+	// the gauges cost nothing per visit; Snapshot recounts it by walking.
 	pinned int
+	// bufs are idle multi-slot read buffers, one per loader that was
+	// recently reading at once (at most maxIdleBufs): a run's misses are
+	// read into one instead of buying a buffer per run, and unlike a
+	// sync.Pool's they survive garbage collection.
+	bufs [][]byte
 
 	reg   *obs.Registry
 	epoch time.Time
 }
+
+// maxIdleBufs bounds Pool.bufs; a loader that finds none buys its own.
+const maxIdleBufs = 4
 
 type frameKey struct {
 	f    *File
 	page int
 }
 
+// frame is one slot of the pool. An empty frame (zero key, no page) sits
+// in the ring but not in the table; a loading frame is in the table,
+// pinned by the PinRun that claimed it, and has no page until that
+// PinRun publishes it.
 type frame struct {
-	key   frameKey
-	pg    *relation.Page
-	pins  int
-	ref   bool // CLOCK second-chance bit
-	dirty bool
+	key     frameKey
+	pg      *relation.Page
+	pins    int
+	ref     bool // CLOCK second-chance bit
+	dirty   bool
+	loading bool
+}
+
+// tally is one visit's counter deltas, in pages, added to the registry
+// once when the visit ends. reads counts physical reads, each covering
+// one or more missed pages.
+type tally struct {
+	hits, misses, reads, evictions, writebacks int64
 }
 
 // NewPool creates a pool with the given frame budget (DefaultFrames
@@ -79,6 +115,7 @@ func NewPool(frames int, o *obs.Observer) *Pool {
 		reg:   o.Registry(),
 		epoch: time.Now(),
 	}
+	p.loaded.L = &p.mu
 	if p.reg != nil {
 		p.reg.SetGauge("bufpool.frames", float64(frames))
 		p.reg.SetGauge("bufpool.frames_in_use", 0)
@@ -89,7 +126,12 @@ func NewPool(frames int, o *obs.Observer) *Pool {
 
 // PoolResource is the saturation-attribution spec for the buffer
 // pool's disk port: busy time accumulated on bufpool.busy_us, one
-// server (the pool serializes its I/O).
+// interval per run that missed (its reads, checks and decodes) or per
+// write-back. Write-backs are serial but loaders read concurrently, so
+// their intervals overlap: against one server the share reads as
+// loaders-in-flight, and can pass 1.0 — it is not the fraction of time
+// a single port was busy, which is what it meant while the pool read
+// under its lock.
 func PoolResource() obs.ResourceSpec {
 	return obs.ResourceSpec{Name: "bufpool", Timeline: "bufpool.busy_us", Servers: 1}
 }
@@ -97,77 +139,195 @@ func PoolResource() obs.ResourceSpec {
 // Cap returns the frame budget.
 func (p *Pool) Cap() int { return p.cap }
 
-// Pin returns page i of f pinned in a frame, reading it from disk on
-// miss (evicting a victim first when the pool is full). Every Pin
-// must be paired with an Unpin.
-func (p *Pool) Pin(f *File, i int) (*relation.Page, error) {
+// PinRun pins pages first, first+1, ... of f into dst and returns how
+// many: min(len(dst), cap/8, pages left), at least one, or fewer as
+// below. Resident pages are pinned where they are. Missing pages are
+// read from disk — each gap of consecutive missing slots with one read,
+// outside the pool's lock — into frames freed by eviction when the pool
+// is full. The first page is owed a frame (ErrNoFrames if every frame is
+// pinned); the rest are taken ahead of need, so only while fewer than
+// half the frames are pinned — with many scans at once runs shorten to
+// one page before any scan is refused a frame — and only up to a page
+// another reader is loading; a page loading at the head of the run is
+// waited for. On error nothing stays pinned and no page of the run has
+// been published. Every PinRun must be paired with an UnpinRun of the
+// same first and count.
+func (p *Pool) PinRun(f *File, first int, dst []*relation.Page) (int, error) {
+	pages := f.NumPages()
+	if first < 0 || first >= pages {
+		return 0, fmt.Errorf("heap: %s: read of page %d beyond %d pages", filepath.Base(f.path), first, pages)
+	}
+	n := min(len(dst), max(p.cap/8, 1), pages-first)
+
+	var t tally
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	key := frameKey{f, i}
-	if fr, ok := p.table[key]; ok {
-		if fr.pins == 0 {
-			p.pinned++
+	for k := 0; k < n; k++ {
+		key := frameKey{f, first + k}
+		fr, ok := p.table[key]
+		for k == 0 && ok && fr.loading {
+			p.loaded.Wait()
+			fr, ok = p.table[key]
 		}
-		fr.pins++
-		fr.ref = true
-		p.count("bufpool.hits", 1)
-		p.gauges()
-		return fr.pg, nil
+		if k > 0 && (p.pinned >= p.cap/2 || ok && fr.loading) {
+			n = k
+			break
+		}
+		if ok {
+			if fr.pins == 0 {
+				p.pinned++
+			}
+			fr.pins++
+			fr.ref = true
+			dst[k] = fr.pg
+			t.hits++
+			continue
+		}
+		fr, err := p.freeFrameLocked(&t)
+		if err != nil {
+			if k == 0 {
+				p.mu.Unlock()
+				return 0, err
+			}
+			// Read-ahead is not owed a frame: the run ends here, and if
+			// the victim's write-back keeps failing the run that starts
+			// at this page reports it.
+			n = k
+			break
+		}
+		fr.key, fr.pins, fr.ref, fr.loading = key, 1, true, true
+		p.table[key] = fr
+		p.pinned++
+		dst[k] = nil
+		t.misses++
 	}
-	fr, err := p.freeFrameLocked()
-	if err != nil {
-		return nil, err
+	if t.misses == 0 {
+		p.account(t)
+		p.mu.Unlock()
+		return n, nil
 	}
+	buf := p.takeBufLocked(int64(n) * f.slotSize)
+	p.mu.Unlock()
+
+	// The claimed slots are the nil entries of dst[:n]; each maximal gap
+	// of them is one read.
+	var err error
 	start := time.Since(p.epoch)
-	pg, err := f.ReadPage(i)
-	p.busy(start)
-	if err != nil {
-		// The frame stays free (zero-valued key is absent from table).
-		return nil, err
+	for k := 0; k < n && err == nil; {
+		if dst[k] != nil {
+			k++
+			continue
+		}
+		end := k + 1
+		for end < n && dst[end] == nil {
+			end++
+		}
+		err = f.ReadPages(first+k, dst[k:end], buf)
+		t.reads++
+		k = end
 	}
-	p.count("bufpool.misses", 1)
-	fr.key, fr.pg, fr.pins, fr.ref, fr.dirty = key, pg, 1, true, false
-	p.table[key] = fr
-	p.pinned++
-	p.gauges()
-	return pg, nil
+	p.busy(start)
+
+	p.mu.Lock()
+	if len(p.bufs) < maxIdleBufs {
+		p.bufs = append(p.bufs, buf)
+	}
+	for k := 0; k < n; k++ {
+		fr := p.table[frameKey{f, first + k}]
+		switch {
+		case fr.loading && err == nil: // publish
+			fr.pg, fr.loading = dst[k], false
+		case fr.loading: // release the claim: the frame leaves the table empty
+			delete(p.table, fr.key)
+			*fr = frame{}
+			p.pinned--
+		case err != nil: // a resident page of a failed run
+			p.unpinLocked(fr)
+		}
+	}
+	if err != nil {
+		t.hits, t.misses, n = 0, 0, 0
+	}
+	p.account(t)
+	p.mu.Unlock()
+	p.loaded.Broadcast()
+	return n, err
 }
 
-// Unpin releases one pin on page i of f; dirty marks the frame for
-// write-back and folds the page's tuple count into the file's logical
-// state.
-func (p *Pool) Unpin(f *File, i int, dirty bool) {
+// UnpinRun releases one pin on each of pages first .. first+n-1 of f;
+// dirty marks the frames for write-back and folds each page's tuple
+// count into the file's logical state.
+func (p *Pool) UnpinRun(f *File, first, n int, dirty bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	key := frameKey{f, i}
-	fr, ok := p.table[key]
-	if !ok || fr.pins <= 0 {
-		panic("heap: Unpin without matching Pin")
+	for i := first; i < first+n; i++ {
+		fr, ok := p.table[frameKey{f, i}]
+		if !ok || fr.pins <= 0 || fr.loading {
+			panic("heap: Unpin without matching Pin")
+		}
+		p.unpinLocked(fr)
+		if dirty {
+			fr.dirty = true
+			if err := f.NotePage(i, fr.pg.TupleCount()); err != nil {
+				panic(err) // i is resident in a frame, so it cannot be out of range
+			}
+		}
 	}
+	p.gauges()
+}
+
+func (p *Pool) unpinLocked(fr *frame) {
 	fr.pins--
 	if fr.pins == 0 {
 		p.pinned--
 	}
-	if dirty {
-		fr.dirty = true
-		if err := f.NotePage(i, fr.pg.TupleCount()); err != nil {
-			panic(err) // i is resident in a frame, so it cannot be out of range
+}
+
+// Pin is PinRun for page i alone. Every Pin must be paired with an
+// Unpin.
+func (p *Pool) Pin(f *File, i int) (*relation.Page, error) {
+	var one [1]*relation.Page
+	if _, err := p.PinRun(f, i, one[:]); err != nil {
+		return nil, err
+	}
+	return one[0], nil
+}
+
+// Unpin is UnpinRun for page i alone.
+func (p *Pool) Unpin(f *File, i int, dirty bool) { p.UnpinRun(f, i, 1, dirty) }
+
+// takeBufLocked lends a read buffer of size bytes: the idle one on top
+// if it is large enough, else a new one (a too-small buffer is dropped,
+// so the idle list converges on full-run buffers). PinRun puts it back.
+func (p *Pool) takeBufLocked(size int64) []byte {
+	if k := len(p.bufs) - 1; k >= 0 {
+		buf := p.bufs[k]
+		p.bufs = p.bufs[:k]
+		if int64(cap(buf)) >= size {
+			return buf[:size]
 		}
 	}
-	p.gauges()
+	return make([]byte, size)
 }
 
 // Install places a full post-image of page i of f into the pool,
 // dirty: the one mutation primitive (live appends and WAL replay).
-// i may extend the file by exactly one page.
+// i may extend the file by exactly one page. The scheduler's write
+// exclusion keeps readers of f away while its writer installs; a page
+// found loading all the same is waited for.
 func (p *Pool) Install(f *File, i int, pg *relation.Page) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	key := frameKey{f, i}
 	fr, ok := p.table[key]
+	for ok && fr.loading {
+		p.loaded.Wait()
+		fr, ok = p.table[key]
+	}
+	var t tally
+	defer func() { p.account(t) }()
 	if !ok {
 		var err error
-		if fr, err = p.freeFrameLocked(); err != nil {
+		if fr, err = p.freeFrameLocked(&t); err != nil {
 			return err
 		}
 	}
@@ -176,15 +336,16 @@ func (p *Pool) Install(f *File, i int, pg *relation.Page) error {
 	}
 	fr.key, fr.pg, fr.ref, fr.dirty = key, pg, true, true
 	p.table[key] = fr
-	p.gauges()
 	return nil
 }
 
 // freeFrameLocked returns an unused frame: grows the ring while under
 // budget, otherwise runs the CLOCK hand over the ring — skipping
 // pinned frames, clearing second-chance bits, writing back dirty
-// victims — for at most two sweeps. All frames pinned => ErrNoFrames.
-func (p *Pool) freeFrameLocked() (*frame, error) {
+// victims — for at most two sweeps. An empty frame (a failed run's, a
+// dropped file's) is taken as it is: nothing is displaced, so nothing
+// is counted. All frames pinned => ErrNoFrames.
+func (p *Pool) freeFrameLocked(t *tally) (*frame, error) {
 	if len(p.ring) < p.cap {
 		fr := &frame{}
 		p.ring = append(p.ring, fr)
@@ -195,6 +356,9 @@ func (p *Pool) freeFrameLocked() (*frame, error) {
 		p.hand = (p.hand + 1) % len(p.ring)
 		if fr.pins > 0 {
 			continue
+		}
+		if fr.pg == nil {
+			return fr, nil
 		}
 		if fr.ref {
 			fr.ref = false
@@ -207,12 +371,11 @@ func (p *Pool) freeFrameLocked() (*frame, error) {
 			if err != nil {
 				return nil, err
 			}
-			p.count("bufpool.writebacks", 1)
-			fr.dirty = false
+			t.writebacks++
 		}
 		delete(p.table, fr.key)
-		p.count("bufpool.evictions", 1)
-		fr.key, fr.pg = frameKey{}, nil
+		t.evictions++
+		*fr = frame{}
 		return fr, nil
 	}
 	return nil, ErrNoFrames
@@ -220,10 +383,12 @@ func (p *Pool) freeFrameLocked() (*frame, error) {
 
 // FlushFile writes back every dirty frame belonging to f and marks
 // them clean. Frames stay resident (a checkpoint does not chill the
-// cache).
+// cache). A loading frame is clean by construction and is passed over.
 func (p *Pool) FlushFile(f *File) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	var t tally
+	defer func() { p.account(t) }()
 	for key, fr := range p.table {
 		if key.f != f || !fr.dirty {
 			continue
@@ -234,7 +399,7 @@ func (p *Pool) FlushFile(f *File) error {
 		if err != nil {
 			return err
 		}
-		p.count("bufpool.writebacks", 1)
+		t.writebacks++
 		fr.dirty = false
 	}
 	return nil
@@ -242,9 +407,15 @@ func (p *Pool) FlushFile(f *File) error {
 
 // DropFile discards every frame belonging to f, dirty or not — the
 // delete path replaces the whole file, so its cached pages are dead.
+// The scheduler's write exclusion keeps readers of f away meanwhile; a
+// page found loading all the same is waited for, so no loader publishes
+// into a dropped frame or reads a closed file.
 func (p *Pool) DropFile(f *File) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	for p.loadingLocked(f) {
+		p.loaded.Wait()
+	}
 	for key, fr := range p.table {
 		if key.f != f {
 			continue
@@ -253,9 +424,19 @@ func (p *Pool) DropFile(f *File) {
 		if fr.pins > 0 {
 			p.pinned--
 		}
-		fr.key, fr.pg, fr.pins, fr.ref, fr.dirty = frameKey{}, nil, 0, false, false
+		*fr = frame{}
 	}
 	p.gauges()
+}
+
+// loadingLocked reports whether any page of f is being loaded.
+func (p *Pool) loadingLocked(f *File) bool {
+	for key, fr := range p.table {
+		if key.f == f && fr.loading {
+			return true
+		}
+	}
+	return false
 }
 
 // Stats is a point-in-time snapshot of the pool for tests and audits.
@@ -263,7 +444,8 @@ type Stats struct {
 	Cap, InUse, Pinned, Dirty int
 }
 
-// Snapshot returns current pool occupancy.
+// Snapshot returns current pool occupancy. A loading frame is in use
+// and pinned (by its loader).
 func (p *Pool) Snapshot() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -279,10 +461,27 @@ func (p *Pool) Snapshot() Stats {
 	return st
 }
 
-func (p *Pool) count(name string, delta int64) {
-	if p.reg != nil {
-		p.reg.Inc(name, delta)
+// account closes a visit, under mu: its counter deltas go to the
+// registry and the gauges are brought up to date.
+func (p *Pool) account(t tally) {
+	if p.reg == nil {
+		return
 	}
+	for _, c := range [...]struct {
+		name  string
+		delta int64
+	}{
+		{"bufpool.hits", t.hits},
+		{"bufpool.misses", t.misses},
+		{"bufpool.reads", t.reads},
+		{"bufpool.evictions", t.evictions},
+		{"bufpool.writebacks", t.writebacks},
+	} {
+		if c.delta != 0 {
+			p.reg.Inc(c.name, c.delta)
+		}
+	}
+	p.gauges()
 }
 
 func (p *Pool) busy(start time.Duration) {

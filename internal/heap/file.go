@@ -15,6 +15,7 @@
 package heap
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -83,9 +84,14 @@ type File struct {
 	seq        uint64   // header generation (ping-pong selector)
 	baseLSN    uint64
 	schemaHash uint64
-	// spare is an idle slot-sized buffer: reads and writes build their
-	// slot image in it instead of buying one each (takeSlotBufLocked).
+	// spare is an idle slot-sized buffer: write-backs and ReadPage build
+	// their slot image in it instead of buying one each
+	// (takeSlotBufLocked).
 	spare []byte
+
+	// readHook, when a test sets it, is called before every physical
+	// read with the slots it covers.
+	readHook func(first, n int)
 }
 
 // takeSlotBufLocked lends the file's spare slot buffer, or a fresh one
@@ -332,42 +338,66 @@ func (hf *File) WritePage(i int, p *relation.Page) error {
 	return hf.writeSlotLocked(i, p)
 }
 
-// ReadPage reads and validates slot i, returning the decoded page. The
-// page is always a fresh one, never a recycled frame's: a scan unpins a
-// frame as soon as it has passed the page on (Relation.EachPage), so the
-// page a frame held can still be under a worker's kernel after the
-// frame has been evicted and refilled. Only the slot buffer is reused.
+// ReadPage reads and validates slot i, returning the decoded page: a run
+// of one through the file's spare slot buffer (audits and tests; scans
+// go through Pool.PinRun, which brings its own buffer).
 func (hf *File) ReadPage(i int) (*relation.Page, error) {
 	hf.mu.Lock()
-	if pages := hf.pages; i < 0 || i >= pages {
-		hf.mu.Unlock()
-		return nil, fmt.Errorf("heap: %s: read of page %d beyond %d pages", filepath.Base(hf.path), i, pages)
-	}
 	buf := hf.takeSlotBufLocked()
 	hf.mu.Unlock()
-	p, err := hf.readSlot(i, buf)
+	var one [1]*relation.Page
+	err := hf.ReadPages(i, one[:], buf)
 	hf.mu.Lock()
 	hf.spare = buf
 	hf.mu.Unlock()
-	return p, err
+	return one[0], err
 }
 
-// readSlot reads slot i into buf and decodes the page it holds.
-func (hf *File) readSlot(i int, buf []byte) (*relation.Page, error) {
-	slotSize := int64(len(buf))
-	if _, err := hf.f.ReadAt(buf, dataOff+int64(i)*slotSize); err != nil {
-		return nil, fmt.Errorf("heap: %s: slot %d: %w", filepath.Base(hf.path), i, err)
+// ReadPages reads slots first .. first+len(dst)-1 with one ReadAt into
+// buf (at least len(dst) slots long) and decodes each into dst. Every
+// slot is validated on its own and an error names the slot. The pages
+// are always fresh ones, never a recycled frame's: a scan unpins a frame
+// as soon as it has passed the page on (Relation.EachPage), so the page a
+// frame held can still be under a worker's kernel after the frame has
+// been evicted and refilled. Only buf is reused.
+func (hf *File) ReadPages(first int, dst []*relation.Page, buf []byte) error {
+	hf.mu.Lock()
+	pages := hf.pages
+	hf.mu.Unlock()
+	if first < 0 || first+len(dst) > pages {
+		return fmt.Errorf("heap: %s: read of pages %d..%d beyond %d pages", filepath.Base(hf.path), first, first+len(dst)-1, pages)
 	}
-	blobLen := binary.LittleEndian.Uint32(buf[0:4])
-	wantCRC := binary.LittleEndian.Uint32(buf[4:8])
-	if int64(blobLen)+slotHeaderLen > slotSize {
+	if hf.readHook != nil {
+		hf.readHook(first, len(dst))
+	}
+	buf = buf[:int64(len(dst))*hf.slotSize]
+	if _, err := hf.f.ReadAt(buf, dataOff+int64(first)*hf.slotSize); err != nil {
+		return fmt.Errorf("heap: %s: slots %d..%d: %w", filepath.Base(hf.path), first, first+len(dst)-1, err)
+	}
+	for k := range dst {
+		p, err := hf.decodeSlot(first+k, buf[int64(k)*hf.slotSize:int64(k+1)*hf.slotSize])
+		if err != nil {
+			return err
+		}
+		dst[k] = p
+	}
+	return nil
+}
+
+// decodeSlot validates the image of slot i and decodes the page it
+// holds. The image is a reused buffer, so the page gets its own copy of
+// the blob.
+func (hf *File) decodeSlot(i int, slot []byte) (*relation.Page, error) {
+	blobLen := binary.LittleEndian.Uint32(slot[0:4])
+	wantCRC := binary.LittleEndian.Uint32(slot[4:8])
+	if int64(blobLen)+slotHeaderLen > hf.slotSize {
 		return nil, fmt.Errorf("%w: %s: slot %d: implausible blob length %d", ErrCorrupt, filepath.Base(hf.path), i, blobLen)
 	}
-	blob := buf[slotHeaderLen : slotHeaderLen+int64(blobLen)]
+	blob := slot[slotHeaderLen : slotHeaderLen+int64(blobLen)]
 	if got := crc32.Checksum(blob, castagnoli); got != wantCRC {
 		return nil, fmt.Errorf("%w: %s: slot %d CRC mismatch (computed %08x, stored %08x)", ErrCorrupt, filepath.Base(hf.path), i, got, wantCRC)
 	}
-	p, err := relation.UnmarshalPage(blob)
+	p, err := relation.UnmarshalPage(bytes.Clone(blob))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: slot %d: %v", ErrCorrupt, filepath.Base(hf.path), i, err)
 	}

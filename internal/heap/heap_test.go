@@ -494,9 +494,10 @@ func TestPoolGaugesTrackSnapshot(t *testing.T) {
 
 // TestColdScanAllocCeiling: a scan of a relation far larger than the
 // pool misses on every page, and a miss buys the decoded page — its
-// struct and its exact-size payload — and nothing else: the slot is
-// read into the file's reusable buffer and the frame is an evicted one.
-// With a metrics registry attached, as on a server.
+// struct and its exact-size payload — and nothing else: the slots are
+// read into one of the pool's reusable buffers and the frame is an
+// evicted one. The scan itself buys its run array, once. With a metrics
+// registry attached, as on a server.
 func TestColdScanAllocCeiling(t *testing.T) {
 	const frames = 4
 	store, err := OpenStore(t.TempDir(), frames, obs.New(nil, obs.NewRegistry(0)))
@@ -526,7 +527,7 @@ func TestColdScanAllocCeiling(t *testing.T) {
 	if tuples != 10000 {
 		t.Fatalf("scan read %d tuples, want 10000", tuples)
 	}
-	if ceiling := float64(2 * pages); allocs > ceiling {
-		t.Errorf("cold scan of %d pages: %.0f allocations, want at most 2 per page read (%.0f)", pages, allocs, ceiling)
+	if ceiling := float64(2*pages + 1); allocs > ceiling {
+		t.Errorf("cold scan of %d pages: %.0f allocations, want at most 2 per page read and 1 per scan (%.0f)", pages, allocs, ceiling)
 	}
 }

@@ -438,12 +438,12 @@ func (b *backing) PageTuples(i int) int { return b.resolve().PageTuples(i) }
 func (b *backing) Cardinality() int     { return b.resolve().Cardinality() }
 func (b *backing) BaseLSN() uint64      { return b.resolve().BaseLSN() }
 
-func (b *backing) Pin(i int) (*relation.Page, error) {
-	return b.store.pool.Pin(b.resolve(), i)
+func (b *backing) PinRun(first int, dst []*relation.Page) (int, error) {
+	return b.store.pool.PinRun(b.resolve(), first, dst)
 }
 
-func (b *backing) Unpin(i int, dirty bool) {
-	b.store.pool.Unpin(b.resolve(), i, dirty)
+func (b *backing) UnpinRun(first, n int, dirty bool) {
+	b.store.pool.UnpinRun(b.resolve(), first, n, dirty)
 }
 
 func (b *backing) Install(i int, p *relation.Page) error {

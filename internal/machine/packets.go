@@ -15,6 +15,7 @@
 package machine
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -189,7 +190,7 @@ func UnmarshalInstruction(b []byte) (*InstructionPacket, error) {
 		if off+n > len(b) {
 			return nil, fmt.Errorf("machine: truncated page payload")
 		}
-		pg, err := relation.UnmarshalPage(b[off : off+n])
+		pg, err := relation.UnmarshalPage(bytes.Clone(b[off : off+n]))
 		if err != nil {
 			return nil, err
 		}
@@ -243,7 +244,7 @@ func UnmarshalResult(b []byte) (*ResultPacket, error) {
 	if off+n != len(b) {
 		return nil, fmt.Errorf("machine: result packet length mismatch")
 	}
-	pg, err := relation.UnmarshalPage(b[off:])
+	pg, err := relation.UnmarshalPage(bytes.Clone(b[off:]))
 	if err != nil {
 		return nil, err
 	}
@@ -362,7 +363,7 @@ func UnmarshalCompletion(b []byte) (*CompletionPacket, error) {
 		if off+n > len(b) {
 			return nil, fmt.Errorf("machine: truncated page payload")
 		}
-		pg, err := relation.UnmarshalPage(b[off : off+n])
+		pg, err := relation.UnmarshalPage(bytes.Clone(b[off : off+n]))
 		if err != nil {
 			return nil, err
 		}

@@ -200,7 +200,12 @@ func (p *Page) AppendMarshal(dst []byte) []byte {
 	return append(dst, p.data...)
 }
 
-// UnmarshalPage parses a page serialized by Marshal.
+// UnmarshalPage parses a page serialized by Marshal and takes ownership
+// of b: the page's payload is b's tail, not a copy of it, so the caller
+// must neither reuse nor write to b afterwards (a caller whose blob is a
+// reused buffer or part of a larger one passes bytes.Clone(b)). The
+// payload's capacity is clipped to its length: appending to a decoded
+// page reallocates instead of writing past the blob.
 func UnmarshalPage(b []byte) (*Page, error) {
 	if len(b) < PageHeaderLen {
 		return nil, fmt.Errorf("relation: page blob too short (%d bytes)", len(b))
@@ -214,8 +219,6 @@ func UnmarshalPage(b []byte) (*Page, error) {
 	if err := CheckPageGeometry(size, tupleLen); err != nil {
 		return nil, err
 	}
-	// A decoded page keeps an exact-size payload: most are read and
-	// never appended to, so full capacity would only be bought to idle.
 	p := &Page{size: size}
 	p.setTupleLen(tupleLen)
 	want := count * tupleLen
@@ -225,7 +228,7 @@ func UnmarshalPage(b []byte) (*Page, error) {
 	if count > p.Capacity() {
 		return nil, fmt.Errorf("relation: page blob holds %d tuples, capacity is %d", count, p.Capacity())
 	}
-	p.data = append(p.data, b[PageHeaderLen:]...)
+	p.data = b[PageHeaderLen:len(b):len(b)]
 	return p, nil
 }
 

@@ -123,6 +123,41 @@ func TestPageMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUnmarshalPageAdoptsBlob: a decoded page's payload is the blob's
+// tail, not a copy, and appending to the page buys new memory instead of
+// writing into whatever follows the blob in its buffer.
+func TestUnmarshalPageAdoptsBlob(t *testing.T) {
+	p := MustNewPage(1000, 100)
+	for i := 0; i < 3; i++ {
+		if err := p.AppendRaw(bytes.Repeat([]byte{byte('a' + i)}, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The blob sits in a larger buffer, as a frame's payload does.
+	buf := append(p.Marshal(), bytes.Repeat([]byte{0xEE}, 200)...)
+	blob := buf[:p.WireSize()]
+	before := bytes.Clone(buf)
+	q, err := UnmarshalPage(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &q.Data()[0] != &blob[PageHeaderLen] || len(q.Data()) != len(blob)-PageHeaderLen {
+		t.Error("the decoded page does not share the blob's bytes")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _, _ = UnmarshalPage(blob) }); allocs > 1 {
+		t.Errorf("UnmarshalPage allocates %.0f times, want the page struct alone", allocs)
+	}
+	if err := q.AppendRaw(bytes.Repeat([]byte{'z'}, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, before) {
+		t.Error("appending to a decoded page wrote into the blob's buffer")
+	}
+	if q.TupleCount() != 4 || !bytes.Equal(q.Data()[:300], blob[PageHeaderLen:]) || q.RawTuple(3)[0] != 'z' {
+		t.Error("the page lost tuples when its payload moved")
+	}
+}
+
 func TestUnmarshalPageErrors(t *testing.T) {
 	p := MustNewPage(1000, 100)
 	_ = p.AppendRaw(make([]byte, 100))

@@ -65,11 +65,11 @@ func (r *Relation) Page(i int) *Page {
 	if r.store == nil {
 		return r.pages[i]
 	}
-	p, err := r.store.Pin(i)
+	p, err := r.pinOne(i)
 	if err != nil {
-		panic(fmt.Sprintf("relation %q: page %d: %v", r.name, i, err))
+		panic(err.Error())
 	}
-	r.store.Unpin(i, false)
+	r.store.UnpinRun(i, 1, false)
 	return p
 }
 
@@ -146,12 +146,12 @@ func (r *Relation) insertRawStored(raw []byte) error {
 	n := r.store.NumPages()
 	capacity := (r.pageSize - PageHeaderLen) / r.schema.TupleLen()
 	if n > 0 && r.store.PageTuples(n-1) < capacity {
-		p, err := r.store.Pin(n - 1)
+		p, err := r.pinOne(n - 1)
 		if err != nil {
 			return err
 		}
 		err = p.AppendRaw(raw)
-		r.store.Unpin(n-1, err == nil)
+		r.store.UnpinRun(n-1, 1, err == nil)
 		return err
 	}
 	p, err := NewPage(r.pageSize, r.schema.TupleLen())

@@ -1,14 +1,20 @@
 package relation
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // PageStore is the disk-backed page source a Relation can be attached
 // to (SetStore): the paper's mass-storage level, reached through the
 // disk-cache level (a pinning buffer pool). A stored relation keeps no
-// resident pages; every page access pins a frame in the store's buffer
+// resident pages; every page access pins frames in the store's buffer
 // pool and every mutation goes through Install, so the relation's
 // logical content is byte-identical to the resident form by
-// construction.
+// construction. The unit of access is a run of consecutive pages — the
+// paper moves operands a page at a time between cache and mass storage,
+// and a run is what one visit to the cache and one disk read can bring;
+// a single page is a run of one.
 //
 // Implementations live in internal/heap; this interface exists so the
 // relation package (and everything above it) needs no heap import.
@@ -20,13 +26,19 @@ type PageStore interface {
 	PageTuples(i int) int
 	// Cardinality returns the total tuple count across all pages.
 	Cardinality() int
-	// Pin reads page i into a buffer-pool frame and pins it. The
-	// returned page is shared and must be treated as read-only unless
-	// the caller holds the relation's write exclusion. Every Pin must
-	// be paired with an Unpin.
-	Pin(i int) (*Page, error)
-	// Unpin releases the pin; dirty marks the frame for write-back.
-	Unpin(i int, dirty bool)
+	// PinRun pins pages first, first+1, ... into dst and returns how many
+	// it pinned: at least one when err is nil, at most len(dst), and
+	// fewer when the relation ends or the store will not read further
+	// ahead (its budget of pinned frames; a page another reader is still
+	// loading). The first page is owed a frame; the rest are read-ahead.
+	// The pages are shared and must be treated as read-only unless the
+	// caller holds the relation's write exclusion. On error nothing
+	// stays pinned. Every PinRun must be paired with one UnpinRun of the
+	// same first and the returned count.
+	PinRun(first int, dst []*Page) (int, error)
+	// UnpinRun releases the pins of a run of n pages; dirty marks their
+	// frames for write-back.
+	UnpinRun(first, n int, dirty bool)
 	// Install overwrites page i (or appends it when i == NumPages)
 	// with a full post-image, dirty in the pool. It is the one
 	// mutation primitive: WAL replay and the live write path both
@@ -74,6 +86,24 @@ func (r *Relation) PageTuples(i int) int {
 	return r.pages[i].TupleCount()
 }
 
+// oneRuns holds idle runs of one: a run passed to a PageStore escapes
+// through the interface, and a stored append pins its tail page once per
+// tuple.
+var oneRuns = sync.Pool{New: func() any { return new([1]*Page) }}
+
+// pinOne pins page i alone: a run of one.
+func (r *Relation) pinOne(i int) (*Page, error) {
+	one := oneRuns.Get().(*[1]*Page)
+	_, err := r.store.PinRun(i, one[:])
+	p := one[0]
+	one[0] = nil
+	oneRuns.Put(one)
+	if err != nil {
+		return nil, fmt.Errorf("relation %q: page %d: %w", r.name, i, err)
+	}
+	return p, nil
+}
+
 // CopyPage returns a deep copy of page i, pinning through the store
 // when the relation is disk-backed — the error-returning counterpart
 // of Page(i).Clone().
@@ -81,18 +111,25 @@ func (r *Relation) CopyPage(i int) (*Page, error) {
 	if r.store == nil {
 		return r.pages[i].Clone(), nil
 	}
-	p, err := r.store.Pin(i)
+	p, err := r.pinOne(i)
 	if err != nil {
-		return nil, fmt.Errorf("relation %q: page %d: %w", r.name, i, err)
+		return nil, err
 	}
-	defer r.store.Unpin(i, false)
+	defer r.store.UnpinRun(i, 1, false)
 	return p.Clone(), nil
 }
 
-// EachPage calls fn for every page in order. For stored relations each
-// page is pinned around its callback and unpinned clean afterwards;
-// fn must not retain write access. A non-nil error from fn (or from
-// the store) stops the walk and is returned.
+// maxScanRun is the longest run EachPage asks a store for — the engine's
+// own run length, so one pinned run fills one run between controllers.
+const maxScanRun = 32
+
+// EachPage calls fn for every page in order. A stored relation is walked
+// in pinned runs with a slow start — 1, 2, 4 … maxScanRun pages, each
+// clipped by what the store grants — so a walk that stops at its first
+// page has read one slot, and a long one visits the buffer pool once per
+// run. A run is unpinned clean once fn has seen its pages; fn must not
+// retain write access. A non-nil error from fn (or from the store) stops
+// the walk and is returned.
 func (r *Relation) EachPage(fn func(p *Page) error) error {
 	if r.store == nil {
 		for _, p := range r.pages {
@@ -102,17 +139,23 @@ func (r *Relation) EachPage(fn func(p *Page) error) error {
 		}
 		return nil
 	}
+	var run [maxScanRun]*Page // escapes through the interface: one allocation per walk
 	n := r.store.NumPages()
-	for i := 0; i < n; i++ {
-		p, err := r.store.Pin(i)
+	for i, want := 0, 1; i < n; want = min(2*want, maxScanRun) {
+		got, err := r.store.PinRun(i, run[:min(want, n-i)])
 		if err != nil {
 			return fmt.Errorf("relation %q: page %d: %w", r.name, i, err)
 		}
-		err = fn(p)
-		r.store.Unpin(i, false)
+		for _, p := range run[:got] {
+			if err = fn(p); err != nil {
+				break
+			}
+		}
+		r.store.UnpinRun(i, got, false)
 		if err != nil {
 			return err
 		}
+		i += got
 	}
 	return nil
 }

@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -156,5 +158,57 @@ func TestHeapLargerThanMemoryAcceptance(t *testing.T) {
 	}
 	if !rec15.EqualMultiset(ref15) {
 		t.Fatal("recovered r15 differs from the in-memory reference as a multiset")
+	}
+}
+
+// TestHeapAdoptedBlobsStayTheirOwners: a decoded page adopts its blob —
+// a client's result pages are the payloads of the frames they came in,
+// and an applied append installs the record's own page images in the
+// buffer pool. Neither may be reached again by whoever produced the
+// bytes: with recycled pages poisoned (TestMain) and the pool churning
+// under further appends and scans, a result read earlier must stay what
+// it was, and the installed pages must read back as the records wrote
+// them.
+func TestHeapAdoptedBlobsStayTheirOwners(t *testing.T) {
+	dir := t.TempDir()
+	l, cat := openDurable(t, dir, wal.Options{Heap: &wal.HeapOptions{Frames: 8}})
+	s := startServer(t, cat, Config{WAL: l, CheckpointEvery: -1})
+	c, err := Dial(s.Addr(), ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	query := func(q string) *QueryResult {
+		t.Helper()
+		res, err := c.Query(context.Background(), q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		return res
+	}
+	query(`append(r15, restrict(r1, val < 400))`)
+	first := query(`restrict(r15, val >= 0)`)
+	keys := first.Relation.SortedKeys()
+	if len(keys) == 0 {
+		t.Fatal("r15 is empty after an append")
+	}
+	for j := 2; j <= 5; j++ {
+		query(fmt.Sprintf(`append(r15, restrict(r%d, val < 400))`, j))
+		query(`project(restrict(r15, val < 300), [k1, k2])`)
+	}
+	if after := first.Relation.SortedKeys(); !slices.Equal(after, keys) {
+		t.Fatal("a result relation changed after later queries on its connection")
+	}
+	// The oldest appended tuples, installed from an adopted record image
+	// and since evicted, written back and read again, are still there.
+	again := query(`restrict(r15, val >= 0)`)
+	have := make(map[string]int, again.Relation.Cardinality())
+	for _, k := range again.Relation.SortedKeys() {
+		have[k]++
+	}
+	for _, k := range keys {
+		if have[k]--; have[k] < 0 {
+			t.Fatal("a tuple of the first append is missing from r15 after pool churn")
+		}
 	}
 }

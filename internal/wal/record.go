@@ -139,6 +139,13 @@ func (r *Record) Summary() string {
 // relation (nil for checkpoints). The service write path and recovery
 // both apply records through this one function, so a replayed log
 // reproduces exactly the state the live writes built.
+//
+// Apply takes the record's page images with it: a decoded page adopts
+// its blob (relation.UnmarshalPage), and the record owns every blob in
+// Pages — fresh Page.Marshal output on the live path, slices of the
+// payload buffer readRecord allocates per record on replay — so an
+// installed page is those bytes, not a copy. The log has the record
+// encoded before Apply runs; afterwards Pages must not be written to.
 func (r *Record) Apply(cat *catalog.Catalog) (*relation.Relation, error) {
 	switch r.Type {
 	case RecAppend:
