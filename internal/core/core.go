@@ -274,7 +274,8 @@ func (e *Engine) ExecuteContext(ctx context.Context, t *query.Tree) (*Result, er
 // exception is a bare-scan root, which emits the stored relation's own
 // pages: those are shared with every other reader, so the consumer must
 // not write to them, and they are stable only while the caller excludes
-// writers of that relation (Recycle ignores them).
+// writers of that relation (Recycle ignores a resident relation's, and
+// gives up the reference a buffer pool's page came with).
 //
 // Effect roots (append, delete) are not streamed: their result is a
 // stored relation, already at rest. emit is never called and
@@ -332,12 +333,13 @@ func (sc *scratch) emit(pg *relation.Page) error {
 
 func (sc *scratch) release() {
 	for _, pg := range sc.pages {
-		sc.pool.Put(pg) // ignores a bare scan's pages, which are the catalog's
+		sc.pool.Put(pg) // a bare scan's pages are the catalog's: ignored, or their reference released
 	}
 }
 
-// Recycle returns a page received through ExecuteStream's emit to the
-// engine's page pool. Pages the pool did not hand out are ignored.
+// Recycle returns a page received through ExecuteStream's emit, once per
+// page: to the engine's page pool, or for a buffer pool's shared page by
+// releasing the emitted reference. Other pages are ignored.
 func (e *Engine) Recycle(pg *relation.Page) { e.pool.Put(pg) }
 
 // ResultPageSize is the page size of the result relation a subtree

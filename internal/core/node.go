@@ -135,9 +135,12 @@ func newEngineRun(ctx context.Context, e *Engine, t *query.Tree) *engineRun {
 	return r
 }
 
-// recycle hands a dead intermediate page back to the engine pool. Put
-// is a no-op for catalog pages and pages retained by a relation, so
-// callers only guarantee no *other engine component* still reads pg.
+// recycle hands a dead page back: an intermediate page to the engine
+// pool, a stored relation's page — the reference the scan was handed with
+// it — to the buffer pool's. Put is a no-op for catalog pages and pages
+// retained by a relation, so callers guarantee that no *other engine
+// component* still reads pg and that each page a scan fed is recycled at
+// most once.
 func (r *engineRun) recycle(pg *relation.Page) {
 	r.eng.pool.Put(pg)
 }
@@ -401,6 +404,7 @@ func (r *engineRun) feedScan(rel *relation.Relation, out outlet) {
 			}
 			f.add(one)
 		}
+		pg.Release() // copied out: a stored relation's page goes back here
 		return nil
 	})
 	if err == nil && f.run.n > 0 {
@@ -753,7 +757,8 @@ func (n *nodeExec) finish() {
 	// A join's operand pages stayed buffered for pairings still to come.
 	// Every packet has now completed and this node's kernel states — the
 	// only caches keyed by these pages — are never consulted again, so
-	// the pages the engine owns go back (Put ignores a scan's).
+	// the pages the engine owns go back, and a stored scan's references
+	// with them (Put ignores a resident relation's pages).
 	for i := range n.buf {
 		for _, pg := range n.buf[i] {
 			n.run.recycle(pg)

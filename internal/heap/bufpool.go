@@ -23,16 +23,19 @@ const DefaultFrames = 1024
 
 // Pool is the pinning buffer manager — the paper's multiport disk
 // cache between mass storage (heap files) and the engines' IC-level
-// memory. It holds a fixed budget of frames keyed by (file, page),
-// with pin/unpin reference counts, dirty tracking, and CLOCK
+// memory. It holds a fixed budget of frames, each the home of one page
+// of one file, with pin/unpin counts, dirty tracking, and CLOCK
 // second-chance eviction that writes dirty victims back to their heap
-// file before reuse. The unit of a visit is a run of consecutive pages
-// (PinRun / UnpinRun); one page is a run of one.
+// file before reuse. Residency is an index, not a hash: each File lists
+// the frame of every page it has in the pool (File.frames). The unit of
+// a visit is a run of consecutive pages (PinRun / UnpinRun); one page is
+// a run of one.
 //
-// Concurrency: one mutex covers the table, the ring and the spare read
-// buffers, and it is multiport for hits — a miss's disk read, CRC and
-// decode happen outside it. PinRun claims a frame for each missing page
-// under the lock (in the table, pinned by its loader so CLOCK passes it
+// Concurrency: one mutex covers the ring, every file's index and the
+// spare read buffers, and it is multiport for hits — a miss's disk read,
+// CRC and decode happen outside it, and so does every call into the
+// metrics registry (done). PinRun claims a frame for each missing page
+// under the lock (in the index, pinned by its loader so CLOCK passes it
 // over, marked loading, no page yet), reads with the lock released, and
 // takes the lock again to publish the pages and wake whoever waited
 // (loaded, the pool's one condition variable). Whoever finds a page
@@ -44,33 +47,48 @@ const DefaultFrames = 1024
 // writer and lose the newer image, and the workloads that miss have no
 // dirty pages to write (a background cleaner is ROADMAP's).
 //
-// Readers of an evicted frame stay safe without latching: eviction only
-// drops the pool's reference, so a *Page handed out earlier remains
-// valid (Go GC) — and writers cannot mutate it concurrently because the
-// admission scheduler gives every relation a single writer. Frame pages
-// outlive their pin as a matter of course (Relation.EachPage unpins a
-// run before the engine's workers have read its pages), so a miss must
-// never decode into the evicted frame's page: it always gets a fresh
-// one (File.ReadPages), and the collector takes the old one after its
-// last reader.
+// The pin keeps the frame; a reference keeps the memory. The pages the
+// pool reads are shared pages from its own free list (pages): the frame
+// holds one reference, PinRun adds one for every page it hands out, and
+// the page goes back to the list when the last holder lets go — the
+// frame at eviction, DropFile or Install over it, the reader when it has
+// read the page, as a rule after the unpin (Relation.EachPage unpins a
+// run before the engine's workers have read its pages). So a frame is
+// evicted and refilled while a slow reader still holds its old page: the
+// refill takes another page from the list, never one anyone can still
+// reach, and a reader that never releases leaves its page to the
+// collector. Writers cannot mutate a page under a reader because the
+// admission scheduler gives every relation a single writer. A File is
+// cached by one Pool.
 type Pool struct {
 	mu     sync.Mutex // lock order: Store.mu -> Pool.mu, never the reverse
 	loaded sync.Cond  // on mu: a loading frame was published or released
 	cap    int
-	table  map[frameKey]*frame
 	ring   []*frame
 	hand   int
-	// pinned counts frames with pins > 0, kept on every 0<->1 edge so
-	// the gauges cost nothing per visit; Snapshot recounts it by walking.
-	pinned int
+	// inUse counts frames that hold or are loading a page and pinned those
+	// with pins > 0, kept on every edge so the gauges cost nothing per
+	// visit; Snapshot recounts both by walking the ring. visits numbers
+	// the visits, so that their gauges are published in order (done).
+	inUse, pinned int
+	visits        uint64
 	// bufs are idle multi-slot read buffers, one per loader that was
 	// recently reading at once (at most maxIdleBufs): a run's misses are
 	// read into one instead of buying a buffer per run, and unlike a
 	// sync.Pool's they survive garbage collection.
 	bufs [][]byte
+	// pages is the free list of frame pages. What it keeps idle is derived:
+	// what the frames would hold, or a page pool's default budget where
+	// that is more — a scan's feeder runs up to a whole relation ahead of
+	// the workers that release its pages, and a list the size of a small
+	// pool drops most of them on their way back.
+	pages *relation.PagePool
 
 	reg   *obs.Registry
 	epoch time.Time
+	// published, under pubMu, is the visit whose gauges the registry holds.
+	pubMu     sync.Mutex
+	published uint64
 }
 
 // maxIdleBufs bounds Pool.bufs; a loader that finds none buys its own.
@@ -82,9 +100,9 @@ type frameKey struct {
 }
 
 // frame is one slot of the pool. An empty frame (zero key, no page) sits
-// in the ring but not in the table; a loading frame is in the table,
-// pinned by the PinRun that claimed it, and has no page until that
-// PinRun publishes it.
+// in the ring but in no file's index; a loading frame is in its file's
+// index, pinned by the PinRun that claimed it, and has no page until that
+// PinRun publishes it. The frame holds one reference on its page.
 type frame struct {
 	key     frameKey
 	pg      *relation.Page
@@ -111,7 +129,7 @@ func NewPool(frames int, o *obs.Observer) *Pool {
 	}
 	p := &Pool{
 		cap:   frames,
-		table: make(map[frameKey]*frame),
+		pages: relation.NewPagePool(),
 		reg:   o.Registry(),
 		epoch: time.Now(),
 	}
@@ -143,15 +161,17 @@ func (p *Pool) Cap() int { return p.cap }
 // many: min(len(dst), cap/8, pages left), at least one, or fewer as
 // below. Resident pages are pinned where they are. Missing pages are
 // read from disk — each gap of consecutive missing slots with one read,
-// outside the pool's lock — into frames freed by eviction when the pool
-// is full. The first page is owed a frame (ErrNoFrames if every frame is
-// pinned); the rest are taken ahead of need, so only while fewer than
-// half the frames are pinned — with many scans at once runs shorten to
-// one page before any scan is refused a frame — and only up to a page
-// another reader is loading; a page loading at the head of the run is
-// waited for. On error nothing stays pinned and no page of the run has
-// been published. Every PinRun must be paired with an UnpinRun of the
-// same first and count.
+// outside the pool's lock — into pages from the free list and frames
+// freed by eviction when the pool is full. The first page is owed a frame
+// (ErrNoFrames if every frame is pinned); the rest are taken ahead of
+// need, so only while fewer than half the frames are pinned — with many
+// scans at once runs shorten to one page before any scan is refused a
+// frame — and only up to a page another reader is loading; a page loading
+// at the head of the run is waited for. Every page comes with a reference
+// for the caller to release once it has read it, after the unpin or
+// before. On error nothing stays pinned or referenced, no page of the run
+// has been published and the pages read for it are back on the list.
+// Every PinRun must be paired with an UnpinRun of the same first and count.
 func (p *Pool) PinRun(f *File, first int, dst []*relation.Page) (int, error) {
 	pages := f.NumPages()
 	if first < 0 || first >= pages {
@@ -162,22 +182,22 @@ func (p *Pool) PinRun(f *File, first int, dst []*relation.Page) (int, error) {
 	var t tally
 	p.mu.Lock()
 	for k := 0; k < n; k++ {
-		key := frameKey{f, first + k}
-		fr, ok := p.table[key]
-		for k == 0 && ok && fr.loading {
+		fr := f.frame(first + k)
+		for k == 0 && fr != nil && fr.loading {
 			p.loaded.Wait()
-			fr, ok = p.table[key]
+			fr = f.frame(first)
 		}
-		if k > 0 && (p.pinned >= p.cap/2 || ok && fr.loading) {
+		if k > 0 && (p.pinned >= p.cap/2 || fr != nil && fr.loading) {
 			n = k
 			break
 		}
-		if ok {
+		if fr != nil {
 			if fr.pins == 0 {
 				p.pinned++
 			}
 			fr.pins++
 			fr.ref = true
+			fr.pg.Retain()
 			dst[k] = fr.pg
 			t.hits++
 			continue
@@ -185,7 +205,7 @@ func (p *Pool) PinRun(f *File, first int, dst []*relation.Page) (int, error) {
 		fr, err := p.freeFrameLocked(&t)
 		if err != nil {
 			if k == 0 {
-				p.mu.Unlock()
+				p.done(t)
 				return 0, err
 			}
 			// Read-ahead is not owed a frame: the run ends here, and if
@@ -194,22 +214,21 @@ func (p *Pool) PinRun(f *File, first int, dst []*relation.Page) (int, error) {
 			n = k
 			break
 		}
-		fr.key, fr.pins, fr.ref, fr.loading = key, 1, true, true
-		p.table[key] = fr
+		fr.pins, fr.ref, fr.loading = 1, true, true
+		p.claimLocked(fr, f, first+k)
 		p.pinned++
 		dst[k] = nil
 		t.misses++
 	}
 	if t.misses == 0 {
-		p.account(t)
-		p.mu.Unlock()
+		p.done(t)
 		return n, nil
 	}
 	buf := p.takeBufLocked(int64(n) * f.slotSize)
 	p.mu.Unlock()
 
 	// The claimed slots are the nil entries of dst[:n]; each maximal gap
-	// of them is one read.
+	// of them is one read, into pages from the free list.
 	var err error
 	start := time.Since(p.epoch)
 	for k := 0; k < n && err == nil; {
@@ -221,8 +240,13 @@ func (p *Pool) PinRun(f *File, first int, dst []*relation.Page) (int, error) {
 		for end < n && dst[end] == nil {
 			end++
 		}
-		err = f.ReadPages(first+k, dst[k:end], buf)
-		t.reads++
+		for i := k; i < end && err == nil; i++ {
+			dst[i], err = p.pages.GetShared(f.pageSize, f.tupleLen)
+		}
+		if err == nil {
+			err = f.ReadPages(first+k, dst[k:end], buf)
+			t.reads++
+		}
 		k = end
 	}
 	p.busy(start)
@@ -232,36 +256,37 @@ func (p *Pool) PinRun(f *File, first int, dst []*relation.Page) (int, error) {
 		p.bufs = append(p.bufs, buf)
 	}
 	for k := 0; k < n; k++ {
-		fr := p.table[frameKey{f, first + k}]
+		fr := f.frames[first+k]
 		switch {
-		case fr.loading && err == nil: // publish
+		case fr.loading && err == nil: // publish: the frame's reference, and the caller's
 			fr.pg, fr.loading = dst[k], false
-		case fr.loading: // release the claim: the frame leaves the table empty
-			delete(p.table, fr.key)
-			*fr = frame{}
-			p.pinned--
+			dst[k].Retain()
+		case fr.loading: // release the claim: the frame leaves the index empty
+			p.vacateLocked(fr)
+			dst[k].Release()
 		case err != nil: // a resident page of a failed run
 			p.unpinLocked(fr)
+			dst[k].Release()
 		}
 	}
 	if err != nil {
 		t.hits, t.misses, n = 0, 0, 0
 	}
-	p.account(t)
-	p.mu.Unlock()
 	p.loaded.Broadcast()
+	p.done(t)
 	return n, err
 }
 
-// UnpinRun releases one pin on each of pages first .. first+n-1 of f;
-// dirty marks the frames for write-back and folds each page's tuple
-// count into the file's logical state.
+// UnpinRun releases one pin on each of pages first .. first+n-1 of f —
+// the frames, not the references PinRun handed out; dirty marks the
+// frames for write-back and folds each page's tuple count into the
+// file's logical state.
 func (p *Pool) UnpinRun(f *File, first, n int, dirty bool) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.done(tally{})
 	for i := first; i < first+n; i++ {
-		fr, ok := p.table[frameKey{f, i}]
-		if !ok || fr.pins <= 0 || fr.loading {
+		fr := f.frame(i)
+		if fr == nil || fr.pins <= 0 || fr.loading {
 			panic("heap: Unpin without matching Pin")
 		}
 		p.unpinLocked(fr)
@@ -272,7 +297,6 @@ func (p *Pool) UnpinRun(f *File, first, n int, dirty bool) {
 			}
 		}
 	}
-	p.gauges()
 }
 
 func (p *Pool) unpinLocked(fr *frame) {
@@ -282,18 +306,32 @@ func (p *Pool) unpinLocked(fr *frame) {
 	}
 }
 
-// Pin is PinRun for page i alone. Every Pin must be paired with an
-// Unpin.
-func (p *Pool) Pin(f *File, i int) (*relation.Page, error) {
-	var one [1]*relation.Page
-	if _, err := p.PinRun(f, i, one[:]); err != nil {
-		return nil, err
+// claimLocked makes an empty frame the home of page i of f, growing the
+// file's index to reach it; a file's first frame sizes the free list.
+func (p *Pool) claimLocked(fr *frame, f *File, i int) {
+	if f.frames == nil {
+		if b := int64(p.cap) * int64(f.pageSize); b > p.pages.Budget() {
+			p.pages.SetBudget(b)
+		}
 	}
-	return one[0], nil
+	for i >= len(f.frames) {
+		f.frames = append(f.frames, nil)
+	}
+	fr.key, f.frames[i] = frameKey{f, i}, fr
+	p.inUse++
 }
 
-// Unpin is UnpinRun for page i alone.
-func (p *Pool) Unpin(f *File, i int, dirty bool) { p.UnpinRun(f, i, 1, dirty) }
+// vacateLocked empties a frame: it leaves its file's index and lets go
+// of its page, which returns to the free list unless a reader holds it.
+func (p *Pool) vacateLocked(fr *frame) {
+	if fr.pins > 0 {
+		p.pinned--
+	}
+	fr.key.f.frames[fr.key.page] = nil
+	fr.pg.Release()
+	p.inUse--
+	*fr = frame{}
+}
 
 // takeBufLocked lends a read buffer of size bytes: the idle one on top
 // if it is large enough, else a new one (a too-small buffer is dropped,
@@ -316,27 +354,30 @@ func (p *Pool) takeBufLocked(size int64) []byte {
 // found loading all the same is waited for.
 func (p *Pool) Install(f *File, i int, pg *relation.Page) error {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	key := frameKey{f, i}
-	fr, ok := p.table[key]
-	for ok && fr.loading {
+	fr := f.frame(i)
+	for fr != nil && fr.loading {
 		p.loaded.Wait()
-		fr, ok = p.table[key]
+		fr = f.frame(i)
 	}
 	var t tally
-	defer func() { p.account(t) }()
-	if !ok {
-		var err error
-		if fr, err = p.freeFrameLocked(&t); err != nil {
-			return err
+	var err error
+	if fr == nil {
+		fr, err = p.freeFrameLocked(&t)
+	}
+	if err == nil {
+		err = f.NotePage(i, pg.TupleCount())
+	}
+	if err == nil {
+		if fr.key.f == nil {
+			p.claimLocked(fr, f, i)
 		}
+		// The frame's reference moves from the page it held to pg.
+		pg.Retain()
+		fr.pg.Release()
+		fr.pg, fr.ref, fr.dirty = pg, true, true
 	}
-	if err := f.NotePage(i, pg.TupleCount()); err != nil {
-		return err
-	}
-	fr.key, fr.pg, fr.ref, fr.dirty = key, pg, true, true
-	p.table[key] = fr
-	return nil
+	p.done(t)
+	return err
 }
 
 // freeFrameLocked returns an unused frame: grows the ring while under
@@ -373,9 +414,8 @@ func (p *Pool) freeFrameLocked(t *tally) (*frame, error) {
 			}
 			t.writebacks++
 		}
-		delete(p.table, fr.key)
+		p.vacateLocked(fr)
 		t.evictions++
-		*fr = frame{}
 		return fr, nil
 	}
 	return nil, ErrNoFrames
@@ -386,15 +426,14 @@ func (p *Pool) freeFrameLocked(t *tally) (*frame, error) {
 // cache). A loading frame is clean by construction and is passed over.
 func (p *Pool) FlushFile(f *File) error {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	var t tally
-	defer func() { p.account(t) }()
-	for key, fr := range p.table {
-		if key.f != f || !fr.dirty {
+	defer func() { p.done(t) }()
+	for i, fr := range f.frames {
+		if fr == nil || !fr.dirty {
 			continue
 		}
 		start := time.Since(p.epoch)
-		err := f.WritePage(key.page, fr.pg)
+		err := f.WritePage(i, fr.pg)
 		p.busy(start)
 		if err != nil {
 			return err
@@ -412,27 +451,22 @@ func (p *Pool) FlushFile(f *File) error {
 // into a dropped frame or reads a closed file.
 func (p *Pool) DropFile(f *File) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	for p.loadingLocked(f) {
 		p.loaded.Wait()
 	}
-	for key, fr := range p.table {
-		if key.f != f {
-			continue
+	for _, fr := range f.frames {
+		if fr != nil {
+			p.vacateLocked(fr)
 		}
-		delete(p.table, key)
-		if fr.pins > 0 {
-			p.pinned--
-		}
-		*fr = frame{}
 	}
-	p.gauges()
+	f.frames = nil
+	p.done(tally{})
 }
 
 // loadingLocked reports whether any page of f is being loaded.
 func (p *Pool) loadingLocked(f *File) bool {
-	for key, fr := range p.table {
-		if key.f == f && fr.loading {
+	for _, fr := range f.frames {
+		if fr != nil && fr.loading {
 			return true
 		}
 	}
@@ -449,8 +483,11 @@ type Stats struct {
 func (p *Pool) Snapshot() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	st := Stats{Cap: p.cap, InUse: len(p.table)}
-	for _, fr := range p.table {
+	st := Stats{Cap: p.cap}
+	for _, fr := range p.ring {
+		if fr.key.f != nil {
+			st.InUse++
+		}
 		if fr.pins > 0 {
 			st.Pinned++
 		}
@@ -461,9 +498,13 @@ func (p *Pool) Snapshot() Stats {
 	return st
 }
 
-// account closes a visit, under mu: its counter deltas go to the
-// registry and the gauges are brought up to date.
-func (p *Pool) account(t tally) {
+// done ends a visit that holds mu: it notes the gauges, unlocks, and only
+// then takes the registry's mutex — for the visit's counter deltas, and
+// for the gauges unless a later visit's are already there.
+func (p *Pool) done(t tally) {
+	p.visits++
+	visit, inUse, pinned := p.visits, p.inUse, p.pinned
+	p.mu.Unlock()
 	if p.reg == nil {
 		return
 	}
@@ -481,19 +522,17 @@ func (p *Pool) account(t tally) {
 			p.reg.Inc(c.name, c.delta)
 		}
 	}
-	p.gauges()
+	p.pubMu.Lock()
+	if visit > p.published {
+		p.published = visit
+		p.reg.SetGauge("bufpool.frames_in_use", float64(inUse))
+		p.reg.SetGauge("bufpool.pinned", float64(pinned))
+	}
+	p.pubMu.Unlock()
 }
 
 func (p *Pool) busy(start time.Duration) {
 	if p.reg != nil {
 		p.reg.AddBusy("bufpool.busy_us", start, time.Since(p.epoch)-start)
 	}
-}
-
-func (p *Pool) gauges() {
-	if p.reg == nil {
-		return
-	}
-	p.reg.SetGauge("bufpool.frames_in_use", float64(len(p.table)))
-	p.reg.SetGauge("bufpool.pinned", float64(p.pinned))
 }

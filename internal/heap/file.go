@@ -15,7 +15,6 @@
 package heap
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -89,9 +88,22 @@ type File struct {
 	// (takeSlotBufLocked).
 	spare []byte
 
+	// frames[i] is the buffer-pool frame holding or loading page i, nil
+	// while the page is not resident: the pool's residency index for this
+	// file, guarded by Pool.mu (not mu) and grown as the pool claims frames.
+	frames []*frame
+
 	// readHook, when a test sets it, is called before every physical
 	// read with the slots it covers.
 	readHook func(first, n int)
+}
+
+// frame returns frames[i], nil past its end. The caller holds Pool.mu.
+func (hf *File) frame(i int) *frame {
+	if i < len(hf.frames) {
+		return hf.frames[i]
+	}
+	return nil
 }
 
 // takeSlotBufLocked lends the file's spare slot buffer, or a fresh one
@@ -338,28 +350,35 @@ func (hf *File) WritePage(i int, p *relation.Page) error {
 	return hf.writeSlotLocked(i, p)
 }
 
-// ReadPage reads and validates slot i, returning the decoded page: a run
-// of one through the file's spare slot buffer (audits and tests; scans
-// go through Pool.PinRun, which brings its own buffer).
+// ReadPage reads and validates slot i, returning it decoded into a page
+// of its own: a run of one through the file's spare slot buffer (audits
+// and tests; scans go through Pool.PinRun, which brings its own buffer
+// and pages).
 func (hf *File) ReadPage(i int) (*relation.Page, error) {
+	pg, err := relation.NewPage(hf.pageSize, hf.tupleLen)
+	if err != nil {
+		return nil, err
+	}
 	hf.mu.Lock()
 	buf := hf.takeSlotBufLocked()
 	hf.mu.Unlock()
-	var one [1]*relation.Page
-	err := hf.ReadPages(i, one[:], buf)
+	err = hf.ReadPages(i, []*relation.Page{pg}, buf)
 	hf.mu.Lock()
 	hf.spare = buf
 	hf.mu.Unlock()
-	return one[0], err
+	if err != nil {
+		return nil, err
+	}
+	return pg, nil
 }
 
 // ReadPages reads slots first .. first+len(dst)-1 with one ReadAt into
-// buf (at least len(dst) slots long) and decodes each into dst. Every
-// slot is validated on its own and an error names the slot. The pages
-// are always fresh ones, never a recycled frame's: a scan unpins a frame
-// as soon as it has passed the page on (Relation.EachPage), so the page a
-// frame held can still be under a worker's kernel after the frame has
-// been evicted and refilled. Only buf is reused.
+// buf (at least len(dst) slots long) and decodes each into the page dst
+// holds for it, which must be of the file's page size and one nobody
+// else can reach: the buffer pool passes pages from its free list, never
+// a page a frame still holds or lent out. Every slot is validated on its
+// own and an error names the slot; the pages are then the caller's to
+// discard. Both buf and the pages are reused, so a read buys nothing.
 func (hf *File) ReadPages(first int, dst []*relation.Page, buf []byte) error {
 	hf.mu.Lock()
 	pages := hf.pages
@@ -374,37 +393,35 @@ func (hf *File) ReadPages(first int, dst []*relation.Page, buf []byte) error {
 	if _, err := hf.f.ReadAt(buf, dataOff+int64(first)*hf.slotSize); err != nil {
 		return fmt.Errorf("heap: %s: slots %d..%d: %w", filepath.Base(hf.path), first, first+len(dst)-1, err)
 	}
-	for k := range dst {
-		p, err := hf.decodeSlot(first+k, buf[int64(k)*hf.slotSize:int64(k+1)*hf.slotSize])
-		if err != nil {
+	for k, pg := range dst {
+		if err := hf.decodeSlot(first+k, buf[int64(k)*hf.slotSize:int64(k+1)*hf.slotSize], pg); err != nil {
 			return err
 		}
-		dst[k] = p
 	}
 	return nil
 }
 
-// decodeSlot validates the image of slot i and decodes the page it
-// holds. The image is a reused buffer, so the page gets its own copy of
-// the blob.
-func (hf *File) decodeSlot(i int, slot []byte) (*relation.Page, error) {
+// decodeSlot validates the image of slot i — blob length against the slot
+// size, CRC, what relation.Page.Load checks (the blob's page size against
+// pg's included), tuple length against the file — and decodes it into pg.
+// The image is a reused buffer: pg gets its own copy of the blob.
+func (hf *File) decodeSlot(i int, slot []byte, pg *relation.Page) error {
 	blobLen := binary.LittleEndian.Uint32(slot[0:4])
 	wantCRC := binary.LittleEndian.Uint32(slot[4:8])
 	if int64(blobLen)+slotHeaderLen > hf.slotSize {
-		return nil, fmt.Errorf("%w: %s: slot %d: implausible blob length %d", ErrCorrupt, filepath.Base(hf.path), i, blobLen)
+		return fmt.Errorf("%w: %s: slot %d: implausible blob length %d", ErrCorrupt, filepath.Base(hf.path), i, blobLen)
 	}
 	blob := slot[slotHeaderLen : slotHeaderLen+int64(blobLen)]
 	if got := crc32.Checksum(blob, castagnoli); got != wantCRC {
-		return nil, fmt.Errorf("%w: %s: slot %d CRC mismatch (computed %08x, stored %08x)", ErrCorrupt, filepath.Base(hf.path), i, got, wantCRC)
+		return fmt.Errorf("%w: %s: slot %d CRC mismatch (computed %08x, stored %08x)", ErrCorrupt, filepath.Base(hf.path), i, got, wantCRC)
 	}
-	p, err := relation.UnmarshalPage(bytes.Clone(blob))
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: slot %d: %v", ErrCorrupt, filepath.Base(hf.path), i, err)
+	if err := pg.Load(blob); err != nil {
+		return fmt.Errorf("%w: %s: slot %d: %v", ErrCorrupt, filepath.Base(hf.path), i, err)
 	}
-	if p.TupleLen() != hf.tupleLen {
-		return nil, fmt.Errorf("%w: %s: slot %d holds %d-byte tuples, file holds %d", ErrCorrupt, filepath.Base(hf.path), i, p.TupleLen(), hf.tupleLen)
+	if pg.TupleLen() != hf.tupleLen {
+		return fmt.Errorf("%w: %s: slot %d holds %d-byte tuples, file holds %d", ErrCorrupt, filepath.Base(hf.path), i, pg.TupleLen(), hf.tupleLen)
 	}
-	return p, nil
+	return nil
 }
 
 // NotePage records the logical effect of installing page i with count

@@ -461,8 +461,9 @@ func flipSlotByte(t *testing.T, hf *File, i int) {
 }
 
 // A run with a corrupt slot publishes none of its pages, names the slot,
-// and leaves its claimed frames empty; taking an empty frame later is not
-// an eviction.
+// leaves its claimed frames empty and no pin or reference behind — every
+// page decoded for it, the good slot's too, is back on the free list;
+// taking an empty frame later is not an eviction.
 func TestHeapRunCorruptSlot(t *testing.T) {
 	const pages, frames = 40, 16
 	fx := newRunFixture(t, pages, frames)
@@ -476,6 +477,9 @@ func TestHeapRunCorruptSlot(t *testing.T) {
 	checkNoPins(t, fx.pool)
 	if st := fx.pool.Snapshot(); st.InUse != 7 {
 		t.Errorf("%+v, want pages 0..6 resident and neither page of the failed run", st)
+	}
+	if st := fx.pool.pages.Stats(); st.Recycled != 2 || outstanding(fx.pool) != 7 {
+		t.Errorf("free list %+v: both pages of the failed run should be back and pages 0..6 out", st)
 	}
 	misses := fx.reg.Counter("bufpool.misses")
 	if _, err := fx.pool.Pin(fx.hf, 7); err != nil {

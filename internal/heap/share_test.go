@@ -1,0 +1,339 @@
+package heap
+
+import (
+	"bytes"
+	"io"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"dfdbm/internal/relation"
+)
+
+// The reference protocol: a page the pool lends is shared between its
+// frame and every reader it was handed to, and goes back to the pool's
+// free list when the last of them lets go. The pin keeps the frame; the
+// reference keeps the memory. The package runs with recycled pages
+// poisoned (TestMain), so a page that went back too early reads 0xDB.
+
+// outstanding is how many pages are off the pool's free list: in frames
+// or in readers' hands.
+func outstanding(p *Pool) int64 {
+	st := p.pages.Stats()
+	return st.Hits + st.Misses - st.Recycled
+}
+
+// pinRelease pins page i, checks it is page i, and lets go of both the
+// pin and the reference: a reader that is done.
+func pinRelease(t *testing.T, fx *runFixture, i int) {
+	t.Helper()
+	pg, err := fx.pool.Pin(fx.hf, i)
+	if err != nil {
+		t.Fatalf("Pin(%d): %v", i, err)
+	}
+	if got := pageIndex(pg); got != i {
+		t.Fatalf("Pin(%d) holds page %d", i, got)
+	}
+	fx.pool.Unpin(fx.hf, i, false)
+	pg.Release()
+}
+
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	fn()
+}
+
+// (a) A held page survives the eviction and refill of its frame byte for
+// byte; the frames it outlives are refilled from elsewhere; once released
+// it is the next miss's page.
+func TestHeapSharedPageSurvivesEviction(t *testing.T) {
+	fx := newRunFixture(t, 48, 4)
+	held, err := fx.pool.Pin(fx.hf, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx.pool.Unpin(fx.hf, 0, false)
+	want := bytes.Clone(held.Data())
+	for i := 1; i <= 40; i++ { // ten rounds of the pool; nobody releases, so every miss buys
+		if _, err := fx.pool.Pin(fx.hf, i); err != nil {
+			t.Fatal(err)
+		}
+		fx.pool.Unpin(fx.hf, i, false)
+	}
+	if fx.hf.frame(0) != nil {
+		t.Fatal("page 0 is still resident: the scan did not evict it")
+	}
+	if !bytes.Equal(held.Data(), want) || pageIndex(held) != 0 {
+		t.Fatal("the held page changed under its reader")
+	}
+	before := fx.pool.pages.Stats()
+	if before.Hits != 0 || before.Recycled != 0 {
+		t.Fatalf("%+v: no page was released, so none can have come back", before)
+	}
+	held.Release() // the last holder: the frame let go at eviction
+	mustPanic(t, "a second Release of the held page", held.Release)
+	pinRelease(t, fx, 41)
+	after := fx.pool.pages.Stats()
+	if after.Hits != 1 || after.Misses != before.Misses {
+		t.Errorf("free list %+v -> %+v: the miss after the release should have been served by the released page", before, after)
+	}
+}
+
+// (b) Two readers share a resident page; both release it and it is still
+// resident and intact, because the frame holds a reference of its own —
+// which it gives up, exactly once, at eviction.
+func TestHeapSharedPageTwoReaders(t *testing.T) {
+	fx := newRunFixture(t, 16, 4)
+	a, err := fx.pool.Pin(fx.hf, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := fx.pool.Pin(fx.hf, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b {
+		t.Fatal("two pins of a resident page returned different pages")
+	}
+	fx.pool.Unpin(fx.hf, 0, false)
+	fx.pool.Unpin(fx.hf, 0, false)
+	a.Release()
+	b.Release()
+	hits := fx.reg.Counter("bufpool.hits")
+	pinRelease(t, fx, 0) // pageIndex fails on a poisoned page
+	if got := fx.reg.Counter("bufpool.hits") - hits; got != 1 {
+		t.Fatalf("page 0 counted %d hits after both readers released it, want 1", got)
+	}
+	if fx.pool.pages.Stats().Recycled != 0 {
+		t.Fatal("a page went back to the list while its frame held it")
+	}
+	// Evict it with readers that keep their pages: the only page that can
+	// come back is page 0's, when its frame lets go — once; a second
+	// release by the frame would have panicked.
+	for i := 1; i <= 8; i++ {
+		if _, err := fx.pool.Pin(fx.hf, i); err != nil {
+			t.Fatal(err)
+		}
+		fx.pool.Unpin(fx.hf, i, false)
+	}
+	if fx.hf.frame(0) != nil {
+		t.Fatal("page 0 is still resident")
+	}
+	if st := fx.pool.pages.Stats(); st.Recycled != 1 {
+		t.Errorf("%+v: page 0's page should have come back at its eviction, and nothing else", st)
+	}
+}
+
+// (c) is TestHeapRunCorruptSlot. (e) DropFile and an Install over a
+// resident page give up the frame's reference.
+func TestHeapSharedPageDropAndInstall(t *testing.T) {
+	fx := newRunFixture(t, 8, 4)
+	pinRelease(t, fx, 0)
+	pinRelease(t, fx, 1)
+	old := fx.hf.frame(1).pg
+	post := old.Clone()
+	if err := fx.pool.Install(fx.hf, 1, post); err != nil {
+		t.Fatal(err)
+	}
+	if st := fx.pool.pages.Stats(); st.Recycled != 1 {
+		t.Fatalf("%+v after Install over page 1: its old page should be back", st)
+	}
+	if pg, err := fx.pool.Pin(fx.hf, 1); err != nil || pg != post {
+		t.Fatalf("Pin after Install: %p, %v, want the installed page %p", pg, err, post)
+	}
+	fx.pool.Unpin(fx.hf, 1, false)
+	post.Release() // not a pool's page: nothing to count
+	post.Release()
+	held, err := fx.pool.Pin(fx.hf, 2) // a reader the drop must not pull the page from under
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Clone(held.Data())
+	fx.pool.DropFile(fx.hf)
+	if st := fx.pool.pages.Stats(); st.Recycled != 2 || outstanding(fx.pool) != 1 {
+		t.Errorf("%+v after DropFile: page 0 should be back and page 2 out with its reader", st)
+	}
+	if st := fx.pool.Snapshot(); st.InUse != 0 || st.Pinned != 0 {
+		t.Errorf("after DropFile: %+v", st)
+	}
+	if !bytes.Equal(held.Data(), want) {
+		t.Error("DropFile recycled a page a reader holds")
+	}
+	held.Release()
+	if outstanding(fx.pool) != 0 {
+		t.Errorf("%+v: every page should be back", fx.pool.pages.Stats())
+	}
+}
+
+// (f) A tail-page append lands in the frame's own page, in place — a
+// shared page has a full-capacity payload — is what the next reader sees,
+// and survives write-back and reopen.
+func TestHeapSharedPageTailAppend(t *testing.T) {
+	dir := t.TempDir()
+	store, err := OpenStore(dir, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := testSchema(t)
+	rel := seedRelation(t, "r", schema, 256, 3*runTestTuplesPerPage+4) // a partial fourth page
+	if err := store.Adopt(rel, 1); err != nil {
+		t.Fatal(err)
+	}
+	hf := store.file("r")
+	tail, err := store.Pool().Pin(hf, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Pool().Unpin(hf, 3, false)
+	tail.Release()
+	payload := &tail.Data()[0]
+	if err := rel.Insert(relation.Tuple{relation.IntVal(777), relation.IntVal(-777)}); err != nil {
+		t.Fatal(err)
+	}
+	if tail.TupleCount() != 5 || &tail.Data()[0] != payload {
+		t.Fatalf("tail page holds %d tuples (payload moved: %v): the append did not land in the frame's page in place",
+			tail.TupleCount(), &tail.Data()[0] != payload)
+	}
+	again, err := rel.CopyPage(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := again.Marshal()
+	if err := store.Pool().FlushFile(hf); err != nil {
+		t.Fatal(err)
+	}
+	if err := hf.Checkpoint(2); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+	reopened, err := Open(hf.Path(), SchemaHash(schema))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	pg, err := reopened.ReadPage(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(pg.Marshal(), want) {
+		t.Error("the appended tuple did not survive write-back and reopen")
+	}
+}
+
+// (g) Relation.Page never releases, so the page it returned reads the
+// right bytes after its frame has been evicted and refilled many times
+// by readers that do release.
+func TestHeapSharedPageOfRelationPage(t *testing.T) {
+	fx := newRunFixture(t, 48, 4)
+	pg := fx.rel.Page(5)
+	want := bytes.Clone(pg.Data())
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 48; i++ {
+			pinRelease(t, fx, i)
+		}
+	}
+	if !bytes.Equal(pg.Data(), want) || pageIndex(pg) != 5 {
+		t.Error("the page Relation.Page returned changed after its frame was evicted")
+	}
+	checkNoPins(t, fx.pool)
+}
+
+// Concurrent scans that release every page recycle the same few pages
+// among them; each must still see every page of the relation in order
+// (a page recycled under a reader would read 0xDB, or race).
+func TestHeapSharedPageConcurrentScans(t *testing.T) {
+	const pages, frames, scans = 64, 8, 4
+	fx := newRunFixture(t, pages, frames)
+	var wg sync.WaitGroup
+	for s := 0; s < scans; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			next := 0
+			err := fx.rel.EachPage(func(pg *relation.Page) error {
+				if got := pageIndex(pg); got != next {
+					t.Errorf("position %d holds page %d", next, got)
+				}
+				next++
+				pg.Release()
+				return nil
+			})
+			if err != nil || next != pages {
+				t.Errorf("scan saw %d pages, err %v", next, err)
+			}
+		}()
+	}
+	wg.Wait()
+	checkNoPins(t, fx.pool)
+	if out, st := outstanding(fx.pool), fx.pool.Snapshot(); out != int64(st.InUse) {
+		t.Errorf("%d pages off the list, %d in frames: a reference leaked or was dropped twice", out, st.InUse)
+	}
+}
+
+// blockingWriter parks whoever writes to it until release is closed.
+type blockingWriter struct {
+	entered chan struct{}
+	once    sync.Once
+	release chan struct{}
+}
+
+func (w *blockingWriter) Write(b []byte) (int, error) {
+	w.once.Do(func() { close(w.entered) })
+	<-w.release
+	return len(b), nil
+}
+
+// The pool visits the metrics registry after it has let go of its own
+// lock: with the registry's mutex held by a stalled export, a hit gets
+// through the pool — its pin is taken, and whatever needs the pool's lock
+// next is served — and stalls only in its own accounting.
+func TestHeapRegistryCallsOutsidePoolLock(t *testing.T) {
+	fx := newRunFixture(t, 8, 4)
+	pinRelease(t, fx, 0)
+	w := &blockingWriter{entered: make(chan struct{}), release: make(chan struct{})}
+	exported := make(chan struct{})
+	go func() {
+		defer close(exported)
+		if err := fx.reg.WriteJSONL(io.Writer(w)); err != nil {
+			t.Error(err)
+		}
+	}()
+	within(t, "the export's first write", w.entered) // the registry's mutex is now held
+	hit := make(chan struct{})
+	go func() {
+		defer close(hit)
+		if _, err := fx.pool.Pin(fx.hf, 0); err != nil {
+			t.Error(err)
+		}
+	}()
+	// Snapshot needs the pool's lock: it sees the hit's pin only if the
+	// hit went through the lock, and returns only if the hit let go of it.
+	seen := make(chan struct{})
+	var giveUp atomic.Bool
+	defer giveUp.Store(true)
+	go func() {
+		defer close(seen)
+		for fx.pool.Snapshot().Pinned == 0 && !giveUp.Load() {
+			runtime.Gosched()
+		}
+	}()
+	within(t, "a pool visit behind a hit that is stalled in the registry", seen)
+	select {
+	case <-hit:
+		t.Error("the hit finished its accounting while the registry was held")
+	default:
+	}
+	close(w.release)
+	within(t, "the export", exported)
+	within(t, "the hit", hit)
+	fx.pool.Unpin(fx.hf, 0, false)
+	if hits := fx.reg.Counter("bufpool.hits"); hits != 1 {
+		t.Errorf("bufpool.hits = %d, want 1", hits)
+	}
+}

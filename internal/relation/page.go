@@ -3,6 +3,7 @@ package relation
 import (
 	"encoding/binary"
 	"fmt"
+	"sync/atomic"
 )
 
 // PageHeaderLen is the number of bytes of header carried by every page
@@ -31,7 +32,11 @@ type Page struct {
 	tupleLen int
 	capBytes int    // payload capacity in bytes: Capacity()*tupleLen, precomputed
 	data     []byte // encoded tuples, len == TupleCount()*tupleLen
-	pooled   bool   // came from a PagePool and may be recycled by Put
+	// home is set on a shared page (PagePool.GetShared): refs counts its
+	// holders, and the last to let go sends it back to home's free list.
+	home   *PagePool
+	refs   atomic.Int32
+	pooled bool // came from PagePool.Get and may be recycled by Put
 }
 
 // CheckPageGeometry reports whether a page of pageSize bytes can hold
@@ -200,36 +205,85 @@ func (p *Page) AppendMarshal(dst []byte) []byte {
 	return append(dst, p.data...)
 }
 
+// parsePageBlob validates a page serialized by Marshal — magic,
+// geometry, length against the header's count, count against capacity —
+// and returns its geometry and its payload, a view of b.
+func parsePageBlob(b []byte) (size, tupleLen int, payload []byte, err error) {
+	if len(b) < PageHeaderLen {
+		return 0, 0, nil, fmt.Errorf("relation: page blob too short (%d bytes)", len(b))
+	}
+	if binary.LittleEndian.Uint32(b) != pageMagic {
+		return 0, 0, nil, fmt.Errorf("relation: bad page magic %#x", binary.LittleEndian.Uint32(b))
+	}
+	size = int(binary.LittleEndian.Uint32(b[4:]))
+	tupleLen = int(binary.LittleEndian.Uint32(b[8:]))
+	count := int(binary.LittleEndian.Uint32(b[12:]))
+	if err := CheckPageGeometry(size, tupleLen); err != nil {
+		return 0, 0, nil, err
+	}
+	if want := count * tupleLen; len(b) != PageHeaderLen+want {
+		return 0, 0, nil, fmt.Errorf("relation: page blob is %d bytes, header says %d", len(b), PageHeaderLen+want)
+	}
+	if capacity := (size - PageHeaderLen) / tupleLen; count > capacity {
+		return 0, 0, nil, fmt.Errorf("relation: page blob holds %d tuples, capacity is %d", count, capacity)
+	}
+	return size, tupleLen, b[PageHeaderLen:], nil
+}
+
 // UnmarshalPage parses a page serialized by Marshal and takes ownership
 // of b: the page's payload is b's tail, not a copy of it, so the caller
 // must neither reuse nor write to b afterwards (a caller whose blob is a
-// reused buffer or part of a larger one passes bytes.Clone(b)). The
-// payload's capacity is clipped to its length: appending to a decoded
-// page reallocates instead of writing past the blob.
+// reused buffer or part of a larger one passes bytes.Clone(b), or decodes
+// into a page it already has with Page.Load). The payload's capacity is
+// clipped to its length: appending to a decoded page reallocates instead
+// of writing past the blob.
 func UnmarshalPage(b []byte) (*Page, error) {
-	if len(b) < PageHeaderLen {
-		return nil, fmt.Errorf("relation: page blob too short (%d bytes)", len(b))
-	}
-	if binary.LittleEndian.Uint32(b) != pageMagic {
-		return nil, fmt.Errorf("relation: bad page magic %#x", binary.LittleEndian.Uint32(b))
-	}
-	size := int(binary.LittleEndian.Uint32(b[4:]))
-	tupleLen := int(binary.LittleEndian.Uint32(b[8:]))
-	count := int(binary.LittleEndian.Uint32(b[12:]))
-	if err := CheckPageGeometry(size, tupleLen); err != nil {
+	size, tupleLen, payload, err := parsePageBlob(b)
+	if err != nil {
 		return nil, err
 	}
-	p := &Page{size: size}
+	p := &Page{size: size, data: payload[:len(payload):len(payload)]}
 	p.setTupleLen(tupleLen)
-	want := count * tupleLen
-	if len(b) != PageHeaderLen+want {
-		return nil, fmt.Errorf("relation: page blob is %d bytes, header says %d", len(b), PageHeaderLen+want)
-	}
-	if count > p.Capacity() {
-		return nil, fmt.Errorf("relation: page blob holds %d tuples, capacity is %d", count, p.Capacity())
-	}
-	p.data = b[PageHeaderLen:len(b):len(b)]
 	return p, nil
+}
+
+// Load overwrites p with the page serialized in b, which must be of p's
+// page size, copying the payload into p's own: b stays the caller's, and a
+// full-capacity page (NewPage, a PagePool's) decodes without allocating.
+func (p *Page) Load(b []byte) error {
+	size, tupleLen, payload, err := parsePageBlob(b)
+	if err != nil {
+		return err
+	}
+	if size != p.size {
+		return fmt.Errorf("relation: blob of a %d-byte page loaded into a %d-byte page", size, p.size)
+	}
+	p.setTupleLen(tupleLen)
+	p.data = append(p.data[:0], payload...)
+	return nil
+}
+
+// Retain adds a holder to a shared page. On any other page — one nobody
+// counts the readers of — it does nothing.
+func (p *Page) Retain() {
+	if p.home != nil {
+		p.refs.Add(1)
+	}
+}
+
+// Release drops one holder of a shared page, who must not touch it again:
+// the last one out sends it back to the free list it came from. One
+// release too many panics. On any other page, and on nil, it does nothing.
+func (p *Page) Release() {
+	if p == nil || p.home == nil {
+		return
+	}
+	switch n := p.refs.Add(-1); {
+	case n < 0:
+		panic("relation: Release of a page with no holder left")
+	case n == 0:
+		p.home.recycle(p)
+	}
 }
 
 // Paginator accumulates encoded tuples and emits full pages. Operators

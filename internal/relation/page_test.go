@@ -177,7 +177,56 @@ func TestUnmarshalPageErrors(t *testing.T) {
 			if _, err := UnmarshalPage(c.blob); err == nil {
 				t.Error("UnmarshalPage succeeded, want error")
 			}
+			// Load shares the header parser: it refuses what UnmarshalPage does.
+			if err := MustNewPage(1000, 100).Load(c.blob); err == nil {
+				t.Error("Load succeeded, want error")
+			}
 		})
+	}
+}
+
+// TestPageLoadCopiesInPlace: Load decodes a blob into the page's own
+// full-capacity payload — the blob stays the caller's to reuse, nothing
+// is allocated, whatever the page held before is gone, appends after it
+// land in place — and refuses a blob of another page size.
+func TestPageLoadCopiesInPlace(t *testing.T) {
+	src := MustNewPage(1000, 100)
+	for i := 0; i < 3; i++ {
+		if err := src.AppendRaw(bytes.Repeat([]byte{byte('a' + i)}, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blob := src.Marshal()
+	p := MustNewPage(1000, 50) // another tuple length, and not empty
+	if err := p.AppendRaw(make([]byte, 50)); err != nil {
+		t.Fatal(err)
+	}
+	payload := &p.Data()[0]
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := p.Load(blob); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Load allocates %.0f times, want 0", allocs)
+	}
+	if p.TupleLen() != 100 || p.TupleCount() != 3 || p.Capacity() != 9 || !bytes.Equal(p.Marshal(), blob) {
+		t.Errorf("loaded page: %d tuples of %d bytes, capacity %d", p.TupleCount(), p.TupleLen(), p.Capacity())
+	}
+	if &p.Data()[0] != payload {
+		t.Error("Load moved the payload")
+	}
+	clear(blob) // the caller reuses its buffer
+	if p.RawTuple(2)[0] != 'c' {
+		t.Error("the loaded page aliases the blob")
+	}
+	if err := p.AppendRaw(bytes.Repeat([]byte{'z'}, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if &p.Data()[0] != payload || p.TupleCount() != 4 {
+		t.Error("an append after Load did not land in place")
+	}
+	if err := MustNewPage(2000, 100).Load(src.Marshal()); err == nil {
+		t.Error("Load of a 1000-byte page's blob into a 2000-byte page succeeded")
 	}
 }
 

@@ -18,13 +18,16 @@ import (
 // — and the counters are a function of the Get/Put sequence alone. The
 // bytes held free never exceed Budget(): a Put beyond it drops the page.
 //
-// Ownership discipline: only pages obtained from a pool (Get) are ever
-// recycled (Put); Put on any other page — a catalog page, a result page
-// retained by Relation.AppendPage — is a no-op, because those pages are
-// aliased by live readers. Whoever Puts a page guarantees nothing can
-// still reach it: not a reader, not a cache keyed by its identity. A
-// nil *PagePool is valid and degrades to plain allocation, so pooling is
-// a pure opt-in.
+// Ownership discipline: a page from Get has one owner, and whoever Puts
+// it guarantees nothing can still reach it: not a reader, not a cache
+// keyed by its identity. A page from GetShared has several holders — a
+// buffer pool's frame and every reader the frame's page was lent to —
+// and a count of them; each lets go once (Release, or Put, which is the
+// same thing on a shared page) and the last one recycles it. Put on any
+// other page — a catalog page, a result page retained by
+// Relation.AppendPage — is a no-op, because those pages are aliased by
+// readers nobody counts. A nil *PagePool is valid and degrades to plain
+// allocation, so pooling is a pure opt-in.
 type PagePool struct {
 	mu        sync.Mutex
 	free      map[int][]*Page // page size -> stack of free pages
@@ -93,6 +96,29 @@ func (p *PagePool) Get(pageSize, tupleLen int) (*Page, error) {
 	if p == nil {
 		return NewPage(pageSize, tupleLen)
 	}
+	pg, err := p.take(pageSize, tupleLen)
+	if err != nil {
+		return nil, err
+	}
+	pg.pooled, pg.home = true, nil
+	return pg, nil
+}
+
+// GetShared is Get for a page that will have several holders: it comes
+// back counting one reference, the caller's, and returns to this pool
+// when the last reference is released (Page.Retain, Page.Release).
+func (p *PagePool) GetShared(pageSize, tupleLen int) (*Page, error) {
+	pg, err := p.take(pageSize, tupleLen)
+	if err != nil {
+		return nil, err
+	}
+	pg.home = p
+	pg.refs.Store(1)
+	return pg, nil
+}
+
+// take pops a free page of the size, or buys one.
+func (p *PagePool) take(pageSize, tupleLen int) (*Page, error) {
 	if err := CheckPageGeometry(pageSize, tupleLen); err != nil {
 		return nil, err
 	}
@@ -106,17 +132,11 @@ func (p *PagePool) Get(pageSize, tupleLen int) (*Page, error) {
 		p.hits++
 		p.mu.Unlock()
 		pg.setTupleLen(tupleLen)
-		pg.pooled = true
 		return pg, nil
 	}
 	p.misses++
 	p.mu.Unlock()
-	pg, err := NewPage(pageSize, tupleLen)
-	if err != nil {
-		return nil, err
-	}
-	pg.pooled = true
-	return pg, nil
+	return NewPage(pageSize, tupleLen)
 }
 
 // MustGet is Get but panics on error; for page geometries already
@@ -129,16 +149,26 @@ func (p *PagePool) MustGet(pageSize, tupleLen int) *Page {
 	return pg
 }
 
-// Put returns a page to the pool for reuse. Only pages that came from a
-// pool are accepted — Put on a catalog or retained page is a no-op —
-// and a page is marked non-pooled on the way in, so a double Put cannot
-// hand the same page out twice. A page the budget has no room for is
-// left to the collector.
+// Put returns a page to the pool for reuse. A shared page is released
+// instead — to the pool it came from, which need not be this one. Of the
+// rest only pages that came from a pool are accepted — Put on a catalog
+// or retained page is a no-op — and a page is marked non-pooled on the
+// way in, so a double Put cannot hand the same page out twice. A page the
+// budget has no room for is left to the collector.
 func (p *PagePool) Put(pg *Page) {
+	if pg != nil && pg.home != nil {
+		pg.Release()
+		return
+	}
 	if p == nil || pg == nil || !pg.pooled {
 		return
 	}
 	pg.pooled = false
+	p.recycle(pg)
+}
+
+// recycle puts a page nothing can reach any more on the free list.
+func (p *PagePool) recycle(pg *Page) {
 	pg.data = pg.data[:0]
 	if poisonPut.Load() {
 		poison := pg.data[:cap(pg.data)]

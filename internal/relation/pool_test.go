@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"bytes"
 	"runtime"
 	"sync"
 	"testing"
@@ -134,6 +135,85 @@ func TestPagePoolDoublePutIsNoop(t *testing.T) {
 	p.Put(pg) // the pooled flag was cleared by the first Put
 	if s := p.Stats(); s.Recycled != 1 {
 		t.Errorf("double Put recycled %d pages, want 1", s.Recycled)
+	}
+}
+
+// TestSharedPageCountsHolders: a shared page goes back to its pool when
+// the last of its holders lets go, not before; Put is a release, to the
+// page's own pool whichever pool it is called on, nil included; and a
+// release with no holder left panics instead of recycling a page twice.
+func TestSharedPageCountsHolders(t *testing.T) {
+	PoisonRecycledPages(true)
+	defer PoisonRecycledPages(false)
+	p, other := NewPagePool(), NewPagePool()
+	pg, err := p.GetShared(256, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pg.AppendRaw(bytes.Repeat([]byte{7}, 12)); err != nil {
+		t.Fatal(err)
+	}
+	pg.Retain()
+	pg.Retain() // three holders
+	pg.Release()
+	other.Put(pg)
+	if s, o := p.Stats(), other.Stats(); s.Recycled != 0 || o.Recycled != 0 || pg.RawTuple(0)[0] != 7 {
+		t.Fatalf("recycled with a holder left: %+v, %+v", s, o)
+	}
+	(*PagePool)(nil).Put(pg) // the last holder
+	if s, o := p.Stats(), other.Stats(); s.Recycled != 1 || o.Recycled != 0 {
+		t.Fatalf("the last release: %+v, %+v, want the page back on its own pool's list", s, o)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a release with no holder left did not panic")
+			}
+		}()
+		pg.Release()
+	}()
+	if s := p.Stats(); s.Recycled != 1 {
+		t.Errorf("the refused release recycled the page again: %+v", s)
+	}
+	// The next Get of either kind reuses it and starts it afresh.
+	again, err := p.GetShared(256, 12)
+	if err != nil || again != pg {
+		t.Fatalf("GetShared = %p, %v, want the recycled page %p", again, err, pg)
+	}
+	again.Release()
+	plain := p.MustGet(256, 12)
+	if plain != pg {
+		t.Fatalf("Get = %p, want the recycled page %p", plain, pg)
+	}
+	plain.Retain() // not shared any more: nothing is counted
+	plain.Release()
+	plain.Release()
+	p.Put(plain)
+	if s := p.Stats(); s.Recycled != 3 || s.Hits != 2 {
+		t.Errorf("%+v, want 3 recycled and 2 hits", s)
+	}
+}
+
+// TestReleaseIgnoresUnsharedPages: Retain and Release do nothing to a
+// page nobody counts the readers of — a fresh page, a pool's ordinary
+// page, a decoded blob — and nothing to nil.
+func TestReleaseIgnoresUnsharedPages(t *testing.T) {
+	p := NewPagePool()
+	blob := MustNewPage(256, 12).Marshal()
+	decoded, err := UnmarshalPage(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pg := range []*Page{MustNewPage(256, 12), p.MustGet(256, 12), decoded, nil} {
+		if pg != nil {
+			pg.Retain()
+		}
+		pg.Release()
+		pg.Release()
+		pg.Release()
+	}
+	if s := p.Stats(); s.Recycled != 0 {
+		t.Errorf("%+v: a release recycled a page that is not shared", s)
 	}
 }
 

@@ -58,9 +58,11 @@ func (r *Relation) NumPages() int {
 
 // Page returns page i. The page is shared, not copied. For stored
 // relations the page is read through the buffer pool and returned
-// unpinned — valid for reading (the frame's page object survives
-// eviction), but an I/O failure panics; error-aware callers should
-// walk with EachPage instead.
+// unpinned — valid for reading for as long as the caller keeps it,
+// because the reference it came with is never released (the page
+// survives its frame's eviction and is the collector's afterwards) —
+// but an I/O failure panics; error-aware callers should walk with
+// EachPage instead.
 func (r *Relation) Page(i int) *Page {
 	if r.store == nil {
 		return r.pages[i]
@@ -152,6 +154,7 @@ func (r *Relation) insertRawStored(raw []byte) error {
 		}
 		err = p.AppendRaw(raw)
 		r.store.UnpinRun(n-1, 1, err == nil)
+		p.Release()
 		return err
 	}
 	p, err := NewPage(r.pageSize, r.schema.TupleLen())
@@ -283,15 +286,13 @@ func (r *Relation) Compact() {
 // Clone returns a fully resident deep copy of the relation under a new
 // name.
 func (r *Relation) Clone(name string) *Relation {
-	out := &Relation{name: name, schema: r.schema, pageSize: r.pageSize}
-	if err := r.EachPage(func(p *Page) error {
-		out.pages = append(out.pages, p.Clone())
-		return nil
-	}); err != nil {
+	out, err := r.Materialize()
+	if err != nil {
 		// Only reachable for a stored relation with failing I/O; Clone
 		// has no error return (see Materialize for the checked form).
 		panic(err)
 	}
+	out.name = name
 	return out
 }
 

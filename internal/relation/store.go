@@ -32,12 +32,16 @@ type PageStore interface {
 	// ahead (its budget of pinned frames; a page another reader is still
 	// loading). The first page is owed a frame; the rest are read-ahead.
 	// The pages are shared and must be treated as read-only unless the
-	// caller holds the relation's write exclusion. On error nothing
-	// stays pinned. Every PinRun must be paired with one UnpinRun of the
-	// same first and the returned count.
+	// caller holds the relation's write exclusion. Each comes with a
+	// reference (Page.Retain) that is the caller's to pass on: whoever
+	// reads the page last releases it, after the unpin as a rule, and a
+	// page nobody releases is the collector's. On error nothing stays
+	// pinned or referenced. Every PinRun must be paired with one UnpinRun
+	// of the same first and the returned count.
 	PinRun(first int, dst []*Page) (int, error)
-	// UnpinRun releases the pins of a run of n pages; dirty marks their
-	// frames for write-back.
+	// UnpinRun releases the pins of a run of n pages — the frames, not
+	// the references PinRun handed out; dirty marks the frames for
+	// write-back.
 	UnpinRun(first, n int, dirty bool)
 	// Install overwrites page i (or appends it when i == NumPages)
 	// with a full post-image, dirty in the pool. It is the one
@@ -115,8 +119,10 @@ func (r *Relation) CopyPage(i int) (*Page, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer r.store.UnpinRun(i, 1, false)
-	return p.Clone(), nil
+	out := p.Clone()
+	r.store.UnpinRun(i, 1, false)
+	p.Release()
+	return out, nil
 }
 
 // maxScanRun is the longest run EachPage asks a store for — the engine's
@@ -128,8 +134,11 @@ const maxScanRun = 32
 // clipped by what the store grants — so a walk that stops at its first
 // page has read one slot, and a long one visits the buffer pool once per
 // run. A run is unpinned clean once fn has seen its pages; fn must not
-// retain write access. A non-nil error from fn (or from the store) stops
-// the walk and is returned.
+// retain write access. Each page's reference (PageStore.PinRun) passes to
+// fn: it may keep the page past the unpin, and releases it — or hands it
+// to whoever will — when it has read it; an fn that never does costs the
+// store a fresh page per miss. A non-nil error from fn (or from the
+// store) stops the walk and is returned.
 func (r *Relation) EachPage(fn func(p *Page) error) error {
 	if r.store == nil {
 		for _, p := range r.pages {
@@ -200,6 +209,7 @@ func (r *Relation) Materialize() (*Relation, error) {
 	out := &Relation{name: r.name, schema: r.schema, pageSize: r.pageSize}
 	err := r.EachPage(func(p *Page) error {
 		out.pages = append(out.pages, p.Clone())
+		p.Release()
 		return nil
 	})
 	if err != nil {

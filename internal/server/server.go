@@ -487,8 +487,9 @@ func (st *resultStream) describe(name string, pageSize int, schema *relation.Sch
 
 // page queues the next result page; it is the engine's emit. The page
 // is encoded once its successor arrives (or finish runs) and then
-// handed back to the engine's page pool; a stored relation's own pages
-// pass through untouched, Recycle ignores them.
+// handed back through Engine.Recycle: to the engine's page pool, or, a
+// stored relation's own page passing through untouched, by releasing the
+// reference the scan came with.
 func (st *resultStream) page(pg *relation.Page) error {
 	var err error
 	if st.held != nil {
