@@ -28,9 +28,9 @@
 // bounds instead of staying fixed.
 //
 // serve -data-dir makes the write path durable: every append/delete is
-// redo-logged and fsynced (per -fsync) before it is acknowledged, the
-// catalog is checkpointed into atomic snapshot files, and a restart
-// after kill -9 recovers exactly the acknowledged writes. `dfdbm wal`
+// redo-logged and fsynced (per -fsync) before it is acknowledged, every
+// relation is checkpointed into its heap file, and a restart after
+// kill -9 recovers exactly the acknowledged writes. `dfdbm wal`
 // inspects or verifies such a directory offline.
 //
 // Shared flags (before the subcommand): -scale, -seed, -pagesize.
@@ -167,22 +167,14 @@ func cmdExplain(db *dfdbm.DB, args []string, pageSize int) {
 	fs := flag.NewFlagSet("explain", flag.ExitOnError)
 	analyze := fs.Bool("analyze", false, "execute on the simulated ring machine and print the per-node profile")
 	ips := fs.Int("ips", 16, "instruction processors (with -analyze)")
-	adaptive := fs.Bool("adaptive", false, "print the adaptive pipeline-vs-materialize plan; with -analyze, execute with it")
-	budget := fs.Int64("budget", 0, "materialization budget in bytes for -adaptive (0 = page-pool default)")
 	check(fs.Parse(args))
 	if fs.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: dfdbm explain [-adaptive [-budget B]] [-analyze [-ips N]] '<query>'")
+		fmt.Fprintln(os.Stderr, "usage: dfdbm explain [-analyze [-ips N]] '<query>'")
 		os.Exit(2)
 	}
 	q, err := db.Parse(fs.Arg(0))
 	check(err)
 	fmt.Print(dfdbm.Explain(q))
-	if *adaptive {
-		plan, err := db.PlanAdaptive(q, *budget)
-		check(err)
-		fmt.Println()
-		fmt.Print(dfdbm.ExplainAdaptive(q, plan))
-	}
 	if !*analyze {
 		return
 	}
@@ -190,7 +182,7 @@ func cmdExplain(db *dfdbm.DB, args []string, pageSize int) {
 	hw.PageSize = pageSize
 	o := dfdbm.NewObserver(nil, dfdbm.NewMetrics(time.Millisecond))
 	o.EnableSpans()
-	m, err := dfdbm.NewMachine(db, dfdbm.MachineConfig{HW: hw, ICs: 16, IPs: *ips, Obs: o, Adaptive: *adaptive})
+	m, err := dfdbm.NewMachine(db, dfdbm.MachineConfig{HW: hw, ICs: 16, IPs: *ips, Obs: o})
 	check(err)
 	check(m.Submit(q))
 	res, err := m.Run()
@@ -199,9 +191,6 @@ func cmdExplain(db *dfdbm.DB, args []string, pageSize int) {
 	prof := dfdbm.BuildProfile(o.Spans().Snapshot(), res.Elapsed)
 	check(prof.Text(os.Stdout))
 	check(dfdbm.Saturation(o.Registry(), res.Elapsed, m.Resources()).Text(os.Stdout))
-	if *adaptive {
-		fmt.Printf("adaptive: %d operand edges materialized\n", res.Stats.MaterializedEdges)
-	}
 }
 
 func cmdInfo(db *dfdbm.DB) {
@@ -222,11 +211,10 @@ func cmdRun(db *dfdbm.DB, args []string) {
 	gran := fs.String("g", "page", "granularity: page, relation, or tuple")
 	workers := fs.Int("workers", 4, "instruction processors")
 	timeout := fs.Duration("timeout", 0, "abort the query after this long (0 = no limit)")
-	adaptive := fs.Bool("adaptive", false, "plan per-edge pipeline-vs-materialize execution (page/tuple granularity)")
 	of := addObsFlags(fs)
 	check(fs.Parse(args))
 	if fs.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: dfdbm run [-g page|relation|tuple] [-adaptive] [-workers N] [-timeout D] '<query>'")
+		fmt.Fprintln(os.Stderr, "usage: dfdbm run [-g page|relation|tuple] [-workers N] [-timeout D] '<query>'")
 		os.Exit(2)
 	}
 	q, err := db.Parse(fs.Arg(0))
@@ -241,7 +229,7 @@ func cmdRun(db *dfdbm.DB, args []string) {
 		defer cancel()
 	}
 	o, sess := of.build()
-	res, err := db.ExecuteContext(ctx, q, dfdbm.EngineOptions{Granularity: g, Workers: *workers, Obs: o, Adaptive: *adaptive})
+	res, err := db.ExecuteContext(ctx, q, dfdbm.EngineOptions{Granularity: g, Workers: *workers, Obs: o})
 	sess.finish()
 	check(err)
 	sess.report(res.Stats.Elapsed, []dfdbm.ResourceSpec{
@@ -261,9 +249,6 @@ func cmdRun(db *dfdbm.DB, args []string) {
 	s := res.Stats
 	fmt.Printf("packets=%d dispatches=%d arbitration=%dB results=%d pages=%d\n",
 		s.InstructionPackets, s.Dispatches, s.ArbitrationBytes, s.ResultPackets, s.PagesMoved)
-	if *adaptive {
-		fmt.Printf("adaptive: %d operand edges materialized\n", s.MaterializedEdges)
-	}
 }
 
 func cmdBench(db *dfdbm.DB, queries []*dfdbm.Query, args []string, scale float64, seed int64, pageSize int) {
@@ -317,7 +302,6 @@ func cmdMachine(db *dfdbm.DB, queries []*dfdbm.Query, args []string, pageSize in
 	trace := fs.Bool("trace", false, "print the packet-protocol trace to stderr")
 	ips := fs.Int("ips", 16, "instruction processors in the pool")
 	hashTiming := fs.Bool("hash-timing", false, "charge equi-joins at the hash kernel's O(n+m) cost instead of the paper's nested-loops n*m")
-	adaptive := fs.Bool("adaptive", false, "plan per-edge pipeline-vs-materialize execution at submission")
 	failIPs := fs.Int("fail-ips", 0, "crash this many IPs (0..n-1) during the run")
 	failAt := fs.Duration("fail-at", 5*time.Millisecond, "virtual time of the first crash")
 	failStep := fs.Duration("fail-step", 1*time.Millisecond, "virtual-time stagger between crashes")
@@ -332,7 +316,7 @@ func cmdMachine(db *dfdbm.DB, queries []*dfdbm.Query, args []string, pageSize in
 	hw := dfdbm.DefaultHW()
 	hw.PageSize = pageSize
 	cfg := dfdbm.MachineConfig{HW: hw, ICs: 16, IPs: *ips,
-		HashJoinTiming: *hashTiming, Adaptive: *adaptive,
+		HashJoinTiming:  *hashTiming,
 		WatchdogTimeout: *watchdog, RetryBudget: *retryBudget}
 	if *failIPs > 0 || *dropOuter > 0 || *dropInner > 0 || *dup > 0 {
 		fc := dfdbm.FaultConfig{Seed: *faultSeed,
@@ -391,9 +375,6 @@ func cmdMachine(db *dfdbm.DB, queries []*dfdbm.Query, args []string, pageSize in
 	s := res.Stats
 	fmt.Printf("makespan %v; outer ring %.2f Mbps (%d packets, %d broadcasts); IP utilization %.1f%%\n",
 		res.Elapsed, res.OuterRingMbps(), s.OuterRingPackets, s.Broadcasts, 100*res.IPUtilization)
-	if *adaptive {
-		fmt.Printf("adaptive: %d operand edges materialized\n", s.MaterializedEdges)
-	}
 	if cfg.Fault != nil {
 		fmt.Printf("faults: %d injected (%d crashes, %d drops, %d dups); %d IPs failed, %d watchdog timeouts, %d re-dispatches, %d recovered units, %d retransmits\n",
 			s.FaultsInjected, s.IPsCrashed, s.PacketsDropped, s.PacketsDuplicated,
@@ -405,7 +386,6 @@ func cmdDirect(db *dfdbm.DB, queries []*dfdbm.Query, args []string) {
 	fs := flag.NewFlagSet("direct", flag.ExitOnError)
 	procs := fs.Int("procs", 16, "instruction processors")
 	strat := fs.String("strategy", "page", "page or relation")
-	adaptive := fs.Bool("adaptive", false, "materialize plan-chosen operand edges through mass storage (page strategy)")
 	cacheFault := fs.Float64("cache-fault", 0, "transient cache-frame read-fault probability")
 	faultSeed := fs.Int64("fault-seed", 1, "fault plan seed")
 	of := addObsFlags(fs)
@@ -415,13 +395,6 @@ func cmdDirect(db *dfdbm.DB, queries []*dfdbm.Query, args []string) {
 
 	profiles, err := dfdbm.ProfileQueries(db, queries, dfdbm.DefaultHW().PageSize)
 	check(err)
-	if *adaptive {
-		for i := range profiles {
-			plan, err := db.PlanAdaptive(queries[i], 0)
-			check(err)
-			dfdbm.ApplyAdaptivePlan(&profiles[i], queries[i], plan)
-		}
-	}
 	o, sess := of.build()
 	dcfg := dfdbm.DirectConfig{Processors: *procs, Strategy: g, Obs: o}
 	if *cacheFault > 0 {
@@ -439,9 +412,6 @@ func cmdDirect(db *dfdbm.DB, queries []*dfdbm.Query, args []string) {
 	fmt.Printf("  processor utilization    : %.1f%%\n", 100*rep.ProcUtilization)
 	fmt.Printf("  disk utilization         : %.1f%%\n", 100*rep.DiskUtilization)
 	fmt.Printf("  disk traffic             : %d reads, %d writes\n", rep.DiskReads, rep.DiskWrites)
-	if *adaptive {
-		fmt.Printf("  materialized pages       : %d\n", rep.MaterializedPages)
-	}
 	if *cacheFault > 0 {
 		fmt.Printf("  cache read faults        : %d (all retried)\n", rep.CacheReadFaults)
 	}

@@ -53,7 +53,7 @@ func cmdServe(db *dfdbm.DB, args []string) {
 	// With a data directory, the durable state there is authoritative:
 	// recover it, or — when the directory is fresh — seed it with the
 	// database built from -db / the generated benchmark and checkpoint
-	// that as the first snapshot.
+	// that into the heap files.
 	var wlog *dfdbm.WAL
 	if *dataDir != "" {
 		policy, err := dfdbm.ParseFsyncPolicy(*fsyncMode)
@@ -62,10 +62,8 @@ func cmdServe(db *dfdbm.DB, args []string) {
 		if *crashWrite > 0 || *crashSync > 0 {
 			inj = &dfdbm.WALInjector{FailWrite: *crashWrite, FailSync: *crashSync, Torn: *crashTorn, Hard: true}
 		}
-		// Heap-file storage is the data directory's native mode: each
-		// relation lives in its own slotted file behind the shared
-		// buffer pool. Pre-heap (snapshot-era) directories migrate on
-		// first open.
+		// Each relation lives in its own slotted heap file behind the
+		// shared buffer pool.
 		l, recovered, rv, err := dfdbm.OpenWAL(*dataDir, dfdbm.WALOptions{
 			SegmentSize: *segmentSize,
 			Fsync:       policy,
@@ -127,7 +125,7 @@ func cmdServe(db *dfdbm.DB, args []string) {
 	err = srv.Shutdown(dctx)
 	if wlog != nil {
 		// The server is quiescent after the drain: checkpoint so the
-		// next start recovers from the snapshot instead of replaying
+		// next start recovers from the heap files instead of replaying
 		// the whole tail, then close the log.
 		if cerr := wlog.Checkpoint(db.Catalog()); cerr != nil {
 			fmt.Fprintf(os.Stderr, "dfdbm: shutdown checkpoint failed: %v\n", cerr)
@@ -171,11 +169,6 @@ func cmdWal(args []string) {
 
 	if verb == "verify" {
 		if !rp.Clean() {
-			for _, sn := range rp.Snapshots {
-				if sn.Err != "" {
-					fmt.Fprintf(os.Stderr, "dfdbm: snapshot %s: %s\n", sn.Name, sn.Err)
-				}
-			}
 			for _, sg := range rp.Segments {
 				if sg.Err != "" {
 					fmt.Fprintf(os.Stderr, "dfdbm: segment %s: %s\n", sg.Name, sg.Err)
@@ -188,34 +181,20 @@ func cmdWal(args []string) {
 			}
 			os.Exit(1)
 		}
-		heapNote := ""
-		if len(rp.Heap) > 0 {
-			heapNote = fmt.Sprintf(", %d heap files", len(rp.Heap))
-		}
-		fmt.Printf("dfdbm: %s clean: %d snapshots, %d segments%s, %d records (LSN %d..%d)\n",
-			*dataDir, len(rp.Snapshots), len(rp.Segments), heapNote, rp.Records, rp.FirstLSN, rp.LastLSN)
+		fmt.Printf("dfdbm: %s clean: %d heap files, %d segments, %d records (LSN %d..%d)\n",
+			*dataDir, len(rp.Heap), len(rp.Segments), rp.Records, rp.FirstLSN, rp.LastLSN)
 		return
 	}
 
 	fmt.Printf("%s: %d records, LSN %d..%d\n", *dataDir, rp.Records, rp.FirstLSN, rp.LastLSN)
-	fmt.Printf("snapshots (%d):\n", len(rp.Snapshots))
-	for _, sn := range rp.Snapshots {
+	fmt.Printf("heap files (%d):\n", len(rp.Heap))
+	for _, h := range rp.Heap {
 		status := "ok"
-		if sn.Err != "" {
-			status = sn.Err
+		if h.Err != nil {
+			status = h.Err.Error()
 		}
-		fmt.Printf("  %-28s cover %-6d %8dB  %s\n", sn.Name, sn.CoverLSN, sn.Bytes, status)
-	}
-	if len(rp.Heap) > 0 {
-		fmt.Printf("heap files (%d):\n", len(rp.Heap))
-		for _, h := range rp.Heap {
-			status := "ok"
-			if h.Err != nil {
-				status = h.Err.Error()
-			}
-			fmt.Printf("  %-20s %5d pages %8d tuples  base lsn %-6d %10dB on disk  %s\n",
-				h.Rel, h.Pages, h.Tuples, h.BaseLSN, h.Bytes, status)
-		}
+		fmt.Printf("  %-20s %5d pages %8d tuples  base lsn %-6d %10dB on disk  %s\n",
+			h.Rel, h.Pages, h.Tuples, h.BaseLSN, h.Bytes, status)
 	}
 	fmt.Printf("segments (%d):\n", len(rp.Segments))
 	for _, sg := range rp.Segments {

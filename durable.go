@@ -6,16 +6,16 @@ import (
 
 // Crash-safe durability: the write-ahead log behind `dfdbm serve
 // -data-dir`. A WAL-backed server logs and fsyncs every append/delete
-// before applying or acknowledging it, checkpoints the catalog into
-// atomic snapshot files, and recovers exactly the acknowledged writes
-// after kill -9 (see internal/wal).
+// before applying or acknowledging it, checkpoints every relation into
+// its heap file, and recovers exactly the acknowledged writes after
+// kill -9 (see internal/wal).
 type (
 	// WAL is an open write-ahead log rooted at a data directory
 	// (OpenWAL). Assign it to ServeConfig.WAL to make the server's
 	// write path durable.
 	WAL = wal.Log
 	// WALOptions parameterizes OpenWAL: segment size, fsync policy,
-	// snapshot retention, observability, and the crash injector.
+	// buffer-pool frames, observability, and the crash injector.
 	WALOptions = wal.Options
 	// WALRecovery describes what OpenWAL found and repaired.
 	WALRecovery = wal.Recovery
@@ -28,10 +28,9 @@ type (
 	WALRecord = wal.Record
 	// FsyncPolicy says when the log forces records to stable storage.
 	FsyncPolicy = wal.FsyncPolicy
-	// HeapOptions (WALOptions.Heap) switches the data directory to
-	// paged heap-file storage: one slotted file per relation behind a
-	// pinning buffer pool with CLOCK eviction, per-relation
-	// checkpoints, and page-level WAL replay.
+	// HeapOptions (WALOptions.Heap) is the frame budget of the pinning
+	// buffer pool (CLOCK eviction) in front of the data directory's
+	// heap files; nil means the defaults.
 	HeapOptions = wal.HeapOptions
 )
 
@@ -45,9 +44,9 @@ const (
 func ParseFsyncPolicy(s string) (FsyncPolicy, error) { return wal.ParseFsyncPolicy(s) }
 
 // OpenWAL opens (creating if necessary) a durable data directory and
-// recovers the database from its newest valid snapshot plus the log
-// tail. On a fresh directory the returned DB is nil: seed one and call
-// WAL.Checkpoint(db.Catalog()) to establish the first snapshot.
+// recovers the database from its heap files plus the log tail. On a
+// fresh directory the returned DB is nil: seed one and call
+// WAL.Checkpoint(db.Catalog()) to commit it.
 func OpenWAL(dir string, opts WALOptions) (*WAL, *DB, WALRecovery, error) {
 	l, cat, rv, err := wal.Open(dir, opts)
 	if err != nil {
@@ -60,8 +59,8 @@ func OpenWAL(dir string, opts WALOptions) (*WAL, *DB, WALRecovery, error) {
 	return l, db, rv, nil
 }
 
-// InspectWAL scans a data directory read-only, reporting every
-// snapshot and log segment and calling fn (when non-nil) with each
+// InspectWAL scans a data directory read-only, auditing every heap
+// file and log segment and calling fn (when non-nil) with each
 // decodable record in LSN order. It backs `dfdbm wal`.
 func InspectWAL(dir string, fn func(segment string, offset int64, rec *WALRecord)) (*WALReport, error) {
 	return wal.Inspect(dir, fn)

@@ -31,9 +31,8 @@ import (
 // All integers are little-endian. Pages are stored in wire form, so a
 // file read back yields byte-identical relations. The trailing checksum
 // makes corruption — a torn write, a flipped bit, a truncated file —
-// detectable instead of silently loadable: recovery relies on it to
-// pick the newest *valid* snapshot. Version-1 files (magic "DFDBM1",
-// no checksum) are still readable.
+// detectable instead of silently loadable. Version-1 files (magic
+// "DFDBM1", no checksum) are still readable.
 
 var (
 	fileMagic   = [8]byte{'D', 'F', 'D', 'B', 'M', '2', '\n', 0}

@@ -119,13 +119,6 @@ type Options struct {
 	// engine's relation.PagePool. Pooling is on by default; the knob
 	// exists so benchmarks can measure the allocation baseline.
 	NoPagePool bool
-	// Adaptive enables the per-edge pipeline-vs-materialize planner
-	// (query.PlanTree): execution pipelines pages as at PageLevel, but
-	// the inner operand of a join whose estimated size fits the page
-	// pool's budget is buffered completely before the join fires.
-	// Applies only at PageLevel or TupleLevel granularity
-	// (RelationLevel already materializes every edge).
-	Adaptive bool
 	// Obs, when non-nil, receives one structured obs.Event per
 	// dispatched instruction packet, task completion, and node
 	// completion — stamped with real time since the execution started —
@@ -193,9 +186,6 @@ type Stats struct {
 	HashBuilds    int64
 	HashTableHits int64
 	NestedPairs   int64
-	// MaterializedEdges counts query-tree edges the adaptive planner
-	// chose to materialize this execution (0 unless Options.Adaptive).
-	MaterializedEdges int64
 	// Elapsed is wall-clock execution time.
 	Elapsed time.Duration
 }
@@ -378,7 +368,6 @@ func (e *Engine) exportMetrics(res *Result) {
 	r.Inc("core.join_hash_builds", s.HashBuilds)
 	r.Inc("core.join_table_hits", s.HashTableHits)
 	r.Inc("core.join_nested_pairs", s.NestedPairs)
-	r.Inc("core.materialized_edges", s.MaterializedEdges)
 	r.SetGauge("core.elapsed_seconds", s.Elapsed.Seconds())
 }
 
@@ -440,14 +429,6 @@ func (e *Engine) execute(ctx context.Context, t *query.Tree, emit func(*relation
 func (e *Engine) stream(ctx context.Context, t *query.Tree, top *query.Node, emit func(*relation.Page) error) (Stats, error) {
 	run := newEngineRun(ctx, e, t)
 	defer run.shutdown()
-
-	if e.opts.Adaptive && e.opts.Granularity != RelationLevel {
-		plan, err := query.PlanTree(t, e.cat, e.pool.Budget())
-		if err != nil {
-			return Stats{}, err
-		}
-		run.plan = plan
-	}
 
 	// Cancellation propagates as a run failure: closing run.stopped
 	// unblocks every worker, controller, and channel send of the run.

@@ -83,12 +83,6 @@ type engineRun struct {
 	nodes   []*nodeExec
 	chans   []*infChan
 
-	// plan is the adaptive pipeline-vs-materialize plan for this run
-	// (nil unless Options.Adaptive); stMatEdges counts the edges it
-	// chose to materialize.
-	plan       *query.Plan
-	stMatEdges int64
-
 	stInstr, stOperand, stArb int64
 	stDispatches              int64
 	stResPkts, stResBytes     int64
@@ -219,7 +213,6 @@ func (r *engineRun) snapshotStats() Stats {
 		HashBuilds:         ks.HashBuilds,
 		HashTableHits:      ks.TableHits,
 		NestedPairs:        ks.NestedPairs,
-		MaterializedEdges:  atomic.LoadInt64(&r.stMatEdges),
 	}
 }
 
@@ -243,18 +236,6 @@ func (r *engineRun) build(n *query.Node, out outlet) error {
 		out:        out,
 		numInputs:  len(n.Inputs),
 		inputsDone: make([]bool, len(n.Inputs)),
-	}
-	if r.plan != nil {
-		// Adaptive materialization: a materialized input buffers until
-		// its producer completes before any instruction fires on it.
-		// Scan inputs are stored relations — already at rest — so only
-		// operator-produced edges count.
-		for i, in := range n.Inputs {
-			if in.Kind != query.OpScan && r.plan.Materialized(in.ID) {
-				ne.matInput[i] = true
-				atomic.AddInt64(&r.stMatEdges, 1)
-			}
-		}
 	}
 	ne.events.runs = &r.eng.runs
 	r.nodes = append(r.nodes, ne)
@@ -473,10 +454,6 @@ type nodeExec struct {
 	// relation level everything until the inputs complete.
 	buf [2][]*relation.Page
 
-	// matInput marks inputs the adaptive plan materializes: their pages
-	// buffer without firing anything until the input completes.
-	matInput [2]bool
-
 	boundPred pred.Bound
 	boundJoin *pred.BoundJoin
 	projector *relalg.Projector
@@ -533,7 +510,7 @@ func (n *nodeExec) runIC() {
 			if !n.inputsDone[ev.input] {
 				n.inputsDone[ev.input] = true
 				n.doneCount++
-				n.onInputDone(int(ev.input))
+				n.onInputDone()
 			}
 		case evResult:
 			n.onResult(ev.page)
@@ -559,9 +536,9 @@ func (n *nodeExec) allInputsDone() bool { return n.doneCount == n.numInputs }
 func (n *nodeExec) onRun(input int, run *pageRun) {
 	run.dropEmpty()
 	join := n.node.Kind == query.OpJoin
-	// Relation-level firing buffers until the operands are complete, a
-	// materialized edge until its producer is; a join buffers everything.
-	held := n.run.eng.opts.Granularity == RelationLevel || n.matInput[input]
+	// Relation-level firing buffers until the operands are complete; a
+	// join buffers everything.
+	held := n.run.eng.opts.Granularity == RelationLevel
 	if !join && !held && run.n > 0 {
 		n.dispatch(task{node: n, pages: run.slice(), run: run})
 		return
@@ -570,19 +547,12 @@ func (n *nodeExec) onRun(input int, run *pageRun) {
 	n.buf[input] = append(n.buf[input], run.slice()...)
 	n.run.eng.runs.put(run)
 	if !join || held {
-		// A held side is invisible to the firing rule until complete;
-		// onInputDone fires the backlog then.
-		return
+		return // onInputDone fires the backlog
 	}
 	// Pair each newcomer with every page already buffered on the other
 	// side; pages arriving later on the other side will pair with it
 	// then, so each (outer, inner) pair is dispatched exactly once.
 	other := 1 - input
-	if n.matInput[other] && !n.inputsDone[other] {
-		// The other side is still accumulating: it pairs the newcomers
-		// when it completes.
-		return
-	}
 	for _, pg := range n.buf[input][first:] {
 		n.fire(n.buf[other], pg, input)
 	}
@@ -601,40 +571,21 @@ func (n *nodeExec) fire(pages []*relation.Page, with *relation.Page, input int) 
 	}
 }
 
-// fireBuffered fires what an input held back, now that the firing rule
-// lets it go. A join pairs the whole buffered side against everything
-// buffered opposite (later arrivals opposite pair against it through
-// onRun), so each (outer, inner) pair still dispatches exactly once, and
-// the pages stay buffered until finish; a unary operator drains the
-// backlog.
-func (n *nodeExec) fireBuffered(input int) {
+// onInputDone is relation-level firing: once every operand is complete
+// the instruction is enabled and dispatches all of its work at once. A
+// join pairs every outer page with the whole inner side, and the pages
+// stay buffered until finish; a unary operator drains its backlog.
+func (n *nodeExec) onInputDone() {
+	if n.run.eng.opts.Granularity != RelationLevel || !n.allInputsDone() {
+		return
+	}
 	if n.node.Kind != query.OpJoin {
-		n.fire(n.buf[input], nil, input)
-		n.buf[input] = nil
+		n.fire(n.buf[0], nil, 0)
+		n.buf[0] = nil
 		return
 	}
-	other := 1 - input
-	if n.matInput[other] && !n.inputsDone[other] {
-		// Both edges materialized and the other is still streaming: its
-		// completion dispatches the full cross product.
-		return
-	}
-	for _, pg := range n.buf[input] {
-		n.fire(n.buf[other], pg, input)
-	}
-}
-
-func (n *nodeExec) onInputDone(input int) {
-	if n.run.eng.opts.Granularity != RelationLevel {
-		if n.matInput[input] {
-			n.fireBuffered(input)
-		}
-		return
-	}
-	// Relation-level firing: once every operand is complete the
-	// instruction is enabled and dispatches all of its work at once.
-	if n.allInputsDone() {
-		n.fireBuffered(0)
+	for _, pg := range n.buf[0] {
+		n.fire(n.buf[1], pg, 0)
 	}
 }
 

@@ -101,10 +101,6 @@ type Report struct {
 	// and reissued by newPage (host-side allocation behaviour only;
 	// recycled descriptors get fresh ids, so traces are unaffected).
 	PagesRecycled int64
-	// MaterializedPages counts result pages staged through mass storage
-	// because the adaptive plan materialized their edge (page-level
-	// granularity with InputRef.Materialize set).
-	MaterializedPages int64
 
 	ProcBusy, DiskBusy               time.Duration
 	ProcUtilization, DiskUtilization float64
@@ -172,7 +168,6 @@ func exportMetrics(o *obs.Observer, rep Report) {
 	r.Inc("direct.cache_misses", rep.CacheMisses)
 	r.Inc("direct.cache_read_faults", rep.CacheReadFaults)
 	r.Inc("direct.pages_recycled", rep.PagesRecycled)
-	r.Inc("direct.materialized_pages", rep.MaterializedPages)
 	r.SetGauge("direct.elapsed_seconds", rep.Elapsed.Seconds())
 	r.SetGauge("direct.proc_utilization", rep.ProcUtilization)
 	r.SetGauge("direct.disk_utilization", rep.DiskUtilization)
@@ -469,15 +464,9 @@ func (n *nodeState) onArrive(input int, pg *page) {
 	if n.m.cfg.Strategy == core.RelationLevel {
 		return // buffer until the operand relations are complete
 	}
-	if n.prof.Inputs[input].Materialize {
-		return // adaptive: this edge buffers until the producer completes
-	}
 	switch n.prof.Kind {
 	case query.OpJoin:
 		other := 1 - input
-		if n.prof.Inputs[other].Materialize && !n.inDone[other] {
-			return // the other side pairs the newcomer when it completes
-		}
 		for _, q := range n.avail[other] {
 			if input == 0 {
 				n.dispatch(pg, q)
@@ -490,42 +479,12 @@ func (n *nodeState) onArrive(input int, pg *page) {
 	}
 }
 
-// flushMaterialized fires the work a materialized edge held back once
-// the producer completes: unary backlogs drain; a join pairs the whole
-// buffered side against everything opposite (later opposite arrivals
-// pair through onArrive), keeping every pair dispatched exactly once.
-func (n *nodeState) flushMaterialized(input int) {
-	switch n.prof.Kind {
-	case query.OpJoin:
-		other := 1 - input
-		if n.prof.Inputs[other].Materialize && !n.inDone[other] {
-			return // the other completion dispatches the full cross product
-		}
-		for _, p := range n.avail[input] {
-			for _, q := range n.avail[other] {
-				if input == 0 {
-					n.dispatch(p, q)
-				} else {
-					n.dispatch(q, p)
-				}
-			}
-		}
-	default:
-		for _, pg := range n.avail[0] {
-			n.dispatch(pg)
-		}
-	}
-}
-
 func (n *nodeState) onInputDone(input int) {
 	if n.inDone[input] {
 		return
 	}
 	n.inDone[input] = true
 	n.doneCount++
-	if n.m.cfg.Strategy != core.RelationLevel && n.prof.Inputs[input].Materialize {
-		n.flushMaterialized(input)
-	}
 	if !n.allInputsDone() {
 		return
 	}
@@ -701,11 +660,7 @@ func (n *nodeState) emit(tuples int) {
 		m.cache.insert(pg)
 		return
 	}
-	matEdge := n.parent.prof.Inputs[n.parentInput].Materialize
-	if matEdge {
-		m.report.MaterializedPages++
-	}
-	if m.cfg.Strategy == core.RelationLevel || matEdge {
+	if m.cfg.Strategy == core.RelationLevel {
 		pg.onDisk = true
 		pg.staged = true
 		m.report.DiskWrites++

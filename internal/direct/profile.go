@@ -31,11 +31,6 @@ type InputRef struct {
 	// Pages and Tuples are the operand's size at the profile page size.
 	Pages  int
 	Tuples int
-	// Materialize marks an edge the adaptive plan buffers whole: at
-	// page-level granularity the consumer holds this operand's pages
-	// until the producer completes, and the producer stages them
-	// through mass storage (relation-level behavior for this one edge).
-	Materialize bool
 }
 
 // NodeProfile is the execution profile of one query-tree node.
@@ -84,40 +79,6 @@ func capOf(tupleLen, pageSize int) int {
 // pageHeaderLen mirrors relation.PageHeaderLen without importing the
 // storage layer into the timing model.
 const pageHeaderLen = 16
-
-// ApplyPlan marks the profile's operator edges with the adaptive plan's
-// materialization choices. The profile and plan must come from the same
-// bound tree. Source-relation operands stay untouched: they are already
-// at rest on mass storage.
-func ApplyPlan(prof *QueryProfile, t *query.Tree, plan *query.Plan) {
-	// Rebuild the tree-ID -> profile-index map Profile used.
-	profIdx := make(map[int]int)
-	k := 0
-	for _, n := range t.Nodes() {
-		if n.Kind == query.OpScan {
-			continue
-		}
-		profIdx[n.ID] = k
-		k++
-	}
-	for _, n := range t.Nodes() {
-		if n.Kind == query.OpScan {
-			continue
-		}
-		pi, ok := profIdx[n.ID]
-		if !ok || pi >= len(prof.Nodes) {
-			continue
-		}
-		for i, in := range n.Inputs {
-			if in.Kind == query.OpScan {
-				continue
-			}
-			if plan.Materialized(in.ID) {
-				prof.Nodes[pi].Inputs[i].Materialize = true
-			}
-		}
-	}
-}
 
 // Profile executes a bound query serially and extracts the cardinality
 // profile used by the simulator, sized for the given page size.

@@ -80,7 +80,7 @@ func (s *Store) filePath(name string) string {
 }
 
 // ManifestExists reports whether the store has a durable manifest —
-// i.e. whether heap mode has been committed in this directory.
+// i.e. whether a first checkpoint has committed in this directory.
 func (s *Store) ManifestExists() bool {
 	_, err := os.Stat(filepath.Join(s.dir, manifestName))
 	return err == nil
@@ -94,8 +94,8 @@ type manifestEntry struct {
 }
 
 // writeManifest atomically persists the current relation set (names
-// and schemas). It is the commit point for adopt/migration: once the
-// manifest is durable, recovery trusts heap files over snapshots.
+// and schemas). It is the commit point of a checkpoint — of the first
+// one above all: a directory without a manifest was never seeded.
 func (s *Store) writeManifest(cat *catalog.Catalog) error {
 	names := cat.Names()
 	sort.Strings(names)

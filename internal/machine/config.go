@@ -49,14 +49,6 @@ type Config struct {
 	// machine's relation.PagePool (pooling affects only host-side
 	// allocation behaviour, never simulated results or timings).
 	NoPagePool bool
-	// Adaptive enables the per-edge pipeline-vs-materialize planner
-	// (query.PlanTree) at submission: operands stay pipelined by
-	// default, but a join's inner operand whose estimated size fits the
-	// page pool's budget is received completely before the join's IC
-	// dispatches any outer page. Off by default — the pure page-level
-	// firing rule is the paper's design point and the golden traces'
-	// baseline.
-	Adaptive bool
 	// HW supplies device timings; zero value means hw.Default1979.
 	HW hw.Config
 	// Fault, when non-nil, injects the plan's faults (IP crashes,
@@ -150,9 +142,6 @@ type Stats struct {
 	// pairs compared.
 	HashProbes, HashBuilds, HashTableHits int64
 	NestedPairs                           int64
-	// MaterializedEdges counts operand edges the adaptive planner chose
-	// to materialize across all admitted queries (Config.Adaptive).
-	MaterializedEdges int64
 	// Concurrency control.
 	QueriesDelayedByConflict int64
 	// Fault injection and recovery (populated only when Config.Fault is

@@ -22,9 +22,6 @@ type operand struct {
 	complete   bool
 	compressor *relation.Page
 	tupleLen   int
-	// materialize marks an operand the adaptive plan buffers whole:
-	// the instruction does not fire on it until it is complete.
-	materialize bool
 	// directExpected is how many pages of this operand were routed
 	// IP→IP by the producer and must be accounted for by direct
 	// completions.
@@ -147,7 +144,7 @@ func (c *ic) assign(mi *minstr) {
 	c.recSpans = nil
 
 	for i, in := range mi.node.Inputs {
-		op := &operand{tupleLen: in.Schema().TupleLen(), materialize: mi.matInput[i]}
+		op := &operand{tupleLen: in.Schema().TupleLen()}
 		if in.Kind == query.OpScan {
 			rel, err := c.m.cat.Get(in.Rel)
 			if err != nil {
@@ -182,15 +179,11 @@ func (c *ic) isSafe() bool {
 	return true
 }
 
-// enabled implements the firing rule: one page of each operand (or a
-// complete, empty operand) — except that a materialized operand must be
-// complete, the adaptive plan's per-edge relation-level rule.
+// enabled implements the page-level firing rule: one page of each
+// operand (or a complete, empty operand).
 func (c *ic) enabled() bool {
 	for i := 0; i < len(c.cur.node.Inputs); i++ {
 		op := c.ops[i]
-		if op.materialize && !op.complete {
-			return false
-		}
 		if len(op.pages) == 0 && !op.complete {
 			return false
 		}
@@ -295,11 +288,6 @@ func (c *ic) gainIP(p *ip) {
 // assignWork gives one idle processor its next task.
 func (c *ic) assignWork(s *ipSlot) {
 	if c.cur == nil || c.finished || s.busy || s.released {
-		return
-	}
-	if !c.enabled() {
-		// A materialized operand is still streaming in: nothing may
-		// fire yet (the completion marker kicks again).
 		return
 	}
 	switch c.cur.node.Kind {

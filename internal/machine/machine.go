@@ -119,12 +119,9 @@ func New(cat *catalog.Catalog, cfg Config) (*Machine, error) {
 
 // mquery is one submitted query.
 type mquery struct {
-	id   int
-	tree *query.Tree
-	// plan is the adaptive pipeline-vs-materialize plan (nil unless
-	// Config.Adaptive), computed at submission against the catalog.
-	plan *query.Plan
-	fp   query.Footprint
+	id        int
+	tree      *query.Tree
+	fp        query.Footprint
 	instrs    []*minstr // operator nodes in post order
 	remaining int
 	result    *relation.Relation
@@ -157,10 +154,6 @@ type minstr struct {
 
 	outTupleLen int
 	outPageSize int
-
-	// matInput marks operands the adaptive plan materializes: the IC
-	// receives them completely before dispatching any work.
-	matInput [2]bool
 
 	// Bound operator kernels, prepared at admission. restrict and
 	// project are the batched kernel states; the simulator is a
@@ -243,13 +236,6 @@ func (m *Machine) Submit(t *query.Tree) error {
 		tree:      t,
 		fp:        query.Analyze(t.Root()),
 		submitted: m.s.Now(),
-	}
-	if m.cfg.Adaptive {
-		plan, err := query.PlanTree(t, m.cat, m.pool.Budget())
-		if err != nil {
-			return err
-		}
-		q.plan = plan
 	}
 	m.nextQID++
 	root := t.Root()
@@ -335,7 +321,6 @@ func (m *Machine) exportMetrics(res *Results) {
 	r.Inc("machine.join_hash_builds", s.HashBuilds)
 	r.Inc("machine.join_table_hits", s.HashTableHits)
 	r.Inc("machine.join_nested_pairs", s.NestedPairs)
-	r.Inc("machine.materialized_edges", s.MaterializedEdges)
 	r.Inc("machine.queries_delayed_by_conflict", s.QueriesDelayedByConflict)
 	r.Inc("machine.faults_injected", s.FaultsInjected)
 	r.Inc("machine.packets_dropped", s.PacketsDropped)
@@ -507,14 +492,6 @@ func (m *Machine) admit(q *mquery) bool {
 			continue
 		}
 		mi := &minstr{q: q, id: len(q.instrs), node: n, outTupleLen: n.Schema().TupleLen()}
-		if q.plan != nil {
-			for i, in := range n.Inputs {
-				if in.Kind != query.OpScan && q.plan.Materialized(in.ID) {
-					mi.matInput[i] = true
-					m.stats.MaterializedEdges++
-				}
-			}
-		}
 		mi.outPageSize = m.cfg.HW.PageSize
 		if min := relation.PageHeaderLen + mi.outTupleLen; mi.outPageSize < min {
 			mi.outPageSize = min

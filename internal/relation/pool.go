@@ -43,15 +43,12 @@ type PagePool struct {
 func NewPagePool() *PagePool { return &PagePool{} }
 
 // DefaultPoolBudget is the page-memory budget, in bytes, of a pool on
-// which none has been set: the most its free list holds, and what the
-// adaptive planner assumes an intermediate may occupy if it is to be
-// materialized in memory instead of pipelined page by page.
+// which none has been set: the most its free list holds.
 const DefaultPoolBudget = 4 << 20
 
 // SetBudget sets the pool's page-memory budget in bytes. Zero or
-// negative restores the default. The budget bounds the free list and
-// steers the planner's pipeline-vs-materialize decision; it does not
-// cap Get, and pages already free stay until they are taken.
+// negative restores the default. The budget bounds the free list; it
+// does not cap Get, and pages already free stay until they are taken.
 func (p *PagePool) SetBudget(bytes int64) {
 	if p == nil {
 		return

@@ -77,13 +77,9 @@ func TestHelperCrashServer(t *testing.T) {
 }
 
 // chaosWALOptions maps the helper's frames env var to WAL options:
-// empty or "0" keeps the legacy snapshot mode, anything else enables
-// heap-file storage with that buffer-pool budget.
+// empty or "0" is the default buffer-pool budget.
 func chaosWALOptions(frames string) wal.Options {
 	n, _ := strconv.Atoi(frames)
-	if n <= 0 {
-		return wal.Options{}
-	}
 	return wal.Options{Heap: &wal.HeapOptions{Frames: n}}
 }
 
@@ -120,13 +116,15 @@ func equalCatalogs(a, b *catalog.Catalog) (bool, string) {
 // recovers the data directory in-process, and checks the acked-prefix
 // invariant — the recovered state equals the seed plus either exactly
 // the acknowledged writes or those plus the single in-flight write
-// that reached the log before its acknowledgement was sent.
+// that reached the log before its acknowledgement was sent. The default
+// buffer pool holds the whole working set: no page has been written
+// back when the SIGKILL lands, and the log carries every write.
 func TestCrashRecoveryChaos(t *testing.T) { runCrashRecoveryChaos(t, 0) }
 
-// TestCrashRecoveryChaosHeap is the same kill -9 loop over heap-file
-// storage with a buffer pool far below the working set (8 frames of
-// 2KiB pages), so eviction write-backs are in flight when the SIGKILL
-// lands — the torn-slot case RecAppendPages exists for.
+// TestCrashRecoveryChaosHeap is the same kill -9 loop with a buffer
+// pool far below the working set (8 frames of 2KiB pages), so eviction
+// write-backs are in flight when the SIGKILL lands — the torn-slot case
+// RecAppendPages exists for.
 func TestCrashRecoveryChaosHeap(t *testing.T) { runCrashRecoveryChaos(t, 8) }
 
 func runCrashRecoveryChaos(t *testing.T, heapFrames int) {
@@ -215,7 +213,7 @@ func runCrashRecoveryChaos(t *testing.T, heapFrames int) {
 			<-killed
 			_ = cmd.Wait()
 
-			// Cold recovery of the crashed directory, same storage mode.
+			// Cold recovery of the crashed directory, same frame budget.
 			l2, got, rv, err := wal.Open(dir, chaosWALOptions(strconv.Itoa(heapFrames)))
 			if err != nil {
 				t.Fatalf("recovery after kill -9 (acked %d): %v", acked, err)

@@ -640,9 +640,7 @@ func (s *Server) execDurable(ctx context.Context, root *query.Node, engine strin
 		if err != nil {
 			return nil, err
 		}
-		// AppendRecord picks the representation by dst's storage mode:
-		// logical tuple pages for resident relations, full post-image
-		// pages (torn-write-proof physical redo) for heap-backed ones.
+		// Full post-image pages: torn-write-proof physical redo.
 		rec, err = wal.AppendRecord(dst, src)
 		if err != nil {
 			return nil, err
@@ -679,7 +677,7 @@ func (s *Server) execDurable(ctx context.Context, root *query.Node, engine strin
 // maybeCheckpoint schedules a checkpoint job once the log outgrows the
 // configured threshold. The job's footprint writes every relation, so
 // the scheduler runs it only when no other query is in flight — the
-// quiescent instant a consistent snapshot needs. Singleflighted: at
+// quiescent instant a consistent checkpoint needs. Singleflighted: at
 // most one checkpoint is queued or running.
 func (s *Server) maybeCheckpoint() {
 	every := s.cfg.CheckpointEvery
@@ -716,7 +714,7 @@ func (s *Server) maybeCheckpoint() {
 	}()
 }
 
-// Checkpoint forces a catalog snapshot through the admission scheduler
+// Checkpoint forces a WAL checkpoint through the admission scheduler
 // (total write exclusion) and waits for it. No-op without a WAL.
 func (s *Server) Checkpoint(ctx context.Context) error {
 	if s.cfg.WAL == nil {

@@ -5,39 +5,19 @@ import (
 )
 
 // AppendRecord builds the redo record for appending src's tuples to
-// dst, choosing the representation by dst's storage mode:
-//
-//   - Resident dst: a logical RecAppend carrying src's non-empty page
-//     blobs. Replay re-inserts the tuples; the destination's own page
-//     layout is rebuilt by the insert path.
-//   - Stored dst: a physical RecAppendPages carrying full post-images
-//     of every destination page the append touches, starting at the
-//     last partial page (or the append point when the last page is
-//     full). The images are computed with the same fill-then-grow
-//     discipline InsertRaw uses, so applying the record produces
-//     byte-identical pages — and because replay re-installs whole
-//     slots, it also repairs any slot torn by a crashed eviction
-//     write-back.
+// dst: a physical RecAppendPages carrying full post-images of every
+// destination page the append touches, starting at the last partial
+// page (or the append point when the last page is full). The images
+// are computed with the same fill-then-grow discipline InsertRaw uses,
+// so applying the record produces byte-identical pages on a stored and
+// on a resident destination alike — and because replay re-installs
+// whole slots, it also repairs any slot torn by a crashed eviction
+// write-back.
 //
 // The record is not yet applied: callers log it (the commit point)
 // and then run Record.Apply, exactly like recovery will.
 func AppendRecord(dst, src *relation.Relation) (*Record, error) {
-	rec := &Record{Rel: dst.Name(), SchemaHash: SchemaHash(dst.Schema())}
-	if !dst.Stored() {
-		rec.Type = RecAppend
-		err := src.EachPage(func(pg *relation.Page) error {
-			if !pg.Empty() {
-				rec.Pages = append(rec.Pages, pg.Marshal())
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return rec, nil
-	}
-
-	rec.Type = RecAppendPages
+	rec := &Record{Type: RecAppendPages, Rel: dst.Name(), SchemaHash: SchemaHash(dst.Schema())}
 	n := dst.NumPages()
 	rec.First = uint64(n)
 	if src.Cardinality() == 0 {

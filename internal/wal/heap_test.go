@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -16,9 +15,9 @@ import (
 
 // heapOp is a logical write op that can be applied both to a
 // heap-backed catalog (through AppendRecord + Apply, exactly like the
-// server) and to a fully resident reference catalog. Byte-identity of
-// the two after any op sequence is the storage subsystem's core
-// invariant.
+// server) and to a fully resident reference catalog (tuple by tuple,
+// through the relation's own insert path). Byte-identity of the two
+// after any op sequence is the storage subsystem's core invariant.
 type heapOp struct {
 	kind     string // "append" or "delete"
 	start, n int    // append: first id and tuple count
@@ -49,8 +48,10 @@ func buildSrc(t testing.TB, start, n int) *relation.Relation {
 
 // applyHeapOp builds the op's redo record against cat's live state
 // (AppendRecord's physical images depend on the destination's current
-// page layout), logs it when l is non-nil, and applies it — the same
-// log-then-apply order the server uses.
+// page layout), logs it, and applies it — the same log-then-apply order
+// the server uses. With a nil log cat is the resident reference: an
+// append is then plain InsertRaw calls, the fill-then-grow discipline
+// the post-images claim to reproduce, and no record is involved.
 func applyHeapOp(t testing.TB, l *Log, cat *catalog.Catalog, op heapOp) error {
 	t.Helper()
 	var rec *Record
@@ -59,6 +60,15 @@ func applyHeapOp(t testing.TB, l *Log, cat *catalog.Catalog, op heapOp) error {
 		dst, err := cat.Get("ev")
 		if err != nil {
 			t.Fatal(err)
+		}
+		if l == nil {
+			for _, raw := range rawTuples(t, buildSrc(t, op.start, op.n)) {
+				if err := dst.InsertRaw(raw); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cat.Touch("ev")
+			return nil
 		}
 		rec, err = AppendRecord(dst, buildSrc(t, op.start, op.n))
 		if err != nil {
@@ -78,6 +88,23 @@ func applyHeapOp(t testing.TB, l *Log, cat *catalog.Catalog, op heapOp) error {
 		t.Fatalf("apply %s: %v", op.kind, err)
 	}
 	return nil
+}
+
+// rawTuples returns copies of r's tuples in storage order.
+func rawTuples(t testing.TB, r *relation.Relation) [][]byte {
+	t.Helper()
+	var out [][]byte
+	err := r.EachPage(func(pg *relation.Page) error {
+		pg.EachRaw(func(raw []byte) bool {
+			out = append(out, bytes.Clone(raw))
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // heapPrefixStates returns resident-reference catalog Save bytes after
@@ -121,58 +148,10 @@ func heapOptions(frames int) Options {
 	return Options{Heap: &HeapOptions{Frames: frames}}
 }
 
-func TestHeapRoundtripRecovery(t *testing.T) {
-	dir := t.TempDir()
-	l, cat := openSeeded(t, dir, heapOptions(4))
-	ops := heapTestOps()
-	states := heapPrefixStates(t, ops)
-	for _, op := range ops {
-		if err := applyHeapOp(t, l, cat, op); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rel, err := cat.Get("ev")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rel.Stored() {
-		t.Fatal("checkpointed relation is not heap-backed")
-	}
-	if got := saveBytes(t, cat); !bytes.Equal(got, states[len(ops)]) {
-		t.Fatal("live heap-backed catalog differs from resident reference")
-	}
-	lastLSN := l.LastLSN()
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Close does not flush dirty frames: reopening is a genuine
-	// recovery, replaying the log tail into the heap file.
-	l2, cat2, rv, err := Open(dir, heapOptions(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if rv.Fresh {
-		t.Fatal("heap recovery reported a fresh directory")
-	}
-	if rv.Snapshot != "heap" {
-		t.Fatalf("recovery base %q, want \"heap\"", rv.Snapshot)
-	}
-	if l2.LastLSN() != lastLSN {
-		t.Fatalf("recovered LastLSN %d, want %d", l2.LastLSN(), lastLSN)
-	}
-	if got := saveBytes(t, cat2); !bytes.Equal(got, states[len(ops)]) {
-		t.Fatal("recovered heap catalog is not byte-identical to the reference")
-	}
-	ref := seedCatalog(t)
-	for _, op := range ops {
-		applyHeapOp(t, nil, ref, op)
-	}
-	wantRel, _ := ref.Get("ev")
-	gotRel, _ := cat2.Get("ev")
-	requirePagesEqual(t, gotRel, wantRel)
-}
+// TestHeapRoundtripRecovery runs the roundtrip behind 4 frames, fewer
+// than the relation has pages: eviction wrote dirty pages back into the
+// heap file before the close, and replay re-installs over them.
+func TestHeapRoundtripRecovery(t *testing.T) { roundtripRecovery(t, heapOptions(4)) }
 
 // TestHeapCheckpointSkipsReplay pins the per-relation base-LSN skip: a
 // checkpoint advances the heap file's recovery horizon, so reopening
@@ -208,141 +187,10 @@ func TestHeapCheckpointSkipsReplay(t *testing.T) {
 	}
 }
 
-// TestHeapMigration opens a snapshot-mode data directory in heap mode
-// and expects a one-shot migration: relations adopted into heap files,
-// manifest committed, snapshot files removed, state unchanged.
-func TestHeapMigration(t *testing.T) {
-	dir := t.TempDir()
-	l, cat := openSeeded(t, dir, Options{}) // snapshot mode
-	ops := heapTestOps()
-	for _, op := range ops {
-		if err := applyHeapOp(t, l, cat, op); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := saveBytes(t, cat)
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	l2, cat2, rv, err := Open(dir, heapOptions(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := saveBytes(t, cat2); !bytes.Equal(got, want) {
-		t.Fatal("migrated catalog differs from pre-migration state")
-	}
-	if rv.Fresh {
-		t.Fatal("migration reported fresh")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "heap", "manifest")); err != nil {
-		t.Fatalf("no heap manifest after migration: %v", err)
-	}
-	snaps, err := listSeq(dir, snapPrefix, snapSuffix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) != 0 {
-		t.Fatalf("%d snapshot files survive migration, want 0", len(snaps))
-	}
-	if err := l2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Second heap open starts from the migrated manifest: no replay.
-	l3, cat3, rv3, err := Open(dir, heapOptions(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l3.Close()
-	if rv3.Replayed != 0 {
-		t.Fatalf("replayed %d records after migration checkpoint, want 0", rv3.Replayed)
-	}
-	if got := saveBytes(t, cat3); !bytes.Equal(got, want) {
-		t.Fatal("post-migration reopen differs")
-	}
-}
-
-// TestHeapCrashPointMatrix walks the crash injector across every log
-// write and fsync of the op sequence in heap mode, including torn
-// writes, and asserts recovery always lands on the acked prefix (or
-// the acked prefix plus the single durable-but-unacked in-flight
-// record).
-func TestHeapCrashPointMatrix(t *testing.T) {
-	ops := heapTestOps()
-	states := heapPrefixStates(t, ops)
-
-	type point struct {
-		name string
-		inj  *Injector
-	}
-	var points []point
-	for n := int64(1); n <= int64(len(ops))+1; n++ {
-		points = append(points,
-			point{fmt.Sprintf("write%d-fail", n), &Injector{FailWrite: n}},
-			point{fmt.Sprintf("write%d-torn", n), &Injector{FailWrite: n, Torn: true}},
-		)
-	}
-	for n := int64(1); n <= int64(len(ops))+1; n++ {
-		points = append(points, point{fmt.Sprintf("sync%d-fail", n), &Injector{FailSync: n}})
-	}
-
-	for _, pt := range points {
-		t.Run(pt.name, func(t *testing.T) {
-			dir := t.TempDir()
-			opts := heapOptions(4)
-			opts.Injector = pt.inj
-			l, _, rv, err := Open(dir, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !rv.Fresh {
-				t.Fatal("expected fresh directory")
-			}
-			cat := seedCatalog(t)
-			acked := 0
-			crashed := false
-			if err := l.Checkpoint(cat); err != nil {
-				if !Injected(err) {
-					t.Fatalf("checkpoint failed for a non-injected reason: %v", err)
-				}
-				crashed = true
-			}
-			if !crashed {
-				for _, op := range ops {
-					if err := applyHeapOp(t, l, cat, op); err != nil {
-						if !Injected(err) {
-							t.Fatalf("append failed for a non-injected reason: %v", err)
-						}
-						crashed = true
-						break
-					}
-					acked++
-				}
-			}
-			if !crashed && acked == len(ops) {
-				t.Fatal("injector never fired; crash point out of range")
-			}
-			l.Close()
-
-			_, cat2, rv2, err := Open(dir, heapOptions(4))
-			if err != nil {
-				t.Fatalf("recovery failed: %v", err)
-			}
-			if rv2.Fresh {
-				if acked != 0 {
-					t.Fatalf("fresh recovery but %d writes were acked", acked)
-				}
-				return
-			}
-			got := saveBytes(t, cat2)
-			if !bytes.Equal(got, states[acked]) &&
-				(acked+1 >= len(states) || !bytes.Equal(got, states[acked+1])) {
-				t.Fatalf("recovered state is not the acked prefix (%d acked): %s", acked, rv2)
-			}
-		})
-	}
-}
+// TestHeapCrashPointMatrix crashes behind 4 frames: eviction write-backs
+// reached the heap file before the crash, so recovery re-installs
+// post-images over slots the file already holds.
+func TestHeapCrashPointMatrix(t *testing.T) { crashPointMatrix(t, heapOptions(4)) }
 
 // TestHeapPropertyShadow is the randomized storage property test: a
 // heap-backed catalog behind a 4-frame buffer pool (well below the

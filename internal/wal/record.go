@@ -1,18 +1,18 @@
 // Package wal implements the write-ahead log that makes the dfdbm
 // service's write path crash-safe: a segmented, CRC-32C-framed redo
-// log with group commit, atomic catalog snapshots, and kill -9
-// recovery. It is the durability spine of the paper's three-level
-// storage hierarchy — relations still execute from IC memory, but
-// every acknowledged append/delete is durable on mass storage before
-// the acknowledgement leaves the server.
+// log with group commit in front of per-relation heap files, and
+// kill -9 recovery. It is the durability spine of the paper's
+// three-level storage hierarchy — every acknowledged append/delete is
+// durable on mass storage before the acknowledgement leaves the server.
 //
-// Records are logical-with-payload: an Append record carries the
-// destination relation, a schema hash, and the appended tuples as page
-// blobs; a Delete record carries the target relation and the predicate
-// text (replay is deterministic given prior state); a Checkpoint
-// record references an atomically written catalog snapshot. Recovery
-// loads the newest valid snapshot, replays the log tail in LSN order,
-// and truncates a torn tail at the first bad CRC instead of failing.
+// A data directory has one layout: heap files, their manifest, and the
+// log. An append record carries the destination relation, a schema
+// hash, and full post-images of the pages it touches; a delete record
+// carries the target relation and the predicate text (replay is
+// deterministic given prior state); a checkpoint record marks the LSN
+// the heap files cover. Recovery loads the catalog the manifest names,
+// replays each relation's log tail in LSN order, and truncates a torn
+// tail at the first bad CRC instead of failing.
 package wal
 
 import (
@@ -32,36 +32,33 @@ import (
 // RecordType identifies what a log record redoes.
 type RecordType uint8
 
-// Record types.
+// Record types. The values are the on-disk type byte and never shift.
 const (
-	// RecAppend redoes an append: insert the carried page payload's
-	// tuples into the named relation, in order.
-	RecAppend RecordType = iota + 1
+	// recRetiredAppend is the logical tuple-payload append that builds
+	// before PR 24 wrote for relations without a heap file. It is
+	// refused on read; the value is retired, not reused.
+	recRetiredAppend RecordType = 1
 	// RecDelete redoes a delete: remove the tuples matching the
 	// carried predicate text from the named relation and compact it.
-	RecDelete
-	// RecCheckpoint marks a consistent catalog snapshot: every record
-	// at or below CoverLSN is reflected in the referenced snapshot
-	// file, so recovery may start there. In heap mode the snapshot
-	// name is the literal "heap" and the durable state lives in the
-	// per-relation heap files' base LSNs.
-	RecCheckpoint
+	RecDelete RecordType = 2
+	// RecCheckpoint marks a checkpoint: every record at or below
+	// CoverLSN is reflected in the heap files, whose per-relation base
+	// LSNs are the durable state recovery starts from.
+	RecCheckpoint RecordType = 3
 	// RecAppendPages redoes an append physically: overwrite (or
 	// extend) the named relation's pages starting at slot First with
-	// the carried full-page post-images. Heap-backed relations log
-	// appends this way because eviction write-backs mutate slots in
-	// place — a torn slot write can damage pre-append tuples that
-	// logical redo could not rebuild, whereas re-installing the whole
-	// post-image repairs the slot no matter where it tore. Replay is
-	// idempotent by construction.
-	RecAppendPages
+	// the carried full-page post-images. Appends are logged this way
+	// because eviction write-backs mutate slots in place — a torn slot
+	// write can damage pre-append tuples that logical redo could not
+	// rebuild, whereas re-installing the whole post-image repairs the
+	// slot no matter where it tore. Replay is idempotent by
+	// construction.
+	RecAppendPages RecordType = 4
 )
 
 // String returns the lower-case record-type name.
 func (t RecordType) String() string {
 	switch t {
-	case RecAppend:
-		return "append"
 	case RecDelete:
 		return "delete"
 	case RecCheckpoint:
@@ -80,6 +77,11 @@ func (t RecordType) String() string {
 // else surfaces as ErrCorrupt.
 var ErrCorrupt = errors.New("wal: corrupt log")
 
+// errRetiredAppend is the ErrCorrupt a type-1 record decodes to. It is
+// told apart from a torn tail: the frame is whole and was acknowledged,
+// so recovery refuses the log instead of truncating it away.
+var errRetiredAppend = fmt.Errorf("%w: retired logical append record (written by builds before PR 24)", ErrCorrupt)
+
 // Record is one redo-log record.
 type Record struct {
 	// LSN is the record's log sequence number, assigned by Append.
@@ -88,15 +90,14 @@ type Record struct {
 	LSN uint64
 	// Type says which of the remaining fields are meaningful.
 	Type RecordType
-	// Rel names the written relation (RecAppend, RecDelete).
+	// Rel names the written relation (RecAppendPages, RecDelete).
 	Rel string
 	// SchemaHash fingerprints the destination schema at log time
-	// (RecAppend); replay refuses a drifted schema rather than
+	// (RecAppendPages); replay refuses a drifted schema rather than
 	// corrupting tuples.
 	SchemaHash uint64
-	// Pages is the appended payload in relation.Page wire form
-	// (RecAppend), or full post-image pages starting at slot First
-	// (RecAppendPages).
+	// Pages holds full post-image pages in relation.Page wire form,
+	// starting at slot First (RecAppendPages).
 	Pages [][]byte
 	// First is the index of the first page slot the post-images in
 	// Pages overwrite or extend (RecAppendPages).
@@ -104,9 +105,10 @@ type Record struct {
 	// Pred is the delete predicate in the query language's surface
 	// syntax (RecDelete); replay re-parses it.
 	Pred string
-	// Snapshot names the catalog snapshot file and CoverLSN the
-	// highest LSN it reflects (RecCheckpoint).
-	Snapshot string
+	// Base names the checkpoint's durable base — always "heap", the
+	// heap files — and CoverLSN the highest LSN they reflect
+	// (RecCheckpoint).
+	Base     string
 	CoverLSN uint64
 }
 
@@ -122,12 +124,10 @@ func SchemaHash(s *relation.Schema) uint64 {
 // inspect subcommand.
 func (r *Record) Summary() string {
 	switch r.Type {
-	case RecAppend:
-		return fmt.Sprintf("append(%s, <%d pages>)", r.Rel, len(r.Pages))
 	case RecDelete:
 		return fmt.Sprintf("delete(%s, %s)", r.Rel, r.Pred)
 	case RecCheckpoint:
-		return fmt.Sprintf("checkpoint(%s, cover %d)", r.Snapshot, r.CoverLSN)
+		return fmt.Sprintf("checkpoint(%s, cover %d)", r.Base, r.CoverLSN)
 	case RecAppendPages:
 		return fmt.Sprintf("append-pages(%s, slots %d..%d)", r.Rel, r.First, r.First+uint64(len(r.Pages))-1)
 	default:
@@ -148,36 +148,6 @@ func (r *Record) Summary() string {
 // encoded before Apply runs; afterwards Pages must not be written to.
 func (r *Record) Apply(cat *catalog.Catalog) (*relation.Relation, error) {
 	switch r.Type {
-	case RecAppend:
-		dst, err := cat.Get(r.Rel)
-		if err != nil {
-			return nil, fmt.Errorf("wal: apply lsn %d: %w", r.LSN, err)
-		}
-		if got := SchemaHash(dst.Schema()); got != r.SchemaHash {
-			return nil, fmt.Errorf("%w: lsn %d: schema of %q drifted (hash %016x, logged %016x)",
-				ErrCorrupt, r.LSN, r.Rel, got, r.SchemaHash)
-		}
-		for i, blob := range r.Pages {
-			pg, err := relation.UnmarshalPage(blob)
-			if err != nil {
-				return nil, fmt.Errorf("%w: lsn %d: page %d: %v", ErrCorrupt, r.LSN, i, err)
-			}
-			if pg.TupleLen() != dst.Schema().TupleLen() {
-				return nil, fmt.Errorf("%w: lsn %d: page %d tuple length %d does not match %q",
-					ErrCorrupt, r.LSN, i, pg.TupleLen(), r.Rel)
-			}
-			var insertErr error
-			pg.EachRaw(func(raw []byte) bool {
-				insertErr = dst.InsertRaw(raw)
-				return insertErr == nil
-			})
-			if insertErr != nil {
-				return nil, fmt.Errorf("wal: apply lsn %d: %w", r.LSN, insertErr)
-			}
-		}
-		cat.Touch(r.Rel)
-		return dst, nil
-
 	case RecAppendPages:
 		dst, err := cat.Get(r.Rel)
 		if err != nil {
@@ -256,7 +226,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // encode renders the record as one frame ready to hit the segment.
 func encode(r *Record) []byte {
-	n := 1 + 8 + 2 + len(r.Rel) + 2 + len(r.Pred) + 2 + len(r.Snapshot) + 8 + 8 + 4
+	n := 1 + 8 + 2 + len(r.Rel) + 2 + len(r.Pred) + 2 + len(r.Base) + 8 + 8 + 4
 	for _, b := range r.Pages {
 		n += 4 + len(b)
 	}
@@ -264,12 +234,10 @@ func encode(r *Record) []byte {
 	buf = append(buf, byte(r.Type))
 	buf = binary.LittleEndian.AppendUint64(buf, r.LSN)
 	switch r.Type {
-	case RecAppend, RecAppendPages:
+	case RecAppendPages:
 		buf = appendString(buf, r.Rel)
 		buf = binary.LittleEndian.AppendUint64(buf, r.SchemaHash)
-		if r.Type == RecAppendPages {
-			buf = binary.LittleEndian.AppendUint64(buf, r.First)
-		}
+		buf = binary.LittleEndian.AppendUint64(buf, r.First)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Pages)))
 		for _, b := range r.Pages {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b)))
@@ -279,7 +247,7 @@ func encode(r *Record) []byte {
 		buf = appendString(buf, r.Rel)
 		buf = appendString(buf, r.Pred)
 	case RecCheckpoint:
-		buf = appendString(buf, r.Snapshot)
+		buf = appendString(buf, r.Base)
 		buf = binary.LittleEndian.AppendUint64(buf, r.CoverLSN)
 	}
 	payload := buf[frameHeaderLen:]
@@ -323,12 +291,12 @@ func decodePayload(p []byte) (*Record, error) {
 	d := &decoder{buf: p}
 	rec := &Record{Type: RecordType(d.u8()), LSN: d.u64()}
 	switch rec.Type {
-	case RecAppend, RecAppendPages:
+	case recRetiredAppend:
+		return nil, fmt.Errorf("%w: lsn %d", errRetiredAppend, rec.LSN)
+	case RecAppendPages:
 		rec.Rel = d.str()
 		rec.SchemaHash = d.u64()
-		if rec.Type == RecAppendPages {
-			rec.First = d.u64()
-		}
+		rec.First = d.u64()
 		n := d.u32()
 		if int64(n) > int64(len(p)) { // cheaper than per-page checks; each page needs >= 1 byte
 			return nil, fmt.Errorf("%w: implausible page count %d", ErrCorrupt, n)
@@ -341,7 +309,7 @@ func decodePayload(p []byte) (*Record, error) {
 		rec.Rel = d.str()
 		rec.Pred = d.str()
 	case RecCheckpoint:
-		rec.Snapshot = d.str()
+		rec.Base = d.str()
 		rec.CoverLSN = d.u64()
 	default:
 		return nil, fmt.Errorf("%w: unknown record type %d", ErrCorrupt, uint8(rec.Type))

@@ -18,18 +18,15 @@ import (
 // Recovery describes what Open found and did to bring the data
 // directory back to a consistent state.
 type Recovery struct {
-	// Fresh is true when the directory held no snapshot and no log:
-	// Open returned a nil catalog for the caller to seed.
+	// Fresh is true when the directory held no committed heap manifest
+	// and no logged write: Open returned a nil catalog for the caller to
+	// seed. A directory whose seeding checkpoint was interrupted is
+	// fresh again.
 	Fresh bool
-	// Snapshot is the snapshot file recovery started from ("" when the
-	// catalog was rebuilt from the log alone), covering every record up
-	// to SnapshotLSN.
-	Snapshot    string
-	SnapshotLSN uint64
-	// SkippedSnapshots counts newer snapshots that failed validation
-	// (torn or corrupt) and were passed over for an older one.
-	SkippedSnapshots int
-	// Replayed counts log records re-applied on top of the snapshot.
+	// BaseLSN is the oldest base LSN across the heap files recovery
+	// started from: replay reached back to the records after it.
+	BaseLSN uint64
+	// Replayed counts log records re-applied on top of the heap files.
 	Replayed int
 	// TornTail is true when the last segment ended in a torn or corrupt
 	// record that was truncated away; TruncatedBytes is how much was
@@ -54,28 +51,24 @@ func (rv Recovery) String() string {
 	if rv.Fresh {
 		return "fresh data directory"
 	}
-	s := fmt.Sprintf("recovered to LSN %d: snapshot %q (covers %d), %d records replayed",
-		rv.LastLSN, rv.Snapshot, rv.SnapshotLSN, rv.Replayed)
+	s := fmt.Sprintf("recovered to LSN %d: heap files cover LSN %d, %d records replayed",
+		rv.LastLSN, rv.BaseLSN, rv.Replayed)
 	if rv.TornTail {
 		s += fmt.Sprintf(", torn tail truncated (%d bytes)", rv.TruncatedBytes)
-	}
-	if rv.SkippedSnapshots > 0 {
-		s += fmt.Sprintf(", %d corrupt snapshots skipped", rv.SkippedSnapshots)
 	}
 	return s
 }
 
 // Open opens (creating if necessary) the data directory, recovers the
-// catalog from the newest valid snapshot plus the log tail, and
-// returns the log ready for appending. On a fresh directory the
-// returned catalog is nil and Recovery.Fresh is true: the caller seeds
-// a catalog and calls Checkpoint to establish the first snapshot.
+// catalog from the heap files plus the log tail, and returns the log
+// ready for appending. On a fresh directory the returned catalog is nil
+// and Recovery.Fresh is true: the caller seeds a catalog and calls
+// Checkpoint to commit it.
 //
-// Recovery applies the redo rule: load the newest snapshot that is
-// both valid (checksummed) and coverable (the log still holds every
-// record after it), then replay records with LSN beyond its cover in
-// order. A torn or corrupt record at the very end of the last segment
-// is truncated away — it is the unacknowledged write the crash
+// Recovery applies the redo rule: load the relations the manifest
+// names, then replay in order every record past its relation's own base
+// LSN. A torn or corrupt record at the very end of the last segment is
+// truncated away — it is the unacknowledged write the crash
 // interrupted. Corruption anywhere else is a hard ErrCorrupt: the log
 // no longer proves what was acknowledged, and refusing to serve beats
 // silently dropping acked writes.
@@ -98,6 +91,9 @@ func Open(dir string, opts Options) (*Log, *catalog.Catalog, Recovery, error) {
 
 	rv, cat, err := l.recover()
 	if err != nil {
+		if l.heap != nil {
+			l.heap.Close()
+		}
 		return nil, nil, Recovery{}, err
 	}
 	rv.Elapsed = time.Since(start)
@@ -108,7 +104,6 @@ func Open(dir string, opts Options) (*Log, *catalog.Catalog, Recovery, error) {
 		if rv.TornTail {
 			reg.Inc("wal.torn_tail_truncations", 1)
 		}
-		reg.Inc("wal.snapshots_skipped", int64(rv.SkippedSnapshots))
 		reg.Histogram("wal.recovery_ns", obs.DurationBuckets()).ObserveDuration(rv.Elapsed)
 	}
 
@@ -116,30 +111,50 @@ func Open(dir string, opts Options) (*Log, *catalog.Catalog, Recovery, error) {
 	return l, cat, rv, nil
 }
 
-// recover scans snapshots and segments, repairs the tail, replays, and
-// leaves l positioned to append (seg open, lsn set).
+// refuseSnapshotLayout is the check a directory without a heap manifest
+// must pass before it may be called fresh: whole-catalog snapshot files
+// are the one layout this build no longer reads, and treating it as
+// fresh would serve an empty database over somebody's data.
+func refuseSnapshotLayout(dir string) error {
+	old, err := filepath.Glob(filepath.Join(dir, "snap-*.db"))
+	if err != nil {
+		return err
+	}
+	if len(old) > 0 {
+		return fmt.Errorf("wal: %s holds %s and no heap manifest: pre-heap snapshot layout; open once with a build at or before commit 1d4794a to migrate",
+			dir, filepath.Base(old[0]))
+	}
+	return nil
+}
+
+// recover scans the segments, repairs the tail, replays, and leaves l
+// positioned to append (seg open, lsn set).
 //
-// In heap mode (Options.Heap) the recovery base is the heap store
-// itself: when a manifest exists the catalog loads from the heap
-// files and replay applies only records past each relation's own base
-// LSN (deletes advance a single file's base, so the horizon is per
-// relation, not global). When no manifest exists yet, the directory
-// is a snapshot-engine layout (or brand new): normal snapshot
-// recovery rebuilds the resident catalog, which is then migrated —
-// every relation adopted into a heap file, the manifest written as
-// the atomic commit, and only then the obsolete snapshots removed.
+// The recovery base is the heap store itself: the catalog loads from
+// the files the manifest names and replay applies only records past
+// each relation's own base LSN (deletes advance a single file's base,
+// so the horizon is per relation, not global). The manifest is the
+// atomic commit of the first checkpoint, so a directory without one
+// was never seeded — or died while seeding — and is fresh, provided
+// its log agrees: a logged write with no base to apply it to means
+// acknowledged data is gone, and that is ErrCorrupt, never an empty
+// catalog.
 func (l *Log) recover() (Recovery, *catalog.Catalog, error) {
 	var rv Recovery
 
-	if l.opts.Heap != nil {
-		hs, err := heap.OpenStore(filepath.Join(l.dir, "heap"), l.opts.Heap.Frames, l.opts.Obs)
-		if err != nil {
+	heapDir := filepath.Join(l.dir, "heap")
+	seeded := heap.HasManifest(heapDir)
+	if !seeded {
+		if err := refuseSnapshotLayout(l.dir); err != nil {
 			return rv, nil, err
 		}
-		l.heap = hs
+	}
+	var err error
+	if l.heap, err = heap.OpenStore(heapDir, l.opts.Heap.Frames, l.opts.Obs); err != nil {
+		return rv, nil, err
 	}
 
-	segs, err := listSeq(l.walDir, segPrefix, segSuffix)
+	segs, err := listSegments(l.walDir)
 	if err != nil {
 		return rv, nil, err
 	}
@@ -164,90 +179,42 @@ func (l *Log) recover() (Recovery, *catalog.Catalog, error) {
 		segs = segs[:len(segs)-1]
 	}
 
-	snaps, err := listSeq(l.dir, snapPrefix, snapSuffix)
-	if err != nil {
-		return rv, nil, err
-	}
-
-	heapBase := l.heap != nil && l.heap.ManifestExists()
-
-	if len(segs) == 0 && len(snaps) == 0 && !heapBase {
-		rv.Fresh = true
-		if err := l.openSegment(1); err != nil {
-			return rv, nil, err
-		}
-		return rv, nil, nil
-	}
-
 	var cat *catalog.Catalog
-	var shouldApply func(*Record) bool
+	var apply func(*Record) (bool, error)
 	lastLSN := uint64(0)
-	if heapBase {
-		// The heap files are the recovery base. Replay must reach back
-		// to the oldest per-relation base LSN; a later-starting log has
-		// lost acknowledged records.
+	if seeded {
+		// Replay must reach back to the oldest per-relation base LSN; a
+		// later-starting log has lost acknowledged records.
 		cat, err = l.heap.LoadCatalog()
 		if err != nil {
 			return rv, nil, err
 		}
-		minBase := l.heap.MinBaseLSN()
-		if len(segs) > 0 && segs[0].lsn > minBase+1 {
+		rv.BaseLSN = l.heap.MinBaseLSN()
+		if len(segs) > 0 && segs[0].lsn > rv.BaseLSN+1 {
 			return rv, nil, fmt.Errorf("%w: log starts at LSN %d but heap files only cover LSN %d",
-				ErrCorrupt, segs[0].lsn, minBase)
+				ErrCorrupt, segs[0].lsn, rv.BaseLSN)
 		}
-		rv.Snapshot = heapCheckpointName
-		rv.SnapshotLSN = minBase
 		lastLSN = l.heap.MaxBaseLSN()
-		shouldApply = func(rec *Record) bool {
+		apply = func(rec *Record) (bool, error) {
 			if rec.Type == RecCheckpoint {
-				return false
-			}
-			rel, err := cat.Get(rec.Rel)
-			if err != nil {
-				return true // let Apply surface the unknown-relation error
+				return false, nil
 			}
 			// Per-relation horizon: a delete's atomic file rewrite
 			// advances one file's base past the global checkpoint cover.
-			return rec.LSN > rel.StoreBaseLSN()
+			// (An unknown relation falls through for Apply to report.)
+			if rel, err := cat.Get(rec.Rel); err == nil && rec.LSN <= rel.StoreBaseLSN() {
+				return false, nil
+			}
+			_, err := rec.Apply(cat)
+			return err == nil, err
 		}
 	} else {
-		// Pick the newest snapshot that loads cleanly AND whose cover
-		// reaches back to the log: with dense LSNs, replay can continue
-		// from a snapshot covering C iff some surviving segment starts at
-		// or below C+1 (or the log is empty entirely).
-		for i := len(snaps) - 1; i >= 0; i-- {
-			sn := snaps[i]
-			if len(segs) > 0 && segs[0].lsn > sn.lsn+1 {
-				// The records between this snapshot and the log's start were
-				// pruned on the authority of a newer snapshot; this one
-				// cannot seed a complete replay.
-				break
+		rv.Fresh = true
+		apply = func(rec *Record) (bool, error) {
+			if rec.Type == RecCheckpoint {
+				return false, nil
 			}
-			c, lerr := catalog.LoadFile(sn.path)
-			if lerr != nil {
-				if errors.Is(lerr, catalog.ErrCorrupt) {
-					rv.SkippedSnapshots++
-					continue
-				}
-				return rv, nil, lerr
-			}
-			cat = c
-			rv.Snapshot = filepath.Base(sn.path)
-			rv.SnapshotLSN = sn.lsn
-			break
-		}
-		if cat == nil {
-			if len(segs) == 0 || segs[0].lsn != 1 {
-				return rv, nil, fmt.Errorf("%w: no usable snapshot and log does not start at LSN 1", ErrCorrupt)
-			}
-			// Rebuild from nothing: replay the whole log into an empty
-			// catalog. Only correct when the log begins at LSN 1.
-			cat = catalog.New()
-		}
-		lastLSN = rv.SnapshotLSN
-		cover := rv.SnapshotLSN
-		shouldApply = func(rec *Record) bool {
-			return rec.LSN > cover && rec.Type != RecCheckpoint
+			return false, fmt.Errorf("%w: log has writes but no checkpoint base (LSN %d, %s)", ErrCorrupt, rec.LSN, rec.Summary())
 		}
 	}
 
@@ -255,7 +222,7 @@ func (l *Log) recover() (Recovery, *catalog.Catalog, error) {
 	expect := uint64(0) // next LSN the log must present; 0 = not yet known
 	for i, sf := range segs {
 		isLast := i == len(segs)-1
-		res, err := replaySegment(sf, isLast, cat, shouldApply, &expect, l.opts.Obs)
+		res, err := replaySegment(sf, isLast, apply, &expect, l.opts.Obs)
 		if err != nil {
 			return rv, nil, err
 		}
@@ -273,29 +240,6 @@ func (l *Log) recover() (Recovery, *catalog.Catalog, error) {
 	}
 	rv.LastLSN = lastLSN
 	l.lsn = lastLSN
-	l.ckptLSN.Store(rv.SnapshotLSN)
-
-	if l.heap != nil && !heapBase {
-		// Migrate the snapshot-era directory to heap files. Ordering is
-		// the crash safety: adopt every relation into a durable heap
-		// file at base LSN lastLSN, commit the set by writing the
-		// manifest atomically, and only then drop the snapshots. A crash
-		// before the manifest lands replays this same migration; after,
-		// recovery trusts the heap files.
-		if err := l.heap.Checkpoint(cat, lastLSN); err != nil {
-			return rv, nil, fmt.Errorf("wal: heap migration: %w", err)
-		}
-		for _, sn := range snaps {
-			if err := os.Remove(sn.path); err != nil {
-				return rv, nil, err
-			}
-		}
-		if err := catalog.SyncDir(l.dir); err != nil {
-			return rv, nil, err
-		}
-		l.ckptGen.Store(cat.Generation())
-		l.ckptLSN.Store(lastLSN)
-	}
 
 	// Resume appending: reuse the last segment if one survived with
 	// room, else start a new one right after the recovered tail.
@@ -311,7 +255,6 @@ func (l *Log) recover() (Recovery, *catalog.Catalog, error) {
 				return rv, nil, err
 			}
 			l.seg = f
-			l.segStart = sf.lsn
 			l.segSize = info.Size()
 			return rv, cat, nil
 		}
@@ -336,7 +279,7 @@ type segScan struct {
 
 // hasValidHeader reports whether the segment file carries a complete,
 // correct header matching its name.
-func hasValidHeader(sf seqFile) (bool, error) {
+func hasValidHeader(sf segFile) (bool, error) {
 	f, err := os.Open(sf.path)
 	if err != nil {
 		return false, err
@@ -365,12 +308,12 @@ func checkHeader(hdr [segHeaderLen]byte, nameLSN uint64) error {
 	return nil
 }
 
-// replaySegment reads one segment, applying the records shouldApply
-// selects to cat. For the last segment a torn or corrupt record marks
-// the truncation point and ends the scan; anywhere else it is
-// ErrCorrupt. expect carries the dense-LSN continuity check across
-// segments (0 until the first record fixes it).
-func replaySegment(sf seqFile, isLast bool, cat *catalog.Catalog, shouldApply func(*Record) bool, expect *uint64, o *obs.Observer) (segScan, error) {
+// replaySegment reads one segment, handing every record to apply, which
+// reports whether it redid the record. For the last segment a torn or
+// corrupt record marks the truncation point and ends the scan; anywhere
+// else it is ErrCorrupt. expect carries the dense-LSN continuity check
+// across segments (0 until the first record fixes it).
+func replaySegment(sf segFile, isLast bool, apply func(*Record) (bool, error), expect *uint64, o *obs.Observer) (segScan, error) {
 	res := segScan{truncatedAt: -1}
 	f, err := os.Open(sf.path)
 	if err != nil {
@@ -399,7 +342,7 @@ func replaySegment(sf seqFile, isLast bool, cat *catalog.Catalog, shouldApply fu
 			return res, nil
 		}
 		if err != nil {
-			if isLast {
+			if isLast && !errors.Is(err, errRetiredAppend) {
 				res.truncatedAt = off
 				return res, nil
 			}
@@ -422,10 +365,11 @@ func replaySegment(sf seqFile, isLast bool, cat *catalog.Catalog, shouldApply fu
 
 		// Checkpoint records are replay no-ops and are not counted:
 		// Replayed reports redone writes.
-		if cat != nil && shouldApply(rec) {
-			if _, err := rec.Apply(cat); err != nil {
-				return res, fmt.Errorf("replaying LSN %d: %w", rec.LSN, err)
-			}
+		redone, err := apply(rec)
+		if err != nil {
+			return res, fmt.Errorf("replaying LSN %d: %w", rec.LSN, err)
+		}
+		if redone {
 			res.replayed++
 			recordReplay(o, rec)
 		}
@@ -480,37 +424,22 @@ type SegmentInfo struct {
 	Err string
 }
 
-// SnapshotInfo describes one catalog snapshot for inspection.
-type SnapshotInfo struct {
-	Name     string
-	CoverLSN uint64
-	Bytes    int64
-	// Err is the validation failure ("" when the snapshot loads).
-	Err string
-}
-
 // Report is what Inspect finds in a data directory.
 type Report struct {
-	Segments  []SegmentInfo
-	Snapshots []SnapshotInfo
-	// Heap holds the per-relation heap-file audits when the directory
-	// runs heap-file storage (header CRCs, slot checksums, geometry vs
-	// manifest, on-disk sizes). Empty in snapshot mode.
+	Segments []SegmentInfo
+	// Heap holds the per-relation heap-file audits (header CRCs, slot
+	// checksums, geometry vs manifest, on-disk sizes). Empty until the
+	// first checkpoint commits a manifest.
 	Heap []heap.FileAudit
 	// FirstLSN and LastLSN bound the readable records.
 	FirstLSN, LastLSN uint64
 	Records           int
 }
 
-// Clean reports whether every snapshot, every segment (torn tails
-// included), and every heap file validated.
+// Clean reports whether every segment (torn tails included) and every
+// heap file validated.
 func (rp *Report) Clean() bool {
 	for _, s := range rp.Segments {
-		if s.Err != "" {
-			return false
-		}
-	}
-	for _, s := range rp.Snapshots {
 		if s.Err != "" {
 			return false
 		}
@@ -524,9 +453,10 @@ func (rp *Report) Clean() bool {
 }
 
 // Inspect scans a data directory read-only — no repairs, no
-// truncation — reporting every snapshot and segment and calling fn
+// truncation — auditing every heap file and segment and calling fn
 // (when non-nil) with each decodable record in LSN order. It backs the
-// `dfdbm wal` subcommand and works on a live or crashed directory.
+// `dfdbm wal` subcommand and works on a live or crashed directory; a
+// pre-heap snapshot layout is refused exactly as Open refuses it.
 func Inspect(dir string, fn func(segment string, offset int64, rec *Record)) (*Report, error) {
 	rp := &Report{}
 	walDir := filepath.Join(dir, "wal")
@@ -537,24 +467,11 @@ func Inspect(dir string, fn func(segment string, offset int64, rec *Record)) (*R
 			return nil, err
 		}
 		rp.Heap = audits
-	}
-
-	snaps, err := listSeq(dir, snapPrefix, snapSuffix)
-	if err != nil {
+	} else if err := refuseSnapshotLayout(dir); err != nil {
 		return nil, err
 	}
-	for _, sn := range snaps {
-		si := SnapshotInfo{Name: filepath.Base(sn.path), CoverLSN: sn.lsn}
-		if info, err := os.Stat(sn.path); err == nil {
-			si.Bytes = info.Size()
-		}
-		if _, err := catalog.LoadFile(sn.path); err != nil {
-			si.Err = err.Error()
-		}
-		rp.Snapshots = append(rp.Snapshots, si)
-	}
 
-	segs, err := listSeq(walDir, segPrefix, segSuffix)
+	segs, err := listSegments(walDir)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return rp, nil
@@ -579,7 +496,7 @@ func Inspect(dir string, fn func(segment string, offset int64, rec *Record)) (*R
 	return rp, nil
 }
 
-func inspectSegment(sf seqFile, expect *uint64, fn func(string, int64, *Record)) (SegmentInfo, error) {
+func inspectSegment(sf segFile, expect *uint64, fn func(string, int64, *Record)) (SegmentInfo, error) {
 	name := filepath.Base(sf.path)
 	si := SegmentInfo{Name: name, FirstLSN: sf.lsn}
 	f, err := os.Open(sf.path)

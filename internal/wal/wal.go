@@ -64,10 +64,6 @@ type Options struct {
 	SegmentSize int64
 	// Fsync is the durability policy. Default FsyncCommit.
 	Fsync FsyncPolicy
-	// Snapshots is how many catalog snapshots to retain (the newest is
-	// the recovery base; older ones are fallbacks for a torn newest).
-	// Default 2.
-	Snapshots int
 	// Obs, when non-nil, receives the wal.* counters and histograms
 	// (append/fsync latency, group-commit size, recovery and
 	// torn-tail counters) and — when it carries a flight recorder —
@@ -77,15 +73,13 @@ type Options struct {
 	// the Nth record write or fsync: the crash-point hook driving
 	// recovery tests and the CI kill -9 loop.
 	Injector *Injector
-	// Heap, when non-nil, switches the data directory to heap-file
-	// storage: each relation lives in <dir>/heap/<name>.heap behind a
-	// shared pinning buffer pool, checkpoints flush and advance the
-	// per-relation files instead of snapshotting the whole catalog,
-	// and recovery replays the log tail into the files page-by-page.
+	// Heap is the heap files' buffer-pool frame budget; nil means the
+	// defaults.
 	Heap *HeapOptions
 }
 
-// HeapOptions parameterizes heap-file storage (Options.Heap).
+// HeapOptions sizes the buffer pool in front of the heap files
+// (Options.Heap).
 type HeapOptions struct {
 	// Frames is the buffer-pool frame budget shared by all relations.
 	// Default heap.DefaultFrames.
@@ -96,8 +90,8 @@ func (o Options) withDefaults() Options {
 	if o.SegmentSize <= 0 {
 		o.SegmentSize = 16 << 20
 	}
-	if o.Snapshots <= 0 {
-		o.Snapshots = 2
+	if o.Heap == nil {
+		o.Heap = &HeapOptions{}
 	}
 	return o
 }
@@ -177,8 +171,13 @@ func (in *Injector) onSync() error {
 
 // Log is an open write-ahead log rooted at a data directory:
 //
-//	<dir>/snap-<lsn>.db    atomic catalog snapshots
+//	<dir>/heap/<name>.heap   one slotted heap file per relation
+//	<dir>/heap/manifest      the relation set; its atomic rewrite commits a checkpoint
 //	<dir>/wal/wal-<lsn>.seg  log segments, first LSN in the name
+//
+// Each relation lives in its heap file behind a shared pinning buffer
+// pool; a checkpoint flushes the files and advances their base LSNs,
+// and recovery replays the log tail into them page by page.
 //
 // Append is safe for concurrent use; records are assigned dense LSNs
 // in arrival order and made durable by a single group-commit flusher
@@ -201,23 +200,18 @@ type Log struct {
 
 	// Flusher-owned segment state (guarded by the flusher being the
 	// only writer after Open returns).
-	seg      *os.File
-	segStart uint64
-	segSize  int64
+	seg     *os.File
+	segSize int64
 
 	sinceCkpt atomic.Int64 // bytes appended since the last checkpoint
 	ckptGen   atomic.Int64 // catalog generation at the last checkpoint
-	ckptLSN   atomic.Uint64
 
-	// heap is the heap-file store when Options.Heap is set; nil in
-	// snapshot mode.
 	heap *heap.Store
 
 	flusherDone chan struct{}
 }
 
-// Heap returns the heap-file store, or nil when the log runs in
-// whole-catalog snapshot mode.
+// Heap returns the heap-file store; it is never nil.
 func (l *Log) Heap() *heap.Store { return l.heap }
 
 // testFlushGate, when non-nil, sees every batch before it is written —
@@ -235,23 +229,20 @@ type appendReq struct {
 const (
 	segPrefix    = "wal-"
 	segSuffix    = ".seg"
-	snapPrefix   = "snap-"
-	snapSuffix   = ".db"
 	segHeaderLen = 20
 	segVersion   = 1
 )
 
 var segMagic = [8]byte{'D', 'F', 'D', 'B', 'M', 'W', 'A', 'L'}
 
-func segName(firstLSN uint64) string  { return fmt.Sprintf("%s%016x%s", segPrefix, firstLSN, segSuffix) }
-func snapName(coverLSN uint64) string { return fmt.Sprintf("%s%016x%s", snapPrefix, coverLSN, snapSuffix) }
+func segName(firstLSN uint64) string { return fmt.Sprintf("%s%016x%s", segPrefix, firstLSN, segSuffix) }
 
-// parseSeqName extracts the LSN from "wal-<16 hex>.seg" / "snap-...db".
-func parseSeqName(name, prefix, suffix string) (uint64, bool) {
-	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
+// parseSegName extracts the first LSN from "wal-<16 hex>.seg".
+func parseSegName(name string) (uint64, bool) {
+	if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
 		return 0, false
 	}
-	hex := name[len(prefix) : len(name)-len(suffix)]
+	hex := name[len(segPrefix) : len(name)-len(segSuffix)]
 	if len(hex) != 16 {
 		return 0, false
 	}
@@ -428,44 +419,33 @@ func (l *Log) openSegment(firstLSN uint64) error {
 		}
 	}
 	l.seg = f
-	l.segStart = firstLSN
 	l.segSize = segHeaderLen
 	l.count("wal.segments_created", 1)
 	return nil
 }
 
-// Checkpoint atomically snapshots the catalog, logs a checkpoint
-// record referencing it, and prunes segments and snapshots the new
-// snapshot obsoletes. The caller must guarantee no writer mutates the
-// catalog during the call (the server runs checkpoints as a job whose
-// footprint writes every relation). A checkpoint with no writes since
-// the previous one is skipped.
+// Checkpoint makes every relation durable in its heap file — dirty
+// frames flushed, each file fsynced and its header advanced to the
+// current LSN, the set committed by the manifest — then logs a
+// checkpoint record and prunes the segments it obsoletes. The caller
+// must guarantee no writer mutates the catalog during the call (the
+// server runs checkpoints as a job whose footprint writes every
+// relation). A checkpoint with no writes since the previous one is
+// skipped, provided a committed manifest already exists.
 func (l *Log) Checkpoint(cat *catalog.Catalog) error {
 	gen := cat.Generation()
-	if gen == l.ckptGen.Load() && l.hasCheckpointBase() {
+	if gen == l.ckptGen.Load() && l.heap.ManifestExists() {
 		l.count("wal.checkpoints_skipped", 1)
 		return nil
 	}
 	cover := l.LastLSN()
-	name := heapCheckpointName
-	if l.heap != nil {
-		// Heap mode: per-relation durability. Flush every dirty frame,
-		// fsync each heap file, advance its header to cover, and commit
-		// the set via the manifest — no whole-catalog snapshot.
-		if err := l.heap.Checkpoint(cat, cover); err != nil {
-			return fmt.Errorf("wal: heap checkpoint: %w", err)
-		}
-	} else {
-		name = snapName(cover)
-		if err := catalog.WriteFileAtomic(filepath.Join(l.dir, name), cat.Save); err != nil {
-			return fmt.Errorf("wal: checkpoint snapshot: %w", err)
-		}
+	if err := l.heap.Checkpoint(cat, cover); err != nil {
+		return fmt.Errorf("wal: heap checkpoint: %w", err)
 	}
-	if _, err := l.Append(&Record{Type: RecCheckpoint, Snapshot: name, CoverLSN: cover}); err != nil {
+	if _, err := l.Append(&Record{Type: RecCheckpoint, Base: checkpointBase, CoverLSN: cover}); err != nil {
 		return fmt.Errorf("wal: checkpoint record: %w", err)
 	}
 	l.ckptGen.Store(gen)
-	l.ckptLSN.Store(cover)
 	l.sinceCkpt.Store(0)
 	l.count("wal.checkpoints", 1)
 	if err := l.prune(cover); err != nil {
@@ -474,30 +454,13 @@ func (l *Log) Checkpoint(cat *catalog.Catalog) error {
 	return nil
 }
 
-// heapCheckpointName is the Snapshot field of heap-mode checkpoint
-// records: the durable base is the heap files themselves.
-const heapCheckpointName = "heap"
+// checkpointBase is the Base field of every checkpoint record: the
+// durable base is the heap files themselves.
+const checkpointBase = "heap"
 
-// hasCheckpointBase reports whether a recovery base already exists on
-// disk (a snapshot file, or in heap mode a committed manifest) — the
-// condition under which an unchanged-generation checkpoint may be
-// skipped.
-func (l *Log) hasCheckpointBase() bool {
-	if l.heap != nil {
-		return l.heap.ManifestExists()
-	}
-	return l.hasSnapshot()
-}
-
-func (l *Log) hasSnapshot() bool {
-	snaps, _ := listSeq(l.dir, snapPrefix, snapSuffix)
-	return len(snaps) > 0
-}
-
-// prune removes segments fully covered by the checkpoint at cover and
-// all but the newest Options.Snapshots snapshot files.
+// prune removes segments fully covered by the checkpoint at cover.
 func (l *Log) prune(cover uint64) error {
-	segs, err := listSeq(l.walDir, segPrefix, segSuffix)
+	segs, err := listSegments(l.walDir)
 	if err != nil {
 		return err
 	}
@@ -512,21 +475,11 @@ func (l *Log) prune(cover uint64) error {
 			l.count("wal.segments_pruned", 1)
 		}
 	}
-	snaps, err := listSeq(l.dir, snapPrefix, snapSuffix)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < len(snaps)-l.opts.Snapshots; i++ {
-		if err := os.Remove(snaps[i].path); err != nil {
-			return err
-		}
-		l.count("wal.snapshots_pruned", 1)
-	}
 	return catalog.SyncDir(l.dir)
 }
 
-// Close flushes pending appends and closes the log. In heap mode the
-// heap files close WITHOUT flushing dirty buffer-pool frames: every
+// Close flushes pending appends and closes the log. The heap files
+// close WITHOUT flushing dirty buffer-pool frames: every
 // unflushed page is past some file's base LSN and therefore in the
 // log, so an unflushed close recovers exactly like a crash — which
 // keeps the close path trivially correct.
@@ -541,32 +494,28 @@ func (l *Log) Close() error {
 	l.cond.Broadcast()
 	l.mu.Unlock()
 	<-l.flusherDone
-	if l.heap != nil {
-		return l.heap.Close()
-	}
-	return nil
+	return l.heap.Close()
 }
 
-// seqFile is one LSN-named file (segment or snapshot).
-type seqFile struct {
+// segFile is one log segment, named after the LSN of its first record.
+type segFile struct {
 	path string
 	lsn  uint64
 }
 
-// listSeq lists the LSN-named files with the given prefix/suffix in
-// dir, sorted ascending by LSN.
-func listSeq(dir, prefix, suffix string) ([]seqFile, error) {
-	entries, err := os.ReadDir(dir)
+// listSegments lists the segments in walDir, sorted ascending by LSN.
+func listSegments(walDir string) ([]segFile, error) {
+	entries, err := os.ReadDir(walDir)
 	if err != nil {
 		return nil, err
 	}
-	var out []seqFile
+	var out []segFile
 	for _, e := range entries {
 		if e.IsDir() {
 			continue
 		}
-		if n, ok := parseSeqName(e.Name(), prefix, suffix); ok {
-			out = append(out, seqFile{path: filepath.Join(dir, e.Name()), lsn: n})
+		if n, ok := parseSegName(e.Name()); ok {
+			out = append(out, segFile{path: filepath.Join(walDir, e.Name()), lsn: n})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].lsn < out[j].lsn })

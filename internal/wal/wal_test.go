@@ -37,47 +37,6 @@ func seedCatalog(t testing.TB) *catalog.Catalog {
 	return c
 }
 
-// appendRecord builds a RecAppend carrying n freshly built tuples
-// starting at id start.
-func appendRecord(t testing.TB, start, n int) *Record {
-	t.Helper()
-	src := relation.MustNew("src", evSchema(), 128)
-	for i := 0; i < n; i++ {
-		if err := src.Insert(relation.Tuple{relation.IntVal(int64(start + i)), relation.StringVal("wal")}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pages := make([][]byte, 0, src.NumPages())
-	for _, pg := range src.Pages() {
-		pages = append(pages, pg.Marshal())
-	}
-	return &Record{Type: RecAppend, Rel: "ev", SchemaHash: SchemaHash(evSchema()), Pages: pages}
-}
-
-func deleteRecord(pred string) *Record {
-	return &Record{Type: RecDelete, Rel: "ev", Pred: pred}
-}
-
-// testOps is the shared op sequence: appends and deletes that exercise
-// multi-page payloads, compaction, and predicate replay.
-func testOps(t testing.TB) []*Record {
-	return []*Record{
-		appendRecord(t, 100, 5),
-		deleteRecord("id < 2"),
-		appendRecord(t, 200, 30), // several pages
-		deleteRecord(`(id >= 200) and (id < 210)`),
-		appendRecord(t, 300, 3),
-		deleteRecord("tag = \"seed\""),
-	}
-}
-
-// cloneRecord copies a record so the same logical op can be logged
-// (which assigns an LSN) and replayed against reference catalogs.
-func cloneRecord(r *Record) *Record {
-	c := *r
-	return &c
-}
-
 func saveBytes(t testing.TB, c *catalog.Catalog) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -85,22 +44,6 @@ func saveBytes(t testing.TB, c *catalog.Catalog) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-// prefixStates returns the catalog Save bytes after applying each
-// prefix of ops to the seed: prefixStates[k] is seed + ops[:k].
-func prefixStates(t testing.TB, ops []*Record) [][]byte {
-	t.Helper()
-	out := make([][]byte, 0, len(ops)+1)
-	c := seedCatalog(t)
-	out = append(out, saveBytes(t, c))
-	for _, op := range ops {
-		if _, err := cloneRecord(op).Apply(c); err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, saveBytes(t, c))
-	}
-	return out
 }
 
 // openSeeded opens dir, seeding and checkpointing a fresh directory.
@@ -119,25 +62,53 @@ func openSeeded(t testing.TB, dir string, opts Options) (*Log, *catalog.Catalog)
 	return l, cat
 }
 
-func TestRoundtripRecovery(t *testing.T) {
-	dir := t.TempDir()
-	l, cat := openSeeded(t, dir, Options{})
-	ops := testOps(t)
+// replayedAfterClose is how many of ops an unflushed Close leaves for
+// recovery to redo: a delete rewrites the heap file with the delete's
+// own LSN as its base, so only the ops after the last delete are past
+// the file's horizon.
+func replayedAfterClose(ops []heapOp) int {
+	n := 0
 	for _, op := range ops {
-		if _, err := l.Append(op); err != nil {
-			t.Fatal(err)
+		n++
+		if op.kind == "delete" {
+			n = 0
 		}
-		if _, err := op.Apply(cat); err != nil {
+	}
+	return n
+}
+
+// roundtripRecovery logs and applies the op sequence, closes without
+// flushing a frame, and expects recovery to rebuild the catalog byte
+// for byte — checked against the resident reference at the catalog and
+// at the marshalled-page level — and to resume with dense LSNs.
+func roundtripRecovery(t *testing.T, opts Options) {
+	dir := t.TempDir()
+	l, cat := openSeeded(t, dir, opts)
+	ops := append(heapTestOps(), heapOp{kind: "append", start: 400, n: 7})
+	states := heapPrefixStates(t, ops)
+	for _, op := range ops {
+		if err := applyHeapOp(t, l, cat, op); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want := saveBytes(t, cat)
+	rel, err := cat.Get("ev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rel.Stored() {
+		t.Fatal("checkpointed relation is not heap-backed")
+	}
+	if got := saveBytes(t, cat); !bytes.Equal(got, states[len(ops)]) {
+		t.Fatal("live heap-backed catalog differs from resident reference")
+	}
 	lastLSN := l.LastLSN()
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	l2, cat2, rv, err := Open(dir, Options{})
+	// Close does not flush dirty frames: reopening is a genuine
+	// recovery, replaying the log tail into the heap file.
+	l2, cat2, rv, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,8 +116,8 @@ func TestRoundtripRecovery(t *testing.T) {
 	if rv.Fresh {
 		t.Fatal("recovery reported a fresh directory")
 	}
-	if rv.Replayed != len(ops) {
-		t.Fatalf("replayed %d records, want %d", rv.Replayed, len(ops))
+	if want := replayedAfterClose(ops); rv.Replayed != want {
+		t.Fatalf("replayed %d records, want %d", rv.Replayed, want)
 	}
 	if rv.TornTail {
 		t.Fatal("clean shutdown reported a torn tail")
@@ -154,12 +125,19 @@ func TestRoundtripRecovery(t *testing.T) {
 	if l2.LastLSN() != lastLSN {
 		t.Fatalf("recovered LastLSN %d, want %d", l2.LastLSN(), lastLSN)
 	}
-	if got := saveBytes(t, cat2); !bytes.Equal(got, want) {
-		t.Fatal("recovered catalog is not byte-identical to the live one")
+	if got := saveBytes(t, cat2); !bytes.Equal(got, states[len(ops)]) {
+		t.Fatal("recovered catalog is not byte-identical to the reference")
 	}
+	ref := seedCatalog(t)
+	for _, op := range ops {
+		applyHeapOp(t, nil, ref, op)
+	}
+	wantRel, _ := ref.Get("ev")
+	gotRel, _ := cat2.Get("ev")
+	requirePagesEqual(t, gotRel, wantRel)
 
 	// Appends continue with dense LSNs after recovery.
-	lsn, err := l2.Append(appendRecord(t, 900, 1))
+	lsn, err := l2.Append(&Record{Type: RecDelete, Rel: "ev", Pred: "id < 0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,6 +146,12 @@ func TestRoundtripRecovery(t *testing.T) {
 	}
 }
 
+// TestRoundtripRecovery runs the roundtrip behind the default buffer
+// pool: every page stays in its frame, no write-back reaches the heap
+// file before the close, and recovery rebuilds the tail from the log.
+// (TestHeapRoundtripRecovery is the same under eviction.)
+func TestRoundtripRecovery(t *testing.T) { roundtripRecovery(t, Options{}) }
+
 func TestGroupCommitSharesFsync(t *testing.T) {
 	const writers = 8
 	reg := obs.NewRegistry(time.Second)
@@ -175,6 +159,18 @@ func TestGroupCommitSharesFsync(t *testing.T) {
 	dir := t.TempDir()
 
 	l, cat := openSeeded(t, dir, Options{Obs: o})
+	// The records are built up front (AppendRecord reads the
+	// destination) and never applied: only the log is under test.
+	dst, err := cat.Get("ev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]*Record, writers)
+	for w := range recs {
+		if recs[w], err = AppendRecord(dst, buildSrc(t, 1000+10*w, 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	// Hold the flusher on its first post-seed batch until every writer
 	// is either inside that batch or queued behind it, forcing the
@@ -202,7 +198,7 @@ func TestGroupCommitSharesFsync(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			lsn, err := l.Append(appendRecord(t, 1000+10*w, 2))
+			lsn, err := l.Append(recs[w])
 			if err != nil {
 				t.Error(err)
 				return
@@ -216,7 +212,6 @@ func TestGroupCommitSharesFsync(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_ = cat
 
 	// Dense, unique LSNs 2..writers+1 (the checkpoint record took 1).
 	if len(lsns) != writers {
@@ -249,15 +244,11 @@ func TestRotationAndPrune(t *testing.T) {
 	// Tiny segments force rotation every record or two.
 	l, cat := openSeeded(t, dir, Options{SegmentSize: 512, Obs: obs.New(nil, reg)})
 	for i := 0; i < 10; i++ {
-		op := appendRecord(t, 1000+10*i, 4)
-		if _, err := l.Append(op); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := op.Apply(cat); err != nil {
+		if err := applyHeapOp(t, l, cat, heapOp{kind: "append", start: 1000 + 10*i, n: 4}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	segs, err := listSeq(filepath.Join(dir, "wal"), segPrefix, segSuffix)
+	segs, err := listSegments(filepath.Join(dir, "wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,12 +256,13 @@ func TestRotationAndPrune(t *testing.T) {
 		t.Fatalf("only %d segments after 10 oversized appends", len(segs))
 	}
 
-	// Checkpoint prunes everything the snapshot covers but the last
-	// segment, and keeps at most Options.Snapshots snapshot files.
+	// Checkpoint prunes everything the heap files now cover but the
+	// last segment, and the files' base LSN is what licensed it.
+	cover := l.LastLSN()
 	if err := l.Checkpoint(cat); err != nil {
 		t.Fatal(err)
 	}
-	after, err := listSeq(filepath.Join(dir, "wal"), segPrefix, segSuffix)
+	after, err := listSegments(filepath.Join(dir, "wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,12 +272,8 @@ func TestRotationAndPrune(t *testing.T) {
 	if pruned := reg.Counter("wal.segments_pruned"); int(pruned) != len(segs)-1 {
 		t.Fatalf("wal.segments_pruned = %d, want %d", pruned, len(segs)-1)
 	}
-	snaps, err := listSeq(dir, snapPrefix, snapSuffix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) != 2 {
-		t.Fatalf("%d snapshots retained, want 2", len(snaps))
+	if base := l.Heap().MinBaseLSN(); base != cover {
+		t.Fatalf("heap files cover LSN %d after the checkpoint, want %d", base, cover)
 	}
 	want := saveBytes(t, cat)
 	if err := l.Close(); err != nil {
@@ -311,30 +299,19 @@ func TestCheckpointSkipsWhenClean(t *testing.T) {
 	l, cat := openSeeded(t, dir, Options{Obs: obs.New(nil, reg)})
 	defer l.Close()
 
-	before, err := listSeq(dir, snapPrefix, snapSuffix)
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := l.LastLSN()
 	if err := l.Checkpoint(cat); err != nil {
 		t.Fatal(err)
 	}
-	after, err := listSeq(dir, snapPrefix, snapSuffix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after) != len(before) {
-		t.Fatalf("no-op checkpoint wrote a snapshot (%d -> %d)", len(before), len(after))
+	if after := l.LastLSN(); after != before {
+		t.Fatalf("no-op checkpoint logged a record (LSN %d -> %d)", before, after)
 	}
 	if skipped := reg.Counter("wal.checkpoints_skipped"); skipped != 1 {
 		t.Fatalf("wal.checkpoints_skipped = %d, want 1", skipped)
 	}
 
 	// A write makes the next checkpoint real again.
-	op := appendRecord(t, 500, 1)
-	if _, err := l.Append(op); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := op.Apply(cat); err != nil {
+	if err := applyHeapOp(t, l, cat, heapOp{kind: "append", start: 500, n: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Checkpoint(cat); err != nil {
@@ -349,12 +326,8 @@ func TestTornTailTruncated(t *testing.T) {
 	reg := obs.NewRegistry(time.Second)
 	dir := t.TempDir()
 	l, cat := openSeeded(t, dir, Options{})
-	ops := testOps(t)
-	for _, op := range ops {
-		if _, err := l.Append(op); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := op.Apply(cat); err != nil {
+	for _, op := range heapTestOps() {
+		if err := applyHeapOp(t, l, cat, op); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -364,12 +337,12 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 
 	// A crash mid-write: the last segment gains half a record.
-	segs, err := listSeq(filepath.Join(dir, "wal"), segPrefix, segSuffix)
+	segs, err := listSegments(filepath.Join(dir, "wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	last := segs[len(segs)-1].path
-	full := encode(&Record{Type: RecAppend, Rel: "ev", LSN: 999})
+	full := encode(&Record{Type: RecAppendPages, Rel: "ev", LSN: 999})
 	f, err := os.OpenFile(last, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -406,14 +379,15 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 }
 
-// TestCrashPointMatrix walks the crash injector across every write and
+// crashPointMatrix walks the crash injector across every log write and
 // every fsync of the op sequence, in both clean-fail and torn-write
 // shapes, and asserts the recovered catalog is always exactly a prefix
 // of the acknowledged writes: everything acked survives, nothing is
-// ever half-applied.
-func TestCrashPointMatrix(t *testing.T) {
-	ops := testOps(t)
-	states := prefixStates(t, ops)
+// ever half-applied (the acked prefix, or that plus the single
+// durable-but-unacked record the crash interrupted).
+func crashPointMatrix(t *testing.T, opts Options) {
+	ops := heapTestOps()
+	states := heapPrefixStates(t, ops)
 
 	type point struct {
 		name string
@@ -434,7 +408,9 @@ func TestCrashPointMatrix(t *testing.T) {
 	for _, pt := range points {
 		t.Run(pt.name, func(t *testing.T) {
 			dir := t.TempDir()
-			l, _, rv, err := Open(dir, Options{Injector: pt.inj})
+			crashOpts := opts
+			crashOpts.Injector = pt.inj
+			l, _, rv, err := Open(dir, crashOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -450,38 +426,32 @@ func TestCrashPointMatrix(t *testing.T) {
 				}
 				crashed = true
 			}
-			for _, op := range ops {
-				if _, err := l.Append(cloneRecord(op)); err != nil {
-					if !Injected(err) {
-						t.Fatalf("append failed for a non-injected reason: %v", err)
+			if !crashed {
+				for _, op := range ops {
+					if err := applyHeapOp(t, l, cat, op); err != nil {
+						if !Injected(err) {
+							t.Fatalf("append failed for a non-injected reason: %v", err)
+						}
+						crashed = true
+						break
 					}
-					crashed = true
-					break
+					acked++
 				}
-				acked++
 			}
-			if !crashed && acked == len(ops) {
+			if !crashed {
 				t.Fatal("injector never fired; crash point out of range")
 			}
 			l.Close()
 
-			_, cat2, rv2, err := Open(dir, Options{})
+			l2, cat2, rv2, err := Open(dir, opts)
 			if err != nil {
 				t.Fatalf("recovery failed: %v", err)
 			}
-			var got []byte
+			defer l2.Close()
 			if rv2.Fresh {
-				// The crash predates the first durable snapshot; an empty
-				// directory equals "no writes ever acked".
-				if acked != 0 {
-					t.Fatalf("fresh recovery but %d writes were acked", acked)
-				}
-				return
+				t.Fatalf("recovery found a fresh directory after the seeding checkpoint committed (%d writes acked)", acked)
 			}
-			got = saveBytes(t, cat2)
-			// The recovered state must be the acked prefix, or the acked
-			// prefix plus the single in-flight record the crash interrupted
-			// (durable but unacknowledged — atomic either way).
+			got := saveBytes(t, cat2)
 			if !bytes.Equal(got, states[acked]) &&
 				(acked+1 >= len(states) || !bytes.Equal(got, states[acked+1])) {
 				t.Fatalf("recovered state is not the acked prefix (%d acked): %s", acked, rv2)
@@ -489,6 +459,12 @@ func TestCrashPointMatrix(t *testing.T) {
 		})
 	}
 }
+
+// TestCrashPointMatrix crashes behind the default buffer pool: no dirty
+// frame was written back before the crash, so the heap file is as the
+// last checkpoint or delete left it and the log carries the rest.
+// (TestHeapCrashPointMatrix is the same under eviction.)
+func TestCrashPointMatrix(t *testing.T) { crashPointMatrix(t, Options{}) }
 
 // TestWALCorruptionEveryFlipAndTruncation is the log half of the
 // corruption property test: for every single-byte flip and every
@@ -502,27 +478,35 @@ func TestWALCorruptionEveryFlipAndTruncation(t *testing.T) {
 	// Small ops keep the segment short enough to flip every byte, and
 	// FsyncNone keeps the thousands of recovery runs off the disk's
 	// flush path (crash atomicity is not under test here — decoding is).
-	ops := []*Record{
-		appendRecord(t, 100, 3),
-		deleteRecord("id < 2"),
-		appendRecord(t, 200, 2),
+	ops := []heapOp{
+		{kind: "append", start: 100, n: 3},
+		{kind: "delete", pred: "id < 2"},
+		{kind: "append", start: 200, n: 2},
 	}
-	states := prefixStates(t, ops)
+	states := heapPrefixStates(t, ops)
 
 	src := t.TempDir()
 	l, cat := openSeeded(t, src, Options{Fsync: FsyncNone})
-	for _, op := range ops {
-		if _, err := l.Append(op); err != nil {
+	// The recovery base every mutated copy starts from is the heap
+	// directory as the seeding checkpoint committed it, before the
+	// delete below rewrites the file past the records under test.
+	base := map[string][]byte{}
+	for _, name := range []string{"manifest", "ev.heap"} {
+		b, err := os.ReadFile(filepath.Join(src, "heap", name))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := op.Apply(cat); err != nil {
+		base[name] = b
+	}
+	for _, op := range ops {
+		if err := applyHeapOp(t, l, cat, op); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := listSeq(filepath.Join(src, "wal"), segPrefix, segSuffix)
+	segs, err := listSegments(filepath.Join(src, "wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,15 +518,6 @@ func TestWALCorruptionEveryFlipAndTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	segName := filepath.Base(segs[0].path)
-	snaps, err := listSeq(src, snapPrefix, snapSuffix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapBytes, err := os.ReadFile(snaps[0].path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapName := filepath.Base(snaps[0].path)
 
 	check := func(t *testing.T, mutated []byte, what string) {
 		t.Helper()
@@ -552,11 +527,15 @@ func TestWALCorruptionEveryFlipAndTruncation(t *testing.T) {
 			}
 		}()
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, snapName), snapBytes, 0o644); err != nil {
-			t.Fatal(err)
+		for _, sub := range []string{"heap", "wal"} {
+			if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := os.MkdirAll(filepath.Join(dir, "wal"), 0o755); err != nil {
-			t.Fatal(err)
+		for name, b := range base {
+			if err := os.WriteFile(filepath.Join(dir, "heap", name), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := os.WriteFile(filepath.Join(dir, "wal", segName), mutated, 0o644); err != nil {
 			t.Fatal(err)
@@ -572,8 +551,8 @@ func TestWALCorruptionEveryFlipAndTruncation(t *testing.T) {
 			}
 			return
 		}
-		l.Close()
 		got := saveBytes(t, cat)
+		l.Close()
 		for _, want := range states {
 			if bytes.Equal(got, want) {
 				return
@@ -597,12 +576,9 @@ func TestWALCorruptionEveryFlipAndTruncation(t *testing.T) {
 func TestInspect(t *testing.T) {
 	dir := t.TempDir()
 	l, cat := openSeeded(t, dir, Options{SegmentSize: 512})
-	ops := testOps(t)
+	ops := heapTestOps()
 	for _, op := range ops {
-		if _, err := l.Append(op); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := op.Apply(cat); err != nil {
+		if err := applyHeapOp(t, l, cat, op); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -627,8 +603,8 @@ func TestInspect(t *testing.T) {
 	if len(rp.Segments) < 2 {
 		t.Fatalf("expected multiple segments, got %d", len(rp.Segments))
 	}
-	if len(rp.Snapshots) != 1 || rp.Snapshots[0].Err != "" {
-		t.Fatalf("snapshot report wrong: %+v", rp.Snapshots)
+	if len(rp.Heap) != 1 || rp.Heap[0].Rel != "ev" || rp.Heap[0].Err != nil {
+		t.Fatalf("heap file report wrong: %+v", rp.Heap)
 	}
 	for i, lsn := range seen {
 		if lsn != uint64(i)+1 {
@@ -637,7 +613,7 @@ func TestInspect(t *testing.T) {
 	}
 
 	// Torn tail shows up as a last-segment error, earlier segments clean.
-	segs, _ := listSeq(filepath.Join(dir, "wal"), segPrefix, segSuffix)
+	segs, _ := listSegments(filepath.Join(dir, "wal"))
 	f, err := os.OpenFile(segs[len(segs)-1].path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
