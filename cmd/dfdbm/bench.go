@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -24,10 +26,12 @@ import (
 )
 
 // The machine-readable benchmark harness behind `dfdbm bench -json`.
-// It measures the hot execution path the ISSUE's cost model is
-// dominated by — the per-page-pair join kernel and the page traffic
-// around it — and emits BENCH_machine.json so future changes can be
-// diffed against these numbers.
+// It measures the hot execution path — the page kernels, the heap file
+// under the buffer pool, the functional engine, the wire encoder and
+// the two simulators — and emits BENCH_machine.json so future changes
+// can be diffed against these numbers. Every row is declared once, in
+// benchSections: its name, the section that measures it, and the gate
+// -compare holds it to.
 
 // benchEntry is one measured benchmark in the JSON report.
 type benchEntry struct {
@@ -41,24 +45,135 @@ type benchEntry struct {
 
 // benchReport is the whole BENCH_machine.json document.
 type benchReport struct {
-	Harness    string  `json:"harness"`
-	Scale      float64 `json:"scale"`
-	Seed       int64   `json:"seed"`
-	PageSize   int     `json:"page_size"`
-	JoinTuples int     `json:"join_tuples"`
-
+	Harness    string       `json:"harness"`
+	Scale      float64      `json:"scale"`
+	Seed       int64        `json:"seed"`
+	PageSize   int          `json:"page_size"`
+	JoinTuples int          `json:"join_tuples"`
 	Benchmarks []benchEntry `json:"benchmarks"`
+}
 
-	// EquijoinHashSpeedup is nested-loops ns/op over hash ns/op on the
-	// large equi-join workload.
-	EquijoinHashSpeedup float64 `json:"equijoin_hash_speedup"`
-	// MachineAllocReduction is the fractional allocs/op saved by the
-	// page pool on the machine hot-path benchmark (0.5 = half).
-	MachineAllocReduction float64 `json:"machine_alloc_reduction"`
-	// EnginesMatchSerial records the cross-engine identity check: the
-	// functional engine and the ring machine produced results identical
-	// to the serial reference on the paper queries.
-	EnginesMatchSerial bool `json:"engines_match_serial"`
+// equiJoinSize is the tuples per side of the large equi-join workload.
+const equiJoinSize = 10000
+
+// benchGate is what -compare holds a row to. Every row fails when its
+// throughput falls under 75% of the baseline's (ns/op above 4/3 of it);
+// a gate adds tighter checks.
+type benchGate struct {
+	// ns fails a row on more than 25% more ns/op: the engine rows a change to the
+	// hand-off path moves first, and the storage row a change to the
+	// buffer pool's run path does.
+	ns bool
+	// allocs fails a row on more than 25% more allocs/op: the paths that
+	// recycle page memory. Unlike time an allocation count repeats from run to
+	// run, so a rise is a leak in the recycling, not noise.
+	allocs bool
+	// count names a counted metric that fails a row above the baseline's
+	// times slack: "dispatches", physical packets through the arbitration
+	// network, and "reads", physical reads of a heap file. A lone scan's
+	// runs are a function of its length (and its reads of the pool's
+	// size too), so any rise there is a change in the hand-off or the
+	// storage path; in the mix a join's packet count depends on how much
+	// of the other side was buffered when each page arrived, which moves
+	// by a tenth or so from run to run.
+	count string
+	slack float64
+}
+
+// benchRow is one BENCH_machine.json row.
+type benchRow struct {
+	name string
+	gate benchGate
+}
+
+// benchSection is one workload and the rows measured on it. setup
+// builds the workload and returns one op per row, in row order; each is
+// timed by benchBestRound over reps interleaved rounds.
+type benchSection struct {
+	title string
+	reps  int
+	setup func(env *benchEnv) ([]benchOp, error)
+	rows  []benchRow
+}
+
+// benchSections is the table: every BENCH_machine.json row, in the
+// order the report lists them.
+var benchSections = []benchSection{
+	{"large equi-join, nested loops vs hash", 1, benchEquiJoin, []benchRow{
+		{"equijoin/nested-loops", benchGate{}},
+		{"equijoin/hash", benchGate{allocs: true}},
+	}},
+	{"hash-join build and probe phases", 5, benchHashPhases, []benchRow{
+		{"equijoin/hash-build", benchGate{}},
+		{"equijoin/hash-probe", benchGate{}},
+	}},
+	{"page kernels, scalar vs batched", 5, benchKernels, []benchRow{
+		{"kernel/restrict-scalar", benchGate{}},
+		{"kernel/restrict-batch", benchGate{}},
+		{"kernel/project-batch", benchGate{}},
+		{"kernel/restrict-project-fused", benchGate{}},
+	}},
+	{"heap storage, cold vs warm scans, stored appends, run scans alone and together", 3, benchHeap, []benchRow{
+		{"heap/scan-cold", benchGate{allocs: true}},
+		{"heap/scan-warm", benchGate{}},
+		{"heap/append", benchGate{allocs: true}},
+		{"heap/scan-run", benchGate{ns: true, allocs: true, count: "reads", slack: 1}},
+		{"heap/scan-concurrent/2", benchGate{}},
+		{"heap/scan-concurrent/8", benchGate{}},
+	}},
+	{"functional engine (paper mix, streamed fetch) and frame encoder", 3, benchCore, []benchRow{
+		{"core/paper-mix", benchGate{ns: true, allocs: true, count: "dispatches", slack: 1.25}},
+		{"core/fetch-restrict", benchGate{ns: true}},
+		{"core/restrict-400", benchGate{count: "dispatches", slack: 1}},
+		{"wire/encode-page", benchGate{}},
+	}},
+	{"machine hot path, pooled vs no-pool", 1, benchMachineHotPath, []benchRow{
+		{"machine/hot-path/pooled", benchGate{}},
+		{"machine/hot-path/no-pool", benchGate{}},
+	}},
+	{"ring-machine multi-query run", 1, benchMachineRun, []benchRow{
+		{"machine/ring-run", benchGate{}},
+	}},
+	{"DIRECT benchmark run", 1, benchDirectRun, []benchRow{
+		{"direct/run", benchGate{}},
+	}},
+}
+
+// benchEnv is what the sections measure on.
+type benchEnv struct {
+	db       *dfdbm.DB
+	queries  []*dfdbm.Query
+	pageSize int
+	// cleanups run, last first, once a section's rows are measured.
+	cleanups []func()
+}
+
+func (e *benchEnv) later(f func()) { e.cleanups = append(e.cleanups, f) }
+
+// benchOp is one row's measurement: run is the timed op, and metrics
+// reports the row's metrics once timing is done. A counted metric comes
+// from one more run of the op (see after and the counter deltas in
+// benchHeap and benchMachineHotPath), so it is one op's count, not a
+// total over every timing iteration.
+type benchOp struct {
+	run     func() error
+	metrics func() (map[string]float64, error)
+}
+
+// fixed reports metrics the op does not change.
+func fixed(m map[string]float64) func() (map[string]float64, error) {
+	return func() (map[string]float64, error) { return m, nil }
+}
+
+// after runs op once more and then reports read: values each op leaves
+// behind, so they are that op's.
+func after(op func() error, read func() map[string]float64) func() (map[string]float64, error) {
+	return func() (map[string]float64, error) {
+		if err := op(); err != nil {
+			return nil, err
+		}
+		return read(), nil
+	}
 }
 
 // benchBestRound runs each benchmark `reps` times, interleaved
@@ -85,138 +200,144 @@ func benchBestRound(reps int, fns ...func(b *testing.B)) []testing.BenchmarkResu
 	return best
 }
 
-func entryFrom(name string, r testing.BenchmarkResult, metrics map[string]float64) benchEntry {
-	return benchEntry{
-		Name:        name,
-		Iterations:  r.N,
-		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-		AllocsPerOp: r.AllocsPerOp(),
-		BytesPerOp:  r.AllocedBytesPerOp(),
-		Metrics:     metrics,
+// measure sets a section up, times its ops and returns its rows.
+func (s benchSection) measure(env *benchEnv) ([]benchEntry, error) {
+	defer func() {
+		for i := len(env.cleanups) - 1; i >= 0; i-- {
+			env.cleanups[i]()
+		}
+		env.cleanups = nil
+	}()
+	ops, err := s.setup(env)
+	if err != nil {
+		return nil, err
 	}
+	if len(ops) != len(s.rows) {
+		return nil, fmt.Errorf("bench: %s measures %d rows, the table declares %d", s.title, len(ops), len(s.rows))
+	}
+	fns := make([]func(*testing.B), len(ops))
+	for i, op := range ops {
+		fns[i] = func(b *testing.B) {
+			b.ReportAllocs()
+			for j := 0; j < b.N; j++ {
+				if err := op.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	results := benchBestRound(s.reps, fns...)
+	entries := make([]benchEntry, len(ops))
+	for i, r := range results {
+		m, err := ops[i].metrics()
+		if err != nil {
+			return nil, fmt.Errorf("bench: %s: %w", s.rows[i].name, err)
+		}
+		entries[i] = benchEntry{
+			Name:        s.rows[i].name,
+			Iterations:  r.N,
+			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
+			AllocsPerOp: r.AllocsPerOp(),
+			BytesPerOp:  r.AllocedBytesPerOp(),
+			Metrics:     m,
+		}
+	}
+	return entries, nil
 }
 
 // buildEquiJoinWorkload builds the large synthetic equi-join inputs:
 // n tuples per side, 64-bit keys in pseudo-random order, exactly one
-// inner match per outer tuple.
-func buildEquiJoinWorkload(n, pageSize int) (outer, inner *relation.Relation, cond pred.JoinCond, err error) {
-	oschema, err := relation.NewSchema(
+// inner match per outer tuple, and the join condition, also bound.
+func buildEquiJoinWorkload(n, pageSize int) (outer, inner *relation.Relation, cond pred.JoinCond, bound *pred.BoundJoin, err error) {
+	outer, err = relation.New("bench_outer", relation.MustSchema(
 		relation.Attr{Name: "ok", Type: relation.Int64},
 		relation.Attr{Name: "ov", Type: relation.Int64},
-	)
+	), pageSize)
 	if err != nil {
-		return nil, nil, cond, err
+		return nil, nil, cond, nil, err
 	}
-	ischema, err := relation.NewSchema(
+	inner, err = relation.New("bench_inner", relation.MustSchema(
 		relation.Attr{Name: "ik", Type: relation.Int64},
 		relation.Attr{Name: "iv", Type: relation.Int64},
-	)
+	), pageSize)
 	if err != nil {
-		return nil, nil, cond, err
-	}
-	outer, err = relation.New("bench_outer", oschema, pageSize)
-	if err != nil {
-		return nil, nil, cond, err
-	}
-	inner, err = relation.New("bench_inner", ischema, pageSize)
-	if err != nil {
-		return nil, nil, cond, err
+		return nil, nil, cond, nil, err
 	}
 	// Two different full-cycle permutations of 0..n-1 so matching pairs
 	// land on unrelated page positions.
 	perm := func(i, a, b int) int64 { return int64((i*a + b) % n) }
 	for i := 0; i < n; i++ {
 		if err := outer.Insert(relation.Tuple{relation.IntVal(perm(i, 7, 3)), relation.IntVal(int64(i))}); err != nil {
-			return nil, nil, cond, err
+			return nil, nil, cond, nil, err
 		}
 		if err := inner.Insert(relation.Tuple{relation.IntVal(perm(i, 11, 5)), relation.IntVal(int64(i))}); err != nil {
-			return nil, nil, cond, err
+			return nil, nil, cond, nil, err
 		}
 	}
-	return outer, inner, pred.Equi("ok", "ik"), nil
+	cond = pred.Equi("ok", "ik")
+	bound, err = cond.Bind(outer.Schema(), inner.Schema())
+	return outer, inner, cond, bound, err
 }
 
 // benchEquiJoin times the nested-loops and hash kernels on the large
-// workload and verifies the hash result is byte-identical first.
-func benchEquiJoin(n, pageSize int) (nested, hash benchEntry, speedup float64, err error) {
-	outer, inner, cond, err := buildEquiJoinWorkload(n, pageSize)
+// workload. That the two produce the same relation is tier-1's to check
+// (TestHashJoinMatchesNestedLoops), not the harness's.
+func benchEquiJoin(env *benchEnv) ([]benchOp, error) {
+	outer, inner, cond, bound, err := buildEquiJoinWorkload(equiJoinSize, env.pageSize)
 	if err != nil {
-		return nested, hash, 0, err
+		return nil, err
 	}
-	ref, err := relalg.NestedLoopsJoin(outer, inner, cond, "ref")
-	if err != nil {
-		return nested, hash, 0, err
+	var out *relation.Relation
+	nested := func() (err error) {
+		out, err = relalg.NestedLoopsJoin(outer, inner, cond, "out")
+		return err
 	}
-	got, err := relalg.HashJoin(outer, inner, cond, "ref")
-	if err != nil {
-		return nested, hash, 0, err
+	hash := func() error {
+		_, err := relalg.HashJoin(outer, inner, cond, "out")
+		return err
 	}
-	if err := relationsIdentical(ref, got); err != nil {
-		return nested, hash, 0, fmt.Errorf("hash kernel result differs from nested loops: %w", err)
-	}
-
-	nr := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := relalg.NestedLoopsJoin(outer, inner, cond, "out"); err != nil {
-				b.Fatal(err)
+	// The hash row's counters come from one instrumented pass of the
+	// kernel HashJoin runs, over the same page pairs.
+	hashCounts := func() (map[string]float64, error) {
+		var ks relalg.KernelStats
+		st := relalg.NewJoinState(bound, &ks)
+		st.MaxTables = inner.NumPages()
+		tuples := 0
+		sink := func([]byte) error { tuples++; return nil }
+		for _, op := range outer.Pages() {
+			for _, ip := range inner.Pages() {
+				if _, err := st.JoinPages(op, ip, sink); err != nil {
+					return nil, err
+				}
 			}
 		}
-	})
-	hr := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := relalg.HashJoin(outer, inner, cond, "out"); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	// One instrumented pass for the kernel counters.
-	bound, err := cond.Bind(outer.Schema(), inner.Schema())
-	if err != nil {
-		return nested, hash, 0, err
+		k := ks.Load()
+		return map[string]float64{
+			"hash_probes":     float64(k.HashProbes),
+			"hash_builds":     float64(k.HashBuilds),
+			"hash_table_hits": float64(k.TableHits),
+			"tuples_out":      float64(tuples),
+		}, nil
 	}
-	var ks relalg.KernelStats
-	st := relalg.NewJoinState(bound, &ks)
-	st.MaxTables = inner.NumPages()
-	sink := func([]byte) error { return nil }
-	for _, op := range outer.Pages() {
-		for _, ip := range inner.Pages() {
-			if _, err := st.JoinPages(op, ip, sink); err != nil {
-				return nested, hash, 0, err
+	return []benchOp{
+		{nested, after(nested, func() map[string]float64 {
+			return map[string]float64{
+				"tuple_pairs": float64(outer.Cardinality()) * float64(inner.Cardinality()),
+				"tuples_out":  float64(out.Cardinality()),
 			}
-		}
-	}
-	k := ks.Load()
-
-	pairs := float64(outer.Cardinality()) * float64(inner.Cardinality())
-	nested = entryFrom("equijoin/nested-loops", nr, map[string]float64{
-		"tuple_pairs": pairs,
-		"tuples_out":  float64(ref.Cardinality()),
-	})
-	hash = entryFrom("equijoin/hash", hr, map[string]float64{
-		"hash_probes":     float64(k.HashProbes),
-		"hash_builds":     float64(k.HashBuilds),
-		"hash_table_hits": float64(k.TableHits),
-		"tuples_out":      float64(got.Cardinality()),
-	})
-	speedup = nested.NsPerOp / hash.NsPerOp
-	return nested, hash, speedup, nil
+		})},
+		{hash, hashCounts},
+	}, nil
 }
 
 // benchHashPhases splits the equi-join hash kernel into its two phases:
 // building the per-inner-page hash tables and probing with every table
 // resident (the steady state of the machine's broadcast join, where one
 // inner page's table serves a run of outer pages).
-func benchHashPhases(n, pageSize int) (build, probe benchEntry, err error) {
-	outer, inner, cond, err := buildEquiJoinWorkload(n, pageSize)
+func benchHashPhases(env *benchEnv) ([]benchOp, error) {
+	outer, inner, _, bound, err := buildEquiJoinWorkload(equiJoinSize, env.pageSize)
 	if err != nil {
-		return build, probe, err
-	}
-	bound, err := cond.Bind(outer.Schema(), inner.Schema())
-	if err != nil {
-		return build, probe, err
+		return nil, err
 	}
 	innerPages := inner.Pages()
 
@@ -230,38 +351,33 @@ func benchHashPhases(n, pageSize int) (build, probe benchEntry, err error) {
 		pst.Build(ip)
 	}
 	sink := func([]byte) error { return nil }
-	rs := benchBestRound(5,
-		func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				st.Reset() // drop the tables so every iteration builds anew
-				for _, ip := range innerPages {
-					st.Build(ip)
+	build := func() error {
+		st.Reset() // drop the tables so every op builds anew
+		for _, ip := range innerPages {
+			st.Build(ip)
+		}
+		return nil
+	}
+	probe := func() error {
+		for _, op := range outer.Pages() {
+			for _, ip := range innerPages {
+				if _, err := pst.JoinPages(op, ip, sink); err != nil {
+					return err
 				}
 			}
-		},
-		func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, op := range outer.Pages() {
-					for _, ip := range innerPages {
-						if _, err := pst.JoinPages(op, ip, sink); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-			}
-		})
-	br, pr := rs[0], rs[1]
-	build = entryFrom("equijoin/hash-build", br, map[string]float64{
-		"inner_pages":  float64(len(innerPages)),
-		"inner_tuples": float64(inner.Cardinality()),
-	})
-	probe = entryFrom("equijoin/hash-probe", pr, map[string]float64{
-		"outer_tuples": float64(outer.Cardinality()),
-		"inner_pages":  float64(len(innerPages)),
-	})
-	return build, probe, nil
+		}
+		return nil
+	}
+	return []benchOp{
+		{build, fixed(map[string]float64{
+			"inner_pages":  float64(len(innerPages)),
+			"inner_tuples": float64(inner.Cardinality()),
+		})},
+		{probe, fixed(map[string]float64{
+			"outer_tuples": float64(outer.Cardinality()),
+			"inner_pages":  float64(len(innerPages)),
+		})},
+	}, nil
 }
 
 // benchKernels measures the page kernels head to head on the paper
@@ -270,8 +386,8 @@ func benchHashPhases(n, pageSize int) (build, probe benchEntry, err error) {
 // restrict+project loop. The batched kernels' results are verified
 // byte-identical to the scalar kernels' by TestBatchKernels; here they
 // are only timed.
-func benchKernels(db *dfdbm.DB) ([]benchEntry, error) {
-	rel, err := db.Get("r5")
+func benchKernels(env *benchEnv) ([]benchOp, error) {
+	rel, err := env.db.Get("r5")
 	if err != nil {
 		return nil, err
 	}
@@ -286,65 +402,51 @@ func benchKernels(db *dfdbm.DB) ([]benchEntry, error) {
 	}
 	pages := rel.Pages()
 	sink := func([]byte) error { return nil }
-	tuples := float64(rel.Cardinality())
 
 	rs := relalg.NewRestrictState(bound)
 	ps := relalg.NewProjectState(pj)
 	d := relalg.NewDedup()
-	results := benchBestRound(5,
-		func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, pg := range pages {
-					if _, err := relalg.RestrictPage(pg, bound, sink); err != nil {
-						b.Fatal(err)
-					}
-				}
+	scalar := func() error {
+		for _, pg := range pages {
+			if _, err := relalg.RestrictPage(pg, bound, sink); err != nil {
+				return err
 			}
-		},
-		func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, pg := range pages {
-					if _, err := rs.RestrictPage(pg, sink); err != nil {
-						b.Fatal(err)
-					}
-				}
+		}
+		return nil
+	}
+	batch := func() error {
+		for _, pg := range pages {
+			if _, err := rs.RestrictPage(pg, sink); err != nil {
+				return err
 			}
-		},
-		func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				d.Reset()
-				for _, pg := range pages {
-					if _, err := ps.ProjectPage(pg, d, sink); err != nil {
-						b.Fatal(err)
-					}
-				}
+		}
+		return nil
+	}
+	project := func() error {
+		d.Reset()
+		for _, pg := range pages {
+			if _, err := ps.ProjectPage(pg, d, sink); err != nil {
+				return err
 			}
-		},
-		func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				d.Reset()
-				for _, pg := range pages {
-					if _, err := rs.RestrictProjectPage(pg, pj, d, sink); err != nil {
-						b.Fatal(err)
-					}
-				}
+		}
+		return nil
+	}
+	fused := func() error {
+		d.Reset()
+		for _, pg := range pages {
+			if _, err := rs.RestrictProjectPage(pg, pj, d, sink); err != nil {
+				return err
 			}
-		})
-	scalar, batch, project, fused := results[0], results[1], results[2], results[3]
+		}
+		return nil
+	}
 	vec := 0.0
 	if rs.Vectorized() {
 		vec = 1
 	}
-	return []benchEntry{
-		entryFrom("kernel/restrict-scalar", scalar, map[string]float64{"tuples": tuples}),
-		entryFrom("kernel/restrict-batch", batch, map[string]float64{"tuples": tuples, "vectorized": vec}),
-		entryFrom("kernel/project-batch", project, map[string]float64{"tuples": tuples}),
-		entryFrom("kernel/restrict-project-fused", fused, map[string]float64{"tuples": tuples, "vectorized": vec}),
-	}, nil
+	tuples := fixed(map[string]float64{"tuples": float64(rel.Cardinality())})
+	tuplesVec := fixed(map[string]float64{"tuples": float64(rel.Cardinality()), "vectorized": vec})
+	return []benchOp{{scalar, tuples}, {batch, tuplesVec}, {project, tuples}, {fused, tuplesVec}}, nil
 }
 
 // benchHeap measures the paged-storage path on the paper database's
@@ -357,56 +459,53 @@ func benchKernels(db *dfdbm.DB) ([]benchEntry, error) {
 // whatever the scale, scanned through a 64-frame pool — by one scanner
 // (reads = physical reads per scan) and by 2 and 8 scanners at once,
 // each over a relation of its own, all sharing the pool.
-func benchHeap(db *dfdbm.DB) ([]benchEntry, error) {
-	src, err := db.Get("r5")
+func benchHeap(env *benchEnv) ([]benchOp, error) {
+	src, err := env.db.Get("r5")
 	if err != nil {
 		return nil, err
 	}
 	n := src.NumPages()
-	adopt := func(name string, frames int, reg *obs.Registry) (*relation.Relation, *heap.Store, error) {
-		dir, err := os.MkdirTemp("", "dfdbm-bench-heap-")
+	root, err := os.MkdirTemp("", "dfdbm-bench-heap-")
+	if err != nil {
+		return nil, err
+	}
+	env.later(func() { os.RemoveAll(root) })
+	// store opens a heap store of frames frames, metered by a registry of
+	// its own, and adopts rels into it.
+	store := func(frames int, rels ...*relation.Relation) (*obs.Registry, error) {
+		dir, err := os.MkdirTemp(root, "")
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
+		reg := obs.NewRegistry(time.Second)
 		st, err := heap.OpenStore(dir, frames, obs.New(nil, reg))
 		if err != nil {
-			os.RemoveAll(dir)
-			return nil, nil, err
+			return nil, err
 		}
-		rel := src.Clone(name)
-		if err := st.Adopt(rel, 1); err != nil {
-			st.Close()
-			os.RemoveAll(dir)
-			return nil, nil, err
+		env.later(func() { st.Close() })
+		for _, rel := range rels {
+			if err := st.Adopt(rel, 1); err != nil {
+				return nil, err
+			}
 		}
-		return rel, st, nil
+		return reg, nil
 	}
-	coldFrames := n / 8
-	if coldFrames < 2 {
-		coldFrames = 2
-	}
-	coldReg := obs.NewRegistry(time.Second)
-	cold, coldStore, err := adopt("bench_heap_cold", coldFrames, coldReg)
+	coldFrames := max(n/8, 2)
+	cold := src.Clone("bench_heap_cold")
+	coldReg, err := store(coldFrames, cold)
 	if err != nil {
 		return nil, err
 	}
-	defer os.RemoveAll(coldStore.Dir())
-	defer coldStore.Close()
-	warmReg := obs.NewRegistry(time.Second)
-	warm, warmStore, err := adopt("bench_heap_warm", n+8, warmReg)
+	warm := src.Clone("bench_heap_warm")
+	warmReg, err := store(n+8, warm)
 	if err != nil {
 		return nil, err
 	}
-	defer os.RemoveAll(warmStore.Dir())
-	defer warmStore.Close()
-	appReg := obs.NewRegistry(time.Second)
-	app, appStore, err := adopt("bench_heap_app", coldFrames, appReg)
+	app := src.Clone("bench_heap_app")
+	appReg, err := store(coldFrames, app)
 	if err != nil {
 		return nil, err
 	}
-	defer os.RemoveAll(appStore.Dir())
-	defer appStore.Close()
-
 	const runPages, runFrames, maxScanners = 400, 64, 8
 	r400 := relation.MustNew("bench_heap_run", src.Schema(), src.PageSize())
 	for i := 0; i < runPages; i++ {
@@ -414,144 +513,97 @@ func benchHeap(db *dfdbm.DB) ([]benchEntry, error) {
 			return nil, err
 		}
 	}
-	runReg := obs.NewRegistry(time.Second)
-	runDir, err := os.MkdirTemp("", "dfdbm-bench-heap-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(runDir)
-	runStore, err := heap.OpenStore(runDir, runFrames, obs.New(nil, runReg))
-	if err != nil {
-		return nil, err
-	}
-	defer runStore.Close()
 	runs := make([]*relation.Relation, maxScanners)
 	for i := range runs {
 		runs[i] = r400.Clone(fmt.Sprintf("bench_heap_run%d", i))
-		if err := runStore.Adopt(runs[i], 1); err != nil {
-			return nil, err
-		}
+	}
+	runReg, err := store(runFrames, runs...)
+	if err != nil {
+		return nil, err
 	}
 
 	// scan reads every page and releases it, as the engine's workers do:
 	// a scan that kept its pages would measure the collector fallback, a
 	// fresh page per miss.
-	scan := func(rel *relation.Relation) error {
-		tuples := 0
-		return rel.EachPage(func(pg *relation.Page) error {
-			tuples += pg.TupleCount()
-			pg.Release()
-			return nil
-		})
+	scan := func(rel *relation.Relation) func() error {
+		return func() error {
+			tuples := 0
+			return rel.EachPage(func(pg *relation.Page) error {
+				tuples += pg.TupleCount()
+				pg.Release()
+				return nil
+			})
+		}
 	}
-	if err := scan(warm); err != nil { // warm the pool before measuring
+	scanCold, scanWarm := scan(cold), scan(warm)
+	if err := scanWarm(); err != nil { // warm the pool before measuring
 		return nil, err
 	}
-	// scanTogether is one op of heap/scan-concurrent: k scanners, one
+	scanRuns := make([]func() error, maxScanners)
+	for i, rel := range runs {
+		scanRuns[i] = scan(rel)
+	}
+	// together is one op of heap/scan-concurrent: k scanners, one
 	// relation each, started together and all waited for.
-	scanTogether := func(k int) func(b *testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			errs := make([]error, k)
-			for i := 0; i < b.N; i++ {
-				var wg sync.WaitGroup
-				for j := 0; j < k; j++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						errs[j] = scan(runs[j])
-					}()
-				}
-				wg.Wait()
-				if err := errors.Join(errs...); err != nil {
-					b.Fatal(err)
-				}
+	together := func(k int) func() error {
+		errs := make([]error, k)
+		return func() error {
+			var wg sync.WaitGroup
+			for j := 0; j < k; j++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					errs[j] = scanRuns[j]()
+				}()
 			}
+			wg.Wait()
+			return errors.Join(errs...)
 		}
 	}
 	const appendBatch = 256
 	raw := append([]byte(nil), src.Page(0).RawTuple(0)...)
-
-	rs := benchBestRound(3,
-		func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := scan(cold); err != nil {
-					b.Fatal(err)
-				}
+	appendOp := func() error {
+		for j := 0; j < appendBatch; j++ {
+			if err := app.InsertRaw(raw); err != nil {
+				return err
 			}
-		},
-		func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := scan(warm); err != nil {
-					b.Fatal(err)
-				}
-			}
-		},
-		func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for j := 0; j < appendBatch; j++ {
-					if err := app.InsertRaw(raw); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		},
-		func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := scan(runs[0]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		},
-		scanTogether(2), scanTogether(maxScanners))
-	// A lone scan's physical reads are a function of its length and the
-	// pool's size, so one more scan counts them.
-	reads := runReg.Counter("bufpool.reads")
-	if err := scan(runs[0]); err != nil {
-		return nil, err
-	}
-	reads = runReg.Counter("bufpool.reads") - reads
-	hitRate := func(reg *obs.Registry) float64 {
-		hits, misses := float64(reg.Counter("bufpool.hits")), float64(reg.Counter("bufpool.misses"))
-		if hits+misses == 0 {
-			return 0
 		}
-		return hits / (hits + misses)
+		return nil
 	}
-	return []benchEntry{
-		entryFrom("heap/scan-cold", rs[0], map[string]float64{
-			"pages":     float64(n),
-			"frames":    float64(coldFrames),
-			"evictions": float64(coldReg.Counter("bufpool.evictions")),
-			"hit_rate":  hitRate(coldReg),
-		}),
-		entryFrom("heap/scan-warm", rs[1], map[string]float64{
-			"pages":    float64(n),
-			"frames":   float64(n + 8),
-			"hit_rate": hitRate(warmReg),
-		}),
-		entryFrom("heap/append", rs[2], map[string]float64{
-			"tuples_per_op": appendBatch,
-			"frames":        float64(coldFrames),
-			"writebacks":    float64(appReg.Counter("bufpool.writebacks")),
-		}),
-		entryFrom("heap/scan-run", rs[3], map[string]float64{
-			"pages":  runPages,
-			"frames": runFrames,
-			"reads":  float64(reads),
-		}),
-		entryFrom("heap/scan-concurrent/2", rs[4], map[string]float64{
-			"pages":  2 * runPages,
-			"frames": runFrames,
-		}),
-		entryFrom(fmt.Sprintf("heap/scan-concurrent/%d", maxScanners), rs[5], map[string]float64{
-			"pages":  maxScanners * runPages,
-			"frames": runFrames,
-		}),
+
+	// pool runs op once more and adds to m how far each named counter of
+	// reg's buffer pool moved over it; "hit_rate" is hits/(hits+misses).
+	pool := func(reg *obs.Registry, op func() error, m map[string]float64, names ...string) func() (map[string]float64, error) {
+		read := func() map[string]float64 {
+			c := map[string]float64{}
+			for _, n := range []string{"hits", "misses", "evictions", "writebacks", "reads"} {
+				c[n] = float64(reg.Counter("bufpool." + n))
+			}
+			return c
+		}
+		return func() (map[string]float64, error) {
+			c0 := read()
+			if err := op(); err != nil {
+				return nil, err
+			}
+			c := read()
+			for k := range c {
+				c[k] -= c0[k]
+			}
+			c["hit_rate"] = c["hits"] / (c["hits"] + c["misses"])
+			for _, n := range names {
+				m[n] = c[n]
+			}
+			return m, nil
+		}
+	}
+	return []benchOp{
+		{scanCold, pool(coldReg, scanCold, map[string]float64{"pages": float64(n), "frames": float64(coldFrames)}, "evictions", "hit_rate")},
+		{scanWarm, pool(warmReg, scanWarm, map[string]float64{"pages": float64(n), "frames": float64(n + 8)}, "hit_rate")},
+		{appendOp, pool(appReg, appendOp, map[string]float64{"tuples_per_op": appendBatch, "frames": float64(coldFrames)}, "writebacks")},
+		{scanRuns[0], pool(runReg, scanRuns[0], map[string]float64{"pages": runPages, "frames": runFrames}, "reads")},
+		{together(2), fixed(map[string]float64{"pages": 2 * runPages, "frames": runFrames})},
+		{together(maxScanners), fixed(map[string]float64{"pages": maxScanners * runPages, "frames": runFrames})},
 	}, nil
 }
 
@@ -564,13 +616,13 @@ func benchHeap(db *dfdbm.DB) ([]benchEntry, error) {
 // restrict over exactly 400 pages whatever the scale (the scan length
 // the run path is sized for), and one result page framed into a reused
 // buffer.
-func benchCore(db *dfdbm.DB, queries []*dfdbm.Query, pageSize int) ([]benchEntry, error) {
-	eng := core.New(db.Catalog(), core.Options{Granularity: core.PageLevel, Workers: 4, PageSize: pageSize})
-	fetch, err := db.Parse(`restrict(r1, val < 1000)`)
+func benchCore(env *benchEnv) ([]benchOp, error) {
+	eng := core.New(env.db.Catalog(), core.Options{Granularity: core.PageLevel, Workers: 4, PageSize: env.pageSize})
+	fetch, err := env.db.Parse(`restrict(r1, val < 1000)`)
 	if err != nil {
 		return nil, err
 	}
-	r1, err := db.Get("r1")
+	r1, err := env.db.Get("r1")
 	if err != nil {
 		return nil, err
 	}
@@ -587,103 +639,86 @@ func benchCore(db *dfdbm.DB, queries []*dfdbm.Query, pageSize int) ([]benchEntry
 	if err != nil {
 		return nil, err
 	}
-	eng400 := core.New(cat400, core.Options{Granularity: core.PageLevel, Workers: 4, PageSize: pageSize})
-	page := r1.Page(0)
+	eng400 := core.New(cat400, core.Options{Granularity: core.PageLevel, Workers: 4, PageSize: env.pageSize})
 	ctx := context.Background()
+
 	var mixPackets, mixDispatches, fetchPages, dispatches400 int64
-	var frame []byte
-	rs := benchBestRound(3,
-		func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				mixPackets, mixDispatches = 0, 0
-				for _, q := range queries {
-					res, err := eng.ExecuteContext(ctx, q)
-					if err != nil {
-						b.Fatal(err)
-					}
-					mixPackets += res.Stats.InstructionPackets
-					mixDispatches += res.Stats.Dispatches
-				}
+	mix := func() error {
+		mixPackets, mixDispatches = 0, 0
+		for _, q := range env.queries {
+			res, err := eng.ExecuteContext(ctx, q)
+			if err != nil {
+				return err
 			}
-		},
-		func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				fetchPages = 0
-				_, err := eng.ExecuteStream(ctx, fetch, func(pg *relation.Page) error {
-					fetchPages++
-					eng.Recycle(pg)
-					return nil
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		},
-		func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := eng400.ExecuteStream(ctx, fetch400, func(pg *relation.Page) error {
-					eng400.Recycle(pg)
-					return nil
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				dispatches400 = res.Stats.Dispatches
-			}
-		},
-		func(b *testing.B) {
-			b.ReportAllocs()
-			rp := &wire.ResultPage{QueryID: 1, Seq: 1, Source: page}
-			for i := 0; i < b.N; i++ {
-				var err error
-				if frame, err = wire.AppendFrame(frame[:0], rp, wire.Version); err != nil {
-					b.Fatal(err)
-				}
-			}
+			mixPackets += res.Stats.InstructionPackets
+			mixDispatches += res.Stats.Dispatches
+		}
+		return nil
+	}
+	stream := func() error {
+		fetchPages = 0
+		_, err := eng.ExecuteStream(ctx, fetch, func(pg *relation.Page) error {
+			fetchPages++
+			eng.Recycle(pg)
+			return nil
 		})
-	return []benchEntry{
-		entryFrom("core/paper-mix", rs[0], map[string]float64{
-			"queries":             float64(len(queries)),
-			"instruction_packets": float64(mixPackets),
-			"dispatches":          float64(mixDispatches),
-		}),
-		entryFrom("core/fetch-restrict", rs[1], map[string]float64{
-			"pages_in":  float64(r1.NumPages()),
-			"pages_out": float64(fetchPages),
-		}),
-		entryFrom("core/restrict-400", rs[2], map[string]float64{
-			"instruction_packets": 400,
-			"dispatches":          float64(dispatches400),
-		}),
-		entryFrom("wire/encode-page", rs[3], map[string]float64{
-			"frame_bytes": float64(len(frame)),
-		}),
+		return err
+	}
+	stream400 := func() error {
+		res, err := eng400.ExecuteStream(ctx, fetch400, func(pg *relation.Page) error {
+			eng400.Recycle(pg)
+			return nil
+		})
+		if err == nil {
+			dispatches400 = res.Stats.Dispatches
+		}
+		return err
+	}
+	var frame []byte
+	rp := &wire.ResultPage{QueryID: 1, Seq: 1, Source: r1.Page(0)}
+	encode := func() (err error) {
+		frame, err = wire.AppendFrame(frame[:0], rp)
+		return err
+	}
+	return []benchOp{
+		{mix, after(mix, func() map[string]float64 {
+			return map[string]float64{
+				"queries":             float64(len(env.queries)),
+				"instruction_packets": float64(mixPackets),
+				"dispatches":          float64(mixDispatches),
+			}
+		})},
+		{stream, after(stream, func() map[string]float64 {
+			return map[string]float64{"pages_in": float64(r1.NumPages()), "pages_out": float64(fetchPages)}
+		})},
+		{stream400, after(stream400, func() map[string]float64 {
+			return map[string]float64{"instruction_packets": 400, "dispatches": float64(dispatches400)}
+		})},
+		{encode, after(encode, func() map[string]float64 {
+			return map[string]float64{"frame_bytes": float64(len(frame))}
+		})},
 	}, nil
 }
 
 // benchMachineHotPath measures the machine's per-IP hot loop — pooled
 // paginator out, JoinState kernel, operand pages recycled after use —
 // with and without the page pool, over a paper-sized join.
-func benchMachineHotPath(db *dfdbm.DB, pageSize int) (pooled, bare benchEntry, reduction float64, err error) {
-	outer, err := db.Get("r5")
+func benchMachineHotPath(env *benchEnv) ([]benchOp, error) {
+	outer, err := env.db.Get("r5")
 	if err != nil {
-		return pooled, bare, 0, err
+		return nil, err
 	}
-	inner, err := db.Get("r11")
+	inner, err := env.db.Get("r11")
 	if err != nil {
-		return pooled, bare, 0, err
+		return nil, err
 	}
-	cond := pred.Equi("k3", "k3")
-	bound, err := cond.Bind(outer.Schema(), inner.Schema())
+	bound, err := pred.Equi("k3", "k3").Bind(outer.Schema(), inner.Schema())
 	if err != nil {
-		return pooled, bare, 0, err
+		return nil, err
 	}
 	schema, err := relalg.JoinSchema(outer, inner)
 	if err != nil {
-		return pooled, bare, 0, err
+		return nil, err
 	}
 	tupleLen := schema.TupleLen()
 	outSize := relation.PageHeaderLen + 8*tupleLen
@@ -722,185 +757,84 @@ func benchMachineHotPath(db *dfdbm.DB, pageSize int) (pooled, bare benchEntry, r
 
 	var ks relalg.KernelStats
 	pool := relation.NewPagePool()
-	pr := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := run(pool, &ks); err != nil {
-				b.Fatal(err)
-			}
+	pooled := func() error { return run(pool, &ks) }
+	bare := func() error { return run(nil, nil) }
+	// The pool and the kernel counters total every op; one more op's
+	// share of them is the row's.
+	pooledCounts := func() (map[string]float64, error) {
+		p0, k0 := pool.Stats(), ks.Load()
+		if err := pooled(); err != nil {
+			return nil, err
 		}
-	})
-	br := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := run(nil, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	ps := pool.Stats()
-	k := ks.Load()
-	pooled = entryFrom("machine/hot-path/pooled", pr, map[string]float64{
-		"pool_hits":      float64(ps.Hits),
-		"pool_misses":    float64(ps.Misses),
-		"pages_recycled": float64(ps.Recycled),
-		"hash_probes":    float64(k.HashProbes),
-		"hash_builds":    float64(k.HashBuilds),
-	})
-	bare = entryFrom("machine/hot-path/no-pool", br, nil)
-	if bare.AllocsPerOp > 0 {
-		reduction = 1 - float64(pooled.AllocsPerOp)/float64(bare.AllocsPerOp)
+		p, k := pool.Stats(), ks.Load()
+		return map[string]float64{
+			"pool_hits":      float64(p.Hits - p0.Hits),
+			"pool_misses":    float64(p.Misses - p0.Misses),
+			"pages_recycled": float64(p.Recycled - p0.Recycled),
+			"hash_probes":    float64(k.HashProbes - k0.HashProbes),
+			"hash_builds":    float64(k.HashBuilds - k0.HashBuilds),
+		}, nil
 	}
-	return pooled, bare, reduction, nil
+	return []benchOp{{pooled, pooledCounts}, {bare, fixed(nil)}}, nil
 }
 
 // benchMachineRun measures a full ring-machine multi-query run (paper
 // queries 1, 3, 6) and reports the pool and kernel counters alongside
 // the simulated makespan.
-func benchMachineRun(db *dfdbm.DB, queries []*dfdbm.Query, pageSize int) (benchEntry, error) {
+func benchMachineRun(env *benchEnv) ([]benchOp, error) {
 	hw := dfdbm.DefaultHW()
-	hw.PageSize = pageSize
+	hw.PageSize = env.pageSize
 	var res *dfdbm.MachineResults
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m, err := dfdbm.NewMachine(db, dfdbm.MachineConfig{HW: hw, ICs: 16, IPs: 16})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, n := range []int{0, 2, 5} {
-				if err := m.Submit(queries[n]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			res, err = m.Run()
-			if err != nil {
-				b.Fatal(err)
+	run := func() error {
+		m, err := dfdbm.NewMachine(env.db, dfdbm.MachineConfig{HW: hw, ICs: 16, IPs: 16})
+		if err != nil {
+			return err
+		}
+		for _, n := range []int{0, 2, 5} {
+			if err := m.Submit(env.queries[n]); err != nil {
+				return err
 			}
 		}
-	})
-	s := res.Stats
-	return entryFrom("machine/ring-run", r, map[string]float64{
-		"sim_makespan_seconds": res.Elapsed.Seconds(),
-		"pool_hits":            float64(s.PoolHits),
-		"pool_misses":          float64(s.PoolMisses),
-		"pages_recycled":       float64(s.PagesRecycled),
-		"hash_probes":          float64(s.HashProbes),
-		"hash_builds":          float64(s.HashBuilds),
-		"hash_table_hits":      float64(s.HashTableHits),
-		"nested_pairs":         float64(s.NestedPairs),
-	}), nil
+		res, err = m.Run()
+		return err
+	}
+	return []benchOp{{run, after(run, func() map[string]float64 {
+		s := res.Stats
+		return map[string]float64{
+			"sim_makespan_seconds": res.Elapsed.Seconds(),
+			"pool_hits":            float64(s.PoolHits),
+			"pool_misses":          float64(s.PoolMisses),
+			"pages_recycled":       float64(s.PagesRecycled),
+			"hash_probes":          float64(s.HashProbes),
+			"hash_builds":          float64(s.HashBuilds),
+			"hash_table_hits":      float64(s.HashTableHits),
+			"nested_pairs":         float64(s.NestedPairs),
+		}
+	})}}, nil
 }
 
 // benchDirectRun measures the DIRECT simulator on the paper benchmark
 // and reports its page-descriptor recycling.
-func benchDirectRun(db *dfdbm.DB, queries []*dfdbm.Query, pageSize int) (benchEntry, error) {
-	profiles, err := dfdbm.ProfileQueries(db, queries, pageSize)
+func benchDirectRun(env *benchEnv) ([]benchOp, error) {
+	profiles, err := dfdbm.ProfileQueries(env.db, env.queries, env.pageSize)
 	if err != nil {
-		return benchEntry{}, err
+		return nil, err
 	}
 	hw := dfdbm.DefaultHW()
-	hw.PageSize = pageSize
+	hw.PageSize = env.pageSize
 	var rep dfdbm.DirectReport
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var err error
-			rep, err = dfdbm.SimulateDIRECT(dfdbm.DirectConfig{Processors: 16, HW: hw}, profiles)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	return entryFrom("direct/run", r, map[string]float64{
-		"sim_elapsed_seconds": rep.Elapsed.Seconds(),
-		"pages_recycled":      float64(rep.PagesRecycled),
-		"disk_reads":          float64(rep.DiskReads),
-		"disk_writes":         float64(rep.DiskWrites),
-	}), nil
-}
-
-// checkEnginesMatchSerial runs the paper join/project queries through
-// the functional engine and the ring machine and compares both against
-// the serial reference.
-func checkEnginesMatchSerial(db *dfdbm.DB, queries []*dfdbm.Query, pageSize int) error {
-	hw := dfdbm.DefaultHW()
-	hw.PageSize = pageSize
-	for _, n := range []int{0, 2, 5} {
-		q := queries[n]
-		want, err := db.ExecuteSerial(q)
-		if err != nil {
-			return err
-		}
-		res, err := db.Execute(q, dfdbm.EngineOptions{Granularity: dfdbm.PageLevel, Workers: 4, PageSize: pageSize})
-		if err != nil {
-			return err
-		}
-		if !res.Relation.EqualMultiset(want) {
-			return fmt.Errorf("query %d: functional engine differs from serial reference", n+1)
-		}
-		m, err := dfdbm.NewMachine(db, dfdbm.MachineConfig{HW: hw})
-		if err != nil {
-			return err
-		}
-		if err := m.Submit(q); err != nil {
-			return err
-		}
-		mres, err := m.Run()
-		if err != nil {
-			return err
-		}
-		if !mres.PerQuery[0].Relation.EqualMultiset(want) {
-			return fmt.Errorf("query %d: ring machine differs from serial reference", n+1)
-		}
-	}
-	return nil
-}
-
-func relationsIdentical(a, b *relation.Relation) error {
-	if a.Cardinality() != b.Cardinality() {
-		return fmt.Errorf("cardinality %d vs %d", a.Cardinality(), b.Cardinality())
-	}
-	if !a.EqualMultiset(b) {
-		return fmt.Errorf("tuple sets differ")
-	}
-	return nil
-}
-
-// writeBenchProfile re-runs the ring-machine multi-query workload once
-// with spans and per-bucket metrics enabled and writes the EXPLAIN
-// ANALYZE + saturation report as JSON. CI uploads the file next to
-// BENCH_machine.json so every build carries its own attribution
-// artifact.
-func writeBenchProfile(db *dfdbm.DB, queries []*dfdbm.Query, out string, pageSize int) error {
-	hw := dfdbm.DefaultHW()
-	hw.PageSize = pageSize
-	o := dfdbm.NewObserver(nil, dfdbm.NewMetrics(time.Millisecond))
-	o.EnableSpans()
-	m, err := dfdbm.NewMachine(db, dfdbm.MachineConfig{HW: hw, ICs: 16, IPs: 16, Obs: o})
-	if err != nil {
+	run := func() (err error) {
+		rep, err = dfdbm.SimulateDIRECT(dfdbm.DirectConfig{Processors: 16, HW: hw}, profiles)
 		return err
 	}
-	for _, n := range []int{0, 2, 5} {
-		if err := m.Submit(queries[n]); err != nil {
-			return err
+	return []benchOp{{run, after(run, func() map[string]float64 {
+		return map[string]float64{
+			"sim_elapsed_seconds": rep.Elapsed.Seconds(),
+			"pages_recycled":      float64(rep.PagesRecycled),
+			"disk_reads":          float64(rep.DiskReads),
+			"disk_writes":         float64(rep.DiskWrites),
 		}
-	}
-	res, err := m.Run()
-	if err != nil {
-		return err
-	}
-	prof := dfdbm.BuildProfile(o.Spans().Snapshot(), res.Elapsed)
-	sat := dfdbm.Saturation(o.Registry(), res.Elapsed, m.Resources())
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	if err := prof.JSON(f, sat); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	})}}, nil
 }
 
 // benchFilter is the parsed -only flag: comma-separated benchmark name
@@ -917,251 +851,145 @@ func parseBenchFilter(s string) benchFilter {
 	return f
 }
 
-func (f benchFilter) match(names ...string) bool {
+func (f benchFilter) match(name string) bool {
 	if len(f) == 0 {
 		return true
 	}
-	for _, n := range names {
-		for _, p := range f {
-			if strings.HasPrefix(n, p) {
-				return true
-			}
+	for _, p := range f {
+		if strings.HasPrefix(name, p) {
+			return true
 		}
 	}
 	return false
 }
 
-// allocGated names the benchmarks whose allocs/op the regression gate
-// holds, beside their time.
-var allocGated = map[string]bool{
-	"core/paper-mix": true,
-	"heap/scan-cold": true,
-	"heap/scan-run":  true,
-	"heap/append":    true,
-	"equijoin/hash":  true,
-}
-
-// timeGated names the benchmarks held to a tighter time bound than the
-// rest — more than 25% more ns/op fails, where the general floor of 75%
-// of baseline throughput allows a third more: the two engine rows a
-// change to the hand-off path moves first, and the storage row a change
-// to the buffer pool's run path does.
-var timeGated = map[string]bool{
-	"core/paper-mix":      true,
-	"core/fetch-restrict": true,
-	"heap/scan-run":       true,
-}
-
-// countSlack is how far a row's counted metric may exceed the
-// baseline's: "dispatches", physical packets through the arbitration
-// network, and "reads", physical reads of a heap file. A lone scan's
-// runs are a function of its length (and its reads of the pool's size
-// too), so any rise there is a change in the hand-off or the storage
-// path; in the mix a join's packet count depends on how much of the
-// other side was buffered when each page arrived, which moves by a
-// tenth or so from run to run.
-var countSlack = map[string]struct {
-	metric string
-	slack  float64
-}{
-	"core/restrict-400": {"dispatches", 1},
-	"core/paper-mix":    {"dispatches", 1.25},
-	"heap/scan-run":     {"reads", 1},
-}
-
-// compareBenchReports guards against performance regressions: it loads
-// the committed baseline report and a fresh one and fails when any
-// benchmark present in both lost more than 25% throughput (fresh
-// ns/op more than 4/3 of the baseline). New benchmarks — present only
-// in the fresh report — pass; a benchmark that disappeared is an
-// error, since silently dropping a measurement is how regressions
-// hide. A non-empty filter restricts the comparison to the baseline
-// entries the fresh (filtered) run was asked to measure.
-//
-// The rows in allocGated also fail on allocs/op more than 25% over the
-// baseline: they are the paths that recycle page memory, and unlike
-// time an allocation count repeats from run to run, so a rise is a
-// leak in the recycling, not noise. The rows in timeGated fail on more
-// than 25% more ns/op, and those in countSlack on a counted metric above
-// the baseline's times their slack.
-func compareBenchReports(basePath, freshPath string, filter benchFilter) error {
-	load := func(path string) (benchReport, error) {
-		var rep benchReport
-		f, err := os.Open(path)
+// runBenchJSON measures every section with a row the filter matches —
+// all of that section's rows — and returns the report.
+func runBenchJSON(env *benchEnv, scale float64, seed int64, filter benchFilter) (benchReport, error) {
+	rep := benchReport{
+		Harness:    "dfdbm bench -json",
+		Scale:      scale,
+		Seed:       seed,
+		PageSize:   env.pageSize,
+		JoinTuples: equiJoinSize,
+	}
+	for _, s := range benchSections {
+		if !slices.ContainsFunc(s.rows, func(r benchRow) bool { return filter.match(r.name) }) {
+			continue
+		}
+		fmt.Fprintf(os.Stderr, "bench: %s...\n", s.title)
+		entries, err := s.measure(env)
 		if err != nil {
 			return rep, err
 		}
-		defer f.Close()
-		return rep, json.NewDecoder(f).Decode(&rep)
+		for _, e := range entries {
+			fmt.Fprintf(os.Stderr, "bench:   %-28s %.0f ns/op\n", e.Name, e.NsPerOp)
+		}
+		rep.Benchmarks = append(rep.Benchmarks, entries...)
 	}
-	base, err := load(basePath)
-	if err != nil {
-		return fmt.Errorf("bench compare: baseline %s: %w", basePath, err)
-	}
-	fresh, err := load(freshPath)
-	if err != nil {
-		return fmt.Errorf("bench compare: fresh %s: %w", freshPath, err)
+	return rep, nil
+}
+
+// compareBenchReports is the -compare gate. It holds every baseline row
+// the filter matches to its gate in benchSections (a row the table does
+// not declare gets the throughput floor alone) and returns one line per
+// row, with an error naming every regression. A row missing from fresh
+// is an error, since silently dropping a measurement is how regressions
+// hide; a row only in fresh passes.
+func compareBenchReports(base, fresh benchReport, filter benchFilter) ([]string, error) {
+	gates := map[string]benchGate{}
+	for _, s := range benchSections {
+		for _, r := range s.rows {
+			gates[r.name] = r.gate
+		}
 	}
 	freshByName := map[string]benchEntry{}
 	for _, b := range fresh.Benchmarks {
 		freshByName[b.Name] = b
 	}
 	const floor = 0.75 // fresh throughput must stay above 75% of baseline
-	var regressed []string
-	compared := 0
+	var lines, regressed []string
 	for _, old := range base.Benchmarks {
 		if !filter.match(old.Name) {
 			continue
 		}
-		compared++
 		now, ok := freshByName[old.Name]
 		if !ok {
-			return fmt.Errorf("bench compare: %s is in the baseline but missing from the fresh report", old.Name)
+			return lines, fmt.Errorf("bench compare: %s is in the baseline but missing from the fresh report", old.Name)
 		}
 		if old.NsPerOp <= 0 || now.NsPerOp <= 0 {
 			continue
 		}
+		g := gates[old.Name]
 		ratio := old.NsPerOp / now.NsPerOp // relative throughput: <1 means slower now
 		verdict := "ok"
-		if ratio < floor || timeGated[old.Name] && now.NsPerOp > 1.25*old.NsPerOp {
+		fail := func(format string, args ...any) {
 			verdict = "REGRESSION"
-			regressed = append(regressed,
-				fmt.Sprintf("%s: %.0f -> %.0f ns/op (%.0f%% of baseline throughput)", old.Name, old.NsPerOp, now.NsPerOp, 100*ratio))
+			regressed = append(regressed, old.Name+": "+fmt.Sprintf(format, args...))
+		}
+		if ratio < floor || g.ns && now.NsPerOp > 1.25*old.NsPerOp {
+			fail("%.0f -> %.0f ns/op (%.0f%% of baseline throughput)", old.NsPerOp, now.NsPerOp, 100*ratio)
 		}
 		notes := ""
-		if allocGated[old.Name] {
+		if g.allocs {
 			notes = fmt.Sprintf("  %d -> %d allocs/op", old.AllocsPerOp, now.AllocsPerOp)
 			if 4*now.AllocsPerOp > 5*old.AllocsPerOp {
-				verdict = "REGRESSION"
-				regressed = append(regressed,
-					fmt.Sprintf("%s: %d -> %d allocs/op", old.Name, old.AllocsPerOp, now.AllocsPerOp))
+				fail("%d -> %d allocs/op", old.AllocsPerOp, now.AllocsPerOp)
 			}
 		}
-		if g, ok := countSlack[old.Name]; ok && old.Metrics[g.metric] > 0 {
-			was, is := old.Metrics[g.metric], now.Metrics[g.metric]
-			notes += fmt.Sprintf("  %.0f -> %.0f %s", was, is, g.metric)
+		if was, is := old.Metrics[g.count], now.Metrics[g.count]; g.count != "" && was > 0 {
+			notes += fmt.Sprintf("  %.0f -> %.0f %s", was, is, g.count)
 			if is > g.slack*was {
-				verdict = "REGRESSION"
-				regressed = append(regressed,
-					fmt.Sprintf("%s: %.0f -> %.0f %s", old.Name, was, is, g.metric))
+				fail("%.0f -> %.0f %s", was, is, g.count)
 			}
 		}
-		fmt.Printf("bench compare: %-28s %10.0f -> %10.0f ns/op  %5.2fx%s  %s\n",
-			old.Name, old.NsPerOp, now.NsPerOp, ratio, notes, verdict)
+		lines = append(lines, fmt.Sprintf("bench compare: %-28s %10.0f -> %10.0f ns/op  %5.2fx%s  %s",
+			old.Name, old.NsPerOp, now.NsPerOp, ratio, notes, verdict))
 	}
 	if len(regressed) > 0 {
-		msg := "bench compare: throughput, allocations, dispatches or reads regressed:"
-		for _, r := range regressed {
-			msg += "\n  " + r
-		}
-		return fmt.Errorf("%s", msg)
+		return lines, fmt.Errorf("bench compare: throughput, allocations, dispatches or reads regressed:\n  %s", strings.Join(regressed, "\n  "))
 	}
-	fmt.Printf("bench compare: %d benchmarks within 25%% of %s\n", compared, basePath)
-	return nil
+	return lines, nil
 }
 
-// runBenchJSON runs the harness and writes the report. A non-empty
-// filter runs only the sections whose benchmark names it matches.
-func runBenchJSON(db *dfdbm.DB, queries []*dfdbm.Query, out string, scale float64, seed int64, pageSize, joinTuples int, filter benchFilter) {
-	rep := benchReport{
-		Harness:    "dfdbm bench -json",
-		Scale:      scale,
-		Seed:       seed,
-		PageSize:   pageSize,
-		JoinTuples: joinTuples,
+func readBenchReport(path string) (benchReport, error) {
+	var rep benchReport
+	b, err := os.ReadFile(path)
+	if err == nil {
+		err = json.Unmarshal(b, &rep)
 	}
+	return rep, err
+}
 
-	if filter.match("equijoin/nested-loops", "equijoin/hash") {
-		fmt.Fprintf(os.Stderr, "bench: large equi-join (%d x %d tuples), nested vs hash...\n", joinTuples, joinTuples)
-		nested, hash, speedup, err := benchEquiJoin(joinTuples, pageSize)
-		check(err)
-		rep.Benchmarks = append(rep.Benchmarks, nested, hash)
-		rep.EquijoinHashSpeedup = speedup
-		fmt.Fprintf(os.Stderr, "bench:   nested %.0f ns/op, hash %.0f ns/op — %.1fx\n",
-			nested.NsPerOp, hash.NsPerOp, speedup)
+// benchJSON is `dfdbm bench -json`: it runs the harness, writes the
+// report to out, and with compareWith set holds it to that baseline.
+func benchJSON(env *benchEnv, scale float64, seed int64, out, compareWith string, filter benchFilter) error {
+	rep, err := runBenchJSON(env, scale, seed, filter)
+	if err != nil {
+		return err
 	}
-
-	if filter.match("equijoin/hash-build", "equijoin/hash-probe") {
-		fmt.Fprintln(os.Stderr, "bench: hash-join build and probe phases...")
-		build, probe, err := benchHashPhases(joinTuples, pageSize)
-		check(err)
-		rep.Benchmarks = append(rep.Benchmarks, build, probe)
-		fmt.Fprintf(os.Stderr, "bench:   build %.0f ns/op, probe %.0f ns/op\n",
-			build.NsPerOp, probe.NsPerOp)
+	err = catalog.WriteFileAtomic(out, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(rep)
+	})
+	if err != nil {
+		return err
 	}
-
-	if filter.match("kernel/restrict-scalar", "kernel/restrict-batch",
-		"kernel/project-batch", "kernel/restrict-project-fused") {
-		fmt.Fprintln(os.Stderr, "bench: page kernels, scalar vs batched...")
-		kernels, err := benchKernels(db)
-		check(err)
-		rep.Benchmarks = append(rep.Benchmarks, kernels...)
-		for _, k := range kernels {
-			fmt.Fprintf(os.Stderr, "bench:   %-28s %.0f ns/op\n", k.Name, k.NsPerOp)
-		}
+	fmt.Printf("bench: wrote %s (%d benchmarks)\n", out, len(rep.Benchmarks))
+	if compareWith == "" {
+		return nil
 	}
-
-	if filter.match("heap/scan-cold", "heap/scan-warm", "heap/append",
-		"heap/scan-run", "heap/scan-concurrent/2", "heap/scan-concurrent/8") {
-		fmt.Fprintln(os.Stderr, "bench: heap storage, cold vs warm scans, stored appends, run scans alone and together...")
-		hb, err := benchHeap(db)
-		check(err)
-		rep.Benchmarks = append(rep.Benchmarks, hb...)
-		for _, k := range hb {
-			fmt.Fprintf(os.Stderr, "bench:   %-28s %.0f ns/op\n", k.Name, k.NsPerOp)
-		}
+	base, err := readBenchReport(compareWith)
+	if err != nil {
+		return fmt.Errorf("bench compare: baseline %s: %w", compareWith, err)
 	}
-
-	if filter.match("core/paper-mix", "core/fetch-restrict", "core/restrict-400", "wire/encode-page") {
-		fmt.Fprintln(os.Stderr, "bench: functional engine (paper mix, streamed fetch) and frame encoder...")
-		cb, err := benchCore(db, queries, pageSize)
-		check(err)
-		rep.Benchmarks = append(rep.Benchmarks, cb...)
-		for _, k := range cb {
-			fmt.Fprintf(os.Stderr, "bench:   %-28s %.0f ns/op\n", k.Name, k.NsPerOp)
-		}
+	lines, err := compareBenchReports(base, rep, filter)
+	for _, l := range lines {
+		fmt.Println(l)
 	}
-
-	if filter.match("machine/hot-path/pooled", "machine/hot-path/no-pool") {
-		fmt.Fprintln(os.Stderr, "bench: machine hot path, pooled vs no-pool...")
-		pooled, bare, reduction, err := benchMachineHotPath(db, pageSize)
-		check(err)
-		rep.Benchmarks = append(rep.Benchmarks, pooled, bare)
-		rep.MachineAllocReduction = reduction
-		fmt.Fprintf(os.Stderr, "bench:   %d vs %d allocs/op — %.0f%% fewer\n",
-			pooled.AllocsPerOp, bare.AllocsPerOp, 100*reduction)
+	if err == nil {
+		fmt.Printf("bench compare: %d benchmarks within 25%% of %s\n", len(lines), compareWith)
 	}
-
-	if filter.match("machine/ring-run") {
-		fmt.Fprintln(os.Stderr, "bench: ring-machine multi-query run...")
-		mrun, err := benchMachineRun(db, queries, pageSize)
-		check(err)
-		rep.Benchmarks = append(rep.Benchmarks, mrun)
-	}
-
-	if filter.match("direct/run") {
-		fmt.Fprintln(os.Stderr, "bench: DIRECT benchmark run...")
-		drun, err := benchDirectRun(db, queries, pageSize)
-		check(err)
-		rep.Benchmarks = append(rep.Benchmarks, drun)
-	}
-
-	if len(filter) == 0 {
-		fmt.Fprintln(os.Stderr, "bench: cross-engine identity check...")
-		check(checkEnginesMatchSerial(db, queries, pageSize))
-		rep.EnginesMatchSerial = true
-	}
-
-	f, err := os.Create(out)
-	check(err)
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	check(enc.Encode(rep))
-	check(f.Close())
-	if len(filter) == 0 {
-		fmt.Printf("bench: wrote %s (equi-join speedup %.1fx, hot-path alloc reduction %.0f%%, engines match serial: %v)\n",
-			out, rep.EquijoinHashSpeedup, 100*rep.MachineAllocReduction, rep.EnginesMatchSerial)
-	} else {
-		fmt.Printf("bench: wrote %s (%d benchmarks, filter %q)\n", out, len(rep.Benchmarks), strings.Join(filter, ","))
-	}
+	return err
 }

@@ -61,11 +61,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"time"
 
 	"dfdbm"
+	"dfdbm/internal/catalog"
 )
 
 func main() {
@@ -178,19 +180,36 @@ func cmdExplain(db *dfdbm.DB, args []string, pageSize int) {
 	if !*analyze {
 		return
 	}
+	prof, sat, err := analyzeOnMachine(db, pageSize, *ips, q)
+	check(err)
+	fmt.Println()
+	check(prof.Text(os.Stdout))
+	check(sat.Text(os.Stdout))
+}
+
+// analyzeOnMachine runs qs on a 16-IC ring machine with ips processors,
+// spans on and metrics in 1 ms buckets, and returns the run's EXPLAIN
+// ANALYZE profile and saturation report: `explain -analyze` prints them,
+// `bench -profile-out` writes them as JSON.
+func analyzeOnMachine(db *dfdbm.DB, pageSize, ips int, qs ...*dfdbm.Query) (*dfdbm.Profile, *dfdbm.SaturationReport, error) {
 	hw := dfdbm.DefaultHW()
 	hw.PageSize = pageSize
 	o := dfdbm.NewObserver(nil, dfdbm.NewMetrics(time.Millisecond))
 	o.EnableSpans()
-	m, err := dfdbm.NewMachine(db, dfdbm.MachineConfig{HW: hw, ICs: 16, IPs: *ips, Obs: o})
-	check(err)
-	check(m.Submit(q))
+	m, err := dfdbm.NewMachine(db, dfdbm.MachineConfig{HW: hw, ICs: 16, IPs: ips, Obs: o})
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, q := range qs {
+		if err := m.Submit(q); err != nil {
+			return nil, nil, err
+		}
+	}
 	res, err := m.Run()
-	check(err)
-	fmt.Println()
-	prof := dfdbm.BuildProfile(o.Spans().Snapshot(), res.Elapsed)
-	check(prof.Text(os.Stdout))
-	check(dfdbm.Saturation(o.Registry(), res.Elapsed, m.Resources()).Text(os.Stdout))
+	if err != nil {
+		return nil, nil, err
+	}
+	return dfdbm.BuildProfile(o.Spans().Snapshot(), res.Elapsed), dfdbm.Saturation(o.Registry(), res.Elapsed, m.Resources()), nil
 }
 
 func cmdInfo(db *dfdbm.DB) {
@@ -256,27 +275,23 @@ func cmdBench(db *dfdbm.DB, queries []*dfdbm.Query, args []string, scale float64
 	jsonOut := fs.String("json", "", "run the measured harness and write machine-readable results to this file (e.g. BENCH_machine.json)")
 	compareWith := fs.String("compare", "", "with -json: compare the fresh results against this committed report and fail on >25% throughput regression")
 	profileOut := fs.String("profile-out", "", "also run the ring-machine workload with spans enabled and write the EXPLAIN/saturation profile JSON here (e.g. PROFILE_machine.json)")
-	joinTuples := fs.Int("join-tuples", 10000, "tuples per side of the large equi-join workload")
 	only := fs.String("only", "", "comma-separated benchmark name prefixes to run and compare (default: all)")
 	check(fs.Parse(args))
 	if *compareWith != "" && *jsonOut == "" {
 		check(fmt.Errorf("bench: -compare needs -json (the fresh results to compare)"))
 	}
-	filter := parseBenchFilter(*only)
 	if *jsonOut != "" {
-		runBenchJSON(db, queries, *jsonOut, scale, seed, pageSize, *joinTuples, filter)
-		if *compareWith != "" {
-			check(compareBenchReports(*compareWith, *jsonOut, filter))
-		}
-		if *profileOut != "" {
-			check(writeBenchProfile(db, queries, *profileOut, pageSize))
-			fmt.Printf("bench: wrote %s (ring-machine explain/saturation profile)\n", *profileOut)
-		}
-		return
+		env := &benchEnv{db: db, queries: queries, pageSize: pageSize}
+		check(benchJSON(env, scale, seed, *jsonOut, *compareWith, parseBenchFilter(*only)))
 	}
 	if *profileOut != "" {
-		check(writeBenchProfile(db, queries, *profileOut, pageSize))
+		// The ring-machine multi-query workload: paper queries 1, 3, 6.
+		prof, sat, err := analyzeOnMachine(db, pageSize, 16, queries[0], queries[2], queries[5])
+		check(err)
+		check(catalog.WriteFileAtomic(*profileOut, func(w io.Writer) error { return prof.JSON(w, sat) }))
 		fmt.Printf("bench: wrote %s (ring-machine explain/saturation profile)\n", *profileOut)
+	}
+	if *jsonOut != "" || *profileOut != "" {
 		return
 	}
 	fmt.Printf("%-6s %10s | %-14s %-14s %-14s\n", "query", "tuples", "relation", "page", "tuple")
@@ -299,7 +314,6 @@ func cmdBench(db *dfdbm.DB, queries []*dfdbm.Query, args []string, scale float64
 
 func cmdMachine(db *dfdbm.DB, queries []*dfdbm.Query, args []string, pageSize int) {
 	fs := flag.NewFlagSet("machine", flag.ExitOnError)
-	trace := fs.Bool("trace", false, "print the packet-protocol trace to stderr")
 	ips := fs.Int("ips", 16, "instruction processors in the pool")
 	hashTiming := fs.Bool("hash-timing", false, "charge equi-joins at the hash kernel's O(n+m) cost instead of the paper's nested-loops n*m")
 	failIPs := fs.Int("fail-ips", 0, "crash this many IPs (0..n-1) during the run")
@@ -340,9 +354,6 @@ func cmdMachine(db *dfdbm.DB, queries []*dfdbm.Query, args []string, pageSize in
 			fc.Dup = dfdbm.UniformDrop(*dup)
 		}
 		cfg.Fault = dfdbm.NewFaultPlan(fc)
-	}
-	if *trace {
-		cfg.Trace = os.Stderr
 	}
 	o, sess := of.build()
 	cfg.Obs = o

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -117,23 +118,20 @@ func TestLoadCorruptionEveryFlipAndTruncation(t *testing.T) {
 	}
 }
 
-// TestLoadLegacyV1 keeps version-1 files (no checksum) readable.
-func TestLoadLegacyV1(t *testing.T) {
+// TestLoadRefusesV1: a version-1 file (no checksum) is refused by
+// name, wrapping ErrCorrupt, not loaded and not reported as garbage.
+func TestLoadRefusesV1(t *testing.T) {
 	var buf bytes.Buffer
-	c := mixedCatalog(t)
-	if err := c.Save(&buf); err != nil {
+	if err := mixedCatalog(t).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	v2 := buf.Bytes()
 	// A v1 file is the v2 file with the old magic and no trailer.
 	v1 := bytes.Clone(v2[:len(v2)-4])
-	copy(v1, fileMagicV1[:])
-	got, err := Load(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("v1 load: %v", err)
-	}
-	if got.Len() != c.Len() {
-		t.Fatalf("v1 load got %d relations, want %d", got.Len(), c.Len())
+	copy(v1, "DFDBM1\n\x00")
+	_, err := Load(bytes.NewReader(v1))
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "pre-checksum DFDBM1 file") {
+		t.Fatalf("v1 load: got %v, want ErrCorrupt naming the DFDBM1 layout", err)
 	}
 }
 

@@ -32,12 +32,9 @@ import (
 // file read back yields byte-identical relations. The trailing checksum
 // makes corruption — a torn write, a flipped bit, a truncated file —
 // detectable instead of silently loadable. Version-1 files (magic
-// "DFDBM1", no checksum) are still readable.
+// "DFDBM1", no checksum) are refused by name.
 
-var (
-	fileMagic   = [8]byte{'D', 'F', 'D', 'B', 'M', '2', '\n', 0}
-	fileMagicV1 = [8]byte{'D', 'F', 'D', 'B', 'M', '1', '\n', 0}
-)
+var fileMagic = [8]byte{'D', 'F', 'D', 'B', 'M', '2', '\n', 0}
 
 // ErrCorrupt marks a database file that is recognizably a dfdbm file
 // but fails validation — checksum mismatch, truncation, or a
@@ -78,25 +75,24 @@ func (c *Catalog) Save(w io.Writer) error {
 	return err
 }
 
-// Load reads a catalog previously written by Save. It accepts both the
-// checksummed v2 format and legacy v1 files. Any validation failure on
-// a v2 file — bad checksum, truncation, implausible structure — is
-// reported wrapping ErrCorrupt; corruption never panics and never
-// loads silently.
+// Load reads a catalog previously written by Save. Any validation
+// failure — bad checksum, truncation, implausible structure, or a
+// pre-checksum version-1 file — is reported wrapping ErrCorrupt;
+// corruption never panics and never loads silently.
 func Load(r io.Reader) (*Catalog, error) {
 	br := bufio.NewReader(r)
 	var magic [8]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, fmt.Errorf("%w: reading magic: %v", ErrCorrupt, err)
 	}
-	if magic == fileMagicV1 {
-		return loadBody(br)
+	if string(magic[:6]) == "DFDBM1" {
+		return nil, fmt.Errorf("%w: pre-checksum DFDBM1 file; re-save it with a build at or before f2ebb02", ErrCorrupt)
 	}
 	if magic != fileMagic {
 		return nil, fmt.Errorf("%w: not a dfdbm database file", ErrCorrupt)
 	}
-	// v2: the whole body must be present and must checksum correctly
-	// before any of it is interpreted.
+	// The whole body must be present and must checksum correctly before
+	// any of it is interpreted.
 	rest, err := io.ReadAll(br)
 	if err != nil {
 		return nil, fmt.Errorf("%w: reading body: %v", ErrCorrupt, err)
@@ -111,29 +107,18 @@ func Load(r io.Reader) (*Catalog, error) {
 	if got, want := crc.Sum32(), binary.LittleEndian.Uint32(trailer); got != want {
 		return nil, fmt.Errorf("%w: checksum mismatch (computed %08x, stored %08x)", ErrCorrupt, got, want)
 	}
-	c, err := loadBody(bufio.NewReader(bytes.NewReader(body)))
-	if err != nil {
-		// Structurally invalid despite a matching checksum (e.g. a file
-		// assembled by hand): still corruption, never a silent success.
-		if !errors.Is(err, ErrCorrupt) {
-			err = fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		return nil, err
-	}
-	return c, nil
-}
-
-// loadBody parses the relation-count-prefixed body shared by v1 and v2.
-func loadBody(br *bufio.Reader) (*Catalog, error) {
+	// A structural failure despite a matching checksum (e.g. a file
+	// assembled by hand) is still corruption, never a silent success.
+	br = bufio.NewReader(bytes.NewReader(body))
 	n, err := readU32(br)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	c := New()
 	for i := uint32(0); i < n; i++ {
 		rel, err := loadRelation(br)
 		if err != nil {
-			return nil, fmt.Errorf("catalog: loading relation %d: %w", i, err)
+			return nil, fmt.Errorf("%w: loading relation %d: %v", ErrCorrupt, i, err)
 		}
 		c.Put(rel)
 	}

@@ -115,10 +115,6 @@ type Options struct {
 	// Project selects the duplicate-elimination strategy. Default
 	// ProjectSerialIC (the paper's baseline).
 	Project ProjectStrategy
-	// NoPagePool disables recycling of intermediate pages through the
-	// engine's relation.PagePool. Pooling is on by default; the knob
-	// exists so benchmarks can measure the allocation baseline.
-	NoPagePool bool
 	// Obs, when non-nil, receives one structured obs.Event per
 	// dispatched instruction packet, task completion, and node
 	// completion — stamped with real time since the execution started —
@@ -203,8 +199,7 @@ type Result struct {
 type Engine struct {
 	cat  *catalog.Catalog
 	opts Options
-	// pool recycles intermediate pages across the engine's executions;
-	// nil when Options.NoPagePool is set.
+	// pool recycles intermediate pages across the engine's executions.
 	pool *relation.PagePool
 	// runs is the free list of the run buffers pages cross goroutine
 	// boundaries in.
@@ -213,11 +208,7 @@ type Engine struct {
 
 // New returns an engine over the catalog.
 func New(cat *catalog.Catalog, opts Options) *Engine {
-	e := &Engine{cat: cat, opts: opts.withDefaults()}
-	if !e.opts.NoPagePool {
-		e.pool = relation.NewPagePool()
-	}
-	return e
+	return &Engine{cat: cat, opts: opts.withDefaults(), pool: relation.NewPagePool()}
 }
 
 // Options returns the engine's effective (defaulted) options.

@@ -2,7 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"dfdbm/internal/fault"
@@ -69,16 +68,11 @@ type Config struct {
 	// gives up with a FaultError. Zero means 8. Only used when Fault is
 	// set.
 	RetryBudget int
-	// Trace, when non-nil, receives one line per protocol event
-	// (admissions, grants, packets, broadcasts, completions), prefixed
-	// with the virtual time. It is the legacy text-only path: when Obs
-	// is nil, a text-sink observer is built over it.
-	Trace io.Writer
-	// Obs, when non-nil, receives every protocol event as a structured
-	// obs.Event (virtual-time stamps) through its sink, and — when it
+	// Obs, when non-nil, receives every protocol event (admissions,
+	// grants, packets, broadcasts, completions) as a structured obs.Event
+	// stamped with the virtual time, through its sink, and — when it
 	// carries a registry — virtual-time metric timelines plus the run's
-	// Stats re-expressed as counters and gauges. Obs takes precedence
-	// over Trace.
+	// Stats re-expressed as counters and gauges.
 	Obs *obs.Observer
 }
 

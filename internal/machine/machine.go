@@ -19,8 +19,7 @@ type Machine struct {
 	cfg Config
 	cat *catalog.Catalog
 	s   *sim.Sim
-	// obs is the observability layer: cfg.Obs, or a text-sink observer
-	// wrapped around the legacy cfg.Trace writer. Nil when disabled.
+	// obs is the observability layer, cfg.Obs: nil when disabled.
 	obs *obs.Observer
 
 	outer *sim.Station // the 40 Mbps data ring
@@ -89,13 +88,10 @@ func New(cat *catalog.Catalog, cfg Config) (*Machine, error) {
 		cfg:   cfg,
 		cat:   cat,
 		s:     sim.New(),
+		obs:   cfg.Obs,
 		locks: map[string]*lockEntry{},
 		plan:  cfg.Fault,
 		rel:   map[relKey]*relChannel{},
-	}
-	m.obs = cfg.Obs
-	if m.obs == nil && cfg.Trace != nil {
-		m.obs = obs.New(obs.NewTextSink(cfg.Trace), nil)
 	}
 	m.mcCost = cfg.HW.InnerRing.SerializationTime(cfg.HW.ControlBytes)
 	if !cfg.NoPagePool {

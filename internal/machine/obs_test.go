@@ -44,31 +44,6 @@ func TestGoldenTraceDeterminism(t *testing.T) {
 	}
 }
 
-// TestObsMatchesLegacyTrace: Config.Obs with a text sink must produce
-// exactly what the legacy Config.Trace writer produces.
-func TestObsMatchesLegacyTrace(t *testing.T) {
-	cat, qs := testDB(t, 0.05)
-	run := func(cfg Config) string {
-		m, err := New(cat, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Submit(qs[2]); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return ""
-	}
-	var legacy, structured bytes.Buffer
-	run(Config{HW: smallHW(), Trace: &legacy})
-	run(Config{HW: smallHW(), Obs: obs.New(obs.NewTextSink(&structured), nil)})
-	if legacy.String() != structured.String() {
-		t.Error("structured text trace differs from the legacy Trace output")
-	}
-}
-
 // TestChromeTraceFromMachineRun: a real machine run through the Chrome
 // sink must yield valid trace-event JSON with the required fields.
 func TestChromeTraceFromMachineRun(t *testing.T) {

@@ -7,11 +7,10 @@ import (
 	"dfdbm/internal/obs"
 )
 
-// Tracing and metrics: when Config.Obs carries a sink (or the legacy
-// Config.Trace writer is set), the machine emits one structured event
-// per protocol step, stamped with the virtual time. Through the text
-// sink the trace reads as it always has, making the packet protocol of
-// Figures 4.3–4.5 observable:
+// Tracing and metrics: when Config.Obs carries a sink, the machine
+// emits one structured event per protocol step, stamped with the
+// virtual time. Through the text sink the trace reads as it always has,
+// making the packet protocol of Figures 4.3–4.5 observable:
 //
 //	[  12.345ms] MC: admit query 0 (4 instructions)
 //	[  13.001ms] MC: grant IP 3 to IC 2

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"dfdbm/internal/obs"
 )
 
 func TestTraceRecordsProtocol(t *testing.T) {
 	cat, qs := testDB(t, 0.05)
 	var buf bytes.Buffer
-	cfg := Config{HW: smallHW(), Trace: &buf}
+	cfg := Config{HW: smallHW(), Obs: obs.New(obs.NewTextSink(&buf), nil)}
 	m, err := New(cat, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -49,6 +51,6 @@ func TestTraceDisabledByDefault(t *testing.T) {
 	if got == nil {
 		t.Fatal("no result")
 	}
-	// Nothing to assert beyond "no panic with nil Trace"; the tracef
+	// Nothing to assert beyond "no panic with nil Obs"; the tracing
 	// nil-check is the point.
 }

@@ -24,11 +24,6 @@ type ClientConfig struct {
 	// Timeout bounds the dial, the handshake, and each Query's network
 	// waits. Default 30 seconds.
 	Timeout time.Duration
-	// MaxVersion caps the protocol version the client offers in its
-	// Hello (0 means wire.Version, the newest). Setting it to an older
-	// version exercises exactly what an old client binary would speak —
-	// compatibility tests dial with MaxVersion: 1 against a v2 server.
-	MaxVersion uint16
 	// MaxRetries, when positive, retries transient failures up to this
 	// many times with jittered exponential backoff: overload rejections
 	// (the admission scheduler shed the query before it ran, so a
@@ -109,7 +104,7 @@ type Client struct {
 	cfg       ClientConfig
 	engine    string // negotiated
 	ver       uint16 // negotiated protocol version
-	sessionID uint64 // server-assigned (0 from a v1 server)
+	sessionID uint64 // server-assigned
 	nextID    uint32
 	traceSeq  uint64
 	closed    bool
@@ -136,34 +131,24 @@ func dialOnce(addr string, cfg ClientConfig) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	max := cfg.MaxVersion
-	if max == 0 || max > wire.Version {
-		max = wire.Version
-	}
-	c := &Client{conn: conn, br: bufio.NewReader(conn), cfg: cfg, ver: max}
+	c := &Client{conn: conn, br: bufio.NewReader(conn), cfg: cfg}
 	_ = conn.SetDeadline(time.Now().Add(cfg.Timeout))
-	// The opening Hello is encoded identically at every version (the
-	// request never carries a session ID), so the server can read it
-	// before any version is agreed.
-	if err := wire.WriteVersion(conn, &wire.Hello{Min: wire.MinVersion, Max: max, Engine: cfg.Engine, Name: cfg.Name}, max); err != nil {
+	if err := wire.Write(conn, &wire.Hello{Min: wire.MinVersion, Max: wire.Version, Engine: cfg.Engine, Name: cfg.Name}); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("client: handshake write: %w", err)
 	}
-	// The reply Hello is written at the version the server picked
-	// (Min == Max ≤ our max), so decoding at our offered max is safe:
-	// the session-ID tail is self-describing and absent below v2.
-	f, err := wire.ReadVersion(c.br, max)
+	f, err := wire.Read(c.br)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("client: handshake read: %w", err)
 	}
 	switch f := f.(type) {
 	case *wire.Hello:
-		c.engine = f.Engine
-		c.sessionID = f.SessionID
-		if f.Min == f.Max && f.Max >= wire.MinVersion && f.Max <= max {
-			c.ver = f.Max
+		if f.Min != f.Max || f.Max < wire.MinVersion || f.Max > wire.Version {
+			conn.Close()
+			return nil, fmt.Errorf("client: handshake: server picked protocol versions %d-%d, want one of %d-%d", f.Min, f.Max, wire.MinVersion, wire.Version)
 		}
+		c.engine, c.sessionID, c.ver = f.Engine, f.SessionID, f.Max
 	case *wire.Error:
 		conn.Close()
 		return nil, &RemoteError{Code: f.Code, Msg: f.Msg}
@@ -181,8 +166,7 @@ func (c *Client) Engine() string { return c.engine }
 // ProtocolVersion returns the negotiated wire protocol version.
 func (c *Client) ProtocolVersion() uint16 { return c.ver }
 
-// SessionID returns the server-assigned session identifier (0 when the
-// server predates wire v2).
+// SessionID returns the server-assigned session identifier.
 func (c *Client) SessionID() uint64 { return c.sessionID }
 
 // Close ends the session.
@@ -229,10 +213,9 @@ func (c *Client) queryLocked(ctx context.Context, text string, priority uint8) (
 	}
 	id := c.nextID
 	c.nextID++
-	// Propose the end-to-end trace ID (wire v2): the server-assigned
-	// session ID in the high half keeps IDs from distinct sessions
-	// disjoint, so the server can adopt ours verbatim. A v1 link drops
-	// the field and the server assigns its own.
+	// Propose the end-to-end trace ID: the server-assigned session ID
+	// in the high half keeps IDs from distinct sessions disjoint, so the
+	// server can adopt ours verbatim.
 	c.traceSeq++
 	traceID := c.sessionID<<32 | c.traceSeq&0xFFFFFFFF
 
@@ -247,14 +230,14 @@ func (c *Client) queryLocked(ctx context.Context, text string, priority uint8) (
 	})
 	defer stop()
 
-	if err := wire.WriteVersion(c.conn, &wire.Query{ID: id, Priority: priority, Text: text, TraceID: traceID}, c.ver); err != nil {
+	if err := wire.Write(c.conn, &wire.Query{ID: id, Priority: priority, Text: text, TraceID: traceID}); err != nil {
 		return nil, fmt.Errorf("client: send query: %w", err)
 	}
 
 	var rel *relation.Relation
 	var wantSeq uint32
 	for {
-		f, err := wire.ReadVersion(c.br, c.ver)
+		f, err := wire.Read(c.br)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()

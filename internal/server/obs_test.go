@@ -160,40 +160,33 @@ func (l *lockedBuffer) Bytes() []byte {
 	return append([]byte(nil), l.b.Bytes()...)
 }
 
-// TestOldClientCompat: a client capped at wire v1 must work against a
-// v2 server — same queries, same results — just without the v2 fields.
-func TestOldClientCompat(t *testing.T) {
+// TestFlightRecordBeforeStats: the flight-recorder entry of a query is
+// complete by the time its Stats frame reaches the client (PR 17), and
+// carries the trace ID the Stats frame echoes.
+func TestFlightRecordBeforeStats(t *testing.T) {
 	cat, _ := testDB(t, 0.05)
 	o := obs.New(nil, obs.NewRegistry(time.Millisecond))
 	o.EnableFlight(8)
 	s := startServer(t, cat, Config{Obs: o})
 
-	c, err := Dial(s.Addr(), ClientConfig{Name: "legacy", MaxVersion: 1})
+	c, err := Dial(s.Addr(), ClientConfig{Name: "flight"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if got := c.ProtocolVersion(); got != 1 {
-		t.Fatalf("negotiated v%d, want v1", got)
-	}
-	if got := c.SessionID(); got != 0 {
-		t.Fatalf("v1 handshake leaked a session ID %d", got)
+	if got := c.ProtocolVersion(); got != wire.Version {
+		t.Fatalf("negotiated v%d, want v%d", got, wire.Version)
 	}
 	res, err := c.Query(context.Background(), workload.QueryTexts()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.TraceID != 0 || res.Stats.AdmitWait != 0 || res.Stats.Stream != 0 {
-		t.Errorf("v1 stats frame carries v2 fields: %+v", res.Stats)
+	if res.Stats.TraceID == 0 {
+		t.Fatal("stats frame carries no trace ID")
 	}
-	if res.Stats.Tuples == 0 && res.Relation.Cardinality() != 0 {
-		t.Error("v1 stats frame lost the v1 fields")
-	}
-	// The server still traces it: a server-assigned ID keyed the
-	// flight-recorder entry even though the wire never carried one.
 	recent := o.Flight().Recent()
-	if len(recent) != 1 || recent[0].TraceID == 0 || recent[0].Outcome != obs.OutcomeOK {
-		t.Fatalf("flight recorder after v1 query = %+v, want one ok record with a server-assigned trace ID", recent)
+	if len(recent) != 1 || recent[0].TraceID != res.Stats.TraceID || recent[0].Outcome != obs.OutcomeOK {
+		t.Fatalf("flight recorder as the stats frame arrived = %+v, want one ok record with trace ID %d", recent, res.Stats.TraceID)
 	}
 }
 

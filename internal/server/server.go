@@ -315,7 +315,6 @@ func (s *Server) acceptLoop() {
 			conn:   conn,
 			br:     bufio.NewReader(conn),
 			engine: s.cfg.Engine,
-			ver:    wire.Version, // until the handshake negotiates
 		}
 		s.sessions[sid] = sess
 		active := len(s.sessions)
@@ -535,7 +534,7 @@ func (st *resultStream) encode(pg *relation.Page, last bool) error {
 		n++
 	}
 	var err error
-	st.queued[n-1], err = wire.AppendFrame(st.queued[n-1], &st.frame, st.c.ver)
+	st.queued[n-1], err = wire.AppendFrame(st.queued[n-1], &st.frame)
 	st.mu.Unlock()
 	if pg != nil {
 		st.c.srv.engine.Recycle(pg)
@@ -803,7 +802,6 @@ type session struct {
 	br     *bufio.Reader
 	engine string
 	name   string
-	ver    uint16 // negotiated wire version; frames cross at this version
 
 	wmu sync.Mutex // serializes frame writes across query streamers
 
@@ -847,7 +845,7 @@ func (c *session) run() {
 			}
 			return // EOF or idle timeout: session over
 		}
-		f, err := wire.ReadVersion(c.br, c.ver)
+		f, err := wire.Read(c.br)
 		if err != nil {
 			return // torn or malformed frame: session over
 		}
@@ -895,10 +893,6 @@ func (c *session) handshake() bool {
 		return false
 	}
 	c.name = h.Name
-	// Every frame after this reply crosses at the negotiated version; a
-	// v1 peer never sees v2 fields. The reply itself must too — the
-	// latched version governs whether SessionID is encoded at all.
-	c.ver = v
 	return c.writeFrame(&wire.Hello{Min: v, Max: v, Engine: c.engine, Name: "dfdbm", SessionID: uint64(c.id)})
 }
 
@@ -1230,5 +1224,5 @@ func (c *session) writeFrame(f wire.Frame) bool {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	_ = c.conn.SetWriteDeadline(time.Now().Add(c.srv.cfg.SessionTimeout))
-	return wire.WriteVersion(c.conn, f, c.ver) == nil
+	return wire.Write(c.conn, f) == nil
 }

@@ -120,6 +120,28 @@ func TestVersionNegotiationRejected(t *testing.T) {
 	}
 }
 
+// TestV1HelloRefused: a client that speaks only wire v1 gets a typed
+// version error frame, not a session.
+func TestV1HelloRefused(t *testing.T) {
+	cat, _ := testDB(t, 0.05)
+	s := startServer(t, cat, Config{})
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := wire.Write(conn, &wire.Hello{Min: 1, Max: 1}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := wire.Read(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, ok := f.(*wire.Error); !ok || e.Code != wire.CodeVersion || e.QueryID != wire.SessionQueryID {
+		t.Fatalf("got %#v, want a session-wide version error frame", f)
+	}
+}
+
 func TestUnknownEngineRejected(t *testing.T) {
 	cat, _ := testDB(t, 0.05)
 	s := startServer(t, cat, Config{})

@@ -264,7 +264,7 @@ func TestResultStreamEncodesIntoWarmChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := (&session{srv: s, ver: wire.Version}).newResultStream(1)
+	st := (&session{srv: s}).newResultStream(1)
 	st.describe(r1.Name(), r1.PageSize(), r1.Schema())
 	var batch [][]byte
 	var encoded int64

@@ -31,41 +31,27 @@ func goldenFrames() []Frame {
 }
 
 // goldenBytes are goldenFrames as the encoder before AppendFrame wrote
-// them (payload built apart, then copied behind a header), at v1 and
-// v2. The wire format did not change when the encoder did.
-var goldenBytes = map[uint16][]string{
-	1: {
-		"01170000000100020007006d616368696e650800636c69656e742d37",
-		"010f000000020002000400636f72650300737276",
-		"021e0000002a00000002170072657374726963742872312c2076616c203c2031303029",
-		"032e0000002a0000000000000002020074330008000002000200696401000000000300706164044c0000000400000001020304",
-		"03100000002a000000070000000103000000090807",
-		"03220000000900000000000000030500656d70747900020000010001006b020000000000000000",
-		"0419000000ffffffff070076657273696f6e0a006e6f206f7665726c6170",
-		"0533000000070000000400636f7265d20400000000000009000000000000009f8601000000000050690f000000000080841e000000000001",
-	},
-	2: {
-		"01170000000100020007006d616368696e650800636c69656e742d37",
-		"0117000000020002000400636f726503007372764d00000000000000",
-		"02260000002a00000002170072657374726963742872312c2076616c203c2031303029efbeadde00000000",
-		"032e0000002a0000000000000002020074330008000002000200696401000000000300706164044c0000000400000001020304",
-		"03100000002a000000070000000103000000090807",
-		"03220000000900000000000000030500656d70747900020000010001006b020000000000000000",
-		"0419000000ffffffff070076657273696f6e0a006e6f206f7665726c6170",
-		"0553000000070000000400636f7265d20400000000000009000000000000009f8601000000000050690f000000000080841e000000000001efbeadde0000000040420f00000000001027000000000000801a060000000000",
-	},
+// them (payload built apart, then copied behind a header). The wire
+// format did not change when the encoder did.
+var goldenBytes = []string{
+	"01170000000100020007006d616368696e650800636c69656e742d37",
+	"0117000000020002000400636f726503007372764d00000000000000",
+	"02260000002a00000002170072657374726963742872312c2076616c203c2031303029efbeadde00000000",
+	"032e0000002a0000000000000002020074330008000002000200696401000000000300706164044c0000000400000001020304",
+	"03100000002a000000070000000103000000090807",
+	"03220000000900000000000000030500656d70747900020000010001006b020000000000000000",
+	"0419000000ffffffff070076657273696f6e0a006e6f206f7665726c6170",
+	"0553000000070000000400636f7265d20400000000000009000000000000009f8601000000000050690f000000000080841e000000000001efbeadde0000000040420f00000000001027000000000000801a060000000000",
 }
 
 func TestWriteVersionBytesUnchanged(t *testing.T) {
-	for ver, golds := range goldenBytes {
-		for i, f := range goldenFrames() {
-			var buf bytes.Buffer
-			if err := WriteVersion(&buf, f, ver); err != nil {
-				t.Fatalf("v%d frame %d (%s): %v", ver, i, f.Type(), err)
-			}
-			if got := hex.EncodeToString(buf.Bytes()); got != golds[i] {
-				t.Errorf("v%d frame %d (%s):\n got %s\nwant %s", ver, i, f.Type(), got, golds[i])
-			}
+	for i, f := range goldenFrames() {
+		var buf bytes.Buffer
+		if err := WriteVersion(&buf, f, Version); err != nil {
+			t.Fatalf("frame %d (%s): %v", i, f.Type(), err)
+		}
+		if got := hex.EncodeToString(buf.Bytes()); got != goldenBytes[i] {
+			t.Errorf("frame %d (%s):\n got %s\nwant %s", i, f.Type(), got, goldenBytes[i])
 		}
 	}
 }
@@ -90,23 +76,21 @@ func (b blobSource) AppendMarshal(dst []byte) []byte { return append(dst, b.blob
 // them, whether the page comes as a blob or from a PageSource; a frame
 // that cannot be encoded hands the buffer back as it was.
 func TestAppendFrame(t *testing.T) {
-	for ver, golds := range goldenBytes {
-		buf := []byte("prefix")
-		want := "prefix"
-		for i, f := range goldenFrames() {
-			if rp, ok := f.(*ResultPage); ok && len(rp.Page) > 0 {
-				rp.Source, rp.Page = blobSource{blob: rp.Page}, nil
-			}
-			var err error
-			if buf, err = AppendFrame(buf, f, ver); err != nil {
-				t.Fatalf("v%d frame %d: %v", ver, i, err)
-			}
-			raw, _ := hex.DecodeString(golds[i])
-			want += string(raw)
+	buf := []byte("prefix")
+	want := "prefix"
+	for i, f := range goldenFrames() {
+		if rp, ok := f.(*ResultPage); ok && len(rp.Page) > 0 {
+			rp.Source, rp.Page = blobSource{blob: rp.Page}, nil
 		}
-		if string(buf) != want {
-			t.Errorf("v%d: appended frames differ from the prefix plus WriteVersion's bytes", ver)
+		var err error
+		if buf, err = AppendFrame(buf, f); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
 		}
+		raw, _ := hex.DecodeString(goldenBytes[i])
+		want += string(raw)
+	}
+	if string(buf) != want {
+		t.Error("appended frames differ from the prefix plus WriteVersion's bytes")
 	}
 
 	held := append(make([]byte, 0, 256), "held"...)
@@ -116,7 +100,7 @@ func TestAppendFrame(t *testing.T) {
 		"lying page source":    &ResultPage{Seq: 1, Source: blobSource{blob: []byte{1, 2, 3}, lie: true}},
 		"payload over the cap": &ResultPage{Seq: 1, Page: make([]byte, MaxFrameLen)},
 	} {
-		got, err := AppendFrame(held, bad, Version)
+		got, err := AppendFrame(held, bad)
 		if err == nil {
 			t.Errorf("%s: encoded without error", name)
 		}
@@ -141,7 +125,7 @@ func TestAppendRoomIsEnough(t *testing.T) {
 				rp.Source, rp.Page = blobSource{blob: rp.Page}, nil
 			}
 			buf := append(make([]byte, 0, 6+rp.AppendRoom()), "prefix"...)
-			got, err := AppendFrame(buf, rp, Version)
+			got, err := AppendFrame(buf, rp)
 			if err != nil {
 				t.Fatalf("frame %d: %v", i, err)
 			}

@@ -11,9 +11,9 @@
 //	     u16-length-prefixed strings)
 //
 // A session opens with a Hello exchange that negotiates the protocol
-// version: the client offers its supported [MinVersion, MaxVersion]
-// range, the server answers with the highest version both sides speak
-// (or an Error frame when the ranges do not overlap). After the
+// version: the client offers the range of versions it speaks, the
+// server answers with the highest version both sides speak (or an
+// Error frame when the ranges do not overlap). After the
 // handshake the client sends Query frames, each carrying a
 // client-chosen query ID, and the server answers every query with a
 // stream of ResultPage frames (page blobs in relation.Page wire form,
@@ -34,8 +34,9 @@ import (
 // Protocol versions spoken by this build.
 const (
 	// MinVersion is the oldest protocol revision this build accepts.
-	MinVersion = 1
-	// Version is the current protocol revision. Version 2 adds
+	// Version 1, without the tracing fields, was dropped after f2ebb02.
+	MinVersion = 2
+	// Version is the current protocol revision. Version 2 carries
 	// end-to-end tracing: a server-assigned session ID on the Hello
 	// reply, a TraceID on Query and Stats frames, and the per-stage
 	// lifecycle breakdown (admit-wait, schedule, stream) on Stats.
@@ -121,11 +122,11 @@ type Hello struct {
 	Engine string
 	// Name optionally identifies the peer for traces and spans.
 	Name string
-	// SessionID (v2+) is the server-assigned session identifier, set
-	// only on the server's Hello reply; it names the session in the
-	// server's spans, flight recorder, and /queries output. The field
-	// is self-describing on the wire (appended only when nonzero), so
-	// a v1 peer never sees it.
+	// SessionID is the server-assigned session identifier, set only on
+	// the server's Hello reply; it names the session in the server's
+	// spans, flight recorder, and /queries output. The field is
+	// self-describing on the wire (appended only when nonzero), so a
+	// client Hello reads the same whatever versions it offers.
 	SessionID uint64
 }
 
@@ -137,7 +138,7 @@ func (h *Hello) encode(e *encoder) {
 	e.u16(h.Max)
 	e.str(h.Engine)
 	e.str(h.Name)
-	if e.ver >= 2 && h.SessionID != 0 {
+	if h.SessionID != 0 {
 		e.u64(h.SessionID)
 	}
 }
@@ -147,7 +148,7 @@ func (h *Hello) decode(d *decoder) {
 	h.Max = d.u16()
 	h.Engine = d.str()
 	h.Name = d.str()
-	if d.ver >= 2 && d.err == nil && len(d.b) >= 8 {
+	if d.err == nil && len(d.b) >= 8 {
 		h.SessionID = d.u64()
 	}
 }
@@ -176,7 +177,7 @@ type Query struct {
 	Priority uint8
 	// Text is the query in the surface syntax of internal/query.
 	Text string
-	// TraceID (v2+) is a client-proposed trace identifier. Zero asks
+	// TraceID is a client-proposed trace identifier. Zero asks
 	// the server to assign one; either way the Stats frame echoes the
 	// trace ID in force so the client can correlate its own spans with
 	// the server's.
@@ -190,18 +191,14 @@ func (q *Query) encode(e *encoder) {
 	e.u32(q.ID)
 	e.u8(q.Priority)
 	e.str(q.Text)
-	if e.ver >= 2 {
-		e.u64(q.TraceID)
-	}
+	e.u64(q.TraceID)
 }
 
 func (q *Query) decode(d *decoder) {
 	q.ID = d.u32()
 	q.Priority = d.u8()
 	q.Text = d.str()
-	if d.ver >= 2 {
-		q.TraceID = d.u64()
-	}
+	q.TraceID = d.u64()
 }
 
 // SchemaAttr is one attribute of a result schema as carried on the
@@ -354,15 +351,15 @@ type Stats struct {
 	// Deferred reports whether admission was delayed by a read/write
 	// conflict with a concurrently running query.
 	Deferred bool
-	// TraceID (v2+) is the trace identifier in force for this query on
+	// TraceID is the trace identifier in force for this query on
 	// the server, echoed so the client can link its round trip to the
 	// server's span tree and flight-recorder entry.
 	TraceID uint64
-	// AdmitWait, Sched, and Stream (v2+) break the server-side
-	// lifecycle into stages: AdmitWait is time spent queued before the
-	// scheduler admitted the query (Queued = AdmitWait + Sched for a v1
-	// reader), Sched is the admit-to-run dispatch latency, and Stream
-	// is the time spent writing result pages back to the client.
+	// AdmitWait, Sched, and Stream break the server-side lifecycle into
+	// stages: AdmitWait is time spent queued before the scheduler
+	// admitted the query (Queued = AdmitWait + Sched), Sched is the
+	// admit-to-run dispatch latency, and Stream is the time spent
+	// writing result pages back to the client.
 	AdmitWait time.Duration
 	Sched     time.Duration
 	Stream    time.Duration
@@ -384,12 +381,10 @@ func (s *Stats) encode(e *encoder) {
 		flags = 1
 	}
 	e.u8(flags)
-	if e.ver >= 2 {
-		e.u64(s.TraceID)
-		e.u64(uint64(s.AdmitWait))
-		e.u64(uint64(s.Sched))
-		e.u64(uint64(s.Stream))
-	}
+	e.u64(s.TraceID)
+	e.u64(uint64(s.AdmitWait))
+	e.u64(uint64(s.Sched))
+	e.u64(uint64(s.Stream))
 }
 
 func (s *Stats) decode(d *decoder) {
@@ -401,12 +396,10 @@ func (s *Stats) decode(d *decoder) {
 	s.Queued = time.Duration(d.u64())
 	s.Exec = time.Duration(d.u64())
 	s.Deferred = d.u8()&1 != 0
-	if d.ver >= 2 {
-		s.TraceID = d.u64()
-		s.AdmitWait = time.Duration(d.u64())
-		s.Sched = time.Duration(d.u64())
-		s.Stream = time.Duration(d.u64())
-	}
+	s.TraceID = d.u64()
+	s.AdmitWait = time.Duration(d.u64())
+	s.Sched = time.Duration(d.u64())
+	s.Stream = time.Duration(d.u64())
 }
 
 // Write encodes f at the current protocol Version and writes it to w
@@ -417,10 +410,13 @@ func (s *Stats) decode(d *decoder) {
 func Write(w io.Writer, f Frame) error { return WriteVersion(w, f, Version) }
 
 // WriteVersion encodes f at the given negotiated protocol version and
-// writes it to w as one frame, in one Write. Sessions use it after the
-// handshake so a v2 server never sends v2 fields to a v1 client.
+// writes it to w as one frame, in one Write. A version this build does
+// not speak is refused.
 func WriteVersion(w io.Writer, f Frame, ver uint16) error {
-	b, err := AppendFrame(nil, f, ver)
+	if err := checkVersion(ver); err != nil {
+		return err
+	}
+	b, err := AppendFrame(nil, f)
 	if err != nil {
 		return err
 	}
@@ -428,25 +424,33 @@ func WriteVersion(w io.Writer, f Frame, ver uint16) error {
 	return err
 }
 
+// checkVersion refuses a protocol version outside [MinVersion, Version].
+func checkVersion(ver uint16) error {
+	if ver < MinVersion || ver > Version {
+		return fmt.Errorf("wire: protocol version %d not spoken (this build speaks %d-%d)", ver, MinVersion, Version)
+	}
+	return nil
+}
+
 // frameHeaderLen is the type byte plus the u32 payload length.
 const frameHeaderLen = 5
 
-// AppendFrame encodes f at the given protocol version onto dst — the
+// AppendFrame encodes f onto dst — the
 // payload is built behind a reserved header, in place, so a frame is
 // encoded once and copied never — and returns the extended buffer. A
 // caller queueing several frames appends them to one buffer and hands
 // it to a single Write. A frame that cannot be represented on the wire
 // is refused as Write refuses it, and dst is returned as it came.
-func AppendFrame(dst []byte, f Frame, ver uint16) ([]byte, error) {
+func AppendFrame(dst []byte, f Frame) ([]byte, error) {
 	if p, ok := f.(*ResultPage); ok {
 		// The one frame sent per page is encoded through a direct call:
 		// its encoder then stays on the stack, where the interface call
 		// below sends it to the heap.
-		e := beginFrame(dst, TypeResultPage, ver)
+		e := beginFrame(dst, TypeResultPage)
 		p.encode(&e)
 		return e.endFrame(dst, TypeResultPage)
 	}
-	e := beginFrame(dst, f.Type(), ver)
+	e := beginFrame(dst, f.Type())
 	f.encode(&e)
 	return e.endFrame(dst, f.Type())
 }
@@ -458,8 +462,8 @@ const frameReserve = 64
 // beginFrame reserves the frame header behind dst, with room for any
 // frame's fixed fields up front: an empty dst then grows at most once
 // more, for a page blob.
-func beginFrame(dst []byte, t Type, ver uint16) encoder {
-	return encoder{b: append(slices.Grow(dst, frameReserve), byte(t), 0, 0, 0, 0), ver: ver}
+func beginFrame(dst []byte, t Type) encoder {
+	return encoder{b: append(slices.Grow(dst, frameReserve), byte(t), 0, 0, 0, 0)}
 }
 
 // AppendRoom is the spare capacity with which AppendFrame encodes p in
@@ -500,9 +504,12 @@ func (e *encoder) endFrame(dst []byte, t Type) ([]byte, error) {
 func Read(r io.Reader) (Frame, error) { return ReadVersion(r, Version) }
 
 // ReadVersion reads and decodes one frame from r at the given
-// negotiated protocol version. Sessions use it after the handshake so
-// a frame from a v1 peer is decoded with the v1 layout.
+// negotiated protocol version. A version this build does not speak is
+// refused.
 func ReadVersion(r io.Reader, ver uint16) (Frame, error) {
+	if err := checkVersion(ver); err != nil {
+		return nil, err
+	}
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
@@ -533,7 +540,7 @@ func ReadVersion(r io.Reader, ver uint16) (Frame, error) {
 	default:
 		return nil, fmt.Errorf("wire: unknown frame type %d", hdr[0])
 	}
-	d := decoder{b: payload, ver: ver}
+	d := decoder{b: payload}
 	f.decode(&d)
 	if d.err != nil {
 		return nil, fmt.Errorf("wire: decoding %s frame: %w", f.Type(), d.err)
@@ -550,11 +557,9 @@ func ReadVersion(r io.Reader, ver uint16) (Frame, error) {
 // encoder latches an error instead and Write refuses the frame.
 const maxStrLen = 1<<16 - 1
 
-// encoder builds a frame payload at a negotiated protocol version,
-// latching the first error.
+// encoder builds a frame payload, latching the first error.
 type encoder struct {
 	b   []byte
-	ver uint16
 	err error
 }
 
@@ -583,11 +588,9 @@ func (e *encoder) bytes(p []byte) {
 	e.b = append(e.b, p...)
 }
 
-// decoder consumes a frame payload at a negotiated protocol version,
-// latching the first error.
+// decoder consumes a frame payload, latching the first error.
 type decoder struct {
 	b   []byte
-	ver uint16
 	err error
 }
 

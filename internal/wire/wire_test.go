@@ -104,82 +104,37 @@ func TestNegotiate(t *testing.T) {
 	}
 }
 
-// TestCrossVersion pins the compatibility contract of the versioned
-// codec: frames written at v1 decode at v2 (with the v2 fields zero),
-// frames written at v2 to a v2 reader keep the v2 fields, and the v2
-// fields are never put on the wire for a v1 peer.
+// TestCrossVersion pins what is left of versioning in the codec: one
+// layout, Version's. WriteVersion and ReadVersion refuse a version this
+// build does not speak — v1 included — instead of ignoring it, and at
+// Version they are Write and Read.
 func TestCrossVersion(t *testing.T) {
-	// v1-encoded Query read by a v2-aware session at the negotiated
-	// version 1: TraceID absent, no error.
+	q := &Query{ID: 3, Text: "r1", TraceID: 55}
+	var framed bytes.Buffer
+	if err := Write(&framed, q); err != nil {
+		t.Fatal(err)
+	}
+	for _, ver := range []uint16{0, 1, Version + 1} {
+		if err := WriteVersion(io.Discard, q, ver); err == nil {
+			t.Errorf("WriteVersion at v%d succeeded", ver)
+		}
+		if _, err := ReadVersion(bytes.NewReader(framed.Bytes()), ver); err == nil {
+			t.Errorf("ReadVersion at v%d succeeded", ver)
+		}
+	}
 	var buf bytes.Buffer
-	if err := WriteVersion(&buf, &Query{ID: 3, Text: "r1", TraceID: 55}, 1); err != nil {
+	if err := WriteVersion(&buf, q, Version); err != nil {
 		t.Fatal(err)
 	}
-	f, err := ReadVersion(&buf, 1)
+	if !bytes.Equal(buf.Bytes(), framed.Bytes()) {
+		t.Errorf("WriteVersion at v%d differs from Write", Version)
+	}
+	f, err := ReadVersion(&buf, Version)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q := f.(*Query); q.TraceID != 0 || q.Text != "r1" {
-		t.Errorf("v1 query round trip: %+v", q)
-	}
-
-	// Stats written at v1 must not leak the v2 stage breakdown.
-	buf.Reset()
-	s := &Stats{QueryID: 1, Engine: "core", Queued: time.Millisecond,
-		Exec: time.Millisecond, TraceID: 9, AdmitWait: time.Second, Stream: time.Second}
-	if err := WriteVersion(&buf, s, 1); err != nil {
-		t.Fatal(err)
-	}
-	f, err = ReadVersion(&buf, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := f.(*Stats)
-	if got.TraceID != 0 || got.AdmitWait != 0 || got.Stream != 0 {
-		t.Errorf("v2 fields leaked through a v1 frame: %+v", got)
-	}
-	if got.Queued != s.Queued || got.Exec != s.Exec {
-		t.Errorf("v1 fields lost: %+v", got)
-	}
-
-	// A client Hello (no SessionID) is byte-identical at v1 and v2, so
-	// a v1 server can always read the opening frame of a v2 client.
-	var b1, b2 bytes.Buffer
-	h := &Hello{Min: 1, Max: 2, Engine: "core", Name: "c"}
-	if err := WriteVersion(&b1, h, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteVersion(&b2, h, 2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-		t.Error("client Hello differs between v1 and v2 encodings")
-	}
-
-	// A v2 server reply carrying a SessionID decodes at v2; the same
-	// struct written at the negotiated version 1 omits it entirely.
-	buf.Reset()
-	reply := &Hello{Min: 2, Max: 2, Engine: "core", SessionID: 123}
-	if err := WriteVersion(&buf, reply, 2); err != nil {
-		t.Fatal(err)
-	}
-	f, err = ReadVersion(&buf, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.(*Hello).SessionID != 123 {
-		t.Errorf("session ID lost at v2: %+v", f)
-	}
-	buf.Reset()
-	if err := WriteVersion(&buf, reply, 1); err != nil {
-		t.Fatal(err)
-	}
-	f, err = ReadVersion(&buf, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.(*Hello).SessionID != 0 {
-		t.Errorf("session ID leaked through a v1 Hello: %+v", f)
+	if !reflect.DeepEqual(f, q) {
+		t.Errorf("ReadVersion at v%d: got %+v, want %+v", Version, f, q)
 	}
 }
 
