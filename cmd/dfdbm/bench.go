@@ -111,7 +111,6 @@ var benchSections = []benchSection{
 		{"kernel/restrict-scalar", benchGate{}},
 		{"kernel/restrict-batch", benchGate{}},
 		{"kernel/project-batch", benchGate{}},
-		{"kernel/restrict-project-fused", benchGate{}},
 	}},
 	{"heap storage, cold vs warm scans, stored appends, run scans alone and together", 3, benchHeap, []benchRow{
 		{"heap/scan-cold", benchGate{allocs: true}},
@@ -382,10 +381,9 @@ func benchHashPhases(env *benchEnv) ([]benchOp, error) {
 
 // benchKernels measures the page kernels head to head on the paper
 // database's r5: the scalar tuple-at-a-time restrict against the
-// batched bitmap kernel, the batched project, and the fused
-// restrict+project loop. The batched kernels' results are verified
-// byte-identical to the scalar kernels' by TestBatchKernels; here they
-// are only timed.
+// batched bitmap kernel, and the batched project. The batched
+// kernels' results are verified byte-identical to the scalar kernels'
+// by TestBatchKernelsMatchScalar; here they are only timed.
 func benchKernels(env *benchEnv) ([]benchOp, error) {
 	rel, err := env.db.Get("r5")
 	if err != nil {
@@ -431,22 +429,13 @@ func benchKernels(env *benchEnv) ([]benchOp, error) {
 		}
 		return nil
 	}
-	fused := func() error {
-		d.Reset()
-		for _, pg := range pages {
-			if _, err := rs.RestrictProjectPage(pg, pj, d, sink); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	vec := 0.0
 	if rs.Vectorized() {
 		vec = 1
 	}
 	tuples := fixed(map[string]float64{"tuples": float64(rel.Cardinality())})
 	tuplesVec := fixed(map[string]float64{"tuples": float64(rel.Cardinality()), "vectorized": vec})
-	return []benchOp{{scalar, tuples}, {batch, tuplesVec}, {project, tuples}, {fused, tuplesVec}}, nil
+	return []benchOp{{scalar, tuples}, {batch, tuplesVec}, {project, tuples}}, nil
 }
 
 // benchHeap measures the paged-storage path on the paper database's

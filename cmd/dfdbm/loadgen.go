@@ -27,7 +27,6 @@ func cmdLoadgen(db *dfdbm.DB, args []string) {
 	timeScale := fs.Float64("time-scale", 0, "override the profile's time compression (0 = profile value)")
 	addr := fs.String("addr", "", "drive a running server at this address instead of self-hosting (in-process events are skipped)")
 	out := fs.String("out", "", "write timeline.csv and timeline.json into this directory")
-	engine := fs.String("engine", "", "session engine: core or machine (empty = server default)")
 	runners := fs.Int("runners", 4, "self-hosted: fixed runner pool size (the autoscale floor with -autoscale)")
 	maxRunners := fs.Int("max-runners", 16, "self-hosted: autoscale ceiling for -autoscale")
 	autoscale := fs.Bool("autoscale", false, "self-hosted: autoscale the runner pool (bounds from the profile's autoscale section, else -runners/-max-runners)")
@@ -51,7 +50,6 @@ func cmdLoadgen(db *dfdbm.DB, args []string) {
 	cfg := dfdbm.LoadRunConfig{
 		Profile:   profile,
 		TimeScale: *timeScale,
-		Engine:    *engine,
 	}
 	if !*quiet {
 		cfg.Log = os.Stderr
@@ -108,7 +106,6 @@ func cmdLoadgen(db *dfdbm.DB, args []string) {
 		}
 		srv, err := dfdbm.Serve(db, dfdbm.ServeConfig{
 			Addr:        "127.0.0.1:0",
-			Engine:      dfdbm.ServeEngineCore,
 			MaxSessions: 256,
 			QueueDepth:  *queueDepth,
 			Runners:     *runners,

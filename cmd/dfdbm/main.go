@@ -9,8 +9,8 @@
 //	dfdbm [flags] bench
 //	dfdbm [flags] machine [queries...]
 //	dfdbm [flags] direct [-procs N] [-strategy page|relation]
-//	dfdbm [flags] serve [-addr A] [-engine core|machine] [-data-dir DIR] [-fsync commit|none] [-max-sessions N] [-queue-depth N] [-runners N] [-max-inflight N] [-drain-timeout D]
-//	dfdbm client [-addr A] [-engine core|machine] [-priority high|normal|low] '<query>' ...
+//	dfdbm [flags] serve [-addr A] [-data-dir DIR] [-fsync commit|none] [-max-sessions N] [-queue-depth N] [-runners N] [-max-inflight N] [-drain-timeout D]
+//	dfdbm client [-addr A] [-priority high|normal|low] '<query>' ...
 //	dfdbm wal <inspect|verify> -data-dir DIR [-records]
 //	dfdbm top [-addr A] [-interval D] [-recent N] [-once] [-json]
 //	dfdbm loadgen -profile FILE [-time-scale F] [-autoscale] [-out DIR] [-http A]

@@ -19,7 +19,6 @@ import (
 func cmdServe(db *dfdbm.DB, args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:7432", "TCP listen address")
-	engine := fs.String("engine", dfdbm.ServeEngineCore, "default session engine: core or machine")
 	maxSessions := fs.Int("max-sessions", 64, "maximum concurrent sessions")
 	maxInflight := fs.Int("max-inflight", 4, "maximum in-flight queries per session")
 	queueDepth := fs.Int("queue-depth", 64, "admission queue depth (beyond it, queries are shed)")
@@ -29,7 +28,6 @@ func cmdServe(db *dfdbm.DB, args []string) {
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain may take before in-flight queries are cancelled")
 	sessionTimeout := fs.Duration("session-timeout", 5*time.Minute, "idle session deadline")
 	workers := fs.Int("workers", 4, "core-engine workers per query")
-	ips := fs.Int("ips", 16, "machine-engine instruction processors per query")
 	slowQuery := fs.Duration("slow-query-threshold", 0, "log queries whose end-to-end time exceeds this (0 disables)")
 	dataDir := fs.String("data-dir", "", "durable data directory: recover from it on start, write-ahead log every write into it")
 	bufferFrames := fs.Int("buffer-frames", 0, "heap buffer-pool frame budget shared by all relations (0 = 1024); relations larger than it scan through CLOCK eviction")
@@ -42,7 +40,7 @@ func cmdServe(db *dfdbm.DB, args []string) {
 	of := addObsFlags(fs)
 	check(fs.Parse(args))
 	if fs.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "usage: dfdbm serve [-addr A] [-engine core|machine] [-data-dir DIR] [-fsync commit|none] [-max-sessions N] [-queue-depth N] [-runners N] [-max-inflight N] [-drain-timeout D]")
+		fmt.Fprintln(os.Stderr, "usage: dfdbm serve [-addr A] [-data-dir DIR] [-fsync commit|none] [-max-sessions N] [-queue-depth N] [-runners N] [-max-inflight N] [-drain-timeout D]")
 		os.Exit(2)
 	}
 
@@ -88,7 +86,6 @@ func cmdServe(db *dfdbm.DB, args []string) {
 	}
 	srv, err := dfdbm.Serve(db, dfdbm.ServeConfig{
 		Addr:            *addr,
-		Engine:          *engine,
 		MaxSessions:     *maxSessions,
 		MaxInflight:     *maxInflight,
 		QueueDepth:      *queueDepth,
@@ -97,7 +94,6 @@ func cmdServe(db *dfdbm.DB, args []string) {
 		Autoscale:       as,
 		SessionTimeout:  *sessionTimeout,
 		Workers:         *workers,
-		IPs:             *ips,
 		SlowQuery:       *slowQuery,
 		WAL:             wlog,
 		CheckpointEvery: *checkpointEvery,
@@ -113,7 +109,7 @@ func cmdServe(db *dfdbm.DB, args []string) {
 		pool = fmt.Sprintf("runners=%d..%d (autoscale)", *runners, *maxRunners)
 	}
 	fmt.Printf("dfdbm: serving %d relations on %s (engine=%s, %s, queue=%d%s)\n",
-		len(db.Names()), srv.Addr(), *engine, pool, *queueDepth, durable)
+		len(db.Names()), srv.Addr(), dfdbm.ServeEngineCore, pool, *queueDepth, durable)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
@@ -228,7 +224,6 @@ func readQueryFile(path string) ([]string, error) {
 func cmdClient(args []string) {
 	fs := flag.NewFlagSet("client", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:7432", "server address")
-	engine := fs.String("engine", "", "request this engine for the session (empty = server default)")
 	priority := fs.String("priority", "normal", "admission priority: high, normal, or low")
 	name := fs.String("name", "dfdbm-client", "session name shown in server logs")
 	timeout := fs.Duration("timeout", 60*time.Second, "per-query timeout")
@@ -243,7 +238,7 @@ func cmdClient(args []string) {
 		queries = append(fromFile, queries...)
 	}
 	if len(queries) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: dfdbm client [-addr A] [-engine core|machine] [-priority P] [-f FILE] '<query>' ...")
+		fmt.Fprintln(os.Stderr, "usage: dfdbm client [-addr A] [-priority P] [-f FILE] '<query>' ...")
 		os.Exit(2)
 	}
 	var prio uint8
@@ -258,7 +253,7 @@ func cmdClient(args []string) {
 		check(fmt.Errorf("unknown priority %q (want high, normal, or low)", *priority))
 	}
 
-	c, err := dfdbm.Dial(*addr, dfdbm.ClientConfig{Engine: *engine, Name: *name, Timeout: *timeout})
+	c, err := dfdbm.Dial(*addr, dfdbm.ClientConfig{Name: *name, Timeout: *timeout})
 	check(err)
 	defer c.Close()
 	if *verbose {

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -58,6 +59,34 @@ type codeLedger struct {
 	// RootExports lists the root package's exported top-level names and
 	// the exported methods of its own types ("Type.Method").
 	RootExports []string `json:"root_exports"`
+	// ServingDeps lists the module packages internal/server reaches
+	// through non-test imports: what the serving binary links.
+	ServingDeps []string `json:"serving_deps"`
+}
+
+// simulatorPackages are the models of the paper's machines. They are
+// experiment tools, and the serving path links none of them.
+var simulatorPackages = []string{
+	"dfdbm/internal/machine",
+	"dfdbm/internal/direct",
+	"dfdbm/internal/ringnet",
+	"dfdbm/internal/sim",
+	"dfdbm/internal/hw",
+	"dfdbm/internal/fault",
+}
+
+// TestServerLinksNoSimulator reads the imports from the checkout, not
+// from CODE_ledger.json, so a re-link fails here even after -update.
+func TestServerLinksNoSimulator(t *testing.T) {
+	deps, err := servingDeps(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dep := range deps {
+		if slices.Contains(simulatorPackages, dep) {
+			t.Errorf("internal/server links the simulator package %s", dep)
+		}
+	}
 }
 
 func TestCodeLedger(t *testing.T) {
@@ -100,6 +129,7 @@ func TestCodeLedger(t *testing.T) {
 		d = append(d, listDelta("option_fields "+s, want.OptionFields[s], got.OptionFields[s])...)
 	}
 	d = append(d, listDelta("root_exports", want.RootExports, got.RootExports)...)
+	d = append(d, listDelta("serving_deps", want.ServingDeps, got.ServingDeps)...)
 	t.Fatalf("%s is stale (committed -> checkout); if the change is intended, rerun with -update and name the delta in CHANGES.md:\n  %s",
 		codeLedgerFile, strings.Join(d, "\n  "))
 }
@@ -162,7 +192,58 @@ func readCodeLedger(root string) (*codeLedger, error) {
 	}
 	sort.Strings(l.CLIFlags)
 	sort.Strings(l.RootExports)
+	if l.ServingDeps, err = servingDeps(root); err != nil {
+		return nil, err
+	}
 	return l, nil
+}
+
+// servingDeps returns the sorted dfdbm/... packages reachable from
+// internal/server through the import specs of non-test files.
+func servingDeps(root string) ([]string, error) {
+	const module = "dfdbm/"
+	fset := token.NewFileSet()
+	seen := map[string]bool{}
+	var visit func(dir string) error
+	visit = func(dir string) error {
+		files, err := filepath.Glob(filepath.Join(root, dir, "*.go"))
+		if err != nil {
+			return err
+		}
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			file, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+			if err != nil {
+				return err
+			}
+			for _, spec := range file.Imports {
+				imp, err := strconv.Unquote(spec.Path.Value)
+				if err != nil {
+					return err
+				}
+				dep, ok := strings.CutPrefix(imp, module)
+				if !ok || seen[imp] {
+					continue
+				}
+				seen[imp] = true
+				if err := visit(dep); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	if err := visit("internal/server"); err != nil {
+		return nil, err
+	}
+	deps := make([]string, 0, len(seen))
+	for imp := range seen {
+		deps = append(deps, imp)
+	}
+	sort.Strings(deps)
+	return deps, nil
 }
 
 // codeLines counts the lines of src that hold at least one token other

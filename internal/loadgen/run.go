@@ -44,9 +44,6 @@ type RunConfig struct {
 	TimeScale float64
 	// Addr is the server's wire address.
 	Addr string
-	// Engine requests an execution engine per session ("" = server
-	// default).
-	Engine string
 	// Control hooks into an in-process server (optional).
 	Control *Control
 	// Live, when non-nil, receives every row for the /loadgen endpoint.
@@ -90,10 +87,7 @@ func Run(ctx context.Context, cfg RunConfig) (*Report, error) {
 	workers := make([]chan arrival, poolSize)
 	clients := make([]*server.Client, poolSize)
 	for i := range clients {
-		c, err := server.Dial(cfg.Addr, server.ClientConfig{
-			Engine: cfg.Engine,
-			Name:   fmt.Sprintf("loadgen-%d", i),
-		})
+		c, err := server.Dial(cfg.Addr, server.ClientConfig{Name: fmt.Sprintf("loadgen-%d", i)})
 		if err != nil {
 			for _, c := range clients[:i] {
 				c.Close()
@@ -305,7 +299,7 @@ func fireEvent(ctx context.Context, cfg RunConfig, ev EventSpec, scale float64) 
 			ctl.SetExecDelay(0)
 		}
 	case "bulk_append":
-		c, err := server.Dial(cfg.Addr, server.ClientConfig{Engine: cfg.Engine, Name: "loadgen-bulk"})
+		c, err := server.Dial(cfg.Addr, server.ClientConfig{Name: "loadgen-bulk"})
 		if err != nil {
 			logf(cfg.Log, "event bulk_append at %v: dial: %v", ev.At, err)
 			return

@@ -11,20 +11,16 @@ import (
 // a page's contiguous tuple bytes at once. A restrict first fills a
 // selection bitmap with the batch-compiled predicate (one tight
 // compare loop per predicate leaf instead of an interface call per
-// tuple), then walks the set bits to emit — and the fused
-// restrict+project variant gathers the projected fields during that
-// same walk, so no intermediate tuple stream ever exists between the
-// two operators. Outputs are byte-identical to the scalar kernels in
-// identical order: the bitmap preserves tuple order and the emit walk
-// visits set bits in ascending position.
+// tuple), then walks the set bits to emit. Outputs are byte-identical
+// to the scalar kernels in identical order: the bitmap preserves tuple
+// order and the emit walk visits set bits in ascending position.
 
 // RestrictState is the reusable state of the batched restrict kernel:
-// the batch-compiled predicate plus bitmap and projection scratch.
+// the batch-compiled predicate plus bitmap scratch.
 // It is owned by a single goroutine at a time (one per worker or IP).
 type RestrictState struct {
 	bp  *pred.BatchPred
 	sel []uint64
-	buf []byte
 }
 
 // NewRestrictState compiles the bound predicate for batched
@@ -39,16 +35,6 @@ func NewRestrictState(b pred.Bound) *RestrictState {
 // loops (false: some subtree uses the scalar fallback).
 func (s *RestrictState) Vectorized() bool { return s.bp.Vectorized() }
 
-// sized returns the selection bitmap scratch sized for n tuples.
-func (s *RestrictState) sized(n int) []uint64 {
-	if w := pred.SelWords(n); cap(s.sel) < w {
-		s.sel = make([]uint64, w)
-	} else {
-		s.sel = s.sel[:w]
-	}
-	return s.sel
-}
-
 // RestrictPage is the batched equivalent of the package-level
 // RestrictPage: bitmap pass, then emit pass over the set bits.
 func (s *RestrictState) RestrictPage(p *relation.Page, emit EmitFunc) (int, error) {
@@ -57,12 +43,16 @@ func (s *RestrictState) RestrictPage(p *relation.Page, emit EmitFunc) (int, erro
 		return 0, nil
 	}
 	data, tl := p.Data(), p.TupleLen()
-	sel := s.sized(n)
-	if err := s.bp.EvalBatch(data, tl, n, sel); err != nil {
+	if w := pred.SelWords(n); cap(s.sel) < w {
+		s.sel = make([]uint64, w)
+	} else {
+		s.sel = s.sel[:w]
+	}
+	if err := s.bp.EvalBatch(data, tl, n, s.sel); err != nil {
 		return 0, err
 	}
 	kept := 0
-	for wi, w := range sel {
+	for wi, w := range s.sel {
 		base := wi << 6
 		for w != 0 {
 			i := base + bits.TrailingZeros64(w)
@@ -74,41 +64,6 @@ func (s *RestrictState) RestrictPage(p *relation.Page, emit EmitFunc) (int, erro
 		}
 	}
 	return kept, nil
-}
-
-// RestrictProjectPage fuses restrict and project over one page: the
-// selection bitmap is computed once and the projected fields of the
-// selected tuples are gathered directly from the page during the bit
-// walk, with optional duplicate elimination. Equivalent to
-// RestrictPage piped into ProjectPage, without the intermediate tuple
-// stream.
-func (s *RestrictState) RestrictProjectPage(pg *relation.Page, pj *Projector, d *Dedup, emit EmitFunc) (int, error) {
-	n := pg.TupleCount()
-	if n == 0 {
-		return 0, nil
-	}
-	data, tl := pg.Data(), pg.TupleLen()
-	sel := s.sized(n)
-	if err := s.bp.EvalBatch(data, tl, n, sel); err != nil {
-		return 0, err
-	}
-	emitted := 0
-	for wi, w := range sel {
-		base := wi << 6
-		for w != 0 {
-			i := base + bits.TrailingZeros64(w)
-			w &= w - 1
-			s.buf = pj.Apply(s.buf[:0], data[i*tl:(i+1)*tl])
-			if d != nil && !d.Add(s.buf) {
-				continue
-			}
-			if err := emit(s.buf); err != nil {
-				return emitted, err
-			}
-			emitted++
-		}
-	}
-	return emitted, nil
 }
 
 // ProjectState is the reusable batched project kernel: ProjectPage's

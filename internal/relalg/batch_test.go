@@ -187,27 +187,6 @@ func TestBatchKernelsMatchScalar(t *testing.T) {
 				}
 			}
 			diffStreams(t, fmt.Sprintf("project %v", cols), sproj, bproj)
-
-			// Fused restrict+project vs the scalar two-step pipeline.
-			var sfused, bfused [][]byte
-			sd2, bd2 := NewDedup(), NewDedup()
-			emitProjected := func(raw []byte) error {
-				out := pj.Apply(nil, raw)
-				if !sd2.Add(out) {
-					return nil
-				}
-				sfused = append(sfused, out)
-				return nil
-			}
-			for _, pg := range rel.Pages() {
-				if _, err := RestrictPage(pg, bound, emitProjected); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := rs.RestrictProjectPage(pg, pj, bd2, collect(&bfused)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			diffStreams(t, fmt.Sprintf("fused restrict %s project %v", p, cols), sfused, bfused)
 		})
 	}
 }

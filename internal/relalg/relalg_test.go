@@ -64,15 +64,6 @@ func TestRestrictBindError(t *testing.T) {
 	}
 }
 
-func TestCount(t *testing.T) {
-	s := intSchema(t, "id")
-	r := buildRel(t, "R", s, [][]int64{{1}, {2}, {3}, {4}, {5}})
-	n, err := Count(r, pred.Compare{Attr: "id", Op: pred.LE, Const: relation.IntVal(3)})
-	if err != nil || n != 3 {
-		t.Errorf("Count = %d, %v; want 3", n, err)
-	}
-}
-
 func TestAppend(t *testing.T) {
 	s := intSchema(t, "id")
 	dst := buildRel(t, "D", s, [][]int64{{1}, {2}})

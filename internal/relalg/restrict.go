@@ -64,24 +64,6 @@ func Restrict(r *relation.Relation, p pred.Pred, name string) (*relation.Relatio
 	return out, nil
 }
 
-// Count returns the number of tuples of r satisfying p. It exists so
-// callers can size selectivities without materializing results.
-func Count(r *relation.Relation, p pred.Pred) (int, error) {
-	b, err := p.Bind(r.Schema())
-	if err != nil {
-		return 0, err
-	}
-	total := 0
-	for _, page := range r.Pages() {
-		n, err := RestrictPage(page, b, func([]byte) error { return nil })
-		if err != nil {
-			return 0, err
-		}
-		total += n
-	}
-	return total, nil
-}
-
 // Append adds every tuple of src to dst. The schemas must have identical
 // byte layout. It returns the number of tuples appended.
 func Append(dst, src *relation.Relation) (int, error) {

@@ -16,9 +16,6 @@ import (
 
 // ClientConfig parameterizes Dial.
 type ClientConfig struct {
-	// Engine requests an execution engine for the session ("core" or
-	// "machine"); empty accepts the server's default.
-	Engine string
 	// Name identifies the client in server logs and spans.
 	Name string
 	// Timeout bounds the dial, the handshake, and each Query's network
@@ -82,7 +79,9 @@ func overloaded(err error) bool {
 
 // RemoteError is an error frame received from the server.
 type RemoteError struct {
-	Code string // wire.CodeOverloaded, wire.CodeDraining, ...
+	// Code is wire.CodeOverloaded, CodeDraining, CodeParse, CodeExec,
+	// CodeProtocol or CodeVersion.
+	Code string
 	Msg  string
 }
 
@@ -110,10 +109,10 @@ type Client struct {
 	closed    bool
 }
 
-// Dial connects to a dfdbm server and performs the version and engine
-// handshake. With cfg.MaxRetries set, transient failures — refused
-// connections, timeouts, session-limit rejections — are retried with
-// jittered exponential backoff.
+// Dial connects to a dfdbm server and performs the version handshake.
+// With cfg.MaxRetries set, transient failures — refused connections,
+// timeouts, session-limit rejections — are retried with jittered
+// exponential backoff.
 func Dial(addr string, cfg ClientConfig) (*Client, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 30 * time.Second
@@ -133,7 +132,7 @@ func dialOnce(addr string, cfg ClientConfig) (*Client, error) {
 	}
 	c := &Client{conn: conn, br: bufio.NewReader(conn), cfg: cfg}
 	_ = conn.SetDeadline(time.Now().Add(cfg.Timeout))
-	if err := wire.Write(conn, &wire.Hello{Min: wire.MinVersion, Max: wire.Version, Engine: cfg.Engine, Name: cfg.Name}); err != nil {
+	if err := wire.Write(conn, &wire.Hello{Min: wire.MinVersion, Max: wire.Version, Name: cfg.Name}); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("client: handshake write: %w", err)
 	}
@@ -182,8 +181,8 @@ func (c *Client) Close() error {
 
 // Query sends one query and reassembles the streamed result. The
 // returned relation is rebuilt from the server's pages byte-for-byte.
-// Server-side failures (overload, drain, parse, execution, injected
-// faults) come back as *RemoteError with the wire code preserved.
+// Server-side failures (overload, drain, parse, execution) come back
+// as *RemoteError with the wire code preserved.
 func (c *Client) Query(ctx context.Context, text string) (*QueryResult, error) {
 	return c.QueryPriority(ctx, text, 1)
 }

@@ -15,22 +15,28 @@ import (
 // overload rejections: each accepted session handshakes, then answers
 // the first rejectQueries queries with CodeOverloaded and every later
 // one with a bare Stats frame. rejectDials sessions are refused with
-// an overloaded Error instead of a Hello.
+// a dialCode Error instead of a Hello.
 type stubServer struct {
 	ln            net.Listener
 	dials         atomic.Int64
 	queries       atomic.Int64
 	rejectDials   int64
 	rejectQueries int64
+	dialCode      string
 }
 
 func startStub(t *testing.T, rejectDials, rejectQueries int64) *stubServer {
+	t.Helper()
+	return serveStub(t, &stubServer{rejectDials: rejectDials, rejectQueries: rejectQueries, dialCode: wire.CodeOverloaded})
+}
+
+func serveStub(t *testing.T, st *stubServer) *stubServer {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := &stubServer{ln: ln, rejectDials: rejectDials, rejectQueries: rejectQueries}
+	st.ln = ln
 	t.Cleanup(func() { ln.Close() })
 	go func() {
 		for {
@@ -57,7 +63,7 @@ func (st *stubServer) session(conn net.Conn) {
 	}
 	if st.dials.Add(1) <= st.rejectDials {
 		_ = wire.WriteVersion(conn, &wire.Error{QueryID: wire.SessionQueryID,
-			Code: wire.CodeOverloaded, Msg: "session limit"}, h.Max)
+			Code: st.dialCode, Msg: "session refused"}, h.Max)
 		return
 	}
 	if err := wire.WriteVersion(conn, &wire.Hello{Min: h.Max, Max: h.Max, Engine: EngineCore, SessionID: 7}, h.Max); err != nil {
@@ -213,20 +219,18 @@ func TestDialRetriesRefusedConnection(t *testing.T) {
 	<-done
 }
 
-// TestDialPermanentErrorNotRetried: an unknown-engine rejection is not
-// transient — it must fail on the first attempt, without backoff.
+// TestDialPermanentErrorNotRetried: a protocol rejection of the
+// handshake is not transient — the first attempt is the only one.
 func TestDialPermanentErrorNotRetried(t *testing.T) {
-	cat, _ := testDB(t, 0.05)
-	s := startServer(t, cat, Config{})
-	start := time.Now()
-	_, err := Dial(s.Addr(), ClientConfig{Engine: "abacus", MaxRetries: 5, RetryBase: time.Second})
+	st := serveStub(t, &stubServer{rejectDials: 100, dialCode: wire.CodeProtocol})
+	_, err := Dial(st.ln.Addr().String(), ClientConfig{MaxRetries: 5, RetryBase: time.Millisecond})
 	if err == nil {
-		t.Fatal("dial with an unknown engine succeeded")
+		t.Fatal("dial refused by the server succeeded")
 	}
 	if transientDial(err) {
 		t.Fatalf("classified %v as transient", err)
 	}
-	if time.Since(start) > 3*time.Second {
-		t.Fatal("permanent handshake failure was retried")
+	if n := st.dials.Load(); n != 1 {
+		t.Fatalf("server saw %d dial attempts, want 1", n)
 	}
 }

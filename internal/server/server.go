@@ -4,9 +4,10 @@
 // goroutine per client session, and funnels every received query
 // through the internal/sched admission scheduler — the generalization
 // of the master controller's read/write-set concurrency control — onto
-// a pool of engine runners. Each session selects its engine at the
-// Hello handshake: the concurrent data-flow engine (internal/core) or
-// the simulated Section 4 ring machine (internal/machine).
+// a pool of engine runners. Every session runs on the concurrent
+// data-flow engine (internal/core). The simulated Section 4 ring
+// machine (internal/machine) is an experiment tool and is not linked
+// here; the root package's TestServerLinksNoSimulator keeps it so.
 //
 // Results stream back as page frames in relation wire form, so the
 // relation a client reassembles is byte-for-byte the relation the
@@ -31,9 +32,6 @@ import (
 
 	"dfdbm/internal/catalog"
 	"dfdbm/internal/core"
-	"dfdbm/internal/fault"
-	"dfdbm/internal/hw"
-	"dfdbm/internal/machine"
 	"dfdbm/internal/obs"
 	"dfdbm/internal/query"
 	"dfdbm/internal/relation"
@@ -42,20 +40,18 @@ import (
 	"dfdbm/internal/wire"
 )
 
-// Engine names accepted in Config.Engine and the Hello handshake.
-const (
-	EngineCore    = "core"
-	EngineMachine = "machine"
-)
+// EngineCore is the one engine name accepted in Config.Engine and the
+// Hello handshake, and the one every session reports.
+const EngineCore = "core"
 
 // Config parameterizes a Server.
 type Config struct {
 	// Addr is the TCP listen address; ":0" or "127.0.0.1:0" picks a
 	// free port (see Server.Addr). Default "127.0.0.1:0".
 	Addr string
-	// Engine is the default execution engine for sessions that do not
-	// request one in their Hello: EngineCore (default) or
-	// EngineMachine.
+	// Engine must be EngineCore or empty; Start refuses any other value,
+	// as the handshake refuses a Hello naming another engine. ROADMAP
+	// 2(v) deletes it once benchmark/env.go stops setting it.
 	Engine string
 	// MaxSessions bounds concurrent sessions; further connections are
 	// refused with an "overloaded" error frame. Default 64.
@@ -88,12 +84,9 @@ type Config struct {
 	// PageSize sizes intermediate-result pages. 0 means the engine
 	// defaults.
 	PageSize int
-	// IPs and ICs size each machine-engine execution. Defaults 16, 16.
-	IPs, ICs int
-	// MachineFault, when non-nil, builds a fresh fault plan for every
-	// machine-engine query — the chaos hook: a plan that exhausts
-	// recovery surfaces to the client as a typed "fault" error frame.
-	MachineFault func() *fault.Plan
+	// IPs is ignored. It stays only because benchmark/env.go sets it;
+	// ROADMAP 2(v) drops it there and then deletes it here.
+	IPs int
 	// SlowQuery, when positive, is the end-to-end threshold (arrival
 	// to final stats frame) above which a completed query is logged to
 	// SlowQueryLog with its full stage breakdown and counted as
@@ -132,9 +125,9 @@ func (c Config) withDefaults() (Config, error) {
 	switch c.Engine {
 	case "":
 		c.Engine = EngineCore
-	case EngineCore, EngineMachine:
+	case EngineCore:
 	default:
-		return c, fmt.Errorf("server: unknown engine %q (want %q or %q)", c.Engine, EngineCore, EngineMachine)
+		return c, fmt.Errorf("server: unknown engine %q (want %q)", c.Engine, EngineCore)
 	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 64
@@ -150,12 +143,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Granularity == 0 {
 		c.Granularity = core.PageLevel
-	}
-	if c.IPs <= 0 {
-		c.IPs = 16
-	}
-	if c.ICs <= 0 {
-		c.ICs = 16
 	}
 	if c.SlowQuery > 0 && c.SlowQueryLog == nil {
 		c.SlowQueryLog = os.Stderr
@@ -310,11 +297,10 @@ func (s *Server) acceptLoop() {
 		sid := s.nextSID
 		s.nextSID++
 		sess := &session{
-			id:     sid,
-			srv:    s,
-			conn:   conn,
-			br:     bufio.NewReader(conn),
-			engine: s.cfg.Engine,
+			id:   sid,
+			srv:  s,
+			conn: conn,
+			br:   bufio.NewReader(conn),
 		}
 		s.sessions[sid] = sess
 		active := len(s.sessions)
@@ -442,13 +428,13 @@ func (e *bindError) Unwrap() error { return e.err }
 // server keeps is the free list's fixed cap, not its largest result.
 //
 // Every frame is encoded inside the job's scheduled Exec. Reads on the
-// core engine encode each page as the root operator emits it; append,
-// delete and the machine engine hand back a whole relation (for writes
-// the live catalog relation, which a conflicting writer may mutate the
-// moment the scheduler retires the job), encoded by relation before
-// Exec returns. Either way the streamed bytes are pinned to the state
-// this query produced, under the admission exclusion that guarded its
-// execution, and no page is referenced past it.
+// core engine encode each page as the root operator emits it; append
+// and delete hand back a whole relation (the live catalog relation,
+// which a conflicting writer may mutate the moment the scheduler
+// retires the job), encoded by relation before Exec returns. Either way
+// the streamed bytes are pinned to the state this query produced, under
+// the admission exclusion that guarded its execution, and no page is
+// referenced past it.
 type resultStream struct {
 	c *session
 
@@ -613,7 +599,7 @@ func (l *chunkList) put(batch [][]byte) {
 // construction. Must run inside the query's scheduled Exec: the job's
 // write footprint is the exclusion that keeps log order equal to
 // apply order per relation.
-func (s *Server) execDurable(ctx context.Context, root *query.Node, engine string) (*relation.Relation, error) {
+func (s *Server) execDurable(ctx context.Context, root *query.Node) (*relation.Relation, error) {
 	rec := &wal.Record{Rel: root.Rel}
 	release := func() {} // hands the append source's pages back to the engine
 	switch root.Kind {
@@ -631,11 +617,7 @@ func (s *Server) execDurable(ctx context.Context, root *query.Node, engine strin
 			return nil, &bindError{err}
 		}
 		var src *relation.Relation
-		if engine == EngineMachine {
-			src, err = s.execMachine(ctx, srcTree)
-		} else {
-			src, release, err = s.engine.ExecuteScratch(ctx, srcTree)
-		}
+		src, release, err = s.engine.ExecuteScratch(ctx, srcTree)
 		if err != nil {
 			return nil, err
 		}
@@ -739,34 +721,6 @@ func (s *Server) Checkpoint(ctx context.Context) error {
 	}
 }
 
-// execMachine runs one query on a fresh simulated ring machine (the
-// simulator is single-use per run; the catalog is shared).
-func (s *Server) execMachine(_ context.Context, t *query.Tree) (*relation.Relation, error) {
-	mcfg := machine.Config{IPs: s.cfg.IPs, ICs: s.cfg.ICs}
-	if s.cfg.PageSize > 0 {
-		mcfg.HW = hw.Default1979()
-		mcfg.HW.PageSize = s.cfg.PageSize
-	}
-	if s.cfg.MachineFault != nil {
-		mcfg.Fault = s.cfg.MachineFault()
-	}
-	m, err := machine.New(s.cat, mcfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.Submit(t); err != nil {
-		return nil, err
-	}
-	res, err := m.Run()
-	if err != nil {
-		return nil, err
-	}
-	if len(res.PerQuery) != 1 {
-		return nil, fmt.Errorf("server: machine run returned %d results, want 1", len(res.PerQuery))
-	}
-	return res.PerQuery[0].Relation, nil
-}
-
 func (s *Server) count(name string, delta int64) {
 	if s.cfg.Obs.MetricsOn() {
 		s.cfg.Obs.Registry().Inc(name, delta)
@@ -796,12 +750,11 @@ func (s *Server) event(kind obs.EventKind, queryID int, format string, args ...a
 
 // session is one client connection.
 type session struct {
-	id     int
-	srv    *Server
-	conn   net.Conn
-	br     *bufio.Reader
-	engine string
-	name   string
+	id   int
+	srv  *Server
+	conn net.Conn
+	br   *bufio.Reader
+	name string
 
 	wmu sync.Mutex // serializes frame writes across query streamers
 
@@ -822,7 +775,7 @@ func (c *session) run() {
 	}
 	if s.cfg.Obs.SpansOn() {
 		c.span = s.cfg.Obs.Spans().Begin(obs.SpanSession, nil, time.Since(s.start),
-			"server", fmt.Sprintf("session %d (%s)", c.id, c.engine), -1, -1, -1)
+			"server", fmt.Sprintf("session %d (%s)", c.id, EngineCore), -1, -1, -1)
 		defer func() {
 			s.cfg.Obs.Spans().End(c.span, time.Since(s.start))
 		}()
@@ -883,17 +836,13 @@ func (c *session) handshake() bool {
 		c.writeFrame(&wire.Error{QueryID: wire.SessionQueryID, Code: wire.CodeVersion, Msg: err.Error()})
 		return false
 	}
-	switch h.Engine {
-	case "":
-	case EngineCore, EngineMachine:
-		c.engine = h.Engine
-	default:
+	if h.Engine != "" && h.Engine != EngineCore {
 		c.writeFrame(&wire.Error{QueryID: wire.SessionQueryID, Code: wire.CodeProtocol,
 			Msg: fmt.Sprintf("unknown engine %q", h.Engine)})
 		return false
 	}
 	c.name = h.Name
-	return c.writeFrame(&wire.Hello{Min: v, Max: v, Engine: c.engine, Name: "dfdbm", SessionID: uint64(c.id)})
+	return c.writeFrame(&wire.Hello{Min: v, Max: v, Engine: EngineCore, Name: "dfdbm", SessionID: uint64(c.id)})
 }
 
 func (c *session) inflightCount() int {
@@ -937,7 +886,7 @@ func (c *session) handleQuery(q *wire.Query) {
 		Session: uint64(c.id),
 		QueryID: q.ID,
 		Lane:    lane.String(),
-		Engine:  c.engine,
+		Engine:  EngineCore,
 		Text:    q.Text,
 		Start:   arrival,
 	})
@@ -981,7 +930,6 @@ func (c *session) handleQuery(q *wire.Query) {
 		}
 	}
 
-	engine := c.engine
 	st := c.newResultStream(q.ID)
 	job := &sched.Job{
 		Session:   fmt.Sprintf("s%d", c.id),
@@ -1024,7 +972,7 @@ func (c *session) handleQuery(q *wire.Query) {
 			if err != nil {
 				return nil, &bindError{err}
 			}
-			return nil, s.answer(ctx, engine, tree, st)
+			return nil, s.answer(ctx, tree, st)
 		},
 	}
 	submitted := time.Since(s.start)
@@ -1065,13 +1013,10 @@ func (c *session) handleQuery(q *wire.Query) {
 		}
 		if o.Err != nil {
 			code := wire.CodeExec
-			var fe *machine.FaultError
 			var be *bindError
 			switch {
 			case errors.As(o.Err, &be):
 				code = wire.CodeParse
-			case errors.As(o.Err, &fe):
-				code = wire.CodeFault
 			case errors.Is(o.Err, sched.ErrClosed), errors.Is(o.Err, context.Canceled):
 				code = wire.CodeDraining
 			}
@@ -1086,26 +1031,23 @@ func (c *session) handleQuery(q *wire.Query) {
 			c.writeFrame(&wire.Error{QueryID: q.ID, Code: code, Msg: o.Err.Error()})
 			return
 		}
-		c.finishResult(q.ID, engine, st, o, submitted, traceID, lane, qspan, arrival)
+		c.finishResult(q.ID, st, o, submitted, traceID, lane, qspan, arrival)
 	}()
 }
 
 // answer executes one bound query inside its scheduled Exec and queues
 // the whole result on st before returning.
-func (s *Server) answer(ctx context.Context, engine string, tree *query.Tree, st *resultStream) error {
+func (s *Server) answer(ctx context.Context, tree *query.Tree, st *resultStream) error {
 	root := tree.Root()
 	var rel *relation.Relation // a result at rest; nil once streamed
 	var err error
-	switch {
-	case s.cfg.WAL != nil && (root.Kind == query.OpAppend || root.Kind == query.OpDelete):
+	if s.cfg.WAL != nil && (root.Kind == query.OpAppend || root.Kind == query.OpDelete) {
 		// With a WAL attached, writes take the durable path: log,
 		// fsync, then apply — all still under this job's admission
 		// exclusion, so the record hits stable storage before the
 		// catalog mutates and before any acknowledgement.
-		rel, err = s.execDurable(ctx, root, engine)
-	case engine == EngineMachine:
-		rel, err = s.execMachine(ctx, tree)
-	default:
+		rel, err = s.execDurable(ctx, root)
+	} else {
 		st.describe(root.Label(), s.engine.ResultPageSize(root), root.Schema())
 		var res *core.Result
 		if res, err = s.engine.ExecuteStream(ctx, tree, st.page); err == nil {
@@ -1151,7 +1093,7 @@ func (c *session) stream(st *resultStream, outc <-chan sched.Outcome) (o sched.O
 
 // finishResult closes a successfully streamed result: the stage
 // accounting and the flight record, then the Stats frame.
-func (c *session) finishResult(qid uint32, engine string, st *resultStream, o sched.Outcome,
+func (c *session) finishResult(qid uint32, st *resultStream, o sched.Outcome,
 	submitted time.Duration, traceID uint64, lane sched.Lane, qspan *obs.Span, arrival time.Time) {
 	s := c.srv
 	// The stream stage is what is left after execution: from the end of
@@ -1180,7 +1122,7 @@ func (c *session) finishResult(qid uint32, engine string, st *resultStream, o sc
 	// its client has seen complete.
 	c.writeFrame(&wire.Stats{
 		QueryID:     qid,
-		Engine:      engine,
+		Engine:      EngineCore,
 		Tuples:      st.tuples,
 		Pages:       st.pages,
 		ResultBytes: st.bytes,
@@ -1197,14 +1139,14 @@ func (c *session) finishResult(qid uint32, engine string, st *resultStream, o sc
 		s.slowMu.Lock()
 		fmt.Fprintf(s.cfg.SlowQueryLog,
 			"dfdbm: slow query trace=%d s%d/q%d lane=%s engine=%s total=%v admit-wait=%v sched=%v exec=%v stream=%v tuples=%d\n",
-			traceID, c.id, qid, lane.String(), engine,
+			traceID, c.id, qid, lane.String(), EngineCore,
 			total.Round(time.Microsecond), o.AdmitWait.Round(time.Microsecond),
 			o.Dispatch.Round(time.Microsecond), o.Run.Round(time.Microsecond),
 			streamed.Round(time.Microsecond), st.tuples)
 		s.slowMu.Unlock()
 	}
 	s.event(obs.EvResult, int(qid), "s%d/q%d: %d tuples in %d pages (%s, queued %v, ran %v)",
-		c.id, qid, st.tuples, st.pages, engine, o.Queued.Round(time.Microsecond), o.Run.Round(time.Microsecond))
+		c.id, qid, st.tuples, st.pages, EngineCore, o.Queued.Round(time.Microsecond), o.Run.Round(time.Microsecond))
 }
 
 // writeChunks writes already-encoded frames under the session write

@@ -5,13 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"dfdbm/internal/catalog"
 	"dfdbm/internal/core"
-	"dfdbm/internal/fault"
 	"dfdbm/internal/obs"
 	"dfdbm/internal/query"
 	"dfdbm/internal/relation"
@@ -73,27 +73,46 @@ func TestHandshakeAndSimpleQuery(t *testing.T) {
 	}
 }
 
-func TestMachineEngineSession(t *testing.T) {
-	cat, qs := testDB(t, 0.05)
+// helloRefusal opens a raw session whose Hello names engine and returns
+// the Error frame the server answers with.
+func helloRefusal(t *testing.T, addr, engine string) *wire.Error {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := wire.Write(conn, &wire.Hello{Min: wire.MinVersion, Max: wire.Version, Engine: engine}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := wire.Read(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, ok := f.(*wire.Error)
+	if !ok {
+		t.Fatalf("hello naming engine %q: got %#v, want an error frame", engine, f)
+	}
+	return e
+}
+
+// TestMachineEngineRefused: the server runs one engine. A Hello naming
+// the simulated ring machine gets a session-wide protocol error that
+// names it, and a server configured for it does not start.
+func TestMachineEngineRefused(t *testing.T) {
+	cat, _ := testDB(t, 0.05)
 	s := startServer(t, cat, Config{})
-	c, err := Dial(s.Addr(), ClientConfig{Engine: EngineMachine})
-	if err != nil {
-		t.Fatal(err)
+	e := helloRefusal(t, s.Addr(), "machine")
+	if e.Code != wire.CodeProtocol || e.QueryID != wire.SessionQueryID || !strings.Contains(e.Msg, `"machine"`) {
+		t.Fatalf("got %#v, want a session-wide protocol error naming the engine", e)
 	}
-	defer c.Close()
-	if c.Engine() != EngineMachine {
-		t.Fatalf("negotiated engine %q, want machine", c.Engine())
+	s2, err := Start(cat, Config{Engine: "machine"})
+	if err == nil {
+		s2.Close()
+		t.Fatal("Start with engine machine succeeded")
 	}
-	res, err := c.Query(context.Background(), workload.QueryTexts()[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := query.ExecuteSerial(cat, qs[2], 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Relation.EqualMultiset(ref) {
-		t.Fatal("machine-engine remote result differs from serial reference")
+	if !strings.Contains(err.Error(), `"core"`) {
+		t.Fatalf("Start with engine machine: %v, want an error naming %q", err, EngineCore)
 	}
 }
 
@@ -145,8 +164,8 @@ func TestV1HelloRefused(t *testing.T) {
 func TestUnknownEngineRejected(t *testing.T) {
 	cat, _ := testDB(t, 0.05)
 	s := startServer(t, cat, Config{})
-	if _, err := Dial(s.Addr(), ClientConfig{Engine: "abacus"}); err == nil {
-		t.Fatal("dial with unknown engine succeeded")
+	if e := helloRefusal(t, s.Addr(), "abacus"); e.Code != wire.CodeProtocol {
+		t.Fatalf("got %#v, want a protocol error", e)
 	}
 }
 
@@ -357,32 +376,6 @@ func TestDrainDeadlineCancels(t *testing.T) {
 	}
 	if qerr := <-errc; qerr == nil {
 		t.Fatal("stuck query reported success after forced drain")
-	}
-}
-
-// TestFaultyMachineQueryReturnsFaultCode injects a fault plan that
-// exhausts the ring machine's recovery and expects the typed fault
-// code at the client.
-func TestFaultyMachineQueryReturnsFaultCode(t *testing.T) {
-	cat, _ := testDB(t, 0.05)
-	s := startServer(t, cat, Config{
-		IPs: 4, ICs: 8,
-		MachineFault: func() *fault.Plan {
-			return fault.New(fault.Config{
-				Seed: 7,
-				Drop: map[fault.Class]float64{fault.ClassCompletion: 1.0},
-			})
-		},
-	})
-	c, err := Dial(s.Addr(), ClientConfig{Engine: EngineMachine})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	_, err = c.Query(context.Background(), workload.QueryTexts()[0])
-	var re *RemoteError
-	if !errors.As(err, &re) || re.Code != wire.CodeFault {
-		t.Fatalf("got %v, want RemoteError with code %q", err, wire.CodeFault)
 	}
 }
 

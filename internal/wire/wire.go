@@ -93,8 +93,6 @@ const (
 	CodeParse = "parse"
 	// CodeExec: the engine failed executing the query.
 	CodeExec = "exec"
-	// CodeFault: the simulated machine exhausted fault recovery.
-	CodeFault = "fault"
 	// CodeProtocol: the peer broke framing or the handshake.
 	CodeProtocol = "protocol"
 	// CodeVersion: no protocol version is spoken by both sides.
@@ -109,16 +107,16 @@ type Frame interface {
 	decode(d *decoder)
 }
 
-// Hello opens a session. The client sends its supported version range
-// and requested engine; the server replies with Min == Max == the
-// negotiated version and the engine actually in force.
+// Hello opens a session. The client sends its supported version range;
+// the server replies with Min == Max == the negotiated version and the
+// session's engine.
 type Hello struct {
 	// Min and Max delimit the sender's supported protocol versions.
 	Min, Max uint16
-	// Engine requests (client) or confirms (server) the execution
-	// engine of the session: "core" (the concurrent data-flow engine)
-	// or "machine" (the simulated Section 4 ring machine). Empty on a
-	// client Hello means the server's default.
+	// Engine names the session's execution engine. The one value is
+	// "core", the concurrent data-flow engine: the server always
+	// replies with it, and refuses a client Hello naming anything else
+	// (empty means the default) with a CodeProtocol Error frame.
 	Engine string
 	// Name optionally identifies the peer for traces and spans.
 	Name string

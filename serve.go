@@ -4,17 +4,17 @@ import (
 	"dfdbm/internal/server"
 )
 
-// Network query service: a dfdbm database served over TCP, with a
-// per-session choice of execution engine and a multi-query admission
-// scheduler that generalizes the paper's Section 4 master-controller
-// concurrency rules — queries with non-conflicting read/write sets run
+// Network query service: a dfdbm database served over TCP on the
+// concurrent data-flow engine, with a multi-query admission scheduler
+// that generalizes the paper's Section 4 master-controller concurrency
+// rules — queries with non-conflicting read/write sets run
 // concurrently, conflicting ones queue, and overload is shed rather
 // than buffered.
 type (
 	// QueryServer is a running network query service (Serve).
 	QueryServer = server.Server
-	// ServeConfig parameterizes Serve: listen address, default engine,
-	// session and admission limits, and observability.
+	// ServeConfig parameterizes Serve: listen address, session and
+	// admission limits, durability, and observability.
 	ServeConfig = server.Config
 	// Client is one client session against a QueryServer (Dial).
 	Client = server.Client
@@ -24,16 +24,13 @@ type (
 	// relation plus the server's stats frame.
 	QueryResult = server.QueryResult
 	// RemoteError is a server-reported failure, carrying the wire
-	// error code ("overloaded", "draining", "parse", "exec", "fault",
-	// ...).
+	// error code ("overloaded", "draining", "parse", "exec",
+	// "protocol" or "version").
 	RemoteError = server.RemoteError
 )
 
-// Engine names for ServeConfig.Engine and ClientConfig.Engine.
-const (
-	ServeEngineCore    = server.EngineCore
-	ServeEngineMachine = server.EngineMachine
-)
+// ServeEngineCore is the one engine ServeConfig.Engine accepts.
+const ServeEngineCore = server.EngineCore
 
 // Serve starts a network query service over the database. The server
 // owns a listener on cfg.Addr and serves sessions until Shutdown
