@@ -183,41 +183,34 @@ func BenchmarkJoinAlgorithms(b *testing.B) {
 }
 
 // BenchmarkMachinePagePool measures the ring machine's multi-query run
-// with and without the page pool; the simulated makespan is invariant,
-// only host-side allocation behaviour differs (counters attached).
+// and how many intermediate pages its page pool recycles (counters
+// attached); the pool touches only host-side allocation, never the
+// simulated makespan.
 func BenchmarkMachinePagePool(b *testing.B) {
 	db, qs, _ := benchSetup(b)
 	hw := dfdbm.DefaultHW()
 	hw.PageSize = 2048
-	for _, noPool := range []bool{false, true} {
-		name := "pooled"
-		if noPool {
-			name = "no-pool"
+	b.ReportAllocs()
+	var res *dfdbm.MachineResults
+	for i := 0; i < b.N; i++ {
+		m, err := dfdbm.NewMachine(db, dfdbm.MachineConfig{HW: hw, ICs: 16, IPs: 16})
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			var res *dfdbm.MachineResults
-			for i := 0; i < b.N; i++ {
-				m, err := dfdbm.NewMachine(db, dfdbm.MachineConfig{HW: hw, ICs: 16, IPs: 16, NoPagePool: noPool})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, n := range []int{0, 2, 5} {
-					if err := m.Submit(qs[n]); err != nil {
-						b.Fatal(err)
-					}
-				}
-				res, err = m.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
+		for _, n := range []int{0, 2, 5} {
+			if err := m.Submit(qs[n]); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(res.Stats.PagesRecycled), "pages-recycled")
-			b.ReportMetric(float64(res.Stats.PoolHits), "pool-hits")
-			b.ReportMetric(float64(res.Stats.HashProbes), "hash-probes")
-			b.ReportMetric(res.Elapsed.Seconds(), "sim-seconds")
-		})
+		}
+		res, err = m.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.ReportMetric(float64(res.Stats.PagesRecycled), "pages-recycled")
+	b.ReportMetric(float64(res.Stats.PoolHits), "pool-hits")
+	b.ReportMetric(float64(res.Stats.HashProbes), "hash-probes")
+	b.ReportMetric(res.Elapsed.Seconds(), "sim-seconds")
 }
 
 // BenchmarkRingNetworks regenerates the Section 4.1 loop comparison:

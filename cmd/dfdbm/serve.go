@@ -34,9 +34,6 @@ func cmdServe(db *dfdbm.DB, args []string) {
 	fsyncMode := fs.String("fsync", "commit", "WAL durability: commit (fsync before every ack) or none")
 	checkpointEvery := fs.Int64("checkpoint-every", 0, "auto-checkpoint once the log grows this many bytes past the last checkpoint (0 = 8 MiB, negative disables)")
 	segmentSize := fs.Int64("wal-segment-size", 0, "WAL segment rotation threshold in bytes (0 = 16 MiB)")
-	crashWrite := fs.Int64("crash-write", 0, "TESTING: hard-exit (137) at the Nth WAL record write")
-	crashSync := fs.Int64("crash-sync", 0, "TESTING: hard-exit (137) at the Nth WAL fsync")
-	crashTorn := fs.Bool("crash-torn", false, "TESTING: with -crash-write, leave a torn half-record behind")
 	of := addObsFlags(fs)
 	check(fs.Parse(args))
 	if fs.NArg() != 0 {
@@ -56,17 +53,12 @@ func cmdServe(db *dfdbm.DB, args []string) {
 	if *dataDir != "" {
 		policy, err := dfdbm.ParseFsyncPolicy(*fsyncMode)
 		check(err)
-		var inj *dfdbm.WALInjector
-		if *crashWrite > 0 || *crashSync > 0 {
-			inj = &dfdbm.WALInjector{FailWrite: *crashWrite, FailSync: *crashSync, Torn: *crashTorn, Hard: true}
-		}
 		// Each relation lives in its own slotted heap file behind the
 		// shared buffer pool.
 		l, recovered, rv, err := dfdbm.OpenWAL(*dataDir, dfdbm.WALOptions{
 			SegmentSize: *segmentSize,
 			Fsync:       policy,
 			Obs:         o,
-			Injector:    inj,
 			Heap:        &dfdbm.HeapOptions{Frames: *bufferFrames},
 		})
 		check(err)

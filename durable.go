@@ -15,13 +15,10 @@ type (
 	// write path durable.
 	WAL = wal.Log
 	// WALOptions parameterizes OpenWAL: segment size, fsync policy,
-	// buffer-pool frames, observability, and the crash injector.
+	// buffer-pool frames and observability.
 	WALOptions = wal.Options
 	// WALRecovery describes what OpenWAL found and repaired.
 	WALRecovery = wal.Recovery
-	// WALInjector deterministically fails or hard-exits the Nth log
-	// write or fsync — the crash-point hook for recovery tests.
-	WALInjector = wal.Injector
 	// WALReport is InspectWAL's read-only view of a data directory.
 	WALReport = wal.Report
 	// WALRecord is one decoded redo record.

@@ -351,47 +351,51 @@ func (r *engineRun) shutdown() {
 	}
 }
 
-// feedScan streams the pages of a source relation to the consumer, a run
-// at a time with a slow start — 1, 2, 4 … maxRun pages — so the first
-// result leaves as early as it would page by page while a long scan
-// costs its consumer one hand-off per maxRun pages. At tuple granularity
-// each page is split into single-tuple tokens. EachPage walks a
-// disk-backed relation a pinned run of buffer-pool frames at a time with
-// the same slow start, a run being at most an eighth of the pool, so a
-// scan's footprint is bounded by the pool and not by the relation —
-// working sets larger than RAM execute correctly, just slower.
+// feedScan streams the pages of a source relation to the consumer, one
+// pageRun per run of rel.EachRun, which decides the run lengths. At tuple
+// granularity each page is split into single-tuple tokens, which leave in
+// runs of up to relation.MaxRun and at the end of each page run.
 func (r *engineRun) feedScan(rel *relation.Relation, out outlet) {
 	tupleLevel := r.eng.opts.Granularity == TupleLevel
 	errStopped := fmt.Errorf("core: run stopped")
-	f := runFeed{r: r, out: out, run: r.eng.runs.get(), target: 1}
-	err := rel.EachPage(func(pg *relation.Page) error {
+	run := r.eng.runs.get()
+	send := func() {
+		atomic.AddInt64(&r.stPages, int64(run.n))
+		out.sendRun(run)
+		run = r.eng.runs.get()
+	}
+	err := rel.EachRun(func(pages []*relation.Page) error {
 		select {
 		case <-r.stopped:
 			return errStopped
 		default:
 		}
 		if !tupleLevel {
-			f.add(pg)
+			run.n = copy(run.pages[:], pages)
+			send()
 			return nil
 		}
-		n := pg.TupleCount()
-		for i := 0; i < n; i++ {
-			one, err := r.eng.pool.Get(relation.PageHeaderLen+pg.TupleLen(), pg.TupleLen())
-			if err != nil {
-				return err
+		for _, pg := range pages {
+			for i, n := 0, pg.TupleCount(); i < n; i++ {
+				one, err := r.eng.pool.Get(relation.PageHeaderLen+pg.TupleLen(), pg.TupleLen())
+				if err == nil {
+					err = one.AppendRaw(pg.RawTuple(i))
+				}
+				if err != nil {
+					return err
+				}
+				if run.add(one); run.full() {
+					send()
+				}
 			}
-			if err := one.AppendRaw(pg.RawTuple(i)); err != nil {
-				return err
-			}
-			f.add(one)
+			pg.Release() // copied out: a stored relation's page goes back here
 		}
-		pg.Release() // copied out: a stored relation's page goes back here
+		if run.n > 0 {
+			send()
+		}
 		return nil
 	})
-	if err == nil && f.run.n > 0 {
-		f.flush()
-	}
-	r.eng.runs.put(f.run)
+	r.eng.runs.put(run)
 	if err != nil {
 		if err != errStopped {
 			r.fail(err)
@@ -399,28 +403,6 @@ func (r *engineRun) feedScan(rel *relation.Relation, out outlet) {
 		return
 	}
 	out.done()
-}
-
-// runFeed is a scan feeder's output side: the run being filled and the
-// length at which it leaves, doubling up to maxRun.
-type runFeed struct {
-	r      *engineRun
-	out    outlet
-	run    *pageRun
-	target int
-}
-
-func (f *runFeed) add(pg *relation.Page) {
-	if f.run.add(pg); f.run.n == f.target {
-		f.flush()
-	}
-}
-
-func (f *runFeed) flush() {
-	atomic.AddInt64(&f.r.stPages, int64(f.run.n))
-	f.out.sendRun(f.run)
-	f.run = f.r.eng.runs.get()
-	f.target = min(2*f.target, maxRun)
 }
 
 // dedupPart is one partition of the parallel duplicate-elimination set.
@@ -558,14 +540,14 @@ func (n *nodeExec) onRun(input int, run *pageRun) {
 	}
 }
 
-// fire dispatches pages at most maxRun to a packet: the operands of a
-// unary operator or, for a join, the pages to pair with the page with,
+// fire dispatches pages at most relation.MaxRun to a packet: the operands
+// of a unary operator or, for a join, the pages to pair with the page with,
 // which arrived on input. For a join pages is a view of the opposite
 // buffer: appends never write below its length, and finish clears the
 // buffer only after every packet has completed.
 func (n *nodeExec) fire(pages []*relation.Page, with *relation.Page, input int) {
 	for len(pages) > 0 {
-		k := min(len(pages), maxRun)
+		k := min(len(pages), relation.MaxRun)
 		n.dispatch(task{node: n, pages: pages[:k], with: with, input: input})
 		pages = pages[k:]
 	}

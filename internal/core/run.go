@@ -6,22 +6,16 @@ import (
 	"dfdbm/internal/relation"
 )
 
-// maxRun is the most pages one hand-off carries: a scan feeder's event,
-// an instruction packet's operand run, the pairs of one join packet. It
-// is small enough that the packets at the tail of a query still spread
-// over the workers. A stored relation is pinned in runs of up to the same
-// length (relation.EachPage), so one visit to the buffer pool fills one
-// run.
-const maxRun = 32
-
-// pageRun is a run buffer: consecutive pages of one input, handed from
-// goroutine to goroutine as one pointer. Exactly one component owns it
-// at a time — the feeder or controller filling it, the event queue, the
-// controller applying the firing rule, the worker executing it — and
-// the last owner gives it back to the engine's runList.
+// pageRun is a run buffer: up to relation.MaxRun consecutive pages of one
+// input — a scan feeder's event, an instruction packet's operand run, the
+// pairs of one join packet — handed from goroutine to goroutine as one
+// pointer. Exactly one component owns it at a time — the feeder or
+// controller filling it, the event queue, the controller applying the
+// firing rule, the worker executing it — and the last owner gives it back
+// to the engine's runList.
 type pageRun struct {
 	n     int
-	pages [maxRun]*relation.Page
+	pages [relation.MaxRun]*relation.Page
 }
 
 func (r *pageRun) add(pg *relation.Page) {
@@ -29,7 +23,7 @@ func (r *pageRun) add(pg *relation.Page) {
 	r.n++
 }
 
-func (r *pageRun) full() bool { return r.n == maxRun }
+func (r *pageRun) full() bool { return r.n == relation.MaxRun }
 
 func (r *pageRun) slice() []*relation.Page { return r.pages[:r.n] }
 

@@ -166,10 +166,11 @@ func TestRunAccountingClosedForm(t *testing.T) {
 }
 
 // TestRunDispatchCounts: hand-offs per query are a meter. A 400-page
-// restrict goes through the arbitration network in runs of up to maxRun
-// pages; query 9's joins send a newcomer with a run of the other side;
-// and the ten-query mix at the benchmark's geometry, where every logical
-// packet used to be a physical one, stays under 1,500 dispatches.
+// restrict goes through the arbitration network in runs of up to
+// relation.MaxRun pages; query 9's joins send a newcomer with a run of the
+// other side; and the ten-query mix at the benchmark's geometry, where
+// every logical packet used to be a physical one, stays under 1,500
+// dispatches.
 func TestRunDispatchCounts(t *testing.T) {
 	cat, qs := benchScaleDB(t)
 	eng := New(cat, Options{Granularity: PageLevel, Workers: 4}) // 16 KB intermediates, as served
@@ -258,8 +259,8 @@ func TestRunBuffersComeHome(t *testing.T) {
 // TestRunSlowStart: a scan's runs start at one page and double, so the
 // first result is out before the controller has dispatched the feeder's
 // first four runs (1 + 2 + 4 + 8 pages). Every tuple passes, so each
-// input page fills an output page; a first run of maxRun pages would
-// hold the first page back for maxRun packets.
+// input page fills an output page; a first run of relation.MaxRun pages
+// would hold the first page back for relation.MaxRun packets.
 func TestRunSlowStart(t *testing.T) {
 	cat, _ := testDB(t, 0.5, 1000)
 	tr, err := query.Bind(query.MustParse(`restrict(r1, val >= 0)`), cat)
@@ -333,7 +334,7 @@ func TestRunAllocCeilings(t *testing.T) {
 		rounds++
 	})
 	close(run.arb)
-	if want := rounds * ((r2.NumPages() + maxRun - 1) / maxRun); <-drained != want || want == rounds {
+	if want := rounds * ((r2.NumPages() + relation.MaxRun - 1) / relation.MaxRun); <-drained != want || want == rounds {
 		t.Errorf("pairing one page with %d sent the wrong number of packets (want %d)", r2.NumPages(), want)
 	}
 	if allocs != 0 {
@@ -358,7 +359,7 @@ func TestRunJoinPairsExactlyOnce(t *testing.T) {
 	}
 	outer, _ := cat.Get("r2")
 	inner, _ := cat.Get("r3")
-	if outer.NumPages() <= maxRun || inner.NumPages() <= maxRun {
+	if outer.NumPages() <= relation.MaxRun || inner.NumPages() <= relation.MaxRun {
 		t.Fatalf("inputs of %d and %d pages; both must exceed one run", outer.NumPages(), inner.NumPages())
 	}
 	eng := New(cat, Options{Granularity: PageLevel, Workers: 4, PageSize: 1000})
@@ -380,7 +381,7 @@ func TestRunJoinPairsExactlyOnce(t *testing.T) {
 				if len(left[side]) == 0 {
 					side = 1 - side
 				}
-				k := min(1+rng.Intn(maxRun), len(left[side]))
+				k := min(1+rng.Intn(relation.MaxRun), len(left[side]))
 				in := inlet{join.events, int32(side)}
 				pr := eng.runs.get()
 				for _, src := range left[side][:k] {

@@ -52,8 +52,8 @@ const DefaultFrames = 1024
 // holds one reference, PinRun adds one for every page it hands out, and
 // the page goes back to the list when the last holder lets go — the
 // frame at eviction, DropFile or Install over it, the reader when it has
-// read the page, as a rule after the unpin (Relation.EachPage unpins a
-// run before the engine's workers have read its pages). So a frame is
+// read the page, as a rule after the unpin (Relation.EachRun unpins each
+// run before its consumer sees the pages). So a frame is
 // evicted and refilled while a slow reader still holds its old page: the
 // refill takes another page from the list, never one anyone can still
 // reach, and a reader that never releases leaves its page to the
@@ -167,10 +167,15 @@ func (p *Pool) Cap() int { return p.cap }
 // need, so only while fewer than half the frames are pinned — with many
 // scans at once runs shorten to one page before any scan is refused a
 // frame — and only up to a page another reader is loading; a page loading
-// at the head of the run is waited for. Every page comes with a reference
-// for the caller to release once it has read it, after the unpin or
-// before. On error nothing stays pinned or referenced, no page of the run
-// has been published and the pages read for it are back on the list.
+// at the head of the run is waited for. The cap/8 clip and the cap/2 rule
+// are the pool's budget, not a run length (relation.EachRun decides
+// that, in as many visits as the budget needs): measured without the
+// clip, heap/scan-cold got faster alone but heap/scan-concurrent/2 and
+// /8 got 25–30 % slower, as a few scans' read-ahead crowded out the
+// rest. Every page comes with a reference for the caller to release once
+// it has read it, after the unpin or before. On error nothing stays
+// pinned or referenced, no page of the run has been published and the
+// pages read for it are back on the list.
 // Every PinRun must be paired with an UnpinRun of the same first and count.
 func (p *Pool) PinRun(f *File, first int, dst []*relation.Page) (int, error) {
 	pages := f.NumPages()

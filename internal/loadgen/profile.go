@@ -46,10 +46,10 @@ type Phase struct {
 	// throughout), "ramp" (QPS to QPSEnd linearly), "burst" (QPS
 	// baseline plus PeakQPS on top during periodic windows), "diurnal"
 	// (sinusoid from QPS up to PeakQPS and back).
-	Pattern string
-	QPS     float64
-	QPSEnd  float64       // ramp target
-	PeakQPS float64       // burst/diurnal peak
+	Pattern    string
+	QPS        float64
+	QPSEnd     float64       // ramp target
+	PeakQPS    float64       // burst/diurnal peak
 	BurstEvery time.Duration // simulated period between burst windows
 	BurstLen   time.Duration // simulated burst window length
 	// Sessions is the number of concurrent client sessions offering

@@ -44,10 +44,6 @@ type Config struct {
 	// simulated timings — and golden traces — match the paper's model;
 	// results are identical either way.
 	HashJoinTiming bool
-	// NoPagePool disables recycling of intermediate pages through the
-	// machine's relation.PagePool (pooling affects only host-side
-	// allocation behaviour, never simulated results or timings).
-	NoPagePool bool
 	// HW supplies device timings; zero value means hw.Default1979.
 	HW hw.Config
 	// Fault, when non-nil, injects the plan's faults (IP crashes,

@@ -33,25 +33,3 @@ func TestHashJoinTimingIdenticalResults(t *testing.T) {
 		t.Errorf("hash timing makespan %v exceeds nested %v", hashRes.Elapsed, nestedRes.Elapsed)
 	}
 }
-
-// TestNoPagePoolInvariant checks that page pooling is invisible to the
-// simulation: same answer, same simulated makespan, same ring traffic.
-func TestNoPagePoolInvariant(t *testing.T) {
-	cat, qs := testDB(t, 0.1)
-	q := qs[2]
-	pooledRel, pooledRes := runOne(t, cat, q, Config{HW: smallHW()})
-	bareRel, bareRes := runOne(t, cat, q, Config{HW: smallHW(), NoPagePool: true})
-	if !pooledRel.EqualMultiset(bareRel) {
-		t.Fatal("page pool changed the query answer")
-	}
-	if pooledRes.Elapsed != bareRes.Elapsed {
-		t.Errorf("page pool changed the makespan: %v vs %v", pooledRes.Elapsed, bareRes.Elapsed)
-	}
-	if pooledRes.Stats.OuterRingPackets != bareRes.Stats.OuterRingPackets {
-		t.Errorf("page pool changed ring traffic: %d vs %d packets",
-			pooledRes.Stats.OuterRingPackets, bareRes.Stats.OuterRingPackets)
-	}
-	if bareRes.Stats.PagesRecycled != 0 || bareRes.Stats.PoolHits != 0 {
-		t.Errorf("NoPagePool still recycled pages: %+v", bareRes.Stats)
-	}
-}

@@ -55,7 +55,7 @@ type Machine struct {
 	plan *fault.Plan
 	rel  map[relKey]*relChannel
 
-	// pool recycles intermediate pages host-side (nil when disabled);
+	// pool recycles intermediate pages host-side;
 	// kstats aggregates join-kernel counters across the machine's IPs.
 	pool   *relation.PagePool
 	kstats relalg.KernelStats
@@ -92,11 +92,9 @@ func New(cat *catalog.Catalog, cfg Config) (*Machine, error) {
 		locks: map[string]*lockEntry{},
 		plan:  cfg.Fault,
 		rel:   map[relKey]*relChannel{},
+		pool:  relation.NewPagePool(),
 	}
 	m.mcCost = cfg.HW.InnerRing.SerializationTime(cfg.HW.ControlBytes)
-	if !cfg.NoPagePool {
-		m.pool = relation.NewPagePool()
-	}
 	m.outer = sim.NewStation(m.s, 1)
 	m.inner = sim.NewStation(m.s, 1)
 	m.disk = sim.NewStation(m.s, cfg.HW.NumDisks)

@@ -212,8 +212,8 @@ func TestHashJoinMatchesNestedRandom(t *testing.T) {
 			n := g.rng.Intn(120)
 			for i := 0; i < n; i++ {
 				if err := r.Insert(relation.Tuple{g.value(kattr), relation.IntVal(int64(i))}); err != nil {
-				t.Fatal(err)
-			}
+					t.Fatal(err)
+				}
 			}
 			return r
 		}

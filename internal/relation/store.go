@@ -125,48 +125,80 @@ func (r *Relation) CopyPage(i int) (*Page, error) {
 	return out, nil
 }
 
-// maxScanRun is the longest run EachPage asks a store for — the engine's
-// own run length, so one pinned run fills one run between controllers.
-const maxScanRun = 32
+// MaxRun is the most pages one run carries: one hand-off from a walk to
+// its consumer, one instruction packet's operands in the engine — small
+// enough that the packets at the tail of a query still spread over the
+// workers.
+const MaxRun = 32
 
-// EachPage calls fn for every page in order. A stored relation is walked
-// in pinned runs with a slow start — 1, 2, 4 … maxScanRun pages, each
-// clipped by what the store grants — so a walk that stops at its first
-// page has read one slot, and a long one visits the buffer pool once per
-// run. A run is unpinned clean once fn has seen its pages; fn must not
-// retain write access. Each page's reference (PageStore.PinRun) passes to
-// fn: it may keep the page past the unpin, and releases it — or hands it
-// to whoever will — when it has read it; an fn that never does costs the
-// store a fresh page per miss. A non-nil error from fn (or from the
-// store) stops the walk and is returned.
+// EachRun calls fn for every run of consecutive pages, in order. It is the
+// one place a run's length is decided: 1, 2, 4 … MaxRun pages, then MaxRun
+// to the end, for resident and stored relations alike — so a walk that
+// stops at its first page has touched one page, and a long one costs its
+// consumer one hand-off per MaxRun pages. A resident run is a view of the
+// relation's page list. A stored run is filled by as many PinRun calls as
+// the store grants (its budget clips a visit, not the run), each unpinned
+// as soon as it returns, so fn holds references, never pins. Each page's
+// reference (PageStore.PinRun) passes to fn, which releases it — or hands
+// it to whoever will — once it has read the page; an fn that never does
+// costs the store a fresh page per miss. fn must not keep the run slice or
+// write to its pages. A non-nil error from fn (or from the store) stops
+// the walk and is returned; on a store error the references already
+// collected for the run are released.
+func (r *Relation) EachRun(fn func(run []*Page) error) error {
+	var buf *[MaxRun]*Page
+	if r.store != nil {
+		buf = new([MaxRun]*Page) // escapes through the store: one allocation per stored walk
+	}
+	n := r.NumPages()
+	for i, want := 0, 1; i < n; want = min(2*want, MaxRun) {
+		run, err := r.run(buf, i, min(i+want, n))
+		if err == nil {
+			err = fn(run)
+		}
+		if err != nil {
+			return err
+		}
+		i += len(run)
+	}
+	return nil
+}
+
+// run returns pages i … j-1: a view of the page list, or for a stored
+// relation buf, filled by as many PinRun calls as the store grants, each
+// unpinned as soon as it returns. On error the pages already read are
+// released.
+func (r *Relation) run(buf *[MaxRun]*Page, i, j int) ([]*Page, error) {
+	if buf == nil {
+		return r.pages[i:j:j], nil
+	}
+	run := buf[:j-i]
+	for k := 0; k < len(run); {
+		got, err := r.store.PinRun(i+k, run[k:])
+		if err != nil {
+			for _, p := range run[:k] {
+				p.Release()
+			}
+			return nil, fmt.Errorf("relation %q: page %d: %w", r.name, i+k, err)
+		}
+		r.store.UnpinRun(i+k, got, false)
+		k += got
+	}
+	return run, nil
+}
+
+// EachPage calls fn for every page in order: a page-at-a-time view of
+// EachRun, with its reference contract. A non-nil error from fn (or from
+// the store) stops the walk and is returned.
 func (r *Relation) EachPage(fn func(p *Page) error) error {
-	if r.store == nil {
-		for _, p := range r.pages {
+	return r.EachRun(func(run []*Page) error {
+		for _, p := range run {
 			if err := fn(p); err != nil {
 				return err
 			}
 		}
 		return nil
-	}
-	var run [maxScanRun]*Page // escapes through the interface: one allocation per walk
-	n := r.store.NumPages()
-	for i, want := 0, 1; i < n; want = min(2*want, maxScanRun) {
-		got, err := r.store.PinRun(i, run[:min(want, n-i)])
-		if err != nil {
-			return fmt.Errorf("relation %q: page %d: %w", r.name, i, err)
-		}
-		for _, p := range run[:got] {
-			if err = fn(p); err != nil {
-				break
-			}
-		}
-		r.store.UnpinRun(i, got, false)
-		if err != nil {
-			return err
-		}
-		i += got
-	}
-	return nil
+	})
 }
 
 // InstallPage overwrites page i with a full post-image, or appends it

@@ -493,8 +493,8 @@ func (st *resultStream) finish() error {
 }
 
 // relation queues all of rel. EachPage walks a stored relation through
-// the buffer pool one pinned frame at a time, so the whole relation is
-// never resident at once.
+// the buffer pool a run at a time (relation.EachRun), so the whole
+// relation is never resident at once.
 func (st *resultStream) relation(rel *relation.Relation) error {
 	st.describe(rel.Name(), rel.PageSize(), rel.Schema())
 	if err := rel.EachPage(st.page); err != nil {

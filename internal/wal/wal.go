@@ -69,9 +69,8 @@ type Options struct {
 	// torn-tail counters) and — when it carries a flight recorder —
 	// one "replayed" flight record per recovered write.
 	Obs *obs.Observer
-	// Injector, when non-nil, deterministically fails or hard-exits
-	// the Nth record write or fsync: the crash-point hook driving
-	// recovery tests and the CI kill -9 loop.
+	// Injector, when non-nil, deterministically fails the Nth record
+	// write or fsync: the crash-point hook driving recovery tests.
 	Injector *Injector
 	// Heap is the heap files' buffer-pool frame budget; nil means the
 	// defaults.
@@ -97,10 +96,9 @@ func (o Options) withDefaults() Options {
 }
 
 // Injector is the deterministic crash-point injector, in the spirit of
-// internal/fault's seeded plans: it fails (or hard-exits, the in-
-// process kill -9) at the Nth WAL record write or the Nth fsync, so a
-// test can place a crash at every interesting point of the commit
-// protocol and assert recovery.
+// internal/fault's seeded plans: it fails the Nth WAL record write or the
+// Nth fsync, so a test can place a crash at every interesting point of
+// the commit protocol and assert recovery.
 type Injector struct {
 	// FailWrite fails the Nth record write (1-based; 0 never).
 	FailWrite int64
@@ -109,15 +107,6 @@ type Injector struct {
 	Torn bool
 	// FailSync fails the Nth fsync (1-based; 0 never).
 	FailSync int64
-	// Hard exits the process with ExitCode instead of returning an
-	// error: a seeded kill -9.
-	Hard bool
-	// ExitCode is the Hard exit status. Default 137 (SIGKILL's shell
-	// convention).
-	ExitCode int
-
-	// exit stubs os.Exit in tests.
-	exit func(int)
 
 	writes atomic.Int64
 	syncs  atomic.Int64
@@ -128,45 +117,24 @@ var errInjected = errors.New("wal: injected failure")
 // Injected reports whether err came from the injector (and not real I/O).
 func Injected(err error) bool { return errors.Is(err, errInjected) }
 
-func (in *Injector) die() error {
-	if in.Hard {
-		code := in.ExitCode
-		if code == 0 {
-			code = 137
-		}
-		exit := in.exit
-		if exit == nil {
-			exit = os.Exit
-		}
-		exit(code)
-	}
-	return errInjected
-}
-
 // onWrite returns what the injector decrees for the next record write:
 // nil (proceed), or an error after optionally leaving a torn prefix.
 func (in *Injector) onWrite(f *os.File, frame []byte) error {
-	if in == nil {
-		return nil
-	}
-	if in.writes.Add(1) != in.FailWrite {
+	if in == nil || in.writes.Add(1) != in.FailWrite {
 		return nil
 	}
 	if in.Torn && len(frame) > 1 {
 		f.Write(frame[:len(frame)/2])
 		f.Sync() // make the torn prefix itself durable, worst case for recovery
 	}
-	return in.die()
+	return errInjected
 }
 
 func (in *Injector) onSync() error {
-	if in == nil {
+	if in == nil || in.syncs.Add(1) != in.FailSync {
 		return nil
 	}
-	if in.syncs.Add(1) != in.FailSync {
-		return nil
-	}
-	return in.die()
+	return errInjected
 }
 
 // Log is an open write-ahead log rooted at a data directory:

@@ -631,17 +631,3 @@ func TestInspect(t *testing.T) {
 		t.Fatal("torn tail not attributed to the last segment")
 	}
 }
-
-// TestHardCrashExitCode pins the injector's in-process kill -9: Hard
-// exits with 137 through the stubbed exit hook.
-func TestHardCrashExitCode(t *testing.T) {
-	var code int
-	in := &Injector{FailWrite: 1, Hard: true, exit: func(c int) { code = c; panic("exited") }}
-	func() {
-		defer func() { recover() }()
-		in.onWrite(nil, []byte{1, 2})
-	}()
-	if code != 137 {
-		t.Fatalf("hard crash exit code %d, want 137", code)
-	}
-}
