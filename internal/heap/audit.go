@@ -26,11 +26,11 @@ func HasManifest(dir string) bool {
 }
 
 // Audit inspects the heap store in dir without a buffer pool or WAL:
-// it parses the manifest, opens each named heap file read-only,
-// verifies the header CRC and schema hash against the manifest,
-// checks the page count against the physical file size, and reads
-// every slot to validate its checksum. One entry is returned per
-// manifest relation; a missing or unreadable manifest is the error.
+// it parses the manifest, opens each named heap file (Open checks the
+// header CRC, the schema hash against the manifest and the page count
+// against the physical file size), and reads every slot to validate
+// its checksum. One entry is returned per manifest relation; a missing
+// or unreadable manifest is the error.
 func Audit(dir string) ([]FileAudit, error) {
 	ents, err := readManifest(dir)
 	if err != nil {
@@ -61,12 +61,6 @@ func auditFile(fa *FileAudit, e manifestEntry) error {
 	if hf.pageSize != e.pageSize || hf.tupleLen != e.schema.TupleLen() {
 		return fmt.Errorf("%w: geometry %d/%d does not match manifest %d/%d",
 			ErrCorrupt, hf.pageSize, hf.tupleLen, e.pageSize, e.schema.TupleLen())
-	}
-	// Page count vs physical size: the file must hold at least the
-	// header area plus all live slots. (It may be longer between a
-	// crashed write-back and the next checkpoint's truncate.)
-	if want := dataOff + int64(hf.pages)*hf.slotSize; fa.Bytes < want && hf.pages > 0 {
-		return fmt.Errorf("%w: %d pages need %d bytes, file has %d", ErrCorrupt, hf.pages, want, fa.Bytes)
 	}
 	for i := 0; i < hf.NumPages(); i++ {
 		if _, err := hf.ReadPage(i); err != nil {

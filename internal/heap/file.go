@@ -3,8 +3,8 @@
 // storage) reached through a pinning buffer pool with CLOCK eviction
 // (the multiport disk cache), serving pages to the engines' IC-memory
 // level. One relation is one file; slots hold relation.Page wire
-// blobs (Page.Marshal) at page-aligned offsets, so a stored relation
-// is byte-identical to its resident form by construction.
+// blobs (Page.Marshal) packed end to end, so a stored relation is
+// byte-identical to its resident form by construction.
 //
 // Crash safety is split with the WAL: slot writes are in-place and
 // carry no ordering guarantees, but every slot content newer than the
@@ -28,7 +28,8 @@ import (
 )
 
 // ErrCorrupt marks a heap file that fails validation: bad magic, no
-// valid header block, or a slot whose checksum does not match.
+// valid header block, a retired layout, more pages than the file
+// holds, or a slot whose checksum does not match.
 // Callers test with errors.Is.
 var ErrCorrupt = errors.New("heap: corrupt heap file")
 
@@ -36,32 +37,44 @@ var ErrCorrupt = errors.New("heap: corrupt heap file")
 //
 //	offset 0        header block A (headerBlockLen bytes)
 //	offset 512      header block B
-//	offset dataOff  slot 0, slot 1, ... (slotSize each, page-aligned)
+//	offset dataOff  slot 0, slot 1, ... (SlotOffset(pageSize, i))
 //
 // Each header block: magic, version, page size, tuple length, a
 // monotonically increasing sequence number (the newest valid block
-// wins), schema hash, page count, base LSN, CRC-32C. Each slot: u32
-// blob length, u32 blob CRC-32C, 8 reserved bytes, the page blob,
-// zero padding to slotSize.
+// wins), schema hash, page count, base LSN, CRC-32C. Each slot is
+// slotHeaderLen + pageSize bytes: u32 blob length, u32 blob CRC-32C, 8
+// reserved bytes, the page blob, zeros to the page size. Slots are
+// packed, so one may straddle a 4 KiB block, and that is still safe
+// after a crash: a write-back rewrites only its own slot's bytes; a
+// neighbour's bytes in the shared block are the same in the old and
+// the new image, so a torn block tears only the slot being written;
+// and any slot newer than the base LSN has a full-page post-image in
+// the log, which replay writes over whatever the tear left.
+//
+// Version 1 padded every slot to 4 KiB; it is refused by name.
 const (
 	headerBlockLen = 512
 	headerDataLen  = 52 // bytes covered by the header CRC
 	dataOff        = 4096
 	slotHeaderLen  = 16
-	slotAlign      = 4096
-	fileVersion    = 1
+	fileVersion    = 2
 )
 
 var heapMagic = [8]byte{'D', 'F', 'D', 'B', 'H', 'E', 'A', 'P'}
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// slotSizeFor returns the aligned on-disk size of one slot for the
-// given page size: header plus blob capacity, rounded up to the
-// alignment unit.
+// slotSizeFor returns the on-disk size of one slot for the given page
+// size: its header plus the page.
 func slotSizeFor(pageSize int) int64 {
-	raw := int64(pageSize + slotHeaderLen)
-	return (raw + slotAlign - 1) / slotAlign * slotAlign
+	return int64(pageSize + slotHeaderLen)
+}
+
+// SlotOffset returns the file offset of slot i in a heap file of
+// pageSize pages; SlotOffset(pageSize, n) is the size of a file that
+// holds n slots.
+func SlotOffset(pageSize, i int) int64 {
+	return dataOff + int64(i)*slotSizeFor(pageSize)
 }
 
 // File is one relation's heap file. The logical state (page count,
@@ -228,9 +241,12 @@ func openFrom(path string, f *os.File, wantSchemaHash uint64) (*File, error) {
 	}
 	var best *headerView
 	for i := range blocks {
+		if !headerIntact(blocks[i][:]) {
+			continue // a torn block surrenders to the other one
+		}
 		hv, err := parseHeader(blocks[i][:])
 		if err != nil {
-			continue // a torn block surrenders to the other one
+			return nil, fmt.Errorf("%w: %s: header block %d: %v", ErrCorrupt, filepath.Base(path), i, err)
 		}
 		if best == nil || hv.seq > best.seq {
 			best = hv
@@ -243,10 +259,22 @@ func openFrom(path string, f *os.File, wantSchemaHash uint64) (*File, error) {
 		return nil, fmt.Errorf("%w: %s: schema hash %016x does not match expected %016x",
 			ErrCorrupt, filepath.Base(path), best.schemaHash, wantSchemaHash)
 	}
+	// A header is written only once the slots it counts are on disk, so
+	// the file holds every one of them. Checking that before sizing
+	// anything by the count keeps a forged count from allocating.
+	info, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	slotSize := slotSizeFor(best.pageSize)
+	if held := max(info.Size()-dataOff, 0) / slotSize; best.pages > uint64(held) {
+		return nil, fmt.Errorf("%w: %s: header counts %d pages, the file holds %d slots",
+			ErrCorrupt, filepath.Base(path), best.pages, held)
+	}
 	hf := &File{
 		path: path, f: f,
 		pageSize: best.pageSize, tupleLen: best.tupleLen,
-		slotSize:   slotSizeFor(best.pageSize),
+		slotSize:   slotSize,
 		pages:      int(best.pages),
 		seq:        best.seq,
 		baseLSN:    best.baseLSN,
@@ -255,7 +283,7 @@ func openFrom(path string, f *os.File, wantSchemaHash uint64) (*File, error) {
 	hf.counts = make([]uint32, hf.pages)
 	var sh [slotHeaderLen]byte
 	for i := 0; i < hf.pages; i++ {
-		if _, err := f.ReadAt(sh[:8], dataOff+int64(i)*hf.slotSize); err != nil {
+		if _, err := f.ReadAt(sh[:8], SlotOffset(hf.pageSize, i)); err != nil {
 			return nil, fmt.Errorf("%w: %s: slot %d header: %v", ErrCorrupt, filepath.Base(path), i, err)
 		}
 		blobLen := binary.LittleEndian.Uint32(sh[0:4])
@@ -275,15 +303,22 @@ type headerView struct {
 	baseLSN            uint64
 }
 
+// headerIntact reports whether a header block has the magic and a
+// matching CRC; one that does not is a torn write.
+func headerIntact(b []byte) bool {
+	return [8]byte(b[:8]) == heapMagic &&
+		crc32.Checksum(b[:headerDataLen], castagnoli) == binary.LittleEndian.Uint32(b[headerDataLen:headerDataLen+4])
+}
+
+// parseHeader decodes an intact header block. A version other than
+// fileVersion was written on purpose, so it is an error, not a tear.
 func parseHeader(b []byte) (*headerView, error) {
-	if [8]byte(b[:8]) != heapMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	if got, want := crc32.Checksum(b[:headerDataLen], castagnoli), binary.LittleEndian.Uint32(b[headerDataLen:headerDataLen+4]); got != want {
-		return nil, fmt.Errorf("%w: header CRC mismatch (computed %08x, stored %08x)", ErrCorrupt, got, want)
-	}
-	if v := binary.LittleEndian.Uint32(b[8:12]); v != fileVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, v)
+	switch v := binary.LittleEndian.Uint32(b[8:12]); v {
+	case fileVersion:
+	case 1:
+		return nil, errors.New("version 1 heap file, whose slots are padded to 4 KiB; the last build to write that layout is 7a75383")
+	default:
+		return nil, fmt.Errorf("unsupported version %d", v)
 	}
 	hv := &headerView{
 		pageSize:   int(binary.LittleEndian.Uint32(b[12:16])),
@@ -294,7 +329,7 @@ func parseHeader(b []byte) (*headerView, error) {
 		baseLSN:    binary.LittleEndian.Uint64(b[44:52]),
 	}
 	if err := relation.CheckPageGeometry(hv.pageSize, hv.tupleLen); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return nil, err
 	}
 	return hv, nil
 }
@@ -320,9 +355,9 @@ func (hf *File) writeHeaderLocked(baseLSN uint64) error {
 	return err
 }
 
-// writeSlotLocked writes page i's full slot (header, blob, padding) at
-// its fixed offset, marshalling the page straight into a slot buffer.
-// In-place and unordered: the WAL makes it safe.
+// writeSlotLocked writes page i's full slot (header, blob, zeros to the
+// page size) at its fixed offset, marshalling the page straight into a
+// slot buffer. In-place and unordered: the WAL makes it safe.
 func (hf *File) writeSlotLocked(i int, p *relation.Page) error {
 	if n := int64(p.WireSize()); n+slotHeaderLen > hf.slotSize {
 		return fmt.Errorf("heap: %s: page %d blob of %d bytes exceeds slot size %d", filepath.Base(hf.path), i, n, hf.slotSize)
@@ -333,7 +368,7 @@ func (hf *File) writeSlotLocked(i int, p *relation.Page) error {
 	clear(buf[slotHeaderLen+len(blob):])
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(blob)))
 	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(blob, castagnoli))
-	_, err := hf.f.WriteAt(buf, dataOff+int64(i)*hf.slotSize)
+	_, err := hf.f.WriteAt(buf, SlotOffset(hf.pageSize, i))
 	hf.spare = buf
 	return err
 }
@@ -390,7 +425,7 @@ func (hf *File) ReadPages(first int, dst []*relation.Page, buf []byte) error {
 		hf.readHook(first, len(dst))
 	}
 	buf = buf[:int64(len(dst))*hf.slotSize]
-	if _, err := hf.f.ReadAt(buf, dataOff+int64(first)*hf.slotSize); err != nil {
+	if _, err := hf.f.ReadAt(buf, SlotOffset(hf.pageSize, first)); err != nil {
 		return fmt.Errorf("heap: %s: slots %d..%d: %w", filepath.Base(hf.path), first, first+len(dst)-1, err)
 	}
 	for k, pg := range dst {
@@ -496,7 +531,7 @@ func (hf *File) Checkpoint(baseLSN uint64) error {
 	if err := hf.f.Sync(); err != nil {
 		return err
 	}
-	want := dataOff + int64(hf.pages)*hf.slotSize
+	want := SlotOffset(hf.pageSize, hf.pages)
 	if info, err := hf.f.Stat(); err == nil && info.Size() > want {
 		return hf.f.Truncate(want)
 	}

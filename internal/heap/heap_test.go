@@ -12,7 +12,7 @@ import (
 	"dfdbm/internal/relation"
 )
 
-func testSchema(t *testing.T) *relation.Schema {
+func testSchema(t testing.TB) *relation.Schema {
 	t.Helper()
 	return relation.MustSchema(
 		relation.Attr{Name: "a", Type: relation.Int64},
@@ -21,7 +21,7 @@ func testSchema(t *testing.T) *relation.Schema {
 }
 
 // seedRelation builds a resident relation with n tuples of (i, i*10).
-func seedRelation(t *testing.T, name string, schema *relation.Schema, pageSize, n int) *relation.Relation {
+func seedRelation(t testing.TB, name string, schema *relation.Schema, pageSize, n int) *relation.Relation {
 	t.Helper()
 	rel := relation.MustNew(name, schema, pageSize)
 	for i := 0; i < n; i++ {
@@ -152,7 +152,6 @@ func TestFileSlotCRC(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CreateFrom: %v", err)
 	}
-	slotSize := hf.slotSize
 	hf.Close()
 
 	// Flip one payload byte in slot 1: its CRC must catch it.
@@ -160,7 +159,7 @@ func TestFileSlotCRC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := dataOff + slotSize + slotHeaderLen + 20
+	off := SlotOffset(256, 1) + slotHeaderLen + 20
 	var b [1]byte
 	if _, err := f.ReadAt(b[:], off); err != nil {
 		t.Fatal(err)
@@ -412,7 +411,7 @@ func TestAuditCatchesCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b [1]byte
-	off := int64(dataOff + slotHeaderLen + 25)
+	off := SlotOffset(256, 0) + slotHeaderLen + 25
 	if _, err := f.ReadAt(b[:], off); err != nil {
 		t.Fatal(err)
 	}

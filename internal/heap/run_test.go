@@ -449,7 +449,7 @@ func flipSlotByte(t *testing.T, hf *File, i int) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	off := dataOff + int64(i)*hf.slotSize + slotHeaderLen + 20
+	off := SlotOffset(hf.pageSize, i) + slotHeaderLen + 20
 	var b [1]byte
 	if _, err := f.ReadAt(b[:], off); err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"dfdbm/internal/heap"
 	"dfdbm/internal/query"
 	"dfdbm/internal/relation"
 	"dfdbm/internal/wal"
@@ -194,13 +195,13 @@ func TestEngineFailureAfterFirstPage(t *testing.T) {
 	if !r1.Stored() || r1.NumPages() <= badPage {
 		t.Fatalf("r1 stored=%v with %d pages; the test needs a heap file of more than %d", r1.Stored(), r1.NumPages(), badPage)
 	}
-	// Slots are 4 KiB apiece from offset 4096 (a 2 KiB page and its
-	// 16-byte slot header, aligned); byte 20 lies in the page payload.
+	// Byte 20 of a slot lies in its page blob, past the 16-byte slot
+	// header.
 	f, err := os.OpenFile(filepath.Join(dir, "heap", "r1.heap"), os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	at := int64(4096 + badPage*4096 + 20)
+	at := heap.SlotOffset(r1.PageSize(), badPage) + 20
 	var b [1]byte
 	if _, err := f.ReadAt(b[:], at); err != nil {
 		t.Fatal(err)

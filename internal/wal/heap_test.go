@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dfdbm/internal/catalog"
+	"dfdbm/internal/heap"
 	"dfdbm/internal/obs"
 	"dfdbm/internal/relation"
 )
@@ -350,9 +351,9 @@ func TestHeapInspectAudit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Data slots start at 4096; byte 20 of the first slot sits inside
-	// its page payload (16-byte slot header, then the blob).
-	blob[4096+20] ^= 0x40
+	// Byte 20 of the first slot sits inside its page blob (16-byte slot
+	// header, then the blob).
+	blob[heap.SlotOffset(rp.Heap[0].PageSize, 0)+20] ^= 0x40
 	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
