@@ -725,7 +725,7 @@ func benchMachineHotPath(env *benchEnv) ([]benchOp, error) {
 				return err
 			}
 			if full != nil {
-				pool.Put(full) // the consumer is done with it
+				full.Release() // the consumer is done with it
 			}
 			return nil
 		}
@@ -739,7 +739,7 @@ func benchMachineHotPath(env *benchEnv) ([]benchOp, error) {
 			}
 		}
 		if last := pag.Flush(); last != nil {
-			pool.Put(last)
+			last.Release()
 		}
 		return nil
 	}

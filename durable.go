@@ -25,7 +25,7 @@ type (
 	WALRecord = wal.Record
 	// FsyncPolicy says when the log forces records to stable storage.
 	FsyncPolicy = wal.FsyncPolicy
-	// HeapOptions (WALOptions.Heap) is the frame budget of the pinning
+	// HeapOptions (WALOptions.Heap) is the frame budget of the
 	// buffer pool (CLOCK eviction) in front of the data directory's
 	// heap files; nil means the defaults.
 	HeapOptions = wal.HeapOptions

@@ -225,14 +225,18 @@ func (e *Engine) Execute(t *query.Tree) (*Result, error) {
 // times out, the run's workers and controllers are stopped, blocked
 // channel operations unwind, and the context's error is returned. It
 // is ExecuteStream with a collector for emit: the result relation
-// retains the pages the root produced.
+// retains the pages the root produced, and holds their references.
 func (e *Engine) ExecuteContext(ctx context.Context, t *query.Tree) (*Result, error) {
 	root := t.Root()
 	collected, err := relation.New(root.Label(), root.Schema(), e.ResultPageSize(root))
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.ExecuteStream(ctx, t, collected.AppendPage)
+	res, err := e.ExecuteStream(ctx, t, func(pg *relation.Page) error {
+		err := collected.AppendPage(pg)
+		pg.Release() // the emitted reference: the relation took its own
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -250,13 +254,12 @@ func (e *Engine) ExecuteContext(ctx context.Context, t *query.Tree) (*Result, er
 // from it fails the run. Result.Relation is nil — the pages went to
 // emit.
 //
-// An emitted page belongs to the consumer: it may keep it, or hand it
-// back with Recycle once it has no further use for its bytes. The one
-// exception is a bare-scan root, which emits the stored relation's own
-// pages: those are shared with every other reader, so the consumer must
-// not write to them, and they are stable only while the caller excludes
-// writers of that relation (Recycle ignores a resident relation's, and
-// gives up the reference a buffer pool's page came with).
+// An emitted page comes with a reference that belongs to the consumer: it
+// may keep the page, or hand the reference back with Recycle once it has
+// no further use for its bytes. A bare-scan root emits the stored
+// relation's own pages: those are shared with every other reader, so the
+// consumer must not write to them, and they are stable only while the
+// caller excludes writers of that relation.
 //
 // Effect roots (append, delete) are not streamed: their result is a
 // stored relation, already at rest. emit is never called and
@@ -292,9 +295,8 @@ func (e *Engine) ExecuteScratch(ctx context.Context, t *query.Tree) (rel *relati
 }
 
 // scratch collects a subtree's output pages into a relation that only
-// borrows them, so that release can hand them back to the pool.
+// borrows them, so that release can let go of their references.
 type scratch struct {
-	pool  *relation.PagePool
 	rel   *relation.Relation
 	pages []*relation.Page
 }
@@ -304,7 +306,7 @@ func (e *Engine) newScratch(top *query.Node) (*scratch, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &scratch{pool: e.pool, rel: rel}, nil
+	return &scratch{rel: rel}, nil
 }
 
 func (sc *scratch) emit(pg *relation.Page) error {
@@ -314,14 +316,14 @@ func (sc *scratch) emit(pg *relation.Page) error {
 
 func (sc *scratch) release() {
 	for _, pg := range sc.pages {
-		sc.pool.Put(pg) // a bare scan's pages are the catalog's: ignored, or their reference released
+		pg.Release()
 	}
 }
 
-// Recycle returns a page received through ExecuteStream's emit, once per
-// page: to the engine's page pool, or for a buffer pool's shared page by
-// releasing the emitted reference. Other pages are ignored.
-func (e *Engine) Recycle(pg *relation.Page) { e.pool.Put(pg) }
+// Recycle releases the reference a page received through ExecuteStream's
+// emit came with, once per page: the page goes back to the pool it came
+// from once nobody else holds it.
+func (e *Engine) Recycle(pg *relation.Page) { pg.Release() }
 
 // ResultPageSize is the page size of the result relation a subtree
 // rooted at top produces: the engine's, raised to fit one tuple. A

@@ -129,16 +129,6 @@ func newEngineRun(ctx context.Context, e *Engine, t *query.Tree) *engineRun {
 	return r
 }
 
-// recycle hands a dead page back: an intermediate page to the engine
-// pool, a stored relation's page — the reference the scan was handed with
-// it — to the buffer pool's. Put is a no-op for catalog pages and pages
-// retained by a relation, so callers guarantee that no *other engine
-// component* still reads pg and that each page a scan fed is recycled at
-// most once.
-func (r *engineRun) recycle(pg *relation.Page) {
-	r.eng.pool.Put(pg)
-}
-
 // event emits one structured event stamped with real time since the
 // execution started; safe from any goroutine of the run.
 func (r *engineRun) event(kind obs.EventKind, comp string, instr, bytes int, format string, args ...interface{}) {
@@ -635,7 +625,7 @@ func (n *nodeExec) onResult(pg *relation.Page) {
 	}
 	// The page's tuples now live in the dedup set / paginator; the page
 	// itself is dead.
-	n.run.recycle(pg)
+	pg.Release()
 }
 
 // forward routes an owned output page through the compressor: partial
@@ -667,7 +657,7 @@ func (n *nodeExec) forward(pg *relation.Page) {
 	}
 	if pg.Empty() {
 		// Fully drained into the compressor: the source page is dead.
-		n.run.recycle(pg)
+		pg.Release()
 	}
 }
 
@@ -690,11 +680,10 @@ func (n *nodeExec) finish() {
 	// A join's operand pages stayed buffered for pairings still to come.
 	// Every packet has now completed and this node's kernel states — the
 	// only caches keyed by these pages — are never consulted again, so
-	// the pages the engine owns go back, and a stored scan's references
-	// with them (Put ignores a resident relation's pages).
+	// their references go back, a scan's with the engine's own.
 	for i := range n.buf {
 		for _, pg := range n.buf[i] {
-			n.run.recycle(pg)
+			pg.Release()
 		}
 		n.buf[i] = nil
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -245,5 +246,50 @@ func TestEveryPageComesBack(t *testing.T) {
 				t.Errorf("%s/%s: free list holds %d bytes, budget %d", g, strategy, ps.FreeBytes, eng.pool.Budget())
 			}
 		}
+	}
+}
+
+// TestCollectedResultSurvivesRescan: a collected result holds a reference
+// on each of its pages, which came from the engine's pool, and a walk of
+// it hands every reader a reference of its own. So once the result is a
+// catalog relation, queries over it that recycle every page they are
+// emitted — a bare scan, whose pages are the relation's own, and a
+// restrict — leave its pages where they are, while the engine that
+// produced them keeps recycling pages of the same size.
+func TestCollectedResultSurvivesRescan(t *testing.T) {
+	cat, qs := testDB(t, 0.02, 1000)
+	eng := New(cat, Options{Granularity: PageLevel, Workers: 4, PageSize: 1000})
+	res, err := eng.ExecuteContext(context.Background(), qs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := res.Relation
+	want := kept.SortedKeys()
+	if len(want) == 0 {
+		t.Fatal("the query produced no tuples")
+	}
+	alias := relation.MustNew("kept", kept.Schema(), kept.PageSize())
+	for _, pg := range kept.Pages() {
+		if err := alias.AppendPage(pg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cat.Put(alias)
+	recycle := func(pg *relation.Page) error { eng.Recycle(pg); return nil }
+	for _, text := range []string{"kept", "restrict(kept, id >= 0)"} {
+		q, err := query.Bind(query.MustParse(text), cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 3; round++ {
+			for _, q := range append([]*query.Tree{q}, qs[1:]...) {
+				if _, err := eng.ExecuteStream(context.Background(), q, recycle); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if got := kept.SortedKeys(); !slices.Equal(got, want) {
+		t.Fatalf("the collected result changed after queries over it recycled their pages: %d tuples, want %d", len(got), len(want))
 	}
 }

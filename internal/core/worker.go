@@ -162,7 +162,7 @@ func (w *workerState) apply(t task) error {
 			if _, err := rs.RestrictPage(pg, w.emit); err != nil {
 				return err
 			}
-			r.recycle(pg)
+			pg.Release()
 		}
 
 	case query.OpJoin:
@@ -195,7 +195,7 @@ func (w *workerState) apply(t task) error {
 			if _, err := ps.ProjectPage(pg, nil, sink); err != nil {
 				return err
 			}
-			r.recycle(pg)
+			pg.Release()
 		}
 
 	default:

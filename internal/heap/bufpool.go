@@ -1,7 +1,6 @@
 package heap
 
 import (
-	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -11,67 +10,63 @@ import (
 	"dfdbm/internal/relation"
 )
 
-// ErrNoFrames is returned by Pin and Install when every frame in the
-// pool is pinned and none can be evicted. It is a typed, panic-free
-// signal: callers under the admission scheduler's exclusion can retry
-// after releasing pins, and tests assert on it directly.
-var ErrNoFrames = errors.New("heap: all buffer frames pinned")
-
 // DefaultFrames is the pool budget used when a caller passes a
 // non-positive frame count.
 const DefaultFrames = 1024
 
-// Pool is the pinning buffer manager — the paper's multiport disk
-// cache between mass storage (heap files) and the engines' IC-level
-// memory. It holds a fixed budget of frames, each the home of one page
-// of one file, with pin/unpin counts, dirty tracking, and CLOCK
-// second-chance eviction that writes dirty victims back to their heap
-// file before reuse. Residency is an index, not a hash: each File lists
-// the frame of every page it has in the pool (File.frames). The unit of
-// a visit is a run of consecutive pages (PinRun / UnpinRun); one page is
-// a run of one.
+// Pool is the buffer manager — the paper's multiport disk cache between
+// mass storage (heap files) and the engines' IC-level memory. It holds a
+// fixed budget of frames, each the home of one page of one file, with
+// dirty tracking and CLOCK second-chance eviction that writes dirty
+// victims back to their heap file before reuse. Residency is an index,
+// not a hash: each File lists the frame of every page it has in the pool
+// (File.frames). The unit of a visit is a run of consecutive pages
+// (ReadRun); one page is a run of one.
+//
+// A page is held by a counted reference and nothing else. The pages the
+// pool reads come from its own free list (pages), counted by
+// relation.PagePool: the frame holds one reference, ReadRun adds one for
+// every page it hands out, and the page goes back to the list when the
+// last holder lets go — the frame at eviction, DropFile or Install over
+// it, the reader when it has read the page. Nobody pins a frame: every
+// frame that holds a page may be evicted at any moment, and a slow reader
+// keeps reading its page after its frame has been refilled, because the
+// refill takes another page from the list, never one anyone can still
+// reach. A reader that never releases leaves its page to the collector.
+// Writers never write to a page a frame holds: a mutation installs a new
+// post-image (Install), and the admission scheduler gives every relation
+// a single writer. A File is cached by one Pool.
 //
 // Concurrency: one mutex covers the ring, every file's index and the
 // spare read buffers, and it is multiport for hits — a miss's disk read,
 // CRC and decode happen outside it, and so does every call into the
-// metrics registry (done). PinRun claims a frame for each missing page
-// under the lock (in the index, pinned by its loader so CLOCK passes it
-// over, marked loading, no page yet), reads with the lock released, and
-// takes the lock again to publish the pages and wake whoever waited
-// (loaded, the pool's one condition variable). Whoever finds a page
-// loading — a reader at the head of its run, Install, DropFile — waits
-// for it holding no claimed frame of its own, and a loader never waits
-// before it publishes, so waits cannot form a cycle. What stays under
-// the lock is the dirty victim's write-back (freeFrameLocked) and
-// FlushFile: a write-back outside it could race with a re-dirtying
-// writer and lose the newer image, and the workloads that miss have no
-// dirty pages to write (a background cleaner is ROADMAP's).
-//
-// The pin keeps the frame; a reference keeps the memory. The pages the
-// pool reads are shared pages from its own free list (pages): the frame
-// holds one reference, PinRun adds one for every page it hands out, and
-// the page goes back to the list when the last holder lets go — the
-// frame at eviction, DropFile or Install over it, the reader when it has
-// read the page, as a rule after the unpin (Relation.EachRun unpins each
-// run before its consumer sees the pages). So a frame is
-// evicted and refilled while a slow reader still holds its old page: the
-// refill takes another page from the list, never one anyone can still
-// reach, and a reader that never releases leaves its page to the
-// collector. Writers cannot mutate a page under a reader because the
-// admission scheduler gives every relation a single writer. A File is
-// cached by one Pool.
+// metrics registry (done). ReadRun claims a frame for each missing page
+// under the lock (in the index, marked loading with the claim's number,
+// no page yet), reads with the lock released, and takes the lock again to
+// publish the pages and wake whoever waited (loaded, the pool's one
+// condition variable). A loading frame is the one kind eviction passes
+// over. Whoever finds a page loading — a reader at the head of its run,
+// Install, DropFile — or finds every frame loading waits for a publish,
+// holding no claimed frame of its own, and a loader never waits before it
+// publishes, so waits cannot form a cycle and a miss never fails for want
+// of a frame. What stays under the lock is the dirty victim's write-back
+// (freeFrameLocked) and FlushFile: a write-back outside it could race
+// with a re-dirtying writer and lose the newer image, and the workloads
+// that miss have no dirty pages to write (a background cleaner is
+// ROADMAP's).
 type Pool struct {
 	mu     sync.Mutex // lock order: Store.mu -> Pool.mu, never the reverse
 	loaded sync.Cond  // on mu: a loading frame was published or released
 	cap    int
 	ring   []*frame
 	hand   int
-	// inUse counts frames that hold or are loading a page and pinned those
-	// with pins > 0, kept on every edge so the gauges cost nothing per
-	// visit; Snapshot recounts both by walking the ring. visits numbers
-	// the visits, so that their gauges are published in order (done).
-	inUse, pinned int
-	visits        uint64
+	// inUse counts frames that hold or are loading a page and loading those
+	// being loaded, kept on every edge so the gauge and the read-ahead rule
+	// cost nothing per visit; Snapshot recounts both by walking the ring.
+	// visits numbers the visits, so that their gauges are published in
+	// order (done), and claims the runs that load, to mark their frames.
+	inUse, loading int
+	visits, claims uint64
 	// bufs are idle multi-slot read buffers, one per loader that was
 	// recently reading at once (at most maxIdleBufs): a run's misses are
 	// read into one instead of buying a buffer per run, and unlike a
@@ -101,15 +96,15 @@ type frameKey struct {
 
 // frame is one slot of the pool. An empty frame (zero key, no page) sits
 // in the ring but in no file's index; a loading frame is in its file's
-// index, pinned by the PinRun that claimed it, and has no page until that
-// PinRun publishes it. The frame holds one reference on its page.
+// index, marked with the number of the ReadRun that claimed it, and has no
+// page until that ReadRun publishes it. The frame holds one reference on
+// its page.
 type frame struct {
-	key     frameKey
-	pg      *relation.Page
-	pins    int
-	ref     bool // CLOCK second-chance bit
-	dirty   bool
-	loading bool
+	key    frameKey
+	pg     *relation.Page
+	loader uint64 // the claim loading the page, 0 once it is published
+	ref    bool   // CLOCK second-chance bit
+	dirty  bool
 }
 
 // tally is one visit's counter deltas, in pages, added to the registry
@@ -137,7 +132,6 @@ func NewPool(frames int, o *obs.Observer) *Pool {
 	if p.reg != nil {
 		p.reg.SetGauge("bufpool.frames", float64(frames))
 		p.reg.SetGauge("bufpool.frames_in_use", 0)
-		p.reg.SetGauge("bufpool.pinned", 0)
 	}
 	return p
 }
@@ -157,27 +151,25 @@ func PoolResource() obs.ResourceSpec {
 // Cap returns the frame budget.
 func (p *Pool) Cap() int { return p.cap }
 
-// PinRun pins pages first, first+1, ... of f into dst and returns how
-// many: min(len(dst), cap/8, pages left), at least one, or fewer as
-// below. Resident pages are pinned where they are. Missing pages are
-// read from disk — each gap of consecutive missing slots with one read,
-// outside the pool's lock — into pages from the free list and frames
-// freed by eviction when the pool is full. The first page is owed a frame
-// (ErrNoFrames if every frame is pinned); the rest are taken ahead of
-// need, so only while fewer than half the frames are pinned — with many
-// scans at once runs shorten to one page before any scan is refused a
-// frame — and only up to a page another reader is loading; a page loading
-// at the head of the run is waited for. The cap/8 clip and the cap/2 rule
-// are the pool's budget, not a run length (relation.EachRun decides
-// that, in as many visits as the budget needs): measured without the
-// clip, heap/scan-cold got faster alone but heap/scan-concurrent/2 and
-// /8 got 25–30 % slower, as a few scans' read-ahead crowded out the
-// rest. Every page comes with a reference for the caller to release once
-// it has read it, after the unpin or before. On error nothing stays
-// pinned or referenced, no page of the run has been published and the
+// ReadRun reads pages first, first+1, ... of f into dst and returns how
+// many: min(len(dst), cap/8, pages left), at least one, or fewer as below.
+// Resident pages are handed out where they are. Missing pages are read
+// from disk — each gap of consecutive missing slots with one read, outside
+// the pool's lock — into pages from the free list and frames freed by
+// eviction when the pool is full. The first page is owed a frame: while
+// every frame is loading, ReadRun waits for one. The rest are taken ahead
+// of need, so only while fewer than half the frames are loading — with
+// many scans at once runs shorten to one page — and only up to a page
+// another reader is loading; a page loading at the head of the run is
+// waited for. The cap/8 clip and the cap/2 rule are the pool's budget,
+// not a run length (relation.EachRun decides that, in as many visits as
+// the budget needs): measured without the clip, heap/scan-cold got faster
+// alone but heap/scan-concurrent/2 and /8 got 25–30 % slower, as a few
+// scans' read-ahead crowded out the rest. Every page comes with a
+// reference for the caller to release once it has read it. On error no
+// reference is handed out, no page of the run has been published and the
 // pages read for it are back on the list.
-// Every PinRun must be paired with an UnpinRun of the same first and count.
-func (p *Pool) PinRun(f *File, first int, dst []*relation.Page) (int, error) {
+func (p *Pool) ReadRun(f *File, first int, dst []*relation.Page) (int, error) {
 	pages := f.NumPages()
 	if first < 0 || first >= pages {
 		return 0, fmt.Errorf("heap: %s: read of page %d beyond %d pages", filepath.Base(f.path), first, pages)
@@ -186,21 +178,20 @@ func (p *Pool) PinRun(f *File, first int, dst []*relation.Page) (int, error) {
 
 	var t tally
 	p.mu.Lock()
+	p.claims++
+	claim := p.claims
 	for k := 0; k < n; k++ {
 		fr := f.frame(first + k)
-		for k == 0 && fr != nil && fr.loading {
-			p.loaded.Wait()
-			fr = f.frame(first)
-		}
-		if k > 0 && (p.pinned >= p.cap/2 || fr != nil && fr.loading) {
+		if k > 0 && (p.loading >= p.cap/2 || fr != nil && fr.loader != 0) {
 			n = k
 			break
 		}
+		if fr != nil && fr.loader != 0 { // the head of the run is loading
+			p.loaded.Wait()
+			k--
+			continue
+		}
 		if fr != nil {
-			if fr.pins == 0 {
-				p.pinned++
-			}
-			fr.pins++
 			fr.ref = true
 			fr.pg.Retain()
 			dst[k] = fr.pg
@@ -208,20 +199,25 @@ func (p *Pool) PinRun(f *File, first int, dst []*relation.Page) (int, error) {
 			continue
 		}
 		fr, err := p.freeFrameLocked(&t)
-		if err != nil {
+		if fr == nil && err == nil && k == 0 { // every frame is loading
+			p.loaded.Wait()
+			k--
+			continue
+		}
+		if fr == nil {
 			if k == 0 {
 				p.done(t)
 				return 0, err
 			}
-			// Read-ahead is not owed a frame: the run ends here, and if
-			// the victim's write-back keeps failing the run that starts
-			// at this page reports it.
+			// Read-ahead is not owed a frame: the run ends here, and if the
+			// victim's write-back keeps failing the run that starts at this
+			// page reports it.
 			n = k
 			break
 		}
-		fr.pins, fr.ref, fr.loading = 1, true, true
+		fr.ref, fr.loader = true, claim
 		p.claimLocked(fr, f, first+k)
-		p.pinned++
+		p.loading++
 		dst[k] = nil
 		t.misses++
 	}
@@ -246,7 +242,7 @@ func (p *Pool) PinRun(f *File, first int, dst []*relation.Page) (int, error) {
 			end++
 		}
 		for i := k; i < end && err == nil; i++ {
-			dst[i], err = p.pages.GetShared(f.pageSize, f.tupleLen)
+			dst[i], err = p.pages.Get(f.pageSize, f.tupleLen)
 		}
 		if err == nil {
 			err = f.ReadPages(first+k, dst[k:end], buf)
@@ -260,55 +256,31 @@ func (p *Pool) PinRun(f *File, first int, dst []*relation.Page) (int, error) {
 	if len(p.bufs) < maxIdleBufs {
 		p.bufs = append(p.bufs, buf)
 	}
+	// This run's claims are the frames it marked; a hit's frame may have
+	// been evicted meanwhile and even claimed by another run, which its mark
+	// tells apart.
 	for k := 0; k < n; k++ {
-		fr := f.frames[first+k]
+		fr := f.frame(first + k)
 		switch {
-		case fr.loading && err == nil: // publish: the frame's reference, and the caller's
-			fr.pg, fr.loading = dst[k], false
+		case fr == nil || fr.loader != claim:
+		case err == nil: // publish: the frame's reference, and the caller's
+			fr.pg, fr.loader = dst[k], 0
 			dst[k].Retain()
-		case fr.loading: // release the claim: the frame leaves the index empty
+			p.loading--
+		default: // release the claim: the frame leaves the index empty
 			p.vacateLocked(fr)
-			dst[k].Release()
-		case err != nil: // a resident page of a failed run
-			p.unpinLocked(fr)
-			dst[k].Release()
 		}
 	}
 	if err != nil {
+		for k := 0; k < n; k++ {
+			dst[k].Release()
+			dst[k] = nil
+		}
 		t.hits, t.misses, n = 0, 0, 0
 	}
 	p.loaded.Broadcast()
 	p.done(t)
 	return n, err
-}
-
-// UnpinRun releases one pin on each of pages first .. first+n-1 of f —
-// the frames, not the references PinRun handed out; dirty marks the
-// frames for write-back and folds each page's tuple count into the
-// file's logical state.
-func (p *Pool) UnpinRun(f *File, first, n int, dirty bool) {
-	p.mu.Lock()
-	defer p.done(tally{})
-	for i := first; i < first+n; i++ {
-		fr := f.frame(i)
-		if fr == nil || fr.pins <= 0 || fr.loading {
-			panic("heap: Unpin without matching Pin")
-		}
-		p.unpinLocked(fr)
-		if dirty {
-			fr.dirty = true
-			if err := f.NotePage(i, fr.pg.TupleCount()); err != nil {
-				panic(err) // i is resident in a frame, so it cannot be out of range
-			}
-		}
-	}
-}
-
-func (p *Pool) unpinLocked(fr *frame) {
-	fr.pins--
-	if fr.pins == 0 {
-		p.pinned--
-	}
 }
 
 // claimLocked makes an empty frame the home of page i of f, growing the
@@ -329,8 +301,8 @@ func (p *Pool) claimLocked(fr *frame, f *File, i int) {
 // vacateLocked empties a frame: it leaves its file's index and lets go
 // of its page, which returns to the free list unless a reader holds it.
 func (p *Pool) vacateLocked(fr *frame) {
-	if fr.pins > 0 {
-		p.pinned--
+	if fr.loader != 0 {
+		p.loading--
 	}
 	fr.key.f.frames[fr.key.page] = nil
 	fr.pg.Release()
@@ -340,7 +312,7 @@ func (p *Pool) vacateLocked(fr *frame) {
 
 // takeBufLocked lends a read buffer of size bytes: the idle one on top
 // if it is large enough, else a new one (a too-small buffer is dropped,
-// so the idle list converges on full-run buffers). PinRun puts it back.
+// so the idle list converges on full-run buffers). ReadRun puts it back.
 func (p *Pool) takeBufLocked(size int64) []byte {
 	if k := len(p.bufs) - 1; k >= 0 {
 		buf := p.bufs[k]
@@ -353,21 +325,25 @@ func (p *Pool) takeBufLocked(size int64) []byte {
 }
 
 // Install places a full post-image of page i of f into the pool,
-// dirty: the one mutation primitive (live appends and WAL replay).
-// i may extend the file by exactly one page. The scheduler's write
-// exclusion keeps readers of f away while its writer installs; a page
-// found loading all the same is waited for.
+// dirty: the one mutation primitive (live appends and WAL replay). The
+// frame retains pg, and the caller must not write to it again. i may
+// extend the file by exactly one page. The scheduler's write exclusion
+// keeps readers of f away while its writer installs; a page found
+// loading all the same is waited for, and so is a frame when every frame
+// is loading.
 func (p *Pool) Install(f *File, i int, pg *relation.Page) error {
 	p.mu.Lock()
-	fr := f.frame(i)
-	for fr != nil && fr.loading {
-		p.loaded.Wait()
-		fr = f.frame(i)
-	}
 	var t tally
 	var err error
-	if fr == nil {
-		fr, err = p.freeFrameLocked(&t)
+	fr := f.frame(i)
+	for fr == nil || fr.loader != 0 {
+		if fr == nil {
+			if fr, err = p.freeFrameLocked(&t); fr != nil || err != nil {
+				break
+			}
+		}
+		p.loaded.Wait()
+		fr = f.frame(i)
 	}
 	if err == nil {
 		err = f.NotePage(i, pg.TupleCount())
@@ -386,11 +362,12 @@ func (p *Pool) Install(f *File, i int, pg *relation.Page) error {
 }
 
 // freeFrameLocked returns an unused frame: grows the ring while under
-// budget, otherwise runs the CLOCK hand over the ring — skipping
-// pinned frames, clearing second-chance bits, writing back dirty
-// victims — for at most two sweeps. An empty frame (a failed run's, a
-// dropped file's) is taken as it is: nothing is displaced, so nothing
-// is counted. All frames pinned => ErrNoFrames.
+// budget, otherwise runs the CLOCK hand over the ring — skipping loading
+// frames, clearing second-chance bits, writing back dirty victims — for
+// at most two sweeps. An empty frame (a failed run's, a dropped file's) is
+// taken as it is: nothing is displaced, so nothing is counted. With every
+// frame loading it returns nil and no error: the caller waits for a
+// publish.
 func (p *Pool) freeFrameLocked(t *tally) (*frame, error) {
 	if len(p.ring) < p.cap {
 		fr := &frame{}
@@ -400,7 +377,7 @@ func (p *Pool) freeFrameLocked(t *tally) (*frame, error) {
 	for pass := 0; pass < 2*len(p.ring); pass++ {
 		fr := p.ring[p.hand]
 		p.hand = (p.hand + 1) % len(p.ring)
-		if fr.pins > 0 {
+		if fr.loader != 0 {
 			continue
 		}
 		if fr.pg == nil {
@@ -423,7 +400,7 @@ func (p *Pool) freeFrameLocked(t *tally) (*frame, error) {
 		t.evictions++
 		return fr, nil
 	}
-	return nil, ErrNoFrames
+	return nil, nil
 }
 
 // FlushFile writes back every dirty frame belonging to f and marks
@@ -471,7 +448,7 @@ func (p *Pool) DropFile(f *File) {
 // loadingLocked reports whether any page of f is being loaded.
 func (p *Pool) loadingLocked(f *File) bool {
 	for _, fr := range f.frames {
-		if fr != nil && fr.loading {
+		if fr != nil && fr.loader != 0 {
 			return true
 		}
 	}
@@ -480,11 +457,10 @@ func (p *Pool) loadingLocked(f *File) bool {
 
 // Stats is a point-in-time snapshot of the pool for tests and audits.
 type Stats struct {
-	Cap, InUse, Pinned, Dirty int
+	Cap, InUse, Loading, Dirty int
 }
 
-// Snapshot returns current pool occupancy. A loading frame is in use
-// and pinned (by its loader).
+// Snapshot returns current pool occupancy. A loading frame is in use.
 func (p *Pool) Snapshot() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -493,8 +469,8 @@ func (p *Pool) Snapshot() Stats {
 		if fr.key.f != nil {
 			st.InUse++
 		}
-		if fr.pins > 0 {
-			st.Pinned++
+		if fr.loader != 0 {
+			st.Loading++
 		}
 		if fr.dirty {
 			st.Dirty++
@@ -503,12 +479,12 @@ func (p *Pool) Snapshot() Stats {
 	return st
 }
 
-// done ends a visit that holds mu: it notes the gauges, unlocks, and only
+// done ends a visit that holds mu: it notes the gauge, unlocks, and only
 // then takes the registry's mutex — for the visit's counter deltas, and
-// for the gauges unless a later visit's are already there.
+// for the gauge unless a later visit's is already there.
 func (p *Pool) done(t tally) {
 	p.visits++
-	visit, inUse, pinned := p.visits, p.inUse, p.pinned
+	visit, inUse := p.visits, p.inUse
 	p.mu.Unlock()
 	if p.reg == nil {
 		return
@@ -531,7 +507,6 @@ func (p *Pool) done(t tally) {
 	if visit > p.published {
 		p.published = visit
 		p.reg.SetGauge("bufpool.frames_in_use", float64(inUse))
-		p.reg.SetGauge("bufpool.pinned", float64(pinned))
 	}
 	p.pubMu.Unlock()
 }

@@ -1,6 +1,6 @@
 // Package heap implements the disk-resident half of the paper's
 // three-level storage hierarchy: slotted-page heap files (mass
-// storage) reached through a pinning buffer pool with CLOCK eviction
+// storage) reached through a buffer pool with CLOCK eviction
 // (the multiport disk cache), serving pages to the engines' IC-memory
 // level. One relation is one file; slots hold relation.Page wire
 // blobs (Page.Marshal) packed end to end, so a stored relation is
@@ -195,6 +195,7 @@ func CreateFrom(path string, rel *relation.Relation, schemaHash, baseLSN uint64)
 		hf.pages = i + 1
 		hf.counts = append(hf.counts, uint32(p.TupleCount()))
 		i++
+		p.Release()
 		return nil
 	})
 	if err != nil {
@@ -387,7 +388,7 @@ func (hf *File) WritePage(i int, p *relation.Page) error {
 
 // ReadPage reads and validates slot i, returning it decoded into a page
 // of its own: a run of one through the file's spare slot buffer (audits
-// and tests; scans go through Pool.PinRun, which brings its own buffer
+// and tests; scans go through Pool.ReadRun, which brings its own buffer
 // and pages).
 func (hf *File) ReadPage(i int) (*relation.Page, error) {
 	pg, err := relation.NewPage(hf.pageSize, hf.tupleLen)

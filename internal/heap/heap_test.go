@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"dfdbm/internal/catalog"
@@ -183,7 +184,7 @@ func TestFileSlotCRC(t *testing.T) {
 	}
 }
 
-func TestPoolPinEvictWriteBack(t *testing.T) {
+func TestPoolEvictWriteBack(t *testing.T) {
 	dir := t.TempDir()
 	schema := testSchema(t)
 	rel := seedRelation(t, "r", schema, 256, 90) // 6 pages at 15/page
@@ -199,45 +200,36 @@ func TestPoolPinEvictWriteBack(t *testing.T) {
 
 	// Touch every page: 6 pages through 4 frames forces evictions.
 	for i := 0; i < hf.NumPages(); i++ {
-		pg, err := pool.Pin(hf, i)
+		pg, err := pool.readOne(hf, i)
 		if err != nil {
-			t.Fatalf("Pin(%d): %v", i, err)
+			t.Fatalf("readOne(%d): %v", i, err)
 		}
 		if pg.TupleCount() != hf.PageTuples(i) {
 			t.Fatalf("page %d tuples = %d, want %d", i, pg.TupleCount(), hf.PageTuples(i))
 		}
-		pool.Unpin(hf, i, false)
 	}
 	if ev := reg.Counter("bufpool.evictions"); ev == 0 {
 		t.Fatal("expected evictions > 0 scanning 6 pages through 4 frames")
 	}
-	if st := pool.Snapshot(); st.InUse != 4 || st.Pinned != 0 {
-		t.Fatalf("snapshot = %+v, want 4 in use, 0 pinned", st)
+	if st := pool.Snapshot(); st.InUse != 4 || st.Loading != 0 {
+		t.Fatalf("snapshot = %+v, want 4 in use, 0 loading", st)
 	}
 
-	// Dirty a page, evict it by scanning, and verify the write-back
-	// reached the file.
-	pg, err := pool.Pin(hf, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Install a dirty post-image, evict it by scanning, and verify the
+	// write-back reached the file.
 	raw := make([]byte, schema.TupleLen())
 	binary.LittleEndian.PutUint64(raw[0:8], 4242)
-	// Page 0 is full (15/15) — drop to a fresh post-image instead.
 	fresh := relation.MustNewPage(256, schema.TupleLen())
 	if err := fresh.AppendRaw(raw); err != nil {
 		t.Fatal(err)
 	}
-	pool.Unpin(hf, 0, false)
-	_ = pg
 	if err := pool.Install(hf, 0, fresh); err != nil {
 		t.Fatalf("Install: %v", err)
 	}
 	for i := 1; i < hf.NumPages(); i++ { // churn the pool to evict slot 0
-		if _, err := pool.Pin(hf, i); err != nil {
+		if _, err := pool.readOne(hf, i); err != nil {
 			t.Fatal(err)
 		}
-		pool.Unpin(hf, i, false)
 	}
 	if wb := reg.Counter("bufpool.writebacks"); wb == 0 {
 		t.Fatal("expected a write-back of the dirty installed page")
@@ -251,30 +243,67 @@ func TestPoolPinEvictWriteBack(t *testing.T) {
 	}
 }
 
-func TestPoolAllPinned(t *testing.T) {
-	dir := t.TempDir()
+// TestPoolWaitsForAFrame: with every frame loading, a miss that needs a
+// frame waits for one to be published instead of failing, and then gets
+// its page; so does an Install.
+func TestPoolWaitsForAFrame(t *testing.T) {
 	schema := testSchema(t)
 	rel := seedRelation(t, "r", schema, 256, 60)
-	hf, err := CreateFrom(filepath.Join(dir, "r.heap"), rel, SchemaHash(schema), 1)
+	hf, err := CreateFrom(filepath.Join(t.TempDir(), "r.heap"), rel, SchemaHash(schema), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer hf.Close()
-
 	pool := NewPool(2, nil)
-	if _, err := pool.Pin(hf, 0); err != nil {
-		t.Fatal(err)
+	entered, release := make(chan struct{}, 2), make(chan struct{})
+	hf.readHook = func(first, n int) {
+		if first < 2 {
+			entered <- struct{}{}
+			<-release
+		}
 	}
-	if _, err := pool.Pin(hf, 1); err != nil {
-		t.Fatal(err)
+	loads := make(chan struct{})
+	for i := 0; i < 2; i++ {
+		go func() {
+			defer func() { loads <- struct{}{} }()
+			if pg, err := pool.readOne(hf, i); err != nil || pageIndex(pg) != i {
+				t.Errorf("load of page %d: %v", i, err)
+			}
+		}()
+		within(t, "a load reaching its read", entered)
 	}
-	if _, err := pool.Pin(hf, 2); !errors.Is(err, ErrNoFrames) {
-		t.Fatalf("Pin with all frames pinned: err = %v, want ErrNoFrames", err)
+	if st := pool.Snapshot(); st.Loading != 2 {
+		t.Fatalf("%+v, want both frames loading", st)
 	}
-	pool.Unpin(hf, 1, false)
-	if _, err := pool.Pin(hf, 2); err != nil {
-		t.Fatalf("Pin after release: %v", err)
+	miss, install := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(miss)
+		if pg, err := pool.readOne(hf, 2); err != nil || pageIndex(pg) != 2 {
+			t.Errorf("miss with every frame loading: %v", err)
+		}
+	}()
+	go func() {
+		defer close(install)
+		if err := pool.Install(hf, 3, relation.MustNewPage(256, schema.TupleLen())); err != nil {
+			t.Errorf("Install with every frame loading: %v", err)
+		}
+	}()
+	for i := 0; i < 100; i++ {
+		runtime.Gosched() // let both find every frame loading, most times
 	}
+	select {
+	case <-miss:
+		t.Fatal("the miss finished while every frame was loading")
+	case <-install:
+		t.Fatal("the Install finished while every frame was loading")
+	default:
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		within(t, "a load", loads)
+	}
+	within(t, "the miss", miss)
+	within(t, "the Install", install)
 }
 
 func TestStoreAdoptLoadCheckpoint(t *testing.T) {
@@ -443,10 +472,10 @@ func TestAuditCatchesCorruption(t *testing.T) {
 	}
 }
 
-// TestPoolGaugesTrackSnapshot: the pool keeps bufpool.pinned and
-// bufpool.frames_in_use on the 0<->1 pin edges instead of walking the
-// frame table; with pins held, doubled, released, evicted around and
-// dropped with their file, the gauges must equal the walking audit.
+// TestPoolGaugesTrackSnapshot: the pool keeps bufpool.frames_in_use on
+// every claim and vacate instead of walking the frame table; with pages
+// read, held, evicted around and dropped with their file, the gauge must
+// equal the walking audit.
 func TestPoolGaugesTrackSnapshot(t *testing.T) {
 	schema := testSchema(t)
 	rel := seedRelation(t, "r", schema, 256, 90) // 6 pages
@@ -457,38 +486,36 @@ func TestPoolGaugesTrackSnapshot(t *testing.T) {
 	defer hf.Close()
 	reg := obs.NewRegistry(0)
 	pool := NewPool(4, obs.New(nil, reg))
-	check := func(after string, wantPinned int) {
+	check := func(after string, wantInUse int) {
 		t.Helper()
 		st := pool.Snapshot()
-		pinned, _ := reg.Gauge("bufpool.pinned")
 		inUse, _ := reg.Gauge("bufpool.frames_in_use")
-		if int(pinned) != st.Pinned || int(inUse) != st.InUse || st.Pinned != wantPinned {
-			t.Fatalf("after %s: gauges %v pinned, %v in use; snapshot %+v; want %d pinned",
-				after, pinned, inUse, st, wantPinned)
+		if int(inUse) != st.InUse || st.InUse != wantInUse || st.Loading != 0 {
+			t.Fatalf("after %s: gauge %v in use; snapshot %+v; want %d in use", after, inUse, st, wantInUse)
 		}
 	}
-	pin := func(i int) {
+	read := func(i int) *relation.Page {
 		t.Helper()
-		if _, err := pool.Pin(hf, i); err != nil {
-			t.Fatalf("Pin(%d): %v", i, err)
+		pg, err := pool.readOne(hf, i)
+		if err != nil {
+			t.Fatalf("readOne(%d): %v", i, err)
 		}
+		return pg
 	}
-	pin(0)
-	pin(1)
-	check("two pins", 2)
-	pin(0) // a second pin on a pinned frame is not a second pinned frame
-	check("double pin", 2)
-	pool.Unpin(hf, 0, false)
-	check("one of two pins released", 2)
-	pool.Unpin(hf, 0, false)
-	check("frame released", 1)
-	for i := 2; i < hf.NumPages(); i++ { // evicts around the pinned frame
-		pin(i)
-		pool.Unpin(hf, i, false)
+	held := read(0)
+	read(1)
+	check("two reads", 2)
+	read(0) // a second read of a resident page claims no frame
+	check("a hit", 2)
+	for i := 2; i < hf.NumPages(); i++ {
+		read(i)
 	}
-	check("scan with eviction", 1)
+	check("scan with eviction", 4)
 	pool.DropFile(hf)
-	check("DropFile with a pin held", 0)
+	check("DropFile with a page held", 0)
+	if pageIndex(held) != 0 {
+		t.Error("DropFile took the page from under its reader")
+	}
 }
 
 // TestColdScanAllocCeiling: a scan of a relation far larger than the
@@ -545,16 +572,13 @@ func TestColdScanAllocCeiling(t *testing.T) {
 	}
 }
 
-// Pin is PinRun for page i alone, for tests that work a page at a time.
-// Every Pin is paired with an Unpin; the page's reference is left to the
-// collector unless the test releases it.
-func (p *Pool) Pin(f *File, i int) (*relation.Page, error) {
+// readOne is ReadRun for page i alone, for tests that work a page at a
+// time; the page's reference is left to the collector unless the test
+// releases it.
+func (p *Pool) readOne(f *File, i int) (*relation.Page, error) {
 	var one [1]*relation.Page
-	if _, err := p.PinRun(f, i, one[:]); err != nil {
+	if _, err := p.ReadRun(f, i, one[:]); err != nil {
 		return nil, err
 	}
 	return one[0], nil
 }
-
-// Unpin is UnpinRun for page i alone.
-func (p *Pool) Unpin(f *File, i int, dirty bool) { p.UnpinRun(f, i, 1, dirty) }

@@ -15,7 +15,7 @@ import (
 	"dfdbm/internal/relation"
 )
 
-// The run path: Pool.PinRun visits the pool once per run of pages and
+// The run path: Pool.ReadRun visits the pool once per run of pages and
 // reads each gap of missing slots with one ReadAt, outside the pool's
 // lock. These tests are interleaving-sensitive by nature; CI repeats
 // them under -race.
@@ -104,10 +104,10 @@ func checkInOrder(t *testing.T, who string, order []int, pages int) {
 	}
 }
 
-func checkNoPins(t *testing.T, pool *Pool) {
+func checkNoLoads(t *testing.T, pool *Pool) {
 	t.Helper()
-	if st := pool.Snapshot(); st.Pinned != 0 {
-		t.Errorf("pins left behind: %+v", st)
+	if st := pool.Snapshot(); st.Loading != 0 {
+		t.Errorf("frames left loading: %+v", st)
 	}
 }
 
@@ -137,49 +137,46 @@ func within(t *testing.T, what string, done <-chan struct{}) {
 }
 
 // (a) A hit is not stalled by a miss: while a read of one file is held
-// open, a resident page of another file can be pinned.
+// open, a resident page of another file can be read.
 func TestHeapRunHitNotStalledByMiss(t *testing.T) {
 	fx := newRunFixture(t, 4, 8)
 	_, other := fx.adopt(t, "other", 4)
-	if _, err := fx.pool.Pin(other, 0); err != nil {
+	if _, err := fx.pool.readOne(other, 0); err != nil {
 		t.Fatal(err)
 	}
-	fx.pool.Unpin(other, 0, false)
 
 	entered, release := holdRead(fx.hf)
 	missDone := make(chan struct{})
 	go func() {
 		defer close(missDone)
-		if _, err := fx.pool.Pin(fx.hf, 0); err != nil {
+		if _, err := fx.pool.readOne(fx.hf, 0); err != nil {
 			t.Errorf("miss: %v", err)
 			return
 		}
-		fx.pool.Unpin(fx.hf, 0, false)
 	}()
 	within(t, "the miss reaching its read", entered)
 
 	hitDone := make(chan struct{})
 	go func() {
 		defer close(hitDone)
-		if _, err := fx.pool.Pin(other, 0); err != nil {
+		if _, err := fx.pool.readOne(other, 0); err != nil {
 			t.Errorf("hit: %v", err)
 			return
 		}
-		fx.pool.Unpin(other, 0, false)
 	}()
 	within(t, "a hit beside a miss that is reading", hitDone)
-	if st := fx.pool.Snapshot(); st.InUse != 2 || st.Pinned != 1 {
-		t.Errorf("with the miss in flight: %+v, want the loading frame in use and pinned", st)
+	if st := fx.pool.Snapshot(); st.InUse != 2 || st.Loading != 1 {
+		t.Errorf("with the miss in flight: %+v, want the loading frame in use and loading", st)
 	}
 	close(release)
 	within(t, "the miss", missDone)
-	checkNoPins(t, fx.pool)
+	checkNoLoads(t, fx.pool)
 }
 
 // (b) Concurrent scans of one file through pools of 4, 16 and 64 frames
 // (runs of 1, 2 and 8): each sees every page once, in order; a slot is
 // read once per residency — what one scan loads the others find or wait
-// for — and no pin is left.
+// for — and no frame is left loading.
 func TestHeapRunScansOfOneFile(t *testing.T) {
 	const pages, scanners = 60, 3
 	for _, frames := range []int{4, 16, 64} {
@@ -214,14 +211,14 @@ func TestHeapRunScansOfOneFile(t *testing.T) {
 			if hits := fx.reg.Counter("bufpool.hits"); hits+misses != scanners*pages {
 				t.Errorf("%d hits + %d misses, want %d page visits", hits, misses, scanners*pages)
 			}
-			checkNoPins(t, fx.pool)
+			checkNoLoads(t, fx.pool)
 		})
 	}
 }
 
 // (c) Run length is derived from the pool: an eighth of the frames, one
 // page when that is less; read-ahead stops once half the frames are
-// pinned; ErrNoFrames appears only when every frame is pinned.
+// loading (TestPoolWaitsForAFrame has every frame loading).
 func TestHeapRunLength(t *testing.T) {
 	longest := func(reads [][2]int) int {
 		m := 0
@@ -262,51 +259,36 @@ func TestHeapRunLength(t *testing.T) {
 		}
 	})
 	t.Run("read-ahead budget", func(t *testing.T) {
-		fx := newRunFixture(t, 40, 16) // runs of 2, read-ahead below 8 pinned
-		for i := 20; i < 28; i++ {
-			if _, err := fx.pool.Pin(fx.hf, i); err != nil {
-				t.Fatal(err)
+		fx := newRunFixture(t, 40, 16) // runs of 2, read-ahead below 8 loading
+		entered, release := make(chan struct{}, 8), make(chan struct{})
+		fx.hf.readHook = func(first, n int) {
+			if first >= 20 {
+				entered <- struct{}{}
+				<-release
 			}
+		}
+		loads := make(chan struct{}, 8)
+		for i := 20; i < 28; i++ {
+			go func() {
+				defer func() { loads <- struct{}{} }()
+				if _, err := fx.pool.readOne(fx.hf, i); err != nil {
+					t.Error(err)
+				}
+			}()
+			within(t, "a load reaching its read", entered)
 		}
 		var run [2]*relation.Page
-		if n, err := fx.pool.PinRun(fx.hf, 0, run[:]); err != nil || n != 1 {
-			t.Fatalf("with half the frames pinned PinRun = %d, %v; want the first page alone", n, err)
+		if n, err := fx.pool.ReadRun(fx.hf, 0, run[:]); err != nil || n != 1 {
+			t.Fatalf("with half the frames loading ReadRun = %d, %v; want the first page alone", n, err)
 		}
-		fx.pool.UnpinRun(fx.hf, 0, 1, false)
-		fx.pool.Unpin(fx.hf, 26, false)
-		fx.pool.Unpin(fx.hf, 27, false)
-		if n, err := fx.pool.PinRun(fx.hf, 2, run[:]); err != nil || n != 2 {
-			t.Fatalf("with its own first page the 7th pinned PinRun = %d, %v; want 2", n, err)
+		close(release)
+		for i := 0; i < 8; i++ {
+			within(t, "a load", loads)
 		}
-		fx.pool.UnpinRun(fx.hf, 2, 2, false)
-
-		// Pin every frame: the scan fails at its first page, as a
-		// page-at-a-time scan would, and a resident page still pins.
-		for i := 26; i < 36; i++ {
-			if _, err := fx.pool.Pin(fx.hf, i); err != nil {
-				t.Fatalf("Pin(%d) with a frame to spare: %v", i, err)
-			}
+		if n, err := fx.pool.ReadRun(fx.hf, 2, run[:]); err != nil || n != 2 {
+			t.Fatalf("with nothing loading ReadRun = %d, %v; want 2", n, err)
 		}
-		if st := fx.pool.Snapshot(); st.Pinned != 16 {
-			t.Fatalf("%+v, want every frame pinned", st)
-		}
-		if _, err := scanOrder(fx.rel); !errors.Is(err, ErrNoFrames) {
-			t.Fatalf("scan with every frame pinned: %v, want ErrNoFrames", err)
-		}
-		if _, err := fx.pool.Pin(fx.hf, 30); err != nil {
-			t.Fatalf("a resident page with every frame pinned: %v", err)
-		}
-		fx.pool.Unpin(fx.hf, 30, false)
-		// One frame free is enough for a whole scan, a page at a time.
-		fx.pool.Unpin(fx.hf, 35, false)
-		order, err := scanOrder(fx.rel)
-		if err != nil {
-			t.Fatalf("scan with one frame free: %v", err)
-		}
-		checkInOrder(t, "scan with one frame free", order, 40)
-		if st := fx.pool.Snapshot(); st.Pinned != 15 {
-			t.Errorf("%+v, want the 15 held pins and no more", st)
-		}
+		checkNoLoads(t, fx.pool)
 	})
 }
 
@@ -315,17 +297,16 @@ func TestHeapRunLength(t *testing.T) {
 func TestHeapRunGaps(t *testing.T) {
 	fx := newRunFixture(t, 20, 64)
 	for _, i := range []int{0, 3, 4} {
-		if _, err := fx.pool.Pin(fx.hf, i); err != nil {
+		if _, err := fx.pool.readOne(fx.hf, i); err != nil {
 			t.Fatal(err)
 		}
-		fx.pool.Unpin(fx.hf, i, false)
 	}
 	fx.takeReads()
 	hits, misses := fx.reg.Counter("bufpool.hits"), fx.reg.Counter("bufpool.misses")
 	var run [8]*relation.Page
-	n, err := fx.pool.PinRun(fx.hf, 0, run[:])
+	n, err := fx.pool.ReadRun(fx.hf, 0, run[:])
 	if err != nil || n != 8 {
-		t.Fatalf("PinRun = %d, %v; want 8", n, err)
+		t.Fatalf("ReadRun = %d, %v; want 8", n, err)
 	}
 	for i, pg := range run {
 		if pageIndex(pg) != i {
@@ -338,8 +319,7 @@ func TestHeapRunGaps(t *testing.T) {
 	if h, m := fx.reg.Counter("bufpool.hits")-hits, fx.reg.Counter("bufpool.misses")-misses; h != 3 || m != 5 {
 		t.Errorf("run counted %d hits, %d misses; want 3, 5", h, m)
 	}
-	fx.pool.UnpinRun(fx.hf, 0, n, false)
-	checkNoPins(t, fx.pool)
+	checkNoLoads(t, fx.pool)
 }
 
 // (e) A walk that stops at its first page has read one slot.
@@ -352,7 +332,7 @@ func TestHeapRunEarlyStop(t *testing.T) {
 	if reads := fx.takeReads(); seen != 1 || len(reads) != 1 || reads[0] != [2]int{0, 1} {
 		t.Errorf("saw %d tuples with reads %v, want one read of slot 0", seen, reads)
 	}
-	checkNoPins(t, fx.pool)
+	checkNoLoads(t, fx.pool)
 }
 
 // (f) Install and DropFile wait for a page that is loading; FlushFile and
@@ -365,11 +345,10 @@ func TestHeapRunInstallWaitsForLoad(t *testing.T) {
 	go func() {
 		defer close(loadDone)
 		var err error
-		if loaded, err = fx.pool.Pin(fx.hf, 0); err != nil {
+		if loaded, err = fx.pool.readOne(fx.hf, 0); err != nil {
 			t.Errorf("load: %v", err)
 			return
 		}
-		fx.pool.Unpin(fx.hf, 0, false)
 	}()
 	within(t, "the load reaching its read", entered)
 	if err := fx.pool.FlushFile(fx.hf); err != nil {
@@ -400,16 +379,15 @@ func TestHeapRunInstallWaitsForLoad(t *testing.T) {
 	}
 	// Had Install not waited, the load's publish would have put the disk
 	// image over the installed one.
-	got, err := fx.pool.Pin(fx.hf, 0)
+	got, err := fx.pool.readOne(fx.hf, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx.pool.Unpin(fx.hf, 0, false)
 	if got != fresh {
 		t.Error("the frame does not hold the installed page")
 	}
-	if st := fx.pool.Snapshot(); st.Dirty != 1 || st.Pinned != 0 {
-		t.Errorf("%+v, want the installed page dirty and nothing pinned", st)
+	if st := fx.pool.Snapshot(); st.Dirty != 1 || st.Loading != 0 {
+		t.Errorf("%+v, want the installed page dirty and nothing loading", st)
 	}
 }
 
@@ -419,8 +397,7 @@ func TestHeapRunDropFileWaitsForLoad(t *testing.T) {
 	loadDone := make(chan struct{})
 	go func() {
 		defer close(loadDone)
-		// No Unpin: DropFile takes the frame, pin and all.
-		if pg, err := fx.pool.Pin(fx.hf, 0); err != nil || pageIndex(pg) != 0 {
+		if pg, err := fx.pool.readOne(fx.hf, 0); err != nil || pageIndex(pg) != 0 {
 			t.Errorf("load: page %v, err %v", pg, err)
 		}
 	}()
@@ -436,7 +413,7 @@ func TestHeapRunDropFileWaitsForLoad(t *testing.T) {
 	close(release)
 	within(t, "the load", loadDone)
 	within(t, "DropFile", dropDone)
-	if st := fx.pool.Snapshot(); st.InUse != 0 || st.Pinned != 0 {
+	if st := fx.pool.Snapshot(); st.InUse != 0 || st.Loading != 0 {
 		t.Errorf("after DropFile: %+v", st)
 	}
 }
@@ -461,7 +438,7 @@ func flipSlotByte(t *testing.T, hf *File, i int) {
 }
 
 // A run with a corrupt slot publishes none of its pages, names the slot,
-// leaves its claimed frames empty and no pin or reference behind — every
+// leaves its claimed frames empty and no reference behind — every
 // page decoded for it, the good slot's too, is back on the free list;
 // taking an empty frame later is not an eviction.
 func TestHeapRunCorruptSlot(t *testing.T) {
@@ -474,7 +451,7 @@ func TestHeapRunCorruptSlot(t *testing.T) {
 		t.Fatalf("scan over a corrupt slot: %v, want ErrCorrupt naming slot 8", err)
 	}
 	checkInOrder(t, "scan up to the corrupt run", order, 7)
-	checkNoPins(t, fx.pool)
+	checkNoLoads(t, fx.pool)
 	if st := fx.pool.Snapshot(); st.InUse != 7 {
 		t.Errorf("%+v, want pages 0..6 resident and neither page of the failed run", st)
 	}
@@ -482,10 +459,9 @@ func TestHeapRunCorruptSlot(t *testing.T) {
 		t.Errorf("free list %+v: both pages of the failed run should be back and pages 0..6 out", st)
 	}
 	misses := fx.reg.Counter("bufpool.misses")
-	if _, err := fx.pool.Pin(fx.hf, 7); err != nil {
+	if _, err := fx.pool.readOne(fx.hf, 7); err != nil {
 		t.Fatalf("the good page of the failed run: %v", err)
 	}
-	fx.pool.Unpin(fx.hf, 7, false)
 	if got := fx.reg.Counter("bufpool.misses") - misses; got != 1 {
 		t.Errorf("page 7 counted %d misses: the failed run published it", got)
 	}
@@ -503,5 +479,5 @@ func TestHeapRunCorruptSlot(t *testing.T) {
 	if st.InUse != frames || misses-evictions != int64(st.InUse) {
 		t.Errorf("%d misses, %d evictions, %+v: evictions must count displaced pages only", misses, evictions, st)
 	}
-	checkNoPins(t, fx.pool)
+	checkNoLoads(t, fx.pool)
 }

@@ -2,6 +2,7 @@ package heap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"runtime"
 	"sync"
@@ -13,7 +14,7 @@ import (
 
 // The reference protocol: a page the pool lends is shared between its
 // frame and every reader it was handed to, and goes back to the pool's
-// free list when the last of them lets go. The pin keeps the frame; the
+// free list when the last of them lets go. Nothing pins a frame; the
 // reference keeps the memory. The package runs with recycled pages
 // poisoned (TestMain), so a page that went back too early reads 0xDB.
 
@@ -24,18 +25,17 @@ func outstanding(p *Pool) int64 {
 	return st.Hits + st.Misses - st.Recycled
 }
 
-// pinRelease pins page i, checks it is page i, and lets go of both the
-// pin and the reference: a reader that is done.
-func pinRelease(t *testing.T, fx *runFixture, i int) {
+// readRelease reads page i, checks it is page i, and lets go of the
+// reference: a reader that is done.
+func readRelease(t *testing.T, fx *runFixture, i int) {
 	t.Helper()
-	pg, err := fx.pool.Pin(fx.hf, i)
+	pg, err := fx.pool.readOne(fx.hf, i)
 	if err != nil {
-		t.Fatalf("Pin(%d): %v", i, err)
+		t.Fatalf("readOne(%d): %v", i, err)
 	}
 	if got := pageIndex(pg); got != i {
-		t.Fatalf("Pin(%d) holds page %d", i, got)
+		t.Fatalf("readOne(%d) holds page %d", i, got)
 	}
-	fx.pool.Unpin(fx.hf, i, false)
 	pg.Release()
 }
 
@@ -54,17 +54,15 @@ func mustPanic(t *testing.T, what string, fn func()) {
 // it is the next miss's page.
 func TestHeapSharedPageSurvivesEviction(t *testing.T) {
 	fx := newRunFixture(t, 48, 4)
-	held, err := fx.pool.Pin(fx.hf, 0)
+	held, err := fx.pool.readOne(fx.hf, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx.pool.Unpin(fx.hf, 0, false)
 	want := bytes.Clone(held.Data())
 	for i := 1; i <= 40; i++ { // ten rounds of the pool; nobody releases, so every miss buys
-		if _, err := fx.pool.Pin(fx.hf, i); err != nil {
+		if _, err := fx.pool.readOne(fx.hf, i); err != nil {
 			t.Fatal(err)
 		}
-		fx.pool.Unpin(fx.hf, i, false)
 	}
 	if fx.hf.frame(0) != nil {
 		t.Fatal("page 0 is still resident: the scan did not evict it")
@@ -78,7 +76,7 @@ func TestHeapSharedPageSurvivesEviction(t *testing.T) {
 	}
 	held.Release() // the last holder: the frame let go at eviction
 	mustPanic(t, "a second Release of the held page", held.Release)
-	pinRelease(t, fx, 41)
+	readRelease(t, fx, 41)
 	after := fx.pool.pages.Stats()
 	if after.Hits != 1 || after.Misses != before.Misses {
 		t.Errorf("free list %+v -> %+v: the miss after the release should have been served by the released page", before, after)
@@ -90,23 +88,21 @@ func TestHeapSharedPageSurvivesEviction(t *testing.T) {
 // which it gives up, exactly once, at eviction.
 func TestHeapSharedPageTwoReaders(t *testing.T) {
 	fx := newRunFixture(t, 16, 4)
-	a, err := fx.pool.Pin(fx.hf, 0)
+	a, err := fx.pool.readOne(fx.hf, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := fx.pool.Pin(fx.hf, 0)
+	b, err := fx.pool.readOne(fx.hf, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
-		t.Fatal("two pins of a resident page returned different pages")
+		t.Fatal("two reads of a resident page returned different pages")
 	}
-	fx.pool.Unpin(fx.hf, 0, false)
-	fx.pool.Unpin(fx.hf, 0, false)
 	a.Release()
 	b.Release()
 	hits := fx.reg.Counter("bufpool.hits")
-	pinRelease(t, fx, 0) // pageIndex fails on a poisoned page
+	readRelease(t, fx, 0) // pageIndex fails on a poisoned page
 	if got := fx.reg.Counter("bufpool.hits") - hits; got != 1 {
 		t.Fatalf("page 0 counted %d hits after both readers released it, want 1", got)
 	}
@@ -117,10 +113,9 @@ func TestHeapSharedPageTwoReaders(t *testing.T) {
 	// come back is page 0's, when its frame lets go — once; a second
 	// release by the frame would have panicked.
 	for i := 1; i <= 8; i++ {
-		if _, err := fx.pool.Pin(fx.hf, i); err != nil {
+		if _, err := fx.pool.readOne(fx.hf, i); err != nil {
 			t.Fatal(err)
 		}
-		fx.pool.Unpin(fx.hf, i, false)
 	}
 	if fx.hf.frame(0) != nil {
 		t.Fatal("page 0 is still resident")
@@ -134,8 +129,8 @@ func TestHeapSharedPageTwoReaders(t *testing.T) {
 // resident page give up the frame's reference.
 func TestHeapSharedPageDropAndInstall(t *testing.T) {
 	fx := newRunFixture(t, 8, 4)
-	pinRelease(t, fx, 0)
-	pinRelease(t, fx, 1)
+	readRelease(t, fx, 0)
+	readRelease(t, fx, 1)
 	old := fx.hf.frame(1).pg
 	post := old.Clone()
 	if err := fx.pool.Install(fx.hf, 1, post); err != nil {
@@ -144,13 +139,12 @@ func TestHeapSharedPageDropAndInstall(t *testing.T) {
 	if st := fx.pool.pages.Stats(); st.Recycled != 1 {
 		t.Fatalf("%+v after Install over page 1: its old page should be back", st)
 	}
-	if pg, err := fx.pool.Pin(fx.hf, 1); err != nil || pg != post {
-		t.Fatalf("Pin after Install: %p, %v, want the installed page %p", pg, err, post)
+	if pg, err := fx.pool.readOne(fx.hf, 1); err != nil || pg != post {
+		t.Fatalf("read after Install: %p, %v, want the installed page %p", pg, err, post)
 	}
-	fx.pool.Unpin(fx.hf, 1, false)
 	post.Release() // not a pool's page: nothing to count
 	post.Release()
-	held, err := fx.pool.Pin(fx.hf, 2) // a reader the drop must not pull the page from under
+	held, err := fx.pool.readOne(fx.hf, 2) // a reader the drop must not pull the page from under
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +153,7 @@ func TestHeapSharedPageDropAndInstall(t *testing.T) {
 	if st := fx.pool.pages.Stats(); st.Recycled != 2 || outstanding(fx.pool) != 1 {
 		t.Errorf("%+v after DropFile: page 0 should be back and page 2 out with its reader", st)
 	}
-	if st := fx.pool.Snapshot(); st.InUse != 0 || st.Pinned != 0 {
+	if st := fx.pool.Snapshot(); st.InUse != 0 || st.Loading != 0 {
 		t.Errorf("after DropFile: %+v", st)
 	}
 	if !bytes.Equal(held.Data(), want) {
@@ -171,9 +165,9 @@ func TestHeapSharedPageDropAndInstall(t *testing.T) {
 	}
 }
 
-// (f) A tail-page append lands in the frame's own page, in place — a
-// shared page has a full-capacity payload — is what the next reader sees,
-// and survives write-back and reopen.
+// (f) A tail-page append installs a copy of the tail with the tuple
+// added: a reader that still holds the old tail reads it unchanged, the
+// next reader sees the tuple, and it survives write-back and reopen.
 func TestHeapSharedPageTailAppend(t *testing.T) {
 	dir := t.TempDir()
 	store, err := OpenStore(dir, 4, nil)
@@ -186,23 +180,24 @@ func TestHeapSharedPageTailAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	hf := store.file("r")
-	tail, err := store.Pool().Pin(hf, 3)
+	held, err := store.Pool().readOne(hf, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	store.Pool().Unpin(hf, 3, false)
-	tail.Release()
-	payload := &tail.Data()[0]
+	before := bytes.Clone(held.Data())
 	if err := rel.Insert(relation.Tuple{relation.IntVal(777), relation.IntVal(-777)}); err != nil {
 		t.Fatal(err)
 	}
-	if tail.TupleCount() != 5 || &tail.Data()[0] != payload {
-		t.Fatalf("tail page holds %d tuples (payload moved: %v): the append did not land in the frame's page in place",
-			tail.TupleCount(), &tail.Data()[0] != payload)
+	if !bytes.Equal(held.Data(), before) {
+		t.Fatal("the append wrote to the tail page a reader holds")
 	}
+	held.Release()
 	again, err := rel.CopyPage(3)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got, err := again.Tuple(again.TupleCount()-1, schema); err != nil || again.TupleCount() != 5 || got[0].Int != 777 {
+		t.Fatalf("the next reader sees %d tuples, last %v (%v); want 5 ending in 777", again.TupleCount(), got, err)
 	}
 	want := again.Marshal()
 	if err := store.Pool().FlushFile(hf); err != nil {
@@ -226,6 +221,61 @@ func TestHeapSharedPageTailAppend(t *testing.T) {
 	}
 }
 
+// Stored appends across page boundaries, through a pool smaller than the
+// relation, lay pages out exactly as resident appends do, and once warm
+// they allocate nothing, fresh pages included: every post-image comes
+// from, and goes back to, the appends' own free list.
+func TestHeapStoredAppendsMatchResident(t *testing.T) {
+	store, err := OpenStore(t.TempDir(), 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	schema := testSchema(t)
+	stored, resident := seedRelation(t, "r", schema, 256, 7), seedRelation(t, "q", schema, 256, 7)
+	if err := store.Adopt(stored, 1); err != nil {
+		t.Fatal(err)
+	}
+	raw := make([]byte, schema.TupleLen())
+	value := func(i int) []byte {
+		binary.LittleEndian.PutUint64(raw, uint64(i))
+		return raw
+	}
+	n := 0
+	appendStored := func() {
+		if err := stored.InsertRaw(value(n)); err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	for n < 20 {
+		appendStored()
+	}
+	if allocs := testing.AllocsPerRun(100, appendStored); allocs != 0 {
+		t.Errorf("a warm stored append allocates %.2f times, want 0", allocs)
+	}
+	for n < 200 {
+		appendStored()
+	}
+	for i := 0; i < n; i++ {
+		if err := resident.InsertRaw(value(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if stored.NumPages() <= 4 {
+		t.Fatalf("%d pages fit the 4-frame pool", stored.NumPages())
+	}
+	for i := 0; i < stored.NumPages(); i++ {
+		got, err := stored.CopyPage(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Marshal(), resident.Page(i).Marshal()) {
+			t.Fatalf("stored page %d differs from the resident one", i)
+		}
+	}
+}
+
 // (g) Relation.Page never releases, so the page it returned reads the
 // right bytes after its frame has been evicted and refilled many times
 // by readers that do release.
@@ -235,13 +285,13 @@ func TestHeapSharedPageOfRelationPage(t *testing.T) {
 	want := bytes.Clone(pg.Data())
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 48; i++ {
-			pinRelease(t, fx, i)
+			readRelease(t, fx, i)
 		}
 	}
 	if !bytes.Equal(pg.Data(), want) || pageIndex(pg) != 5 {
 		t.Error("the page Relation.Page returned changed after its frame was evicted")
 	}
-	checkNoPins(t, fx.pool)
+	checkNoLoads(t, fx.pool)
 }
 
 // Concurrent scans that release every page recycle the same few pages
@@ -270,7 +320,7 @@ func TestHeapSharedPageConcurrentScans(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	checkNoPins(t, fx.pool)
+	checkNoLoads(t, fx.pool)
 	if out, st := outstanding(fx.pool), fx.pool.Snapshot(); out != int64(st.InUse) {
 		t.Errorf("%d pages off the list, %d in frames: a reference leaked or was dropped twice", out, st.InUse)
 	}
@@ -291,11 +341,12 @@ func (w *blockingWriter) Write(b []byte) (int, error) {
 
 // The pool visits the metrics registry after it has let go of its own
 // lock: with the registry's mutex held by a stalled export, a hit gets
-// through the pool — its pin is taken, and whatever needs the pool's lock
-// next is served — and stalls only in its own accounting.
+// through the pool — its visit is counted, and whatever needs the pool's
+// lock next is served — and stalls only in its own accounting.
 func TestHeapRegistryCallsOutsidePoolLock(t *testing.T) {
 	fx := newRunFixture(t, 8, 4)
-	pinRelease(t, fx, 0)
+	readRelease(t, fx, 0)
+	visits := fx.pool.visitCount()
 	w := &blockingWriter{entered: make(chan struct{}), release: make(chan struct{})}
 	exported := make(chan struct{})
 	go func() {
@@ -308,18 +359,18 @@ func TestHeapRegistryCallsOutsidePoolLock(t *testing.T) {
 	hit := make(chan struct{})
 	go func() {
 		defer close(hit)
-		if _, err := fx.pool.Pin(fx.hf, 0); err != nil {
+		if _, err := fx.pool.readOne(fx.hf, 0); err != nil {
 			t.Error(err)
 		}
 	}()
-	// Snapshot needs the pool's lock: it sees the hit's pin only if the
+	// visitCount needs the pool's lock: it sees the hit's visit only if the
 	// hit went through the lock, and returns only if the hit let go of it.
 	seen := make(chan struct{})
 	var giveUp atomic.Bool
 	defer giveUp.Store(true)
 	go func() {
 		defer close(seen)
-		for fx.pool.Snapshot().Pinned == 0 && !giveUp.Load() {
+		for fx.pool.visitCount() == visits && !giveUp.Load() {
 			runtime.Gosched()
 		}
 	}()
@@ -332,8 +383,14 @@ func TestHeapRegistryCallsOutsidePoolLock(t *testing.T) {
 	close(w.release)
 	within(t, "the export", exported)
 	within(t, "the hit", hit)
-	fx.pool.Unpin(fx.hf, 0, false)
 	if hits := fx.reg.Counter("bufpool.hits"); hits != 1 {
 		t.Errorf("bufpool.hits = %d, want 1", hits)
 	}
+}
+
+// visitCount is how many visits the pool has ended, read under its lock.
+func (p *Pool) visitCount() uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.visits
 }

@@ -438,12 +438,8 @@ func (b *backing) PageTuples(i int) int { return b.resolve().PageTuples(i) }
 func (b *backing) Cardinality() int     { return b.resolve().Cardinality() }
 func (b *backing) BaseLSN() uint64      { return b.resolve().BaseLSN() }
 
-func (b *backing) PinRun(first int, dst []*relation.Page) (int, error) {
-	return b.store.pool.PinRun(b.resolve(), first, dst)
-}
-
-func (b *backing) UnpinRun(first, n int, dirty bool) {
-	b.store.pool.UnpinRun(b.resolve(), first, n, dirty)
+func (b *backing) ReadRun(first int, dst []*relation.Page) (int, error) {
+	return b.store.pool.ReadRun(b.resolve(), first, dst)
 }
 
 func (b *backing) Install(i int, p *relation.Page) error {

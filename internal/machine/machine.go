@@ -348,7 +348,7 @@ func (m *Machine) recycle(pg *relation.Page) {
 	if m.guarded() {
 		return
 	}
-	m.pool.Put(pg)
+	pg.Release()
 }
 
 func (m *Machine) fail(err error) {

@@ -11,9 +11,9 @@ import (
 
 // TestEachRunStoredMatchesResident: one run policy for both forms of a
 // relation. A resident relation and its heap-stored copy behind a
-// 64-frame pool, whose PinRun grants at most cap/8 = 8 pages, yield the
+// 64-frame pool, whose ReadRun grants at most cap/8 = 8 pages, yield the
 // same runs of 1, 2, 4 … MaxRun pages with byte-identical pages, and a
-// stored run reaches fn with none of its frames pinned.
+// stored run reaches fn with none of its frames still loading.
 func TestEachRunStoredMatchesResident(t *testing.T) {
 	schema := relation.MustSchema(
 		relation.Attr{Name: "a", Type: relation.Int64},
@@ -43,8 +43,8 @@ func TestEachRunStoredMatchesResident(t *testing.T) {
 		t.Helper()
 		err := rel.EachRun(func(run []*relation.Page) error {
 			if rel.Stored() {
-				if st := store.Pool().Snapshot(); st.Pinned != 0 {
-					t.Errorf("fn ran with frames pinned: %+v", st)
+				if st := store.Pool().Snapshot(); st.Loading != 0 {
+					t.Errorf("fn ran with frames loading: %+v", st)
 				}
 			}
 			lens = append(lens, len(run))
@@ -84,12 +84,12 @@ func TestEachRunStoredMatchesResident(t *testing.T) {
 			t.Fatalf("stored page %d differs from the resident one", i)
 		}
 	}
-	// A cold walk misses on every page, so each PinRun is one read: a run
+	// A cold walk misses on every page, so each ReadRun is one read: a run
 	// longer than the store's grant of 8 took several visits.
 	if reads != int64(visits) {
-		t.Errorf("stored walk took %d reads, want %d: one per PinRun of at most 8 pages", reads, visits)
+		t.Errorf("stored walk took %d reads, want %d: one per ReadRun of at most 8 pages", reads, visits)
 	}
-	if st := store.Pool().Snapshot(); st.Pinned != 0 {
-		t.Errorf("pins left behind: %+v", st)
+	if st := store.Pool().Snapshot(); st.Loading != 0 {
+		t.Errorf("frames left loading: %+v", st)
 	}
 }

@@ -32,11 +32,10 @@ type Page struct {
 	tupleLen int
 	capBytes int    // payload capacity in bytes: Capacity()*tupleLen, precomputed
 	data     []byte // encoded tuples, len == TupleCount()*tupleLen
-	// home is set on a shared page (PagePool.GetShared): refs counts its
-	// holders, and the last to let go sends it back to home's free list.
-	home   *PagePool
-	refs   atomic.Int32
-	pooled bool // came from PagePool.Get and may be recycled by Put
+	// home is set on a page from PagePool.Get: refs counts its holders,
+	// and the last to let go sends it back to home's free list.
+	home *PagePool
+	refs atomic.Int32
 }
 
 // CheckPageGeometry reports whether a page of pageSize bytes can hold
@@ -263,17 +262,18 @@ func (p *Page) Load(b []byte) error {
 	return nil
 }
 
-// Retain adds a holder to a shared page. On any other page — one nobody
-// counts the readers of — it does nothing.
+// Retain adds a holder to a page from a PagePool. On any other page —
+// one nobody counts the holders of — it does nothing.
 func (p *Page) Retain() {
 	if p.home != nil {
 		p.refs.Add(1)
 	}
 }
 
-// Release drops one holder of a shared page, who must not touch it again:
-// the last one out sends it back to the free list it came from. One
-// release too many panics. On any other page, and on nil, it does nothing.
+// Release drops one holder of a page from a PagePool, who must not touch
+// it again: the last one out sends it back to the free list it came from.
+// One release too many panics. On any other page, and on nil, it does
+// nothing.
 func (p *Page) Release() {
 	if p == nil || p.home == nil {
 		return

@@ -19,9 +19,9 @@ func TestPagePoolRoundTrip(t *testing.T) {
 	if err := pg.AppendRaw(make([]byte, 12)); err != nil {
 		t.Fatal(err)
 	}
-	p.Put(pg)
+	pg.Release()
 	if s := p.Stats(); s.Recycled != 1 || s.FreeBytes != 256 {
-		t.Fatalf("after Put: %+v", s)
+		t.Fatalf("after the release: %+v", s)
 	}
 	// The free list is the pool's own: the collector does not empty it,
 	// so the very next Get is a hit, and it is the page that was put.
@@ -29,7 +29,7 @@ func TestPagePoolRoundTrip(t *testing.T) {
 	runtime.GC()
 	got := p.MustGet(256, 12)
 	if got != pg || got.TupleCount() != 0 {
-		t.Fatalf("Get after Put and two GCs returned %p with %d tuples, want the recycled page %p empty", got, got.TupleCount(), pg)
+		t.Fatalf("Get after a release and two GCs returned %p with %d tuples, want the recycled page %p empty", got, got.TupleCount(), pg)
 	}
 	if s := p.Stats(); s != (PoolStats{Hits: 1, Misses: 1, Recycled: 1}) {
 		t.Fatalf("after round trip: %+v", s)
@@ -37,7 +37,7 @@ func TestPagePoolRoundTrip(t *testing.T) {
 }
 
 // TestPagePoolBudgetBoundsFreeList: the bytes held free never exceed
-// the budget — a Put beyond it drops the page — and every Get is
+// the budget — a last release beyond it drops the page — and every Get is
 // exactly one hit or one miss.
 func TestPagePoolBudgetBoundsFreeList(t *testing.T) {
 	p := NewPagePool()
@@ -47,13 +47,13 @@ func TestPagePoolBudgetBoundsFreeList(t *testing.T) {
 		pages = append(pages, p.MustGet(256, 12))
 	}
 	for _, pg := range pages {
-		p.Put(pg)
+		pg.Release()
 		if s := p.Stats(); s.FreeBytes > p.Budget() {
 			t.Fatalf("free list holds %d bytes, budget %d", s.FreeBytes, p.Budget())
 		}
 	}
 	if s := p.Stats(); s.Recycled != 3 || s.FreeBytes != 3*256 {
-		t.Fatalf("5 Puts under a 3-page budget: %+v", s)
+		t.Fatalf("5 releases under a 3-page budget: %+v", s)
 	}
 	for i := 0; i < 5; i++ {
 		p.MustGet(256, 12)
@@ -68,7 +68,7 @@ func TestPagePoolBudgetBoundsFreeList(t *testing.T) {
 func TestPagePoolReformatsAcrossTupleLengths(t *testing.T) {
 	p := NewPagePool()
 	pg := p.MustGet(256, 12)
-	p.Put(pg)
+	pg.Release()
 	got := p.MustGet(256, 100)
 	if got != pg {
 		t.Fatal("a free page of the same size was not reused for another tuple length")
@@ -86,7 +86,7 @@ func TestPagePoolReformatsAcrossTupleLengths(t *testing.T) {
 	}
 }
 
-// TestPagePoolPoisonsRecycledPages: with the detector on, Put overwrites
+// TestPagePoolPoisonsRecycledPages: with the detector on, recycling overwrites
 // the page's whole payload capacity, so a stale reader cannot mistake
 // recycled bytes for tuples.
 func TestPagePoolPoisonsRecycledPages(t *testing.T) {
@@ -98,7 +98,7 @@ func TestPagePoolPoisonsRecycledPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	stale := pg.Data()
-	p.Put(pg)
+	pg.Release()
 	whole := stale[:cap(stale)]
 	if len(whole) != 256-PageHeaderLen {
 		t.Fatalf("payload capacity %d, want %d", len(whole), 256-PageHeaderLen)
@@ -128,41 +128,27 @@ func TestNewPageNeverGrows(t *testing.T) {
 	}
 }
 
-func TestPagePoolDoublePutIsNoop(t *testing.T) {
-	p := NewPagePool()
-	pg := p.MustGet(256, 12)
-	p.Put(pg)
-	p.Put(pg) // the pooled flag was cleared by the first Put
-	if s := p.Stats(); s.Recycled != 1 {
-		t.Errorf("double Put recycled %d pages, want 1", s.Recycled)
-	}
-}
-
-// TestSharedPageCountsHolders: a shared page goes back to its pool when
-// the last of its holders lets go, not before; Put is a release, to the
-// page's own pool whichever pool it is called on, nil included; and a
-// release with no holder left panics instead of recycling a page twice.
+// TestSharedPageCountsHolders: a page from a pool goes back to it when
+// the last of its holders lets go, not before, and a release with no
+// holder left panics instead of recycling a page twice.
 func TestSharedPageCountsHolders(t *testing.T) {
 	PoisonRecycledPages(true)
 	defer PoisonRecycledPages(false)
-	p, other := NewPagePool(), NewPagePool()
-	pg, err := p.GetShared(256, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := NewPagePool()
+	pg := p.MustGet(256, 12)
 	if err := pg.AppendRaw(bytes.Repeat([]byte{7}, 12)); err != nil {
 		t.Fatal(err)
 	}
 	pg.Retain()
 	pg.Retain() // three holders
 	pg.Release()
-	other.Put(pg)
-	if s, o := p.Stats(), other.Stats(); s.Recycled != 0 || o.Recycled != 0 || pg.RawTuple(0)[0] != 7 {
-		t.Fatalf("recycled with a holder left: %+v, %+v", s, o)
+	pg.Release()
+	if s := p.Stats(); s.Recycled != 0 || pg.RawTuple(0)[0] != 7 {
+		t.Fatalf("recycled with a holder left: %+v", s)
 	}
-	(*PagePool)(nil).Put(pg) // the last holder
-	if s, o := p.Stats(), other.Stats(); s.Recycled != 1 || o.Recycled != 0 {
-		t.Fatalf("the last release: %+v, %+v, want the page back on its own pool's list", s, o)
+	pg.Release() // the last holder
+	if s := p.Stats(); s.Recycled != 1 {
+		t.Fatalf("the last release: %+v, want the page back on the list", s)
 	}
 	func() {
 		defer func() {
@@ -175,45 +161,33 @@ func TestSharedPageCountsHolders(t *testing.T) {
 	if s := p.Stats(); s.Recycled != 1 {
 		t.Errorf("the refused release recycled the page again: %+v", s)
 	}
-	// The next Get of either kind reuses it and starts it afresh.
-	again, err := p.GetShared(256, 12)
-	if err != nil || again != pg {
-		t.Fatalf("GetShared = %p, %v, want the recycled page %p", again, err, pg)
+	// The next Get reuses it and starts its count afresh.
+	again := p.MustGet(256, 12)
+	if again != pg {
+		t.Fatalf("Get = %p, want the recycled page %p", again, pg)
 	}
 	again.Release()
-	plain := p.MustGet(256, 12)
-	if plain != pg {
-		t.Fatalf("Get = %p, want the recycled page %p", plain, pg)
-	}
-	plain.Retain() // not shared any more: nothing is counted
-	plain.Release()
-	plain.Release()
-	p.Put(plain)
-	if s := p.Stats(); s.Recycled != 3 || s.Hits != 2 {
-		t.Errorf("%+v, want 3 recycled and 2 hits", s)
+	if s := p.Stats(); s.Recycled != 2 || s.Hits != 1 {
+		t.Errorf("%+v, want 2 recycled and 1 hit", s)
 	}
 }
 
 // TestReleaseIgnoresUnsharedPages: Retain and Release do nothing to a
-// page nobody counts the readers of — a fresh page, a pool's ordinary
-// page, a decoded blob — and nothing to nil.
+// page no pool handed out — a fresh page, a decoded blob — and nothing
+// to nil.
 func TestReleaseIgnoresUnsharedPages(t *testing.T) {
-	p := NewPagePool()
 	blob := MustNewPage(256, 12).Marshal()
 	decoded, err := UnmarshalPage(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pg := range []*Page{MustNewPage(256, 12), p.MustGet(256, 12), decoded, nil} {
+	for _, pg := range []*Page{MustNewPage(256, 12), decoded, nil} {
 		if pg != nil {
 			pg.Retain()
 		}
 		pg.Release()
 		pg.Release()
 		pg.Release()
-	}
-	if s := p.Stats(); s.Recycled != 0 {
-		t.Errorf("%+v: a release recycled a page that is not shared", s)
 	}
 }
 
@@ -223,7 +197,7 @@ func TestPagePoolIgnoresForeignPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Put(pg) // never came from a pool: must be ignored
+	pg.Release() // never came from a pool: must be ignored
 	if s := p.Stats(); s.Recycled != 0 {
 		t.Errorf("foreign page recycled: %+v", s)
 	}
@@ -246,9 +220,9 @@ func TestAppendPageRetainsFromPool(t *testing.T) {
 	if err := r.AppendPage(pg); err != nil {
 		t.Fatal(err)
 	}
-	// The relation now aliases the page; recycling it would corrupt the
-	// relation, so Put must be a no-op.
-	p.Put(pg)
+	// The relation holds a reference of its own; recycling the page would
+	// corrupt the relation, so the caller's release must not.
+	pg.Release()
 	if s := p.Stats(); s.Recycled != 0 {
 		t.Errorf("retained page recycled: %+v", s)
 	}
@@ -263,7 +237,7 @@ func TestNilPagePoolDegrades(t *testing.T) {
 	if pg == nil {
 		t.Fatal("nil pool Get returned nil page")
 	}
-	p.Put(pg) // must not panic
+	pg.Release() // must not panic
 	if s := p.Stats(); s != (PoolStats{}) {
 		t.Errorf("nil pool has stats %+v", s)
 	}
@@ -275,7 +249,7 @@ func TestPagePoolSizeClasses(t *testing.T) {
 	b := p.MustGet(512, 12)
 	c := p.MustGet(256, 8)
 	for _, pg := range []*Page{a, b, c} {
-		p.Put(pg)
+		pg.Release()
 	}
 	big := p.MustGet(512, 12)
 	if big.PageSize() != 512 || big.TupleLen() != 12 {
@@ -303,7 +277,7 @@ func TestPagePoolConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				p.Put(pg)
+				pg.Release()
 			}
 		}(g)
 	}

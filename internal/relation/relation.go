@@ -56,9 +56,9 @@ func (r *Relation) NumPages() int {
 	return len(r.pages)
 }
 
-// Page returns page i. The page is shared, not copied. For stored
-// relations the page is read through the buffer pool and returned
-// unpinned — valid for reading for as long as the caller keeps it,
+// Page returns page i. The page is shared, not copied, and the caller
+// must not release it. For stored relations the page is read through the
+// buffer pool — valid for reading for as long as the caller keeps it,
 // because the reference it came with is never released (the page
 // survives its frame's eviction and is the collector's afterwards) —
 // but an I/O failure panics; error-aware callers should walk with
@@ -67,11 +67,10 @@ func (r *Relation) Page(i int) *Page {
 	if r.store == nil {
 		return r.pages[i]
 	}
-	p, err := r.pinOne(i)
+	p, err := r.readOne(i)
 	if err != nil {
 		panic(err.Error())
 	}
-	r.store.UnpinRun(i, 1, false)
 	return p
 }
 
@@ -140,53 +139,61 @@ func (r *Relation) InsertRaw(raw []byte) error {
 	return r.pages[len(r.pages)-1].AppendRaw(raw)
 }
 
-// insertRawStored appends one tuple through the page store: fill the
-// last partial page in place (pinned, unpinned dirty) or install a
-// fresh one — the same fill-then-grow discipline as the resident path,
-// so the resulting page layout is byte-identical.
+// insertRawStored appends one tuple through the page store: install a
+// copy of the last partial page with the tuple added, or a fresh page —
+// the same fill-then-grow discipline as the resident path, so the
+// resulting page layout is byte-identical. The tail is copied, never
+// written in place: its frame may be written back, and a reader may hold
+// it, while the tuple lands.
 func (r *Relation) insertRawStored(raw []byte) error {
 	n := r.store.NumPages()
 	capacity := (r.pageSize - PageHeaderLen) / r.schema.TupleLen()
+	i, tail := n, (*Page)(nil)
 	if n > 0 && r.store.PageTuples(n-1) < capacity {
-		p, err := r.pinOne(n - 1)
-		if err != nil {
+		i = n - 1
+		var err error
+		if tail, err = r.readOne(i); err != nil {
 			return err
 		}
-		err = p.AppendRaw(raw)
-		r.store.UnpinRun(n-1, 1, err == nil)
-		p.Release()
-		return err
 	}
-	p, err := NewPage(r.pageSize, r.schema.TupleLen())
+	p, err := tailPages.Get(r.pageSize, r.schema.TupleLen())
 	if err != nil {
+		tail.Release()
 		return err
 	}
-	if err := p.AppendRaw(raw); err != nil {
-		return err
+	if tail != nil {
+		p.data = append(p.data, tail.data...)
+		tail.Release()
 	}
-	return r.store.Install(n, p)
+	if err = p.AppendRaw(raw); err == nil {
+		err = r.store.Install(i, p)
+	}
+	p.Release()
+	return err
 }
 
-// AppendPage appends an entire page to the relation. The page must hold
-// tuples of the schema's length.
+// tailPages is the free list stored appends build their post-images in,
+// as oneRuns is their runs'. The store's frame retains the page it
+// installs, and the page comes back here when the frame lets go of it —
+// at eviction, or when the next append installs over it — so a run of
+// appends allocates nothing.
+var tailPages = NewPagePool()
+
+// AppendPage appends an entire page to the relation, which retains it:
+// it takes a reference of its own (Page.Retain) and never releases it,
+// so the caller's reference stays the caller's to release. The page must
+// hold tuples of the schema's length.
 func (r *Relation) AppendPage(p *Page) error {
 	if err := r.LendPage(p); err != nil {
 		return err
 	}
-	// The relation retains (aliases) the page: it must never be handed
-	// back to a PagePool, however it was obtained. A page that is not
-	// pooled may be a stored relation's, shared with concurrent readers,
-	// so it is not written to.
-	if p.pooled {
-		p.pooled = false
-	}
+	p.Retain()
 	return nil
 }
 
 // LendPage appends a page its owner goes on owning: the relation reads
-// it but does not retain it, so a pooled page stays recyclable. It is
-// for a scratch relation that is built, read once and dropped — the
-// owner hands the page back to its pool only after that.
+// it but holds no reference. It is for a scratch relation that is built,
+// read once and dropped — the owner releases the page only after that.
 func (r *Relation) LendPage(p *Page) error {
 	if p.TupleLen() != r.schema.TupleLen() {
 		return fmt.Errorf("relation: page holds %d-byte tuples, relation %q needs %d", p.TupleLen(), r.name, r.schema.TupleLen())
@@ -205,6 +212,7 @@ var errStopEach = fmt.Errorf("relation: stop iteration")
 // returns false.
 func (r *Relation) Each(fn func(t Tuple) bool) error {
 	err := r.EachPage(func(p *Page) error {
+		defer p.Release()
 		n := p.TupleCount()
 		for i := 0; i < n; i++ {
 			t, err := p.Tuple(i, r.schema)
@@ -224,9 +232,11 @@ func (r *Relation) Each(fn func(t Tuple) bool) error {
 }
 
 // EachRaw calls fn for every encoded tuple in page order, stopping early
-// if fn returns false.
+// if fn returns false. raw aliases the page, which is released once fn
+// has seen its tuples: fn copies what it keeps.
 func (r *Relation) EachRaw(fn func(raw []byte) bool) {
 	_ = r.EachPage(func(p *Page) error {
+		defer p.Release()
 		stop := false
 		p.EachRaw(func(raw []byte) bool {
 			if !fn(raw) {

@@ -7,9 +7,9 @@ import (
 
 // PageStore is the disk-backed page source a Relation can be attached
 // to (SetStore): the paper's mass-storage level, reached through the
-// disk-cache level (a pinning buffer pool). A stored relation keeps no
-// resident pages; every page access pins frames in the store's buffer
-// pool and every mutation goes through Install, so the relation's
+// disk-cache level (a buffer pool). A stored relation keeps no resident
+// pages; every page access reads through the store's buffer pool and
+// every mutation goes through Install, so the relation's
 // logical content is byte-identical to the resident form by
 // construction. The unit of access is a run of consecutive pages — the
 // paper moves operands a page at a time between cache and mass storage,
@@ -26,28 +26,23 @@ type PageStore interface {
 	PageTuples(i int) int
 	// Cardinality returns the total tuple count across all pages.
 	Cardinality() int
-	// PinRun pins pages first, first+1, ... into dst and returns how many
-	// it pinned: at least one when err is nil, at most len(dst), and
-	// fewer when the relation ends or the store will not read further
-	// ahead (its budget of pinned frames; a page another reader is still
-	// loading). The first page is owed a frame; the rest are read-ahead.
-	// The pages are shared and must be treated as read-only unless the
-	// caller holds the relation's write exclusion. Each comes with a
+	// ReadRun reads pages first, first+1, ... into dst and returns how
+	// many: at least one when err is nil, at most len(dst), and fewer
+	// when the relation ends or the store will not read further ahead
+	// (its budget of frames being loaded; a page another reader is still
+	// loading). The pages are shared and read-only. Each comes with a
 	// reference (Page.Retain) that is the caller's to pass on: whoever
-	// reads the page last releases it, after the unpin as a rule, and a
-	// page nobody releases is the collector's. On error nothing stays
-	// pinned or referenced. Every PinRun must be paired with one UnpinRun
-	// of the same first and the returned count.
-	PinRun(first int, dst []*Page) (int, error)
-	// UnpinRun releases the pins of a run of n pages — the frames, not
-	// the references PinRun handed out; dirty marks the frames for
-	// write-back.
-	UnpinRun(first, n int, dirty bool)
+	// reads the page last releases it, and a page nobody releases is the
+	// collector's. The reference is all the caller holds: the store may
+	// evict the page's frame at once, and the page outlives it. On error
+	// no reference is handed out.
+	ReadRun(first int, dst []*Page) (int, error)
 	// Install overwrites page i (or appends it when i == NumPages)
-	// with a full post-image, dirty in the pool. It is the one
-	// mutation primitive: WAL replay and the live write path both
-	// install whole-page images, which makes redo idempotent and
-	// torn-write-proof.
+	// with a full post-image, dirty in the pool, which retains it: the
+	// caller must not write to the page again. It is the one mutation
+	// primitive: WAL replay, the live write path and a stored tuple
+	// append all install whole-page images, which makes redo idempotent
+	// and torn-write-proof.
 	Install(i int, p *Page) error
 	// Rewrite atomically replaces the entire stored content with the
 	// pages of resident (same name and schema), advancing the store's
@@ -91,14 +86,14 @@ func (r *Relation) PageTuples(i int) int {
 }
 
 // oneRuns holds idle runs of one: a run passed to a PageStore escapes
-// through the interface, and a stored append pins its tail page once per
+// through the interface, and a stored append reads its tail page once per
 // tuple.
 var oneRuns = sync.Pool{New: func() any { return new([1]*Page) }}
 
-// pinOne pins page i alone: a run of one.
-func (r *Relation) pinOne(i int) (*Page, error) {
+// readOne reads page i alone, a run of one, with its reference.
+func (r *Relation) readOne(i int) (*Page, error) {
 	one := oneRuns.Get().(*[1]*Page)
-	_, err := r.store.PinRun(i, one[:])
+	_, err := r.store.ReadRun(i, one[:])
 	p := one[0]
 	one[0] = nil
 	oneRuns.Put(one)
@@ -108,19 +103,18 @@ func (r *Relation) pinOne(i int) (*Page, error) {
 	return p, nil
 }
 
-// CopyPage returns a deep copy of page i, pinning through the store
-// when the relation is disk-backed — the error-returning counterpart
-// of Page(i).Clone().
+// CopyPage returns a deep copy of page i, read through the store when
+// the relation is disk-backed — the error-returning counterpart of
+// Page(i).Clone().
 func (r *Relation) CopyPage(i int) (*Page, error) {
 	if r.store == nil {
 		return r.pages[i].Clone(), nil
 	}
-	p, err := r.pinOne(i)
+	p, err := r.readOne(i)
 	if err != nil {
 		return nil, err
 	}
 	out := p.Clone()
-	r.store.UnpinRun(i, 1, false)
 	p.Release()
 	return out, nil
 }
@@ -136,15 +130,16 @@ const MaxRun = 32
 // to the end, for resident and stored relations alike — so a walk that
 // stops at its first page has touched one page, and a long one costs its
 // consumer one hand-off per MaxRun pages. A resident run is a view of the
-// relation's page list. A stored run is filled by as many PinRun calls as
-// the store grants (its budget clips a visit, not the run), each unpinned
-// as soon as it returns, so fn holds references, never pins. Each page's
-// reference (PageStore.PinRun) passes to fn, which releases it — or hands
-// it to whoever will — once it has read the page; an fn that never does
-// costs the store a fresh page per miss. fn must not keep the run slice or
-// write to its pages. A non-nil error from fn (or from the store) stops
-// the walk and is returned; on a store error the references already
-// collected for the run are released.
+// relation's page list, each page retained for fn; a stored run is filled
+// by as many ReadRun calls as the store grants (its budget clips a visit,
+// not the run). Either way every page reaches fn with a reference of its
+// own, which fn releases — or hands to whoever will — once it has read
+// the page: the one rule of PagePool, for every page of every walk. An fn
+// that never releases leaks nothing but costs a stored relation a fresh
+// page per miss. fn must not keep the run slice or write to its pages. A
+// non-nil error from fn (or from the store) stops the walk and is
+// returned; on a store error the references already collected for the
+// run are released.
 func (r *Relation) EachRun(fn func(run []*Page) error) error {
 	var buf *[MaxRun]*Page
 	if r.store != nil {
@@ -164,24 +159,26 @@ func (r *Relation) EachRun(fn func(run []*Page) error) error {
 	return nil
 }
 
-// run returns pages i … j-1: a view of the page list, or for a stored
-// relation buf, filled by as many PinRun calls as the store grants, each
-// unpinned as soon as it returns. On error the pages already read are
-// released.
+// run returns pages i … j-1 with a reference each: a view of the page
+// list, or for a stored relation buf, filled by as many ReadRun calls as
+// the store grants. On error the pages already read are released.
 func (r *Relation) run(buf *[MaxRun]*Page, i, j int) ([]*Page, error) {
 	if buf == nil {
-		return r.pages[i:j:j], nil
+		run := r.pages[i:j:j]
+		for _, p := range run {
+			p.Retain()
+		}
+		return run, nil
 	}
 	run := buf[:j-i]
 	for k := 0; k < len(run); {
-		got, err := r.store.PinRun(i+k, run[k:])
+		got, err := r.store.ReadRun(i+k, run[k:])
 		if err != nil {
 			for _, p := range run[:k] {
 				p.Release()
 			}
 			return nil, fmt.Errorf("relation %q: page %d: %w", r.name, i+k, err)
 		}
-		r.store.UnpinRun(i+k, got, false)
 		k += got
 	}
 	return run, nil
@@ -204,19 +201,22 @@ func (r *Relation) EachPage(fn func(p *Page) error) error {
 // InstallPage overwrites page i with a full post-image, or appends it
 // when i == NumPages(). It is how WAL replay and the durable write
 // path apply append effects: whole-page images are idempotent to
-// re-apply and repair torn in-place writes. The page is retained.
+// re-apply and repair torn in-place writes. The page is retained, as
+// AppendPage retains it, and the page it replaces released.
 func (r *Relation) InstallPage(i int, p *Page) error {
 	if p.TupleLen() != r.schema.TupleLen() {
 		return fmt.Errorf("relation: page holds %d-byte tuples, relation %q needs %d", p.TupleLen(), r.name, r.schema.TupleLen())
 	}
-	p.pooled = false
 	if r.store != nil {
 		return r.store.Install(i, p)
 	}
 	switch {
 	case i < len(r.pages):
+		p.Retain()
+		r.pages[i].Release()
 		r.pages[i] = p
 	case i == len(r.pages):
+		p.Retain()
 		r.pages = append(r.pages, p)
 	default:
 		return fmt.Errorf("relation %q: install page %d beyond %d pages", r.name, i, len(r.pages))

@@ -9,15 +9,14 @@ import (
 
 var errGrantStore = errors.New("grantStore: injected read failure")
 
-// grantStore is a read-only PageStore over shared pages: it holds one
+// grantStore is a read-only PageStore over pool pages: it holds one
 // reference per page, as a buffer pool's frame does, grants at most grant
-// pages per PinRun, counts its visits and the pins it has out, and fails
-// the PinRun that starts at page failAt.
+// pages per ReadRun, counts its visits, and fails the ReadRun that starts
+// at page failAt.
 type grantStore struct {
 	pages  []*Page
 	grant  int
 	failAt int
-	pinned int
 	visits int
 }
 
@@ -26,7 +25,7 @@ func newGrantStore(t *testing.T, src *Relation, grant int) *grantStore {
 	s := &grantStore{grant: grant, failAt: -1}
 	home := NewPagePool()
 	for _, p := range src.Pages() {
-		sp, err := home.GetShared(src.PageSize(), src.Schema().TupleLen())
+		sp, err := home.Get(src.PageSize(), src.Schema().TupleLen())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +52,7 @@ func (s *grantStore) Cardinality() int {
 	return n
 }
 
-func (s *grantStore) PinRun(first int, dst []*Page) (int, error) {
+func (s *grantStore) ReadRun(first int, dst []*Page) (int, error) {
 	if first == s.failAt {
 		return 0, errGrantStore
 	}
@@ -63,11 +62,9 @@ func (s *grantStore) PinRun(first int, dst []*Page) (int, error) {
 		dst[k] = s.pages[first+k]
 		dst[k].Retain()
 	}
-	s.pinned += n
 	return n, nil
 }
 
-func (s *grantStore) UnpinRun(first, n int, dirty bool)       { s.pinned -= n }
 func (s *grantStore) Install(i int, p *Page) error            { return errors.New("read-only") }
 func (s *grantStore) Rewrite(res *Relation, lsn uint64) error { return errors.New("read-only") }
 
@@ -89,9 +86,6 @@ func TestEachRunStoreErrorReleasesRun(t *testing.T) {
 
 	seen := 0
 	err := rel.EachRun(func(run []*Page) error {
-		if s.pinned != 0 {
-			t.Errorf("fn ran with %d pages pinned", s.pinned)
-		}
 		for _, p := range run {
 			seen++
 			p.Release()
@@ -103,9 +97,6 @@ func TestEachRunStoreErrorReleasesRun(t *testing.T) {
 	}
 	if seen != 15 {
 		t.Errorf("fn saw %d pages, want the 15 before the failed run", seen)
-	}
-	if s.pinned != 0 {
-		t.Errorf("%d pins left behind", s.pinned)
 	}
 	for i, p := range s.pages {
 		if n := p.refs.Load(); n != 1 {
@@ -162,5 +153,38 @@ func TestEachRunAllocations(t *testing.T) {
 	stored.SetStore(newGrantStore(t, rel, 8))
 	if n := testing.AllocsPerRun(10, func() { _ = stored.EachRun(count) }); n != 1 {
 		t.Errorf("a stored walk allocates %.0f times, want 1", n)
+	}
+}
+
+// TestEachRunRetainsResidentPages: a resident walk hands every page out
+// with a reference of its own, as a stored walk does, so a consumer that
+// releases each page leaves pool pages a relation retains where they are.
+func TestEachRunRetainsResidentPages(t *testing.T) {
+	src := fillRelation(t, "src", 200)
+	p := NewPagePool()
+	rel := MustNew("r", src.Schema(), src.PageSize())
+	for _, sp := range src.Pages() {
+		pg := p.MustGet(src.PageSize(), src.Schema().TupleLen())
+		pg.data = append(pg.data, sp.Data()...)
+		if err := rel.AppendPage(pg); err != nil {
+			t.Fatal(err)
+		}
+		pg.Release() // the relation's reference is now the only one
+	}
+	for round := 0; round < 3; round++ {
+		if err := rel.EachPage(func(pg *Page) error { pg.Release(); return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := p.Stats(); s.Recycled != 0 {
+		t.Fatalf("%+v: walks that released their pages recycled the relation's", s)
+	}
+	for i, pg := range rel.Pages() {
+		if n := pg.refs.Load(); n != 1 {
+			t.Errorf("page %d holds %d references after the walks, want the relation's 1", i, n)
+		}
+	}
+	if !rel.EqualMultiset(src) {
+		t.Error("the relation changed under walks that released its pages")
 	}
 }

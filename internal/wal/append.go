@@ -40,6 +40,7 @@ func AppendRecord(dst, src *relation.Relation) (*Record, error) {
 		cur = nil
 	}
 	err := src.EachPage(func(pg *relation.Page) error {
+		defer pg.Release()
 		var insertErr error
 		pg.EachRaw(func(raw []byte) bool {
 			if cur == nil {

@@ -200,7 +200,7 @@ func TestHeapCrashPointMatrix(t *testing.T) { crashPointMatrix(t, heapOptions(4)
 // of appends, deletes, scans, and checkpoints. After every op the
 // heap-backed relation must hold byte-identical pages; after a crash
 // (unflushed Close) and recovery, still identical. The pool keeps its
-// occupancy gauges incrementally; after every op they must equal what
+// occupancy gauge incrementally; after every op it must equal what
 // Snapshot counts by walking the frame table.
 func TestHeapPropertyShadow(t *testing.T) {
 	const opsN = 80
@@ -214,11 +214,10 @@ func TestHeapPropertyShadow(t *testing.T) {
 	requireGauges := func(after string) {
 		t.Helper()
 		st := l.Heap().Pool().Snapshot()
-		pinned, _ := reg.Gauge("bufpool.pinned")
 		inUse, _ := reg.Gauge("bufpool.frames_in_use")
-		if int(pinned) != st.Pinned || int(inUse) != st.InUse {
-			t.Fatalf("after %s: gauges say %v pinned, %v in use; the frame table holds %d and %d",
-				after, pinned, inUse, st.Pinned, st.InUse)
+		if int(inUse) != st.InUse || st.Loading != 0 {
+			t.Fatalf("after %s: gauge says %v in use; the frame table holds %d, %d loading",
+				after, inUse, st.InUse, st.Loading)
 		}
 	}
 
@@ -238,7 +237,7 @@ func TestHeapPropertyShadow(t *testing.T) {
 			}
 			requireGauges("checkpoint")
 			continue
-		default: // full scan under pin/unpin
+		default: // full scan through the buffer pool
 			rel, _ := cat.Get("ev")
 			want, _ := shadow.Get("ev")
 			requirePagesEqual(t, rel, want)

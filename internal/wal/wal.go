@@ -143,7 +143,7 @@ func (in *Injector) onSync() error {
 //	<dir>/heap/manifest      the relation set; its atomic rewrite commits a checkpoint
 //	<dir>/wal/wal-<lsn>.seg  log segments, first LSN in the name
 //
-// Each relation lives in its heap file behind a shared pinning buffer
+// Each relation lives in its heap file behind a shared buffer
 // pool; a checkpoint flushes the files and advances their base LSNs,
 // and recovery replays the log tail into them page by page.
 //
