@@ -314,11 +314,7 @@ func (sc *scratch) emit(pg *relation.Page) error {
 	return sc.rel.LendPage(pg)
 }
 
-func (sc *scratch) release() {
-	for _, pg := range sc.pages {
-		pg.Release()
-	}
-}
+func (sc *scratch) release() { relation.ReleaseAll(sc.pages) }
 
 // Recycle releases the reference a page received through ExecuteStream's
 // emit came with, once per page: the page goes back to the pool it came

@@ -682,9 +682,7 @@ func (n *nodeExec) finish() {
 	// only caches keyed by these pages — are never consulted again, so
 	// their references go back, a scan's with the engine's own.
 	for i := range n.buf {
-		for _, pg := range n.buf[i] {
-			pg.Release()
-		}
+		relation.ReleaseAll(n.buf[i])
 		n.buf[i] = nil
 	}
 	if n.run.tracing() {

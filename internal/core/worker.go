@@ -146,9 +146,10 @@ func (w *workerState) exec(t task) {
 }
 
 // apply runs the node's kernel over every logical packet of t. A unary
-// operand page is dead once the kernel has read it and goes back at
-// once; join operands stay buffered in the controller for future
-// pairings and go back when it finishes.
+// operand run is dead once the kernel has read it and goes back whole,
+// one ReleaseAll, whether or not the kernel failed; join operands stay
+// buffered in the controller for future pairings and go back when it
+// finishes.
 func (w *workerState) apply(t task) error {
 	r, n := w.run, t.node
 	switch n.node.Kind {
@@ -158,11 +159,11 @@ func (w *workerState) apply(t task) error {
 			rs = relalg.NewRestrictState(n.boundPred)
 			w.restricts[n] = rs
 		}
+		defer relation.ReleaseAll(t.pages)
 		for _, pg := range t.pages {
 			if _, err := rs.RestrictPage(pg, w.emit); err != nil {
 				return err
 			}
-			pg.Release()
 		}
 
 	case query.OpJoin:
@@ -191,11 +192,11 @@ func (w *workerState) apply(t task) error {
 			ps = relalg.NewProjectState(n.projector)
 			w.projects[n] = ps
 		}
+		defer relation.ReleaseAll(t.pages)
 		for _, pg := range t.pages {
 			if _, err := ps.ProjectPage(pg, nil, sink); err != nil {
 				return err
 			}
-			pg.Release()
 		}
 
 	default:

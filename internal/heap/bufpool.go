@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dfdbm/internal/obs"
@@ -28,7 +29,11 @@ const DefaultFrames = 1024
 // relation.PagePool: the frame holds one reference, ReadRun adds one for
 // every page it hands out, and the page goes back to the list when the
 // last holder lets go — the frame at eviction, DropFile or Install over
-// it, the reader when it has read the page. Nobody pins a frame: every
+// it, the reader when it has read the page. Pages come and go a run at a
+// time: a run's misses take their pages with one PagePool.GetRun, and
+// what the frames let go of during a visit waits on the visit's dead list
+// (tally) for one relation.ReleaseAll after the unlock, so nothing takes
+// the free list's lock under the pool's. Nobody pins a frame: every
 // frame that holds a page may be evicted at any moment, and a slow reader
 // keeps reading its page after its frame has been refilled, because the
 // refill takes another page from the list, never one anyone can still
@@ -39,8 +44,9 @@ const DefaultFrames = 1024
 //
 // Concurrency: one mutex covers the ring, every file's index and the
 // spare read buffers, and it is multiport for hits — a miss's disk read,
-// CRC and decode happen outside it, and so does every call into the
-// metrics registry (done). ReadRun claims a frame for each missing page
+// CRC and decode happen outside it, and no visit takes the metrics
+// registry's lock under it: counters and the in-use gauge are lock-free
+// handles (done). ReadRun claims a frame for each missing page
 // under the lock (in the index, marked loading with the claim's number,
 // no page yet), reads with the lock released, and takes the lock again to
 // publish the pages and wake whoever waited (loaded, the pool's one
@@ -63,10 +69,9 @@ type Pool struct {
 	// inUse counts frames that hold or are loading a page and loading those
 	// being loaded, kept on every edge so the gauge and the read-ahead rule
 	// cost nothing per visit; Snapshot recounts both by walking the ring.
-	// visits numbers the visits, so that their gauges are published in
-	// order (done), and claims the runs that load, to mark their frames.
+	// claims numbers the runs that load, to mark their frames.
 	inUse, loading int
-	visits, claims uint64
+	claims         uint64
 	// bufs are idle multi-slot read buffers, one per loader that was
 	// recently reading at once (at most maxIdleBufs): a run's misses are
 	// read into one instead of buying a buffer per run, and unlike a
@@ -79,15 +84,21 @@ type Pool struct {
 	// pool drops most of them on their way back.
 	pages *relation.PagePool
 
-	reg   *obs.Registry
-	epoch time.Time
-	// published, under pubMu, is the visit whose gauges the registry holds.
-	pubMu     sync.Mutex
-	published uint64
+	reg *obs.Registry
+	// counts are the bufpool.* counters in tally order, and framesInUse the
+	// gauge of inUse, set under mu; both are resolved once, so a visit
+	// updates them without the registry's lock.
+	counts      [len(countNames)]*atomic.Int64
+	framesInUse *obs.Gauge
+	epoch       time.Time
 }
 
+var countNames = [...]string{"bufpool.hits", "bufpool.misses", "bufpool.reads", "bufpool.evictions", "bufpool.writebacks"}
+
 // maxIdleBufs bounds Pool.bufs; a loader that finds none buys its own.
-const maxIdleBufs = 4
+// Eight serve heap/scan-concurrent/8's loaders: at four, a buffer bought
+// per op for each loader past the fourth was most of that row's allocs.
+const maxIdleBufs = 8
 
 type frameKey struct {
 	f    *File
@@ -107,11 +118,36 @@ type frame struct {
 	dirty  bool
 }
 
-// tally is one visit's counter deltas, in pages, added to the registry
-// once when the visit ends. reads counts physical reads, each covering
-// one or more missed pages.
+// tally is one visit's account, settled when the visit ends (done): its
+// counter deltas, in pages — reads counts physical reads, each covering
+// one or more missed pages — and its dead list, the pages frames let go
+// of under the lock, released after it. The list lives in the visit's
+// frame, so a visit allocates none; a DropFile of a long file spills.
 type tally struct {
 	hits, misses, reads, evictions, writebacks int64
+
+	dead  [relation.MaxRun]*relation.Page
+	nDead int
+	spill []*relation.Page
+}
+
+// drop puts a page a frame let go of on the dead list.
+func (t *tally) drop(pg *relation.Page) {
+	switch {
+	case t.nDead < len(t.dead):
+		t.dead[t.nDead] = pg
+		t.nDead++
+	default:
+		t.spill = append(t.spill, pg)
+	}
+}
+
+// release lets go of the dead list, in one batch, and empties it; the
+// caller holds no lock.
+func (t *tally) release() {
+	relation.ReleaseAll(t.dead[:t.nDead])
+	relation.ReleaseAll(t.spill)
+	t.nDead, t.spill = 0, nil
 }
 
 // NewPool creates a pool with the given frame budget (DefaultFrames
@@ -129,10 +165,11 @@ func NewPool(frames int, o *obs.Observer) *Pool {
 		epoch: time.Now(),
 	}
 	p.loaded.L = &p.mu
-	if p.reg != nil {
-		p.reg.SetGauge("bufpool.frames", float64(frames))
-		p.reg.SetGauge("bufpool.frames_in_use", 0)
+	for i, name := range countNames {
+		p.counts[i] = p.reg.CounterHandle(name)
 	}
+	p.framesInUse = p.reg.GaugeHandle("bufpool.frames_in_use")
+	p.reg.GaugeHandle("bufpool.frames").Set(float64(frames))
 	return p
 }
 
@@ -206,7 +243,7 @@ func (p *Pool) ReadRun(f *File, first int, dst []*relation.Page) (int, error) {
 		}
 		if fr == nil {
 			if k == 0 {
-				p.done(t)
+				p.done(&t)
 				return 0, err
 			}
 			// Read-ahead is not owed a frame: the run ends here, and if the
@@ -222,14 +259,15 @@ func (p *Pool) ReadRun(f *File, first int, dst []*relation.Page) (int, error) {
 		t.misses++
 	}
 	if t.misses == 0 {
-		p.done(t)
+		p.done(&t)
 		return n, nil
 	}
 	buf := p.takeBufLocked(int64(n) * f.slotSize)
 	p.mu.Unlock()
+	t.release() // the victims' pages, back in time to be this run's
 
 	// The claimed slots are the nil entries of dst[:n]; each maximal gap
-	// of them is one read, into pages from the free list.
+	// of them is one read, into a run of pages from the free list.
 	var err error
 	start := time.Since(p.epoch)
 	for k := 0; k < n && err == nil; {
@@ -241,10 +279,7 @@ func (p *Pool) ReadRun(f *File, first int, dst []*relation.Page) (int, error) {
 		for end < n && dst[end] == nil {
 			end++
 		}
-		for i := k; i < end && err == nil; i++ {
-			dst[i], err = p.pages.Get(f.pageSize, f.tupleLen)
-		}
-		if err == nil {
+		if err = p.pages.GetRun(f.pageSize, f.tupleLen, dst[k:end]); err == nil {
 			err = f.ReadPages(first+k, dst[k:end], buf)
 			t.reads++
 		}
@@ -268,18 +303,18 @@ func (p *Pool) ReadRun(f *File, first int, dst []*relation.Page) (int, error) {
 			dst[k].Retain()
 			p.loading--
 		default: // release the claim: the frame leaves the index empty
-			p.vacateLocked(fr)
+			p.vacateLocked(fr, &t)
 		}
 	}
-	if err != nil {
-		for k := 0; k < n; k++ {
-			dst[k].Release()
-			dst[k] = nil
+	if err != nil { // the run's references go on the dead list too
+		for _, pg := range dst[:n] {
+			t.drop(pg)
 		}
+		clear(dst[:n])
 		t.hits, t.misses, n = 0, 0, 0
 	}
 	p.loaded.Broadcast()
-	p.done(t)
+	p.done(&t)
 	return n, err
 }
 
@@ -299,13 +334,14 @@ func (p *Pool) claimLocked(fr *frame, f *File, i int) {
 }
 
 // vacateLocked empties a frame: it leaves its file's index and lets go
-// of its page, which returns to the free list unless a reader holds it.
-func (p *Pool) vacateLocked(fr *frame) {
+// of its page onto the visit's dead list, from which the page returns to
+// the free list unless a reader holds it.
+func (p *Pool) vacateLocked(fr *frame, t *tally) {
 	if fr.loader != 0 {
 		p.loading--
 	}
 	fr.key.f.frames[fr.key.page] = nil
-	fr.pg.Release()
+	t.drop(fr.pg)
 	p.inUse--
 	*fr = frame{}
 }
@@ -354,10 +390,10 @@ func (p *Pool) Install(f *File, i int, pg *relation.Page) error {
 		}
 		// The frame's reference moves from the page it held to pg.
 		pg.Retain()
-		fr.pg.Release()
+		t.drop(fr.pg)
 		fr.pg, fr.ref, fr.dirty = pg, true, true
 	}
-	p.done(t)
+	p.done(&t)
 	return err
 }
 
@@ -396,7 +432,7 @@ func (p *Pool) freeFrameLocked(t *tally) (*frame, error) {
 			}
 			t.writebacks++
 		}
-		p.vacateLocked(fr)
+		p.vacateLocked(fr, t)
 		t.evictions++
 		return fr, nil
 	}
@@ -409,7 +445,7 @@ func (p *Pool) freeFrameLocked(t *tally) (*frame, error) {
 func (p *Pool) FlushFile(f *File) error {
 	p.mu.Lock()
 	var t tally
-	defer func() { p.done(t) }()
+	defer p.done(&t)
 	for i, fr := range f.frames {
 		if fr == nil || !fr.dirty {
 			continue
@@ -436,13 +472,14 @@ func (p *Pool) DropFile(f *File) {
 	for p.loadingLocked(f) {
 		p.loaded.Wait()
 	}
+	var t tally
 	for _, fr := range f.frames {
 		if fr != nil {
-			p.vacateLocked(fr)
+			p.vacateLocked(fr, &t)
 		}
 	}
 	f.frames = nil
-	p.done(tally{})
+	p.done(&t)
 }
 
 // loadingLocked reports whether any page of f is being loaded.
@@ -479,36 +516,18 @@ func (p *Pool) Snapshot() Stats {
 	return st
 }
 
-// done ends a visit that holds mu: it notes the gauge, unlocks, and only
-// then takes the registry's mutex — for the visit's counter deltas, and
-// for the gauge unless a later visit's is already there.
-func (p *Pool) done(t tally) {
-	p.visits++
-	visit, inUse := p.visits, p.inUse
+// done ends a visit that holds mu: it sets the frames_in_use gauge,
+// unlocks, and only then releases the visit's dead list and adds its
+// counts.
+func (p *Pool) done(t *tally) {
+	p.framesInUse.Set(float64(p.inUse))
 	p.mu.Unlock()
-	if p.reg == nil {
-		return
-	}
-	for _, c := range [...]struct {
-		name  string
-		delta int64
-	}{
-		{"bufpool.hits", t.hits},
-		{"bufpool.misses", t.misses},
-		{"bufpool.reads", t.reads},
-		{"bufpool.evictions", t.evictions},
-		{"bufpool.writebacks", t.writebacks},
-	} {
-		if c.delta != 0 {
-			p.reg.Inc(c.name, c.delta)
+	t.release()
+	for i, d := range [...]int64{t.hits, t.misses, t.reads, t.evictions, t.writebacks} {
+		if d != 0 {
+			p.counts[i].Add(d)
 		}
 	}
-	p.pubMu.Lock()
-	if visit > p.published {
-		p.published = visit
-		p.reg.SetGauge("bufpool.frames_in_use", float64(inUse))
-	}
-	p.pubMu.Unlock()
 }
 
 func (p *Pool) busy(start time.Duration) {

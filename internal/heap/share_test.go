@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"dfdbm/internal/relation"
@@ -276,6 +274,47 @@ func TestHeapStoredAppendsMatchResident(t *testing.T) {
 	}
 }
 
+// (h) Frame pages go back a visit at a time, each exactly once: a run that
+// evicts frames whose readers have released returns their pages to the
+// free list before it reads, and reads into them; the victim a reader
+// still holds goes back when that reader lets go.
+func TestHeapSharedPageDeadList(t *testing.T) {
+	const frames = 64 // cap/8: runs of 8
+	fx := newRunFixture(t, 80, frames)
+	held, err := fx.pool.readOne(fx.hf, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < frames; i++ {
+		readRelease(t, fx, i)
+	}
+	before := fx.pool.pages.Stats()
+	var run [8]*relation.Page
+	if n, err := fx.pool.ReadRun(fx.hf, frames, run[:]); err != nil || n != 8 {
+		t.Fatalf("ReadRun = %d, %v; want 8 pages", n, err)
+	}
+	after := fx.pool.pages.Stats()
+	if got := fx.reg.Counter("bufpool.evictions"); got != 8 {
+		t.Fatalf("%d evictions, want pages 0..7", got)
+	}
+	if after.Recycled-before.Recycled != 7 || after.Hits-before.Hits != 7 || after.Misses-before.Misses != 1 {
+		t.Errorf("free list %+v -> %+v: the 7 released victims should be back and read into, page 0 out with its reader", before, after)
+	}
+	for i, pg := range run {
+		if pageIndex(pg) != frames+i {
+			t.Fatalf("run position %d holds page %d", i, pageIndex(pg))
+		}
+	}
+	relation.ReleaseAll(run[:])
+	if pageIndex(held) != 0 {
+		t.Fatal("the held victim changed under its reader")
+	}
+	held.Release()
+	if st := fx.pool.pages.Stats(); st.Recycled-after.Recycled != 1 || outstanding(fx.pool) != frames {
+		t.Errorf("%+v: page 0 should be back once, the frames' pages out", st)
+	}
+}
+
 // (g) Relation.Page never releases, so the page it returned reads the
 // right bytes after its frame has been evicted and refilled many times
 // by readers that do release.
@@ -339,14 +378,18 @@ func (w *blockingWriter) Write(b []byte) (int, error) {
 	return len(b), nil
 }
 
-// The pool visits the metrics registry after it has let go of its own
-// lock: with the registry's mutex held by a stalled export, a hit gets
-// through the pool — its visit is counted, and whatever needs the pool's
-// lock next is served — and stalls only in its own accounting.
+// A visit updates the metrics registry without the registry's lock: with
+// its mutex held by a stalled export, a hit and an Install that claims a
+// frame — which moves the frames_in_use gauge — both get through the pool
+// and finish, and the export then reads what they counted.
 func TestHeapRegistryCallsOutsidePoolLock(t *testing.T) {
 	fx := newRunFixture(t, 8, 4)
-	readRelease(t, fx, 0)
-	visits := fx.pool.visitCount()
+	pg, err := fx.pool.readOne(fx.hf, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := pg.Clone()
+	pg.Release()
 	w := &blockingWriter{entered: make(chan struct{}), release: make(chan struct{})}
 	exported := make(chan struct{})
 	go func() {
@@ -356,41 +399,25 @@ func TestHeapRegistryCallsOutsidePoolLock(t *testing.T) {
 		}
 	}()
 	within(t, "the export's first write", w.entered) // the registry's mutex is now held
-	hit := make(chan struct{})
+	visits := make(chan struct{})
 	go func() {
-		defer close(hit)
-		if _, err := fx.pool.readOne(fx.hf, 0); err != nil {
+		defer close(visits)
+		if pg, err := fx.pool.readOne(fx.hf, 0); err != nil {
+			t.Error(err)
+		} else {
+			pg.Release()
+		}
+		if err := fx.pool.Install(fx.hf, 8, post); err != nil {
 			t.Error(err)
 		}
 	}()
-	// visitCount needs the pool's lock: it sees the hit's visit only if the
-	// hit went through the lock, and returns only if the hit let go of it.
-	seen := make(chan struct{})
-	var giveUp atomic.Bool
-	defer giveUp.Store(true)
-	go func() {
-		defer close(seen)
-		for fx.pool.visitCount() == visits && !giveUp.Load() {
-			runtime.Gosched()
-		}
-	}()
-	within(t, "a pool visit behind a hit that is stalled in the registry", seen)
-	select {
-	case <-hit:
-		t.Error("the hit finished its accounting while the registry was held")
-	default:
-	}
+	within(t, "a hit and an Install while the registry is held", visits)
 	close(w.release)
 	within(t, "the export", exported)
-	within(t, "the hit", hit)
 	if hits := fx.reg.Counter("bufpool.hits"); hits != 1 {
 		t.Errorf("bufpool.hits = %d, want 1", hits)
 	}
-}
-
-// visitCount is how many visits the pool has ended, read under its lock.
-func (p *Pool) visitCount() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.visits
+	if inUse, _ := fx.reg.Gauge("bufpool.frames_in_use"); inUse != 2 || int(inUse) != fx.pool.Snapshot().InUse {
+		t.Errorf("bufpool.frames_in_use = %v, want 2 (the snapshot's %d)", inUse, fx.pool.Snapshot().InUse)
+	}
 }

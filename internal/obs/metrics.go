@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -16,12 +18,14 @@ const DefaultBucket = 100 * time.Millisecond
 // gauges (last-value), series (sampled (t, v) points, e.g. queue
 // depths), and timelines (time-bucketed accumulators, e.g. ring bytes
 // per 100 ms of virtual time — the raw material of a time-resolved
-// Figure 4.2). All methods are safe for concurrent use.
+// Figure 4.2). All methods are safe for concurrent use. Counters and
+// gauges are atomics the registry's lock only finds: a hot path resolves
+// one once (CounterHandle, GaugeHandle) and updates it without the lock.
 type Registry struct {
 	mu         sync.Mutex
 	bucket     time.Duration
-	counters   map[string]int64
-	gauges     map[string]float64
+	counters   map[string]*atomic.Int64
+	gauges     map[string]*Gauge
 	series     map[string]*Series
 	timelines  map[string]*Timeline
 	histograms map[string]*Histogram
@@ -35,8 +39,8 @@ func NewRegistry(bucket time.Duration) *Registry {
 	}
 	return &Registry{
 		bucket:    bucket,
-		counters:  map[string]int64{},
-		gauges:    map[string]float64{},
+		counters:  map[string]*atomic.Int64{},
+		gauges:    map[string]*Gauge{},
 		series:    map[string]*Series{},
 		timelines: map[string]*Timeline{},
 	}
@@ -47,31 +51,66 @@ func (r *Registry) Bucket() time.Duration { return r.bucket }
 
 // Inc adds delta to the named counter.
 func (r *Registry) Inc(name string, delta int64) {
-	r.mu.Lock()
-	r.counters[name] += delta
-	r.mu.Unlock()
+	r.CounterHandle(name).Add(delta)
+}
+
+// CounterHandle returns the named counter, creating it at zero: adding to
+// it is Inc without the registry's lock, for a site that resolves the
+// handle once. On a nil registry it returns a counter nobody reads.
+func (r *Registry) CounterHandle(name string) *atomic.Int64 {
+	if r == nil {
+		return new(atomic.Int64)
+	}
+	return lookup(&r.mu, r.counters, name, true)
 }
 
 // Counter returns the named counter's value (0 when absent).
 func (r *Registry) Counter(name string) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.counters[name]
+	if c := lookup(&r.mu, r.counters, name, false); c != nil {
+		return c.Load()
+	}
+	return 0
+}
+
+// Gauge is one registry gauge, set without the registry's lock.
+type Gauge struct{ bits atomic.Uint64 }
+
+// Set records the gauge's current value.
+func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+
+func (g *Gauge) value() float64 { return math.Float64frombits(g.bits.Load()) }
+
+// GaugeHandle is CounterHandle for the named gauge.
+func (r *Registry) GaugeHandle(name string) *Gauge {
+	if r == nil {
+		return new(Gauge)
+	}
+	return lookup(&r.mu, r.gauges, name, true)
 }
 
 // SetGauge records the named gauge's current value.
 func (r *Registry) SetGauge(name string, v float64) {
-	r.mu.Lock()
-	r.gauges[name] = v
-	r.mu.Unlock()
+	r.GaugeHandle(name).Set(v)
 }
 
-// Gauge returns the named gauge and whether it was ever set.
+// Gauge returns the named gauge and whether it exists.
 func (r *Registry) Gauge(name string) (float64, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.gauges[name]
-	return v, ok
+	if g := lookup(&r.mu, r.gauges, name, false); g != nil {
+		return g.value(), true
+	}
+	return 0, false
+}
+
+// lookup finds the named handle in m under mu, creating it if create.
+func lookup[T any](mu *sync.Mutex, m map[string]*T, name string, create bool) *T {
+	mu.Lock()
+	defer mu.Unlock()
+	h := m[name]
+	if h == nil && create {
+		h = new(T)
+		m[name] = h
+	}
+	return h
 }
 
 // Add accumulates v into the named timeline's bucket at time ts.
@@ -230,13 +269,13 @@ func (r *Registry) WriteJSONL(w io.Writer) error {
 		return err
 	}
 	for _, name := range sortedKeys(r.counters) {
-		v := float64(r.counters[name])
+		v := float64(r.counters[name].Load())
 		if err := emit(metricLine{Metric: name, Type: "counter", Value: &v}); err != nil {
 			return err
 		}
 	}
 	for _, name := range sortedKeys(r.gauges) {
-		v := r.gauges[name]
+		v := r.gauges[name].value()
 		if err := emit(metricLine{Metric: name, Type: "gauge", Value: &v}); err != nil {
 			return err
 		}

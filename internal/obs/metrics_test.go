@@ -29,6 +29,44 @@ func TestRegistryCountersAndGauges(t *testing.T) {
 	}
 }
 
+// A handle is the registry's own counter or gauge: what it adds or sets
+// is what Inc, SetGauge, Counter, Gauge and both exports see, and a nil
+// registry hands out handles nobody reads.
+func TestRegistryHandlesShareValues(t *testing.T) {
+	r := NewRegistry(0)
+	c, g := r.CounterHandle("hits"), r.GaugeHandle("in_use")
+	c.Add(5)
+	r.Inc("hits", 2)
+	g.Set(3)
+	if got := r.Counter("hits"); got != 7 || r.CounterHandle("hits") != c {
+		t.Errorf("counter = %d through the registry, want 7 from one counter", got)
+	}
+	r.SetGauge("in_use", 4)
+	if v, ok := r.Gauge("in_use"); !ok || v != 4 || r.GaugeHandle("in_use") != g {
+		t.Errorf("gauge = %v, %v, want 4 from one gauge", v, ok)
+	}
+	var jsonl, prom bytes.Buffer
+	if err := r.WriteJSONL(&jsonl); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"metric":"hits","type":"counter","value":7`, `"metric":"in_use","type":"gauge","value":4`} {
+		if !strings.Contains(jsonl.String(), want) {
+			t.Errorf("JSONL lacks %s:\n%s", want, jsonl.String())
+		}
+	}
+	for _, want := range []string{"\nhits 7\n", "\nin_use 4\n"} {
+		if !strings.Contains(prom.String(), want) {
+			t.Errorf("Prometheus export lacks %q:\n%s", want, prom.String())
+		}
+	}
+	var none *Registry
+	none.CounterHandle("hits").Add(1)
+	none.GaugeHandle("in_use").Set(1)
+}
+
 func TestTimelineBucketsAndIntegral(t *testing.T) {
 	r := NewRegistry(10 * time.Millisecond)
 	r.Add("bytes", 0, 100)

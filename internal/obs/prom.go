@@ -28,12 +28,12 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		return err
 	}
 	for _, name := range sortedKeys(r.counters) {
-		if err := write(name, "counter", float64(r.counters[name])); err != nil {
+		if err := write(name, "counter", float64(r.counters[name].Load())); err != nil {
 			return err
 		}
 	}
 	for _, name := range sortedKeys(r.gauges) {
-		if err := write(name, "gauge", r.gauges[name]); err != nil {
+		if err := write(name, "gauge", r.gauges[name].value()); err != nil {
 			return err
 		}
 	}
@@ -100,6 +100,13 @@ var promHelp = map[string]string{
 	"sched.runner_utilization": "Busy runners as a fraction of the pool size.",
 	"sched.scale_ups":          "Autoscaler decisions that grew the runner pool.",
 	"sched.scale_downs":        "Autoscaler decisions that shrank the runner pool.",
+	"bufpool.hits":             "Buffer-pool page requests served by a resident frame.",
+	"bufpool.misses":           "Buffer-pool page requests read from the heap file.",
+	"bufpool.reads":            "Heap-file reads, each covering one or more missed pages.",
+	"bufpool.evictions":        "Resident pages displaced from their frames by CLOCK eviction.",
+	"bufpool.writebacks":       "Dirty pages written back to their heap file.",
+	"bufpool.frames":           "Frame budget of the buffer pool.",
+	"bufpool.frames_in_use":    "Buffer-pool frames holding or loading a page.",
 }
 
 // promHelpPrefixes supplies HELP text by subsystem when no exact entry
@@ -108,6 +115,10 @@ var promHelpPrefixes = []struct{ prefix, help string }{
 	{"sched.admit_wait_ns", "Nanoseconds a job waited between admission and dispatch."},
 	{"sched.exec_ns", "Nanoseconds a runner spent executing a job."},
 	{"server.stream_ns", "Nanoseconds spent streaming result tuples to the client."},
+	{"bufpool.busy_us", "Microseconds the buffer pool spent reading misses and writing back victims."},
+	{"bufpool.", "Buffer-pool metric."},
+	{"core.", "Data-flow engine metric."},
+	{"obs.", "Observability-layer metric."},
 	{"wal.", "Write-ahead-log metric."},
 	{"sched.", "Admission-scheduler metric."},
 	{"server.", "Service-path metric."},

@@ -273,17 +273,24 @@ func (p *Page) Retain() {
 // Release drops one holder of a page from a PagePool, who must not touch
 // it again: the last one out sends it back to the free list it came from.
 // One release too many panics. On any other page, and on nil, it does
-// nothing.
+// nothing. ReleaseAll lets go of a run of pages at once.
 func (p *Page) Release() {
+	if p.release() {
+		p.home.recycle([]*Page{p})
+	}
+}
+
+// release drops one holder and reports whether it was the last of a
+// pool's page.
+func (p *Page) release() bool {
 	if p == nil || p.home == nil {
-		return
+		return false
 	}
-	switch n := p.refs.Add(-1); {
-	case n < 0:
+	n := p.refs.Add(-1)
+	if n < 0 {
 		panic("relation: Release of a page with no holder left")
-	case n == 0:
-		p.home.recycle(p)
 	}
+	return n == 0
 }
 
 // Paginator accumulates encoded tuples and emits full pages. Operators

@@ -11,37 +11,56 @@ import (
 // soon as the consumer has read it, so recycling removes the dominant
 // allocation on the hot execution path.
 //
-// The list is one stack per page size under one mutex. A page's payload
-// always has the capacity of its size (NewPage), so a recycled page
-// serves any tuple length; the stacks are the pool's own, so a page put
-// back stays until it is taken again — the collector never empties them
-// — and the counters are a function of the Get/Release sequence alone.
-// The bytes held free never exceed Budget(): a last release beyond it
-// drops the page.
+// The list is one stack per page size under one mutex, taken once per
+// run: GetRun hands out a run of pages and ReleaseAll takes one back, and
+// Get and Release are their runs of one. A page's payload always has the
+// capacity of its size (NewPage), so a recycled page serves any tuple
+// length; the stacks are the pool's own, so a page put back stays until
+// it is taken again — the collector never empties them — and the
+// counters are a function of the Get/Release sequence alone. The bytes
+// held free never exceed Budget(): a last release beyond it drops the
+// page.
 //
 // Ownership has one rule: a page from Get counts its holders. It comes
 // back with one reference, the caller's. Whoever it is handed to with a
 // reference of its own — a buffer pool's frame, each reader the frame
 // lent it to, a relation that retained it — lets go of it exactly once
-// (Page.Release), and the last one out puts it back on the list of the
-// pool it came from. A holder that has released no longer reaches the
-// page: not as a reader, not through a cache keyed by its identity.
-// Retain and Release do nothing to a page no pool handed out (a catalog
-// page, a decoded blob): the collector takes those. A nil *PagePool is
-// valid and degrades to plain allocation, so pooling is a pure opt-in.
+// (Page.Release, or ReleaseAll with others), and the last one out puts it
+// back on the list of the pool it came from. A holder that has released
+// no longer reaches the page: not as a reader, not through a cache keyed
+// by its identity. Retain and Release do nothing to a page no pool handed
+// out (a catalog page, a decoded blob): the collector takes those. A nil
+// *PagePool is valid and degrades to plain allocation, so pooling is a
+// pure opt-in.
 type PagePool struct {
 	mu        sync.Mutex
-	free      map[int][]*Page // page size -> stack of free pages
-	freeBytes int64           // sum of the free pages' sizes, <= Budget()
-	hits      int64           // Gets served from the free list
-	misses    int64           // Gets that allocated fresh
-	recycled  int64           // last releases the free list kept
+	free      []freeStack // one per page size, found by a scan: there are few sizes
+	freeBytes int64       // sum of the free pages' sizes, <= Budget()
+	hits      int64       // Gets served from the free list
+	misses    int64       // Gets that allocated fresh
+	recycled  int64       // last releases the free list kept
 
 	budget atomic.Int64 // page-memory budget in bytes (0 = default)
 }
 
+type freeStack struct {
+	size  int
+	pages []*Page
+}
+
 // NewPagePool returns an empty pool.
 func NewPagePool() *PagePool { return &PagePool{} }
+
+// stackLocked returns the free stack of pages of size bytes.
+func (p *PagePool) stackLocked(size int) *[]*Page {
+	for i := range p.free {
+		if p.free[i].size == size {
+			return &p.free[i].pages
+		}
+	}
+	p.free = append(p.free, freeStack{size: size})
+	return &p.free[len(p.free)-1].pages
+}
 
 // DefaultPoolBudget is the page-memory budget, in bytes, of a pool on
 // which none has been set: the most its free list holds.
@@ -88,36 +107,52 @@ func (p *PagePool) Stats() PoolStats {
 }
 
 // Get returns an empty page of the given size for tuples of the given
-// length, reusing a free page of that size when there is one. The page
-// counts one reference, the caller's, and returns to this pool when the
-// last reference is released (Page.Retain, Page.Release). On a nil pool
-// it simply allocates a page nobody counts.
+// length, reusing a free page of that size when there is one: GetRun for
+// one page.
 func (p *PagePool) Get(pageSize, tupleLen int) (*Page, error) {
-	if p == nil {
-		return NewPage(pageSize, tupleLen)
-	}
-	if err := CheckPageGeometry(pageSize, tupleLen); err != nil {
+	var one [1]*Page
+	if err := p.GetRun(pageSize, tupleLen, one[:]); err != nil {
 		return nil, err
 	}
-	p.mu.Lock()
-	stack := p.free[pageSize]
-	var pg *Page
-	if n := len(stack); n > 0 {
-		pg = stack[n-1]
-		stack[n-1] = nil
-		p.free[pageSize] = stack[:n-1]
-		p.freeBytes -= int64(pageSize)
-		p.hits++
-		p.mu.Unlock()
-		pg.setTupleLen(tupleLen)
-	} else {
-		p.misses++
-		p.mu.Unlock()
-		pg = MustNewPage(pageSize, tupleLen)
+	return one[0], nil
+}
+
+// GetRun fills dst with empty pages of the given size for tuples of the
+// given length — free pages of that size first, fresh ones for the rest —
+// under one acquisition of the pool's lock. Each page counts one
+// reference, the caller's, and returns to this pool when the last
+// reference is released (Page.Retain, Page.Release, ReleaseAll). On a nil
+// pool it simply allocates pages nobody counts.
+func (p *PagePool) GetRun(pageSize, tupleLen int, dst []*Page) error {
+	if err := CheckPageGeometry(pageSize, tupleLen); err != nil {
+		return err
 	}
-	pg.home = p
-	pg.refs.Store(1)
-	return pg, nil
+	k := 0 // dst[:k] come off the free list
+	if p != nil {
+		p.mu.Lock()
+		stack := p.stackLocked(pageSize)
+		k = min(len(dst), len(*stack))
+		rest := len(*stack) - k
+		copy(dst, (*stack)[rest:])
+		clear((*stack)[rest:])
+		*stack = (*stack)[:rest]
+		p.freeBytes -= int64(k) * int64(pageSize)
+		p.hits += int64(k)
+		p.misses += int64(len(dst) - k)
+		p.mu.Unlock()
+	}
+	for i := range dst {
+		if i < k {
+			dst[i].setTupleLen(tupleLen)
+		} else {
+			dst[i] = MustNewPage(pageSize, tupleLen)
+		}
+		if p != nil {
+			dst[i].home = p
+			dst[i].refs.Store(1)
+		}
+	}
+	return nil
 }
 
 // MustGet is Get but panics on error; for page geometries already
@@ -130,26 +165,53 @@ func (p *PagePool) MustGet(pageSize, tupleLen int) *Page {
 	return pg
 }
 
-// recycle puts a page nothing can reach any more on the free list.
-func (p *PagePool) recycle(pg *Page) {
-	pg.data = pg.data[:0]
-	if poisonRecycled.Load() {
-		poison := pg.data[:cap(pg.data)]
-		for i := range poison {
-			poison[i] = 0xDB
+// recycle puts pages nothing can reach any more on the free list, under
+// one acquisition of its lock; a page that would take the free bytes past
+// the budget is dropped.
+func (p *PagePool) recycle(pages []*Page) {
+	for _, pg := range pages {
+		pg.data = pg.data[:0]
+		if poisonRecycled.Load() {
+			poison := pg.data[:cap(pg.data)]
+			for i := range poison {
+				poison[i] = 0xDB
+			}
 		}
 	}
 	budget := p.Budget()
 	p.mu.Lock()
-	if p.freeBytes+int64(pg.size) <= budget {
-		if p.free == nil {
-			p.free = make(map[int][]*Page)
+	for _, pg := range pages {
+		if p.freeBytes+int64(pg.size) <= budget {
+			stack := p.stackLocked(pg.size)
+			*stack = append(*stack, pg)
+			p.freeBytes += int64(pg.size)
+			p.recycled++
 		}
-		p.free[pg.size] = append(p.free[pg.size], pg)
-		p.freeBytes += int64(pg.size)
-		p.recycled++
 	}
 	p.mu.Unlock()
+}
+
+// ReleaseAll is Page.Release for every page of pages, nil entries
+// included, with the last releases recycled in batches — one acquisition
+// of a pool's lock per run of consecutive pages from that pool, up to
+// MaxRun of them — instead of one per page. An over-release panics as
+// Release does.
+func ReleaseAll(pages []*Page) {
+	var buf [MaxRun]*Page
+	last := buf[:0]
+	for _, pg := range pages {
+		if !pg.release() {
+			continue
+		}
+		if len(last) == cap(last) || len(last) > 0 && pg.home != last[0].home {
+			last[0].home.recycle(last)
+			last = last[:0]
+		}
+		last = append(last, pg)
+	}
+	if len(last) > 0 {
+		last[0].home.recycle(last)
+	}
 }
 
 // poisonRecycled makes recycle overwrite the whole payload capacity of every

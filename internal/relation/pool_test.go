@@ -261,8 +261,9 @@ func TestPagePoolSizeClasses(t *testing.T) {
 	}
 }
 
-// TestPagePoolConcurrent hammers one pool from many goroutines; run
-// with -race this is the satellite's pool race check.
+// TestPagePoolConcurrent hammers one pool from many goroutines, page by
+// page and a run of 4 at a time; run with -race this is the satellite's
+// pool race check.
 func TestPagePoolConcurrent(t *testing.T) {
 	p := NewPagePool()
 	var wg sync.WaitGroup
@@ -271,13 +272,19 @@ func TestPagePoolConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			size := 256 + 128*(g%3)
-			for i := 0; i < 500; i++ {
-				pg := p.MustGet(size, 12)
-				if err := pg.AppendRaw(make([]byte, 12)); err != nil {
+			run := make([]*Page, 1+3*(g%2))
+			for i := 0; i < 500; i += len(run) {
+				if err := p.GetRun(size, 12, run); err != nil {
 					t.Error(err)
 					return
 				}
-				pg.Release()
+				for _, pg := range run {
+					if err := pg.AppendRaw(make([]byte, 12)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				ReleaseAll(run)
 			}
 		}(g)
 	}
@@ -288,5 +295,106 @@ func TestPagePoolConcurrent(t *testing.T) {
 	}
 	if s.Recycled != 8*500 {
 		t.Errorf("recycled = %d, want %d", s.Recycled, 8*500)
+	}
+}
+
+// TestPagePoolGetRunMatchesGets: a run of n pages is n Gets under one
+// lock — the same counters, free pages first, each page counting one
+// holder — and a nil pool allocates the run uncounted.
+func TestPagePoolGetRunMatchesGets(t *testing.T) {
+	history := func() *PagePool {
+		p := NewPagePool()
+		run := make([]*Page, 3)
+		if err := p.GetRun(256, 12, run); err != nil {
+			t.Fatal(err)
+		}
+		ReleaseAll(run)
+		return p
+	}
+	byRun, byGet := history(), history()
+	run := make([]*Page, 5)
+	if err := byRun.GetRun(256, 100, run); err != nil {
+		t.Fatal(err)
+	}
+	for range run {
+		byGet.MustGet(256, 100)
+	}
+	if a, b := byRun.Stats(), byGet.Stats(); a != b || a.Hits != 3 || a.Misses != 3+2 {
+		t.Fatalf("GetRun of 5 left %+v, 5 Gets %+v; want 3 hits and 5 misses", a, b)
+	}
+	seen := map[*Page]bool{}
+	for i, pg := range run {
+		if seen[pg] || pg.TupleLen() != 100 || pg.Capacity() != 2 || !pg.Empty() {
+			t.Fatalf("run page %d: duplicate %v, tuple length %d, capacity %d", i, seen[pg], pg.TupleLen(), pg.Capacity())
+		}
+		seen[pg] = true
+		pg.Release()
+	}
+	if s := byRun.Stats(); s.Recycled != 3+5 {
+		t.Errorf("%+v: every page of the run should have come back on its one release", s)
+	}
+	if err := byRun.GetRun(8, 12, run); err == nil {
+		t.Error("GetRun of an impossible geometry succeeded")
+	}
+	var nilPool *PagePool
+	if err := nilPool.GetRun(256, 12, run); err != nil || run[4] == nil {
+		t.Fatalf("nil pool GetRun: %v", err)
+	}
+	ReleaseAll(run) // uncounted pages: nothing to do
+}
+
+// TestReleaseAllBatchesByHome: ReleaseAll is Release for every page —
+// nil and pages no pool handed out skipped, a page with another holder
+// kept, each last release recycled into its own pool under that pool's
+// budget, page by page within a batch — and an over-release panics as
+// Release does.
+func TestReleaseAllBatchesByHome(t *testing.T) {
+	a, b := NewPagePool(), NewPagePool()
+	a.SetBudget(3 * 256)
+	kept := b.MustGet(256, 12)
+	kept.Retain()
+	pages := []*Page{
+		a.MustGet(256, 12), b.MustGet(256, 12), nil, a.MustGet(256, 12),
+		MustNewPage(256, 12), kept, a.MustGet(256, 12), a.MustGet(256, 12), b.MustGet(256, 12),
+	}
+	ReleaseAll(pages)
+	if s := a.Stats(); s.Recycled != 3 || s.FreeBytes != 3*256 {
+		t.Errorf("pool a: %+v; want 3 of its 4 pages kept, the budget's worth", s)
+	}
+	if s := b.Stats(); s.Recycled != 2 {
+		t.Errorf("pool b: %+v; want its 2 pages back and the retained one kept out", s)
+	}
+	ReleaseAll([]*Page{kept})
+	if s := b.Stats(); s.Recycled != 3 {
+		t.Errorf("pool b: %+v; the retained page's last release should bring it back", s)
+	}
+	recovered := func(fn func()) (v any) {
+		defer func() { v = recover() }()
+		fn()
+		return nil
+	}
+	twice := recovered(kept.Release)
+	if twice == nil || recovered(func() { ReleaseAll([]*Page{kept}) }) != twice {
+		t.Errorf("an over-release: Release panics with %v, ReleaseAll should panic the same", twice)
+	}
+	if s := b.Stats(); s.Recycled != 3 {
+		t.Errorf("pool b: %+v; a refused release recycled a page again", s)
+	}
+}
+
+// TestPagePoolRunsAllocateNothingWarm: once a run's pages are on the free
+// list, taking and returning a run costs no allocation.
+func TestPagePoolRunsAllocateNothingWarm(t *testing.T) {
+	p := NewPagePool()
+	run := make([]*Page, MaxRun)
+	cycle := func() {
+		if err := p.GetRun(2048, 100, run); err != nil {
+			t.Fatal(err)
+		}
+		ReleaseAll(run)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Errorf("a warm GetRun and ReleaseAll of %d pages allocate %.1f times, want 0", MaxRun, allocs)
 	}
 }

@@ -174,9 +174,7 @@ func (r *Relation) run(buf *[MaxRun]*Page, i, j int) ([]*Page, error) {
 	for k := 0; k < len(run); {
 		got, err := r.store.ReadRun(i+k, run[k:])
 		if err != nil {
-			for _, p := range run[:k] {
-				p.Release()
-			}
+			ReleaseAll(run[:k])
 			return nil, fmt.Errorf("relation %q: page %d: %w", r.name, i+k, err)
 		}
 		k += got

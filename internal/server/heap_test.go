@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -210,5 +211,46 @@ func TestHeapAdoptedBlobsStayTheirOwners(t *testing.T) {
 		if have[k]--; have[k] < 0 {
 			t.Fatal("a tuple of the first append is missing from r15 after pool churn")
 		}
+	}
+}
+
+// TestDurableMetricsHaveHelp: after a cold-shaped query — a scan of a
+// stored relation through a pool it overflows — every metric a durable
+// server has registered exports a # HELP line of its own, not the
+// registry's fallback.
+func TestDurableMetricsHaveHelp(t *testing.T) {
+	reg := obs.NewRegistry(time.Second)
+	o := obs.New(nil, reg)
+	l, cat := openDurable(t, t.TempDir(), wal.Options{Obs: o, Heap: &wal.HeapOptions{Frames: 8}})
+	s := startServer(t, cat, Config{WAL: l, CheckpointEvery: -1, Obs: o})
+	c, err := Dial(s.Addr(), ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, q := range []string{`append(r15, restrict(r1, val < 400))`, `restrict(r15, val < 2)`} {
+		if _, err := c.Query(context.Background(), q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	if reg.Counter("bufpool.evictions") == 0 {
+		t.Fatal("the scan never evicted: not a cold query")
+	}
+	var out bytes.Buffer
+	if err := reg.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	helped := 0
+	for _, line := range strings.Split(out.String(), "\n") {
+		if !strings.HasPrefix(line, "# HELP ") {
+			continue
+		}
+		helped++
+		if name, help, _ := strings.Cut(strings.TrimPrefix(line, "# HELP "), " "); strings.HasPrefix(help, "Registry metric ") {
+			t.Errorf("%s has only the fallback HELP text", name)
+		}
+	}
+	if helped == 0 {
+		t.Fatal("the export has no HELP lines")
 	}
 }

@@ -208,6 +208,10 @@ func TestRecordTypesOnDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var hdr [segHeaderLen]byte
 	if _, err := io.ReadFull(f, hdr[:]); err != nil {
 		t.Fatal(err)
@@ -216,8 +220,9 @@ func TestRecordTypesOnDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []string
-	for {
-		rec, _, err := readRecord(f)
+	for off := int64(segHeaderLen); ; {
+		rec, n, err := readRecord(f, info.Size()-off)
+		off += n
 		if err == io.EOF {
 			break
 		}

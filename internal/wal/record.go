@@ -256,11 +256,13 @@ func encode(r *Record) []byte {
 	return buf
 }
 
-// readRecord decodes the next frame from r. io.EOF means a clean end;
-// any other failure — short read, CRC mismatch, bad structure — wraps
-// ErrCorrupt. The caller decides whether that is a truncatable torn
-// tail or hard corruption.
-func readRecord(r io.Reader) (*Record, int64, error) {
+// readRecord decodes the next frame from r, which holds left more bytes
+// (the rest of the segment). io.EOF means a clean end; any other failure
+// — short read, CRC mismatch, bad structure — wraps ErrCorrupt. A length
+// is a claim until its CRC checks, so one the segment cannot hold is
+// refused before anything is allocated for it. The caller decides whether
+// that is a truncatable torn tail or hard corruption.
+func readRecord(r io.Reader, left int64) (*Record, int64, error) {
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
@@ -272,6 +274,9 @@ func readRecord(r io.Reader) (*Record, int64, error) {
 	want := binary.LittleEndian.Uint32(hdr[4:8])
 	if plen == 0 || plen > maxRecordLen {
 		return nil, 0, fmt.Errorf("%w: implausible record length %d", ErrCorrupt, plen)
+	}
+	if int64(plen) > left-frameHeaderLen {
+		return nil, 0, fmt.Errorf("%w: torn record payload: %d bytes claimed, %d left", ErrCorrupt, plen, left-frameHeaderLen)
 	}
 	payload := make([]byte, plen)
 	if _, err := io.ReadFull(r, payload); err != nil {
@@ -298,7 +303,7 @@ func decodePayload(p []byte) (*Record, error) {
 		rec.SchemaHash = d.u64()
 		rec.First = d.u64()
 		n := d.u32()
-		if int64(n) > int64(len(p)) { // cheaper than per-page checks; each page needs >= 1 byte
+		if int64(n) > int64(len(p)-d.pos)/4 { // each page costs at least its 4-byte length
 			return nil, fmt.Errorf("%w: implausible page count %d", ErrCorrupt, n)
 		}
 		rec.Pages = make([][]byte, 0, n)

@@ -1,0 +1,102 @@
+package wal
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"io"
+	"runtime"
+	"strings"
+	"testing"
+
+	"dfdbm/internal/relation"
+)
+
+// forgedHeader is a frame header that claims the largest record the log
+// allows, followed by a few bytes: a garbage tail as recovery finds it.
+func forgedHeader() []byte {
+	b := binary.LittleEndian.AppendUint32(nil, maxRecordLen)
+	b = binary.LittleEndian.AppendUint32(b, 0xDEADBEEF)
+	return append(b, "short"...)
+}
+
+// frame wraps payload in a frame with a valid CRC.
+func frame(payload []byte) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(payload, castagnoli))
+	return append(b, payload...)
+}
+
+// A header's length is a claim until the payload's CRC checks: on a short
+// segment it is refused as corruption before the claimed bytes are bought.
+func TestReadRecordForgedLengthAllocatesNothing(t *testing.T) {
+	seg := forgedHeader()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := readRecord(bytes.NewReader(seg), int64(len(seg)))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("forged header: %v, want ErrCorrupt", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Errorf("refusing a forged header allocated %d bytes, want under 1 MiB", d)
+	}
+}
+
+// Every page of an append record costs at least its 4-byte length, so a
+// CRC-valid record claiming more pages than its bytes can hold is refused
+// before a slice of that many is made.
+func TestDecodePayloadBoundsPageCount(t *testing.T) {
+	payload := func(pages uint32) []byte {
+		p := encode(&Record{Type: RecAppendPages, LSN: 7, Rel: "r"})[frameHeaderLen:]
+		p = p[:len(p)-4] // the encoded page count, zero
+		p = binary.LittleEndian.AppendUint32(p, pages)
+		return append(p, make([]byte, 400)...) // 100 empty pages' lengths
+	}
+	rec, err := decodePayload(payload(100))
+	if err != nil || len(rec.Pages) != 100 {
+		t.Fatalf("100 empty pages in 400 bytes: %v", err)
+	}
+	if _, err := decodePayload(payload(101)); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "implausible page count") {
+		t.Fatalf("101 pages in 400 bytes: %v, want an implausible page count", err)
+	}
+}
+
+// FuzzWALRecord feeds arbitrary bytes to the record decoder: it never
+// panics, every failure but a clean end wraps ErrCorrupt, and a record it
+// accepts encodes back to the bytes it came from.
+func FuzzWALRecord(f *testing.F) {
+	pg := relation.MustNewPage(64, 8)
+	if err := pg.AppendRaw([]byte("tuple-01")); err != nil {
+		f.Fatal(err)
+	}
+	for _, r := range []*Record{
+		{Type: RecAppendPages, LSN: 1, Rel: "r1", SchemaHash: 42, First: 3, Pages: [][]byte{pg.Marshal(), pg.Marshal()}},
+		{Type: RecDelete, LSN: 2, Rel: "r1", Pred: "val < 40"},
+		{Type: RecCheckpoint, LSN: 3, Base: "heap", CoverLSN: 2},
+		{Type: recRetiredAppend, LSN: 4},
+	} {
+		f.Add(encode(r))
+	}
+	f.Add(forgedHeader())
+	f.Add(frame([]byte{byte(RecAppendPages), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec, n, err := readRecord(bytes.NewReader(data), int64(len(data)))
+		switch {
+		case err == io.EOF:
+			if len(data) != 0 {
+				t.Fatalf("io.EOF on %d bytes", len(data))
+			}
+		case err != nil:
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("error does not wrap ErrCorrupt: %v", err)
+			}
+		case n > int64(len(data)) || !bytes.Equal(encode(rec), data[:n]):
+			t.Fatalf("accepted %d of %d bytes as %s, which does not encode back to them", n, len(data), rec.Summary())
+		}
+		if _, err := decodePayload(data); err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("payload error does not wrap ErrCorrupt: %v", err)
+		}
+	})
+}

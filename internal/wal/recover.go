@@ -337,7 +337,7 @@ func replaySegment(sf segFile, isLast bool, apply func(*Record) (bool, error), e
 
 	off := int64(segHeaderLen)
 	for {
-		rec, n, err := readRecord(f)
+		rec, n, err := readRecord(f, res.size-off)
 		if err == io.EOF {
 			return res, nil
 		}
@@ -504,9 +504,11 @@ func inspectSegment(sf segFile, expect *uint64, fn func(string, int64, *Record))
 		return si, err
 	}
 	defer f.Close()
-	if info, err := f.Stat(); err == nil {
-		si.Bytes = info.Size()
+	info, err := f.Stat()
+	if err != nil {
+		return si, err
 	}
+	si.Bytes = info.Size()
 
 	var hdr [segHeaderLen]byte
 	if _, err := io.ReadFull(f, hdr[:]); err != nil {
@@ -520,7 +522,7 @@ func inspectSegment(sf segFile, expect *uint64, fn func(string, int64, *Record))
 
 	off := int64(segHeaderLen)
 	for {
-		rec, n, err := readRecord(f)
+		rec, n, err := readRecord(f, si.Bytes-off)
 		if err == io.EOF {
 			return si, nil
 		}
