@@ -183,9 +183,9 @@ func BenchmarkJoinAlgorithms(b *testing.B) {
 }
 
 // BenchmarkMachinePagePool measures the ring machine's multi-query run
-// and how many intermediate pages its page pool recycles (counters
-// attached); the pool touches only host-side allocation, never the
-// simulated makespan.
+// and how many intermediate pages it recycles through the page free
+// list (counters attached); the list touches only host-side allocation,
+// never the simulated makespan.
 func BenchmarkMachinePagePool(b *testing.B) {
 	db, qs, _ := benchSetup(b)
 	hw := dfdbm.DefaultHW()

@@ -126,9 +126,8 @@ var benchSections = []benchSection{
 		{"core/restrict-400", benchGate{count: "dispatches", slack: 1}},
 		{"wire/encode-page", benchGate{}},
 	}},
-	{"machine hot path, pooled vs no-pool", 1, benchMachineHotPath, []benchRow{
+	{"machine hot path", 1, benchMachineHotPath, []benchRow{
 		{"machine/hot-path/pooled", benchGate{}},
-		{"machine/hot-path/no-pool", benchGate{}},
 	}},
 	{"ring-machine multi-query run", 1, benchMachineRun, []benchRow{
 		{"machine/ring-run", benchGate{}},
@@ -600,11 +599,11 @@ func benchHeap(env *benchEnv) ([]benchOp, error) {
 // one shared engine at page granularity with four workers — and the
 // wire encoder behind it: the paper's ten-query mix collected through
 // ExecuteContext, a whole-relation restrict streamed through
-// ExecuteStream with every page handed back to the pool (the controller
-// event queue and the root's page stream, with no socket), the same
-// restrict over exactly 400 pages whatever the scale (the scan length
-// the run path is sized for), and one result page framed into a reused
-// buffer.
+// ExecuteStream with every page handed back to the free list (the
+// controller event queue and the root's page stream, with no socket), the
+// same restrict over exactly 400 pages whatever the scale (the scan
+// length the run path is sized for), and one result page framed into a
+// reused buffer.
 func benchCore(env *benchEnv) ([]benchOp, error) {
 	eng := core.New(env.db.Catalog(), core.Options{Granularity: core.PageLevel, Workers: 4, PageSize: env.pageSize})
 	fetch, err := env.db.Parse(`restrict(r1, val < 1000)`)
@@ -648,14 +647,14 @@ func benchCore(env *benchEnv) ([]benchOp, error) {
 		fetchPages = 0
 		_, err := eng.ExecuteStream(ctx, fetch, func(pg *relation.Page) error {
 			fetchPages++
-			eng.Recycle(pg)
+			pg.Release()
 			return nil
 		})
 		return err
 	}
 	stream400 := func() error {
 		res, err := eng400.ExecuteStream(ctx, fetch400, func(pg *relation.Page) error {
-			eng400.Recycle(pg)
+			pg.Release()
 			return nil
 		})
 		if err == nil {
@@ -689,9 +688,9 @@ func benchCore(env *benchEnv) ([]benchOp, error) {
 	}, nil
 }
 
-// benchMachineHotPath measures the machine's per-IP hot loop — pooled
-// paginator out, JoinState kernel, operand pages recycled after use —
-// with and without the page pool, over a paper-sized join.
+// benchMachineHotPath measures the machine's per-IP hot loop — paginator
+// out of the page free list, JoinState kernel, operand pages recycled
+// after use — over a paper-sized join.
 func benchMachineHotPath(env *benchEnv) ([]benchOp, error) {
 	outer, err := env.db.Get("r5")
 	if err != nil {
@@ -712,10 +711,11 @@ func benchMachineHotPath(env *benchEnv) ([]benchOp, error) {
 	tupleLen := schema.TupleLen()
 	outSize := relation.PageHeaderLen + 8*tupleLen
 
-	run := func(pool *relation.PagePool, ks *relalg.KernelStats) error {
-		st := relalg.NewJoinState(bound, ks)
+	var ks relalg.KernelStats
+	pooled := func() error {
+		st := relalg.NewJoinState(bound, &ks)
 		st.MaxTables = inner.NumPages()
-		pag, err := relation.NewPooledPaginator(outSize, tupleLen, pool)
+		pag, err := relation.NewPaginator(outSize, tupleLen)
 		if err != nil {
 			return err
 		}
@@ -744,18 +744,14 @@ func benchMachineHotPath(env *benchEnv) ([]benchOp, error) {
 		return nil
 	}
 
-	var ks relalg.KernelStats
-	pool := relation.NewPagePool()
-	pooled := func() error { return run(pool, &ks) }
-	bare := func() error { return run(nil, nil) }
-	// The pool and the kernel counters total every op; one more op's
-	// share of them is the row's.
+	// The free list's and the kernel's counters total every op; one more
+	// op's share of them is the row's.
 	pooledCounts := func() (map[string]float64, error) {
-		p0, k0 := pool.Stats(), ks.Load()
+		p0, k0 := relation.PageStats(), ks.Load()
 		if err := pooled(); err != nil {
 			return nil, err
 		}
-		p, k := pool.Stats(), ks.Load()
+		p, k := relation.PageStats(), ks.Load()
 		return map[string]float64{
 			"pool_hits":      float64(p.Hits - p0.Hits),
 			"pool_misses":    float64(p.Misses - p0.Misses),
@@ -764,7 +760,7 @@ func benchMachineHotPath(env *benchEnv) ([]benchOp, error) {
 			"hash_builds":    float64(k.HashBuilds - k0.HashBuilds),
 		}, nil
 	}
-	return []benchOp{{pooled, pooledCounts}, {bare, fixed(nil)}}, nil
+	return []benchOp{{pooled, pooledCounts}}, nil
 }
 
 // benchMachineRun measures a full ring-machine multi-query run (paper

@@ -217,16 +217,15 @@ func saveRelation(w *bufio.Writer, r *relation.Relation) error {
 	if err := writeU32(w, uint32(r.NumPages())); err != nil {
 		return err
 	}
-	for _, pg := range r.Pages() {
+	return r.EachPage(func(pg *relation.Page) error {
 		blob := pg.Marshal()
+		pg.Release()
 		if err := writeU32(w, uint32(len(blob))); err != nil {
 			return err
 		}
-		if _, err := w.Write(blob); err != nil {
-			return err
-		}
-	}
-	return nil
+		_, err := w.Write(blob)
+		return err
+	})
 }
 
 func loadRelation(r *bufio.Reader) (*relation.Relation, error) {

@@ -168,9 +168,13 @@ type Stats struct {
 	PagesMoved int64
 	// TuplesOut is the cardinality of the query result.
 	TuplesOut int64
-	// PoolHits, PoolMisses, and PagesRecycled meter the intermediate-
-	// page pool: pages served from the pool, pages freshly allocated,
-	// and dead pages handed back for reuse.
+	// PoolHits, PoolMisses, and PagesRecycled are the run's deltas of
+	// the process's page free list (relation.PageStats): pages served
+	// from the list, pages freshly allocated, and dead pages handed back
+	// for reuse. Every run, buffer pool and stored append in the process
+	// shares the list, so they are a query's own only when it runs
+	// alone: the queries an engine runs at once, as the server's one
+	// engine does, count each other's pages.
 	PoolHits      int64
 	PoolMisses    int64
 	PagesRecycled int64
@@ -199,8 +203,6 @@ type Result struct {
 type Engine struct {
 	cat  *catalog.Catalog
 	opts Options
-	// pool recycles intermediate pages across the engine's executions.
-	pool *relation.PagePool
 	// runs is the free list of the run buffers pages cross goroutine
 	// boundaries in.
 	runs runList
@@ -208,7 +210,7 @@ type Engine struct {
 
 // New returns an engine over the catalog.
 func New(cat *catalog.Catalog, opts Options) *Engine {
-	return &Engine{cat: cat, opts: opts.withDefaults(), pool: relation.NewPagePool()}
+	return &Engine{cat: cat, opts: opts.withDefaults()}
 }
 
 // Options returns the engine's effective (defaulted) options.
@@ -255,7 +257,7 @@ func (e *Engine) ExecuteContext(ctx context.Context, t *query.Tree) (*Result, er
 // emit.
 //
 // An emitted page comes with a reference that belongs to the consumer: it
-// may keep the page, or hand the reference back with Recycle once it has
+// may keep the page, or let go of the reference (Page.Release) once it has
 // no further use for its bytes. A bare-scan root emits the stored
 // relation's own pages: those are shared with every other reader, so the
 // consumer must not write to them, and they are stable only while the
@@ -315,11 +317,6 @@ func (sc *scratch) emit(pg *relation.Page) error {
 }
 
 func (sc *scratch) release() { relation.ReleaseAll(sc.pages) }
-
-// Recycle releases the reference a page received through ExecuteStream's
-// emit came with, once per page: the page goes back to the pool it came
-// from once nobody else holds it.
-func (e *Engine) Recycle(pg *relation.Page) { pg.Release() }
 
 // ResultPageSize is the page size of the result relation a subtree
 // rooted at top produces: the engine's, raised to fit one tuple. A

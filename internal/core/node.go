@@ -89,8 +89,8 @@ type engineRun struct {
 	stPages                   int64
 
 	// kstats aggregates join-kernel counters across this run's workers;
-	// pool0 is the engine pool's counters at run start, so the snapshot
-	// reports per-run deltas.
+	// pool0 is the page free list's counters at run start, so the
+	// snapshot reports per-run deltas.
 	kstats relalg.KernelStats
 	pool0  relation.PoolStats
 
@@ -117,7 +117,7 @@ func newEngineRun(ctx context.Context, e *Engine, t *query.Tree) *engineRun {
 		qid:     -1,
 		arb:     make(chan task, e.opts.Workers*e.opts.CellsPerWorker),
 		stopped: make(chan struct{}),
-		pool0:   e.pool.Stats(),
+		pool0:   relation.PageStats(),
 	}
 	if sc, ok := obs.SpanContextFrom(ctx); ok {
 		r.parent = sc.Parent
@@ -187,7 +187,7 @@ func (r *engineRun) errValue() error {
 
 func (r *engineRun) snapshotStats() Stats {
 	ks := r.kstats.Load()
-	ps := r.eng.pool.Stats()
+	ps := relation.PageStats()
 	return Stats{
 		InstructionPackets: atomic.LoadInt64(&r.stInstr),
 		Dispatches:         atomic.LoadInt64(&r.stDispatches),
@@ -269,7 +269,7 @@ func (r *engineRun) build(n *query.Node, out outlet) error {
 			}
 		} else {
 			ne.dedup = relalg.NewDedup()
-			pg, err := relation.NewPooledPaginator(ne.outPageSize, ne.outTupleLen, r.eng.pool)
+			pg, err := relation.NewPaginator(ne.outPageSize, ne.outTupleLen)
 			if err != nil {
 				return err
 			}
@@ -367,7 +367,7 @@ func (r *engineRun) feedScan(rel *relation.Relation, out outlet) {
 		}
 		for _, pg := range pages {
 			for i, n := 0, pg.TupleCount(); i < n; i++ {
-				one, err := r.eng.pool.Get(relation.PageHeaderLen+pg.TupleLen(), pg.TupleLen())
+				one, err := relation.Get(relation.PageHeaderLen+pg.TupleLen(), pg.TupleLen())
 				if err == nil {
 					err = one.AppendRaw(pg.RawTuple(i))
 				}

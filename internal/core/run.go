@@ -44,9 +44,10 @@ func (r *pageRun) dropEmpty() {
 // a few queries' worth of scan backlog.
 const maxFreeRuns = 128
 
-// runList is the engine's free list of run buffers. Like the page pool
-// beside it, it lives as long as the engine, so a warm query allocates
-// no run buffer; gets and puts agree whenever no query is running.
+// runList is the engine's free list of run buffers. It lives as long as
+// the engine, as the page free list lives as long as the process, so a
+// warm query allocates no run buffer; gets and puts agree whenever no
+// query is running.
 type runList struct {
 	mu         sync.Mutex
 	free       []*pageRun

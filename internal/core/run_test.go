@@ -27,7 +27,7 @@ func (l *runList) counts() (gets, puts int64) {
 
 func recycler(eng *Engine) func(*relation.Page) error {
 	return func(pg *relation.Page) error {
-		eng.Recycle(pg)
+		pg.Release()
 		return nil
 	}
 }
@@ -237,7 +237,7 @@ func TestRunBuffersComeHome(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		_, err := eng.ExecuteStream(ctx, tr, func(pg *relation.Page) error {
 			cancel()
-			eng.Recycle(pg)
+			pg.Release()
 			return nil
 		})
 		cancel()
@@ -274,7 +274,7 @@ func TestRunSlowStart(t *testing.T) {
 		if atFirst < 0 {
 			atFirst = dispatched.n.Load()
 		}
-		eng.Recycle(pg)
+		pg.Release()
 		return nil
 	})
 	if err != nil {
@@ -345,8 +345,9 @@ func TestRunAllocCeilings(t *testing.T) {
 // TestRunJoinPairsExactlyOnce: however the pages of a join's two inputs
 // interleave, and whether they arrive singly (to be coalesced with what
 // is queued behind them) or in runs, every (outer, inner) pair is joined
-// exactly once. The operands are pooled copies, so with the pool
-// poisoned a pair read after finish recycled it shows as wrong tuples.
+// exactly once. The operands are copies from the free list, so with
+// recycled pages poisoned a pair read after finish recycled it shows as
+// wrong tuples.
 func TestRunJoinPairsExactlyOnce(t *testing.T) {
 	cat, _ := testDB(t, 0.02, 300) // two tuples to a page: long page lists
 	tr, err := query.Bind(query.MustParse(`join(r2, r3, k1 = k1)`), cat)
@@ -372,7 +373,7 @@ func TestRunJoinPairsExactlyOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		join := run.nodes[0]
-		// One feeder in place of the two scans, delivering pooled copies
+		// One feeder in place of the two scans, delivering free-list copies
 		// of both inputs in a seeded random interleaving.
 		run.feeders = []func(){func() {
 			left := [2][]*relation.Page{outer.Pages(), inner.Pages()}
@@ -385,7 +386,11 @@ func TestRunJoinPairsExactlyOnce(t *testing.T) {
 				in := inlet{join.events, int32(side)}
 				pr := eng.runs.get()
 				for _, src := range left[side][:k] {
-					pg := eng.pool.MustGet(src.PageSize(), src.TupleLen())
+					pg, err := relation.Get(src.PageSize(), src.TupleLen())
+					if err != nil {
+						t.Error(err)
+						return
+					}
 					src.EachRaw(func(raw []byte) bool {
 						if err := pg.AppendRaw(raw); err != nil {
 							t.Error(err)
@@ -444,11 +449,12 @@ func TestAppendRootGivesSourceBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := New(cat, Options{Granularity: PageLevel, PageSize: 1000})
+	before := relation.PageStats()
 	if _, err := eng.Execute(tr); err != nil {
 		t.Fatal(err)
 	}
-	if st := eng.pool.Stats(); st.Hits+st.Misses == 0 || st.Hits+st.Misses != st.Recycled {
-		t.Errorf("append took %d pages (%d hits + %d misses) and handed back %d",
-			st.Hits+st.Misses, st.Hits, st.Misses, st.Recycled)
+	st := relation.PageStats()
+	if gets := st.Hits + st.Misses - before.Hits - before.Misses; gets == 0 || gets != st.Recycled-before.Recycled {
+		t.Errorf("append took %d pages and handed back %d", gets, st.Recycled-before.Recycled)
 	}
 }

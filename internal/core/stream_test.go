@@ -58,7 +58,7 @@ func TestStreamFirstPageLeavesEarly(t *testing.T) {
 			atFirst = dispatched.n.Load()
 		}
 		pages++
-		eng.Recycle(pg)
+		pg.Release()
 		return nil
 	})
 	if err != nil {
@@ -197,7 +197,7 @@ func TestExecuteStreamAllocCeiling(t *testing.T) {
 	var packets int64
 	run := func() {
 		res, err := eng.ExecuteStream(context.Background(), qs[8], func(pg *relation.Page) error {
-			eng.Recycle(pg)
+			pg.Release()
 			return nil
 		})
 		if err != nil {
@@ -231,7 +231,7 @@ func TestEveryPageComesBack(t *testing.T) {
 					continue // effect roots retain their pages in the catalog
 				}
 				res, err := eng.ExecuteStream(context.Background(), q, func(pg *relation.Page) error {
-					eng.Recycle(pg)
+					pg.Release()
 					return nil
 				})
 				if err != nil {
@@ -242,15 +242,15 @@ func TestEveryPageComesBack(t *testing.T) {
 						qi+1, g, strategy, st.PoolHits+st.PoolMisses, st.PoolHits, st.PoolMisses, st.PagesRecycled)
 				}
 			}
-			if ps := eng.pool.Stats(); ps.FreeBytes > eng.pool.Budget() {
-				t.Errorf("%s/%s: free list holds %d bytes, budget %d", g, strategy, ps.FreeBytes, eng.pool.Budget())
+			if ps := relation.PageStats(); ps.FreeBytes > relation.PageBudget() {
+				t.Errorf("%s/%s: free list holds %d bytes, budget %d", g, strategy, ps.FreeBytes, relation.PageBudget())
 			}
 		}
 	}
 }
 
 // TestCollectedResultSurvivesRescan: a collected result holds a reference
-// on each of its pages, which came from the engine's pool, and a walk of
+// on each of its pages, which came from the free list, and a walk of
 // it hands every reader a reference of its own. So once the result is a
 // catalog relation, queries over it that recycle every page they are
 // emitted — a bare scan, whose pages are the relation's own, and a
@@ -275,7 +275,7 @@ func TestCollectedResultSurvivesRescan(t *testing.T) {
 		}
 	}
 	cat.Put(alias)
-	recycle := func(pg *relation.Page) error { eng.Recycle(pg); return nil }
+	recycle := func(pg *relation.Page) error { pg.Release(); return nil }
 	for _, text := range []string{"kept", "restrict(kept, id >= 0)"} {
 		q, err := query.Bind(query.MustParse(text), cat)
 		if err != nil {

@@ -103,7 +103,7 @@ func (w *workerState) exec(t task) {
 	r, n := w.run, t.node
 	start := r.now()
 	w.node, w.pages, w.tuples, w.resBytes = n, 0, 0, 0
-	w.pgtor.Reset(n.outPageSize, n.outTupleLen, r.eng.pool)
+	w.pgtor.Reset(n.outPageSize, n.outTupleLen)
 
 	err := w.apply(t)
 	r.eng.runs.put(t.run) // t.pages keeps its length, not its pages

@@ -25,12 +25,12 @@ const DefaultFrames = 1024
 // (ReadRun); one page is a run of one.
 //
 // A page is held by a counted reference and nothing else. The pages the
-// pool reads come from its own free list (pages), counted by
-// relation.PagePool: the frame holds one reference, ReadRun adds one for
-// every page it hands out, and the page goes back to the list when the
-// last holder lets go — the frame at eviction, DropFile or Install over
-// it, the reader when it has read the page. Pages come and go a run at a
-// time: a run's misses take their pages with one PagePool.GetRun, and
+// pool reads come from the process's page free list (relation.GetRun):
+// the frame holds one reference, ReadRun adds one for every page it hands
+// out, and the page goes back to the list when the last holder lets go —
+// the frame at eviction, DropFile or Install over it, the reader when it
+// has read the page. Pages come and go a run at a time: a run's misses
+// take their pages with one relation.GetRun, and
 // what the frames let go of during a visit waits on the visit's dead list
 // (tally) for one relation.ReleaseAll after the unlock, so nothing takes
 // the free list's lock under the pool's. Nobody pins a frame: every
@@ -77,12 +77,6 @@ type Pool struct {
 	// read into one instead of buying a buffer per run, and unlike a
 	// sync.Pool's they survive garbage collection.
 	bufs [][]byte
-	// pages is the free list of frame pages. What it keeps idle is derived:
-	// what the frames would hold, or a page pool's default budget where
-	// that is more — a scan's feeder runs up to a whole relation ahead of
-	// the workers that release its pages, and a list the size of a small
-	// pool drops most of them on their way back.
-	pages *relation.PagePool
 
 	reg *obs.Registry
 	// counts are the bufpool.* counters in tally order, and framesInUse the
@@ -160,7 +154,6 @@ func NewPool(frames int, o *obs.Observer) *Pool {
 	}
 	p := &Pool{
 		cap:   frames,
-		pages: relation.NewPagePool(),
 		reg:   o.Registry(),
 		epoch: time.Now(),
 	}
@@ -279,7 +272,7 @@ func (p *Pool) ReadRun(f *File, first int, dst []*relation.Page) (int, error) {
 		for end < n && dst[end] == nil {
 			end++
 		}
-		if err = p.pages.GetRun(f.pageSize, f.tupleLen, dst[k:end]); err == nil {
+		if err = relation.GetRun(f.pageSize, f.tupleLen, dst[k:end]); err == nil {
 			err = f.ReadPages(first+k, dst[k:end], buf)
 			t.reads++
 		}
@@ -319,12 +312,11 @@ func (p *Pool) ReadRun(f *File, first int, dst []*relation.Page) (int, error) {
 }
 
 // claimLocked makes an empty frame the home of page i of f, growing the
-// file's index to reach it; a file's first frame sizes the free list.
+// file's index to reach it; a file's first frame claims the page budget
+// its frames would hold (relation.RaisePageBudget).
 func (p *Pool) claimLocked(fr *frame, f *File, i int) {
 	if f.frames == nil {
-		if b := int64(p.cap) * int64(f.pageSize); b > p.pages.Budget() {
-			p.pages.SetBudget(b)
-		}
+		relation.RaisePageBudget(int64(p.cap) * int64(f.pageSize))
 	}
 	for i >= len(f.frames) {
 		f.frames = append(f.frames, nil)

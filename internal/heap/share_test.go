@@ -11,16 +11,39 @@ import (
 )
 
 // The reference protocol: a page the pool lends is shared between its
-// frame and every reader it was handed to, and goes back to the pool's
+// frame and every reader it was handed to, and goes back to the page
 // free list when the last of them lets go. Nothing pins a frame; the
 // reference keeps the memory. The package runs with recycled pages
 // poisoned (TestMain), so a page that went back too early reads 0xDB.
 
-// outstanding is how many pages are off the pool's free list: in frames
-// or in readers' hands.
-func outstanding(p *Pool) int64 {
-	st := p.pages.Stats()
+// pageStats is the page free list's counters since the fixture was made:
+// the list is the process's, so a test reads its own deltas.
+func (fx *runFixture) pageStats() relation.PoolStats {
+	st := relation.PageStats()
+	return relation.PoolStats{
+		Hits:      st.Hits - fx.pages0.Hits,
+		Misses:    st.Misses - fx.pages0.Misses,
+		Recycled:  st.Recycled - fx.pages0.Recycled,
+		FreeBytes: st.FreeBytes,
+	}
+}
+
+// outstanding is how many pages the fixture took off the free list that
+// are not back: in frames or in readers' hands.
+func (fx *runFixture) outstanding() int64 {
+	st := fx.pageStats()
 	return st.Hits + st.Misses - st.Recycled
+}
+
+// takeFreePages empties the free list of pages of size bytes, which
+// earlier tests leave there, by taking them until one is fresh; nobody
+// releases them.
+func takeFreePages(size int) {
+	for misses := relation.PageStats().Misses; relation.PageStats().Misses == misses; {
+		if _, err := relation.Get(size, 16); err != nil {
+			panic(err)
+		}
+	}
 }
 
 // readRelease reads page i, checks it is page i, and lets go of the
@@ -68,14 +91,14 @@ func TestHeapSharedPageSurvivesEviction(t *testing.T) {
 	if !bytes.Equal(held.Data(), want) || pageIndex(held) != 0 {
 		t.Fatal("the held page changed under its reader")
 	}
-	before := fx.pool.pages.Stats()
+	before := fx.pageStats()
 	if before.Hits != 0 || before.Recycled != 0 {
 		t.Fatalf("%+v: no page was released, so none can have come back", before)
 	}
 	held.Release() // the last holder: the frame let go at eviction
 	mustPanic(t, "a second Release of the held page", held.Release)
 	readRelease(t, fx, 41)
-	after := fx.pool.pages.Stats()
+	after := fx.pageStats()
 	if after.Hits != 1 || after.Misses != before.Misses {
 		t.Errorf("free list %+v -> %+v: the miss after the release should have been served by the released page", before, after)
 	}
@@ -104,7 +127,7 @@ func TestHeapSharedPageTwoReaders(t *testing.T) {
 	if got := fx.reg.Counter("bufpool.hits") - hits; got != 1 {
 		t.Fatalf("page 0 counted %d hits after both readers released it, want 1", got)
 	}
-	if fx.pool.pages.Stats().Recycled != 0 {
+	if fx.pageStats().Recycled != 0 {
 		t.Fatal("a page went back to the list while its frame held it")
 	}
 	// Evict it with readers that keep their pages: the only page that can
@@ -118,7 +141,7 @@ func TestHeapSharedPageTwoReaders(t *testing.T) {
 	if fx.hf.frame(0) != nil {
 		t.Fatal("page 0 is still resident")
 	}
-	if st := fx.pool.pages.Stats(); st.Recycled != 1 {
+	if st := fx.pageStats(); st.Recycled != 1 {
 		t.Errorf("%+v: page 0's page should have come back at its eviction, and nothing else", st)
 	}
 }
@@ -134,7 +157,7 @@ func TestHeapSharedPageDropAndInstall(t *testing.T) {
 	if err := fx.pool.Install(fx.hf, 1, post); err != nil {
 		t.Fatal(err)
 	}
-	if st := fx.pool.pages.Stats(); st.Recycled != 1 {
+	if st := fx.pageStats(); st.Recycled != 1 {
 		t.Fatalf("%+v after Install over page 1: its old page should be back", st)
 	}
 	if pg, err := fx.pool.readOne(fx.hf, 1); err != nil || pg != post {
@@ -148,7 +171,7 @@ func TestHeapSharedPageDropAndInstall(t *testing.T) {
 	}
 	want := bytes.Clone(held.Data())
 	fx.pool.DropFile(fx.hf)
-	if st := fx.pool.pages.Stats(); st.Recycled != 2 || outstanding(fx.pool) != 1 {
+	if st := fx.pageStats(); st.Recycled != 2 || fx.outstanding() != 1 {
 		t.Errorf("%+v after DropFile: page 0 should be back and page 2 out with its reader", st)
 	}
 	if st := fx.pool.Snapshot(); st.InUse != 0 || st.Loading != 0 {
@@ -158,8 +181,8 @@ func TestHeapSharedPageDropAndInstall(t *testing.T) {
 		t.Error("DropFile recycled a page a reader holds")
 	}
 	held.Release()
-	if outstanding(fx.pool) != 0 {
-		t.Errorf("%+v: every page should be back", fx.pool.pages.Stats())
+	if fx.outstanding() != 0 {
+		t.Errorf("%+v: every page should be back", fx.pageStats())
 	}
 }
 
@@ -288,12 +311,12 @@ func TestHeapSharedPageDeadList(t *testing.T) {
 	for i := 1; i < frames; i++ {
 		readRelease(t, fx, i)
 	}
-	before := fx.pool.pages.Stats()
+	before := fx.pageStats()
 	var run [8]*relation.Page
 	if n, err := fx.pool.ReadRun(fx.hf, frames, run[:]); err != nil || n != 8 {
 		t.Fatalf("ReadRun = %d, %v; want 8 pages", n, err)
 	}
-	after := fx.pool.pages.Stats()
+	after := fx.pageStats()
 	if got := fx.reg.Counter("bufpool.evictions"); got != 8 {
 		t.Fatalf("%d evictions, want pages 0..7", got)
 	}
@@ -310,7 +333,7 @@ func TestHeapSharedPageDeadList(t *testing.T) {
 		t.Fatal("the held victim changed under its reader")
 	}
 	held.Release()
-	if st := fx.pool.pages.Stats(); st.Recycled-after.Recycled != 1 || outstanding(fx.pool) != frames {
+	if st := fx.pageStats(); st.Recycled-after.Recycled != 1 || fx.outstanding() != frames {
 		t.Errorf("%+v: page 0 should be back once, the frames' pages out", st)
 	}
 }
@@ -360,7 +383,7 @@ func TestHeapSharedPageConcurrentScans(t *testing.T) {
 	}
 	wg.Wait()
 	checkNoLoads(t, fx.pool)
-	if out, st := outstanding(fx.pool), fx.pool.Snapshot(); out != int64(st.InUse) {
+	if out, st := fx.outstanding(), fx.pool.Snapshot(); out != int64(st.InUse) {
 		t.Errorf("%d pages off the list, %d in frames: a reference leaked or was dropped twice", out, st.InUse)
 	}
 }

@@ -125,7 +125,10 @@ type Stats struct {
 	CacheReads, CacheWrites int64
 	// Direct IP→IP routing (Section 5 extension).
 	DirectRoutedPages int64
-	// Host-side page pool (intermediate pages recycled between hops).
+	// Host-side page memory: the run's deltas of the process's page free
+	// list (relation.PageStats), which intermediate pages are recycled
+	// through between hops. Other work in the process during the run
+	// counts too.
 	PoolHits, PoolMisses, PagesRecycled int64
 	// Join kernels: outer tuples probed, inner-page hash tables built,
 	// page pairs served by a resident table, and nested-loops tuple

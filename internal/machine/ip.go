@@ -81,7 +81,7 @@ func (p *ip) bind(c *ic, mi *minstr) {
 	p.instr = mi
 	p.queue = nil
 	p.busy = false
-	pag, err := relation.NewPooledPaginator(mi.outPageSize, mi.outTupleLen, p.m.pool)
+	pag, err := relation.NewPaginator(mi.outPageSize, mi.outTupleLen)
 	if err != nil {
 		p.m.fail(err)
 		return

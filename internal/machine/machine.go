@@ -55,9 +55,7 @@ type Machine struct {
 	plan *fault.Plan
 	rel  map[relKey]*relChannel
 
-	// pool recycles intermediate pages host-side;
 	// kstats aggregates join-kernel counters across the machine's IPs.
-	pool   *relation.PagePool
 	kstats relalg.KernelStats
 
 	// dedupFree recycles project-instruction dedup trackers: when an
@@ -92,7 +90,6 @@ func New(cat *catalog.Catalog, cfg Config) (*Machine, error) {
 		locks: map[string]*lockEntry{},
 		plan:  cfg.Fault,
 		rel:   map[relKey]*relChannel{},
-		pool:  relation.NewPagePool(),
 	}
 	m.mcCost = cfg.HW.InnerRing.SerializationTime(cfg.HW.ControlBytes)
 	m.outer = sim.NewStation(m.s, 1)
@@ -194,7 +191,7 @@ func (mi *minstr) prep(m *Machine) error {
 		mi.projector = p
 		mi.project = relalg.NewProjectState(p)
 		mi.dedup = m.getDedup()
-		pag, err := relation.NewPooledPaginator(mi.outPageSize, mi.outTupleLen, m.pool)
+		pag, err := relation.NewPaginator(mi.outPageSize, mi.outTupleLen)
 		if err != nil {
 			return err
 		}
@@ -246,6 +243,7 @@ func (m *Machine) Run() (*Results, error) {
 	if m.guarded() {
 		m.scheduleCrashes()
 	}
+	ps0 := relation.PageStats()
 	m.s.After(0, m.tryAdmit)
 	end := m.s.Run()
 	if m.err != nil {
@@ -255,9 +253,10 @@ func (m *Machine) Run() (*Results, error) {
 		return nil, fmt.Errorf("machine: stalled with %d queued and %d active queries",
 			len(m.queue), len(m.active))
 	}
-	ps := m.pool.Stats()
+	ps := relation.PageStats()
 	ks := m.kstats.Load()
-	m.stats.PoolHits, m.stats.PoolMisses, m.stats.PagesRecycled = ps.Hits, ps.Misses, ps.Recycled
+	m.stats.PoolHits, m.stats.PoolMisses = ps.Hits-ps0.Hits, ps.Misses-ps0.Misses
+	m.stats.PagesRecycled = ps.Recycled - ps0.Recycled
 	m.stats.HashProbes, m.stats.HashBuilds = ks.HashProbes, ks.HashBuilds
 	m.stats.HashTableHits, m.stats.NestedPairs = ks.TableHits, ks.NestedPairs
 	res := &Results{PerQuery: m.results, Stats: m.stats}
@@ -340,7 +339,7 @@ func (m *Machine) exportMetrics(res *Results) {
 	}
 }
 
-// recycle hands a dead intermediate page back to the machine's pool.
+// recycle hands a dead intermediate page back to the page free list.
 // Recycling is disabled entirely under the guarded (fault-injecting)
 // protocol: retransmit closures and duplicated packets may still alias
 // a page after its consumer has drained it.

@@ -58,17 +58,29 @@ func executeNode(cat *catalog.Catalog, n *Node, results []*relation.Relation, pa
 		return size, nil
 	}
 
+	// A stored input is read once, into memory: the page loops below walk
+	// their inputs' pages directly, the join its inner once per outer
+	// page, and a stored page read can fail.
+	in := make([]*relation.Relation, len(n.Inputs))
+	for i, c := range n.Inputs {
+		var err error
+		if in[i] = results[c.ID]; in[i].Stored() {
+			if in[i], err = in[i].Materialize(); err != nil {
+				return nil, err
+			}
+		}
+	}
+
 	switch n.Kind {
 	case OpScan:
 		return cat.Get(n.Rel)
 
 	case OpRestrict:
-		in := results[n.Inputs[0].ID]
-		b, err := n.Pred.Bind(in.Schema())
+		b, err := n.Pred.Bind(in[0].Schema())
 		if err != nil {
 			return nil, err
 		}
-		size, err := out(n.Schema().TupleLen(), in)
+		size, err := out(n.Schema().TupleLen(), in[0])
 		if err != nil {
 			return nil, err
 		}
@@ -76,7 +88,7 @@ func executeNode(cat *catalog.Catalog, n *Node, results []*relation.Relation, pa
 		if err != nil {
 			return nil, err
 		}
-		for _, pg := range in.Pages() {
+		for _, pg := range in[0].Pages() {
 			if _, err := relalg.RestrictPage(pg, b, res.InsertRaw); err != nil {
 				return nil, err
 			}
@@ -84,8 +96,7 @@ func executeNode(cat *catalog.Catalog, n *Node, results []*relation.Relation, pa
 		return res, nil
 
 	case OpJoin:
-		outer := results[n.Inputs[0].ID]
-		inner := results[n.Inputs[1].ID]
+		outer, inner := in[0], in[1]
 		bound, err := n.Join.Bind(outer.Schema(), inner.Schema())
 		if err != nil {
 			return nil, err
@@ -108,12 +119,11 @@ func executeNode(cat *catalog.Catalog, n *Node, results []*relation.Relation, pa
 		return res, nil
 
 	case OpProject:
-		in := results[n.Inputs[0].ID]
-		proj, err := relalg.NewProjector(in.Schema(), n.Cols...)
+		proj, err := relalg.NewProjector(in[0].Schema(), n.Cols...)
 		if err != nil {
 			return nil, err
 		}
-		size, err := out(n.Schema().TupleLen(), in)
+		size, err := out(n.Schema().TupleLen(), in[0])
 		if err != nil {
 			return nil, err
 		}
@@ -122,7 +132,7 @@ func executeNode(cat *catalog.Catalog, n *Node, results []*relation.Relation, pa
 			return nil, err
 		}
 		d := relalg.NewDedup()
-		for _, pg := range in.Pages() {
+		for _, pg := range in[0].Pages() {
 			if _, err := relalg.ProjectPage(pg, proj, d, res.InsertRaw); err != nil {
 				return nil, err
 			}
@@ -130,12 +140,11 @@ func executeNode(cat *catalog.Catalog, n *Node, results []*relation.Relation, pa
 		return res, nil
 
 	case OpAppend:
-		in := results[n.Inputs[0].ID]
 		dst, err := cat.Get(n.Rel)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := relalg.Append(dst, in); err != nil {
+		if _, err := relalg.Append(dst, in[0]); err != nil {
 			return nil, err
 		}
 		return dst, nil

@@ -32,10 +32,10 @@ type Page struct {
 	tupleLen int
 	capBytes int    // payload capacity in bytes: Capacity()*tupleLen, precomputed
 	data     []byte // encoded tuples, len == TupleCount()*tupleLen
-	// home is set on a page from PagePool.Get: refs counts its holders,
-	// and the last to let go sends it back to home's free list.
-	home *PagePool
-	refs atomic.Int32
+	// counted is set on a page from Get: refs counts its holders, and the
+	// last to let go sends it back to the free list.
+	counted bool
+	refs    atomic.Int32
 }
 
 // CheckPageGeometry reports whether a page of pageSize bytes can hold
@@ -54,7 +54,7 @@ func CheckPageGeometry(pageSize, tupleLen int) error {
 // NewPage returns an empty page that serializes to at most pageSize bytes
 // and holds tuples of tupleLen bytes. The payload is allocated once, at
 // the page's full capacity — pageSize less the header, whatever the
-// tuple length, so a PagePool can reuse it for any tuple length — and
+// tuple length, so the free list can reuse it for any tuple length — and
 // filling the page never grows it.
 func NewPage(pageSize, tupleLen int) (*Page, error) {
 	if err := CheckPageGeometry(pageSize, tupleLen); err != nil {
@@ -248,7 +248,7 @@ func UnmarshalPage(b []byte) (*Page, error) {
 
 // Load overwrites p with the page serialized in b, which must be of p's
 // page size, copying the payload into p's own: b stays the caller's, and a
-// full-capacity page (NewPage, a PagePool's) decodes without allocating.
+// full-capacity page (NewPage, the free list's) decodes without allocating.
 func (p *Page) Load(b []byte) error {
 	size, tupleLen, payload, err := parsePageBlob(b)
 	if err != nil {
@@ -262,28 +262,28 @@ func (p *Page) Load(b []byte) error {
 	return nil
 }
 
-// Retain adds a holder to a page from a PagePool. On any other page —
-// one nobody counts the holders of — it does nothing.
+// Retain adds a holder to a page from Get. On any other page — one
+// nobody counts the holders of — it does nothing.
 func (p *Page) Retain() {
-	if p.home != nil {
+	if p.counted {
 		p.refs.Add(1)
 	}
 }
 
-// Release drops one holder of a page from a PagePool, who must not touch
-// it again: the last one out sends it back to the free list it came from.
-// One release too many panics. On any other page, and on nil, it does
-// nothing. ReleaseAll lets go of a run of pages at once.
+// Release drops one holder of a page from Get, who must not touch it
+// again: the last one out sends it back to the free list. One release too
+// many panics. On any other page, and on nil, it does nothing. ReleaseAll
+// lets go of a run of pages at once.
 func (p *Page) Release() {
 	if p.release() {
-		p.home.recycle([]*Page{p})
+		recycle([]*Page{p})
 	}
 }
 
 // release drops one holder and reports whether it was the last of a
-// pool's page.
+// counted page.
 func (p *Page) release() bool {
-	if p == nil || p.home == nil {
+	if p == nil || !p.counted {
 		return false
 	}
 	n := p.refs.Add(-1)
@@ -293,45 +293,38 @@ func (p *Page) release() bool {
 	return n == 0
 }
 
-// Paginator accumulates encoded tuples and emits full pages. Operators
-// use it to turn their per-tuple output stream into the page stream the
-// data-flow machine moves around.
+// Paginator accumulates encoded tuples and emits full pages, drawn from
+// the free list (Get). Operators use it to turn their per-tuple output
+// stream into the page stream the data-flow machine moves around.
 type Paginator struct {
 	pageSize int
 	tupleLen int
 	cur      *Page
-	pool     *PagePool
 }
 
 // NewPaginator returns a paginator producing pages of the given size for
 // tuples of the given length.
 func NewPaginator(pageSize, tupleLen int) (*Paginator, error) {
-	return NewPooledPaginator(pageSize, tupleLen, nil)
-}
-
-// NewPooledPaginator is NewPaginator drawing its pages from pool (which
-// may be nil for plain allocation).
-func NewPooledPaginator(pageSize, tupleLen int, pool *PagePool) (*Paginator, error) {
 	if err := CheckPageGeometry(pageSize, tupleLen); err != nil {
 		return nil, err
 	}
 	g := &Paginator{}
-	g.Reset(pageSize, tupleLen, pool)
+	g.Reset(pageSize, tupleLen)
 	return g, nil
 }
 
 // Reset re-aims the paginator, zero value included, at a page geometry
 // the caller has already validated, dropping any pending page: one
 // paginator then serves every instruction packet a worker executes.
-func (g *Paginator) Reset(pageSize, tupleLen int, pool *PagePool) {
-	*g = Paginator{pageSize: pageSize, tupleLen: tupleLen, pool: pool}
+func (g *Paginator) Reset(pageSize, tupleLen int) {
+	*g = Paginator{pageSize: pageSize, tupleLen: tupleLen}
 }
 
 // Add appends one encoded tuple. If the current page becomes full it is
 // returned (and a fresh page started); otherwise Add returns nil.
 func (g *Paginator) Add(raw []byte) (*Page, error) {
 	if g.cur == nil {
-		g.cur = g.pool.MustGet(g.pageSize, g.tupleLen)
+		g.cur = mustGet(g.pageSize, g.tupleLen)
 	}
 	if err := g.cur.AppendRaw(raw); err != nil {
 		return nil, err

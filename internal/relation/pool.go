@@ -5,90 +5,85 @@ import (
 	"sync/atomic"
 )
 
-// PagePool is the free list of intermediate pages: the engines' IC
-// memory, bought once and handed out and taken back from then on. The
-// engines produce a fresh page at every operator hop and it dies as
-// soon as the consumer has read it, so recycling removes the dominant
-// allocation on the hot execution path.
+// The page free list is the process's one page memory: the engines' IC
+// memory and the buffer pools' frames alike, bought once and handed out
+// and taken back from then on. An engine produces a fresh page at every
+// operator hop and it dies as soon as the consumer has read it, and a
+// scan reads a fresh frame page at every miss, so recycling removes the
+// dominant allocation on both hot paths.
 //
 // The list is one stack per page size under one mutex, taken once per
 // run: GetRun hands out a run of pages and ReleaseAll takes one back, and
-// Get and Release are their runs of one. A page's payload always has the
-// capacity of its size (NewPage), so a recycled page serves any tuple
-// length; the stacks are the pool's own, so a page put back stays until
-// it is taken again — the collector never empties them — and the
-// counters are a function of the Get/Release sequence alone. The bytes
-// held free never exceed Budget(): a last release beyond it drops the
-// page.
+// Get and Page.Release are their runs of one. A page's payload always has
+// the capacity of its size (NewPage), so a recycled page serves any tuple
+// length; the stacks are the list's own, so a page put back stays until
+// it is taken again — the collector never empties them — and the counters
+// are a function of the Get/Release sequence alone. The bytes held free
+// never exceed PageBudget(): a last release beyond it drops the page.
 //
 // Ownership has one rule: a page from Get counts its holders. It comes
 // back with one reference, the caller's. Whoever it is handed to with a
 // reference of its own — a buffer pool's frame, each reader the frame
 // lent it to, a relation that retained it — lets go of it exactly once
 // (Page.Release, or ReleaseAll with others), and the last one out puts it
-// back on the list of the pool it came from. A holder that has released
-// no longer reaches the page: not as a reader, not through a cache keyed
-// by its identity. Retain and Release do nothing to a page no pool handed
-// out (a catalog page, a decoded blob): the collector takes those. A nil
-// *PagePool is valid and degrades to plain allocation, so pooling is a
-// pure opt-in.
-type PagePool struct {
+// back on the list. A holder that has released no longer reaches the
+// page: not as a reader, not through a cache keyed by its identity.
+// Retain and Release do nothing to a page the list never handed out (a
+// catalog page, a decoded blob): the collector takes those.
+var freeList struct {
 	mu        sync.Mutex
-	free      []freeStack // one per page size, found by a scan: there are few sizes
-	freeBytes int64       // sum of the free pages' sizes, <= Budget()
-	hits      int64       // Gets served from the free list
-	misses    int64       // Gets that allocated fresh
-	recycled  int64       // last releases the free list kept
-
-	budget atomic.Int64 // page-memory budget in bytes (0 = default)
+	stacks    []freeStack // one per page size, found by a scan: there are few sizes
+	freeBytes int64       // sum of the free pages' sizes, <= PageBudget()
+	hits      int64       // pages served from the list
+	misses    int64       // pages allocated fresh
+	recycled  int64       // last releases the list kept
 }
+
+// claimedBudget is the largest page budget any buffer pool has claimed
+// (RaisePageBudget); 0 until one has.
+var claimedBudget atomic.Int64
 
 type freeStack struct {
 	size  int
 	pages []*Page
 }
 
-// NewPagePool returns an empty pool.
-func NewPagePool() *PagePool { return &PagePool{} }
-
 // stackLocked returns the free stack of pages of size bytes.
-func (p *PagePool) stackLocked(size int) *[]*Page {
-	for i := range p.free {
-		if p.free[i].size == size {
-			return &p.free[i].pages
+func stackLocked(size int) *[]*Page {
+	for i := range freeList.stacks {
+		if freeList.stacks[i].size == size {
+			return &freeList.stacks[i].pages
 		}
 	}
-	p.free = append(p.free, freeStack{size: size})
-	return &p.free[len(p.free)-1].pages
+	freeList.stacks = append(freeList.stacks, freeStack{size: size})
+	return &freeList.stacks[len(freeList.stacks)-1].pages
 }
 
-// DefaultPoolBudget is the page-memory budget, in bytes, of a pool on
-// which none has been set: the most its free list holds.
-const DefaultPoolBudget = 4 << 20
+// defaultPageBudget is the least page budget, in bytes: what the free
+// list holds at most until a buffer pool claims more.
+const defaultPageBudget = 4 << 20
 
-// SetBudget sets the pool's page-memory budget in bytes. Zero or
-// negative restores the default. The budget bounds the free list; it
-// does not cap Get, and pages already free stay until they are taken.
-func (p *PagePool) SetBudget(bytes int64) {
-	if p == nil {
-		return
+// PageBudget returns the free list's budget in bytes: defaultPageBudget,
+// or the largest budget a buffer pool has claimed if that is more. The
+// budget bounds the free list; it does not cap Get, and pages already
+// free stay until they are taken.
+func PageBudget() int64 { return max(defaultPageBudget, claimedBudget.Load()) }
+
+// RaisePageBudget raises the free list's budget to bytes if it is below
+// it; the budget never falls. A buffer pool claims what its frames would
+// hold: a scan's feeder runs up to a whole relation ahead of the workers
+// that release its pages, and a list smaller than the frames drops most
+// of them on their way back.
+func RaisePageBudget(bytes int64) {
+	for {
+		cur := claimedBudget.Load()
+		if bytes <= cur || claimedBudget.CompareAndSwap(cur, bytes) {
+			return
+		}
 	}
-	p.budget.Store(bytes)
 }
 
-// Budget returns the pool's page-memory budget in bytes. A nil pool, or
-// a pool with no budget set, reports DefaultPoolBudget.
-func (p *PagePool) Budget() int64 {
-	if p == nil {
-		return DefaultPoolBudget
-	}
-	if b := p.budget.Load(); b > 0 {
-		return b
-	}
-	return DefaultPoolBudget
-}
-
-// PoolStats is a point-in-time copy of a pool's counters.
+// PoolStats is a point-in-time copy of the free list's counters.
 type PoolStats struct {
 	Hits      int64 // pages served from the free list
 	Misses    int64 // pages freshly allocated
@@ -96,79 +91,72 @@ type PoolStats struct {
 	FreeBytes int64 // page memory idle on the free list right now
 }
 
-// Stats returns the pool's counters. A nil pool reports zeros.
-func (p *PagePool) Stats() PoolStats {
-	if p == nil {
-		return PoolStats{}
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return PoolStats{Hits: p.hits, Misses: p.misses, Recycled: p.recycled, FreeBytes: p.freeBytes}
+// PageStats returns the free list's counters. They total every page the
+// process has taken and given back, so a caller metering its own work
+// takes deltas.
+func PageStats() PoolStats {
+	freeList.mu.Lock()
+	defer freeList.mu.Unlock()
+	return PoolStats{Hits: freeList.hits, Misses: freeList.misses, Recycled: freeList.recycled, FreeBytes: freeList.freeBytes}
 }
 
 // Get returns an empty page of the given size for tuples of the given
 // length, reusing a free page of that size when there is one: GetRun for
 // one page.
-func (p *PagePool) Get(pageSize, tupleLen int) (*Page, error) {
+func Get(pageSize, tupleLen int) (*Page, error) {
 	var one [1]*Page
-	if err := p.GetRun(pageSize, tupleLen, one[:]); err != nil {
+	if err := GetRun(pageSize, tupleLen, one[:]); err != nil {
 		return nil, err
 	}
 	return one[0], nil
 }
 
-// GetRun fills dst with empty pages of the given size for tuples of the
-// given length — free pages of that size first, fresh ones for the rest —
-// under one acquisition of the pool's lock. Each page counts one
-// reference, the caller's, and returns to this pool when the last
-// reference is released (Page.Retain, Page.Release, ReleaseAll). On a nil
-// pool it simply allocates pages nobody counts.
-func (p *PagePool) GetRun(pageSize, tupleLen int, dst []*Page) error {
-	if err := CheckPageGeometry(pageSize, tupleLen); err != nil {
-		return err
-	}
-	k := 0 // dst[:k] come off the free list
-	if p != nil {
-		p.mu.Lock()
-		stack := p.stackLocked(pageSize)
-		k = min(len(dst), len(*stack))
-		rest := len(*stack) - k
-		copy(dst, (*stack)[rest:])
-		clear((*stack)[rest:])
-		*stack = (*stack)[:rest]
-		p.freeBytes -= int64(k) * int64(pageSize)
-		p.hits += int64(k)
-		p.misses += int64(len(dst) - k)
-		p.mu.Unlock()
-	}
-	for i := range dst {
-		if i < k {
-			dst[i].setTupleLen(tupleLen)
-		} else {
-			dst[i] = MustNewPage(pageSize, tupleLen)
-		}
-		if p != nil {
-			dst[i].home = p
-			dst[i].refs.Store(1)
-		}
-	}
-	return nil
-}
-
-// MustGet is Get but panics on error; for page geometries already
+// mustGet is Get but panics on error; for page geometries already
 // validated by the caller.
-func (p *PagePool) MustGet(pageSize, tupleLen int) *Page {
-	pg, err := p.Get(pageSize, tupleLen)
+func mustGet(pageSize, tupleLen int) *Page {
+	pg, err := Get(pageSize, tupleLen)
 	if err != nil {
 		panic(err)
 	}
 	return pg
 }
 
+// GetRun fills dst with empty pages of the given size for tuples of the
+// given length — free pages of that size first, fresh ones for the rest —
+// under one acquisition of the free list's lock. Each page counts one
+// reference, the caller's, and returns to the list when the last
+// reference is released (Page.Retain, Page.Release, ReleaseAll).
+func GetRun(pageSize, tupleLen int, dst []*Page) error {
+	if err := CheckPageGeometry(pageSize, tupleLen); err != nil {
+		return err
+	}
+	freeList.mu.Lock()
+	stack := stackLocked(pageSize)
+	k := min(len(dst), len(*stack)) // dst[:k] come off the free list
+	rest := len(*stack) - k
+	copy(dst, (*stack)[rest:])
+	clear((*stack)[rest:])
+	*stack = (*stack)[:rest]
+	freeList.freeBytes -= int64(k) * int64(pageSize)
+	freeList.hits += int64(k)
+	freeList.misses += int64(len(dst) - k)
+	freeList.mu.Unlock()
+	for i := range dst {
+		if i < k {
+			dst[i].setTupleLen(tupleLen)
+		} else {
+			dst[i] = MustNewPage(pageSize, tupleLen)
+			dst[i].counted = true
+		}
+		dst[i].refs.Store(1)
+	}
+	return nil
+}
+
 // recycle puts pages nothing can reach any more on the free list, under
 // one acquisition of its lock; a page that would take the free bytes past
 // the budget is dropped.
-func (p *PagePool) recycle(pages []*Page) {
+func recycle(pages []*Page) {
 	for _, pg := range pages {
 		pg.data = pg.data[:0]
 		if poisonRecycled.Load() {
@@ -178,24 +166,23 @@ func (p *PagePool) recycle(pages []*Page) {
 			}
 		}
 	}
-	budget := p.Budget()
-	p.mu.Lock()
+	budget := PageBudget()
+	freeList.mu.Lock()
 	for _, pg := range pages {
-		if p.freeBytes+int64(pg.size) <= budget {
-			stack := p.stackLocked(pg.size)
+		if freeList.freeBytes+int64(pg.size) <= budget {
+			stack := stackLocked(pg.size)
 			*stack = append(*stack, pg)
-			p.freeBytes += int64(pg.size)
-			p.recycled++
+			freeList.freeBytes += int64(pg.size)
+			freeList.recycled++
 		}
 	}
-	p.mu.Unlock()
+	freeList.mu.Unlock()
 }
 
 // ReleaseAll is Page.Release for every page of pages, nil entries
 // included, with the last releases recycled in batches — one acquisition
-// of a pool's lock per run of consecutive pages from that pool, up to
-// MaxRun of them — instead of one per page. An over-release panics as
-// Release does.
+// of the free list's lock per MaxRun of them — instead of one per page.
+// An over-release panics as Release does.
 func ReleaseAll(pages []*Page) {
 	var buf [MaxRun]*Page
 	last := buf[:0]
@@ -203,14 +190,14 @@ func ReleaseAll(pages []*Page) {
 		if !pg.release() {
 			continue
 		}
-		if len(last) == cap(last) || len(last) > 0 && pg.home != last[0].home {
-			last[0].home.recycle(last)
+		if len(last) == cap(last) {
+			recycle(last)
 			last = last[:0]
 		}
 		last = append(last, pg)
 	}
 	if len(last) > 0 {
-		last[0].home.recycle(last)
+		recycle(last)
 	}
 }
 
@@ -220,7 +207,7 @@ func ReleaseAll(pages []*Page) {
 // rather than plausible stale tuples.
 var poisonRecycled atomic.Bool
 
-// PoisonRecycledPages switches the use-after-recycle detector on or off
-// for every pool in the process. It is a test hook: packages whose
-// tests exercise page recycling switch it on from TestMain.
+// PoisonRecycledPages switches the use-after-recycle detector on or off.
+// It is a test hook: packages whose tests exercise page recycling switch
+// it on from TestMain.
 func PoisonRecycledPages(on bool) { poisonRecycled.Store(on) }

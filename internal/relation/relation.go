@@ -144,7 +144,9 @@ func (r *Relation) InsertRaw(raw []byte) error {
 // the same fill-then-grow discipline as the resident path, so the
 // resulting page layout is byte-identical. The tail is copied, never
 // written in place: its frame may be written back, and a reader may hold
-// it, while the tuple lands.
+// it, while the tuple lands. The copy is a page from the free list, which
+// the store's frame retains and lets go of at eviction or when the next
+// append installs over it, so a run of appends allocates nothing.
 func (r *Relation) insertRawStored(raw []byte) error {
 	n := r.store.NumPages()
 	capacity := (r.pageSize - PageHeaderLen) / r.schema.TupleLen()
@@ -156,7 +158,7 @@ func (r *Relation) insertRawStored(raw []byte) error {
 			return err
 		}
 	}
-	p, err := tailPages.Get(r.pageSize, r.schema.TupleLen())
+	p, err := Get(r.pageSize, r.schema.TupleLen())
 	if err != nil {
 		tail.Release()
 		return err
@@ -171,13 +173,6 @@ func (r *Relation) insertRawStored(raw []byte) error {
 	p.Release()
 	return err
 }
-
-// tailPages is the free list stored appends build their post-images in,
-// as oneRuns is their runs'. The store's frame retains the page it
-// installs, and the page comes back here when the frame lets go of it —
-// at eviction, or when the next append installs over it — so a run of
-// appends allocates nothing.
-var tailPages = NewPagePool()
 
 // AppendPage appends an entire page to the relation, which retains it:
 // it takes a reference of its own (Page.Retain) and never releases it,

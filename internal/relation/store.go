@@ -134,9 +134,9 @@ const MaxRun = 32
 // by as many ReadRun calls as the store grants (its budget clips a visit,
 // not the run). Either way every page reaches fn with a reference of its
 // own, which fn releases — or hands to whoever will — once it has read
-// the page: the one rule of PagePool, for every page of every walk. An fn
-// that never releases leaks nothing but costs a stored relation a fresh
-// page per miss. fn must not keep the run slice or write to its pages. A
+// the page: the free list's one rule, for every page of every walk. An
+// fn that never releases leaks nothing but costs a stored relation a
+// fresh page per miss. fn must not keep the run slice or write to its pages. A
 // non-nil error from fn (or from the store) stops the walk and is
 // returned; on a store error the references already collected for the
 // run are released.

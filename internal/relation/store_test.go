@@ -9,7 +9,7 @@ import (
 
 var errGrantStore = errors.New("grantStore: injected read failure")
 
-// grantStore is a read-only PageStore over pool pages: it holds one
+// grantStore is a read-only PageStore over free-list pages: it holds one
 // reference per page, as a buffer pool's frame does, grants at most grant
 // pages per ReadRun, counts its visits, and fails the ReadRun that starts
 // at page failAt.
@@ -23,9 +23,8 @@ type grantStore struct {
 func newGrantStore(t *testing.T, src *Relation, grant int) *grantStore {
 	t.Helper()
 	s := &grantStore{grant: grant, failAt: -1}
-	home := NewPagePool()
 	for _, p := range src.Pages() {
-		sp, err := home.Get(src.PageSize(), src.Schema().TupleLen())
+		sp, err := Get(src.PageSize(), src.Schema().TupleLen())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,13 +157,14 @@ func TestEachRunAllocations(t *testing.T) {
 
 // TestEachRunRetainsResidentPages: a resident walk hands every page out
 // with a reference of its own, as a stored walk does, so a consumer that
-// releases each page leaves pool pages a relation retains where they are.
+// releases each page leaves free-list pages a relation retains where they
+// are.
 func TestEachRunRetainsResidentPages(t *testing.T) {
 	src := fillRelation(t, "src", 200)
-	p := NewPagePool()
+	resetPageList()
 	rel := MustNew("r", src.Schema(), src.PageSize())
 	for _, sp := range src.Pages() {
-		pg := p.MustGet(src.PageSize(), src.Schema().TupleLen())
+		pg := mustGet(src.PageSize(), src.Schema().TupleLen())
 		pg.data = append(pg.data, sp.Data()...)
 		if err := rel.AppendPage(pg); err != nil {
 			t.Fatal(err)
@@ -176,7 +176,7 @@ func TestEachRunRetainsResidentPages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s := p.Stats(); s.Recycled != 0 {
+	if s := PageStats(); s.Recycled != 0 {
 		t.Fatalf("%+v: walks that released their pages recycled the relation's", s)
 	}
 	for i, pg := range rel.Pages() {

@@ -78,12 +78,6 @@ type Config struct {
 	// Workers is the worker-pool size of each core-engine execution.
 	// Default 4.
 	Workers int
-	// Granularity is the core engine's scheduling unit. Default
-	// core.PageLevel (the paper's recommendation).
-	Granularity core.Granularity
-	// PageSize sizes intermediate-result pages. 0 means the engine
-	// defaults.
-	PageSize int
 	// IPs is ignored. It stays only because benchmark/env.go sets it;
 	// ROADMAP 2(v) drops it there and then deletes it here.
 	IPs int
@@ -140,9 +134,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 4
-	}
-	if c.Granularity == 0 {
-		c.Granularity = core.PageLevel
 	}
 	if c.SlowQuery > 0 && c.SlowQueryLog == nil {
 		c.SlowQueryLog = os.Stderr
@@ -237,12 +228,7 @@ func Start(cat *catalog.Catalog, cfg Config) (*Server, error) {
 	if cfg.Autoscale != nil {
 		s.autoscaler = sched.StartAutoscaler(s.sched, *cfg.Autoscale)
 	}
-	s.engine = core.New(cat, core.Options{
-		Granularity: cfg.Granularity,
-		Workers:     cfg.Workers,
-		PageSize:    cfg.PageSize,
-		Obs:         cfg.Obs,
-	})
+	s.engine = core.New(cat, core.Options{Workers: cfg.Workers, Obs: cfg.Obs})
 	if cfg.Obs.MetricsOn() {
 		s.streamHist = cfg.Obs.Registry().Histogram("server.stream_ns", obs.DurationBuckets())
 	}
@@ -471,10 +457,10 @@ func (st *resultStream) describe(name string, pageSize int, schema *relation.Sch
 }
 
 // page queues the next result page; it is the engine's emit. The page
-// is encoded once its successor arrives (or finish runs) and then
-// handed back through Engine.Recycle: to the engine's page pool, or, a
-// stored relation's own page passing through untouched, by releasing the
-// reference the scan came with.
+// is encoded once its successor arrives (or finish runs) and then its
+// reference is released: an intermediate page goes back to the free
+// list, and a stored relation's own page passing through untouched drops
+// the reference the scan came with.
 func (st *resultStream) page(pg *relation.Page) error {
 	var err error
 	if st.held != nil {
@@ -523,7 +509,7 @@ func (st *resultStream) encode(pg *relation.Page, last bool) error {
 	st.queued[n-1], err = wire.AppendFrame(st.queued[n-1], &st.frame)
 	st.mu.Unlock()
 	if pg != nil {
-		st.c.srv.engine.Recycle(pg)
+		pg.Release()
 	}
 	if wasEmpty {
 		// One wake-up per batch, not per page: while the streamer is

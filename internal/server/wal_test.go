@@ -205,7 +205,7 @@ func TestServerCheckpointWaits(t *testing.T) {
 }
 
 // TestAppendSourcePagesComeBack: the pages an append's input subtree
-// produced go back to the engine's pool once the record is applied, so
+// produced go back to the page free list once the record is applied, so
 // after the first append a hundred more buy next to nothing — a page
 // when a run happens to hold more at once than any before it (four
 // workers and a compressor bound that), where each append used to
