@@ -596,7 +596,8 @@ func benchHeap(env *benchEnv) ([]benchOp, error) {
 }
 
 // benchCore measures the functional engine as the server drives it —
-// one shared engine at page granularity with four workers — and the
+// one shared engine at page granularity with four workers and core's
+// default intermediate page, not the database's base page — and the
 // wire encoder behind it: the paper's ten-query mix collected through
 // ExecuteContext, a whole-relation restrict streamed through
 // ExecuteStream with every page handed back to the free list (the
@@ -605,7 +606,7 @@ func benchHeap(env *benchEnv) ([]benchOp, error) {
 // length the run path is sized for), and one result page framed into a
 // reused buffer.
 func benchCore(env *benchEnv) ([]benchOp, error) {
-	eng := core.New(env.db.Catalog(), core.Options{Granularity: core.PageLevel, Workers: 4, PageSize: env.pageSize})
+	eng := core.New(env.db.Catalog(), core.Options{Granularity: core.PageLevel, Workers: 4})
 	fetch, err := env.db.Parse(`restrict(r1, val < 1000)`)
 	if err != nil {
 		return nil, err
@@ -627,7 +628,7 @@ func benchCore(env *benchEnv) ([]benchOp, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng400 := core.New(cat400, core.Options{Granularity: core.PageLevel, Workers: 4, PageSize: env.pageSize})
+	eng400 := core.New(cat400, core.Options{Granularity: core.PageLevel, Workers: 4})
 	ctx := context.Background()
 
 	var mixPackets, mixDispatches, fetchPages, dispatches400 int64

@@ -95,6 +95,16 @@ func (p ProjectStrategy) String() string {
 	return "serial-ic"
 }
 
+// DefaultPageSize is the engine's intermediate and result page size
+// unless Options.PageSize sets one: the Section 3.3 trade-off measured
+// through the server (EXPERIMENTS.md, "Section 3.3 on the service
+// path"). Every page pays fixed costs at every hop — controller event,
+// compressor, frame encode, socket write, client decode — and a few
+// workers on a few cores never run short of tasks, so the minimum lies
+// above the paper's 16 KB DIRECT operand (relation.DefaultPageSize),
+// which the simulators keep.
+const DefaultPageSize = 64 << 10
+
 // Options configures an Engine.
 type Options struct {
 	// Granularity is the scheduling unit. Default PageLevel.
@@ -105,8 +115,8 @@ type Options struct {
 	// memory cells per processor. The paper's simulation used two
 	// memory cells for each processor. Default 2.
 	CellsPerWorker int
-	// PageSize is the page size of intermediate results. Default
-	// relation.DefaultPageSize (16 KB).
+	// PageSize is the page size of intermediate and result pages.
+	// Default DefaultPageSize (64 KiB).
 	PageSize int
 	// PacketOverhead is c, the control bytes accompanying every packet
 	// through the arbitration or distribution network — the overhead
@@ -135,7 +145,7 @@ func (o Options) withDefaults() Options {
 		o.CellsPerWorker = 2
 	}
 	if o.PageSize <= 0 {
-		o.PageSize = relation.DefaultPageSize
+		o.PageSize = DefaultPageSize
 	}
 	if o.PacketOverhead <= 0 {
 		o.PacketOverhead = 32

@@ -272,7 +272,7 @@ func TestOptionsDefaults(t *testing.T) {
 	eng := New(catalog.New(), Options{})
 	o := eng.Options()
 	if o.Granularity != PageLevel || o.Workers != 4 || o.CellsPerWorker != 2 ||
-		o.PageSize != relation.DefaultPageSize || o.PacketOverhead != 32 {
+		o.PageSize != DefaultPageSize || o.PacketOverhead != 32 {
 		t.Errorf("defaults = %+v", o)
 	}
 }

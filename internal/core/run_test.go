@@ -173,7 +173,7 @@ func TestRunAccountingClosedForm(t *testing.T) {
 // dispatches.
 func TestRunDispatchCounts(t *testing.T) {
 	cat, qs := benchScaleDB(t)
-	eng := New(cat, Options{Granularity: PageLevel, Workers: 4}) // 16 KB intermediates, as served
+	eng := New(cat, Options{Granularity: PageLevel, Workers: 4}) // DefaultPageSize intermediates, as served
 	fetch, err := query.Bind(query.MustParse(`restrict(r1, val < 1000)`), cat)
 	if err != nil {
 		t.Fatal(err)

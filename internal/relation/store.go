@@ -122,7 +122,8 @@ func (r *Relation) CopyPage(i int) (*Page, error) {
 // MaxRun is the most pages one run carries: one hand-off from a walk to
 // its consumer, one instruction packet's operands in the engine — small
 // enough that the packets at the tail of a query still spread over the
-// workers.
+// workers. A full run of 2 KiB base pages is 64 KiB, one page of the
+// engine's serving size (core.DefaultPageSize).
 const MaxRun = 32
 
 // EachRun calls fn for every run of consecutive pages, in order. It is the

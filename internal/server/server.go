@@ -533,13 +533,14 @@ func (st *resultStream) take(spent [][]byte) [][]byte {
 	return out
 }
 
-// chunkSize is the size of one result-frame chunk — a few dozen default
-// pages, so a chunk is seldom handed over part-filled and a batch is a
-// short vector — and maxFreeChunks is how many the server keeps idle:
-// 4 MiB, a few results in flight, whatever their size.
+// chunkSize is the size of one result-frame chunk: eight of the
+// engine's default pages, so a frame of the serving size always encodes
+// into a recycled chunk, a chunk is seldom handed over part-filled, and
+// a batch is a short vector. maxFreeChunks is how many the server keeps
+// idle: 4 MiB, a few results in flight, whatever their size.
 const (
-	chunkSize     = 64 << 10
-	maxFreeChunks = 64
+	chunkSize     = 8 * core.DefaultPageSize
+	maxFreeChunks = 4 << 20 / chunkSize
 )
 
 // chunkList is the server's free list of result-frame chunks.

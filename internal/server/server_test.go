@@ -382,9 +382,12 @@ func TestDrainDeadlineCancels(t *testing.T) {
 // TestTransportPageFidelity runs the same query on a local engine and
 // through the server (single worker, so page packing is deterministic)
 // and requires byte-identical pages — the transport must ship the
-// engine's pages verbatim.
+// engine's pages verbatim. Agreement alone would pass if both drifted,
+// so it also checks the geometry served: pages of core's default size,
+// and a multi-page join of the mix in as few pages as its tuples fill,
+// because the compressor packs full pages.
 func TestTransportPageFidelity(t *testing.T) {
-	cat, qs := testDB(t, 0.1)
+	cat, qs := testDB(t, 0.3)
 	s := startServer(t, cat, Config{Workers: 1})
 	local := core.New(cat, core.Options{Granularity: core.PageLevel, Workers: 1})
 	ref, err := local.ExecuteContext(context.Background(), qs[0])
@@ -400,6 +403,9 @@ func TestTransportPageFidelity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := res.Relation.PageSize(); got != core.DefaultPageSize {
+		t.Errorf("served result has %d-byte pages, want core's default %d", got, core.DefaultPageSize)
+	}
 	refPages := ref.Relation.Pages()
 	gotPages := res.Relation.Pages()
 	if len(refPages) != len(gotPages) {
@@ -410,6 +416,17 @@ func TestTransportPageFidelity(t *testing.T) {
 		if string(want) != string(got) {
 			t.Fatalf("page %d bytes differ after transport", i)
 		}
+	}
+
+	join := workload.QueryTexts()[2] // one join of two restricts
+	res, err = c.Query(context.Background(), join)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perPage := int64((core.DefaultPageSize - relation.PageHeaderLen) / res.Relation.Schema().TupleLen())
+	st := res.Stats
+	if want := (st.Tuples + perPage - 1) / perPage; st.Pages != want || want < 2 {
+		t.Errorf("%s: %d tuples in %d pages, want %d full pages of %d and at least 2", join, st.Tuples, st.Pages, want, perPage)
 	}
 }
 

@@ -9,11 +9,13 @@ import (
 	"testing"
 	"time"
 
+	"dfdbm/internal/core"
 	"dfdbm/internal/heap"
 	"dfdbm/internal/query"
 	"dfdbm/internal/relation"
 	"dfdbm/internal/wal"
 	"dfdbm/internal/wire"
+	"dfdbm/internal/workload"
 )
 
 // rawSession is a hand-driven wire session: the tests below need to
@@ -256,8 +258,11 @@ func TestEngineFailureAfterFirstPage(t *testing.T) {
 
 // TestResultStreamEncodesIntoWarmChunks: once the server's free list
 // holds the chunks a result needs, encoding that result — a megabyte of
-// 2 KB pages here — allocates nothing: no buffer grows, and taking and
-// releasing the batch reuses the streamer's slices.
+// pages here — allocates nothing: no buffer grows, and taking and
+// releasing the batch reuses the streamer's slices. That holds for a
+// stored relation's 2 KB pages, for intermediate pages of the engine's
+// serving size, and for a database of 64 KiB base pages streamed by a
+// bare scan: a frame of any of them fits a recycled chunk.
 func TestResultStreamEncodesIntoWarmChunks(t *testing.T) {
 	cat, _ := testDB(t, 0.1)
 	s := startServer(t, cat, Config{})
@@ -265,37 +270,86 @@ func TestResultStreamEncodesIntoWarmChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := (&session{srv: s}).newResultStream(1)
-	st.describe(r1.Name(), r1.PageSize(), r1.Schema())
-	var batch [][]byte
-	var encoded int64
-	result := func() {
-		for st.bytes = 0; st.bytes < 1<<20; {
-			for _, pg := range r1.Pages() {
-				if err := st.page(pg); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if err := st.finish(); err != nil {
+	// r1's tuples again, in pages of the serving size from the page free
+	// list, as the engine emits them.
+	get := func() *relation.Page {
+		pg, err := relation.Get(core.DefaultPageSize, r1.Schema().TupleLen())
+		if err != nil {
 			t.Fatal(err)
 		}
-		batch = st.take(batch)
-		encoded = 0
-		for _, chunk := range batch {
-			if cap(chunk) != chunkSize {
-				t.Fatalf("a %d-byte chunk in a stream of 2 KB pages, want %d", cap(chunk), chunkSize)
+		return pg
+	}
+	var served []*relation.Page
+	pg := get()
+	for _, src := range r1.Pages() {
+		src.EachRaw(func(raw []byte) bool {
+			if pg.Full() {
+				served = append(served, pg)
+				pg = get()
 			}
-			encoded += int64(len(chunk))
-		}
-		s.chunks.put(batch)
+			if err := pg.AppendRaw(raw); err != nil {
+				t.Fatal(err)
+			}
+			return true
+		})
 	}
-	result() // buys the chunks, and the first of the two batch slices
-	if allocs := testing.AllocsPerRun(1, result); allocs != 0 {
-		t.Errorf("encoding a warm %d-byte result allocated %.0f times, want 0", encoded, allocs)
+	served = append(served, pg)
+	defer relation.ReleaseAll(served)
+	// The same relation in a database of 64 KiB base pages (dfdbm
+	// -pagesize 65536), whose bare scan streams its stored pages as they
+	// are.
+	bigCat, _, err := workload.Build(workload.Config{Seed: 42, Scale: 0.1, PageSize: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if encoded < 1<<20 {
-		t.Errorf("result was %d bytes encoded, the test means to encode a megabyte", encoded)
+	bigR1, err := bigCat.Get("r1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		pages []*relation.Page
+	}{
+		{"2 KB stored pages", r1.Pages()},
+		{"serving-size intermediate pages", served},
+		{"64 KiB stored pages", bigR1.Pages()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pageSize := tc.pages[0].PageSize()
+			st := (&session{srv: s}).newResultStream(1)
+			st.describe(r1.Name(), pageSize, r1.Schema())
+			var batch [][]byte
+			var encoded int64
+			result := func() {
+				for st.bytes = 0; st.bytes < 1<<20; {
+					for _, pg := range tc.pages {
+						pg.Retain() // the stream releases each page it has encoded
+						if err := st.page(pg); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if err := st.finish(); err != nil {
+					t.Fatal(err)
+				}
+				batch = st.take(batch)
+				encoded = 0
+				for _, chunk := range batch {
+					if cap(chunk) != chunkSize {
+						t.Fatalf("a %d-byte chunk in a stream of %d-byte pages, want %d", cap(chunk), pageSize, chunkSize)
+					}
+					encoded += int64(len(chunk))
+				}
+				s.chunks.put(batch)
+			}
+			result() // buys the chunks, and the first of the two batch slices
+			if allocs := testing.AllocsPerRun(1, result); allocs != 0 {
+				t.Errorf("encoding a warm %d-byte result of %d-byte pages allocated %.0f times, want 0", encoded, pageSize, allocs)
+			}
+			if encoded < 1<<20 {
+				t.Errorf("result was %d bytes encoded, the test means to encode a megabyte", encoded)
+			}
+		})
 	}
 }
 
