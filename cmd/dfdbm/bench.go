@@ -631,9 +631,9 @@ func benchCore(env *benchEnv) ([]benchOp, error) {
 	eng400 := core.New(cat400, core.Options{Granularity: core.PageLevel, Workers: 4})
 	ctx := context.Background()
 
-	var mixPackets, mixDispatches, fetchPages, dispatches400 int64
+	var mixPackets, mixDispatches, mixProbes, fetchPages, dispatches400 int64
 	mix := func() error {
-		mixPackets, mixDispatches = 0, 0
+		mixPackets, mixDispatches, mixProbes = 0, 0, 0
 		for _, q := range env.queries {
 			res, err := eng.ExecuteContext(ctx, q)
 			if err != nil {
@@ -641,6 +641,7 @@ func benchCore(env *benchEnv) ([]benchOp, error) {
 			}
 			mixPackets += res.Stats.InstructionPackets
 			mixDispatches += res.Stats.Dispatches
+			mixProbes += res.Stats.HashProbes
 		}
 		return nil
 	}
@@ -675,6 +676,7 @@ func benchCore(env *benchEnv) ([]benchOp, error) {
 				"queries":             float64(len(env.queries)),
 				"instruction_packets": float64(mixPackets),
 				"dispatches":          float64(mixDispatches),
+				"hash_probes":         float64(mixProbes), // reported, not gated: it follows arrival order
 			}
 		})},
 		{stream, after(stream, func() map[string]float64 {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -342,12 +344,105 @@ func TestRunAllocCeilings(t *testing.T) {
 	}
 }
 
+// startTallied is run.start with workers that show every packet to
+// tally before executing it.
+func startTallied(run *engineRun, tally func(task)) {
+	for i := 0; i < run.eng.opts.Workers; i++ {
+		run.wg.Add(1)
+		go func() {
+			defer run.wg.Done()
+			w := newWorkerState(run)
+			for {
+				select {
+				case t := <-run.arb:
+					tally(t)
+					w.exec(t)
+				case <-run.stopped:
+					return
+				}
+			}
+		}()
+	}
+	for _, ne := range run.nodes {
+		run.wg.Add(1)
+		go ne.runIC()
+	}
+	for _, f := range run.feeders {
+		run.wg.Add(1)
+		go func() {
+			defer run.wg.Done()
+			f()
+		}()
+	}
+}
+
+// tuplePairs is the number of (outer tuple, inner tuple) pairs a join
+// packet offers its kernel.
+func tuplePairs(t task) int64 {
+	var n int64
+	for _, pg := range t.pages {
+		n += int64(pg.TupleCount())
+	}
+	return n * int64(t.with.TupleCount())
+}
+
+// feedCopies is one feeder in place of a join's two scans: it delivers
+// free-list copies of both inputs' pages in a seeded random interleaving,
+// singly (to be coalesced with what is queued behind them) or in runs,
+// and reports how many copies it made.
+func feedCopies(t *testing.T, eng *Engine, join *nodeExec, inputs [2]*relation.Relation, rng *rand.Rand, copies *atomic.Int64) func() {
+	return func() {
+		left := [2][]*relation.Page{inputs[0].Pages(), inputs[1].Pages()}
+		for len(left[0])+len(left[1]) > 0 {
+			side := rng.Intn(2)
+			if len(left[side]) == 0 {
+				side = 1 - side
+			}
+			k := min(1+rng.Intn(relation.MaxRun), len(left[side]))
+			in := inlet{join.events, int32(side)}
+			pr := eng.runs.get()
+			for _, src := range left[side][:k] {
+				pg, err := relation.Get(src.PageSize(), src.TupleLen())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				src.EachRaw(func(raw []byte) bool {
+					if err := pg.AppendRaw(raw); err != nil {
+						t.Error(err)
+					}
+					return true
+				})
+				copies.Add(1)
+				if rng.Intn(2) == 0 {
+					in.send(pg)
+				} else {
+					pr.add(pg)
+				}
+			}
+			if pr.n > 0 {
+				in.sendRun(pr)
+			} else {
+				eng.runs.put(pr)
+			}
+			if left[side] = left[side][k:]; len(left[side]) == 0 {
+				in.done()
+			}
+			if rng.Intn(4) == 0 {
+				runtime.Gosched()
+			}
+		}
+	}
+}
+
 // TestRunJoinPairsExactlyOnce: however the pages of a join's two inputs
-// interleave, and whether they arrive singly (to be coalesced with what
-// is queued behind them) or in runs, every (outer, inner) pair is joined
-// exactly once. The operands are copies from the free list, so with
-// recycled pages poisoned a pair read after finish recycled it shows as
-// wrong tuples.
+// interleave, and whether they arrive singly or in runs, every (outer
+// tuple, inner tuple) pair is offered to the kernel exactly once. The
+// 300-byte operand pages are smaller than the engine's, so the join packs
+// them into 1000-byte pages as they arrive: the pairs are counted over
+// the packed operands the packets carry, and they sum to |outer|·|inner|.
+// The operands are copies from the free list, so with recycled pages
+// poisoned a page read after it was recycled shows as wrong tuples.
 func TestRunJoinPairsExactlyOnce(t *testing.T) {
 	cat, _ := testDB(t, 0.02, 300) // two tuples to a page: long page lists
 	tr, err := query.Bind(query.MustParse(`join(r2, r3, k1 = k1)`), cat)
@@ -363,60 +458,19 @@ func TestRunJoinPairsExactlyOnce(t *testing.T) {
 	if outer.NumPages() <= relation.MaxRun || inner.NumPages() <= relation.MaxRun {
 		t.Fatalf("inputs of %d and %d pages; both must exceed one run", outer.NumPages(), inner.NumPages())
 	}
+	allPairs := int64(outer.Cardinality()) * int64(inner.Cardinality())
 	eng := New(cat, Options{Granularity: PageLevel, Workers: 4, PageSize: 1000})
 	for seed := int64(1); seed <= 25; seed++ {
-		rng := rand.New(rand.NewSource(seed))
 		run := newEngineRun(context.Background(), eng, tr)
 		got := relation.MustNew("joined", tr.Root().Schema(), 1000)
 		sink := &resultSink{run: run, emit: got.AppendPage, finished: make(chan struct{})}
 		if err := run.build(tr.Root(), sink); err != nil {
 			t.Fatal(err)
 		}
-		join := run.nodes[0]
-		// One feeder in place of the two scans, delivering free-list copies
-		// of both inputs in a seeded random interleaving.
-		run.feeders = []func(){func() {
-			left := [2][]*relation.Page{outer.Pages(), inner.Pages()}
-			for len(left[0])+len(left[1]) > 0 {
-				side := rng.Intn(2)
-				if len(left[side]) == 0 {
-					side = 1 - side
-				}
-				k := min(1+rng.Intn(relation.MaxRun), len(left[side]))
-				in := inlet{join.events, int32(side)}
-				pr := eng.runs.get()
-				for _, src := range left[side][:k] {
-					pg, err := relation.Get(src.PageSize(), src.TupleLen())
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					src.EachRaw(func(raw []byte) bool {
-						if err := pg.AppendRaw(raw); err != nil {
-							t.Error(err)
-						}
-						return true
-					})
-					if rng.Intn(2) == 0 {
-						in.send(pg)
-					} else {
-						pr.add(pg)
-					}
-				}
-				if pr.n > 0 {
-					in.sendRun(pr)
-				} else {
-					eng.runs.put(pr)
-				}
-				if left[side] = left[side][k:]; len(left[side]) == 0 {
-					in.done()
-				}
-				if rng.Intn(4) == 0 {
-					runtime.Gosched()
-				}
-			}
-		}}
-		run.start()
+		var copies, pairs atomic.Int64
+		run.feeders = []func(){feedCopies(t, eng, run.nodes[0], [2]*relation.Relation{outer, inner},
+			rand.New(rand.NewSource(seed)), &copies)}
+		startTallied(run, func(tk task) { pairs.Add(tuplePairs(tk)) })
 		select {
 		case <-sink.finished:
 		case <-run.stopped:
@@ -428,12 +482,82 @@ func TestRunJoinPairsExactlyOnce(t *testing.T) {
 		if !got.EqualMultiset(want) {
 			t.Errorf("seed %d: joined %d tuples, serial %d", seed, got.Cardinality(), want.Cardinality())
 		}
-		st := run.snapshotStats()
-		if pairs := int64(outer.NumPages() * inner.NumPages()); st.InstructionPackets != pairs {
-			t.Errorf("seed %d: %d instruction packets for %d page pairs", seed, st.InstructionPackets, pairs)
+		if got := pairs.Load(); got != allPairs {
+			t.Errorf("seed %d: packets offered %d tuple pairs, want |outer|·|inner| = %d", seed, got, allPairs)
+		}
+		if st := run.snapshotStats(); st.InstructionPackets >= int64(outer.NumPages()*inner.NumPages()) {
+			t.Errorf("seed %d: %d instruction packets for %d unpacked page pairs: nothing was packed",
+				seed, st.InstructionPackets, outer.NumPages()*inner.NumPages())
 		}
 		if gets, puts := eng.runs.counts(); gets != puts {
 			t.Errorf("seed %d: %d run buffers taken, %d given back", seed, gets, puts)
+		}
+	}
+}
+
+// TestRunJoinPacksOperands: a join fed pages smaller than the engine's
+// packs them into engine-size pages, one open page per input, so it pairs
+// ⌈|outer|/c⌉·⌈|inner|/c⌉ packed pages (c tuples to an engine page) at
+// page and relation level alike. An original goes back to the free list
+// as soon as it is packed — at relation level every one of them before
+// the first packet leaves — and once the run is done every page it took
+// is back: the originals, the packed pages and the result's.
+func TestRunJoinPacksOperands(t *testing.T) {
+	cat, _ := testDB(t, 0.02, 300)
+	tr, err := query.Bind(query.MustParse(`join(r2, r3, k1 = k1)`), cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := query.ExecuteSerial(cat, tr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outer, _ := cat.Get("r2")
+	inner, _ := cat.Get("r3")
+	packed := func(r *relation.Relation) int64 {
+		c := (1000 - relation.PageHeaderLen) / r.Schema().TupleLen()
+		return int64((r.Cardinality() + c - 1) / c)
+	}
+	for _, g := range []Granularity{PageLevel, RelationLevel} {
+		eng := New(cat, Options{Granularity: g, Workers: 4, PageSize: 1000})
+		for seed := int64(1); seed <= 5; seed++ {
+			before := relation.PageStats()
+			run := newEngineRun(context.Background(), eng, tr)
+			got := relation.MustNew("joined", tr.Root().Schema(), 1000)
+			sink := &resultSink{run: run, emit: got.LendPage, finished: make(chan struct{})}
+			if err := run.build(tr.Root(), sink); err != nil {
+				t.Fatal(err)
+			}
+			var copies atomic.Int64
+			var firstOnce sync.Once
+			recycledAtFirst := int64(-1)
+			run.feeders = []func(){feedCopies(t, eng, run.nodes[0], [2]*relation.Relation{outer, inner},
+				rand.New(rand.NewSource(seed)), &copies)}
+			startTallied(run, func(task) {
+				firstOnce.Do(func() { recycledAtFirst = relation.PageStats().Recycled - before.Recycled })
+			})
+			select {
+			case <-sink.finished:
+			case <-run.stopped:
+			}
+			run.shutdown()
+			if err := run.errValue(); err != nil {
+				t.Fatalf("%s seed %d: %v", g, seed, err)
+			}
+			if !got.EqualMultiset(want) {
+				t.Errorf("%s seed %d: joined %d tuples, serial %d", g, seed, got.Cardinality(), want.Cardinality())
+			}
+			if st, pairs := run.snapshotStats(), packed(outer)*packed(inner); st.InstructionPackets != pairs {
+				t.Errorf("%s seed %d: %d instruction packets, want %d packed page pairs", g, seed, st.InstructionPackets, pairs)
+			}
+			if g == RelationLevel && recycledAtFirst < copies.Load() {
+				t.Errorf("%s seed %d: %d of %d originals recycled when the first packet left", g, seed, recycledAtFirst, copies.Load())
+			}
+			relation.ReleaseAll(got.Pages()) // the emitted references
+			after := relation.PageStats()
+			if gets, back := after.Hits+after.Misses-before.Hits-before.Misses, after.Recycled-before.Recycled; gets != back {
+				t.Errorf("%s seed %d: the run took %d pages and gave back %d", g, seed, gets, back)
+			}
 		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 // reference executor.
 
 func restrictPage(pg *relation.Page, mi *minstr, emit relalg.EmitFunc) (int, error) {
-	// Batched kernel: bitmap pass over the page, then an emit walk of
-	// the set bits. Byte-identical output to relalg.RestrictPage.
+	// Batched kernel: bitmap pass over the page, then a walk of its runs
+	// of set bits. Byte-identical output to relalg.RestrictPage.
 	return mi.restrict.RestrictPage(pg, emit)
 }
 

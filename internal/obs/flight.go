@@ -87,6 +87,13 @@ type QueryRecord struct {
 	Pages  int64 `json:"pages"`
 	// Deferred reports a read/write-conflict admission delay.
 	Deferred bool `json:"deferred,omitempty"`
+	// The engine's account of the query (OutcomeOK only; zero for a
+	// durable write): physical packets dispatched to its instruction
+	// processors, outer tuples probed against hash tables, and inner
+	// hash tables built.
+	Dispatches int64 `json:"dispatches"`
+	HashProbes int64 `json:"hash_probes"`
+	HashBuilds int64 `json:"hash_builds"`
 }
 
 // maxRecordedText bounds the query text kept per record.

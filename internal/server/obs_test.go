@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"dfdbm/internal/obs"
+	"dfdbm/internal/wal"
 	"dfdbm/internal/wire"
 	"dfdbm/internal/workload"
 )
@@ -187,6 +188,69 @@ func TestFlightRecordBeforeStats(t *testing.T) {
 	recent := o.Flight().Recent()
 	if len(recent) != 1 || recent[0].TraceID != res.Stats.TraceID || recent[0].Outcome != obs.OutcomeOK {
 		t.Fatalf("flight recorder as the stats frame arrived = %+v, want one ok record with trace ID %d", recent, res.Stats.TraceID)
+	}
+}
+
+// TestFlightRecordCarriesEngineAccount: a finished query's flight record
+// carries the engine's account of it — dispatches, hash probes and hash
+// builds — as /queries/recent serves it. A join probes and builds; a
+// restrict dispatches but never probes; a durable write, applied through
+// the log and not by the engine, records zeros.
+func TestFlightRecordCarriesEngineAccount(t *testing.T) {
+	cat, _ := testDB(t, 0.05)
+	l, fresh, _, err := wal.Open(t.TempDir(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	if fresh != nil {
+		t.Fatal("a new log directory recovered a catalog")
+	}
+	if err := l.Checkpoint(cat); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry(time.Millisecond)
+	o := obs.New(nil, reg)
+	o.EnableFlight(8)
+	s := startServer(t, cat, Config{Obs: o, WAL: l, CheckpointEvery: -1})
+	hsrv, err := obs.StartServer("127.0.0.1:0", reg, nil, o.Flight())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hsrv.Close()
+	c, err := Dial(s.Addr(), ClientConfig{Name: "account"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const (
+		join     = `join(restrict(r2, val < 120), restrict(r3, val < 120), k1 = k1)`
+		restrict = `restrict(r1, val < 100)`
+		write    = `append(r15, restrict(r1, val < 150))`
+	)
+	for _, q := range []string{join, restrict, write} {
+		if _, err := c.Query(context.Background(), q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	var rec struct {
+		Recent []obs.QueryRecord `json:"recent"`
+	}
+	if err := getJSON("http://"+hsrv.Addr()+"/queries/recent", &rec); err != nil {
+		t.Fatal(err)
+	}
+	byText := map[string]obs.QueryRecord{}
+	for _, r := range rec.Recent {
+		byText[r.Text] = r
+	}
+	if r := byText[join]; r.HashProbes <= 0 || r.HashBuilds <= 0 || r.Dispatches <= 0 {
+		t.Errorf("join record: %d dispatches, %d probes, %d builds; want all > 0", r.Dispatches, r.HashProbes, r.HashBuilds)
+	}
+	if r := byText[restrict]; r.HashProbes != 0 || r.HashBuilds != 0 || r.Dispatches < 1 {
+		t.Errorf("restrict record: %d dispatches, %d probes, %d builds; want >= 1, 0, 0", r.Dispatches, r.HashProbes, r.HashBuilds)
+	}
+	if r, ok := byText[write]; !ok || r.Outcome != obs.OutcomeOK || r.Dispatches != 0 || r.HashProbes != 0 || r.HashBuilds != 0 {
+		t.Errorf("durable write record %+v: want an ok record of zeros", r)
 	}
 }
 

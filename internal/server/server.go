@@ -432,6 +432,8 @@ type resultStream struct {
 	// or the result ends: only then is its Last flag known.
 	held                 *relation.Page
 	pages, bytes, tuples int64
+	// The engine's account of the run, for the flight record.
+	dispatches, probes, builds int64
 
 	mu     sync.Mutex
 	queued [][]byte      // chunks the streamer has not taken yet; the last is still filling
@@ -1039,6 +1041,7 @@ func (s *Server) answer(ctx context.Context, tree *query.Tree, st *resultStream)
 		var res *core.Result
 		if res, err = s.engine.ExecuteStream(ctx, tree, st.page); err == nil {
 			rel = res.Relation // an effect root's live relation
+			st.dispatches, st.probes, st.builds = res.Stats.Dispatches, res.Stats.HashProbes, res.Stats.HashBuilds
 		}
 	}
 	if err != nil {
@@ -1103,6 +1106,7 @@ func (c *session) finishResult(qid uint32, st *resultStream, o sched.Outcome,
 		r.Tuples = st.tuples
 		r.Pages = st.pages
 		r.Deferred = o.Deferred
+		r.Dispatches, r.HashProbes, r.HashBuilds = st.dispatches, st.probes, st.builds
 	})
 	// The Stats frame acknowledges the query, so it goes out only once
 	// the flight record is finished: /queries/recent never lags a query
