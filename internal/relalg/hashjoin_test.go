@@ -201,6 +201,48 @@ func TestJoinStateMatchesNested(t *testing.T) {
 	}
 }
 
+// discardOut is an Out that keeps nothing: its Room is one scratch page.
+type discardOut struct{ room []byte }
+
+func (o *discardOut) Write([]byte) error { return nil }
+func (o *discardOut) Room() []byte       { return o.room }
+func (o *discardOut) Commit(int) error   { return nil }
+
+// TestJoinStateNestedPairAllocatesNothing: a JoinState's nested kernel
+// keeps its result tuple scratch between page pairs, so a non-equi pair
+// a worker or IP joins costs no allocation, in either form.
+func TestJoinStateNestedPairAllocatesNothing(t *testing.T) {
+	ls := intSchema(t, "a", "b")
+	rs := intSchema(t, "c", "d")
+	var rows [][]int64
+	for i := 0; i < 20; i++ {
+		rows = append(rows, []int64{int64(i), int64(i % 3)})
+	}
+	op := buildRel(t, "L", ls, rows).Pages()[0]
+	ip := buildRel(t, "R", rs, rows).Pages()[0]
+	bound, err := pred.JoinCond{Terms: []pred.JoinTerm{{Left: "a", Op: pred.LT, Right: "c"}}}.Bind(ls, rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewJoinState(bound, nil)
+	if st.Kernel() != KernelNestedLoops {
+		t.Fatalf("kernel %s, want nested-loops", st.Kernel())
+	}
+	out := &discardOut{room: make([]byte, 4096)}
+	emit := func([]byte) error { return nil }
+	for name, pair := range map[string]func() (int, error){
+		"JoinInto":  func() (int, error) { return st.JoinInto(op, ip, out) },
+		"JoinPages": func() (int, error) { return st.JoinPages(op, ip, emit) },
+	} {
+		if n, err := pair(); err != nil || n == 0 {
+			t.Fatalf("%s: %d results, %v", name, n, err)
+		}
+		if allocs := testing.AllocsPerRun(50, func() { pair() }); allocs != 0 {
+			t.Errorf("%s: a nested page pair allocates %v times, want 0", name, allocs)
+		}
+	}
+}
+
 // TestHashJoinCrossWidthKeys joins an Int32 key column against an
 // Int64 one: the canonical key encoding must make them hash-equal.
 func TestHashJoinCrossWidthKeys(t *testing.T) {
