@@ -14,6 +14,7 @@
 //	dfdbm wal <inspect|verify> -data-dir DIR [-records]
 //	dfdbm top [-addr A] [-interval D] [-recent N] [-once] [-json]
 //	dfdbm loadgen -profile FILE [-time-scale F] [-autoscale] [-out DIR] [-http A]
+//	dfdbm [flags] save DIR
 //
 // loadgen replays a declarative load profile — phases with arrival
 // patterns (steady, ramp, diurnal, burst), per-phase query mixes and
@@ -33,7 +34,10 @@
 // kill -9 recovers exactly the acknowledged writes. `dfdbm wal`
 // inspects or verifies such a directory offline.
 //
-// Shared flags (before the subcommand): -scale, -seed, -pagesize.
+// Shared flags (before the subcommand): -scale, -seed, -pagesize, and
+// -db DIR, which loads the database from a data directory instead of
+// generating it. `save DIR` writes such a directory, and `serve
+// -data-dir DIR` serves it.
 //
 // serve exposes the database over TCP: sessions speak the
 // length-prefixed internal/wire protocol (dfdbm client is the matching
@@ -68,13 +72,14 @@ import (
 
 	"dfdbm"
 	"dfdbm/internal/catalog"
+	"dfdbm/internal/workload"
 )
 
 func main() {
 	scale := flag.Float64("scale", 0.1, "database scale (1.0 = the paper's 5.5 MB)")
 	seed := flag.Int64("seed", 42, "generator seed")
 	pageSize := flag.Int("pagesize", 2048, "page size in bytes")
-	dbFile := flag.String("db", "", "load the database from this file instead of generating it")
+	dbDir := flag.String("db", "", "load the database from this data directory (written by save or serve -data-dir) instead of generating it")
 	flag.Parse()
 
 	if flag.NArg() < 1 {
@@ -83,23 +88,16 @@ func main() {
 	var db *dfdbm.DB
 	var queries []*dfdbm.Query
 	var err error
-	if *dbFile != "" {
-		db, err = dfdbm.OpenDB(*dbFile)
+	if *dbDir != "" {
+		db, err = dfdbm.OpenDB(*dbDir)
 		check(err)
-		// The benchmark queries still bind if the file holds a paper
-		// database; otherwise subcommands needing them will report it.
-		gen, qs, qerr := dfdbm.PaperBenchmark(dfdbm.BenchmarkConfig{
-			Seed: *seed, Scale: *scale, PageSize: *pageSize,
-		})
-		_ = gen
-		if qerr == nil {
-			rebound := make([]*dfdbm.Query, 0, len(qs))
-			for _, q := range qs {
-				if rb, err := db.Parse(q.String()); err == nil {
-					rebound = append(rebound, rb)
-				}
+		// The benchmark queries still bind if the directory holds a
+		// paper database; otherwise subcommands needing them will
+		// report it.
+		for _, text := range workload.QueryTexts() {
+			if q, err := db.Parse(text); err == nil {
+				queries = append(queries, q)
 			}
-			queries = rebound
 		}
 	} else {
 		db, queries, err = dfdbm.PaperBenchmark(dfdbm.BenchmarkConfig{
@@ -139,10 +137,10 @@ func main() {
 		check(db.ExportCSV(flag.Arg(1), os.Stdout))
 	case "save":
 		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "usage: dfdbm save <file>")
+			fmt.Fprintln(os.Stderr, "usage: dfdbm save <dir>")
 			os.Exit(2)
 		}
-		check(db.SaveFile(flag.Arg(1)))
+		check(db.Save(flag.Arg(1)))
 		fmt.Printf("saved %d relations (%d bytes of pages) to %s\n",
 			len(db.Names()), db.TotalBytes(), flag.Arg(1))
 	default:
@@ -151,7 +149,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: dfdbm [-scale S -seed N -pagesize B -db FILE] info|run|bench|machine|direct|serve|client|wal|top|loadgen|save|export|explain ...")
+	fmt.Fprintln(os.Stderr, "usage: dfdbm [-scale S -seed N -pagesize B -db DIR] info|run|bench|machine|direct|serve|client|wal|top|loadgen|save|export|explain ...")
 	os.Exit(2)
 }
 

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"slices"
 	"sort"
 	"strconv"
@@ -29,6 +30,8 @@ import (
 //	go test -run TestCodeLedger -update .
 //
 // rewrites the file. benchmark/ is its own module and is not counted.
+// The ledger's deleted row is the exception: it lists patterns that
+// must match nowhere, and TestCodeLedger fails on any match.
 
 const codeLedgerFile = "CODE_ledger.json"
 
@@ -62,6 +65,16 @@ type codeLedger struct {
 	// ServingDeps lists the module packages internal/server reaches
 	// through non-test imports: what the serving binary links.
 	ServingDeps []string `json:"serving_deps"`
+	// Deleted lists the mechanisms that stay deleted. It is written by
+	// hand and carried over by -update, never recomputed.
+	Deleted []deletedRow `json:"deleted"`
+}
+
+// deletedRow names a retired mechanism and a regular expression that no
+// line of a .go file outside benchmark/ may match, test files included.
+type deletedRow struct {
+	What    string `json:"what"`
+	Pattern string `json:"pattern"`
 }
 
 // simulatorPackages are the models of the paper's machines. They are
@@ -94,6 +107,22 @@ func TestCodeLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	b, err := os.ReadFile(codeLedgerFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want codeLedger
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatalf("%s: %v", codeLedgerFile, err)
+	}
+	got.Deleted = want.Deleted
+	hits, err := deletedMatches(".", want.Deleted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range hits {
+		t.Errorf("deleted name is back: %s", h)
+	}
 	if *updateLedger {
 		b, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
@@ -104,14 +133,6 @@ func TestCodeLedger(t *testing.T) {
 		}
 		t.Logf("wrote %s: %d lines, %d flags, %d root exports", codeLedgerFile, got.TotalLines, len(got.CLIFlags), len(got.RootExports))
 		return
-	}
-	b, err := os.ReadFile(codeLedgerFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want codeLedger
-	if err := json.Unmarshal(b, &want); err != nil {
-		t.Fatalf("%s: %v", codeLedgerFile, err)
 	}
 	if reflect.DeepEqual(got, &want) {
 		return
@@ -196,6 +217,48 @@ func readCodeLedger(root string) (*codeLedger, error) {
 		return nil, err
 	}
 	return l, nil
+}
+
+// deletedMatches returns every line of a .go file outside benchmark/
+// that matches one of rows' patterns, as "what: path:line: text".
+func deletedMatches(root string, rows []deletedRow) ([]string, error) {
+	res := make([]*regexp.Regexp, len(rows))
+	for i, row := range rows {
+		re, err := regexp.Compile(row.Pattern)
+		if err != nil {
+			return nil, fmt.Errorf("deleted row %q: %v", row.What, err)
+		}
+		res[i] = re
+	}
+	var hits []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel := filepath.ToSlash(path)
+		if d.IsDir() {
+			if rel == "benchmark" || d.Name() == ".git" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(rel, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for n, line := range strings.Split(string(src), "\n") {
+			for i, re := range res {
+				if re.MatchString(line) {
+					hits = append(hits, fmt.Sprintf("%s: %s:%d: %s", rows[i].What, rel, n+1, strings.TrimSpace(line)))
+				}
+			}
+		}
+		return nil
+	})
+	return hits, err
 }
 
 // servingDeps returns the sorted dfdbm/... packages reachable from

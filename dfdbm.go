@@ -126,31 +126,6 @@ func RandomQuery(seed int64, db *DB, joins, depth int) (*Query, error) {
 	return workload.RandomQuery(rng, db.cat, joins, depth)
 }
 
-// SaveFile writes the database to the named file in the dfdbm binary
-// format. Loading it back with OpenDB yields byte-identical relations.
-func (db *DB) SaveFile(path string) error { return db.cat.SaveFile(path) }
-
-// Save writes the database to w in the dfdbm binary format.
-func (db *DB) Save(w io.Writer) error { return db.cat.Save(w) }
-
-// OpenDB reads a database previously written by SaveFile.
-func OpenDB(path string) (*DB, error) {
-	cat, err := catalog.LoadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return &DB{cat: cat}, nil
-}
-
-// LoadDB reads a database from r (the dfdbm binary format).
-func LoadDB(r io.Reader) (*DB, error) {
-	cat, err := catalog.Load(r)
-	if err != nil {
-		return nil, err
-	}
-	return &DB{cat: cat}, nil
-}
-
 // Explain renders a query tree as ASCII art in the style of the
 // paper's Figure 2.1 (operators above their operands).
 func Explain(q *Query) string { return query.RenderTree(q) }

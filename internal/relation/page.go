@@ -361,16 +361,6 @@ func (g *Paginator) Write(tuples []byte, full func(*Page)) {
 	}
 }
 
-// AddTuple encodes t under s and appends it, with the same semantics as
-// Add.
-func (g *Paginator) AddTuple(s *Schema, t Tuple) (*Page, error) {
-	raw, err := EncodeTuple(nil, s, t)
-	if err != nil {
-		return nil, err
-	}
-	return g.Add(raw)
-}
-
 // Flush returns the final partial page, or nil if no tuples are pending.
 func (g *Paginator) Flush() *Page {
 	out := g.cur

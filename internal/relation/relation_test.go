@@ -162,45 +162,6 @@ func TestRelationByteSize(t *testing.T) {
 	}
 }
 
-func TestPageTableFiringRules(t *testing.T) {
-	pt := NewPageTable("R")
-	if pt.Enabled(false) || pt.Enabled(true) {
-		t.Error("empty page table enabled")
-	}
-	pt.Add(PageRef{PageNo: 0, Where: OnMassStorage})
-	if !pt.Enabled(false) {
-		t.Error("page-level rule not enabled with one page")
-	}
-	if pt.Enabled(true) {
-		t.Error("relation-level rule enabled before completion")
-	}
-	pt.MarkComplete()
-	if !pt.Enabled(true) || !pt.Complete() {
-		t.Error("relation-level rule not enabled after completion")
-	}
-	if pt.NumPages() != 1 || pt.Ref(0).PageNo != 0 {
-		t.Error("page table bookkeeping wrong")
-	}
-	pt.SetWhere(0, InDiskCache)
-	if pt.Ref(0).Where != InDiskCache {
-		t.Error("SetWhere did not update")
-	}
-}
-
-func TestLocationString(t *testing.T) {
-	cases := map[Location]string{
-		InLocalMemory: "local",
-		InDiskCache:   "cache",
-		OnMassStorage: "disk",
-		Location(9):   "loc(9)",
-	}
-	for loc, want := range cases {
-		if got := loc.String(); got != want {
-			t.Errorf("%d.String() = %q, want %q", loc, got, want)
-		}
-	}
-}
-
 func TestTypeString(t *testing.T) {
 	cases := map[Type]string{
 		Int32: "int32", Int64: "int64", Float64: "float64", String: "string", Type(9): "type(9)",

@@ -3,21 +3,35 @@ package server
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
 	"dfdbm/internal/catalog"
 	"dfdbm/internal/obs"
+	"dfdbm/internal/relation"
 	"dfdbm/internal/wal"
 )
 
-// catBytes is the byte-identity yardstick: two catalogs are the same
-// state iff their Save encodings match.
+// catBytes is the byte-identity yardstick: each relation's name,
+// schema, page size and page images, in name order. Two catalogs hold
+// the same state iff their images match.
 func catBytes(t *testing.T, c *catalog.Catalog) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		t.Fatal(err)
+	for _, name := range c.Names() {
+		r, err := c.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&buf, "%s %s %d\n", name, r.Schema(), r.PageSize())
+		if err := r.EachPage(func(pg *relation.Page) error {
+			buf.Write(pg.Marshal())
+			pg.Release()
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return buf.Bytes()
 }

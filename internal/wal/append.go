@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"dfdbm/internal/heap"
 	"dfdbm/internal/relation"
 )
 
@@ -17,7 +18,7 @@ import (
 // The record is not yet applied: callers log it (the commit point)
 // and then run Record.Apply, exactly like recovery will.
 func AppendRecord(dst, src *relation.Relation) (*Record, error) {
-	rec := &Record{Type: RecAppendPages, Rel: dst.Name(), SchemaHash: SchemaHash(dst.Schema())}
+	rec := &Record{Type: RecAppendPages, Rel: dst.Name(), SchemaHash: heap.SchemaHash(dst.Schema())}
 	n := dst.NumPages()
 	rec.First = uint64(n)
 	if src.Cardinality() == 0 {

@@ -161,11 +161,7 @@ func TestSnapshotLayoutRefused(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(dir, "wal"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	var snap bytes.Buffer
-	if err := seedCatalog(t).Save(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "snap-0000000000000000.db"), snap.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "snap-0000000000000000.db"), saveBytes(t, seedCatalog(t)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	const want = "pre-heap snapshot layout; open once with a build at or before commit 1d4794a to migrate"

@@ -112,14 +112,6 @@ type Record struct {
 	CoverLSN uint64
 }
 
-// SchemaHash fingerprints a schema layout: FNV-1a over its rendered
-// attribute list. Two schemas hash equal iff their names, types, and
-// widths match. Delegates to heap.SchemaHash so log records and heap
-// file headers agree byte-for-byte.
-func SchemaHash(s *relation.Schema) uint64 {
-	return heap.SchemaHash(s)
-}
-
 // Summary renders the record's logical operation for logs and the
 // inspect subcommand.
 func (r *Record) Summary() string {
@@ -153,7 +145,7 @@ func (r *Record) Apply(cat *catalog.Catalog) (*relation.Relation, error) {
 		if err != nil {
 			return nil, fmt.Errorf("wal: apply lsn %d: %w", r.LSN, err)
 		}
-		if got := SchemaHash(dst.Schema()); got != r.SchemaHash {
+		if got := heap.SchemaHash(dst.Schema()); got != r.SchemaHash {
 			return nil, fmt.Errorf("%w: lsn %d: schema of %q drifted (hash %016x, logged %016x)",
 				ErrCorrupt, r.LSN, r.Rel, got, r.SchemaHash)
 		}

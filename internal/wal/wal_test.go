@@ -37,11 +37,25 @@ func seedCatalog(t testing.TB) *catalog.Catalog {
 	return c
 }
 
+// saveBytes is the byte-identity yardstick: each relation's name,
+// schema, page size and page images, in name order. Two catalogs hold
+// the same state iff their images match.
 func saveBytes(t testing.TB, c *catalog.Catalog) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		t.Fatal(err)
+	for _, name := range c.Names() {
+		r, err := c.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&buf, "%s %s %d\n", name, r.Schema(), r.PageSize())
+		if err := r.EachPage(func(pg *relation.Page) error {
+			buf.Write(pg.Marshal())
+			pg.Release()
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return buf.Bytes()
 }
