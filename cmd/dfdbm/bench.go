@@ -22,6 +22,7 @@ import (
 	"dfdbm/internal/query"
 	"dfdbm/internal/relalg"
 	"dfdbm/internal/relation"
+	"dfdbm/internal/wal"
 	"dfdbm/internal/wire"
 )
 
@@ -112,7 +113,7 @@ var benchSections = []benchSection{
 		{"kernel/restrict-batch", benchGate{}},
 		{"kernel/project-batch", benchGate{}},
 	}},
-	{"heap storage, cold vs warm scans, stored appends, run scans alone and together", 3, benchHeap, []benchRow{
+	{"heap storage, cold vs warm scans, served appends, run scans alone and together", 3, benchHeap, []benchRow{
 		{"heap/scan-cold", benchGate{allocs: true}},
 		{"heap/scan-warm", benchGate{}},
 		{"heap/append", benchGate{allocs: true}},
@@ -441,12 +442,13 @@ func benchKernels(env *benchEnv) ([]benchOp, error) {
 // r5: a full scan with the buffer pool far below the relation (every
 // page faults and a victim evicts — the disk-bound cold case; the pool
 // is too small for runs longer than a page), the same scan with the
-// pool above the relation (steady-state cache hits), stored appends
-// streaming post-image pages through the pool under eviction and
-// write-back pressure, and the run path: r5's pages repeated up to 400,
-// whatever the scale, scanned through a 64-frame pool — by one scanner
-// (reads = physical reads per scan) and by 2 and 8 scanners at once,
-// each over a relation of its own, all sharing the pool.
+// pool above the relation (steady-state cache hits), served appends
+// installing their records' post-image pages through the pool under
+// eviction and write-back pressure, and the run path: r5's pages
+// repeated up to 400, whatever the scale, scanned through a 64-frame
+// pool — by one scanner (reads = physical reads per scan) and by 2 and
+// 8 scanners at once, each over a relation of its own, all sharing the
+// pool.
 func benchHeap(env *benchEnv) ([]benchOp, error) {
 	src, err := env.db.Get("r5")
 	if err != nil {
@@ -548,15 +550,23 @@ func benchHeap(env *benchEnv) ([]benchOp, error) {
 			return errors.Join(errs...)
 		}
 	}
+	// An append op is a served append of 256 tuples without the log
+	// write: the record's post-images built, then installed by Apply.
 	const appendBatch = 256
-	raw := append([]byte(nil), src.Page(0).RawTuple(0)...)
-	appendOp := func() error {
-		for j := 0; j < appendBatch; j++ {
-			if err := app.InsertRaw(raw); err != nil {
-				return err
-			}
+	batch := relation.MustNew("bench_heap_batch", src.Schema(), src.PageSize())
+	for j := 0; j < appendBatch; j++ {
+		if err := batch.InsertRaw(src.Page(0).RawTuple(0)); err != nil {
+			return nil, err
 		}
-		return nil
+	}
+	appCat := catalog.New()
+	appCat.Put(app)
+	appendOp := func() error {
+		rec, err := wal.AppendRecord(app, batch)
+		if err == nil {
+			_, err = rec.Apply(appCat)
+		}
+		return err
 	}
 
 	// pool runs op once more and adds to m how far each named counter of

@@ -249,3 +249,72 @@ func TestOpenDBRefusesNonDatabase(t *testing.T) {
 		t.Errorf("a refused OpenDB wrote into the empty directory: %v %v", ents, err)
 	}
 }
+
+// TestHeapStoredRelationTakesWritesOnlyThroughWAL: a stored relation
+// takes no write the log has not seen. On a database OpenWAL recovered,
+// with a two-frame pool whose evictions write dirty pages back, an
+// append run by Execute, by ExecuteSerial, or by a server given no WAL
+// is refused and changes nothing: not the log, not the relation in
+// memory, and not what a reopen finds.
+func TestHeapStoredRelationTakesWritesOnlyThroughWAL(t *testing.T) {
+	_, dir := savedPaperDB(t)
+	opts := dfdbm.WALOptions{Heap: &dfdbm.HeapOptions{Frames: 2}}
+	l, db, _, err := dfdbm.OpenWAL(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r15, err := db.Get("r15")
+	if err != nil || !r15.Stored() {
+		t.Fatalf("r15: %v, stored %v", err, err == nil && r15.Stored())
+	}
+	want, lsn := pageImages(t, r15), l.LastLSN()
+	unchanged := func(when string, r *dfdbm.Relation) {
+		t.Helper()
+		if got := pageImages(t, r); !slices.EqualFunc(got, want, bytes.Equal) {
+			t.Errorf("%s r15 holds %d tuples in %d pages, want %d pages unchanged", when, r.Cardinality(), len(got), len(want))
+		}
+	}
+
+	const text = `append(r15, restrict(r1, val < 150))`
+	q, err := db.Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Execute(q, dfdbm.EngineOptions{}); err == nil || !strings.Contains(err.Error(), "WAL") {
+		t.Errorf("Execute of an append to a stored relation: %v, want a refusal naming the WAL", err)
+	}
+	if _, err := db.ExecuteSerial(q); err == nil || !strings.Contains(err.Error(), "WAL") {
+		t.Errorf("ExecuteSerial of an append to a stored relation: %v, want a refusal naming the WAL", err)
+	}
+	srv, err := dfdbm.Serve(db, dfdbm.ServeConfig{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := dfdbm.Dial(srv.Addr(), dfdbm.ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Query(context.Background(), text); err == nil {
+		t.Error("a server with no WAL acknowledged an append to a stored relation")
+	}
+	c.Close()
+	srv.Close()
+
+	unchanged("in memory,", r15)
+	if got := l.LastLSN(); got != lsn {
+		t.Errorf("the log moved from LSN %d to %d", lsn, got)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, db, _, err = dfdbm.OpenWAL(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	reopened, err := db.Get("r15")
+	if err != nil {
+		t.Fatal(err)
+	}
+	unchanged("after reopen,", reopened)
+}

@@ -107,14 +107,3 @@ func (c *Catalog) TotalBytes() int {
 	}
 	return n
 }
-
-// TotalPages returns the combined page count of all relations.
-func (c *Catalog) TotalPages() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	n := 0
-	for _, r := range c.rels {
-		n += r.NumPages()
-	}
-	return n
-}

@@ -83,9 +83,6 @@ func TestCatalogTotals(t *testing.T) {
 	if got, want := c.TotalBytes(), a.ByteSize()+b.ByteSize(); got != want {
 		t.Errorf("TotalBytes = %d, want %d", got, want)
 	}
-	if got, want := c.TotalPages(), a.NumPages()+b.NumPages(); got != want {
-		t.Errorf("TotalPages = %d, want %d", got, want)
-	}
 }
 
 func TestCatalogConcurrentAccess(t *testing.T) {

@@ -181,10 +181,10 @@ type Stats struct {
 	// PoolHits, PoolMisses, and PagesRecycled are the run's deltas of
 	// the process's page free list (relation.PageStats): pages served
 	// from the list, pages freshly allocated, and dead pages handed back
-	// for reuse. Every run, buffer pool and stored append in the process
-	// shares the list, so they are a query's own only when it runs
-	// alone: the queries an engine runs at once, as the server's one
-	// engine does, count each other's pages.
+	// for reuse. Every run and buffer pool in the process shares the
+	// list, so they are a query's own only when it runs alone: the
+	// queries an engine runs at once, as the server's one engine does,
+	// count each other's pages.
 	PoolHits      int64
 	PoolMisses    int64
 	PagesRecycled int64

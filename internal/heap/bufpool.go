@@ -166,18 +166,6 @@ func NewPool(frames int, o *obs.Observer) *Pool {
 	return p
 }
 
-// PoolResource is the saturation-attribution spec for the buffer
-// pool's disk port: busy time accumulated on bufpool.busy_us, one
-// interval per run that missed (its reads, checks and decodes) or per
-// write-back. Write-backs are serial but loaders read concurrently, so
-// their intervals overlap: against one server the share reads as
-// loaders-in-flight, and can pass 1.0 — it is not the fraction of time
-// a single port was busy, which is what it meant while the pool read
-// under its lock.
-func PoolResource() obs.ResourceSpec {
-	return obs.ResourceSpec{Name: "bufpool", Timeline: "bufpool.busy_us", Servers: 1}
-}
-
 // Cap returns the frame budget.
 func (p *Pool) Cap() int { return p.cap }
 
@@ -353,7 +341,7 @@ func (p *Pool) takeBufLocked(size int64) []byte {
 }
 
 // Install places a full post-image of page i of f into the pool,
-// dirty: the one mutation primitive (live appends and WAL replay). The
+// dirty: the one mutation primitive (WAL records, live and on replay). The
 // frame retains pg, and the caller must not write to it again. i may
 // extend the file by exactly one page. The scheduler's write exclusion
 // keeps readers of f away while its writer installs; a page found

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"dfdbm/internal/catalog"
@@ -31,6 +32,31 @@ func seedRelation(t testing.TB, name string, schema *relation.Schema, pageSize, 
 		}
 	}
 	return rel
+}
+
+// installTuple appends raw to a stored relation the way a WAL append
+// record's Apply does: a post-image of the partial tail page (or a fresh
+// page when the tail is full) with the tuple added, installed over the
+// tail.
+func installTuple(t testing.TB, rel *relation.Relation, raw []byte) {
+	t.Helper()
+	n := rel.NumPages()
+	i, img := n, relation.MustNewPage(rel.PageSize(), rel.Schema().TupleLen())
+	if n > 0 {
+		tail, err := rel.CopyPage(n - 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tail.Full() {
+			i, img = n-1, tail
+		}
+	}
+	if err := img.AppendRaw(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := rel.InstallPage(i, img); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestFileCreateFromRoundtrip(t *testing.T) {
@@ -332,10 +358,30 @@ func TestStoreAdoptLoadCheckpoint(t *testing.T) {
 		t.Fatal("manifest missing after checkpoint")
 	}
 
-	// Stored relations still append and read through the pool.
-	if err := r1.Insert(relation.Tuple{relation.IntVal(999), relation.IntVal(9990)}); err != nil {
-		t.Fatalf("stored insert: %v", err)
+	// Stored relations refuse a direct append, which the log would never
+	// see, and take page installs, reading through the pool.
+	raw, err := relation.EncodeTuple(nil, schema, relation.Tuple{relation.IntVal(999), relation.IntVal(9990)})
+	if err != nil {
+		t.Fatal(err)
 	}
+	pg := relation.MustNewPage(256, schema.TupleLen())
+	if err := pg.AppendRaw(raw); err != nil {
+		t.Fatal(err)
+	}
+	for name, err := range map[string]error{
+		"Insert":     r1.Insert(relation.Tuple{relation.IntVal(999), relation.IntVal(9990)}),
+		"InsertRaw":  r1.InsertRaw(raw),
+		"AppendPage": r1.AppendPage(pg),
+		"LendPage":   r1.LendPage(pg),
+	} {
+		if err == nil || !strings.Contains(err.Error(), "WAL") {
+			t.Errorf("%s on a stored relation: %v, want a refusal naming the WAL", name, err)
+		}
+	}
+	if r1.Cardinality() != 50 || r1.NumPages() != 4 {
+		t.Fatalf("refused appends left %d tuples in %d pages, want 50 in 4", r1.Cardinality(), r1.NumPages())
+	}
+	installTuple(t, r1, raw)
 	if r1.Cardinality() != 51 {
 		t.Fatalf("cardinality = %d, want 51", r1.Cardinality())
 	}

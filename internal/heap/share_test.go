@@ -186,9 +186,10 @@ func TestHeapSharedPageDropAndInstall(t *testing.T) {
 	}
 }
 
-// (f) A tail-page append installs a copy of the tail with the tuple
-// added: a reader that still holds the old tail reads it unchanged, the
-// next reader sees the tuple, and it survives write-back and reopen.
+// (f) An append installs a copy of the tail with the tuple added, as a
+// WAL append record does: a reader that still holds the old tail reads
+// it unchanged, the next reader sees the tuple, and it survives
+// write-back and reopen.
 func TestHeapSharedPageTailAppend(t *testing.T) {
 	dir := t.TempDir()
 	store, err := OpenStore(dir, 4, nil)
@@ -206,9 +207,11 @@ func TestHeapSharedPageTailAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := bytes.Clone(held.Data())
-	if err := rel.Insert(relation.Tuple{relation.IntVal(777), relation.IntVal(-777)}); err != nil {
+	raw, err := relation.EncodeTuple(nil, schema, relation.Tuple{relation.IntVal(777), relation.IntVal(-777)})
+	if err != nil {
 		t.Fatal(err)
 	}
+	installTuple(t, rel, raw)
 	if !bytes.Equal(held.Data(), before) {
 		t.Fatal("the append wrote to the tail page a reader holds")
 	}
@@ -242,10 +245,8 @@ func TestHeapSharedPageTailAppend(t *testing.T) {
 	}
 }
 
-// Stored appends across page boundaries, through a pool smaller than the
-// relation, lay pages out exactly as resident appends do, and once warm
-// they allocate nothing, fresh pages included: every post-image comes
-// from, and goes back to, the appends' own free list.
+// Appends installed across page boundaries, through a pool smaller than
+// the relation, lay pages out exactly as resident appends do.
 func TestHeapStoredAppendsMatchResident(t *testing.T) {
 	store, err := OpenStore(t.TempDir(), 4, nil)
 	if err != nil {
@@ -258,28 +259,10 @@ func TestHeapStoredAppendsMatchResident(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := make([]byte, schema.TupleLen())
-	value := func(i int) []byte {
+	for i := 0; i < 200; i++ {
 		binary.LittleEndian.PutUint64(raw, uint64(i))
-		return raw
-	}
-	n := 0
-	appendStored := func() {
-		if err := stored.InsertRaw(value(n)); err != nil {
-			t.Fatal(err)
-		}
-		n++
-	}
-	for n < 20 {
-		appendStored()
-	}
-	if allocs := testing.AllocsPerRun(100, appendStored); allocs != 0 {
-		t.Errorf("a warm stored append allocates %.2f times, want 0", allocs)
-	}
-	for n < 200 {
-		appendStored()
-	}
-	for i := 0; i < n; i++ {
-		if err := resident.InsertRaw(value(i)); err != nil {
+		installTuple(t, stored, raw)
+		if err := resident.InsertRaw(raw); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -163,9 +163,12 @@ func (p *ip) execUnary(pkt *InstructionPacket) {
 		var err error
 		switch mi.node.Kind {
 		case query.OpRestrict:
-			_, err = restrictPage(pg, mi, p.emit)
+			_, err = mi.restrict.RestrictPage(pg, p.emit)
 		case query.OpProject:
-			_, err = projectPage(pg, mi, p.emit)
+			// No per-processor duplicate elimination: the instruction's
+			// IC deduplicates globally (the serial algorithm the paper's
+			// Section 5 identifies as the open problem).
+			_, err = mi.project.ProjectPage(pg, nil, p.emit)
 		}
 		if err != nil {
 			p.m.fail(err)

@@ -170,19 +170,6 @@ func (f *FlightRecorder) SetStage(traceID uint64, stage string) {
 	f.mu.Unlock()
 }
 
-// Update applies fn to an in-flight record under the recorder's lock
-// (for filling in stage timings as they become known).
-func (f *FlightRecorder) Update(traceID uint64, fn func(*QueryRecord)) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	if r, ok := f.inflight[traceID]; ok {
-		fn(r)
-	}
-	f.mu.Unlock()
-}
-
 // Finish retires an in-flight query into the completed ring with the
 // given outcome, applying fn (if non-nil) to fill final timings and
 // result sizes first. Finishing an unknown trace ID is a no-op.

@@ -170,7 +170,6 @@ func TestFlightRecorderTextTruncation(t *testing.T) {
 func TestFlightRecorderUnknownIDsAreNoOps(t *testing.T) {
 	f := NewFlightRecorder(2)
 	f.SetStage(99, StageStream)
-	f.Update(99, func(r *QueryRecord) { r.Tuples = 1 })
 	f.Finish(99, OutcomeOK, nil)
 	if len(f.Recent()) != 0 || f.TotalCompleted() != 0 {
 		t.Error("finishing an unknown trace ID recorded something")
@@ -181,7 +180,6 @@ func TestFlightRecorderNilSafe(t *testing.T) {
 	var f *FlightRecorder
 	f.Start(QueryRecord{TraceID: 1})
 	f.SetStage(1, StageExecute)
-	f.Update(1, nil)
 	f.Finish(1, OutcomeOK, nil)
 	if f.InFlight() != nil || f.Recent() != nil || f.Capacity() != 0 || f.TotalCompleted() != 0 {
 		t.Error("nil flight recorder is not inert")

@@ -1,22 +1,14 @@
 package obs
 
 import (
-	"errors"
-	"fmt"
 	"sync/atomic"
 	"time"
 )
 
-// ErrHistogramLayout is returned (wrapped) by Histogram.Merge when the
-// two histograms do not share a bucket layout: adding their per-bucket
-// counters would silently misbin every sample. Test with errors.Is.
-var ErrHistogramLayout = errors.New("obs: histogram bucket layouts differ")
-
 // Histogram is a fixed-bucket latency/size histogram. The bucket
 // layout is chosen at construction and never changes, so the record
 // path is a binary search plus a handful of atomic adds — no locks, no
-// allocations — and two histograms with the same layout merge by
-// adding counters. Quantile estimates interpolate linearly inside the
+// allocations. Quantile estimates interpolate linearly inside the
 // containing bucket (the overflow bucket uses the tracked maximum), so
 // their error is bounded by the bucket width at the quantile.
 //
@@ -181,44 +173,6 @@ func (h *Histogram) clamp(v int64) int64 {
 		v = -nm
 	}
 	return v
-}
-
-// Merge adds other's counters into h. The two histograms must share a
-// bucket layout; a mismatch leaves h untouched and returns a typed
-// error wrapping ErrHistogramLayout (merging incompatible layouts would
-// silently misbin every sample). Merging a nil other is a no-op.
-func (h *Histogram) Merge(other *Histogram) error {
-	if h == nil || other == nil {
-		return nil
-	}
-	if len(h.bounds) != len(other.bounds) {
-		return fmt.Errorf("%w: %d buckets vs %d", ErrHistogramLayout, len(h.bounds), len(other.bounds))
-	}
-	for i := range h.bounds {
-		if h.bounds[i] != other.bounds[i] {
-			return fmt.Errorf("%w: bound %d is %d vs %d", ErrHistogramLayout, i, h.bounds[i], other.bounds[i])
-		}
-	}
-	for i := range h.counts {
-		h.counts[i].Add(other.counts[i].Load())
-	}
-	h.count.Add(other.count.Load())
-	h.sum.Add(other.sum.Load())
-	for {
-		m := h.max.Load()
-		o := other.max.Load()
-		if o <= m || h.max.CompareAndSwap(m, o) {
-			break
-		}
-	}
-	for {
-		m := h.min.Load()
-		o := other.min.Load()
-		if o == 0 || (m != 0 && -m <= -o) || h.min.CompareAndSwap(m, o) {
-			break
-		}
-	}
-	return nil
 }
 
 // HistogramSnapshot is an immutable copy of a histogram's state.

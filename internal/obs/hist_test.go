@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"errors"
 	"math/rand"
 	"sort"
 	"testing"
@@ -83,64 +82,6 @@ func TestHistogramOverflowBucket(t *testing.T) {
 	}
 	if got := h.Quantile(0.99); got != 1_000_000 {
 		t.Errorf("overflow quantile = %d, want the recorded max 1000000", got)
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram(DurationBuckets())
-	b := NewHistogram(DurationBuckets())
-	for i := int64(1); i <= 100; i++ {
-		a.Observe(i * 1000)
-		b.Observe(i * 2000)
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatalf("same-layout merge failed: %v", err)
-	}
-	if a.Count() != 200 {
-		t.Fatalf("merged count=%d, want 200", a.Count())
-	}
-	if a.Max() != 200_000 {
-		t.Fatalf("merged max=%d, want 200000", a.Max())
-	}
-}
-
-// TestHistogramMergeLayoutMismatch pins the satellite contract: merging
-// histograms with different bucket layouts returns the typed
-// ErrHistogramLayout, never panics, and leaves the receiver untouched —
-// for a different bucket count and for equal counts with different
-// bounds.
-func TestHistogramMergeLayoutMismatch(t *testing.T) {
-	a := NewHistogram(DurationBuckets())
-	for i := int64(1); i <= 50; i++ {
-		a.Observe(i * 1000)
-	}
-	shorter := NewHistogram([]int64{1, 2, 3})
-	shorter.Observe(2)
-	sameLenDiffBounds := NewHistogram(func() []int64 {
-		b := DurationBuckets()
-		b[3]++
-		return b
-	}())
-	sameLenDiffBounds.Observe(1)
-	for _, other := range []*Histogram{shorter, sameLenDiffBounds} {
-		err := a.Merge(other)
-		if err == nil {
-			t.Fatal("mismatched merge returned nil error")
-		}
-		if !errors.Is(err, ErrHistogramLayout) {
-			t.Fatalf("mismatched merge error %v, want errors.Is ErrHistogramLayout", err)
-		}
-		if a.Count() != 50 || a.Sum() != 50*51/2*1000 {
-			t.Fatalf("mismatched merge mutated receiver: count=%d sum=%d", a.Count(), a.Sum())
-		}
-	}
-	// Nil receiver and nil other are no-ops, not errors.
-	var nilH *Histogram
-	if err := nilH.Merge(a); err != nil {
-		t.Fatalf("nil receiver merge: %v", err)
-	}
-	if err := a.Merge(nil); err != nil {
-		t.Fatalf("nil other merge: %v", err)
 	}
 }
 

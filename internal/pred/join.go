@@ -42,24 +42,6 @@ func (c JoinCond) String() string {
 	return s
 }
 
-// LeftAttrs returns the outer-relation attributes the condition reads.
-func (c JoinCond) LeftAttrs() []string {
-	out := make([]string, len(c.Terms))
-	for i, t := range c.Terms {
-		out[i] = t.Left
-	}
-	return out
-}
-
-// RightAttrs returns the inner-relation attributes the condition reads.
-func (c JoinCond) RightAttrs() []string {
-	out := make([]string, len(c.Terms))
-	for i, t := range c.Terms {
-		out[i] = t.Right
-	}
-	return out
-}
-
 // Bind resolves the condition against the outer and inner schemas,
 // returning an evaluator over pairs of encoded tuples.
 func (c JoinCond) Bind(left, right *relation.Schema) (*BoundJoin, error) {
@@ -210,25 +192,6 @@ func (b *BoundJoin) HashKey() (HashKey, bool) {
 		}, true
 	}
 	return HashKey{}, false
-}
-
-// AppendLeftKey appends the canonical key bytes of the outer tuple's
-// join attribute to dst: equal values always produce equal key bytes,
-// even across Int32/Int64 widths or string widths.
-func (k HashKey) AppendLeftKey(dst, raw []byte) []byte {
-	return k.appendKey(dst, raw, k.LOff, k.LWidth)
-}
-
-// AppendRightKey is AppendLeftKey for the inner tuple.
-func (k HashKey) AppendRightKey(dst, raw []byte) []byte {
-	return k.appendKey(dst, raw, k.ROff, k.RWidth)
-}
-
-func (k HashKey) appendKey(dst, raw []byte, off, width int) []byte {
-	if k.Kind == relation.KindInt {
-		return binary.LittleEndian.AppendUint64(dst, uint64(decodeInt(raw[off:], width)))
-	}
-	return append(dst, trimNULs(raw[off:off+width])...)
 }
 
 // LeftKeyUint64 returns the canonical 64-bit key of the outer tuple's

@@ -61,9 +61,10 @@ func TestEvalPairNoAllocs(t *testing.T) {
 	}
 }
 
-// TestHashKeyCanonical checks the canonical key bytes that back the
-// hash kernel: equal values produce equal keys across storage widths,
-// and conditions without a hashable term report none.
+// TestHashKeyCanonical checks the canonical 64-bit keys the hash kernel
+// buckets on: equal values produce equal keys across storage widths, an
+// int key is the value itself, and conditions without a hashable term
+// report none.
 func TestHashKeyCanonical(t *testing.T) {
 	left, err := relation.NewSchema(
 		relation.Attr{Name: "a", Type: relation.Int32},
@@ -89,10 +90,9 @@ func TestHashKeyCanonical(t *testing.T) {
 	}
 	lraw, _ := relation.EncodeTuple(nil, left, relation.Tuple{relation.IntVal(-7), relation.StringVal("ab")})
 	rraw, _ := relation.EncodeTuple(nil, right, relation.Tuple{relation.IntVal(-7), relation.StringVal("ab")})
-	lk := key.AppendLeftKey(nil, lraw)
-	rk := key.AppendRightKey(nil, rraw)
-	if string(lk) != string(rk) {
-		t.Errorf("int32/int64 keys differ: %x vs %x", lk, rk)
+	lk, rk := key.LeftKeyUint64(lraw), key.RightKeyUint64(rraw)
+	if lk != rk || int64(lk) != -7 {
+		t.Errorf("int32/int64 keys %x and %x, want both the value -7", lk, rk)
 	}
 
 	sb, err := JoinCond{Terms: []JoinTerm{{Left: "s", Op: EQ, Right: "u"}}}.Bind(left, right)
@@ -103,10 +103,12 @@ func TestHashKeyCanonical(t *testing.T) {
 	if !ok {
 		t.Fatal("string equi-join has no hash key")
 	}
-	lk = skey.AppendLeftKey(nil, lraw)
-	rk = skey.AppendRightKey(nil, rraw)
-	if string(lk) != string(rk) {
-		t.Errorf("string keys differ across widths: %q vs %q", lk, rk)
+	if lk, rk := skey.LeftKeyUint64(lraw), skey.RightKeyUint64(rraw); lk != rk {
+		t.Errorf("string keys differ across widths: %x vs %x", lk, rk)
+	}
+	other, _ := relation.EncodeTuple(nil, right, relation.Tuple{relation.IntVal(7), relation.StringVal("abc")})
+	if key.LeftKeyUint64(lraw) == key.RightKeyUint64(other) || skey.LeftKeyUint64(lraw) == skey.RightKeyUint64(other) {
+		t.Error("unequal values produced equal keys")
 	}
 
 	nb, err := JoinCond{Terms: []JoinTerm{{Left: "a", Op: LT, Right: "b"}}}.Bind(left, right)

@@ -242,12 +242,6 @@ func TestJoinCondMultiTerm(t *testing.T) {
 	if got := cond.String(); got != "a = c and b < d" {
 		t.Errorf("JoinCond.String = %q", got)
 	}
-	if got := cond.LeftAttrs(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Errorf("LeftAttrs = %v", got)
-	}
-	if got := cond.RightAttrs(); len(got) != 2 || got[0] != "c" || got[1] != "d" {
-		t.Errorf("RightAttrs = %v", got)
-	}
 }
 
 func TestJoinCondErrors(t *testing.T) {

@@ -131,9 +131,9 @@ func executeNode(cat *catalog.Catalog, n *Node, results []*relation.Relation, pa
 		if err != nil {
 			return nil, err
 		}
-		d := relalg.NewDedup()
+		ps, d := relalg.NewProjectState(proj), relalg.NewDedup()
 		for _, pg := range in[0].Pages() {
-			if _, err := relalg.ProjectPage(pg, proj, d, res.InsertRaw); err != nil {
+			if _, err := ps.ProjectPage(pg, d, res.InsertRaw); err != nil {
 				return nil, err
 			}
 		}

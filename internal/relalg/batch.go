@@ -7,14 +7,14 @@ import (
 	"dfdbm/internal/relation"
 )
 
-// Batched kernels: the restrict and project loops rewritten to work on
-// a page's contiguous tuple bytes at once. A restrict first fills a
+// Batched kernels: the restrict and project loops written to work on a
+// page's contiguous tuple bytes at once. A restrict first fills a
 // selection bitmap with the batch-compiled predicate (one tight
 // compare loop per predicate leaf instead of an interface call per
 // tuple), then walks the bitmap's runs of set bits, copying each run of
-// adjacent qualifying tuples with one copy. Outputs are byte-identical
-// to the scalar kernels in identical order: the bitmap preserves tuple
-// order and the walk visits runs in ascending position.
+// adjacent qualifying tuples with one copy. Its output is byte-identical
+// to the scalar RestrictPage's in identical order: the bitmap preserves
+// tuple order and the walk visits runs in ascending position.
 
 // Out is where a fused kernel writes its result tuples: straight into
 // the page that will carry them, so each output tuple is written once.
@@ -153,9 +153,9 @@ func (s *RestrictState) restrict(p *relation.Page, out Out, emit EmitFunc) (int,
 	return kept, nil
 }
 
-// ProjectState is the reusable batched project kernel: ProjectPage's
-// field-span gather with the per-page output buffer hoisted into state
-// and the page walked as one contiguous byte run.
+// ProjectState is the reusable project kernel: the Projector's
+// field-span gather with the output buffer kept in state and the page
+// walked as one contiguous byte run.
 type ProjectState struct {
 	pj  *Projector
 	buf []byte
@@ -164,9 +164,11 @@ type ProjectState struct {
 // NewProjectState returns a project kernel state for the projector.
 func NewProjectState(pj *Projector) *ProjectState { return &ProjectState{pj: pj} }
 
-// ProjectPage projects every tuple of the page, emitting results that
-// survive the optional dedup tracker. Byte-identical to the
-// package-level ProjectPage.
+// ProjectPage projects every tuple of the page and emits the results
+// that survive the optional dedup tracker, returning how many. Sharing
+// one tracker across pages implements the "hard" global duplicate
+// elimination; giving each hash partition its own tracker implements the
+// parallel algorithm (see HashPartition).
 func (s *ProjectState) ProjectPage(pg *relation.Page, d *Dedup, emit EmitFunc) (int, error) {
 	n := pg.TupleCount()
 	if n == 0 {

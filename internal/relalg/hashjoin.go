@@ -27,17 +27,6 @@ func (k Kernel) String() string {
 	return "nested-loops"
 }
 
-// KernelFor selects the join kernel for a bound condition: hash for
-// conditions with a hashable equality term (int or string key), nested
-// loops otherwise. Float equality terms fall back to nested loops
-// because their value equality is not byte equality (-0 == +0, NaN).
-func KernelFor(cond *pred.BoundJoin) Kernel {
-	if _, ok := cond.HashKey(); ok {
-		return KernelHash
-	}
-	return KernelNestedLoops
-}
-
 // KernelStats aggregates join-kernel work counters across the
 // JoinStates that share it. Fields are updated atomically: engines
 // snapshot them while workers may still be running.
@@ -113,7 +102,10 @@ type JoinState struct {
 }
 
 // NewJoinState returns a JoinState for the bound condition, selecting
-// the kernel automatically. stats may be nil.
+// its kernel: hash for conditions with a hashable equality term (int or
+// string key), nested loops otherwise. Float equality terms fall back to
+// nested loops because their value equality is not byte equality (-0 ==
+// +0, NaN). stats may be nil.
 func NewJoinState(cond *pred.BoundJoin, stats *KernelStats) *JoinState {
 	s := &JoinState{cond: cond, stats: stats, MaxTables: defaultTableCache}
 	if key, ok := cond.HashKey(); ok {

@@ -65,9 +65,6 @@ func TestKernelSelection(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := KernelFor(bound); got != tc.want {
-				t.Errorf("KernelFor = %v, want %v", got, tc.want)
-			}
 			if got := NewJoinState(bound, nil).Kernel(); got != tc.want {
 				t.Errorf("JoinState kernel = %v, want %v", got, tc.want)
 			}
@@ -267,7 +264,7 @@ func TestHashJoinCrossWidthKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if KernelFor(bound) != KernelHash {
+	if NewJoinState(bound, nil).Kernel() != KernelHash {
 		t.Fatal("cross-width int equi-join did not select the hash kernel")
 	}
 	want, err := NestedLoopsJoin(outer, inner, cond, "out")

@@ -98,54 +98,6 @@ func (d *Dedup) Reset() {
 	d.n = 0
 }
 
-// ProjectPage projects every tuple of a page and emits the distinct
-// results, using the shared dedup tracker. It returns the number of
-// tuples emitted. Sharing the tracker across pages implements the "hard"
-// global duplicate elimination; giving each hash partition its own
-// tracker implements the parallel algorithm (see HashPartition).
-func ProjectPage(pg *relation.Page, p *Projector, d *Dedup, emit EmitFunc) (int, error) {
-	n := pg.TupleCount()
-	buf := make([]byte, 0, p.out.TupleLen())
-	emitted := 0
-	for i := 0; i < n; i++ {
-		buf = p.Apply(buf[:0], pg.RawTuple(i))
-		if d != nil && !d.Add(buf) {
-			continue
-		}
-		if err := emit(buf); err != nil {
-			return emitted, err
-		}
-		emitted++
-	}
-	return emitted, nil
-}
-
-// Project projects a whole relation onto the named attributes with
-// duplicate elimination — the paper's project operator (elimination of
-// unwanted attributes *and* duplicate tuples). Serial reference
-// implementation.
-func Project(r *relation.Relation, name string, names ...string) (*relation.Relation, error) {
-	p, err := NewProjector(r.Schema(), names...)
-	if err != nil {
-		return nil, err
-	}
-	pageSize := r.PageSize()
-	if min := relation.PageHeaderLen + p.out.TupleLen(); pageSize < min {
-		pageSize = min
-	}
-	out, err := relation.New(name, p.out, pageSize)
-	if err != nil {
-		return nil, err
-	}
-	d := NewDedup()
-	for _, pg := range r.Pages() {
-		if _, err := ProjectPage(pg, p, d, out.InsertRaw); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // HashPartition assigns an encoded (already projected) tuple to one of n
 // partitions by hashing its bytes. Tuples that are byte-equal always land
 // in the same partition, so per-partition duplicate elimination is

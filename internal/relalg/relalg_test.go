@@ -41,12 +41,18 @@ func buildRel(t testing.TB, name string, s *relation.Schema, rows [][]int64) *re
 func TestRestrict(t *testing.T) {
 	s := intSchema(t, "id", "v")
 	r := buildRel(t, "R", s, [][]int64{{1, 10}, {2, 20}, {3, 30}, {4, 40}})
-	got, err := Restrict(r, pred.Compare{Attr: "v", Op: pred.GT, Const: relation.IntVal(15)}, "out")
+	b, err := pred.Compare{Attr: "v", Op: pred.GT, Const: relation.IntVal(15)}.Bind(s)
 	if err != nil {
-		t.Fatalf("Restrict: %v", err)
+		t.Fatal(err)
+	}
+	got := relation.MustNew("out", s, r.PageSize())
+	for _, pg := range r.Pages() {
+		if _, err := RestrictPage(pg, b, got.InsertRaw); err != nil {
+			t.Fatalf("RestrictPage: %v", err)
+		}
 	}
 	if got.Cardinality() != 3 {
-		t.Errorf("Restrict kept %d tuples, want 3", got.Cardinality())
+		t.Errorf("RestrictPage kept %d tuples, want 3", got.Cardinality())
 	}
 	_ = got.Each(func(tup relation.Tuple) bool {
 		if tup[1].Int <= 15 {
@@ -56,11 +62,17 @@ func TestRestrict(t *testing.T) {
 	})
 }
 
+// A restrict on an unknown attribute does not bind, and a delete (whose
+// kernel is the restrict) refuses it with the relation untouched.
 func TestRestrictBindError(t *testing.T) {
 	s := intSchema(t, "id")
 	r := buildRel(t, "R", s, [][]int64{{1}})
-	if _, err := Restrict(r, pred.Compare{Attr: "nope", Op: pred.EQ, Const: relation.IntVal(1)}, "out"); err == nil {
-		t.Error("Restrict with unknown attribute succeeded")
+	p := pred.Compare{Attr: "nope", Op: pred.EQ, Const: relation.IntVal(1)}
+	if _, err := p.Bind(s); err == nil {
+		t.Error("restrict predicate with unknown attribute bound")
+	}
+	if _, err := Delete(r, p); err == nil || r.Cardinality() != 1 {
+		t.Errorf("Delete with unknown attribute: %v, %d tuples left; want an error and 1", err, r.Cardinality())
 	}
 }
 
@@ -214,24 +226,40 @@ func TestJoinPagesKernel(t *testing.T) {
 	}
 }
 
+// project runs the project kernel over r with one dedup tracker: the
+// paper's project operator (unwanted attributes and duplicate tuples
+// eliminated), as the serial executor runs it.
+func project(t testing.TB, r *relation.Relation, names ...string) *relation.Relation {
+	t.Helper()
+	pj, err := NewProjector(r.Schema(), names...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := relation.MustNew("P", pj.OutSchema(), r.PageSize())
+	ps, d := NewProjectState(pj), NewDedup()
+	for _, pg := range r.Pages() {
+		if _, err := ps.ProjectPage(pg, d, out.InsertRaw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
 func TestProject(t *testing.T) {
 	s := intSchema(t, "a", "b", "c")
 	r := buildRel(t, "R", s, [][]int64{
 		{1, 10, 100}, {1, 10, 200}, {2, 20, 300}, {2, 21, 400},
 	})
-	out, err := Project(r, "P", "a", "b")
-	if err != nil {
-		t.Fatalf("Project: %v", err)
-	}
+	out := project(t, r, "a", "b")
 	// Distinct (a, b) pairs: (1,10), (2,20), (2,21).
 	if out.Cardinality() != 3 {
-		t.Errorf("Project produced %d tuples, want 3", out.Cardinality())
+		t.Errorf("project produced %d tuples, want 3", out.Cardinality())
 	}
 	if out.Schema().NumAttrs() != 2 {
 		t.Errorf("projected schema %s, want 2 attrs", out.Schema())
 	}
-	if _, err := Project(r, "P", "missing"); err == nil {
-		t.Error("Project onto missing attribute succeeded")
+	if _, err := NewProjector(s, "missing"); err == nil {
+		t.Error("projector onto missing attribute built")
 	}
 }
 
@@ -274,10 +302,7 @@ func TestQuickPartitionedProjectMatchesGlobal(t *testing.T) {
 			rows[i] = []int64{int64(rng.Intn(4)), int64(rng.Intn(4)), int64(rng.Intn(1000))}
 		}
 		r := buildRel(t, "R", s, rows)
-		global, err := Project(r, "G", "a", "b")
-		if err != nil {
-			return false
-		}
+		global := project(t, r, "a", "b")
 		// Partitioned: route each projected tuple to a partition, dedup
 		// per partition, count the union.
 		proj, err := NewProjector(s, "a", "b")

@@ -3,9 +3,11 @@
 // join, sort-merge join (the uniprocessor baseline of Blasgen and
 // Eswaran), project with duplicate elimination, append, and delete.
 //
-// Each operator exists in two forms: a page-at-a-time kernel (what one
-// IP does to the data pages in one instruction packet) and a whole-
-// relation helper used as the serial reference implementation in tests.
+// Each operator has one page-at-a-time kernel (what one IP does to the
+// data pages in one instruction packet) that the engines run: the
+// batched RestrictState, ProjectState and JoinState. The scalar
+// RestrictPage and JoinPages are the reference they are checked
+// against, and what the serial executor (query.ExecuteSerial) runs.
 package relalg
 
 import (
@@ -44,26 +46,6 @@ func RestrictPage(p *relation.Page, b pred.Bound, emit EmitFunc) (int, error) {
 	return kept, nil
 }
 
-// Restrict applies a predicate to a whole relation, returning the
-// restricted relation under the given name. This is the serial reference
-// implementation.
-func Restrict(r *relation.Relation, p pred.Pred, name string) (*relation.Relation, error) {
-	b, err := p.Bind(r.Schema())
-	if err != nil {
-		return nil, err
-	}
-	out, err := relation.New(name, r.Schema(), r.PageSize())
-	if err != nil {
-		return nil, err
-	}
-	for _, page := range r.Pages() {
-		if _, err := RestrictPage(page, b, out.InsertRaw); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // Append adds every tuple of src to dst. The schemas must have identical
 // byte layout. It returns the number of tuples appended.
 func Append(dst, src *relation.Relation) (int, error) {
@@ -93,9 +75,18 @@ func Delete(r *relation.Relation, p pred.Pred) (int, error) {
 		// would silently detach the store.
 		return 0, fmt.Errorf("relalg: in-place delete on stored relation %q (apply through the WAL)", r.Name())
 	}
-	keep, err := Restrict(r, pred.Not{Kid: p}, r.Name())
+	b, err := pred.Not{Kid: p}.Bind(r.Schema())
 	if err != nil {
 		return 0, err
+	}
+	keep, err := relation.New(r.Name(), r.Schema(), r.PageSize())
+	if err != nil {
+		return 0, err
+	}
+	for _, page := range r.Pages() {
+		if _, err := RestrictPage(page, b, keep.InsertRaw); err != nil {
+			return 0, err
+		}
 	}
 	removed := r.Cardinality() - keep.Cardinality()
 	*r = *keep

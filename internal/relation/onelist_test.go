@@ -9,13 +9,15 @@ import (
 	"dfdbm/internal/heap"
 	"dfdbm/internal/query"
 	"dfdbm/internal/relation"
+	"dfdbm/internal/wal"
 	"dfdbm/internal/workload"
 )
 
 // TestOneListMixedHolders: every holder of page memory in a process draws
 // on the one free list — a stored scan through a buffer pool of eight
 // frames (2 KB frame pages), engine intermediates (4 KB pages), and
-// stored appends (post-images installed over the tail). The list never
+// appends applied as the log applies them (post-images installed over the
+// tail, which the frames let go of again). The list never
 // holds more than its budget, a warm repeat of the mix takes no fresh
 // page, and a page the list never handed out (NewPage) still ignores
 // Retain and Release.
@@ -49,6 +51,12 @@ func TestOneListMixedHolders(t *testing.T) {
 		t.Fatal(err)
 	}
 	appends := r2.Page(0).Data()[:20*r2.Schema().TupleLen()]
+	batch := relation.MustNew("batch", r2.Schema(), r2.PageSize())
+	for k := 0; k < len(appends); k += r2.Schema().TupleLen() {
+		if err := batch.InsertRaw(appends[k : k+r2.Schema().TupleLen()]); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	var queries []*query.Tree
 	var want []int
@@ -91,10 +99,12 @@ func TestOneListMixedHolders(t *testing.T) {
 			}
 			withinBudget("a query")
 		}
-		for k := 0; k < len(appends); k += r2.Schema().TupleLen() {
-			if err := r15.InsertRaw(appends[k : k+r2.Schema().TupleLen()]); err != nil {
-				t.Fatal(err)
-			}
+		rec, err := wal.AppendRecord(r15, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rec.Apply(cat); err != nil {
+			t.Fatal(err)
 		}
 		withinBudget("the appends")
 	}

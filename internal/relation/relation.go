@@ -127,7 +127,7 @@ func (r *Relation) Insert(t Tuple) error {
 // InsertRaw appends an already-encoded tuple.
 func (r *Relation) InsertRaw(raw []byte) error {
 	if r.store != nil {
-		return r.insertRawStored(raw)
+		return r.errStored()
 	}
 	if len(r.pages) == 0 || r.pages[len(r.pages)-1].Full() {
 		p, err := NewPage(r.pageSize, r.schema.TupleLen())
@@ -137,41 +137,6 @@ func (r *Relation) InsertRaw(raw []byte) error {
 		r.pages = append(r.pages, p)
 	}
 	return r.pages[len(r.pages)-1].AppendRaw(raw)
-}
-
-// insertRawStored appends one tuple through the page store: install a
-// copy of the last partial page with the tuple added, or a fresh page —
-// the same fill-then-grow discipline as the resident path, so the
-// resulting page layout is byte-identical. The tail is copied, never
-// written in place: its frame may be written back, and a reader may hold
-// it, while the tuple lands. The copy is a page from the free list, which
-// the store's frame retains and lets go of at eviction or when the next
-// append installs over it, so a run of appends allocates nothing.
-func (r *Relation) insertRawStored(raw []byte) error {
-	n := r.store.NumPages()
-	capacity := (r.pageSize - PageHeaderLen) / r.schema.TupleLen()
-	i, tail := n, (*Page)(nil)
-	if n > 0 && r.store.PageTuples(n-1) < capacity {
-		i = n - 1
-		var err error
-		if tail, err = r.readOne(i); err != nil {
-			return err
-		}
-	}
-	p, err := Get(r.pageSize, r.schema.TupleLen())
-	if err != nil {
-		tail.Release()
-		return err
-	}
-	if tail != nil {
-		p.data = append(p.data, tail.data...)
-		tail.Release()
-	}
-	if err = p.AppendRaw(raw); err == nil {
-		err = r.store.Install(i, p)
-	}
-	p.Release()
-	return err
 }
 
 // AppendPage appends an entire page to the relation, which retains it:
@@ -194,10 +159,18 @@ func (r *Relation) LendPage(p *Page) error {
 		return fmt.Errorf("relation: page holds %d-byte tuples, relation %q needs %d", p.TupleLen(), r.name, r.schema.TupleLen())
 	}
 	if r.store != nil {
-		return r.store.Install(r.store.NumPages(), p)
+		return r.errStored()
 	}
 	r.pages = append(r.pages, p)
 	return nil
+}
+
+// errStored refuses a direct append to a stored relation. Its writes are
+// the whole-page images a WAL record installs once the log holds it
+// (InstallPage, ReplaceStored): a write the log never saw could not be
+// replayed, and an eviction could make part of it durable.
+func (r *Relation) errStored() error {
+	return fmt.Errorf("relation: append to stored relation %q (apply through the WAL)", r.name)
 }
 
 // errStopEach is EachPage's internal early-stop sentinel.

@@ -1,9 +1,6 @@
 package relation
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // PageStore is the disk-backed page source a Relation can be attached
 // to (SetStore): the paper's mass-storage level, reached through the
@@ -40,9 +37,9 @@ type PageStore interface {
 	// Install overwrites page i (or appends it when i == NumPages)
 	// with a full post-image, dirty in the pool, which retains it: the
 	// caller must not write to the page again. It is the one mutation
-	// primitive: WAL replay, the live write path and a stored tuple
-	// append all install whole-page images, which makes redo idempotent
-	// and torn-write-proof.
+	// primitive: WAL replay and the live write path both install
+	// whole-page images through it, which makes redo idempotent and
+	// torn-write-proof.
 	Install(i int, p *Page) error
 	// Rewrite atomically replaces the entire stored content with the
 	// pages of resident (same name and schema), advancing the store's
@@ -85,22 +82,13 @@ func (r *Relation) PageTuples(i int) int {
 	return r.pages[i].TupleCount()
 }
 
-// oneRuns holds idle runs of one: a run passed to a PageStore escapes
-// through the interface, and a stored append reads its tail page once per
-// tuple.
-var oneRuns = sync.Pool{New: func() any { return new([1]*Page) }}
-
 // readOne reads page i alone, a run of one, with its reference.
 func (r *Relation) readOne(i int) (*Page, error) {
-	one := oneRuns.Get().(*[1]*Page)
-	_, err := r.store.ReadRun(i, one[:])
-	p := one[0]
-	one[0] = nil
-	oneRuns.Put(one)
-	if err != nil {
+	var one [1]*Page
+	if _, err := r.store.ReadRun(i, one[:]); err != nil {
 		return nil, fmt.Errorf("relation %q: page %d: %w", r.name, i, err)
 	}
-	return p, nil
+	return one[0], nil
 }
 
 // CopyPage returns a deep copy of page i, read through the store when

@@ -57,18 +57,6 @@ func (s *Sim) Run() time.Duration {
 	return s.now
 }
 
-// RunUntil executes events with time ≤ limit; later events stay queued.
-// It returns the current time when it stops.
-func (s *Sim) RunUntil(limit time.Duration) time.Duration {
-	for s.events.Len() > 0 && s.events[0].at <= limit {
-		s.Step()
-	}
-	if s.now < limit {
-		s.now = limit
-	}
-	return s.now
-}
-
 // Pending returns the number of queued events.
 func (s *Sim) Pending() int { return s.events.Len() }
 

@@ -62,22 +62,6 @@ func TestPastSchedulingClamps(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	s := New()
-	var count int
-	for i := 1; i <= 5; i++ {
-		s.At(time.Duration(i)*time.Second, func() { count++ })
-	}
-	now := s.RunUntil(3 * time.Second)
-	if count != 3 || now != 3*time.Second || s.Pending() != 2 {
-		t.Errorf("count=%d now=%v pending=%d", count, now, s.Pending())
-	}
-	s.Run()
-	if count != 5 {
-		t.Errorf("count after full run = %d", count)
-	}
-}
-
 func TestStationSingleServerFCFS(t *testing.T) {
 	s := New()
 	st := NewStation(s, 1)
