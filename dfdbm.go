@@ -33,11 +33,13 @@ import (
 	"context"
 	"io"
 	"math/rand"
+	"time"
 
 	"dfdbm/internal/catalog"
 	"dfdbm/internal/core"
 	"dfdbm/internal/query"
 	"dfdbm/internal/relation"
+	"dfdbm/internal/wal"
 	"dfdbm/internal/workload"
 )
 
@@ -91,13 +93,29 @@ func (db *DB) Bind(root *QueryNode) (*Query, error) {
 
 // Execute runs a bound query on the concurrent data-flow engine.
 func (db *DB) Execute(q *Query, opts EngineOptions) (*Result, error) {
-	return core.New(db.cat, opts).Execute(q)
+	return db.ExecuteContext(context.Background(), q, opts)
 }
 
 // ExecuteContext is Execute under a context: cancellation or timeout
-// stops the run's workers and returns the context's error.
+// stops the run's workers and returns the context's error. A write
+// (append, delete) goes the server's way with no log: the engine
+// computes an append's source and wal.Write applies the record, so a
+// stored relation, which takes writes only through the log, refuses it.
+// Its Result holds the written relation and the elapsed time.
 func (db *DB) ExecuteContext(ctx context.Context, q *Query, opts EngineOptions) (*Result, error) {
-	return core.New(db.cat, opts).ExecuteContext(ctx, q)
+	eng := core.New(db.cat, opts)
+	root := q.Root()
+	if root.Kind != query.OpAppend && root.Kind != query.OpDelete {
+		return eng.ExecuteContext(ctx, q)
+	}
+	start := time.Now()
+	rel, err := wal.Write(nil, db.cat, root, func(src *query.Tree) (*relation.Relation, func(), error) {
+		return eng.ExecuteScratch(ctx, src)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Relation: rel, Stats: core.Stats{Elapsed: time.Since(start)}}, nil
 }
 
 // ExecuteSerial runs a bound query on the single-processor reference

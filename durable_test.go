@@ -253,9 +253,9 @@ func TestOpenDBRefusesNonDatabase(t *testing.T) {
 // TestHeapStoredRelationTakesWritesOnlyThroughWAL: a stored relation
 // takes no write the log has not seen. On a database OpenWAL recovered,
 // with a two-frame pool whose evictions write dirty pages back, an
-// append run by Execute, by ExecuteSerial, or by a server given no WAL
-// is refused and changes nothing: not the log, not the relation in
-// memory, and not what a reopen finds.
+// append or a delete run by Execute, by ExecuteSerial, or by a server
+// given no WAL is refused and changes nothing: not the log, not the
+// relation in memory, and not what a reopen finds.
 func TestHeapStoredRelationTakesWritesOnlyThroughWAL(t *testing.T) {
 	_, dir := savedPaperDB(t)
 	opts := dfdbm.WALOptions{Heap: &dfdbm.HeapOptions{Frames: 2}}
@@ -275,17 +275,6 @@ func TestHeapStoredRelationTakesWritesOnlyThroughWAL(t *testing.T) {
 		}
 	}
 
-	const text = `append(r15, restrict(r1, val < 150))`
-	q, err := db.Parse(text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Execute(q, dfdbm.EngineOptions{}); err == nil || !strings.Contains(err.Error(), "WAL") {
-		t.Errorf("Execute of an append to a stored relation: %v, want a refusal naming the WAL", err)
-	}
-	if _, err := db.ExecuteSerial(q); err == nil || !strings.Contains(err.Error(), "WAL") {
-		t.Errorf("ExecuteSerial of an append to a stored relation: %v, want a refusal naming the WAL", err)
-	}
 	srv, err := dfdbm.Serve(db, dfdbm.ServeConfig{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
@@ -294,8 +283,20 @@ func TestHeapStoredRelationTakesWritesOnlyThroughWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Query(context.Background(), text); err == nil {
-		t.Error("a server with no WAL acknowledged an append to a stored relation")
+	for _, text := range []string{`append(r15, restrict(r1, val < 150))`, `delete(r15, val < 150)`} {
+		q, err := db.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Execute(q, dfdbm.EngineOptions{}); err == nil || !strings.Contains(err.Error(), "WAL") {
+			t.Errorf("Execute of %s: %v, want a refusal naming the WAL", text, err)
+		}
+		if _, err := db.ExecuteSerial(q); err == nil || !strings.Contains(err.Error(), "WAL") {
+			t.Errorf("ExecuteSerial of %s: %v, want a refusal naming the WAL", text, err)
+		}
+		if _, err := c.Query(context.Background(), text); err == nil {
+			t.Errorf("a server with no WAL acknowledged %s", text)
+		}
 	}
 	c.Close()
 	srv.Close()
@@ -317,4 +318,129 @@ func TestHeapStoredRelationTakesWritesOnlyThroughWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	unchanged("after reopen,", reopened)
+}
+
+// TestWritePathsMatchSerial: every way a query writes a relation is the
+// one write path, so appends and deletes on the paper database leave the
+// destination's pages as the serial reference executor leaves them on a
+// copy of the same catalog — through DB.Execute, through a server with no
+// WAL, and through a WAL server, live and again after the log is closed
+// and the directory reopened. With a bare-scan source the pages are
+// byte-identical. A restrict source reaches the engine's result in
+// another tuple order than the serial executor's (its compressor moves
+// page tails), so past it the pages must match in count, in tuples per
+// page, and in tuples as a multiset.
+func TestWritePathsMatchSerial(t *testing.T) {
+	_, dir := savedPaperDB(t)
+	writes := []struct {
+		text  string
+		exact bool
+	}{
+		{`append(r15, r2)`, true},
+		{`delete(r15, val < 150)`, true},
+		{`append(r15, restrict(r1, val < 300))`, false},
+		{`delete(r15, val < 200)`, false},
+	}
+	open := func() *dfdbm.DB {
+		t.Helper()
+		db, err := dfdbm.OpenDB(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	type state struct {
+		images [][]byte
+		counts []int
+		keys   []string
+	}
+	r15 := func(db *dfdbm.DB) state {
+		t.Helper()
+		r, err := db.Get("r15")
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := state{images: pageImages(t, r), keys: r.SortedKeys()}
+		for i := 0; i < r.NumPages(); i++ {
+			st.counts = append(st.counts, r.PageTuples(i))
+		}
+		return st
+	}
+	parse := func(db *dfdbm.DB, text string) *dfdbm.Query {
+		t.Helper()
+		q, err := db.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+
+	ref := open()
+	var want []state
+	for _, w := range writes {
+		if _, err := ref.ExecuteSerial(parse(ref, w.text)); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, r15(ref))
+	}
+	for i := 1; i < len(want); i++ {
+		if slices.Equal(want[i].keys, want[i-1].keys) {
+			t.Fatalf("%s changed nothing: the test measures nothing", writes[i].text)
+		}
+	}
+	check := func(how string, step int, got state) {
+		t.Helper()
+		w := want[step]
+		same := slices.Equal(got.counts, w.counts) && slices.Equal(got.keys, w.keys)
+		if writes[step].exact {
+			same = slices.EqualFunc(got.images, w.images, bytes.Equal)
+		}
+		if !same {
+			t.Errorf("%s after %s: r15's pages (%d, %d tuples) differ from the serial reference's (%d, %d tuples)",
+				how, writes[step].text, len(got.counts), len(got.keys), len(w.counts), len(w.keys))
+		}
+	}
+
+	db := open()
+	for i, w := range writes {
+		if _, err := db.Execute(parse(db, w.text), dfdbm.EngineOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		check("DB.Execute", i, r15(db))
+	}
+
+	// serve sends writes[from:to] to a server over db.
+	serve := func(how string, db *dfdbm.DB, l *dfdbm.WAL, from, to int) {
+		t.Helper()
+		srv, err := dfdbm.Serve(db, dfdbm.ServeConfig{Addr: "127.0.0.1:0", WAL: l, CheckpointEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		c, err := dfdbm.Dial(srv.Addr(), dfdbm.ClientConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		for i := from; i < to; i++ {
+			if _, err := c.Query(context.Background(), writes[i].text); err != nil {
+				t.Fatal(err)
+			}
+			check(how, i, r15(db))
+		}
+	}
+	serve("a server with no WAL", open(), nil, 0, len(writes))
+
+	// The WAL server's directory is closed and reopened after each write.
+	for i := range writes {
+		l, stored, _, err := dfdbm.OpenWAL(dir, dfdbm.WALOptions{Heap: &dfdbm.HeapOptions{Frames: 4}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		serve("a WAL server", stored, l, i, i+1)
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		check("a WAL server, reopened,", i, r15(open()))
+	}
 }

@@ -33,7 +33,6 @@ import (
 	"dfdbm/internal/catalog"
 	"dfdbm/internal/obs"
 	"dfdbm/internal/query"
-	"dfdbm/internal/relalg"
 	"dfdbm/internal/relation"
 )
 
@@ -202,8 +201,7 @@ type Stats struct {
 
 // Result is the outcome of executing one query.
 type Result struct {
-	// Relation holds the answer (for a Delete root, the surviving
-	// target relation; for Append, the destination).
+	// Relation holds the answer.
 	Relation *relation.Relation
 	// Stats meters the run.
 	Stats Stats
@@ -226,9 +224,12 @@ func New(cat *catalog.Catalog, opts Options) *Engine {
 // Options returns the engine's effective (defaulted) options.
 func (e *Engine) Options() Options { return e.opts }
 
-// Execute runs a bound query tree and returns its result. Executions
+// Execute runs a bound read tree and returns its result. Executions
 // are independent; an engine may execute several queries concurrently
 // as long as their footprints do not conflict (see query.Footprint).
+// The engine runs read trees only: a write root (append, delete) is
+// refused, for wal.Write applies writes — an append's source computed
+// here through ExecuteScratch.
 func (e *Engine) Execute(t *query.Tree) (*Result, error) {
 	return e.ExecuteContext(context.Background(), t)
 }
@@ -252,9 +253,7 @@ func (e *Engine) ExecuteContext(ctx context.Context, t *query.Tree) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	if res.Relation == nil { // not an effect root: the pages went to the collector
-		res.Relation = collected
-	}
+	res.Relation = collected
 	return res, nil
 }
 
@@ -272,11 +271,6 @@ func (e *Engine) ExecuteContext(ctx context.Context, t *query.Tree) (*Result, er
 // relation's own pages: those are shared with every other reader, so the
 // consumer must not write to them, and they are stable only while the
 // caller excludes writers of that relation.
-//
-// Effect roots (append, delete) are not streamed: their result is a
-// stored relation, already at rest. emit is never called and
-// Result.Relation is that live relation, for the caller to read under
-// whatever exclusion guards its catalog.
 func (e *Engine) ExecuteStream(ctx context.Context, t *query.Tree, emit func(*relation.Page) error) (*Result, error) {
 	res, err := e.execute(ctx, t, emit)
 	if err != nil {
@@ -296,37 +290,19 @@ func (e *Engine) ExecuteStream(ctx context.Context, t *query.Tree, emit func(*re
 // release, after which it must not touch the relation again; a caller
 // that fails before that just leaves the pages to the collector.
 func (e *Engine) ExecuteScratch(ctx context.Context, t *query.Tree) (rel *relation.Relation, release func(), err error) {
-	sc, err := e.newScratch(t.Root())
-	if err != nil {
+	root := t.Root()
+	if rel, err = relation.New(root.Label(), root.Schema(), e.ResultPageSize(root)); err != nil {
 		return nil, nil, err
 	}
-	if _, err := e.ExecuteStream(ctx, t, sc.emit); err != nil {
+	var pages []*relation.Page // the relation only borrows them
+	if _, err := e.ExecuteStream(ctx, t, func(pg *relation.Page) error {
+		pages = append(pages, pg)
+		return rel.LendPage(pg)
+	}); err != nil {
 		return nil, nil, err
 	}
-	return sc.rel, sc.release, nil
+	return rel, func() { relation.ReleaseAll(pages) }, nil
 }
-
-// scratch collects a subtree's output pages into a relation that only
-// borrows them, so that release can let go of their references.
-type scratch struct {
-	rel   *relation.Relation
-	pages []*relation.Page
-}
-
-func (e *Engine) newScratch(top *query.Node) (*scratch, error) {
-	rel, err := relation.New(top.Label(), top.Schema(), e.ResultPageSize(top))
-	if err != nil {
-		return nil, err
-	}
-	return &scratch{rel: rel}, nil
-}
-
-func (sc *scratch) emit(pg *relation.Page) error {
-	sc.pages = append(sc.pages, pg)
-	return sc.rel.LendPage(pg)
-}
-
-func (sc *scratch) release() { relation.ReleaseAll(sc.pages) }
 
 // ResultPageSize is the page size of the result relation a subtree
 // rooted at top produces: the engine's, raised to fit one tuple. A
@@ -367,62 +343,19 @@ func (e *Engine) exportMetrics(res *Result) {
 	r.SetGauge("core.elapsed_seconds", s.Elapsed.Seconds())
 }
 
+// execute runs a read tree, handing the root's output pages to emit as
+// the root produces them. Only the root's controller (or, for a bare
+// scan, its feeder) calls emit, and shutdown waits for it, so calls
+// never overlap or outlive the run.
 func (e *Engine) execute(ctx context.Context, t *query.Tree, emit func(*relation.Page) error) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	start := time.Now()
 	root := t.Root()
-
-	// Effects (append, delete) are applied serially at the root; the
-	// subtree beneath an append still runs as data-flow.
-	switch root.Kind {
-	case query.OpDelete:
-		target, err := e.cat.Get(root.Rel)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := relalg.Delete(target, root.Pred); err != nil {
-			return nil, err
-		}
-		return &Result{Relation: target, Stats: Stats{Elapsed: time.Since(start)}}, nil
-
-	case query.OpAppend:
-		top := root.Inputs[0]
-		sub, err := e.newScratch(top)
-		if err != nil {
-			return nil, err
-		}
-		st, err := e.stream(ctx, t, top, sub.emit)
-		if err != nil {
-			return nil, err
-		}
-		dst, err := e.cat.Get(root.Rel)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := relalg.Append(dst, sub.rel); err != nil {
-			return nil, err
-		}
-		sub.release() // Append copied the tuples
-		st.Elapsed = time.Since(start)
-		return &Result{Relation: dst, Stats: st}, nil
-
-	default:
-		st, err := e.stream(ctx, t, root, emit)
-		if err != nil {
-			return nil, err
-		}
-		st.Elapsed = time.Since(start)
-		return &Result{Stats: st}, nil
+	if root.Kind == query.OpAppend || root.Kind == query.OpDelete {
+		return nil, fmt.Errorf("core: %s is a write: the engine runs read trees, and writes go through wal.Write", root.Kind)
 	}
-}
-
-// stream runs the pure (side-effect free) subtree rooted at top,
-// handing its output pages to emit as top produces them. Only top's
-// controller (or, for a bare scan, its feeder) calls emit, and
-// shutdown waits for it, so calls never overlap or outlive the run.
-func (e *Engine) stream(ctx context.Context, t *query.Tree, top *query.Node, emit func(*relation.Page) error) (Stats, error) {
+	start := time.Now()
 	run := newEngineRun(ctx, e, t)
 	defer run.shutdown()
 
@@ -442,8 +375,8 @@ func (e *Engine) stream(ctx context.Context, t *query.Tree, top *query.Node, emi
 	}
 
 	sink := &resultSink{run: run, emit: emit, finished: make(chan struct{})}
-	if err := run.build(top, sink); err != nil {
-		return Stats{}, err
+	if err := run.build(root, sink); err != nil {
+		return nil, err
 	}
 	run.start()
 
@@ -452,12 +385,13 @@ func (e *Engine) stream(ctx context.Context, t *query.Tree, top *query.Node, emi
 	case <-run.stopped:
 	}
 	if err := run.errValue(); err != nil {
-		return Stats{}, err
+		return nil, err
 	}
 
 	st := run.snapshotStats()
 	st.TuplesOut = sink.tuples
-	return st, nil
+	st.Elapsed = time.Since(start)
+	return &Result{Stats: st}, nil
 }
 
 // resultSink is the outlet at the top of a run: it hands the root's

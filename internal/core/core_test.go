@@ -1,11 +1,14 @@
 package core
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"dfdbm/internal/catalog"
 	"dfdbm/internal/query"
 	"dfdbm/internal/relation"
+	"dfdbm/internal/wal"
 	"dfdbm/internal/workload"
 )
 
@@ -153,6 +156,18 @@ func TestProjectStrategiesAgree(t *testing.T) {
 	}
 }
 
+// write applies a write root the way the server and DB do: the engine
+// runs an append's source through ExecuteScratch, and wal.Write builds
+// and applies the record, here with no log on a resident catalog.
+func write(eng *Engine, cat *catalog.Catalog, tr *query.Tree) (*relation.Relation, error) {
+	return wal.Write(nil, cat, tr.Root(), func(src *query.Tree) (*relation.Relation, func(), error) {
+		return eng.ExecuteScratch(context.Background(), src)
+	})
+}
+
+// TestAppendRoot: the engine refuses an append root, naming the write
+// path, and leaves the destination alone; through that path the engine
+// computes the source and the append lands.
 func TestAppendRoot(t *testing.T) {
 	cat, _ := testDB(t, 0.02, 1000)
 	dst := relation.MustNew("sink_rel", workload.PaperSchema(), 1000)
@@ -162,19 +177,22 @@ func TestAppendRoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := New(cat, Options{Granularity: PageLevel, PageSize: 1000})
-	res, err := eng.Execute(tr)
+	if _, err := eng.Execute(tr); err == nil || !strings.Contains(err.Error(), "wal.Write") || dst.Cardinality() != 0 {
+		t.Fatalf("engine on an append root: %v, %d tuples in the destination; want a refusal naming wal.Write", err, dst.Cardinality())
+	}
+	res, err := write(eng, cat, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Relation.Name() != "sink_rel" {
-		t.Errorf("append returned %q", res.Relation.Name())
+	if res != dst {
+		t.Errorf("append returned %q, not the destination", res.Name())
 	}
 	if dst.Cardinality() == 0 {
 		t.Error("append inserted nothing")
 	}
 	// Appending again doubles the cardinality.
 	before := dst.Cardinality()
-	if _, err := eng.Execute(tr); err != nil {
+	if _, err := write(eng, cat, tr); err != nil {
 		t.Fatal(err)
 	}
 	if dst.Cardinality() != 2*before {
@@ -191,15 +209,18 @@ func TestDeleteRoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := New(cat, Options{})
-	res, err := eng.Execute(tr)
+	if _, err := eng.Execute(tr); err == nil || !strings.Contains(err.Error(), "wal.Write") || r14.Cardinality() != before {
+		t.Fatalf("engine on a delete root: %v, %d of %d tuples left; want a refusal naming wal.Write", err, r14.Cardinality(), before)
+	}
+	res, err := write(eng, cat, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Relation.Cardinality() >= before {
-		t.Errorf("delete removed nothing (%d -> %d)", before, res.Relation.Cardinality())
+	if res.Cardinality() >= before {
+		t.Errorf("delete removed nothing (%d -> %d)", before, res.Cardinality())
 	}
 	var bad int
-	_ = res.Relation.Each(func(tup relation.Tuple) bool {
+	_ = res.Each(func(tup relation.Tuple) bool {
 		if tup[5].Int < 500 {
 			bad++
 		}

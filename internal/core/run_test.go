@@ -562,9 +562,10 @@ func TestRunJoinPacksOperands(t *testing.T) {
 	}
 }
 
-// TestAppendRootGivesSourceBack: an append root collects its input
-// subtree into a scratch relation of borrowed pages and hands them back
-// once the tuples are copied, so every page the run took is recycled.
+// TestAppendRootGivesSourceBack: an append's source runs on the engine
+// into a scratch relation of borrowed pages, which go back once the
+// record's images hold the tuples, so every page the run took is
+// recycled.
 func TestAppendRootGivesSourceBack(t *testing.T) {
 	cat, _ := testDB(t, 0.02, 1000)
 	cat.Put(relation.MustNew("sink_rel", workload.PaperSchema(), 1000))
@@ -574,7 +575,7 @@ func TestAppendRootGivesSourceBack(t *testing.T) {
 	}
 	eng := New(cat, Options{Granularity: PageLevel, PageSize: 1000})
 	before := relation.PageStats()
-	if _, err := eng.Execute(tr); err != nil {
+	if _, err := write(eng, cat, tr); err != nil {
 		t.Fatal(err)
 	}
 	st := relation.PageStats()

@@ -127,27 +127,6 @@ func TestStreamMatchesCollector(t *testing.T) {
 	}
 }
 
-// TestStreamEffectRootReturnsLiveRelation: append and delete are not
-// streamed; the caller gets the live destination relation instead.
-func TestStreamEffectRootReturnsLiveRelation(t *testing.T) {
-	cat, _ := testDB(t, 0.01, 1000)
-	tr, err := query.Bind(query.MustParse(`append(r15, restrict(r1, val < 100))`), cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := New(cat, Options{PageSize: 1000})
-	res, err := eng.ExecuteStream(context.Background(), tr, func(*relation.Page) error {
-		t.Error("emit called for an append root")
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if live, _ := cat.Get("r15"); res.Relation != live {
-		t.Error("append root did not return the live destination relation")
-	}
-}
-
 // TestConcurrentBareScans is the regression test for a data race: a
 // bare-scan root hands the stored relation's own pages to the result,
 // and collecting them used to clear a flag on each page — a write to
@@ -227,9 +206,6 @@ func TestEveryPageComesBack(t *testing.T) {
 		for _, g := range allGranularities() {
 			eng := New(cat, Options{Granularity: g, Workers: 4, PageSize: 1000, Project: strategy})
 			for qi, q := range qs {
-				if k := q.Root().Kind; k == query.OpAppend || k == query.OpDelete {
-					continue // effect roots retain their pages in the catalog
-				}
 				res, err := eng.ExecuteStream(context.Background(), q, func(pg *relation.Page) error {
 					pg.Release()
 					return nil

@@ -65,8 +65,8 @@ func Append(dst, src *relation.Relation) (int, error) {
 	return n, failed
 }
 
-// Delete removes every tuple of r satisfying p, compacting the relation
-// afterwards, and returns the number of tuples removed.
+// Delete removes every tuple of r satisfying p, leaving every page but
+// the last full, and returns the number of tuples removed.
 func Delete(r *relation.Relation, p pred.Pred) (int, error) {
 	if r.Stored() {
 		// Disk-backed relations delete by copy-and-swap (materialize,
@@ -89,7 +89,6 @@ func Delete(r *relation.Relation, p pred.Pred) (int, error) {
 		}
 	}
 	removed := r.Cardinality() - keep.Cardinality()
-	*r = *keep
-	r.Compact()
+	*r = *keep // filled by InsertRaw: already compact
 	return removed, nil
 }

@@ -230,37 +230,6 @@ func (r *Relation) Tuples() ([]Tuple, error) {
 	return out, err
 }
 
-// Compact rewrites the relation so that all pages except possibly the
-// last are full. Operators that delete tuples leave holes; the paper's
-// instruction controllers perform the same compression on arriving
-// partial pages. Resident relations only: stored relations compact by
-// materializing, compacting, and rewriting through ReplaceStored.
-func (r *Relation) Compact() {
-	if r.store != nil {
-		panic(fmt.Sprintf("relation %q: Compact on a stored relation (use Materialize + ReplaceStored)", r.name))
-	}
-	var compacted []*Page
-	var cur *Page
-	for _, p := range r.pages {
-		p.EachRaw(func(raw []byte) bool {
-			if cur == nil {
-				cur = MustNewPage(r.pageSize, r.schema.TupleLen())
-			}
-			// Appending to a non-full fresh page cannot fail.
-			_ = cur.AppendRaw(raw)
-			if cur.Full() {
-				compacted = append(compacted, cur)
-				cur = nil
-			}
-			return true
-		})
-	}
-	if cur != nil && !cur.Empty() {
-		compacted = append(compacted, cur)
-	}
-	r.pages = compacted
-}
-
 // Clone returns a fully resident deep copy of the relation under a new
 // name.
 func (r *Relation) Clone(name string) *Relation {

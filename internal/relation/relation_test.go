@@ -87,43 +87,6 @@ func TestRelationValidation(t *testing.T) {
 	}
 }
 
-func TestRelationCompact(t *testing.T) {
-	s := paperSchema(t)
-	r := MustNew("R", s, AnalysisPageSize)
-	// Build three pages each holding a single tuple, as an operator
-	// producing partial output pages would.
-	for i := 0; i < 3; i++ {
-		p := MustNewPage(AnalysisPageSize, s.TupleLen())
-		raw, err := EncodeTuple(nil, s, Tuple{IntVal(int64(i)), IntVal(0), IntVal(0), StringVal("")})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.AppendRaw(raw); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.AppendPage(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if r.NumPages() != 3 {
-		t.Fatalf("precondition: NumPages = %d", r.NumPages())
-	}
-	before := r.SortedKeys()
-	r.Compact()
-	if r.NumPages() != 1 {
-		t.Errorf("Compact left %d pages, want 1", r.NumPages())
-	}
-	after := r.SortedKeys()
-	if len(before) != len(after) {
-		t.Fatalf("Compact changed cardinality %d -> %d", len(before), len(after))
-	}
-	for i := range before {
-		if before[i] != after[i] {
-			t.Errorf("Compact changed contents at %d", i)
-		}
-	}
-}
-
 func TestRelationCloneIsDeep(t *testing.T) {
 	r := fillRelation(t, "R", 5)
 	c := r.Clone("C")

@@ -88,11 +88,12 @@ type Config struct {
 	SlowQuery time.Duration
 	// SlowQueryLog receives slow-query log lines (os.Stderr when nil).
 	SlowQueryLog io.Writer
-	// WAL, when non-nil, makes the write path durable: every append and
-	// delete query is encoded as a redo record and fsynced into the log
-	// before it is applied to the catalog or acknowledged to the
+	// WAL, when non-nil, makes the write path durable: the redo record
+	// every append and delete query becomes (wal.Write) is fsynced into
+	// the log before it is applied to the catalog or acknowledged to the
 	// client. A server killed at any instant recovers exactly the
-	// acknowledged writes on the next wal.Open.
+	// acknowledged writes on the next wal.Open. Without it a stored
+	// relation refuses writes.
 	WAL *wal.Log
 	// CheckpointEvery, with WAL, is the auto-checkpoint threshold: once
 	// the log grows this many bytes past the last checkpoint, the
@@ -580,67 +581,22 @@ func (l *chunkList) put(batch [][]byte) {
 	l.mu.Unlock()
 }
 
-// execDurable runs a write query through the write-ahead log: build
-// the redo record first (executing the pure input subtree for appends,
-// without applying it), make the record durable, then apply it to the
-// catalog through the same wal.Record.Apply that crash recovery uses —
-// so the recovered state is byte-identical to the live one by
-// construction. Must run inside the query's scheduled Exec: the job's
-// write footprint is the exclusion that keeps log order equal to
-// apply order per relation.
-func (s *Server) execDurable(ctx context.Context, root *query.Node) (*relation.Relation, error) {
-	rec := &wal.Record{Rel: root.Rel}
-	release := func() {} // hands the append source's pages back to the engine
-	switch root.Kind {
-	case query.OpAppend:
-		dst, err := s.cat.Get(root.Rel)
-		if err != nil {
-			return nil, err
-		}
-		// Execute the input subtree as its own pure query: the engine
-		// computes the tuples to append but the effect is ours to apply,
-		// after the log write. Bind validated the full tree already, so
-		// source/destination compatibility holds.
-		srcTree, err := query.Bind(root.Inputs[0], s.cat)
-		if err != nil {
-			return nil, &bindError{err}
-		}
-		var src *relation.Relation
-		src, release, err = s.engine.ExecuteScratch(ctx, srcTree)
-		if err != nil {
-			return nil, err
-		}
-		// Full post-image pages: torn-write-proof physical redo.
-		rec, err = wal.AppendRecord(dst, src)
-		if err != nil {
-			return nil, err
-		}
-	case query.OpDelete:
-		rec.Type = wal.RecDelete
-		rec.Pred = root.Pred.String()
-	default:
-		return nil, fmt.Errorf("server: execDurable on %s", root.Kind)
-	}
-
-	// The commit point: after Append returns, the write is durable and
-	// may be acknowledged; before it, nothing has touched the catalog.
-	if _, err := s.cfg.WAL.Append(rec); err != nil {
-		return nil, fmt.Errorf("server: wal append: %w", err)
-	}
-	rel, err := rec.Apply(s.cat)
+// write applies a write root through wal.Write, with the server's log
+// when it has one: the record is durable before the catalog changes and
+// before any acknowledgement, and a stored relation takes no write
+// without it. Must run inside the query's scheduled Exec: the job's
+// write footprint is the exclusion wal.Write asks for.
+func (s *Server) write(ctx context.Context, root *query.Node) (*relation.Relation, error) {
+	rel, err := wal.Write(s.cfg.WAL, s.cat, root, func(src *query.Tree) (*relation.Relation, func(), error) {
+		return s.engine.ExecuteScratch(ctx, src)
+	})
 	if err != nil {
-		// The record is durable but the in-memory apply failed — only
-		// reachable through a bug, since binding pre-validated the
-		// write. Surface it loudly: recovery would include this record.
-		s.count("server.durable_apply_errors", 1)
-		return nil, fmt.Errorf("server: logged write failed to apply (recovery will replay it): %w", err)
+		return nil, err
 	}
-	// The record holds its own images of the source and they are now
-	// installed, so the source's pages are dead; after a failure above
-	// they are left to the collector instead.
-	release()
-	s.count("server.durable_writes", 1)
-	s.maybeCheckpoint()
+	if s.cfg.WAL != nil {
+		s.count("server.durable_writes", 1)
+		s.maybeCheckpoint()
+	}
 	return rel, nil
 }
 
@@ -1028,28 +984,20 @@ func (c *session) handleQuery(q *wire.Query) {
 // the whole result on st before returning.
 func (s *Server) answer(ctx context.Context, tree *query.Tree, st *resultStream) error {
 	root := tree.Root()
-	var rel *relation.Relation // a result at rest; nil once streamed
-	var err error
-	if s.cfg.WAL != nil && (root.Kind == query.OpAppend || root.Kind == query.OpDelete) {
-		// With a WAL attached, writes take the durable path: log,
-		// fsync, then apply — all still under this job's admission
-		// exclusion, so the record hits stable storage before the
-		// catalog mutates and before any acknowledgement.
-		rel, err = s.execDurable(ctx, root)
-	} else {
-		st.describe(root.Label(), s.engine.ResultPageSize(root), root.Schema())
-		var res *core.Result
-		if res, err = s.engine.ExecuteStream(ctx, tree, st.page); err == nil {
-			rel = res.Relation // an effect root's live relation
-			st.dispatches, st.probes, st.builds = res.Stats.Dispatches, res.Stats.HashProbes, res.Stats.HashBuilds
+	if root.Kind == query.OpAppend || root.Kind == query.OpDelete {
+		// A write's result is the written relation, at rest.
+		rel, err := s.write(ctx, root)
+		if err != nil {
+			return err
 		}
+		return st.relation(rel)
 	}
+	st.describe(root.Label(), s.engine.ResultPageSize(root), root.Schema())
+	res, err := s.engine.ExecuteStream(ctx, tree, st.page)
 	if err != nil {
 		return err
 	}
-	if rel != nil {
-		return st.relation(rel)
-	}
+	st.dispatches, st.probes, st.builds = res.Stats.Dispatches, res.Stats.HashProbes, res.Stats.HashBuilds
 	return st.finish()
 }
 

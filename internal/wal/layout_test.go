@@ -181,8 +181,8 @@ func TestSnapshotLayoutRefused(t *testing.T) {
 // in.
 func goldenLine(rec *Record) string {
 	h := crc32.New(castagnoli)
-	for _, b := range rec.Pages {
-		h.Write(b)
+	for _, pg := range rec.Pages {
+		h.Write(pg.Marshal())
 	}
 	return fmt.Sprintf("lsn=%d type=%d rel=%q schema=%016x first=%d pages=%d pagecrc=%08x pred=%q snapshot=%q cover=%d",
 		rec.LSN, uint8(rec.Type), rec.Rel, rec.SchemaHash, rec.First, len(rec.Pages), h.Sum32(), rec.Pred, rec.Base, rec.CoverLSN)

@@ -4,6 +4,8 @@
 // kill -9 recovery. It is the durability spine of the paper's
 // three-level storage hierarchy — every acknowledged append/delete is
 // durable on mass storage before the acknowledgement leaves the server.
+// Write is every write's one path, with a log or without: build the
+// record, log it when there is a log, apply it as recovery does.
 //
 // A data directory has one layout: heap files, their manifest, and the
 // log. An append record carries the destination relation, a schema
@@ -77,10 +79,21 @@ func (t RecordType) String() string {
 // else surfaces as ErrCorrupt.
 var ErrCorrupt = errors.New("wal: corrupt log")
 
-// errRetiredAppend is the ErrCorrupt a type-1 record decodes to. It is
-// told apart from a torn tail: the frame is whole and was acknowledged,
-// so recovery refuses the log instead of truncating it away.
-var errRetiredAppend = fmt.Errorf("%w: retired logical append record (written by builds before PR 24)", ErrCorrupt)
+// errRetiredAppend is the ErrCorrupt a type-1 record decodes to, and
+// errBadImage the one an append record carrying a page image that does
+// not parse decodes to. Both are told apart from a torn tail: the frame
+// is whole and was acknowledged, so recovery refuses the log instead of
+// truncating it away (acknowledged).
+var (
+	errRetiredAppend = fmt.Errorf("%w: retired logical append record (written by builds before PR 24)", ErrCorrupt)
+	errBadImage      = fmt.Errorf("%w: append record's page image does not parse", ErrCorrupt)
+)
+
+// acknowledged reports whether a record error came from a whole frame
+// whose content is refused, rather than from torn or damaged bytes.
+func acknowledged(err error) bool {
+	return errors.Is(err, errRetiredAppend) || errors.Is(err, errBadImage)
+}
 
 // Record is one redo-log record.
 type Record struct {
@@ -96,9 +109,10 @@ type Record struct {
 	// (RecAppendPages); replay refuses a drifted schema rather than
 	// corrupting tuples.
 	SchemaHash uint64
-	// Pages holds full post-image pages in relation.Page wire form,
-	// starting at slot First (RecAppendPages).
-	Pages [][]byte
+	// Pages holds full post-image pages, starting at slot First
+	// (RecAppendPages): the pages AppendRecord built, or on replay the
+	// pages decoded from the frame. Apply installs these very pages.
+	Pages []*relation.Page
 	// First is the index of the first page slot the post-images in
 	// Pages overwrite or extend (RecAppendPages).
 	First uint64
@@ -132,12 +146,12 @@ func (r *Record) Summary() string {
 // both apply records through this one function, so a replayed log
 // reproduces exactly the state the live writes built.
 //
-// Apply takes the record's page images with it: a decoded page adopts
-// its blob (relation.UnmarshalPage), and the record owns every blob in
-// Pages — fresh Page.Marshal output on the live path, slices of the
-// payload buffer readRecord allocates per record on replay — so an
-// installed page is those bytes, not a copy. The log has the record
-// encoded before Apply runs; afterwards Pages must not be written to.
+// Apply takes the record's page images with it: the record owns every
+// page in Pages — AppendRecord's fresh pages on the live path, pages
+// adopting slices of the payload buffer readRecord allocates per record
+// on replay — so an installed page is those bytes, not a copy. The log
+// has the record encoded before Apply runs; afterwards Pages must not be
+// written to.
 func (r *Record) Apply(cat *catalog.Catalog) (*relation.Relation, error) {
 	switch r.Type {
 	case RecAppendPages:
@@ -153,11 +167,7 @@ func (r *Record) Apply(cat *catalog.Catalog) (*relation.Relation, error) {
 			return nil, fmt.Errorf("%w: lsn %d: append-pages at slot %d leaves a gap (%q has %d pages)",
 				ErrCorrupt, r.LSN, r.First, r.Rel, dst.NumPages())
 		}
-		for i, blob := range r.Pages {
-			pg, err := relation.UnmarshalPage(blob)
-			if err != nil {
-				return nil, fmt.Errorf("%w: lsn %d: page %d: %v", ErrCorrupt, r.LSN, i, err)
-			}
+		for i, pg := range r.Pages {
 			if err := dst.InstallPage(int(r.First)+i, pg); err != nil {
 				return nil, fmt.Errorf("wal: apply lsn %d: %w", r.LSN, err)
 			}
@@ -216,11 +226,12 @@ const maxRecordLen = 1 << 30
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// encode renders the record as one frame ready to hit the segment.
+// encode renders the record as one frame ready to hit the segment; each
+// page is marshalled straight into it.
 func encode(r *Record) []byte {
 	n := 1 + 8 + 2 + len(r.Rel) + 2 + len(r.Pred) + 2 + len(r.Base) + 8 + 8 + 4
-	for _, b := range r.Pages {
-		n += 4 + len(b)
+	for _, pg := range r.Pages {
+		n += 4 + pg.WireSize()
 	}
 	buf := make([]byte, frameHeaderLen, frameHeaderLen+n)
 	buf = append(buf, byte(r.Type))
@@ -231,9 +242,9 @@ func encode(r *Record) []byte {
 		buf = binary.LittleEndian.AppendUint64(buf, r.SchemaHash)
 		buf = binary.LittleEndian.AppendUint64(buf, r.First)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Pages)))
-		for _, b := range r.Pages {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b)))
-			buf = append(buf, b...)
+		for _, pg := range r.Pages {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(pg.WireSize()))
+			buf = pg.AppendMarshal(buf)
 		}
 	case RecDelete:
 		buf = appendString(buf, r.Rel)
@@ -253,7 +264,8 @@ func encode(r *Record) []byte {
 // — short read, CRC mismatch, bad structure — wraps ErrCorrupt. A length
 // is a claim until its CRC checks, so one the segment cannot hold is
 // refused before anything is allocated for it. The caller decides whether
-// that is a truncatable torn tail or hard corruption.
+// that is a truncatable torn tail or hard corruption (acknowledged). The
+// decoded pages adopt slices of the payload buffer, one per record.
 func readRecord(r io.Reader, left int64) (*Record, int64, error) {
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -295,12 +307,21 @@ func decodePayload(p []byte) (*Record, error) {
 		rec.SchemaHash = d.u64()
 		rec.First = d.u64()
 		n := d.u32()
-		if int64(n) > int64(len(p)-d.pos)/4 { // each page costs at least its 4-byte length
+		// Each page costs at least its 4-byte length and a page header.
+		if int64(n) > int64(len(p)-d.pos)/(4+relation.PageHeaderLen) {
 			return nil, fmt.Errorf("%w: implausible page count %d", ErrCorrupt, n)
 		}
-		rec.Pages = make([][]byte, 0, n)
+		rec.Pages = make([]*relation.Page, 0, n)
 		for i := uint32(0); i < n; i++ {
-			rec.Pages = append(rec.Pages, d.bytes())
+			b := d.bytes()
+			if d.err != nil {
+				break
+			}
+			pg, err := relation.UnmarshalPage(b)
+			if err != nil {
+				return nil, fmt.Errorf("%w: lsn %d: page %d: %v", errBadImage, rec.LSN, i, err)
+			}
+			rec.Pages = append(rec.Pages, pg)
 		}
 	case RecDelete:
 		rec.Rel = d.str()

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -44,22 +46,88 @@ func TestReadRecordForgedLengthAllocatesNothing(t *testing.T) {
 	}
 }
 
-// Every page of an append record costs at least its 4-byte length, so a
-// CRC-valid record claiming more pages than its bytes can hold is refused
-// before a slice of that many is made.
+// Every page of an append record costs at least its 4-byte length and a
+// page header, so a CRC-valid record claiming more pages than its bytes
+// can hold is refused before a slice of that many is made.
 func TestDecodePayloadBoundsPageCount(t *testing.T) {
+	empty := relation.MustNewPage(64, 8).Marshal() // a header and no tuples
 	payload := func(pages uint32) []byte {
 		p := encode(&Record{Type: RecAppendPages, LSN: 7, Rel: "r"})[frameHeaderLen:]
 		p = p[:len(p)-4] // the encoded page count, zero
 		p = binary.LittleEndian.AppendUint32(p, pages)
-		return append(p, make([]byte, 400)...) // 100 empty pages' lengths
+		for i := 0; i < 100; i++ { // 100 empty pages
+			p = binary.LittleEndian.AppendUint32(p, uint32(len(empty)))
+			p = append(p, empty...)
+		}
+		return p
 	}
 	rec, err := decodePayload(payload(100))
 	if err != nil || len(rec.Pages) != 100 {
-		t.Fatalf("100 empty pages in 400 bytes: %v", err)
+		t.Fatalf("100 empty pages in 2,000 bytes: %v", err)
 	}
 	if _, err := decodePayload(payload(101)); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "implausible page count") {
-		t.Fatalf("101 pages in 400 bytes: %v, want an implausible page count", err)
+		t.Fatalf("101 pages in 2,000 bytes: %v, want an implausible page count", err)
+	}
+}
+
+// TestBadPageImageIsNotATornTail: a whole, CRC-valid append frame whose
+// page image does not parse was acknowledged once, so recovery refuses
+// the log as ErrCorrupt — even at the tail of the last segment — instead
+// of cutting it away as a torn write, and Inspect reports it.
+func TestBadPageImageIsNotATornTail(t *testing.T) {
+	dir := t.TempDir()
+	l, cat := openSeeded(t, dir, Options{})
+	dst, err := cat.Get("ev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := AppendRecord(dst, buildSrc(t, 100, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.LSN = l.LastLSN() + 1
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fr := encode(rec)
+	payload := fr[frameHeaderLen:]
+	// The first image starts after type, LSN, name, schema hash, first
+	// slot, page count and the image's length; break its page magic.
+	img := 1 + 8 + 2 + len(rec.Rel) + 8 + 8 + 4 + 4
+	payload[img] ^= 0xFF
+	bad := frame(payload)
+	if _, err := decodePayload(payload); !errors.Is(err, errBadImage) {
+		t.Fatalf("decode of a broken page image: %v, want the bad-image error", err)
+	}
+
+	segs, err := listSegments(filepath.Join(dir, "wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := segs[len(segs)-1].path
+	before, err := os.ReadFile(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(last, append(bytes.Clone(before), bad...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := Open(dir, Options{}); !errors.Is(err, errBadImage) {
+		t.Fatalf("Open over a bad page image in the tail: %v, want ErrCorrupt naming the image", err)
+	}
+	after, err := os.ReadFile(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, append(before, bad...)) {
+		t.Fatalf("the refused Open changed the segment: %d bytes, was %d", len(after), len(before)+len(bad))
+	}
+	rp, err := Inspect(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seg := rp.Segments[len(rp.Segments)-1]; rp.Clean() || !strings.Contains(seg.Err, "page image does not parse") {
+		t.Fatalf("Inspect over a bad page image: clean=%v, segment error %q", rp.Clean(), seg.Err)
 	}
 }
 
@@ -72,7 +140,7 @@ func FuzzWALRecord(f *testing.F) {
 		f.Fatal(err)
 	}
 	for _, r := range []*Record{
-		{Type: RecAppendPages, LSN: 1, Rel: "r1", SchemaHash: 42, First: 3, Pages: [][]byte{pg.Marshal(), pg.Marshal()}},
+		{Type: RecAppendPages, LSN: 1, Rel: "r1", SchemaHash: 42, First: 3, Pages: []*relation.Page{pg, pg}},
 		{Type: RecDelete, LSN: 2, Rel: "r1", Pred: "val < 40"},
 		{Type: RecCheckpoint, LSN: 3, Base: "heap", CoverLSN: 2},
 		{Type: recRetiredAppend, LSN: 4},

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -218,24 +217,39 @@ func (l *Log) recover() (Recovery, *catalog.Catalog, error) {
 		}
 	}
 
-	// Scan and replay every segment, repairing the last one's tail.
+	// Scan and replay every segment. Only the last one's torn tail is
+	// cut: a record that does not read, short of a whole frame whose
+	// content is refused (acknowledged). Anywhere else, and for a break
+	// in the LSN chain even in the tail, the log is corrupt.
 	expect := uint64(0) // next LSN the log must present; 0 = not yet known
 	for i, sf := range segs {
-		isLast := i == len(segs)-1
-		res, err := replaySegment(sf, isLast, apply, &expect, l.opts.Obs)
+		sc, err := scanSegment(sf, &expect, func(_ int64, rec *Record) error {
+			// Checkpoint records are replay no-ops and are not counted:
+			// Replayed reports redone writes.
+			redone, err := apply(rec)
+			if err != nil {
+				return fmt.Errorf("replaying LSN %d: %w", rec.LSN, err)
+			}
+			if redone {
+				rv.Replayed++
+				recordReplay(l.opts.Obs, rec)
+			}
+			return nil
+		})
 		if err != nil {
 			return rv, nil, err
 		}
-		rv.Replayed += res.replayed
-		if res.lastLSN > lastLSN {
-			lastLSN = res.lastLSN
+		lastLSN = max(lastLSN, sc.lastLSN)
+		if sc.bad == nil {
+			continue
 		}
-		if res.truncatedAt >= 0 {
-			rv.TornTail = true
-			rv.TruncatedBytes = res.size - res.truncatedAt
-			if err := truncateSegment(sf.path, res.truncatedAt, l.opts.Fsync == FsyncCommit); err != nil {
-				return rv, nil, err
-			}
+		if i < len(segs)-1 || sc.badAt < 0 || acknowledged(sc.bad) {
+			return rv, nil, fmt.Errorf("segment %s: %w", filepath.Base(sf.path), sc.bad)
+		}
+		rv.TornTail = true
+		rv.TruncatedBytes = sc.size - sc.badAt
+		if err := truncateSegment(sf.path, sc.badAt, l.opts.Fsync == FsyncCommit); err != nil {
+			return rv, nil, err
 		}
 	}
 	rv.LastLSN = lastLSN
@@ -265,16 +279,17 @@ func (l *Log) recover() (Recovery, *catalog.Catalog, error) {
 	return rv, cat, nil
 }
 
-// segScan is the result of replaying (or inspecting) one segment.
+// segScan is what scanSegment read of one segment.
 type segScan struct {
-	firstLSN uint64
-	records  int
-	replayed int
-	lastLSN  uint64
-	size     int64 // file size
-	// truncatedAt is the offset of the first torn/corrupt byte in the
-	// last segment (-1 when the segment read cleanly to EOF).
-	truncatedAt int64
+	records int
+	lastLSN uint64
+	size    int64 // file size
+	// bad is what ended the scan short of a clean end — a bad header, a
+	// record that does not read, or a break in the LSN chain — and badAt
+	// the offset of a record that does not read (-1 otherwise): where a
+	// torn tail is cut.
+	bad   error
+	badAt int64
 }
 
 // hasValidHeader reports whether the segment file carries a complete,
@@ -308,71 +323,57 @@ func checkHeader(hdr [segHeaderLen]byte, nameLSN uint64) error {
 	return nil
 }
 
-// replaySegment reads one segment, handing every record to apply, which
-// reports whether it redid the record. For the last segment a torn or
-// corrupt record marks the truncation point and ends the scan; anywhere
-// else it is ErrCorrupt. expect carries the dense-LSN continuity check
-// across segments (0 until the first record fixes it).
-func replaySegment(sf segFile, isLast bool, apply func(*Record) (bool, error), expect *uint64, o *obs.Observer) (segScan, error) {
-	res := segScan{truncatedAt: -1}
+// scanSegment reads one segment for recovery and inspection alike: it
+// checks the header against the name and every record against the
+// dense-LSN chain — each record is its predecessor + 1, and a segment's
+// first carries the LSN in its name — and hands each record with its
+// offset to fn. expect carries the chain across segments (0 until the
+// first record fixes it). A validation failure ends the scan in
+// segScan.bad for the caller to judge; an error is an I/O failure or
+// fn's.
+func scanSegment(sf segFile, expect *uint64, fn func(off int64, rec *Record) error) (segScan, error) {
+	sc := segScan{badAt: -1}
 	f, err := os.Open(sf.path)
 	if err != nil {
-		return res, err
+		return sc, err
 	}
 	defer f.Close()
 	info, err := f.Stat()
 	if err != nil {
-		return res, err
+		return sc, err
 	}
-	res.size = info.Size()
+	sc.size = info.Size()
 
 	var hdr [segHeaderLen]byte
 	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return res, fmt.Errorf("%w: segment %s: short header: %v", ErrCorrupt, filepath.Base(sf.path), err)
+		sc.bad = fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
+		return sc, nil
 	}
-	if err := checkHeader(hdr, sf.lsn); err != nil {
-		return res, fmt.Errorf("segment %s: %w", filepath.Base(sf.path), err)
+	if sc.bad = checkHeader(hdr, sf.lsn); sc.bad != nil {
+		return sc, nil
 	}
-	res.firstLSN = sf.lsn
-
-	off := int64(segHeaderLen)
-	for {
-		rec, n, err := readRecord(f, res.size-off)
-		if err == io.EOF {
-			return res, nil
+	for off := int64(segHeaderLen); ; {
+		rec, n, err := readRecord(f, sc.size-off)
+		switch {
+		case err == io.EOF:
+			return sc, nil
+		case err != nil:
+			sc.bad, sc.badAt = fmt.Errorf("offset %d: %w", off, err), off
+		case sc.records == 0 && rec.LSN != sf.lsn:
+			sc.bad = fmt.Errorf("%w: first record LSN %d, want %d", ErrCorrupt, rec.LSN, sf.lsn)
+		case *expect != 0 && rec.LSN != *expect:
+			sc.bad = fmt.Errorf("%w: record LSN %d, want %d (lost records)", ErrCorrupt, rec.LSN, *expect)
 		}
-		if err != nil {
-			if isLast && !errors.Is(err, errRetiredAppend) {
-				res.truncatedAt = off
-				return res, nil
-			}
-			return res, fmt.Errorf("segment %s at offset %d: %w", filepath.Base(sf.path), off, err)
-		}
-		// Dense-LSN continuity: every record is its predecessor + 1, and
-		// a segment's first record carries the LSN in its name. A CRC-
-		// valid record out of sequence means lost records — hard corrupt
-		// even in the tail.
-		if res.records == 0 && rec.LSN != sf.lsn {
-			return res, fmt.Errorf("%w: segment %s: first record LSN %d, want %d", ErrCorrupt, filepath.Base(sf.path), rec.LSN, sf.lsn)
-		}
-		if *expect != 0 && rec.LSN != *expect {
-			return res, fmt.Errorf("%w: segment %s: record LSN %d, want %d", ErrCorrupt, filepath.Base(sf.path), rec.LSN, *expect)
+		if sc.bad != nil {
+			return sc, nil
 		}
 		*expect = rec.LSN + 1
-		res.records++
-		res.lastLSN = rec.LSN
+		sc.records++
+		sc.lastLSN = rec.LSN
+		if err := fn(off, rec); err != nil {
+			return sc, err
+		}
 		off += n
-
-		// Checkpoint records are replay no-ops and are not counted:
-		// Replayed reports redone writes.
-		redone, err := apply(rec)
-		if err != nil {
-			return res, fmt.Errorf("replaying LSN %d: %w", rec.LSN, err)
-		}
-		if redone {
-			res.replayed++
-			recordReplay(o, rec)
-		}
 	}
 }
 
@@ -480,9 +481,19 @@ func Inspect(dir string, fn func(segment string, offset int64, rec *Record)) (*R
 	}
 	expect := uint64(0)
 	for _, sf := range segs {
-		si, err := inspectSegment(sf, &expect, fn)
+		name := filepath.Base(sf.path)
+		sc, err := scanSegment(sf, &expect, func(off int64, rec *Record) error {
+			if fn != nil {
+				fn(name, off, rec)
+			}
+			return nil
+		})
 		if err != nil {
 			return nil, err
+		}
+		si := SegmentInfo{Name: name, FirstLSN: sf.lsn, LastLSN: sc.lastLSN, Records: sc.records, Bytes: sc.size}
+		if sc.bad != nil {
+			si.Err = sc.bad.Error()
 		}
 		if si.Records > 0 {
 			if rp.FirstLSN == 0 {
@@ -494,56 +505,4 @@ func Inspect(dir string, fn func(segment string, offset int64, rec *Record)) (*R
 		rp.Segments = append(rp.Segments, si)
 	}
 	return rp, nil
-}
-
-func inspectSegment(sf segFile, expect *uint64, fn func(string, int64, *Record)) (SegmentInfo, error) {
-	name := filepath.Base(sf.path)
-	si := SegmentInfo{Name: name, FirstLSN: sf.lsn}
-	f, err := os.Open(sf.path)
-	if err != nil {
-		return si, err
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return si, err
-	}
-	si.Bytes = info.Size()
-
-	var hdr [segHeaderLen]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		si.Err = fmt.Sprintf("short header: %v", err)
-		return si, nil
-	}
-	if err := checkHeader(hdr, sf.lsn); err != nil {
-		si.Err = err.Error()
-		return si, nil
-	}
-
-	off := int64(segHeaderLen)
-	for {
-		rec, n, err := readRecord(f, si.Bytes-off)
-		if err == io.EOF {
-			return si, nil
-		}
-		if err != nil {
-			si.Err = fmt.Sprintf("offset %d: %v", off, err)
-			return si, nil
-		}
-		if si.Records == 0 && rec.LSN != sf.lsn {
-			si.Err = fmt.Sprintf("first record LSN %d, want %d", rec.LSN, sf.lsn)
-			return si, nil
-		}
-		if *expect != 0 && rec.LSN != *expect {
-			si.Err = fmt.Sprintf("record LSN %d, want %d (lost records)", rec.LSN, *expect)
-			return si, nil
-		}
-		*expect = rec.LSN + 1
-		si.Records++
-		si.LastLSN = rec.LSN
-		if fn != nil {
-			fn(name, off, rec)
-		}
-		off += n
-	}
 }
