@@ -193,11 +193,18 @@ func (p *Page) Marshal() []byte {
 // returns) to dst and returns the extended slice, so a caller framing
 // many pages encodes each straight into its own buffer.
 func (p *Page) AppendMarshal(dst []byte) []byte {
+	return append(p.AppendHeader(dst), p.data...)
+}
+
+// AppendHeader appends the page's PageHeaderLen-byte header to dst and
+// returns the extended slice. The serialized page is that header
+// followed by Data(), so a sender can put the two on the wire apart and
+// never copy the payload.
+func (p *Page) AppendHeader(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, pageMagic)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(p.size))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(p.tupleLen))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(p.TupleCount()))
-	return append(dst, p.data...)
+	return binary.LittleEndian.AppendUint32(dst, uint32(p.TupleCount()))
 }
 
 // parsePageBlob validates a page serialized by Marshal — magic,

@@ -109,6 +109,9 @@ func TestPageMarshalRoundTrip(t *testing.T) {
 	if framed := p.AppendMarshal([]byte("hdr")); !bytes.Equal(framed, append([]byte("hdr"), blob...)) {
 		t.Error("AppendMarshal behind a prefix differs from the prefix plus Marshal")
 	}
+	if head := p.AppendHeader(nil); len(head) != PageHeaderLen || !bytes.Equal(append(head, p.Data()...), blob) {
+		t.Errorf("the %d-byte header followed by Data differs from Marshal", len(head))
+	}
 	q, err := UnmarshalPage(blob)
 	if err != nil {
 		t.Fatalf("UnmarshalPage: %v", err)

@@ -168,8 +168,6 @@ type Server struct {
 	streamHist *obs.Histogram
 	slowMu     sync.Mutex
 
-	chunks chunkList // result-frame memory, shared by every session
-
 	// ckptBusy singleflights auto-checkpoints: at most one checkpoint
 	// job is queued or running at a time.
 	ckptBusy atomic.Bool
@@ -400,31 +398,34 @@ type bindError struct{ err error }
 func (e *bindError) Error() string { return e.err.Error() }
 func (e *bindError) Unwrap() error { return e.err }
 
-// resultStream is one query's queue of encoded result frames: the
-// scheduled Exec appends to it and the query's streamer goroutine
-// writes whatever is queued to the connection, while the query is still
-// executing. The producer never waits for the client — unsent bytes are
-// bounded by the result — so a stalled client neither holds the
-// admission slot nor lengthens Stats.Exec.
+// resultStream is one query's queue of result frames: the scheduled
+// Exec appends to it and the query's streamer goroutine writes whatever
+// is queued to the connection, while the query is still executing. The
+// producer never waits for the client — unsent pages are bounded by the
+// result — so a stalled client neither holds the admission slot nor
+// lengthens Stats.Exec.
 //
-// The queue is a list of fixed-size chunks from the server's free list
-// (chunkList): frames are appended to the last chunk until the next one
-// would not fit, the streamer takes every queued chunk at once, writes
-// them with one vectored write and hands them back. A result of any
-// size is encoded into memory the server already has, and what an idle
-// server keeps is the free list's fixed cap, not its largest result.
+// A frame is queued as its head (wire.AppendResultHead: the frame
+// header, the ResultPage fields and the page's own header) and a
+// reference to the page itself. The streamer takes everything queued at
+// once, writes it with one vectored write — each head, then the page's
+// payload as the page holds it — and releases the pages. No result byte
+// is copied on its way out, and what a queued result holds is pages
+// under the free list's one budget (relation.PageBudget), not memory of
+// the server's own.
 //
-// Every frame is encoded inside the job's scheduled Exec. Reads on the
-// core engine encode each page as the root operator emits it; append
-// and delete hand back a whole relation (the live catalog relation,
-// which a conflicting writer may mutate the moment the scheduler
-// retires the job), encoded by relation before Exec returns. Either way
-// the streamed bytes are pinned to the state this query produced, under
-// the admission exclusion that guarded its execution, and no page is
-// referenced past it.
+// Every frame is queued inside the job's scheduled Exec. Reads on the
+// core engine queue each page as the root operator emits it; append and
+// delete hand back the written relation, walked before Exec returns.
+// The stream may hold a page long after Exec, and that is safe because
+// no page is written once it is published: a write installs fresh
+// post-images (heap.Pool.Install, Relation.InstallPage) and a delete
+// builds a fresh relation (relalg.Delete) or heap file
+// (Relation.ReplaceStored), so a conflicting writer the scheduler admits
+// next leaves the held pages as this query saw them.
+// A counted page (relation.Get) is not recycled while the stream still
+// holds its reference.
 type resultStream struct {
-	c *session
-
 	// Producer state: touched only from Exec and the engine goroutine
 	// calling page, one at a time; the streamer reads the totals after
 	// the scheduler has delivered the outcome.
@@ -436,15 +437,50 @@ type resultStream struct {
 	// The engine's account of the run, for the flight record.
 	dispatches, probes, builds int64
 
-	mu     sync.Mutex
-	queued [][]byte      // chunks the streamer has not taken yet; the last is still filling
-	wake   chan struct{} // signalled when queued goes from empty to non-empty
+	bufs *streamBufs   // bufs.queued under mu, bufs.batch the streamer's
+	mu   sync.Mutex    // guards bufs.queued, and the swap in take
+	wake chan struct{} // signalled when bufs.queued goes from empty to non-empty
+}
+
+// frameQueue is a run of result frames as they go on the wire: iov
+// holds each frame's head, from head, and then its page's payload, as
+// the page holds it.
+type frameQueue struct {
+	head  []byte
+	iov   net.Buffers
+	pages []*relation.Page // the pages whose payloads iov holds
+}
+
+// release lets go of the queue's pages and empties it, keeping its
+// memory.
+func (q *frameQueue) release() {
+	relation.ReleaseAll(q.pages)
+	clear(q.pages)
+	clear(q.iov)
+	q.head, q.iov, q.pages = q.head[:0], q.iov[:0], q.pages[:0]
+}
+
+// streamBufs is the memory one result stream works in: the queue the
+// producer fills and the batch the streamer writes, swapped at every
+// take. A session keeps the sets of its finished streams for its next
+// queries (session.spare).
+type streamBufs struct {
+	queued, batch frameQueue
 }
 
 func (c *session) newResultStream(qid uint32) *resultStream {
+	c.imu.Lock()
+	var bufs *streamBufs
+	if n := len(c.spare); n > 0 {
+		bufs = c.spare[n-1]
+		c.spare = c.spare[:n-1]
+	} else {
+		bufs = new(streamBufs)
+	}
+	c.imu.Unlock()
 	return &resultStream{
-		c:     c,
 		frame: wire.ResultPage{QueryID: qid},
+		bufs:  bufs,
 		wake:  make(chan struct{}, 1),
 	}
 }
@@ -460,10 +496,11 @@ func (st *resultStream) describe(name string, pageSize int, schema *relation.Sch
 }
 
 // page queues the next result page; it is the engine's emit. The page
-// is encoded once its successor arrives (or finish runs) and then its
-// reference is released: an intermediate page goes back to the free
-// list, and a stored relation's own page passing through untouched drops
-// the reference the scan came with.
+// is queued, with the reference it came with, once its successor
+// arrives (or finish runs); the streamer releases that reference once
+// the page is written: an intermediate page then goes back to the free
+// list, and a stored relation's own page drops the reference the scan
+// came with.
 func (st *resultStream) page(pg *relation.Page) error {
 	var err error
 	if st.held != nil {
@@ -492,27 +529,35 @@ func (st *resultStream) relation(rel *relation.Relation) error {
 	return st.finish()
 }
 
+// encode queues pg's frame — its head, and pg with its reference — or,
+// for a nil pg, the page-less frame. A frame that cannot be encoded
+// queues nothing, and pg is released.
 func (st *resultStream) encode(pg *relation.Page, last bool) error {
-	st.frame.Seq, st.frame.Last, st.frame.Source = uint32(st.pages), last, nil
+	st.frame.Seq, st.frame.Last = uint32(st.pages), last
+	var src wire.PageBlob // nil, not a nil *relation.Page, for the page-less frame
 	if pg != nil {
-		st.frame.Source = pg
+		src = pg
 		st.pages++
 		st.bytes += int64(pg.WireSize())
 		st.tuples += int64(pg.TupleCount())
 	}
-	need := st.frame.AppendRoom()
 	st.mu.Lock()
-	n := len(st.queued)
-	wasEmpty := n == 0
-	if n == 0 || cap(st.queued[n-1])-len(st.queued[n-1]) < need {
-		st.queued = append(st.queued, st.c.srv.chunks.get(need))
-		n++
+	q := &st.bufs.queued
+	wasEmpty := len(q.iov) == 0
+	at := len(q.head)
+	head, err := wire.AppendResultHead(q.head, &st.frame, src)
+	if err == nil {
+		q.head = head
+		q.iov = append(q.iov, head[at:])
+		if pg != nil {
+			q.iov = append(q.iov, pg.Data())
+			q.pages = append(q.pages, pg)
+		}
 	}
-	var err error
-	st.queued[n-1], err = wire.AppendFrame(st.queued[n-1], &st.frame)
 	st.mu.Unlock()
-	if pg != nil {
+	if err != nil {
 		pg.Release()
+		return err
 	}
 	if wasEmpty {
 		// One wake-up per batch, not per page: while the streamer is
@@ -523,62 +568,16 @@ func (st *resultStream) encode(pg *relation.Page, last bool) error {
 		default:
 		}
 	}
-	return err
+	return nil
 }
 
-// take swaps the queued chunks for the streamer's spent (and released)
-// batch.
-func (st *resultStream) take(spent [][]byte) [][]byte {
+// take swaps the queued frames for the streamer's spent (released and
+// emptied) batch.
+func (st *resultStream) take() {
+	b := st.bufs
 	st.mu.Lock()
-	out := st.queued
-	st.queued = spent[:0]
+	b.queued, b.batch = b.batch, b.queued
 	st.mu.Unlock()
-	return out
-}
-
-// chunkSize is the size of one result-frame chunk: eight of the
-// engine's default pages, so a frame of the serving size always encodes
-// into a recycled chunk, a chunk is seldom handed over part-filled, and
-// a batch is a short vector. maxFreeChunks is how many the server keeps
-// idle: 4 MiB, a few results in flight, whatever their size.
-const (
-	chunkSize     = 8 * core.DefaultPageSize
-	maxFreeChunks = 4 << 20 / chunkSize
-)
-
-// chunkList is the server's free list of result-frame chunks.
-type chunkList struct {
-	mu   sync.Mutex
-	free [][]byte
-}
-
-// get returns an empty chunk with room for need bytes: one of the
-// fixed-size chunks, or for a frame larger than that a one-off.
-func (l *chunkList) get(need int) []byte {
-	if need > chunkSize {
-		return make([]byte, 0, need)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if n := len(l.free); n > 0 {
-		b := l.free[n-1]
-		l.free = l.free[:n-1]
-		return b
-	}
-	return make([]byte, 0, chunkSize)
-}
-
-// put takes back the chunks of a written batch, up to the cap; one-off
-// chunks and the overflow a stalled client caused are left to the GC.
-func (l *chunkList) put(batch [][]byte) {
-	l.mu.Lock()
-	for i, b := range batch {
-		if cap(b) == chunkSize && len(l.free) < maxFreeChunks {
-			l.free = append(l.free, b[:0])
-		}
-		batch[i] = nil
-	}
-	l.mu.Unlock()
 }
 
 // write applies a write root through wal.Write, with the server's log
@@ -705,6 +704,7 @@ type session struct {
 
 	imu      sync.Mutex
 	inflight int
+	spare    []*streamBufs // buffers of finished result streams, at most MaxInflight
 
 	span *obs.Span
 }
@@ -1004,19 +1004,19 @@ func (s *Server) answer(ctx context.Context, tree *query.Tree, st *resultStream)
 // stream is the streamer's loop: write whatever the execution has
 // queued, as often as it queues something, until the scheduler delivers
 // the outcome; then, for a successful query, the rest. After a failed
-// write (alive comes back false) it only discards, but still waits for
-// the outcome, which every drain, close and cancellation path delivers.
+// write (alive comes back false) it only discards, releasing the pages
+// unwritten, but still waits for the outcome, which every drain, close
+// and cancellation path delivers. Exec has returned by then, so the
+// stream's memory goes back to the session for its next query.
 func (c *session) stream(st *resultStream, outc <-chan sched.Outcome) (o sched.Outcome, alive bool) {
-	var batch [][]byte  // chunks taken from st, released after each write
-	var iov net.Buffers // the same chunks, consumed by the write
+	b := st.bufs
 	alive = true
 	flush := func(write bool) {
-		batch = st.take(batch)
-		if write && alive && len(batch) > 0 {
-			iov = append(iov[:0], batch...)
-			alive = c.writeChunks(&iov)
+		st.take()
+		if write && alive && len(b.batch.iov) > 0 {
+			alive = c.writeFrames(&b.batch)
 		}
-		c.srv.chunks.put(batch)
+		b.batch.release()
 	}
 	for {
 		select {
@@ -1024,6 +1024,12 @@ func (c *session) stream(st *resultStream, outc <-chan sched.Outcome) (o sched.O
 			flush(true)
 		case o = <-outc:
 			flush(o.Err == nil)
+			// A failed run may leave its newest page held back.
+			st.held.Release()
+			st.held = nil
+			c.imu.Lock()
+			c.spare = append(c.spare, b)
+			c.imu.Unlock()
 			return o, alive
 		}
 	}
@@ -1088,14 +1094,15 @@ func (c *session) finishResult(qid uint32, st *resultStream, o sched.Outcome,
 		c.id, qid, st.tuples, st.pages, EngineCore, o.Queued.Round(time.Microsecond), o.Run.Round(time.Microsecond))
 }
 
-// writeChunks writes already-encoded frames under the session write
-// lock with one vectored write (consuming iov); false means the
-// connection is gone.
-func (c *session) writeChunks(iov *net.Buffers) bool {
+// writeFrames writes q's frames under the session write lock with one
+// vectored write; false means the connection is gone.
+func (c *session) writeFrames(q *frameQueue) bool {
+	iov := q.iov // WriteTo consumes q.iov; iov keeps it for release
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	_ = c.conn.SetWriteDeadline(time.Now().Add(c.srv.cfg.SessionTimeout))
-	_, err := iov.WriteTo(c.conn)
+	_, err := q.iov.WriteTo(c.conn)
+	q.iov = iov
 	return err == nil
 }
 

@@ -56,32 +56,23 @@ func TestWriteVersionBytesUnchanged(t *testing.T) {
 	}
 }
 
-// blobSource is a PageSource over a fixed blob; lie makes it announce
-// one byte more than it appends.
-type blobSource struct {
+// splitBlob is a PageBlob over a fixed blob, its first hdr bytes
+// standing for the page header.
+type splitBlob struct {
 	blob []byte
-	lie  bool
+	hdr  int
 }
 
-func (b blobSource) WireSize() int {
-	if b.lie {
-		return len(b.blob) + 1
-	}
-	return len(b.blob)
-}
-func (b blobSource) AppendMarshal(dst []byte) []byte { return append(dst, b.blob...) }
+func (b splitBlob) AppendHeader(dst []byte) []byte { return append(dst, b.blob[:b.hdr]...) }
+func (b splitBlob) Data() []byte                   { return b.blob[b.hdr:] }
 
 // TestAppendFrame: frames appended to a buffer that already holds
 // bytes leave them alone and come out exactly as WriteVersion writes
-// them, whether the page comes as a blob or from a PageSource; a frame
-// that cannot be encoded hands the buffer back as it was.
+// them; a frame that cannot be encoded hands the buffer back as it was.
 func TestAppendFrame(t *testing.T) {
 	buf := []byte("prefix")
 	want := "prefix"
 	for i, f := range goldenFrames() {
-		if rp, ok := f.(*ResultPage); ok && len(rp.Page) > 0 {
-			rp.Source, rp.Page = blobSource{blob: rp.Page}, nil
-		}
 		var err error
 		if buf, err = AppendFrame(buf, f); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
@@ -97,7 +88,6 @@ func TestAppendFrame(t *testing.T) {
 	for name, bad := range map[string]Frame{
 		"oversized string":     &Error{Code: CodeExec, Msg: strings.Repeat("x", maxStrLen+1)},
 		"oversized schema":     &ResultPage{Schema: make([]SchemaAttr, maxStrLen+1)},
-		"lying page source":    &ResultPage{Seq: 1, Source: blobSource{blob: []byte{1, 2, 3}, lie: true}},
 		"payload over the cap": &ResultPage{Seq: 1, Page: make([]byte, MaxFrameLen)},
 	} {
 		got, err := AppendFrame(held, bad)
@@ -110,29 +100,53 @@ func TestAppendFrame(t *testing.T) {
 	}
 }
 
-// TestAppendRoomIsEnough: a result frame appended to a buffer with
-// exactly AppendRoom bytes to spare is encoded in that buffer — the
-// promise a caller filling fixed-size buffers relies on — for every
-// shape of result frame, blob or page source.
-func TestAppendRoomIsEnough(t *testing.T) {
+// TestResultHeadThenPayloadIsTheFrame: for every golden result frame,
+// the head AppendResultHead appends behind a prefix, followed by the
+// page's payload, is the prefix plus WriteVersion's bytes — wherever
+// the page's header ends in its blob, and for the page-less frame,
+// whose head is the whole frame. A frame that cannot be represented
+// hands the buffer back as it was.
+func TestResultHeadThenPayloadIsTheFrame(t *testing.T) {
 	for i, f := range goldenFrames() {
 		rp, ok := f.(*ResultPage)
 		if !ok {
 			continue
 		}
-		for _, source := range []bool{false, true} {
-			if source && len(rp.Page) > 0 {
-				rp.Source, rp.Page = blobSource{blob: rp.Page}, nil
+		raw, _ := hex.DecodeString(goldenBytes[i])
+		blob := rp.Page
+		for hdr := 0; hdr <= len(blob); hdr++ {
+			var src PageBlob
+			if len(blob) > 0 {
+				src = splitBlob{blob: blob, hdr: hdr}
 			}
-			buf := append(make([]byte, 0, 6+rp.AppendRoom()), "prefix"...)
-			got, err := AppendFrame(buf, rp)
+			rp.Page = nil
+			head, err := AppendResultHead([]byte("prefix"), rp, src)
 			if err != nil {
 				t.Fatalf("frame %d: %v", i, err)
 			}
-			if &got[0] != &buf[0] {
-				t.Errorf("frame %d (source %v): %d bytes of room, yet the %d-byte frame moved the buffer",
-					i, source, rp.AppendRoom(), len(got)-len(buf))
+			if src != nil {
+				head = append(head, src.Data()...)
 			}
+			if string(head) != "prefix"+string(raw) {
+				t.Errorf("frame %d, %d-byte page header: head and payload\n got %x\nwant %x", i, hdr, head[6:], raw)
+			}
+		}
+	}
+
+	held := append(make([]byte, 0, 256), "held"...)
+	for name, bad := range map[string]struct {
+		p   *ResultPage
+		src PageBlob
+	}{
+		"oversized schema":     {&ResultPage{Schema: make([]SchemaAttr, maxStrLen+1)}, splitBlob{blob: []byte{1, 2}, hdr: 1}},
+		"payload over the cap": {&ResultPage{Seq: 1}, splitBlob{blob: make([]byte, MaxFrameLen), hdr: 16}},
+	} {
+		got, err := AppendResultHead(held, bad.p, bad.src)
+		if err == nil {
+			t.Errorf("%s: encoded without error", name)
+		}
+		if string(got) != "held" || &got[0] != &held[0] {
+			t.Errorf("%s: buffer came back as %q, want the caller's own %q", name, got, "held")
 		}
 	}
 }

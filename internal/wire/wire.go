@@ -227,27 +227,29 @@ type ResultPage struct {
 	// Page is the page blob in relation.Page wire form (Marshal), or
 	// empty on a pure end-of-stream marker. A decoded frame's Page
 	// aliases the payload buffer read for that frame, which the frame
-	// owns.
+	// owns. A sender holding the page itself encodes the frame with
+	// AppendResultHead instead.
 	Page []byte
-	// Source, when set on an outgoing frame, stands in for Page: the
-	// encoder has it append the blob straight into the frame buffer, so
-	// the sender never materializes a page's wire form separately. The
-	// decoder never sets it.
-	Source PageSource
 }
 
-// PageSource is a page that can append its own wire form to a buffer.
+// PageBlob is a page as its holder keeps it: its wire form, a
+// ResultPage blob, is the header AppendHeader appends followed by Data.
 // *relation.Page implements it (wire stays a leaf package).
-type PageSource interface {
-	// WireSize is the exact number of bytes AppendMarshal appends.
-	WireSize() int
-	AppendMarshal(dst []byte) []byte
+type PageBlob interface {
+	AppendHeader(dst []byte) []byte
+	Data() []byte
 }
 
 // Type returns TypeResultPage.
 func (*ResultPage) Type() Type { return TypeResultPage }
 
 func (p *ResultPage) encode(e *encoder) {
+	p.encodeFields(e)
+	e.bytes(p.Page)
+}
+
+// encodeFields encodes everything of p before its page blob.
+func (p *ResultPage) encodeFields(e *encoder) {
 	e.u32(p.QueryID)
 	e.u32(p.Seq)
 	var flags uint8
@@ -271,18 +273,6 @@ func (p *ResultPage) encode(e *encoder) {
 			e.u8(a.Type)
 			e.u32(a.Width)
 		}
-	}
-	if p.Source == nil {
-		e.bytes(p.Page)
-		return
-	}
-	n := p.Source.WireSize()
-	e.u32(uint32(n))
-	e.b = slices.Grow(e.b, n)
-	at := len(e.b)
-	e.b = p.Source.AppendMarshal(e.b)
-	if len(e.b)-at != n {
-		e.fail(fmt.Errorf("page source appended %d bytes, announced %d", len(e.b)-at, n))
 	}
 }
 
@@ -422,6 +412,29 @@ func WriteVersion(w io.Writer, f Frame, ver uint16) error {
 	return err
 }
 
+// AppendResultHead appends the head of p's frame to dst: the frame
+// header, p's fields, the blob length and src's page header. The frame
+// is that head followed by src.Data(), which the caller sends right
+// behind it as the page holds it, so the payload is never copied; the
+// bytes are those AppendFrame encodes with src's wire form as p.Page.
+// With a nil src the head is AppendFrame's whole frame. A frame that
+// cannot be represented on the wire is refused as AppendFrame refuses
+// it, and dst is returned as it came.
+func AppendResultHead(dst []byte, p *ResultPage, src PageBlob) ([]byte, error) {
+	e := beginFrame(dst, TypeResultPage)
+	if src == nil {
+		p.encode(&e)
+		return e.endFrame(dst, TypeResultPage, 0)
+	}
+	p.encodeFields(&e)
+	at := len(e.b)
+	e.u32(0) // the blob length, known once the header is in
+	e.b = src.AppendHeader(e.b)
+	data := len(src.Data())
+	binary.LittleEndian.PutUint32(e.b[at:], uint32(len(e.b)-at-4+data))
+	return e.endFrame(dst, TypeResultPage, data)
+}
+
 // checkVersion refuses a protocol version outside [MinVersion, Version].
 func checkVersion(ver uint16) error {
 	if ver < MinVersion || ver > Version {
@@ -440,17 +453,9 @@ const frameHeaderLen = 5
 // it to a single Write. A frame that cannot be represented on the wire
 // is refused as Write refuses it, and dst is returned as it came.
 func AppendFrame(dst []byte, f Frame) ([]byte, error) {
-	if p, ok := f.(*ResultPage); ok {
-		// The one frame sent per page is encoded through a direct call:
-		// its encoder then stays on the stack, where the interface call
-		// below sends it to the heap.
-		e := beginFrame(dst, TypeResultPage)
-		p.encode(&e)
-		return e.endFrame(dst, TypeResultPage)
-	}
 	e := beginFrame(dst, f.Type())
 	f.encode(&e)
-	return e.endFrame(dst, f.Type())
+	return e.endFrame(dst, f.Type(), 0)
 }
 
 // frameReserve is the room beginFrame makes sure of: more than the
@@ -464,30 +469,14 @@ func beginFrame(dst []byte, t Type) encoder {
 	return encoder{b: append(slices.Grow(dst, frameReserve), byte(t), 0, 0, 0, 0)}
 }
 
-// AppendRoom is the spare capacity with which AppendFrame encodes p in
-// place, without growing dst: what a caller filling fixed-size buffers
-// checks before it appends the next frame to the current one.
-func (p *ResultPage) AppendRoom() int {
-	n := frameReserve + len(p.Page)
-	if p.Source != nil {
-		n = frameReserve + p.Source.WireSize()
-	}
-	if p.Seq == 0 {
-		n += 2 + len(p.Name) + 4 + 2
-		for _, a := range p.Schema {
-			n += 2 + len(a.Name) + 1 + 4
-		}
-	}
-	return n
-}
-
-// endFrame fills in the payload length and returns the extended buffer,
-// or dst as it came if the frame cannot be represented.
-func (e *encoder) endFrame(dst []byte, t Type) ([]byte, error) {
+// endFrame fills in the payload length — what e holds past the header
+// and tail bytes the caller sends after it — and returns the extended
+// buffer, or dst as it came if the frame cannot be represented.
+func (e *encoder) endFrame(dst []byte, t Type, tail int) ([]byte, error) {
 	if e.err != nil {
 		return dst, fmt.Errorf("wire: encoding %s frame: %w", t, e.err)
 	}
-	n := len(e.b) - len(dst) - frameHeaderLen
+	n := len(e.b) - len(dst) - frameHeaderLen + tail
 	if n > MaxFrameLen {
 		return dst, fmt.Errorf("wire: %s frame payload is %d bytes, max %d", t, n, MaxFrameLen)
 	}
