@@ -212,8 +212,9 @@ type Engine struct {
 	cat  *catalog.Catalog
 	opts Options
 	// runs is the free list of the run buffers pages cross goroutine
-	// boundaries in.
-	runs runList
+	// boundaries in; parked is that of the run records.
+	runs   runList
+	parked runPark
 }
 
 // New returns an engine over the catalog.
@@ -356,53 +357,40 @@ func (e *Engine) execute(ctx context.Context, t *query.Tree, emit func(*relation
 		return nil, fmt.Errorf("core: %s is a write: the engine runs read trees, and writes go through wal.Write", root.Kind)
 	}
 	start := time.Now()
-	run := newEngineRun(ctx, e, t)
+	run := newEngineRun(ctx, e)
 	defer run.shutdown()
-
-	// Cancellation propagates as a run failure: closing run.stopped
-	// unblocks every worker, controller, and channel send of the run.
 	if ctx.Done() != nil {
-		watchDone := make(chan struct{})
-		defer close(watchDone)
-		go func() {
-			select {
-			case <-ctx.Done():
-				run.fail(ctx.Err())
-			case <-watchDone:
-			case <-run.stopped:
-			}
-		}()
+		run.wg.Add(1)
+		go run.watch(ctx)
 	}
 
-	sink := &resultSink{run: run, emit: emit, finished: make(chan struct{})}
-	if err := run.build(root, sink); err != nil {
+	run.sink = resultSink{run: run, emit: emit}
+	if err := run.build(root, &run.sink); err != nil {
 		return nil, err
 	}
 	run.start()
 
-	select {
-	case <-sink.finished:
-	case <-run.stopped:
-	}
+	// The run stops when the sink has the root's last page, or on the
+	// first failure: then it has an error.
+	<-run.stopped
 	if err := run.errValue(); err != nil {
 		return nil, err
 	}
 
 	st := run.snapshotStats()
-	st.TuplesOut = sink.tuples
+	st.TuplesOut = run.sink.tuples
 	st.Elapsed = time.Since(start)
 	return &Result{Stats: st}, nil
 }
 
 // resultSink is the outlet at the top of a run: it hands the root's
-// pages to emit. Only one goroutine — the root's controller or, for a
-// bare scan, its feeder — ever calls it; tuples is read once finished
-// is closed.
+// pages to emit, and stops the run after the last. Only one goroutine —
+// the root's controller or, for a bare scan, its feeder — ever calls
+// it; tuples is read once the run has stopped.
 type resultSink struct {
-	run      *engineRun
-	emit     func(*relation.Page) error
-	tuples   int64
-	finished chan struct{}
+	run    *engineRun
+	emit   func(*relation.Page) error
+	tuples int64
 }
 
 func (s *resultSink) send(pg *relation.Page) {
@@ -419,4 +407,4 @@ func (s *resultSink) sendRun(run *pageRun) {
 	s.run.eng.runs.put(run)
 }
 
-func (s *resultSink) done() { close(s.finished) }
+func (s *resultSink) done() { s.run.stop() }

@@ -90,15 +90,31 @@ func (c *infChan) More(input int32, run *pageRun) {
 }
 
 // Stop drops whatever is queued and releases a blocked receiver; later
-// sends are dropped. Safe to call more than once.
+// sends are dropped. The rings keep their buffers for reopen. Safe to
+// call more than once.
 func (c *infChan) Stop() {
 	c.mu.Lock()
 	c.stopped = true
 	for c.operands.n > 0 {
 		c.runs.put(c.operands.pop().run)
 	}
-	c.results, c.operands = evRing{}, evRing{}
+	c.results.drop()
 	c.ready.Broadcast()
+	c.mu.Unlock()
+}
+
+// maxParkedLen bounds what a parked queue or operand buffer keeps: a
+// ring of more events, or a buffer of more page pointers, is let go
+// when its run ends rather than kept for the next (24 and 8 KiB).
+const maxParkedLen = 1024
+
+// reopen readies a stopped queue for another run. Only its owner calls
+// it, once every goroutine that could send to it has exited.
+func (c *infChan) reopen() {
+	c.mu.Lock()
+	c.stopped = false
+	c.results.trim()
+	c.operands.trim()
 	c.mu.Unlock()
 }
 
@@ -118,6 +134,19 @@ func (q *evRing) push(ev event) {
 	}
 	q.buf[(q.head+q.n)&(len(q.buf)-1)] = ev
 	q.n++
+}
+
+// drop empties the ring, dropping its page references; the buffer stays.
+func (q *evRing) drop() {
+	clear(q.buf)
+	q.head, q.n = 0, 0
+}
+
+// trim lets go of a buffer longer than maxParkedLen.
+func (q *evRing) trim() {
+	if len(q.buf) > maxParkedLen {
+		*q = evRing{}
+	}
 }
 
 func (q *evRing) pop() event {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -63,10 +64,11 @@ type outlet interface {
 }
 
 // engineRun is the state of one query execution: the arbitration
-// network, the worker pool, the per-node controllers, and the meters.
+// network, the worker pool, the per-node controllers, and the meters. Its
+// record outlives the run: shutdown parks it with the engine (runPark),
+// and the next run takes it with the storage it grew.
 type engineRun struct {
-	eng  *Engine
-	tree *query.Tree
+	eng *Engine
 	// obs and t0 stamp structured events with real time since the
 	// execution started (the concurrent engine has no virtual clock).
 	obs *obs.Observer
@@ -79,9 +81,11 @@ type engineRun struct {
 	err      error
 
 	wg      sync.WaitGroup
-	feeders []func()
+	workers []*workerState
+	scans   []scanFeed
 	nodes   []*nodeExec
-	chans   []*infChan
+	spare   []*nodeExec // parked node records, for build to take
+	sink    resultSink
 
 	stInstr, stOperand, stArb int64
 	stDispatches              int64
@@ -108,17 +112,23 @@ type engineRun struct {
 	qid    int
 }
 
-func newEngineRun(ctx context.Context, e *Engine, t *query.Tree) *engineRun {
-	r := &engineRun{
-		eng:     e,
-		tree:    t,
-		obs:     e.opts.Obs,
-		t0:      time.Now(),
-		qid:     -1,
-		arb:     make(chan task, e.opts.Workers*e.opts.CellsPerWorker),
-		stopped: make(chan struct{}),
-		pool0:   relation.PageStats(),
+// newEngineRun takes a parked run record from the engine, or builds one,
+// for a run under ctx.
+func newEngineRun(ctx context.Context, e *Engine) *engineRun {
+	r := e.parked.get()
+	if r == nil {
+		r = &engineRun{
+			eng: e,
+			obs: e.opts.Obs,
+			arb: make(chan task, e.opts.Workers*e.opts.CellsPerWorker),
+		}
+		for i := 0; i < e.opts.Workers; i++ {
+			r.workers = append(r.workers, newWorkerState(r))
+		}
 	}
+	r.t0, r.qid = time.Now(), -1
+	r.stopped = make(chan struct{})
+	r.pool0 = relation.PageStats()
 	if sc, ok := obs.SpanContextFrom(ctx); ok {
 		r.parent = sc.Parent
 		r.qid = sc.Query
@@ -179,6 +189,17 @@ func (r *engineRun) stop() {
 	r.stopOnce.Do(func() { close(r.stopped) })
 }
 
+// watch propagates cancellation as a run failure: closing stopped
+// unblocks every worker, controller, and channel send of the run.
+func (r *engineRun) watch(ctx context.Context) {
+	defer r.wg.Done()
+	select {
+	case <-ctx.Done():
+		r.fail(ctx.Err())
+	case <-r.stopped:
+	}
+}
+
 func (r *engineRun) errValue() error {
 	r.errMu.Lock()
 	defer r.errMu.Unlock()
@@ -206,6 +227,12 @@ func (r *engineRun) snapshotStats() Stats {
 	}
 }
 
+// scanFeed is one scan leaf of a run: feedScan streams rel to out.
+type scanFeed struct {
+	rel *relation.Relation
+	out outlet
+}
+
 // build wires the subtree rooted at n to the given outlet, creating a
 // controller per operator node and a feeder per scan leaf.
 func (r *engineRun) build(n *query.Node, out outlet) error {
@@ -214,22 +241,14 @@ func (r *engineRun) build(n *query.Node, out outlet) error {
 		if err != nil {
 			return err
 		}
-		r.feeders = append(r.feeders, func() { r.feedScan(rel, out) })
+		r.scans = append(r.scans, scanFeed{rel, out})
 		return nil
 	}
 
-	ne := &nodeExec{
-		run:        r,
-		id:         len(r.nodes),
-		node:       n,
-		events:     newInfChan(),
-		out:        out,
-		numInputs:  len(n.Inputs),
-		inputsDone: make([]bool, len(n.Inputs)),
-	}
-	ne.events.runs = &r.eng.runs
+	ne := r.newNode()
+	ne.run, ne.id, ne.node, ne.out = r, len(r.nodes), n, out
+	ne.numInputs = len(n.Inputs)
 	r.nodes = append(r.nodes, ne)
-	r.chans = append(r.chans, ne.events)
 
 	ne.outTupleLen = n.Schema().TupleLen()
 	if r.eng.opts.Granularity == TupleLevel {
@@ -247,7 +266,9 @@ func (r *engineRun) build(n *query.Node, out outlet) error {
 		if err != nil {
 			return err
 		}
-		ne.boundPred = b
+		// One program for every worker: each evaluates it in the
+		// scratch of its own RestrictState.
+		ne.batch = pred.CompileBatch(b)
 
 	case query.OpJoin:
 		b, err := n.Join.Bind(n.Inputs[0].Schema(), n.Inputs[1].Schema())
@@ -255,8 +276,7 @@ func (r *engineRun) build(n *query.Node, out outlet) error {
 			return err
 		}
 		ne.boundJoin = b
-		if r.eng.opts.Granularity != TupleLevel {
-			ne.packs = new([2]relation.Paginator)
+		if ne.packing = r.eng.opts.Granularity != TupleLevel; ne.packing {
 			for i := range ne.packs {
 				// Used only for pages smaller than the engine's, which
 				// fit a tuple in less: the geometry is then valid.
@@ -289,11 +309,24 @@ func (r *engineRun) build(n *query.Node, out outlet) error {
 	}
 
 	for i, in := range n.Inputs {
-		if err := r.build(in, inlet{ne.events, int32(i)}); err != nil {
+		ne.inlets[i] = inlet{ne.events, int32(i)}
+		if err := r.build(in, &ne.inlets[i]); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// newNode takes a parked node record, or makes one.
+func (r *engineRun) newNode() *nodeExec {
+	if k := len(r.spare); k > 0 {
+		ne := r.spare[k-1]
+		r.spare = r.spare[:k-1]
+		return ne
+	}
+	ne := &nodeExec{events: newInfChan()}
+	ne.events.runs = &r.eng.runs
+	return ne
 }
 
 func (r *engineRun) start() {
@@ -306,28 +339,26 @@ func (r *engineRun) start() {
 				fmt.Sprintf("%s node%d", ne.node.Kind, ne.id), r.qid, ne.id, -1)
 		}
 	}
-	for i := 0; i < r.eng.opts.Workers; i++ {
+	for _, w := range r.workers {
 		r.wg.Add(1)
-		go r.worker()
+		go r.worker(w)
 	}
 	for _, ne := range r.nodes {
 		r.wg.Add(1)
 		go ne.runIC()
 	}
-	for _, f := range r.feeders {
+	for _, f := range r.scans {
 		r.wg.Add(1)
-		f := f
-		go func() {
-			defer r.wg.Done()
-			f()
-		}()
+		go r.feedScan(f.rel, f.out)
 	}
 }
 
+// shutdown stops the run, waits for every goroutine of it, and parks its
+// record with the engine.
 func (r *engineRun) shutdown() {
 	r.stop()
-	for _, c := range r.chans {
-		c.Stop()
+	for _, ne := range r.nodes {
+		ne.events.Stop()
 	}
 	r.wg.Wait()
 	// Packets no worker took still hold their run buffers.
@@ -347,6 +378,37 @@ func (r *engineRun) shutdown() {
 			r.obs.Spans().End(r.span, end)
 		}
 	}
+	r.park()
+}
+
+// park gives the record back to the engine, keeping only what the next
+// run reuses: the arbitration channel (drained), the worker states with
+// their kernel states (parked: no join table survives), up to
+// maxParkedNodes node records with their queues and buffers, and the
+// slices' storage. Everything of this run — tree, relations, emit,
+// spans, meters, errors — is dropped.
+func (r *engineRun) park() {
+	for _, w := range r.workers {
+		w.park()
+	}
+	for _, ne := range r.nodes {
+		if len(r.spare) < maxParkedNodes {
+			ne.park()
+			r.spare = append(r.spare, ne)
+		}
+	}
+	clear(r.nodes)
+	clear(r.scans)
+	*r = engineRun{
+		eng:     r.eng,
+		obs:     r.obs,
+		arb:     r.arb,
+		workers: r.workers,
+		scans:   r.scans[:0],
+		nodes:   r.nodes[:0],
+		spare:   r.spare,
+	}
+	r.eng.parked.put(r)
 }
 
 // feedScan streams the pages of a source relation to the consumer, one
@@ -354,15 +416,17 @@ func (r *engineRun) shutdown() {
 // granularity each page is split into single-tuple tokens, which leave in
 // runs of up to relation.MaxRun and at the end of each page run.
 func (r *engineRun) feedScan(rel *relation.Relation, out outlet) {
+	defer r.wg.Done()
 	tupleLevel := r.eng.opts.Granularity == TupleLevel
-	errStopped := fmt.Errorf("core: run stopped")
+	read := r.eng.runs.get() // a stored relation's runs are read into it
+	defer r.eng.runs.put(read)
 	run := r.eng.runs.get()
 	send := func() {
 		atomic.AddInt64(&r.stPages, int64(run.n))
 		out.sendRun(run)
 		run = r.eng.runs.get()
 	}
-	err := rel.EachRun(func(pages []*relation.Page) error {
+	err := rel.EachRun(&read.pages, func(pages []*relation.Page) error {
 		select {
 		case <-r.stopped:
 			return errStopped
@@ -403,6 +467,9 @@ func (r *engineRun) feedScan(rel *relation.Relation, out outlet) {
 	out.done()
 }
 
+// errStopped ends a scan whose run has stopped.
+var errStopped = errors.New("core: run stopped")
+
 // dedupPart is one partition of the parallel duplicate-elimination set.
 type dedupPart struct {
 	mu sync.Mutex
@@ -421,9 +488,10 @@ type nodeExec struct {
 
 	events *infChan
 	out    outlet
+	inlets [2]inlet // the outlets of the node's inputs
 
 	numInputs  int
-	inputsDone []bool
+	inputsDone [2]bool
 	doneCount  int
 	dispatched int // physical packets sent; completed counts their ends
 	completed  int
@@ -432,12 +500,13 @@ type nodeExec struct {
 	// buf holds operand pages: at page/tuple level only until they have
 	// been paired (joins keep everything, as nested loops requires); at
 	// relation level everything until the inputs complete. packs are a
-	// join's open operand pages, one per input (pack); nil at tuple level
-	// and for the unary operators.
-	buf   [2][]*relation.Page
-	packs *[2]relation.Paginator
+	// join's open operand pages, one per input (pack), when packing: not
+	// at tuple level nor for the unary operators.
+	buf     [2][]*relation.Page
+	packs   [2]relation.Paginator
+	packing bool
 
-	boundPred pred.Bound
+	batch     *pred.BatchPred
 	boundJoin *pred.BoundJoin
 	projector *relalg.Projector
 
@@ -448,6 +517,21 @@ type nodeExec struct {
 	outTupleLen int
 	outPageSize int
 	pending     *relation.Page // output compressor
+}
+
+// park empties a finished or failed node for its next run, keeping its
+// event queue (stopped, and reopened here) and the storage of its operand
+// buffers. A failed run's buffered pages are dropped to the collector.
+func (n *nodeExec) park() {
+	n.events.reopen()
+	buf := n.buf
+	for i := range buf {
+		clear(buf[i])
+		if buf[i] = buf[i][:0]; cap(buf[i]) > maxParkedLen {
+			buf[i] = nil
+		}
+	}
+	*n = nodeExec{events: n.events, buf: buf}
 }
 
 // inlet is the outlet a child (or scan feeder) uses to deliver one
@@ -527,7 +611,7 @@ func (n *nodeExec) onRun(input int, run *pageRun) {
 		return
 	}
 	first := len(n.buf[input])
-	if n.packs != nil {
+	if n.packing {
 		n.pack(input, run.slice())
 	} else {
 		n.buf[input] = append(n.buf[input], run.slice()...)
@@ -590,7 +674,7 @@ func (n *nodeExec) fire(pages []*relation.Page, with *relation.Page, input int) 
 // unary operator drains its backlog.
 func (n *nodeExec) onInputDone(input int) {
 	relationLevel := n.run.eng.opts.Granularity == RelationLevel
-	if n.packs != nil {
+	if n.packing {
 		if last := n.packs[input].Flush(); last != nil {
 			n.buf[input] = append(n.buf[input], last)
 			if !relationLevel {
@@ -733,7 +817,8 @@ func (n *nodeExec) finish() {
 	// their references go back, a scan's with the engine's own.
 	for i := range n.buf {
 		relation.ReleaseAll(n.buf[i])
-		n.buf[i] = nil
+		clear(n.buf[i])
+		n.buf[i] = n.buf[i][:0]
 	}
 	if n.run.tracing() {
 		n.run.event(obs.EvInstrDone, fmt.Sprintf("node%d", n.id), n.id, 0,

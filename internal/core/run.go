@@ -68,17 +68,60 @@ func (l *runList) get() *pageRun {
 }
 
 // put takes back a run buffer nobody reads any more, dropping its page
-// references. A nil list or buffer is ignored.
+// references — those a walk read into it as well. A nil list or buffer
+// is ignored.
 func (l *runList) put(r *pageRun) {
 	if l == nil || r == nil {
 		return
 	}
-	clear(r.slice())
-	r.n = 0
+	*r = pageRun{}
 	l.mu.Lock()
 	l.puts++
 	if len(l.free) < maxFreeRuns {
 		l.free = append(l.free, r)
 	}
 	l.mu.Unlock()
+}
+
+// maxParkedRuns bounds the run records an engine keeps idle: one per
+// query it runs at once, for up to four at once. maxParkedNodes bounds
+// the operator nodes a parked record keeps the storage of — the node
+// records with their event queues and operand buffers, and each worker's
+// kernel states — which covers the paper's largest query (11 nodes).
+const (
+	maxParkedRuns  = 4
+	maxParkedNodes = 16
+)
+
+// runPark is the engine's free list of run records: the arbitration
+// channel, the workers' states with their kernel states, the node
+// records with their event queues, and the sink — everything a run is
+// built from but its goroutines. Like runList it lives as long as the
+// engine, so a warm query builds none of it. A record is taken at run
+// start and parked only once shutdown has waited for every goroutine of
+// the run, on failure and cancellation too.
+type runPark struct {
+	mu   sync.Mutex
+	free []*engineRun
+}
+
+// get returns a parked record, or nil if none is idle.
+func (p *runPark) get() *engineRun {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.free)
+	if n == 0 {
+		return nil
+	}
+	r := p.free[n-1]
+	p.free = p.free[:n-1]
+	return r
+}
+
+func (p *runPark) put(r *engineRun) {
+	p.mu.Lock()
+	if len(p.free) < maxParkedRuns {
+		p.free = append(p.free, r)
+	}
+	p.mu.Unlock()
 }

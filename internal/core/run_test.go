@@ -290,32 +290,47 @@ func TestRunSlowStart(t *testing.T) {
 	}
 }
 
-// TestRunAllocCeilings: runs buy nothing per packet. A warm 400-page
-// restrict allocates no more than it did page by page (84 at the parent
-// of this change, all of it per query), and a join newcomer is paired
-// with a 700-page side — 22 packets — without one allocation: a packet's
-// operands are a view of the buffer, not a slice of their own.
+// TestRunAllocCeilings: runs buy nothing per packet, and a warm run buys
+// next to nothing per query: its run record, worker and kernel states,
+// event queues and arbitration channel come parked from the last run. A
+// warm 400-page restrict allocates at most 11 times (84 before run
+// records were parked) and a warm paper query 3 — a join of two
+// restricts, on serving-size pages, where each worker's join builds
+// fewer tables than a parked JoinState keeps — at most 19. What is left
+// is a goroutine start per worker, controller and scan, the run's stop
+// channel, the bound and compiled predicates, and the Result. A join
+// newcomer is paired with a 700-page side — 22 packets — without one
+// allocation: a packet's operands are a view of the buffer, not a slice
+// of their own.
 func TestRunAllocCeilings(t *testing.T) {
-	cat, _ := benchScaleDB(t)
+	cat, qs := benchScaleDB(t)
 	eng := New(cat, Options{Granularity: PageLevel, Workers: 4, PageSize: 2048})
 	fetch, err := query.Bind(query.MustParse(`restrict(r1, val < 1000)`), cat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := eng.ExecuteStream(context.Background(), fetch, recycler(eng)); err != nil {
-			t.Fatal(err)
+	served := New(cat, Options{Granularity: PageLevel, Workers: 4})
+	for _, c := range []struct {
+		what string
+		eng  *Engine
+		q    *query.Tree
+		max  float64
+	}{{"warm 400-page restrict", eng, fetch, 11}, {"warm paper query 3", served, qs[2], 19}} {
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := c.eng.ExecuteStream(context.Background(), c.q, recycler(c.eng)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > c.max && !raceEnabled {
+			t.Errorf("%s: %.0f allocations, want at most %.0f", c.what, allocs, c.max)
 		}
-	})
-	if allocs > 84 && !raceEnabled {
-		t.Errorf("warm 400-page restrict: %.0f allocations, want at most 84", allocs)
 	}
 
 	tr, err := query.Bind(query.MustParse(`join(r1, r2, k1 = k1)`), cat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := newEngineRun(context.Background(), eng, tr)
+	run := newEngineRun(context.Background(), eng)
 	if err := run.build(tr.Root(), &resultSink{run: run}); err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +346,7 @@ func TestRunAllocCeilings(t *testing.T) {
 	r2, _ := cat.Get("r2")
 	join := run.nodes[0]
 	rounds := 0
-	allocs = testing.AllocsPerRun(10, func() {
+	allocs := testing.AllocsPerRun(10, func() {
 		join.fire(r2.Pages(), r1.Page(0), 0)
 		rounds++
 	})
@@ -345,13 +360,13 @@ func TestRunAllocCeilings(t *testing.T) {
 }
 
 // startTallied is run.start with workers that show every packet to
-// tally before executing it.
-func startTallied(run *engineRun, tally func(task)) {
-	for i := 0; i < run.eng.opts.Workers; i++ {
+// tally before executing it, and feed in place of the scan feeders.
+func startTallied(run *engineRun, tally func(task), feed func()) {
+	for _, w := range run.workers {
 		run.wg.Add(1)
-		go func() {
+		go func(w *workerState) {
 			defer run.wg.Done()
-			w := newWorkerState(run)
+			w.aim(run.nodes)
 			for {
 				select {
 				case t := <-run.arb:
@@ -361,19 +376,17 @@ func startTallied(run *engineRun, tally func(task)) {
 					return
 				}
 			}
-		}()
+		}(w)
 	}
 	for _, ne := range run.nodes {
 		run.wg.Add(1)
 		go ne.runIC()
 	}
-	for _, f := range run.feeders {
-		run.wg.Add(1)
-		go func() {
-			defer run.wg.Done()
-			f()
-		}()
-	}
+	run.wg.Add(1)
+	go func() {
+		defer run.wg.Done()
+		feed()
+	}()
 }
 
 // tuplePairs is the number of (outer tuple, inner tuple) pairs a join
@@ -399,7 +412,7 @@ func feedCopies(t *testing.T, eng *Engine, join *nodeExec, inputs [2]*relation.R
 				side = 1 - side
 			}
 			k := min(1+rng.Intn(relation.MaxRun), len(left[side]))
-			in := inlet{join.events, int32(side)}
+			in := &join.inlets[side]
 			pr := eng.runs.get()
 			for _, src := range left[side][:k] {
 				pg, err := relation.Get(src.PageSize(), src.TupleLen())
@@ -461,22 +474,19 @@ func TestRunJoinPairsExactlyOnce(t *testing.T) {
 	allPairs := int64(outer.Cardinality()) * int64(inner.Cardinality())
 	eng := New(cat, Options{Granularity: PageLevel, Workers: 4, PageSize: 1000})
 	for seed := int64(1); seed <= 25; seed++ {
-		run := newEngineRun(context.Background(), eng, tr)
+		run := newEngineRun(context.Background(), eng)
 		got := relation.MustNew("joined", tr.Root().Schema(), 1000)
-		sink := &resultSink{run: run, emit: got.AppendPage, finished: make(chan struct{})}
-		if err := run.build(tr.Root(), sink); err != nil {
+		run.sink = resultSink{run: run, emit: got.AppendPage}
+		if err := run.build(tr.Root(), &run.sink); err != nil {
 			t.Fatal(err)
 		}
 		var copies, pairs atomic.Int64
-		run.feeders = []func(){feedCopies(t, eng, run.nodes[0], [2]*relation.Relation{outer, inner},
-			rand.New(rand.NewSource(seed)), &copies)}
-		startTallied(run, func(tk task) { pairs.Add(tuplePairs(tk)) })
-		select {
-		case <-sink.finished:
-		case <-run.stopped:
-		}
+		startTallied(run, func(tk task) { pairs.Add(tuplePairs(tk)) },
+			feedCopies(t, eng, run.nodes[0], [2]*relation.Relation{outer, inner}, rand.New(rand.NewSource(seed)), &copies))
+		<-run.stopped
+		err, st := run.errValue(), run.snapshotStats() // shutdown parks the run
 		run.shutdown()
-		if err := run.errValue(); err != nil {
+		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if !got.EqualMultiset(want) {
@@ -485,7 +495,7 @@ func TestRunJoinPairsExactlyOnce(t *testing.T) {
 		if got := pairs.Load(); got != allPairs {
 			t.Errorf("seed %d: packets offered %d tuple pairs, want |outer|·|inner| = %d", seed, got, allPairs)
 		}
-		if st := run.snapshotStats(); st.InstructionPackets >= int64(outer.NumPages()*inner.NumPages()) {
+		if st.InstructionPackets >= int64(outer.NumPages()*inner.NumPages()) {
 			t.Errorf("seed %d: %d instruction packets for %d unpacked page pairs: nothing was packed",
 				seed, st.InstructionPackets, outer.NumPages()*inner.NumPages())
 		}
@@ -522,32 +532,28 @@ func TestRunJoinPacksOperands(t *testing.T) {
 		eng := New(cat, Options{Granularity: g, Workers: 4, PageSize: 1000})
 		for seed := int64(1); seed <= 5; seed++ {
 			before := relation.PageStats()
-			run := newEngineRun(context.Background(), eng, tr)
+			run := newEngineRun(context.Background(), eng)
 			got := relation.MustNew("joined", tr.Root().Schema(), 1000)
-			sink := &resultSink{run: run, emit: got.LendPage, finished: make(chan struct{})}
-			if err := run.build(tr.Root(), sink); err != nil {
+			run.sink = resultSink{run: run, emit: got.LendPage}
+			if err := run.build(tr.Root(), &run.sink); err != nil {
 				t.Fatal(err)
 			}
 			var copies atomic.Int64
 			var firstOnce sync.Once
 			recycledAtFirst := int64(-1)
-			run.feeders = []func(){feedCopies(t, eng, run.nodes[0], [2]*relation.Relation{outer, inner},
-				rand.New(rand.NewSource(seed)), &copies)}
 			startTallied(run, func(task) {
 				firstOnce.Do(func() { recycledAtFirst = relation.PageStats().Recycled - before.Recycled })
-			})
-			select {
-			case <-sink.finished:
-			case <-run.stopped:
-			}
+			}, feedCopies(t, eng, run.nodes[0], [2]*relation.Relation{outer, inner}, rand.New(rand.NewSource(seed)), &copies))
+			<-run.stopped
+			err, st := run.errValue(), run.snapshotStats() // shutdown parks the run
 			run.shutdown()
-			if err := run.errValue(); err != nil {
+			if err != nil {
 				t.Fatalf("%s seed %d: %v", g, seed, err)
 			}
 			if !got.EqualMultiset(want) {
 				t.Errorf("%s seed %d: joined %d tuples, serial %d", g, seed, got.Cardinality(), want.Cardinality())
 			}
-			if st, pairs := run.snapshotStats(), packed(outer)*packed(inner); st.InstructionPackets != pairs {
+			if pairs := packed(outer) * packed(inner); st.InstructionPackets != pairs {
 				t.Errorf("%s seed %d: %d instruction packets, want %d packed page pairs", g, seed, st.InstructionPackets, pairs)
 			}
 			if g == RelationLevel && recycledAtFirst < copies.Load() {

@@ -14,9 +14,9 @@ import (
 // the arbitration network, applies the operation to the operand pages,
 // paginates the result tuples, and sends the result pages back to the
 // controlling node.
-func (r *engineRun) worker() {
+func (r *engineRun) worker(w *workerState) {
 	defer r.wg.Done()
-	w := newWorkerState(r)
+	w.aim(r.nodes)
 	for {
 		select {
 		case t := <-r.arb:
@@ -28,19 +28,21 @@ func (r *engineRun) worker() {
 }
 
 // workerState is what one worker keeps between instruction packets, so
-// that a packet buys nothing: the reusable kernel state, one entry per
-// node — cached inner-page hash tables, batch-compiled restrict
-// predicates with their selection-bitmap scratch, project gather
-// buffers — and the output side, one paginator and two tuple sinks
-// built once and re-aimed at each packet's node. Kernel states hold
-// mutable scratch, so all of it is per-worker, never shared between
-// goroutines. The worker is itself the relalg.Out the restrict and join
-// kernels write into: their result tuples land in the paginator's page.
+// that a packet buys nothing, and between runs, so that a warm run buys
+// nothing either: the reusable kernel state, one entry per node —
+// cached inner-page hash tables, restrict selection-bitmap and column
+// scratch, project gather buffers — and the output side, one paginator
+// and two tuple sinks built once and re-aimed at each packet's node.
+// Kernel states hold mutable scratch, so all of it is per-worker, never
+// shared between goroutines. The worker is itself the relalg.Out the
+// restrict and join kernels write into: their result tuples land in the
+// paginator's page.
 type workerState struct {
-	run       *engineRun
-	joins     map[*nodeExec]*relalg.JoinState
-	restricts map[*nodeExec]*relalg.RestrictState
-	projects  map[*nodeExec]*relalg.ProjectState
+	run *engineRun
+	// kernels is indexed by nodeExec.id. At the start of a run each
+	// entry is aimed at the run's node of that id; when the run ends it
+	// is parked, with what it grew, for whichever node takes the id next.
+	kernels []kernelState
 
 	// The packet in hand: its node, the paginator filling its current
 	// output page, and the meters of the pages already sent.
@@ -54,13 +56,16 @@ type workerState struct {
 	emitPart relalg.EmitFunc // partitioned project: dedup, then emit
 }
 
+// kernelState is a worker's kernel state for one node id, of each kind,
+// since the node of that id may be of any kind from run to run.
+type kernelState struct {
+	restrict relalg.RestrictState
+	join     relalg.JoinState
+	project  relalg.ProjectState
+}
+
 func newWorkerState(r *engineRun) *workerState {
-	w := &workerState{
-		run:       r,
-		joins:     make(map[*nodeExec]*relalg.JoinState),
-		restricts: make(map[*nodeExec]*relalg.RestrictState),
-		projects:  make(map[*nodeExec]*relalg.ProjectState),
-	}
+	w := &workerState{run: r}
 	w.emit = func(raw []byte) error {
 		full, err := w.pgtor.Add(raw)
 		w.sendFull(full)
@@ -81,6 +86,40 @@ func newWorkerState(r *engineRun) *workerState {
 		return w.emit(raw)
 	}
 	return w
+}
+
+// aim points the worker's kernel states at the run's nodes.
+func (w *workerState) aim(nodes []*nodeExec) {
+	if k := len(nodes) - len(w.kernels); k > 0 {
+		w.kernels = append(w.kernels, make([]kernelState, k)...)
+	}
+	for _, n := range nodes {
+		k := &w.kernels[n.id]
+		switch n.node.Kind {
+		case query.OpRestrict:
+			k.restrict.Aim(n.batch)
+		case query.OpJoin:
+			k.join.Aim(n.boundJoin, &w.run.kstats)
+		case query.OpProject:
+			k.project.Aim(n.projector)
+		}
+	}
+}
+
+// park readies the worker for the next run once this one's goroutines
+// have exited: every join state is parked, so no table keyed by a page
+// of this run survives it, and only maxParkedNodes entries stay. A
+// failed packet's open output page is dropped to the collector.
+func (w *workerState) park() {
+	if len(w.kernels) > maxParkedNodes {
+		clear(w.kernels[maxParkedNodes:])
+		w.kernels = w.kernels[:maxParkedNodes]
+	}
+	for i := range w.kernels {
+		w.kernels[i].join.Park()
+	}
+	w.node = nil
+	w.pgtor = relation.Paginator{}
 }
 
 // Write copies whole tuples into the worker's output pages.
@@ -171,14 +210,10 @@ func (w *workerState) exec(t task) {
 // buffered in the controller for future pairings and go back when it
 // finishes.
 func (w *workerState) apply(t task) error {
-	r, n := w.run, t.node
+	n := t.node
 	switch n.node.Kind {
 	case query.OpRestrict:
-		rs := w.restricts[n]
-		if rs == nil {
-			rs = relalg.NewRestrictState(n.boundPred)
-			w.restricts[n] = rs
-		}
+		rs := &w.kernels[n.id].restrict
 		defer relation.ReleaseAll(t.pages)
 		for _, pg := range t.pages {
 			if _, err := rs.RestrictInto(pg, w); err != nil {
@@ -187,11 +222,7 @@ func (w *workerState) apply(t task) error {
 		}
 
 	case query.OpJoin:
-		st := w.joins[n]
-		if st == nil {
-			st = relalg.NewJoinState(n.boundJoin, &r.kstats)
-			w.joins[n] = st
-		}
+		st := &w.kernels[n.id].join
 		for _, pg := range t.pages {
 			outer, inner := t.with, pg
 			if t.input == 1 {
@@ -207,11 +238,7 @@ func (w *workerState) apply(t task) error {
 		if n.parts != nil {
 			sink = w.emitPart
 		}
-		ps := w.projects[n]
-		if ps == nil {
-			ps = relalg.NewProjectState(n.projector)
-			w.projects[n] = ps
-		}
+		ps := &w.kernels[n.id].project
 		defer relation.ReleaseAll(t.pages)
 		for _, pg := range t.pages {
 			if _, err := ps.ProjectPage(pg, nil, sink); err != nil {

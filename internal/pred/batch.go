@@ -24,12 +24,48 @@ import (
 func SelWords(n int) int { return (n + 63) / 64 }
 
 // BatchPred is a predicate compiled for batched evaluation over the
-// contiguous tuple bytes of one page. It holds mutable column and
-// bitmap scratch, so a BatchPred must not be used from more than one
-// goroutine at a time; compile one per worker.
+// contiguous tuple bytes of one page. The program itself is never
+// written after compilation — every evaluation works in the caller's
+// BatchScratch — so one BatchPred serves any number of goroutines.
 type BatchPred struct {
 	root   batchNode
 	vector bool
+}
+
+// BatchScratch is the mutable storage a batched evaluation works in: the
+// column vectors a leaf gathers an attribute into, and one selection
+// bitmap per nesting level of AND/OR. It grows to the largest page and
+// the deepest program it has served and keeps that storage, so an
+// evaluator that keeps one allocates nothing once warm, whichever
+// program it runs. A BatchScratch must not be used from more than one
+// goroutine at a time; the zero value is ready to use.
+type BatchScratch struct {
+	ints   [2][]int64
+	floats [2][]float64
+	sels   [][]uint64
+}
+
+func (s *BatchScratch) intCol(i, n int) []int64 {
+	if cap(s.ints[i]) < n {
+		s.ints[i] = make([]int64, n)
+	}
+	return s.ints[i][:n]
+}
+
+func (s *BatchScratch) floatCol(i, n int) []float64 {
+	if cap(s.floats[i]) < n {
+		s.floats[i] = make([]float64, n)
+	}
+	return s.floats[i][:n]
+}
+
+// sel is the bitmap of the AND/OR nodes at the given nesting depth.
+func (s *BatchScratch) sel(depth, n int) []uint64 {
+	for len(s.sels) <= depth {
+		s.sels = append(s.sels, nil)
+	}
+	s.sels[depth] = sizeSel(s.sels[depth], n)
+	return s.sels[depth]
 }
 
 // CompileBatch compiles a bound predicate for batched evaluation. It
@@ -37,7 +73,7 @@ type BatchPred struct {
 // per-tuple fallback node.
 func CompileBatch(b Bound) *BatchPred {
 	bp := &BatchPred{vector: true}
-	bp.root = compileBatch(b, &bp.vector)
+	bp.root = compileBatch(b, &bp.vector, 0)
 	return bp
 }
 
@@ -48,23 +84,26 @@ func (bp *BatchPred) Vectorized() bool { return bp.vector }
 // EvalBatch fills sel with the selection bitmap of the predicate over
 // data, which holds n contiguous tuples of tupleLen bytes: bit i is set
 // iff tuple i satisfies the predicate. sel must be at least SelWords(n)
-// words long; bits at positions >= n are left zero.
-func (bp *BatchPred) EvalBatch(data []byte, tupleLen, n int, sel []uint64) error {
+// words long; bits at positions >= n are left zero. The evaluation
+// works in s.
+func (bp *BatchPred) EvalBatch(data []byte, tupleLen, n int, sel []uint64, s *BatchScratch) error {
 	if n == 0 {
 		return nil
 	}
-	return bp.root.eval(data, tupleLen, n, sel[:SelWords(n)])
+	return bp.root.eval(s, data, tupleLen, n, sel[:SelWords(n)])
 }
 
 // batchNode computes the complete selection bitmap of one predicate
 // subtree. out arrives with unspecified contents and exactly
 // SelWords(n) words; on return every bit < n reflects the subtree and
-// every bit >= n is zero.
+// every bit >= n is zero. Its column and connective scratch is s's.
 type batchNode interface {
-	eval(data []byte, tupleLen, n int, out []uint64) error
+	eval(s *BatchScratch, data []byte, tupleLen, n int, out []uint64) error
 }
 
-func compileBatch(b Bound, vector *bool) batchNode {
+// compileBatch compiles b; depth counts the AND/OR nodes above it, which
+// numbers the scratch bitmap each connective takes.
+func compileBatch(b Bound, vector *bool, depth int) batchNode {
 	switch t := b.(type) {
 	case boundCompare:
 		a := t.schema.Attr(t.attr)
@@ -89,17 +128,17 @@ func compileBatch(b Bound, vector *bool) batchNode {
 	case boundAnd:
 		kids := make([]batchNode, len(t))
 		for i, k := range t {
-			kids[i] = compileBatch(k, vector)
+			kids[i] = compileBatch(k, vector, depth+1)
 		}
-		return &batchAnd{kids: kids}
+		return &batchAnd{kids: kids, depth: depth}
 	case boundOr:
 		kids := make([]batchNode, len(t))
 		for i, k := range t {
-			kids[i] = compileBatch(k, vector)
+			kids[i] = compileBatch(k, vector, depth+1)
 		}
-		return &batchOr{kids: kids}
+		return &batchOr{kids: kids, depth: depth}
 	case boundNot:
-		return &batchNot{kid: compileBatch(t.kid, vector)}
+		return &batchNot{kid: compileBatch(t.kid, vector, depth)}
 	case boundConst:
 		return batchConst(t)
 	}
@@ -136,17 +175,13 @@ type batchCmpInt struct {
 	off, width int
 	op         Op
 	k          int64
-	col        []int64
 }
 
-func (b *batchCmpInt) eval(data []byte, tupleLen, n int, out []uint64) error {
+func (b *batchCmpInt) eval(s *BatchScratch, data []byte, tupleLen, n int, out []uint64) error {
 	if b.off+b.width > tupleLen {
 		return fmt.Errorf("pred: %d-byte tuple too short for batched compare at offset %d width %d", tupleLen, b.off, b.width)
 	}
-	if cap(b.col) < n {
-		b.col = make([]int64, n)
-	}
-	col := b.col[:n]
+	col := s.intCol(0, n)
 	p := b.off
 	if b.width == 8 {
 		for i := 0; i < n; i++ {
@@ -211,17 +246,13 @@ type batchCmpFloat struct {
 	off int
 	op  Op
 	k   float64
-	col []float64
 }
 
-func (b *batchCmpFloat) eval(data []byte, tupleLen, n int, out []uint64) error {
+func (b *batchCmpFloat) eval(s *BatchScratch, data []byte, tupleLen, n int, out []uint64) error {
 	if b.off+8 > tupleLen {
 		return fmt.Errorf("pred: %d-byte tuple too short for batched compare at offset %d width 8", tupleLen, b.off)
 	}
-	if cap(b.col) < n {
-		b.col = make([]float64, n)
-	}
-	col := b.col[:n]
+	col := s.floatCol(0, n)
 	p := b.off
 	for i := 0; i < n; i++ {
 		col[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[p:]))
@@ -280,7 +311,7 @@ type batchCmpString struct {
 	k          []byte
 }
 
-func (b *batchCmpString) eval(data []byte, tupleLen, n int, out []uint64) error {
+func (b *batchCmpString) eval(_ *BatchScratch, data []byte, tupleLen, n int, out []uint64) error {
 	if b.off+b.width > tupleLen {
 		return fmt.Errorf("pred: %d-byte tuple too short for batched compare at offset %d width %d", tupleLen, b.off, b.width)
 	}
@@ -301,22 +332,16 @@ type batchCmpAttrs struct {
 	op           Op
 	aOff, aWidth int
 	bOff, bWidth int
-	colA, colB   []int64
-	fColA, fColB []float64
 }
 
-func (b *batchCmpAttrs) eval(data []byte, tupleLen, n int, out []uint64) error {
+func (b *batchCmpAttrs) eval(s *BatchScratch, data []byte, tupleLen, n int, out []uint64) error {
 	if b.aOff+b.aWidth > tupleLen || b.bOff+b.bWidth > tupleLen {
 		return fmt.Errorf("pred: %d-byte tuple too short for batched attribute compare", tupleLen)
 	}
 	zeroSel(out)
 	switch b.kind {
 	case relation.KindInt:
-		if cap(b.colA) < n {
-			b.colA = make([]int64, n)
-			b.colB = make([]int64, n)
-		}
-		ca, cb := b.colA[:n], b.colB[:n]
+		ca, cb := s.intCol(0, n), s.intCol(1, n)
 		gatherInt(data, tupleLen, n, b.aOff, b.aWidth, ca)
 		gatherInt(data, tupleLen, n, b.bOff, b.bWidth, cb)
 		switch b.op {
@@ -360,11 +385,7 @@ func (b *batchCmpAttrs) eval(data []byte, tupleLen, n int, out []uint64) error {
 			return fmt.Errorf("pred: unknown comparison operator %v", b.op)
 		}
 	case relation.KindFloat:
-		if cap(b.fColA) < n {
-			b.fColA = make([]float64, n)
-			b.fColB = make([]float64, n)
-		}
-		ca, cb := b.fColA[:n], b.fColB[:n]
+		ca, cb := s.floatCol(0, n), s.floatCol(1, n)
 		gatherFloat(data, tupleLen, n, b.aOff, ca)
 		gatherFloat(data, tupleLen, n, b.bOff, cb)
 		for i, v := range ca {
@@ -420,22 +441,22 @@ func gatherFloat(data []byte, tupleLen, n, off int, col []float64) {
 }
 
 type batchAnd struct {
-	kids    []batchNode
-	scratch []uint64
+	kids  []batchNode
+	depth int
 }
 
-func (b *batchAnd) eval(data []byte, tupleLen, n int, out []uint64) error {
-	if err := b.kids[0].eval(data, tupleLen, n, out); err != nil {
+func (b *batchAnd) eval(s *BatchScratch, data []byte, tupleLen, n int, out []uint64) error {
+	if err := b.kids[0].eval(s, data, tupleLen, n, out); err != nil {
 		return err
 	}
 	if len(b.kids) > 1 {
-		b.scratch = sizeSel(b.scratch, n)
+		scratch := s.sel(b.depth, n)
 		for _, k := range b.kids[1:] {
-			if err := k.eval(data, tupleLen, n, b.scratch); err != nil {
+			if err := k.eval(s, data, tupleLen, n, scratch); err != nil {
 				return err
 			}
 			for i := range out {
-				out[i] &= b.scratch[i]
+				out[i] &= scratch[i]
 			}
 		}
 	}
@@ -443,22 +464,22 @@ func (b *batchAnd) eval(data []byte, tupleLen, n int, out []uint64) error {
 }
 
 type batchOr struct {
-	kids    []batchNode
-	scratch []uint64
+	kids  []batchNode
+	depth int
 }
 
-func (b *batchOr) eval(data []byte, tupleLen, n int, out []uint64) error {
-	if err := b.kids[0].eval(data, tupleLen, n, out); err != nil {
+func (b *batchOr) eval(s *BatchScratch, data []byte, tupleLen, n int, out []uint64) error {
+	if err := b.kids[0].eval(s, data, tupleLen, n, out); err != nil {
 		return err
 	}
 	if len(b.kids) > 1 {
-		b.scratch = sizeSel(b.scratch, n)
+		scratch := s.sel(b.depth, n)
 		for _, k := range b.kids[1:] {
-			if err := k.eval(data, tupleLen, n, b.scratch); err != nil {
+			if err := k.eval(s, data, tupleLen, n, scratch); err != nil {
 				return err
 			}
 			for i := range out {
-				out[i] |= b.scratch[i]
+				out[i] |= scratch[i]
 			}
 		}
 	}
@@ -467,8 +488,8 @@ func (b *batchOr) eval(data []byte, tupleLen, n int, out []uint64) error {
 
 type batchNot struct{ kid batchNode }
 
-func (b *batchNot) eval(data []byte, tupleLen, n int, out []uint64) error {
-	if err := b.kid.eval(data, tupleLen, n, out); err != nil {
+func (b *batchNot) eval(s *BatchScratch, data []byte, tupleLen, n int, out []uint64) error {
+	if err := b.kid.eval(s, data, tupleLen, n, out); err != nil {
 		return err
 	}
 	for i := range out {
@@ -480,7 +501,7 @@ func (b *batchNot) eval(data []byte, tupleLen, n int, out []uint64) error {
 
 type batchConst bool
 
-func (b batchConst) eval(_ []byte, _, n int, out []uint64) error {
+func (b batchConst) eval(_ *BatchScratch, _ []byte, _, n int, out []uint64) error {
 	if !b {
 		zeroSel(out)
 		return nil
@@ -497,7 +518,7 @@ func (b batchConst) eval(_ []byte, _, n int, out []uint64) error {
 // interface.
 type batchFallback struct{ b Bound }
 
-func (b *batchFallback) eval(data []byte, tupleLen, n int, out []uint64) error {
+func (b *batchFallback) eval(_ *BatchScratch, data []byte, tupleLen, n int, out []uint64) error {
 	zeroSel(out)
 	p := 0
 	for i := 0; i < n; i++ {

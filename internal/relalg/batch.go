@@ -65,11 +65,13 @@ func (e *emitOut) Room() []byte {
 func (e *emitOut) Commit(n int) error { return e.Write(e.buf[:n]) }
 
 // RestrictState is the reusable state of the batched restrict kernel:
-// the batch-compiled predicate plus bitmap scratch.
-// It is owned by a single goroutine at a time (one per worker or IP).
+// the batch-compiled predicate plus the bitmap and column scratch it is
+// evaluated in. It is owned by a single goroutine at a time (one per
+// worker or IP); the compiled predicate may be shared.
 type RestrictState struct {
-	bp  *pred.BatchPred
-	sel []uint64
+	bp      *pred.BatchPred
+	sel     []uint64
+	scratch pred.BatchScratch
 }
 
 // NewRestrictState compiles the bound predicate for batched
@@ -77,7 +79,14 @@ type RestrictState struct {
 // per-tuple inside the bitmap pass (see pred.CompileBatch), so a
 // RestrictState is valid for every Bound.
 func NewRestrictState(b pred.Bound) *RestrictState {
-	return &RestrictState{bp: pred.CompileBatch(b)}
+	return new(RestrictState).Aim(pred.CompileBatch(b))
+}
+
+// Aim points the state at another compiled predicate, keeping the
+// bitmap and column scratch it has grown.
+func (s *RestrictState) Aim(bp *pred.BatchPred) *RestrictState {
+	s.bp = bp
+	return s
 }
 
 // Vectorized reports whether the predicate compiled fully to vector
@@ -110,7 +119,7 @@ func (s *RestrictState) restrict(p *relation.Page, out Out, emit EmitFunc) (int,
 	} else {
 		s.sel = s.sel[:w]
 	}
-	if err := s.bp.EvalBatch(data, tl, n, s.sel); err != nil {
+	if err := s.bp.EvalBatch(data, tl, n, s.sel, &s.scratch); err != nil {
 		return 0, err
 	}
 	// One walk over the bitmap. Into out it steps a run at a time:
@@ -162,7 +171,13 @@ type ProjectState struct {
 }
 
 // NewProjectState returns a project kernel state for the projector.
-func NewProjectState(pj *Projector) *ProjectState { return &ProjectState{pj: pj} }
+func NewProjectState(pj *Projector) *ProjectState { return new(ProjectState).Aim(pj) }
+
+// Aim points the state at another projector, keeping its gather buffer.
+func (s *ProjectState) Aim(pj *Projector) *ProjectState {
+	s.pj = pj
+	return s
+}
 
 // ProjectPage projects every tuple of the page and emits the results
 // that survive the optional dedup tracker, returning how many. Sharing

@@ -107,13 +107,45 @@ type JoinState struct {
 // nested loops because their value equality is not byte equality (-0 ==
 // +0, NaN). stats may be nil.
 func NewJoinState(cond *pred.BoundJoin, stats *KernelStats) *JoinState {
-	s := &JoinState{cond: cond, stats: stats, MaxTables: defaultTableCache}
+	return new(JoinState).Aim(cond, stats)
+}
+
+// Aim points a state holding no cached table — a new one, or one Reset
+// or Parked since its last use — at another bound condition, selecting
+// the kernel as NewJoinState does. The storage of the tables and key
+// vectors it built before serves the builds to come.
+func (s *JoinState) Aim(cond *pred.BoundJoin, stats *KernelStats) *JoinState {
+	s.cond, s.stats, s.MaxTables = cond, stats, defaultTableCache
+	s.kernel, s.key, s.exact = KernelNestedLoops, pred.HashKey{}, false
 	if key, ok := cond.HashKey(); ok {
 		s.kernel = KernelHash
 		s.key = key
 		s.exact = cond.SingleIntEqui()
 	}
 	return s
+}
+
+// parkedTables bounds the recycled storage a parked JoinState keeps: at
+// most this many hash tables and as many outer-key vectors, each sized
+// for one inner or outer page.
+const parkedTables = 8
+
+// Park readies the state to wait, unaimed, for its next condition: it
+// is Reset, so no table or key vector keyed by a page of the run it
+// served survives — the page may return from the free list at the same
+// address — and of the recycled storage at most parkedTables tables and
+// key vectors are kept.
+func (s *JoinState) Park() {
+	s.Reset()
+	if len(s.free) > parkedTables {
+		clear(s.free[parkedTables:])
+		s.free = s.free[:parkedTables]
+	}
+	if len(s.okeyFree) > parkedTables {
+		clear(s.okeyFree[parkedTables:])
+		s.okeyFree = s.okeyFree[:parkedTables]
+	}
+	s.cond, s.stats = nil, nil
 }
 
 // pageTable is a flat chained hash table over one inner page. heads
@@ -160,12 +192,14 @@ func (s *JoinState) Reset() {
 	for _, t := range s.tables {
 		s.free = append(s.free, t)
 	}
-	s.tables = nil
+	clear(s.tables)
+	clear(s.order)
 	s.order = s.order[:0]
 	for _, k := range s.okeys {
 		s.okeyFree = append(s.okeyFree, k)
 	}
-	s.okeys = nil
+	clear(s.okeys)
+	clear(s.okeyOrder)
 	s.okeyOrder = s.okeyOrder[:0]
 	s.lastInner, s.lastTable = nil, nil
 	s.lastOuter, s.lastOKeys = nil, nil

@@ -41,7 +41,7 @@ func TestEachRunStoredMatchesResident(t *testing.T) {
 
 	walk := func(rel *relation.Relation) (lens []int, images [][]byte) {
 		t.Helper()
-		err := rel.EachRun(func(run []*relation.Page) error {
+		err := rel.EachRun(nil, func(run []*relation.Page) error {
 			if rel.Stored() {
 				if st := store.Pool().Snapshot(); st.Loading != 0 {
 					t.Errorf("fn ran with frames loading: %+v", st)

@@ -128,11 +128,14 @@ const MaxRun = 32
 // fresh page per miss. fn must not keep the run slice or write to its pages. A
 // non-nil error from fn (or from the store) stops the walk and is
 // returned; on a store error the references already collected for the
-// run are released.
-func (r *Relation) EachRun(fn func(run []*Page) error) error {
-	var buf *[MaxRun]*Page
-	if r.store != nil {
-		buf = new([MaxRun]*Page) // escapes through the store: one allocation per stored walk
+// run are released. A stored run is read into buf, which the caller
+// lends for the walk; a nil buf costs a stored walk one allocation, as
+// it escapes through the store.
+func (r *Relation) EachRun(buf *[MaxRun]*Page, fn func(run []*Page) error) error {
+	if r.store == nil {
+		buf = nil
+	} else if buf == nil {
+		buf = new([MaxRun]*Page)
 	}
 	n := r.NumPages()
 	for i, want := 0, 1; i < n; want = min(2*want, MaxRun) {
@@ -175,7 +178,7 @@ func (r *Relation) run(buf *[MaxRun]*Page, i, j int) ([]*Page, error) {
 // EachRun, with its reference contract. A non-nil error from fn (or from
 // the store) stops the walk and is returned.
 func (r *Relation) EachPage(fn func(p *Page) error) error {
-	return r.EachRun(func(run []*Page) error {
+	return r.EachRun(nil, func(run []*Page) error {
 		for _, p := range run {
 			if err := fn(p); err != nil {
 				return err

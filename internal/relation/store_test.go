@@ -84,7 +84,7 @@ func TestEachRunStoreErrorReleasesRun(t *testing.T) {
 	rel.SetStore(s)
 
 	seen := 0
-	err := rel.EachRun(func(run []*Page) error {
+	err := rel.EachRun(nil, func(run []*Page) error {
 		for _, p := range run {
 			seen++
 			p.Release()
@@ -117,7 +117,7 @@ func TestEachRunGrantDoesNotShapeRuns(t *testing.T) {
 	rel.SetStore(s)
 
 	var lens []int
-	err := rel.EachRun(func(run []*Page) error {
+	err := rel.EachRun(nil, func(run []*Page) error {
 		lens = append(lens, len(run))
 		for _, p := range run {
 			p.Release()
@@ -136,12 +136,13 @@ func TestEachRunGrantDoesNotShapeRuns(t *testing.T) {
 }
 
 // TestEachRunAllocations: a resident walk hands out views of the page
-// list and allocates nothing; a stored walk buys its one run array.
+// list and allocates nothing; a stored walk buys its one run array, or
+// reads into one its caller lends.
 func TestEachRunAllocations(t *testing.T) {
 	rel := fillRelation(t, "r", 2000)
 	runs := 0
 	count := func(run []*Page) error { runs++; return nil }
-	if n := testing.AllocsPerRun(10, func() { _ = rel.EachRun(count) }); n != 0 {
+	if n := testing.AllocsPerRun(10, func() { _ = rel.EachRun(nil, count) }); n != 0 {
 		t.Errorf("a resident walk allocates %.0f times, want 0", n)
 	}
 	if runs == 0 {
@@ -150,8 +151,12 @@ func TestEachRunAllocations(t *testing.T) {
 
 	stored := MustNew("r", rel.Schema(), rel.PageSize())
 	stored.SetStore(newGrantStore(t, rel, 8))
-	if n := testing.AllocsPerRun(10, func() { _ = stored.EachRun(count) }); n != 1 {
+	if n := testing.AllocsPerRun(10, func() { _ = stored.EachRun(nil, count) }); n != 1 {
 		t.Errorf("a stored walk allocates %.0f times, want 1", n)
+	}
+	var buf [MaxRun]*Page
+	if n := testing.AllocsPerRun(10, func() { _ = stored.EachRun(&buf, count) }); n != 0 {
+		t.Errorf("a stored walk into a lent buffer allocates %.0f times, want 0", n)
 	}
 }
 
