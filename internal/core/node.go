@@ -813,7 +813,8 @@ func (n *nodeExec) finish() {
 	}
 	// A join's operand pages stayed buffered for pairings still to come.
 	// Every packet has now completed and this node's kernel states — the
-	// only caches keyed by these pages — are never consulted again, so
+	// only caches keyed by these pages — are never consulted again (the
+	// run's end parks them, Reset, before another node takes them), so
 	// their references go back, a scan's with the engine's own.
 	for i := range n.buf {
 		relation.ReleaseAll(n.buf[i])

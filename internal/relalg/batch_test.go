@@ -141,6 +141,9 @@ func diffStreams(t *testing.T, label string, want, got [][]byte) {
 }
 
 func TestBatchKernelsMatchScalar(t *testing.T) {
+	// shared is re-aimed at every seed's predicate, so one scratch serves
+	// programs of every shape, column kind and page size in turn.
+	var shared RestrictState
 	for seed := int64(0); seed < 60; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -154,8 +157,9 @@ func TestBatchKernelsMatchScalar(t *testing.T) {
 			}
 
 			// Restrict: scalar vs batched, page by page.
-			var scalar, batch [][]byte
+			var scalar, batch, reaimed [][]byte
 			rs := NewRestrictState(bound)
+			shared.Aim(pred.CompileBatch(bound))
 			for _, pg := range rel.Pages() {
 				if _, err := RestrictPage(pg, bound, collect(&scalar)); err != nil {
 					t.Fatal(err)
@@ -163,8 +167,12 @@ func TestBatchKernelsMatchScalar(t *testing.T) {
 				if _, err := rs.RestrictPage(pg, collect(&batch)); err != nil {
 					t.Fatal(err)
 				}
+				if _, err := shared.RestrictPage(pg, collect(&reaimed)); err != nil {
+					t.Fatal(err)
+				}
 			}
 			diffStreams(t, fmt.Sprintf("restrict %s (vectorized=%v)", p, rs.Vectorized()), scalar, batch)
+			diffStreams(t, fmt.Sprintf("re-aimed restrict %s", p), scalar, reaimed)
 
 			// Project (with duplicate elimination): per tuple vs batched.
 			i := g.rng.Intn(s.NumAttrs())

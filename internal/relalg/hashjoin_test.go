@@ -129,7 +129,9 @@ func TestHashJoinMatchesNestedLoops(t *testing.T) {
 
 // TestJoinStateMatchesNested drives the page-pair form (as the engines
 // do) for equi and non-equi conditions and checks the emissions match
-// the plain nested kernel exactly.
+// the plain nested kernel exactly — from a new state, and from one state
+// parked and re-aimed from condition to condition over the same pages,
+// which must keep no cached table and at most parkedTables spare ones.
 func TestJoinStateMatchesNested(t *testing.T) {
 	ls := intSchema(t, "a", "b")
 	rs := intSchema(t, "c", "d")
@@ -149,6 +151,7 @@ func TestJoinStateMatchesNested(t *testing.T) {
 	}
 	outer := buildRel(t, "L", ls, lrows)
 	inner := buildRel(t, "R", rs, rrows)
+	var reaimed JoinState
 	for name, cond := range conds {
 		t.Run(name, func(t *testing.T) {
 			bound, err := cond.Bind(ls, rs)
@@ -169,23 +172,41 @@ func TestJoinStateMatchesNested(t *testing.T) {
 			var ks KernelStats
 			st := NewJoinState(bound, &ks)
 			st.MaxTables = 2 // force table eviction and rebuild on the way
-			for _, op := range outer.Pages() {
-				for _, ip := range inner.Pages() {
-					if _, err := st.JoinPages(op, ip, func(raw []byte) error {
-						got = append(got, append([]byte(nil), raw...))
-						return nil
-					}); err != nil {
-						t.Fatal(err)
+			joinAll := func(st *JoinState) (got [][]byte) {
+				for _, op := range outer.Pages() {
+					for _, ip := range inner.Pages() {
+						if _, err := st.JoinPages(op, ip, func(raw []byte) error {
+							got = append(got, append([]byte(nil), raw...))
+							return nil
+						}); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				return got
+			}
+			got = joinAll(st)
+			reaimed.Aim(bound, nil)
+			again := joinAll(&reaimed)
+			reaimed.Park()
+			for _, got := range [][][]byte{got, again} {
+				if len(want) != len(got) {
+					t.Fatalf("%d emissions, want %d", len(got), len(want))
+				}
+				for i := range want {
+					if !bytes.Equal(want[i], got[i]) {
+						t.Fatalf("emission %d differs", i)
 					}
 				}
 			}
-			if len(want) != len(got) {
-				t.Fatalf("%d emissions, want %d", len(got), len(want))
-			}
-			for i := range want {
-				if !bytes.Equal(want[i], got[i]) {
-					t.Fatalf("emission %d differs", i)
+			for _, ip := range inner.Pages() {
+				if reaimed.TableCached(ip) {
+					t.Fatal("a parked state still caches a table")
 				}
+			}
+			if len(reaimed.free) > parkedTables || len(reaimed.okeyFree) > parkedTables {
+				t.Errorf("a parked state keeps %d tables and %d key vectors, want at most %d",
+					len(reaimed.free), len(reaimed.okeyFree), parkedTables)
 			}
 			k := ks.Load()
 			if name == "non-equi" && k.NestedPairs == 0 {
