@@ -340,6 +340,8 @@ func TestWritePathsMatchSerial(t *testing.T) {
 		{`delete(r15, val < 150)`, true},
 		{`append(r15, restrict(r1, val < 300))`, false},
 		{`delete(r15, val < 200)`, false},
+		{`delete(r15, val >= 0)`, true},
+		{`append(r15, r2)`, true},
 	}
 	open := func() *dfdbm.DB {
 		t.Helper()
