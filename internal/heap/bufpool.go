@@ -28,7 +28,7 @@ const DefaultFrames = 1024
 // pool reads come from the process's page free list (relation.GetRun):
 // the frame holds one reference, ReadRun adds one for every page it hands
 // out, and the page goes back to the list when the last holder lets go —
-// the frame at eviction, DropFile or Install over it, the reader when it
+// the frame at eviction, Truncate or Install over it, the reader when it
 // has read the page. Pages come and go a run at a time: a run's misses
 // take their pages with one relation.GetRun, and
 // what the frames let go of during a visit waits on the visit's dead list
@@ -52,7 +52,7 @@ const DefaultFrames = 1024
 // publish the pages and wake whoever waited (loaded, the pool's one
 // condition variable). A loading frame is the one kind eviction passes
 // over. Whoever finds a page loading — a reader at the head of its run,
-// Install, DropFile — or finds every frame loading waits for a publish,
+// Install, Truncate — or finds every frame loading waits for a publish,
 // holding no claimed frame of its own, and a loader never waits before it
 // publishes, so waits cannot form a cycle and a miss never fails for want
 // of a frame. What stays under the lock is the dirty victim's write-back
@@ -116,7 +116,7 @@ type frame struct {
 // counter deltas, in pages — reads counts physical reads, each covering
 // one or more missed pages — and its dead list, the pages frames let go
 // of under the lock, released after it. The list lives in the visit's
-// frame, so a visit allocates none; a DropFile of a long file spills.
+// frame, so a visit allocates none; a Truncate of a long file spills.
 type tally struct {
 	hits, misses, reads, evictions, writebacks int64
 
@@ -380,7 +380,7 @@ func (p *Pool) Install(f *File, i int, pg *relation.Page) error {
 // freeFrameLocked returns an unused frame: grows the ring while under
 // budget, otherwise runs the CLOCK hand over the ring — skipping loading
 // frames, clearing second-chance bits, writing back dirty victims — for
-// at most two sweeps. An empty frame (a failed run's, a dropped file's) is
+// at most two sweeps. An empty frame (a failed run's, a truncated page's) is
 // taken as it is: nothing is displaced, so nothing is counted. With every
 // frame loading it returns nil and no error: the caller waits for a
 // publish.
@@ -442,29 +442,35 @@ func (p *Pool) FlushFile(f *File) error {
 	return nil
 }
 
-// DropFile discards every frame belonging to f, dirty or not — the
-// delete path replaces the whole file, so its cached pages are dead.
-// The scheduler's write exclusion keeps readers of f away meanwhile; a
-// page found loading all the same is waited for, so no loader publishes
-// into a dropped frame or reads a closed file.
-func (p *Pool) DropFile(f *File) {
+// Truncate ends f at n pages: it drops every frame of f from page n on,
+// dirty or not, without writing it back — a WAL record ended the
+// relation before those pages, so their content is dead — and then the
+// file's counts past n (File.truncate). The slots stay on disk until the
+// next checkpoint trims them. The scheduler's write exclusion keeps
+// readers of f away meanwhile; a page past n found loading all the same
+// is waited for, so no loader publishes into a dropped frame. A dropped
+// page a reader still holds stays the reader's, and nobody writes to it.
+func (p *Pool) Truncate(f *File, n int) error {
 	p.mu.Lock()
-	for p.loadingLocked(f) {
+	for p.loadingLocked(f.frames[min(n, len(f.frames)):]) {
 		p.loaded.Wait()
 	}
 	var t tally
-	for _, fr := range f.frames {
+	keep := min(n, len(f.frames))
+	for _, fr := range f.frames[keep:] {
 		if fr != nil {
 			p.vacateLocked(fr, &t)
 		}
 	}
-	f.frames = nil
+	f.frames = f.frames[:keep]
+	err := f.truncate(n)
 	p.done(&t)
+	return err
 }
 
-// loadingLocked reports whether any page of f is being loaded.
-func (p *Pool) loadingLocked(f *File) bool {
-	for _, fr := range f.frames {
+// loadingLocked reports whether any of frames is loading a page.
+func (p *Pool) loadingLocked(frames []*frame) bool {
+	for _, fr := range frames {
 		if fr != nil && fr.loader != 0 {
 			return true
 		}

@@ -9,8 +9,9 @@
 // Crash safety is split with the WAL: slot writes are in-place and
 // carry no ordering guarantees, but every slot content newer than the
 // file's base LSN is reproducible from full-page post-images in the
-// log (wal.RecAppendPages) or from an atomic whole-file rewrite
-// (deletes). The header is written ping-pong into two checksummed
+// log (wal.RecPages), appends and deletes alike. A delete ends the
+// file logically (Pool.Truncate); the slots past the end go at the next
+// checkpoint. The header is written ping-pong into two checksummed
 // blocks so a torn header write surrenders to the previous one.
 package heap
 
@@ -163,8 +164,7 @@ func Create(path string, pageSize, tupleLen int, schemaHash, baseLSN uint64) (*F
 // CreateFrom writes the pages of rel into a brand-new heap file at
 // path with all-or-nothing crash semantics: temp file, full content,
 // header with baseLSN, fsync, rename, directory fsync. It is the
-// adopt path (first materialization of a resident relation) and the
-// delete path (atomic compacting rewrite).
+// adopt path: the first materialization of a resident relation.
 func CreateFrom(path string, rel *relation.Relation, schemaHash, baseLSN uint64) (*File, error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
@@ -475,6 +475,19 @@ func (hf *File) NotePage(i, count int) error {
 	default:
 		return fmt.Errorf("heap: %s: install of page %d beyond %d pages", filepath.Base(hf.path), i, hf.pages)
 	}
+	return nil
+}
+
+// truncate records the logical effect of ending the file at n pages:
+// the counts past n go. The slots stay until Checkpoint trims them.
+func (hf *File) truncate(n int) error {
+	hf.mu.Lock()
+	defer hf.mu.Unlock()
+	if n < 0 || n > hf.pages {
+		return fmt.Errorf("heap: %s: truncate to %d pages of %d", filepath.Base(hf.path), n, hf.pages)
+	}
+	hf.pages = n
+	hf.counts = hf.counts[:n]
 	return nil
 }
 

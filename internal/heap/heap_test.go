@@ -420,51 +420,6 @@ func TestStoreAdoptLoadCheckpoint(t *testing.T) {
 	_ = wantKeys1
 }
 
-func TestStoreRewrite(t *testing.T) {
-	dir := t.TempDir()
-	schema := testSchema(t)
-	store, err := OpenStore(dir, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	cat := catalog.New()
-	r := seedRelation(t, "r", schema, 256, 60)
-	cat.Put(r)
-	if err := store.Checkpoint(cat, 5); err != nil {
-		t.Fatal(err)
-	}
-
-	// Materialize, drop the first half, swap — the stored delete path.
-	resident, err := r.Materialize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	kept := relation.MustNew("r", schema, 256)
-	if err := resident.Each(func(tp relation.Tuple) bool {
-		if tp[0].Int >= 30 {
-			if err := kept.Insert(tp); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.ReplaceStored(kept, 42); err != nil {
-		t.Fatalf("ReplaceStored: %v", err)
-	}
-	if r.Cardinality() != 30 {
-		t.Fatalf("cardinality after rewrite = %d, want 30", r.Cardinality())
-	}
-	if r.StoreBaseLSN() != 42 {
-		t.Fatalf("baseLSN after rewrite = %d, want 42", r.StoreBaseLSN())
-	}
-	if !r.EqualMultiset(kept) {
-		t.Fatal("rewritten relation does not match the survivor set")
-	}
-}
-
 func TestAuditCatchesCorruption(t *testing.T) {
 	dir := t.TempDir()
 	schema := testSchema(t)
@@ -520,7 +475,7 @@ func TestAuditCatchesCorruption(t *testing.T) {
 
 // TestPoolGaugesTrackSnapshot: the pool keeps bufpool.frames_in_use on
 // every claim and vacate instead of walking the frame table; with pages
-// read, held, evicted around and dropped with their file, the gauge must
+// read, held, evicted around and truncated away, the gauge must
 // equal the walking audit.
 func TestPoolGaugesTrackSnapshot(t *testing.T) {
 	schema := testSchema(t)
@@ -557,10 +512,12 @@ func TestPoolGaugesTrackSnapshot(t *testing.T) {
 		read(i)
 	}
 	check("scan with eviction", 4)
-	pool.DropFile(hf)
-	check("DropFile with a page held", 0)
+	if err := pool.Truncate(hf, 0); err != nil {
+		t.Fatal(err)
+	}
+	check("Truncate to 0 with a page held", 0)
 	if pageIndex(held) != 0 {
-		t.Error("DropFile took the page from under its reader")
+		t.Error("Truncate took the page from under its reader")
 	}
 }
 

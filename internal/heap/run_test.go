@@ -339,7 +339,7 @@ func TestHeapRunEarlyStop(t *testing.T) {
 	checkNoLoads(t, fx.pool)
 }
 
-// (f) Install and DropFile wait for a page that is loading; FlushFile and
+// (f) Install and Truncate wait for a page that is loading; FlushFile and
 // Snapshot pass over it.
 func TestHeapRunInstallWaitsForLoad(t *testing.T) {
 	fx := newRunFixture(t, 4, 8)
@@ -395,7 +395,7 @@ func TestHeapRunInstallWaitsForLoad(t *testing.T) {
 	}
 }
 
-func TestHeapRunDropFileWaitsForLoad(t *testing.T) {
+func TestHeapRunTruncateWaitsForLoad(t *testing.T) {
 	fx := newRunFixture(t, 4, 8)
 	entered, release := holdRead(fx.hf)
 	loadDone := make(chan struct{})
@@ -409,16 +409,19 @@ func TestHeapRunDropFileWaitsForLoad(t *testing.T) {
 	dropDone := make(chan struct{})
 	go func() {
 		defer close(dropDone)
-		fx.pool.DropFile(fx.hf) // publishing into a dropped frame would panic
+		// Publishing into a dropped frame would panic.
+		if err := fx.pool.Truncate(fx.hf, 0); err != nil {
+			t.Errorf("Truncate: %v", err)
+		}
 	}()
 	for i := 0; i < 100; i++ {
-		runtime.Gosched() // let DropFile find the frame loading, most times
+		runtime.Gosched() // let Truncate find the frame loading, most times
 	}
 	close(release)
 	within(t, "the load", loadDone)
-	within(t, "DropFile", dropDone)
-	if st := fx.pool.Snapshot(); st.InUse != 0 || st.Loading != 0 {
-		t.Errorf("after DropFile: %+v", st)
+	within(t, "Truncate", dropDone)
+	if st := fx.pool.Snapshot(); st.InUse != 0 || st.Loading != 0 || fx.hf.NumPages() != 0 {
+		t.Errorf("after Truncate to 0: %+v, %d pages", st, fx.hf.NumPages())
 	}
 }
 

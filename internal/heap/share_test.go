@@ -146,9 +146,9 @@ func TestHeapSharedPageTwoReaders(t *testing.T) {
 	}
 }
 
-// (c) is TestHeapRunCorruptSlot. (e) DropFile and an Install over a
+// (c) is TestHeapRunCorruptSlot. (e) Truncate and an Install over a
 // resident page give up the frame's reference.
-func TestHeapSharedPageDropAndInstall(t *testing.T) {
+func TestHeapSharedPageTruncateAndInstall(t *testing.T) {
 	fx := newRunFixture(t, 8, 4)
 	readRelease(t, fx, 0)
 	readRelease(t, fx, 1)
@@ -165,24 +165,98 @@ func TestHeapSharedPageDropAndInstall(t *testing.T) {
 	}
 	post.Release() // not a pool's page: nothing to count
 	post.Release()
-	held, err := fx.pool.readOne(fx.hf, 2) // a reader the drop must not pull the page from under
+	held, err := fx.pool.readOne(fx.hf, 2) // a reader the truncate must not pull the page from under
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := bytes.Clone(held.Data())
-	fx.pool.DropFile(fx.hf)
+	if err := fx.pool.Truncate(fx.hf, 0); err != nil {
+		t.Fatal(err)
+	}
 	if st := fx.pageStats(); st.Recycled != 2 || fx.outstanding() != 1 {
-		t.Errorf("%+v after DropFile: page 0 should be back and page 2 out with its reader", st)
+		t.Errorf("%+v after Truncate to 0: page 0 should be back and page 2 out with its reader", st)
 	}
 	if st := fx.pool.Snapshot(); st.InUse != 0 || st.Loading != 0 {
-		t.Errorf("after DropFile: %+v", st)
+		t.Errorf("after Truncate to 0: %+v", st)
 	}
 	if !bytes.Equal(held.Data(), want) {
-		t.Error("DropFile recycled a page a reader holds")
+		t.Error("Truncate recycled a page a reader holds")
 	}
 	held.Release()
 	if fx.outstanding() != 0 {
 		t.Errorf("%+v: every page should be back", fx.pageStats())
+	}
+}
+
+// (e) A partial Truncate keeps the frames below its end as they are,
+// drops the ones from it on without writing back the dirty one, and
+// neither pulls nor recycles a dropped page a reader holds; the slots
+// stay on disk until a checkpoint trims them.
+func TestHeapSharedPagePartialTruncate(t *testing.T) {
+	fx := newRunFixture(t, 8, 4)
+	for i := 0; i < 4; i++ {
+		readRelease(t, fx, i)
+	}
+	kept := [2]*relation.Page{fx.hf.frame(0).pg, fx.hf.frame(1).pg}
+	post := fx.hf.frame(3).pg.Clone()
+	post.Data()[8] ^= 0xFF // a dirty image of page 3 that must never reach the disk
+	if err := fx.pool.Install(fx.hf, 3, post); err != nil {
+		t.Fatal(err)
+	}
+	held, err := fx.pool.readOne(fx.hf, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Clone(held.Data())
+	slot3 := func() []byte {
+		t.Helper()
+		b := make([]byte, fx.hf.slotSize)
+		if _, err := fx.hf.f.ReadAt(b, SlotOffset(fx.hf.pageSize, 3)); err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	disk3 := slot3()
+	recycled := fx.pageStats().Recycled
+
+	if err := fx.pool.Truncate(fx.hf, 2); err != nil {
+		t.Fatal(err)
+	}
+	if fx.hf.NumPages() != 2 || fx.rel.NumPages() != 2 || fx.rel.Cardinality() != 2*runTestTuplesPerPage {
+		t.Fatalf("after Truncate to 2: file %d pages, relation %d pages and %d tuples", fx.hf.NumPages(), fx.rel.NumPages(), fx.rel.Cardinality())
+	}
+	for i, pg := range kept {
+		if fr := fx.hf.frame(i); fr == nil || fr.pg != pg {
+			t.Errorf("page %d left its frame", i)
+		}
+	}
+	if fx.hf.frame(2) != nil || fx.hf.frame(3) != nil {
+		t.Error("a frame past the end survived")
+	}
+	if st := fx.pool.Snapshot(); st.InUse != 2 || st.Dirty != 0 {
+		t.Errorf("after Truncate to 2: %+v, want pages 0 and 1 in, clean", st)
+	}
+	if got := fx.pageStats().Recycled - recycled; got != 0 {
+		t.Errorf("%d pages came back; page 2 is out with its reader and page 3's image is not the list's", got)
+	}
+	if !bytes.Equal(held.Data(), want) {
+		t.Error("Truncate recycled a page a reader holds")
+	}
+	if err := fx.pool.FlushFile(fx.hf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(slot3(), disk3) {
+		t.Error("a dropped dirty page was written back")
+	}
+	if _, err := fx.pool.readOne(fx.hf, 2); err == nil {
+		t.Error("a read past the end succeeded")
+	}
+	held.Release()
+	if got := fx.pageStats().Recycled - recycled; got != 1 {
+		t.Errorf("%d pages came back once the reader let go, want page 2", got)
+	}
+	if err := fx.pool.Truncate(fx.hf, 3); err == nil {
+		t.Error("Truncate past the end succeeded")
 	}
 }
 

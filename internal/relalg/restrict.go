@@ -69,10 +69,9 @@ func Append(dst, src *relation.Relation) (int, error) {
 // the last full, and returns the number of tuples removed.
 func Delete(r *relation.Relation, p pred.Pred) (int, error) {
 	if r.Stored() {
-		// Disk-backed relations delete by copy-and-swap (materialize,
-		// delete the resident copy, atomically rewrite the heap file);
-		// wal.Record.Apply owns that path. Rewriting *r in place here
-		// would silently detach the store.
+		// A disk-backed relation changes only through WAL records
+		// (wal.DeleteRecord builds a delete's). Replacing *r here would
+		// silently detach the store.
 		return 0, fmt.Errorf("relalg: in-place delete on stored relation %q (apply through the WAL)", r.Name())
 	}
 	b, err := pred.Not{Kid: p}.Bind(r.Schema())

@@ -167,7 +167,7 @@ func (r *Relation) LendPage(p *Page) error {
 
 // errStored refuses a direct append to a stored relation. Its writes are
 // the whole-page images a WAL record installs once the log holds it
-// (InstallPage, ReplaceStored): a write the log never saw could not be
+// (InstallPage, then Truncate): a write the log never saw could not be
 // replayed, and an eviction could make part of it durable.
 func (r *Relation) errStored() error {
 	return fmt.Errorf("relation: append to stored relation %q (apply through the WAL)", r.name)

@@ -41,10 +41,11 @@ type PageStore interface {
 	// whole-page images through it, which makes redo idempotent and
 	// torn-write-proof.
 	Install(i int, p *Page) error
-	// Rewrite atomically replaces the entire stored content with the
-	// pages of resident (same name and schema), advancing the store's
-	// base LSN to lsn. Deletes compact through this path.
-	Rewrite(resident *Relation, lsn uint64) error
+	// Truncate drops every page from n on, n at most NumPages: the
+	// other mutation primitive, with which a WAL record ends the
+	// relation at the last page it installs. A dropped page is never
+	// written back, and a reader's reference keeps it alive.
+	Truncate(n int) error
 	// BaseLSN is the store's recovery horizon: every WAL record with
 	// LSN <= BaseLSN() is already reflected in the durable file, so
 	// replay skips it.
@@ -214,15 +215,24 @@ func (r *Relation) InstallPage(i int, p *Page) error {
 	return nil
 }
 
-// ReplaceStored atomically replaces a stored relation's content with
-// the pages of resident, advancing the store's base LSN to lsn. It is
-// the delete path: deletes rewrite and compact the whole relation, so
-// a stored delete materializes, deletes in memory, and swaps the file.
-func (r *Relation) ReplaceStored(resident *Relation, lsn uint64) error {
-	if r.store == nil {
-		return fmt.Errorf("relation %q: ReplaceStored on a resident relation", r.name)
+// Truncate drops every page from n on: it releases the resident pages
+// past n, or has the store drop them. It is how a WAL record ends the
+// relation at the last page it installs — a delete's images are its
+// survivors from the first page that changes, and nothing may follow
+// them. n may not exceed NumPages.
+func (r *Relation) Truncate(n int) error {
+	switch pages := r.NumPages(); {
+	case n < 0 || n > pages:
+		return fmt.Errorf("relation %q: truncate to %d pages of %d", r.name, n, pages)
+	case n == pages:
+		return nil
+	case r.store != nil:
+		return r.store.Truncate(n)
 	}
-	return r.store.Rewrite(resident, lsn)
+	ReleaseAll(r.pages[n:])
+	clear(r.pages[n:])
+	r.pages = r.pages[:n]
+	return nil
 }
 
 // Materialize returns a fully resident deep copy of the relation under

@@ -64,8 +64,8 @@ func (s *grantStore) ReadRun(first int, dst []*Page) (int, error) {
 	return n, nil
 }
 
-func (s *grantStore) Install(i int, p *Page) error            { return errors.New("read-only") }
-func (s *grantStore) Rewrite(res *Relation, lsn uint64) error { return errors.New("read-only") }
+func (s *grantStore) Install(i int, p *Page) error { return errors.New("read-only") }
+func (s *grantStore) Truncate(n int) error         { return errors.New("read-only") }
 
 // TestEachRunStoreErrorReleasesRun: a store error in the middle of a run
 // stops the walk with the wrapped error, and the references the run had

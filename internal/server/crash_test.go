@@ -124,7 +124,7 @@ func TestCrashRecoveryChaos(t *testing.T) { runCrashRecoveryChaos(t, 0) }
 // TestCrashRecoveryChaosHeap is the same kill -9 loop with a buffer
 // pool far below the working set (8 frames of 2KiB pages), so eviction
 // write-backs are in flight when the SIGKILL lands — the torn-slot case
-// RecAppendPages exists for.
+// RecPages exists for.
 func TestCrashRecoveryChaosHeap(t *testing.T) { runCrashRecoveryChaos(t, 8) }
 
 func runCrashRecoveryChaos(t *testing.T, heapFrames int) {

@@ -418,11 +418,11 @@ func (e *bindError) Unwrap() error { return e.err }
 // core engine queue each page as the root operator emits it; append and
 // delete hand back the written relation, walked before Exec returns.
 // The stream may hold a page long after Exec, and that is safe because
-// no page is written once it is published: a write installs fresh
-// post-images (heap.Pool.Install, Relation.InstallPage) and a delete
-// builds a fresh relation (relalg.Delete) or heap file
-// (Relation.ReplaceStored), so a conflicting writer the scheduler admits
-// next leaves the held pages as this query saw them.
+// no page is written once it is published: a write, append or delete,
+// installs fresh post-images (heap.Pool.Install, Relation.InstallPage)
+// and ends the relation after them (Relation.Truncate, which lets go of
+// the pages past the end and writes none), so a conflicting writer the
+// scheduler admits next leaves the held pages as this query saw them.
 // A counted page (relation.Get) is not recycled while the stream still
 // holds its reference.
 type resultStream struct {

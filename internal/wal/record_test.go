@@ -52,7 +52,7 @@ func TestReadRecordForgedLengthAllocatesNothing(t *testing.T) {
 func TestDecodePayloadBoundsPageCount(t *testing.T) {
 	empty := relation.MustNewPage(64, 8).Marshal() // a header and no tuples
 	payload := func(pages uint32) []byte {
-		p := encode(&Record{Type: RecAppendPages, LSN: 7, Rel: "r"})[frameHeaderLen:]
+		p := encode(&Record{Type: RecPages, LSN: 7, Rel: "r"})[frameHeaderLen:]
 		p = p[:len(p)-4] // the encoded page count, zero
 		p = binary.LittleEndian.AppendUint32(p, pages)
 		for i := 0; i < 100; i++ { // 100 empty pages
@@ -131,24 +131,78 @@ func TestBadPageImageIsNotATornTail(t *testing.T) {
 	}
 }
 
+// TestAppendRefusesUnreadableRecord: a record whose payload would pass
+// maxRecordLen is one recovery would refuse as an implausible length, so
+// Append refuses it with ErrTooLarge before it takes an LSN or encodes a
+// byte, and the log goes on. The record points 16,385 times at one
+// 64 KiB page, so the test allocates nothing large.
+func TestAppendRefusesUnreadableRecord(t *testing.T) {
+	dir := t.TempDir()
+	l, cat := openSeeded(t, dir, Options{})
+	pg := relation.MustNewPage(64<<10, 8)
+	for !pg.Full() {
+		if err := pg.AppendRaw([]byte("tuple-01")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	huge := &Record{Type: RecPages, Rel: "ev", Pages: make([]*relation.Page, maxRecordLen/(64<<10)+1)}
+	for i := range huge.Pages {
+		huge.Pages[i] = pg
+	}
+	last := l.LastLSN()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := l.Append(huge)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("Append of a %d-byte payload: %v, want ErrTooLarge", payloadLen(huge), err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Errorf("refusing the record allocated %d bytes, want under 1 MiB", d)
+	}
+	if huge.LSN != 0 || l.LastLSN() != last {
+		t.Fatalf("the refused record took LSN %d; the log moved %d -> %d", huge.LSN, last, l.LastLSN())
+	}
+	dst, err := cat.Get("ev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := AppendRecord(dst, buildSrc(t, 100, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lsn, err := l.Append(rec); err != nil || lsn != last+1 {
+		t.Fatalf("the next append: LSN %d, %v, want %d", lsn, err, last+1)
+	}
+	if got, want := payloadLen(rec), int64(len(encode(rec))-frameHeaderLen); got != want {
+		t.Fatalf("payloadLen = %d, the encoded payload is %d bytes", got, want)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // FuzzWALRecord feeds arbitrary bytes to the record decoder: it never
 // panics, every failure but a clean end wraps ErrCorrupt, and a record it
-// accepts encodes back to the bytes it came from.
+// accepts encodes back to the bytes it came from, as long as payloadLen
+// says.
 func FuzzWALRecord(f *testing.F) {
 	pg := relation.MustNewPage(64, 8)
 	if err := pg.AppendRaw([]byte("tuple-01")); err != nil {
 		f.Fatal(err)
 	}
 	for _, r := range []*Record{
-		{Type: RecAppendPages, LSN: 1, Rel: "r1", SchemaHash: 42, First: 3, Pages: []*relation.Page{pg, pg}},
-		{Type: RecDelete, LSN: 2, Rel: "r1", Pred: "val < 40"},
-		{Type: RecCheckpoint, LSN: 3, Base: "heap", CoverLSN: 2},
-		{Type: recRetiredAppend, LSN: 4},
+		{Type: RecPages, LSN: 1, Rel: "r1", SchemaHash: 42, First: 3, Pages: []*relation.Page{pg, pg}},
+		{Type: RecPages, LSN: 2, Rel: "r1", SchemaHash: 42, First: 1, Pages: []*relation.Page{pg}}, // a delete's survivors
+		{Type: RecPages, LSN: 3, Rel: "r1", SchemaHash: 42},                                        // a delete of every tuple
+		{Type: RecCheckpoint, LSN: 4, Base: "heap", CoverLSN: 2},
+		{Type: recRetiredAppend, LSN: 5},
+		{Type: recRetiredDelete, LSN: 6},
 	} {
 		f.Add(encode(r))
 	}
 	f.Add(forgedHeader())
-	f.Add(frame([]byte{byte(RecAppendPages), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF}))
+	f.Add(frame([]byte{byte(RecPages), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, n, err := readRecord(bytes.NewReader(data), int64(len(data)))
 		switch {
@@ -162,6 +216,8 @@ func FuzzWALRecord(f *testing.F) {
 			}
 		case n > int64(len(data)) || !bytes.Equal(encode(rec), data[:n]):
 			t.Fatalf("accepted %d of %d bytes as %s, which does not encode back to them", n, len(data), rec.Summary())
+		case payloadLen(rec) != n-frameHeaderLen:
+			t.Fatalf("accepted a %d-byte payload as %s, whose payloadLen is %d", n-frameHeaderLen, rec.Summary(), payloadLen(rec))
 		}
 		if _, err := decodePayload(data); err != nil && !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("payload error does not wrap ErrCorrupt: %v", err)

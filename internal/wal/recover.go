@@ -131,8 +131,9 @@ func refuseSnapshotLayout(dir string) error {
 //
 // The recovery base is the heap store itself: the catalog loads from
 // the files the manifest names and replay applies only records past
-// each relation's own base LSN (deletes advance a single file's base,
-// so the horizon is per relation, not global). The manifest is the
+// each relation's own base LSN (a crash in the middle of a checkpoint
+// leaves some files advanced and others not, so the horizon is per
+// relation, not global). The manifest is the
 // atomic commit of the first checkpoint, so a directory without one
 // was never seeded — or died while seeding — and is fresh, provided
 // its log agrees: a logged write with no base to apply it to means
@@ -198,9 +199,10 @@ func (l *Log) recover() (Recovery, *catalog.Catalog, error) {
 			if rec.Type == RecCheckpoint {
 				return false, nil
 			}
-			// Per-relation horizon: a delete's atomic file rewrite
-			// advances one file's base past the global checkpoint cover.
-			// (An unknown relation falls through for Apply to report.)
+			// Per-relation horizon: a crash in the middle of a
+			// checkpoint leaves base LSNs that differ between files, and
+			// a record a file already covers is not redone. (An unknown
+			// relation falls through for Apply to report.)
 			if rel, err := cat.Get(rec.Rel); err == nil && rec.LSN <= rel.StoreBaseLSN() {
 				return false, nil
 			}

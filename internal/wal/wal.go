@@ -247,8 +247,13 @@ func (l *Log) SizeSinceCheckpoint() int64 { return l.sinceCkpt.Load() }
 // once the record is durable under the configured fsync policy. It is
 // the commit point: a caller may acknowledge the logical write to a
 // client if and only if Append returned nil. Concurrent callers are
-// batched behind shared fsyncs.
+// batched behind shared fsyncs. A record recovery could not read back —
+// a payload past maxRecordLen — is refused with ErrTooLarge before it
+// takes an LSN, and the log stays as it was.
 func (l *Log) Append(rec *Record) (uint64, error) {
+	if n := payloadLen(rec); n > maxRecordLen {
+		return 0, fmt.Errorf("%w: %s payload of %d bytes, at most %d", ErrTooLarge, rec.Type, n, maxRecordLen)
+	}
 	start := time.Now()
 	l.mu.Lock()
 	if l.closed {

@@ -76,21 +76,6 @@ func openSeeded(t testing.TB, dir string, opts Options) (*Log, *catalog.Catalog)
 	return l, cat
 }
 
-// replayedAfterClose is how many of ops an unflushed Close leaves for
-// recovery to redo: a delete rewrites the heap file with the delete's
-// own LSN as its base, so only the ops after the last delete are past
-// the file's horizon.
-func replayedAfterClose(ops []heapOp) int {
-	n := 0
-	for _, op := range ops {
-		n++
-		if op.kind == "delete" {
-			n = 0
-		}
-	}
-	return n
-}
-
 // roundtripRecovery logs and applies the op sequence, closes without
 // flushing a frame, and expects recovery to rebuild the catalog byte
 // for byte — checked against the resident reference at the catalog and
@@ -130,8 +115,10 @@ func roundtripRecovery(t *testing.T, opts Options) {
 	if rv.Fresh {
 		t.Fatal("recovery reported a fresh directory")
 	}
-	if want := replayedAfterClose(ops); rv.Replayed != want {
-		t.Fatalf("replayed %d records, want %d", rv.Replayed, want)
+	// A delete is a pages record like an append and moves no file's
+	// base: every op since the seeding checkpoint is redone.
+	if rv.Replayed != len(ops) {
+		t.Fatalf("replayed %d records, want %d", rv.Replayed, len(ops))
 	}
 	if rv.TornTail {
 		t.Fatal("clean shutdown reported a torn tail")
@@ -151,7 +138,11 @@ func roundtripRecovery(t *testing.T, opts Options) {
 	requirePagesEqual(t, gotRel, wantRel)
 
 	// Appends continue with dense LSNs after recovery.
-	lsn, err := l2.Append(&Record{Type: RecDelete, Rel: "ev", Pred: "id < 0"})
+	rec, err := DeleteRecord(gotRel, parsePred(t, "id < 0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsn, err := l2.Append(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +347,7 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := segs[len(segs)-1].path
-	full := encode(&Record{Type: RecAppendPages, Rel: "ev", LSN: 999})
+	full := encode(&Record{Type: RecPages, Rel: "ev", LSN: 999})
 	f, err := os.OpenFile(last, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -476,7 +467,7 @@ func crashPointMatrix(t *testing.T, opts Options) {
 
 // TestCrashPointMatrix crashes behind the default buffer pool: no dirty
 // frame was written back before the crash, so the heap file is as the
-// last checkpoint or delete left it and the log carries the rest.
+// last checkpoint left it and the log carries the rest.
 // (TestHeapCrashPointMatrix is the same under eviction.)
 func TestCrashPointMatrix(t *testing.T) { crashPointMatrix(t, Options{}) }
 
@@ -502,8 +493,7 @@ func TestWALCorruptionEveryFlipAndTruncation(t *testing.T) {
 	src := t.TempDir()
 	l, cat := openSeeded(t, src, Options{Fsync: FsyncNone})
 	// The recovery base every mutated copy starts from is the heap
-	// directory as the seeding checkpoint committed it, before the
-	// delete below rewrites the file past the records under test.
+	// directory as the seeding checkpoint committed it.
 	base := map[string][]byte{}
 	for _, name := range []string{"manifest", "ev.heap"} {
 		b, err := os.ReadFile(filepath.Join(src, "heap", name))
