@@ -175,14 +175,14 @@ func cmdWal(args []string) {
 	}
 
 	fmt.Printf("%s: %d records, LSN %d..%d\n", *dataDir, rp.Records, rp.FirstLSN, rp.LastLSN)
-	fmt.Printf("heap files (%d):\n", len(rp.Heap))
+	fmt.Printf("heap files (%d), covering LSN %d:\n", len(rp.Heap), rp.Cover)
 	for _, h := range rp.Heap {
 		status := "ok"
 		if h.Err != nil {
 			status = h.Err.Error()
 		}
-		fmt.Printf("  %-20s %5d pages %8d tuples  base lsn %-6d %10dB on disk  %s\n",
-			h.Rel, h.Pages, h.Tuples, h.BaseLSN, h.Bytes, status)
+		fmt.Printf("  %-20s %5d pages %8d tuples  %10dB on disk  %s\n",
+			h.Rel, h.Pages, h.Tuples, h.Bytes, status)
 	}
 	fmt.Printf("segments (%d):\n", len(rp.Segments))
 	for _, sg := range rp.Segments {

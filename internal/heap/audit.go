@@ -1,7 +1,6 @@
 package heap
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 )
@@ -14,53 +13,49 @@ type FileAudit struct {
 	Pages    int
 	Tuples   int
 	Bytes    int64 // physical file size
-	BaseLSN  uint64
 	PageSize int
 	Err      error // nil = header, geometry, and every slot CRC check out
 }
 
-// HasManifest reports whether dir contains a heap-store manifest.
+// HasManifest reports whether dir contains a heap-store manifest —
+// whether a first checkpoint has committed there.
 func HasManifest(dir string) bool {
 	_, err := os.Stat(filepath.Join(dir, manifestName))
 	return err == nil
 }
 
 // Audit inspects the heap store in dir without a buffer pool or WAL:
-// it parses the manifest, opens each named heap file (Open checks the
-// header CRC, the schema hash against the manifest and the page count
-// against the physical file size), and reads every slot to validate
-// its checksum. One entry is returned per manifest relation; a missing
-// or unreadable manifest is the error.
-func Audit(dir string) ([]FileAudit, error) {
-	ents, err := readManifest(dir)
+// it parses the manifest, opens each named heap file at its committed
+// page count (Open checks the header CRC, the schema hash against the
+// manifest and the count against the physical file size), and reads
+// every slot to validate its checksum. It returns the manifest's cover
+// and one entry per manifest relation; a missing or unreadable
+// manifest is the error.
+func Audit(dir string) (uint64, []FileAudit, error) {
+	cover, ents, err := readManifest(dir)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	out := make([]FileAudit, 0, len(ents))
 	for _, e := range ents {
 		fa := FileAudit{Rel: e.name, Path: filepath.Join(dir, e.name+heapSuffix)}
-		fa.Err = auditFile(&fa, e)
+		fa.Err = auditFile(&fa, dir, e)
 		out = append(out, fa)
 	}
-	return out, nil
+	return cover, out, nil
 }
 
-func auditFile(fa *FileAudit, e manifestEntry) error {
-	hf, err := Open(fa.Path, SchemaHash(e.schema))
+func auditFile(fa *FileAudit, dir string, e manifestEntry) error {
+	hf, err := openEntry(dir, e)
 	if err != nil {
 		return err
 	}
 	defer hf.Close()
 	fa.Pages = hf.NumPages()
 	fa.Tuples = hf.Cardinality()
-	fa.BaseLSN = hf.BaseLSN()
 	fa.PageSize = hf.pageSize
 	if fa.Bytes, err = hf.Size(); err != nil {
 		return err
-	}
-	if hf.pageSize != e.pageSize || hf.tupleLen != e.schema.TupleLen() {
-		return fmt.Errorf("%w: geometry %d/%d does not match manifest %d/%d",
-			ErrCorrupt, hf.pageSize, hf.tupleLen, e.pageSize, e.schema.TupleLen())
 	}
 	for i := 0; i < hf.NumPages(); i++ {
 		if _, err := hf.ReadPage(i); err != nil {

@@ -8,11 +8,14 @@
 //
 // Crash safety is split with the WAL: slot writes are in-place and
 // carry no ordering guarantees, but every slot content newer than the
-// file's base LSN is reproducible from full-page post-images in the
-// log (wal.RecPages), appends and deletes alike. A delete ends the
-// file logically (Pool.Truncate); the slots past the end go at the next
-// checkpoint. The header is written ping-pong into two checksummed
-// blocks so a torn header write surrenders to the previous one.
+// checkpoint cover is reproducible from full-page post-images in the
+// log (wal.RecPages), appends and deletes alike. A file's page count
+// and the cover live in the store's manifest, rewritten atomically at
+// each checkpoint: the one commit point (Store.Checkpoint). The file's
+// own header is written once, before any manifest names the file, so
+// no crash can tear it. A delete ends the file logically
+// (Pool.Truncate); the slots past the end go after the next checkpoint
+// commits.
 package heap
 
 import (
@@ -28,37 +31,34 @@ import (
 	"dfdbm/internal/relation"
 )
 
-// ErrCorrupt marks a heap file that fails validation: bad magic, no
-// valid header block, a retired layout, more pages than the file
-// holds, or a slot whose checksum does not match.
+// ErrCorrupt marks a heap store that fails validation: a manifest that
+// does not parse or is of a retired layout, a file header with bad
+// magic or checksum, more pages than the file holds, or a slot whose
+// checksum does not match.
 // Callers test with errors.Is.
 var ErrCorrupt = errors.New("heap: corrupt heap file")
 
 // On-disk layout:
 //
-//	offset 0        header block A (headerBlockLen bytes)
-//	offset 512      header block B
+//	offset 0        header (headerLen bytes)
 //	offset dataOff  slot 0, slot 1, ... (SlotOffset(pageSize, i))
 //
-// Each header block: magic, version, page size, tuple length, a
-// monotonically increasing sequence number (the newest valid block
-// wins), schema hash, page count, base LSN, CRC-32C. Each slot is
-// slotHeaderLen + pageSize bytes: u32 blob length, u32 blob CRC-32C, 8
-// reserved bytes, the page blob, zeros to the page size. Slots are
-// packed, so one may straddle a 4 KiB block, and that is still safe
-// after a crash: a write-back rewrites only its own slot's bytes; a
-// neighbour's bytes in the shared block are the same in the old and
-// the new image, so a torn block tears only the slot being written;
-// and any slot newer than the base LSN has a full-page post-image in
-// the log, which replay writes over whatever the tear left.
-//
-// Version 1 padded every slot to 4 KiB; it is refused by name.
+// The header: magic, version, page size, tuple length, schema hash,
+// CRC-32C. Each slot is slotHeaderLen + pageSize bytes: u32 blob
+// length, u32 blob CRC-32C, 8 reserved bytes, the page blob, zeros to
+// the page size. Slots are packed, so one may straddle a 4 KiB block,
+// and that is still safe after a crash: a write-back rewrites only its
+// own slot's bytes; a neighbour's bytes in the shared block are the
+// same in the old and the new image, so a torn block tears only the
+// slot being written; and any slot newer than the cover has a
+// full-page post-image in the log, which replay writes over whatever
+// the tear left.
 const (
-	headerBlockLen = 512
-	headerDataLen  = 52 // bytes covered by the header CRC
-	dataOff        = 4096
-	slotHeaderLen  = 16
-	fileVersion    = 2
+	headerDataLen = 28 // bytes covered by the header CRC
+	headerLen     = headerDataLen + 4
+	dataOff       = 4096
+	slotHeaderLen = 16
+	fileVersion   = 3
 )
 
 var heapMagic = [8]byte{'D', 'F', 'D', 'B', 'H', 'E', 'A', 'P'}
@@ -81,9 +81,9 @@ func SlotOffset(pageSize, i int) int64 {
 // File is one relation's heap file. The logical state (page count,
 // per-page tuple counts) leads the physical state: Install-path
 // mutations update it immediately, while slot bytes reach the disk at
-// buffer-pool write-back or checkpoint time. On open, the logical
-// state is taken from the newest valid header — the checkpoint
-// horizon — and WAL replay rebuilds everything past it.
+// buffer-pool write-back or checkpoint time. On open, the page count
+// is the manifest's — the last checkpoint's — and WAL replay rebuilds
+// everything past it.
 type File struct {
 	path     string
 	f        *os.File
@@ -91,12 +91,9 @@ type File struct {
 	tupleLen int
 	slotSize int64
 
-	mu         sync.Mutex
-	pages      int
-	counts     []uint32 // tuples per page
-	seq        uint64   // header generation (ping-pong selector)
-	baseLSN    uint64
-	schemaHash uint64
+	mu     sync.Mutex
+	pages  int
+	counts []uint32 // tuples per page
 	// spare is an idle slot-sized buffer: write-backs and ReadPage build
 	// their slot image in it instead of buying one each
 	// (takeSlotBufLocked).
@@ -131,41 +128,12 @@ func (hf *File) takeSlotBufLocked() []byte {
 	return make([]byte, hf.slotSize)
 }
 
-// Create makes an empty heap file at path with a durable initial
-// header.
-func Create(path string, pageSize, tupleLen int, schemaHash, baseLSN uint64) (*File, error) {
-	if err := relation.CheckPageGeometry(pageSize, tupleLen); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	hf := &File{
-		path: path, f: f,
-		pageSize: pageSize, tupleLen: tupleLen,
-		slotSize:   slotSizeFor(pageSize),
-		schemaHash: schemaHash,
-		baseLSN:    baseLSN,
-	}
-	if err := hf.writeHeaderLocked(baseLSN); err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, err
-	}
-	return hf, nil
-}
-
 // CreateFrom writes the pages of rel into a brand-new heap file at
-// path with all-or-nothing crash semantics: temp file, full content,
-// header with baseLSN, fsync, rename, directory fsync. It is the
-// adopt path: the first materialization of a resident relation.
-func CreateFrom(path string, rel *relation.Relation, schemaHash, baseLSN uint64) (*File, error) {
+// path with all-or-nothing crash semantics: temp file, header, full
+// content, fsync, rename, directory fsync. It is the adopt path: the
+// first materialization of a resident relation, and the one write of
+// the file's header.
+func CreateFrom(path string, rel *relation.Relation, schemaHash uint64) (*File, error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -183,9 +151,10 @@ func CreateFrom(path string, rel *relation.Relation, schemaHash, baseLSN uint64)
 	hf := &File{
 		path: path, f: tmp,
 		pageSize: pageSize, tupleLen: tupleLen,
-		slotSize:   slotSize,
-		schemaHash: schemaHash,
-		baseLSN:    baseLSN,
+		slotSize: slotSize,
+	}
+	if _, err := tmp.WriteAt(renderHeader(pageSize, tupleLen, schemaHash), 0); err != nil {
+		return fail(err)
 	}
 	i := 0
 	err = rel.EachPage(func(p *relation.Page) error {
@@ -201,9 +170,6 @@ func CreateFrom(path string, rel *relation.Relation, schemaHash, baseLSN uint64)
 	if err != nil {
 		return fail(err)
 	}
-	if err := hf.writeHeaderLocked(baseLSN); err != nil {
-		return fail(err)
-	}
 	if err := tmp.Sync(); err != nil {
 		return fail(err)
 	}
@@ -217,15 +183,15 @@ func CreateFrom(path string, rel *relation.Relation, schemaHash, baseLSN uint64)
 	return hf, nil
 }
 
-// Open reads an existing heap file, selecting the newest valid header
-// block and loading per-page tuple counts from the slot headers. A
-// non-zero wantSchemaHash is verified against the header.
-func Open(path string, wantSchemaHash uint64) (*File, error) {
+// Open reads an existing heap file of pages pages, the count the
+// manifest committed, loading per-page tuple counts from the slot
+// headers. A non-zero wantSchemaHash is verified against the header.
+func Open(path string, wantSchemaHash, pages uint64) (*File, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	hf, err := openFrom(path, f, wantSchemaHash)
+	hf, err := openFrom(path, f, wantSchemaHash, pages)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -233,53 +199,37 @@ func Open(path string, wantSchemaHash uint64) (*File, error) {
 	return hf, nil
 }
 
-func openFrom(path string, f *os.File, wantSchemaHash uint64) (*File, error) {
-	var blocks [2][headerBlockLen]byte
-	for i := range blocks {
-		if _, err := f.ReadAt(blocks[i][:], int64(i)*headerBlockLen); err != nil {
-			return nil, fmt.Errorf("%w: %s: reading header block %d: %v", ErrCorrupt, filepath.Base(path), i, err)
-		}
+func openFrom(path string, f *os.File, wantSchemaHash, pages uint64) (*File, error) {
+	var b [headerLen]byte
+	if _, err := f.ReadAt(b[:], 0); err != nil {
+		return nil, fmt.Errorf("%w: %s: reading header: %v", ErrCorrupt, filepath.Base(path), err)
 	}
-	var best *headerView
-	for i := range blocks {
-		if !headerIntact(blocks[i][:]) {
-			continue // a torn block surrenders to the other one
-		}
-		hv, err := parseHeader(blocks[i][:])
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s: header block %d: %v", ErrCorrupt, filepath.Base(path), i, err)
-		}
-		if best == nil || hv.seq > best.seq {
-			best = hv
-		}
+	pageSize, tupleLen, schemaHash, err := parseHeader(b[:])
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: header: %v", ErrCorrupt, filepath.Base(path), err)
 	}
-	if best == nil {
-		return nil, fmt.Errorf("%w: %s: no valid header block", ErrCorrupt, filepath.Base(path))
-	}
-	if wantSchemaHash != 0 && best.schemaHash != wantSchemaHash {
+	if wantSchemaHash != 0 && schemaHash != wantSchemaHash {
 		return nil, fmt.Errorf("%w: %s: schema hash %016x does not match expected %016x",
-			ErrCorrupt, filepath.Base(path), best.schemaHash, wantSchemaHash)
+			ErrCorrupt, filepath.Base(path), schemaHash, wantSchemaHash)
 	}
-	// A header is written only once the slots it counts are on disk, so
-	// the file holds every one of them. Checking that before sizing
-	// anything by the count keeps a forged count from allocating.
+	// A checkpoint commits a count only once the slots it counts are
+	// durable, and trims slots only after the commit, so the file holds
+	// every one of them. Checking that before sizing anything by the
+	// count keeps a forged count from allocating.
 	info, err := f.Stat()
 	if err != nil {
 		return nil, err
 	}
-	slotSize := slotSizeFor(best.pageSize)
-	if held := max(info.Size()-dataOff, 0) / slotSize; best.pages > uint64(held) {
-		return nil, fmt.Errorf("%w: %s: header counts %d pages, the file holds %d slots",
-			ErrCorrupt, filepath.Base(path), best.pages, held)
+	slotSize := slotSizeFor(pageSize)
+	if held := max(info.Size()-dataOff, 0) / slotSize; pages > uint64(held) {
+		return nil, fmt.Errorf("%w: %s: manifest counts %d pages, the file holds %d slots",
+			ErrCorrupt, filepath.Base(path), pages, held)
 	}
 	hf := &File{
 		path: path, f: f,
-		pageSize: best.pageSize, tupleLen: best.tupleLen,
-		slotSize:   slotSize,
-		pages:      int(best.pages),
-		seq:        best.seq,
-		baseLSN:    best.baseLSN,
-		schemaHash: best.schemaHash,
+		pageSize: pageSize, tupleLen: tupleLen,
+		slotSize: slotSize,
+		pages:    int(pages),
 	}
 	hf.counts = make([]uint32, hf.pages)
 	var sh [slotHeaderLen]byte
@@ -296,64 +246,35 @@ func openFrom(path string, f *os.File, wantSchemaHash uint64) (*File, error) {
 	return hf, nil
 }
 
-type headerView struct {
-	pageSize, tupleLen int
-	seq                uint64
-	schemaHash         uint64
-	pages              uint64
-	baseLSN            uint64
-}
-
-// headerIntact reports whether a header block has the magic and a
-// matching CRC; one that does not is a torn write.
-func headerIntact(b []byte) bool {
-	return [8]byte(b[:8]) == heapMagic &&
-		crc32.Checksum(b[:headerDataLen], castagnoli) == binary.LittleEndian.Uint32(b[headerDataLen:headerDataLen+4])
-}
-
-// parseHeader decodes an intact header block. A version other than
-// fileVersion was written on purpose, so it is an error, not a tear.
-func parseHeader(b []byte) (*headerView, error) {
-	switch v := binary.LittleEndian.Uint32(b[8:12]); v {
-	case fileVersion:
-	case 1:
-		return nil, errors.New("version 1 heap file, whose slots are padded to 4 KiB; the last build to write that layout is 7a75383")
-	default:
-		return nil, fmt.Errorf("unsupported version %d", v)
-	}
-	hv := &headerView{
-		pageSize:   int(binary.LittleEndian.Uint32(b[12:16])),
-		tupleLen:   int(binary.LittleEndian.Uint32(b[16:20])),
-		seq:        binary.LittleEndian.Uint64(b[20:28]),
-		schemaHash: binary.LittleEndian.Uint64(b[28:36]),
-		pages:      binary.LittleEndian.Uint64(b[36:44]),
-		baseLSN:    binary.LittleEndian.Uint64(b[44:52]),
-	}
-	if err := relation.CheckPageGeometry(hv.pageSize, hv.tupleLen); err != nil {
-		return nil, err
-	}
-	return hv, nil
-}
-
-// writeHeaderLocked renders the current logical state into the next
-// ping-pong block. Callers own the durability ordering (fsync data
-// before, fsync header after).
-func (hf *File) writeHeaderLocked(baseLSN uint64) error {
-	hf.seq++
-	hf.baseLSN = baseLSN
-	var b [headerBlockLen]byte
+// renderHeader returns a file header for the given geometry.
+func renderHeader(pageSize, tupleLen int, schemaHash uint64) []byte {
+	b := make([]byte, headerLen)
 	copy(b[:8], heapMagic[:])
 	binary.LittleEndian.PutUint32(b[8:12], fileVersion)
-	binary.LittleEndian.PutUint32(b[12:16], uint32(hf.pageSize))
-	binary.LittleEndian.PutUint32(b[16:20], uint32(hf.tupleLen))
-	binary.LittleEndian.PutUint64(b[20:28], hf.seq)
-	binary.LittleEndian.PutUint64(b[28:36], hf.schemaHash)
-	binary.LittleEndian.PutUint64(b[36:44], uint64(hf.pages))
-	binary.LittleEndian.PutUint64(b[44:52], baseLSN)
-	binary.LittleEndian.PutUint32(b[headerDataLen:headerDataLen+4], crc32.Checksum(b[:headerDataLen], castagnoli))
-	off := int64(hf.seq%2) * headerBlockLen
-	_, err := hf.f.WriteAt(b[:], off)
-	return err
+	binary.LittleEndian.PutUint32(b[12:16], uint32(pageSize))
+	binary.LittleEndian.PutUint32(b[16:20], uint32(tupleLen))
+	binary.LittleEndian.PutUint64(b[20:28], schemaHash)
+	binary.LittleEndian.PutUint32(b[headerDataLen:], crc32.Checksum(b[:headerDataLen], castagnoli))
+	return b
+}
+
+// parseHeader checks and decodes a file header.
+func parseHeader(b []byte) (pageSize, tupleLen int, schemaHash uint64, err error) {
+	if [8]byte(b[:8]) != heapMagic {
+		return 0, 0, 0, errors.New("bad magic")
+	}
+	if got, want := crc32.Checksum(b[:headerDataLen], castagnoli), binary.LittleEndian.Uint32(b[headerDataLen:]); got != want {
+		return 0, 0, 0, fmt.Errorf("CRC mismatch (computed %08x, stored %08x)", got, want)
+	}
+	if v := binary.LittleEndian.Uint32(b[8:12]); v != fileVersion {
+		return 0, 0, 0, fmt.Errorf("unsupported version %d", v)
+	}
+	pageSize = int(binary.LittleEndian.Uint32(b[12:16]))
+	tupleLen = int(binary.LittleEndian.Uint32(b[16:20]))
+	if err := relation.CheckPageGeometry(pageSize, tupleLen); err != nil {
+		return 0, 0, 0, err
+	}
+	return pageSize, tupleLen, binary.LittleEndian.Uint64(b[20:28]), nil
 }
 
 // writeSlotLocked writes page i's full slot (header, blob, zeros to the
@@ -516,35 +437,18 @@ func (hf *File) Cardinality() int {
 	return n
 }
 
-// BaseLSN returns the recovery horizon from the last durable header.
-func (hf *File) BaseLSN() uint64 {
-	hf.mu.Lock()
-	defer hf.mu.Unlock()
-	return hf.baseLSN
-}
-
 // PageSize returns the file's page size.
 func (hf *File) PageSize() int { return hf.pageSize }
 
 // Path returns the file's path.
 func (hf *File) Path() string { return hf.path }
 
-// Checkpoint makes the current logical state durable: the caller must
-// have written back every dirty page first (Pool.FlushFile). It
-// fsyncs the data, advances the header (page count, baseLSN), fsyncs
-// again, and trims any stale slots past the logical end.
-func (hf *File) Checkpoint(baseLSN uint64) error {
+// trim cuts the stale slots past the logical end off the file: what
+// truncates left, once a manifest that no longer counts them has
+// committed (Store.Checkpoint).
+func (hf *File) trim() error {
 	hf.mu.Lock()
 	defer hf.mu.Unlock()
-	if err := hf.f.Sync(); err != nil {
-		return err
-	}
-	if err := hf.writeHeaderLocked(baseLSN); err != nil {
-		return err
-	}
-	if err := hf.f.Sync(); err != nil {
-		return err
-	}
 	want := SlotOffset(hf.pageSize, hf.pages)
 	if info, err := hf.f.Stat(); err == nil && info.Size() > want {
 		return hf.f.Truncate(want)

@@ -1,6 +1,7 @@
 package heap
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"os"
@@ -65,7 +66,7 @@ func TestFileCreateFromRoundtrip(t *testing.T) {
 	rel := seedRelation(t, "r", schema, 256, 100) // 16-byte tuples, 15/page
 	path := filepath.Join(dir, "r.heap")
 
-	hf, err := CreateFrom(path, rel, SchemaHash(schema), 7)
+	hf, err := CreateFrom(path, rel, SchemaHash(schema))
 	if err != nil {
 		t.Fatalf("CreateFrom: %v", err)
 	}
@@ -74,9 +75,6 @@ func TestFileCreateFromRoundtrip(t *testing.T) {
 	}
 	if hf.Cardinality() != 100 {
 		t.Fatalf("cardinality = %d, want 100", hf.Cardinality())
-	}
-	if hf.BaseLSN() != 7 {
-		t.Fatalf("baseLSN = %d, want 7", hf.BaseLSN())
 	}
 	for i := 0; i < rel.NumPages(); i++ {
 		got, err := hf.ReadPage(i)
@@ -92,14 +90,15 @@ func TestFileCreateFromRoundtrip(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	// Reopen: logical state must come back from the header + slot scan.
-	hf2, err := Open(path, SchemaHash(schema))
+	// Reopen: logical state must come back from the page count and the
+	// slot scan.
+	hf2, err := Open(path, SchemaHash(schema), uint64(rel.NumPages()))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	defer hf2.Close()
-	if hf2.NumPages() != rel.NumPages() || hf2.Cardinality() != 100 || hf2.BaseLSN() != 7 {
-		t.Fatalf("reopened state pages=%d card=%d base=%d", hf2.NumPages(), hf2.Cardinality(), hf2.BaseLSN())
+	if hf2.NumPages() != rel.NumPages() || hf2.Cardinality() != 100 {
+		t.Fatalf("reopened state pages=%d card=%d", hf2.NumPages(), hf2.Cardinality())
 	}
 }
 
@@ -108,65 +107,13 @@ func TestFileSchemaHashMismatch(t *testing.T) {
 	schema := testSchema(t)
 	rel := seedRelation(t, "r", schema, 256, 10)
 	path := filepath.Join(dir, "r.heap")
-	hf, err := CreateFrom(path, rel, SchemaHash(schema), 1)
+	hf, err := CreateFrom(path, rel, SchemaHash(schema))
 	if err != nil {
 		t.Fatalf("CreateFrom: %v", err)
 	}
 	hf.Close()
-	if _, err := Open(path, SchemaHash(schema)+1); !errors.Is(err, ErrCorrupt) {
+	if _, err := Open(path, SchemaHash(schema)+1, uint64(rel.NumPages())); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Open with wrong schema hash: err = %v, want ErrCorrupt", err)
-	}
-}
-
-func TestFileHeaderPingPong(t *testing.T) {
-	dir := t.TempDir()
-	schema := testSchema(t)
-	rel := seedRelation(t, "r", schema, 256, 30)
-	path := filepath.Join(dir, "r.heap")
-	hf, err := CreateFrom(path, rel, SchemaHash(schema), 1)
-	if err != nil {
-		t.Fatalf("CreateFrom: %v", err)
-	}
-	// Advance the header once: seq 2 lands in block 0, seq 1 is in
-	// block 1. Then tear the newest block; Open must fall back to the
-	// older header (baseLSN 1) instead of failing.
-	if err := hf.Checkpoint(9); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
-	}
-	newest := int64(hf.seq%2) * headerBlockLen
-	hf.Close()
-
-	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt([]byte{0xFF, 0xFF, 0xFF, 0xFF}, newest+20); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	hf2, err := Open(path, SchemaHash(schema))
-	if err != nil {
-		t.Fatalf("Open after torn newest header: %v", err)
-	}
-	defer hf2.Close()
-	if hf2.BaseLSN() != 1 {
-		t.Fatalf("baseLSN = %d, want fallback header's 1", hf2.BaseLSN())
-	}
-
-	// Both headers torn: hard corrupt.
-	f, err = os.OpenFile(path, os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for off := int64(0); off < 2*headerBlockLen; off += headerBlockLen {
-		if _, err := f.WriteAt([]byte{0xAA, 0xAA, 0xAA, 0xAA}, off+20); err != nil {
-			t.Fatal(err)
-		}
-	}
-	f.Close()
-	if _, err := Open(path, 0); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Open with both headers torn: err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -175,7 +122,7 @@ func TestFileSlotCRC(t *testing.T) {
 	schema := testSchema(t)
 	rel := seedRelation(t, "r", schema, 256, 30)
 	path := filepath.Join(dir, "r.heap")
-	hf, err := CreateFrom(path, rel, SchemaHash(schema), 1)
+	hf, err := CreateFrom(path, rel, SchemaHash(schema))
 	if err != nil {
 		t.Fatalf("CreateFrom: %v", err)
 	}
@@ -197,7 +144,7 @@ func TestFileSlotCRC(t *testing.T) {
 	}
 	f.Close()
 
-	hf2, err := Open(path, SchemaHash(schema))
+	hf2, err := Open(path, SchemaHash(schema), uint64(rel.NumPages()))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -215,7 +162,7 @@ func TestPoolEvictWriteBack(t *testing.T) {
 	schema := testSchema(t)
 	rel := seedRelation(t, "r", schema, 256, 90) // 6 pages at 15/page
 	path := filepath.Join(dir, "r.heap")
-	hf, err := CreateFrom(path, rel, SchemaHash(schema), 1)
+	hf, err := CreateFrom(path, rel, SchemaHash(schema))
 	if err != nil {
 		t.Fatalf("CreateFrom: %v", err)
 	}
@@ -275,7 +222,7 @@ func TestPoolEvictWriteBack(t *testing.T) {
 func TestPoolWaitsForAFrame(t *testing.T) {
 	schema := testSchema(t)
 	rel := seedRelation(t, "r", schema, 256, 60)
-	hf, err := CreateFrom(filepath.Join(t.TempDir(), "r.heap"), rel, SchemaHash(schema), 1)
+	hf, err := CreateFrom(filepath.Join(t.TempDir(), "r.heap"), rel, SchemaHash(schema))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,9 +301,14 @@ func TestStoreAdoptLoadCheckpoint(t *testing.T) {
 	if !r1.Stored() || !r2.Stored() {
 		t.Fatal("relations should be stored after checkpoint adoption")
 	}
-	if !store.ManifestExists() {
+	if !HasManifest(dir) {
 		t.Fatal("manifest missing after checkpoint")
 	}
+	header, err := os.ReadFile(store.filePath("r1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	header = header[:dataOff]
 
 	// Stored relations refuse a direct append, which the log would never
 	// see, and take page installs, reading through the pool.
@@ -388,6 +340,10 @@ func TestStoreAdoptLoadCheckpoint(t *testing.T) {
 	if err := store.Checkpoint(cat, 12); err != nil {
 		t.Fatalf("second checkpoint: %v", err)
 	}
+	// A checkpoint commits in the manifest and writes no file header.
+	if img, err := os.ReadFile(store.filePath("r1")); err != nil || !bytes.Equal(img[:dataOff], header) {
+		t.Fatalf("the second checkpoint rewrote r1's header (%v)", err)
+	}
 	store.Close()
 
 	// Fresh store: LoadCatalog rebuilds from manifest + files.
@@ -396,9 +352,12 @@ func TestStoreAdoptLoadCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store2.Close()
-	cat2, err := store2.LoadCatalog()
+	cat2, cover, err := store2.LoadCatalog()
 	if err != nil {
 		t.Fatalf("LoadCatalog: %v", err)
+	}
+	if cover != 12 {
+		t.Fatalf("the manifest covers LSN %d, want 12", cover)
 	}
 	g1, err := cat2.Get("r1")
 	if err != nil {
@@ -406,9 +365,6 @@ func TestStoreAdoptLoadCheckpoint(t *testing.T) {
 	}
 	if g1.Cardinality() != 51 {
 		t.Fatalf("loaded r1 cardinality = %d, want 51", g1.Cardinality())
-	}
-	if g1.StoreBaseLSN() != 12 {
-		t.Fatalf("r1 baseLSN = %d, want 12", g1.StoreBaseLSN())
 	}
 	g2, err := cat2.Get("r2")
 	if err != nil {
@@ -418,6 +374,61 @@ func TestStoreAdoptLoadCheckpoint(t *testing.T) {
 		t.Fatalf("r2 has %d tuples, want %d", len(got), len(wantKeys2))
 	}
 	_ = wantKeys1
+}
+
+// A checkpoint whose manifest does not commit trims nothing: the file
+// still holds every slot the old manifest counts, and the store opens
+// from it. Once a manifest commits, the stale slots go.
+func TestCheckpointTrimsOnlyAfterCommit(t *testing.T) {
+	dir := t.TempDir()
+	store, err := OpenStore(dir, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	rel := seedRelation(t, "r", testSchema(t), 256, 100)
+	cat := catalog.New()
+	cat.Put(rel)
+	if err := store.Checkpoint(cat, 1); err != nil {
+		t.Fatal(err)
+	}
+	pages := rel.NumPages()
+	committed, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rel.Truncate(1); err != nil {
+		t.Fatal(err)
+	}
+	// A directory in the manifest's place makes its rename fail.
+	manifest := filepath.Join(dir, manifestName)
+	if err := os.Remove(manifest); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(manifest, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Checkpoint(cat, 2); err == nil {
+		t.Fatal("a checkpoint whose manifest could not be written succeeded")
+	}
+	if size, err := store.FileSize("r"); err != nil || size != SlotOffset(256, pages) {
+		t.Fatalf("after the failed commit the file is %d bytes (%v), want its %d committed slots: %d", size, err, pages, SlotOffset(256, pages))
+	}
+	if err := os.RemoveAll(manifest); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifest, committed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if cover, audits, err := Audit(dir); err != nil || cover != 1 || audits[0].Err != nil || audits[0].Pages != pages {
+		t.Fatalf("the old manifest over the untrimmed file: cover %d, %+v, %v; want cover 1 and %d clean pages", cover, audits, err, pages)
+	}
+	if err := store.Checkpoint(cat, 2); err != nil {
+		t.Fatal(err)
+	}
+	if size, err := store.FileSize("r"); err != nil || size != SlotOffset(256, 1) {
+		t.Fatalf("after the commit the file is %d bytes (%v), want one slot: %d", size, err, SlotOffset(256, 1))
+	}
 }
 
 func TestAuditCatchesCorruption(t *testing.T) {
@@ -451,9 +462,12 @@ func TestAuditCatchesCorruption(t *testing.T) {
 	}
 	f.Close()
 
-	audits, err := Audit(dir)
+	cover, audits, err := Audit(dir)
 	if err != nil {
 		t.Fatalf("Audit: %v", err)
+	}
+	if cover != 3 {
+		t.Fatalf("Audit read cover %d, want 3", cover)
 	}
 	if len(audits) != 2 {
 		t.Fatalf("audited %d files, want 2", len(audits))
@@ -465,7 +479,7 @@ func TestAuditCatchesCorruption(t *testing.T) {
 	if byRel["good"].Err != nil {
 		t.Fatalf("good: unexpected audit error %v", byRel["good"].Err)
 	}
-	if byRel["good"].Tuples != 40 || byRel["good"].BaseLSN != 3 {
+	if byRel["good"].Tuples != 40 {
 		t.Fatalf("good audit = %+v", byRel["good"])
 	}
 	if !errors.Is(byRel["bad"].Err, ErrCorrupt) {
@@ -480,7 +494,7 @@ func TestAuditCatchesCorruption(t *testing.T) {
 func TestPoolGaugesTrackSnapshot(t *testing.T) {
 	schema := testSchema(t)
 	rel := seedRelation(t, "r", schema, 256, 90) // 6 pages
-	hf, err := CreateFrom(filepath.Join(t.TempDir(), "r.heap"), rel, SchemaHash(schema), 1)
+	hf, err := CreateFrom(filepath.Join(t.TempDir(), "r.heap"), rel, SchemaHash(schema))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,7 +552,7 @@ func TestColdScanAllocCeiling(t *testing.T) {
 	}
 	defer store.Close()
 	rel := seedRelation(t, "r", testSchema(t), 2048, 10000) // 127 tuples to a page
-	if err := store.Adopt(rel, 1); err != nil {
+	if err := store.Adopt(rel); err != nil {
 		t.Fatal(err)
 	}
 	pages := rel.NumPages()

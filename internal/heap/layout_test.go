@@ -1,15 +1,18 @@
 package heap
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"dfdbm/internal/catalog"
 	"dfdbm/internal/relation"
 	"dfdbm/internal/workload"
 )
@@ -21,7 +24,7 @@ import (
 func heapImage(t testing.TB, rel *relation.Relation) []byte {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), rel.Name()+".heap")
-	hf, err := CreateFrom(path, rel, SchemaHash(rel.Schema()), 1)
+	hf, err := CreateFrom(path, rel, SchemaHash(rel.Schema()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,41 +36,12 @@ func heapImage(t testing.TB, rel *relation.Relation) []byte {
 	return img
 }
 
-// seal recomputes a header block's CRC.
-func seal(b []byte) {
-	binary.LittleEndian.PutUint32(b[headerDataLen:headerDataLen+4], crc32.Checksum(b[:headerDataLen], castagnoli))
-}
-
-// reseal applies edit to every intact header block of img and seals it,
-// so the edited header is one a writer could have produced.
-func reseal(img []byte, edit func(b []byte)) {
-	for off := 0; off < 2*headerBlockLen; off += headerBlockLen {
-		if b := img[off : off+headerBlockLen]; headerIntact(b) {
-			edit(b)
-			seal(b)
-		}
-	}
-}
-
-// forgePages returns img with a resealed header claiming pages pages.
-func forgePages(img []byte, pages uint64) []byte {
+// reseal applies edit to img's header and recomputes its CRC, so the
+// edited header is one a writer could have produced.
+func reseal(img []byte, edit func(b []byte)) []byte {
 	img = append([]byte(nil), img...)
-	reseal(img, func(b []byte) { binary.LittleEndian.PutUint64(b[36:44], pages) })
-	return img
-}
-
-// v1Image lays rel out as a version-1 heap file: the same header blocks
-// and slot images, every slot padded to 4 KiB.
-func v1Image(t testing.TB, rel *relation.Relation) []byte {
-	t.Helper()
-	const v1Slot = 4096
-	v2, ps := heapImage(t, rel), rel.PageSize()
-	img := make([]byte, dataOff+rel.NumPages()*v1Slot)
-	copy(img, v2[:dataOff])
-	for i := 0; i < rel.NumPages(); i++ {
-		copy(img[dataOff+i*v1Slot:], v2[SlotOffset(ps, i):SlotOffset(ps, i+1)])
-	}
-	reseal(img, func(b []byte) { binary.LittleEndian.PutUint32(b[8:12], 1) })
+	edit(img[:headerLen])
+	binary.LittleEndian.PutUint32(img[headerDataLen:headerLen], crc32.Checksum(img[:headerDataLen], castagnoli))
 	return img
 }
 
@@ -81,11 +55,11 @@ func writeImage(t *testing.T, img []byte) string {
 }
 
 // A file of n slots is SlotOffset(pageSize, n) bytes, after CreateFrom
-// and after a checkpoint's truncate.
+// and after a checkpoint's trim of a truncated file.
 func TestPackedFileSize(t *testing.T) {
 	for _, ps := range []int{256, 2048} {
 		rel := seedRelation(t, "r", testSchema(t), ps, 1000)
-		hf, err := CreateFrom(filepath.Join(t.TempDir(), "r.heap"), rel, SchemaHash(rel.Schema()), 1)
+		hf, err := CreateFrom(filepath.Join(t.TempDir(), "r.heap"), rel, SchemaHash(rel.Schema()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,11 +71,14 @@ func TestPackedFileSize(t *testing.T) {
 		if size, err := hf.Size(); err != nil || size != SlotOffset(ps, n) {
 			t.Errorf("%d-byte pages: %d slots in %d bytes (%v), want %d", ps, n, size, err, SlotOffset(ps, n))
 		}
-		if err := hf.Checkpoint(2); err != nil {
+		if err := hf.truncate(n - 1); err != nil {
 			t.Fatal(err)
 		}
-		if size, err := hf.Size(); err != nil || size != SlotOffset(ps, n) {
-			t.Errorf("%d-byte pages after a checkpoint: %d bytes (%v), want %d", ps, size, err, SlotOffset(ps, n))
+		if err := hf.trim(); err != nil {
+			t.Fatal(err)
+		}
+		if size, err := hf.Size(); err != nil || size != SlotOffset(ps, n-1) {
+			t.Errorf("%d-byte pages after a trim: %d bytes (%v), want %d", ps, size, err, SlotOffset(ps, n-1))
 		}
 	}
 }
@@ -111,7 +88,7 @@ func TestPackedFileSize(t *testing.T) {
 func TestPackedRunAcrossBlockBoundary(t *testing.T) {
 	const ps = 2048
 	rel := seedRelation(t, "r", testSchema(t), ps, 8*127) // 8 full pages
-	hf, err := CreateFrom(filepath.Join(t.TempDir(), "r.heap"), rel, SchemaHash(rel.Schema()), 1)
+	hf, err := CreateFrom(filepath.Join(t.TempDir(), "r.heap"), rel, SchemaHash(rel.Schema()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +124,7 @@ func TestPackedRunAcrossBlockBoundary(t *testing.T) {
 func TestPackedFlipFailsOnlyItsSlot(t *testing.T) {
 	const ps, bad = 256, 5
 	rel := seedRelation(t, "r", testSchema(t), ps, 30*runTestTuplesPerPage)
-	hf, err := CreateFrom(filepath.Join(t.TempDir(), "r.heap"), rel, SchemaHash(rel.Schema()), 1)
+	hf, err := CreateFrom(filepath.Join(t.TempDir(), "r.heap"), rel, SchemaHash(rel.Schema()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,66 +192,38 @@ func TestPaperDatabaseFileBytesPerUserByte(t *testing.T) {
 	}
 }
 
-// A version-1 file is refused by name, whichever header block is intact;
-// a block that fails its CRC still surrenders to the other.
-func TestOpenRefusesV1SlotLayout(t *testing.T) {
-	rel := seedRelation(t, "r", testSchema(t), 256, 100)
-	img := v1Image(t, rel)
-	refusedByName := func(err error) bool {
-		return errors.Is(err, ErrCorrupt) && strings.Contains(err.Error(), "padded to 4 KiB") && strings.Contains(err.Error(), "7a75383")
-	}
-	if _, err := Open(writeImage(t, img), 0); !refusedByName(err) {
-		t.Fatalf("v1 file: %v, want ErrCorrupt naming the 4 KiB-slot layout and 7a75383", err)
-	}
-
-	// Two intact blocks, block 0 a generation past block 1: tear the
-	// newer and the older, still version 1, is refused by name.
-	copy(img[:headerBlockLen], img[headerBlockLen:2*headerBlockLen])
-	binary.LittleEndian.PutUint64(img[20:28], 2)
-	seal(img[:headerBlockLen])
-	if _, err := Open(writeImage(t, img), 0); !refusedByName(err) {
-		t.Fatalf("v1 file with two header blocks: %v, want it refused by name", err)
-	}
-	img[20] ^= 0xFF // tear block 0
-	if _, err := Open(writeImage(t, img), 0); !refusedByName(err) {
-		t.Fatalf("v1 file with its newer block torn: %v, want the other block refused by name", err)
-	}
-	img[headerBlockLen+20] ^= 0xFF // and block 1
-	if _, err := Open(writeImage(t, img), 0); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "no valid header block") {
-		t.Fatalf("v1 file with both blocks torn: %v, want ErrCorrupt with no valid header block", err)
-	}
-}
-
-// A header with a valid CRC that counts more pages than the file holds —
-// one more, 2^40, more than an int can hold — is corrupt, not a reason
-// to allocate.
+// A count that exceeds the slots the file holds — one more, 2^40, more
+// than an int can hold — is corrupt, not a reason to allocate.
 func TestOpenRefusesForgedPageCount(t *testing.T) {
 	rel := seedRelation(t, "r", testSchema(t), 256, 100)
-	img := heapImage(t, rel)
-	if _, err := Open(writeImage(t, img), 0); err != nil {
-		t.Fatalf("unforged image: %v", err)
+	path := writeImage(t, heapImage(t, rel))
+	hf, err := Open(path, 0, uint64(rel.NumPages()))
+	if err != nil {
+		t.Fatalf("true count: %v", err)
 	}
+	hf.Close()
 	for _, pages := range []uint64{uint64(rel.NumPages()) + 1, 1 << 40, math.MaxInt64 + 1, math.MaxUint64} {
-		if _, err := Open(writeImage(t, forgePages(img, pages)), 0); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("header counting %d pages in a file of %d: %v, want ErrCorrupt", pages, rel.NumPages(), err)
+		if _, err := Open(path, 0, pages); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("a count of %d pages in a file of %d: %v, want ErrCorrupt", pages, rel.NumPages(), err)
 		}
 	}
 }
 
-// FuzzHeapOpen opens arbitrary bytes as a heap file and reads every page
-// it admits to. Neither may panic, and every error wraps ErrCorrupt.
+// FuzzHeapOpen opens arbitrary bytes as a heap file of an arbitrary page
+// count and reads every page it admits to. Neither may panic, and every
+// error wraps ErrCorrupt.
 func FuzzHeapOpen(f *testing.F) {
 	rel := seedRelation(f, "r", testSchema(f), 256, 3*runTestTuplesPerPage+4)
-	v2 := heapImage(f, rel)
-	f.Add(v2)
-	f.Add(v1Image(f, rel))
-	f.Add(forgePages(v2, 1<<40))
+	img, pages := heapImage(f, rel), uint64(rel.NumPages())
+	f.Add(img, pages)
+	f.Add(reseal(img, func(b []byte) { binary.LittleEndian.PutUint32(b[8:12], 2) }), pages)
+	f.Add(img, uint64(1<<40))
 	path := filepath.Join(f.TempDir(), "r.heap") // a worker runs one input at a time
-	f.Fuzz(func(t *testing.T, img []byte) {
+	f.Fuzz(func(t *testing.T, img []byte, pages uint64) {
 		if err := os.WriteFile(path, img, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		hf, err := Open(path, 0)
+		hf, err := Open(path, 0, pages)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("Open: %v does not wrap ErrCorrupt", err)
@@ -288,4 +237,98 @@ func FuzzHeapOpen(f *testing.F) {
 			}
 		}
 	})
+}
+
+// forgeManifest returns a copy of a one-relation manifest whose
+// relation counts pages pages, its CRC recomputed: a manifest a writer
+// could have produced.
+func forgeManifest(raw []byte, name string, pages uint64) []byte {
+	raw = bytes.Clone(raw)
+	off := len(manifestMagic) + 8 + 4 + 2 + len(name) + 4 // magic, cover, count, name, page size
+	binary.LittleEndian.PutUint64(raw[off:], pages)
+	body := raw[:len(raw)-4]
+	binary.LittleEndian.PutUint32(raw[len(body):], crc32.Checksum(body, castagnoli))
+	return raw
+}
+
+// FuzzManifest reads arbitrary bytes as the manifest of a store that
+// holds one true heap file, and audits what it names. Neither may
+// panic, and every error wraps ErrCorrupt but a relation's file failing
+// to open (the manifest names a file the directory does not hold). A
+// forged page count allocates nothing before Open checks it against
+// the file's size: the seed counting 2^40 pages would otherwise size a
+// 4 TiB table of tuple counts.
+func FuzzManifest(f *testing.F) {
+	dir := f.TempDir()
+	store, err := OpenStore(dir, 4, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	cat := catalog.New()
+	cat.Put(seedRelation(f, "r", testSchema(f), 256, 3*runTestTuplesPerPage+4))
+	if err := store.Checkpoint(cat, 7); err != nil {
+		f.Fatal(err)
+	}
+	store.Close()
+	path := filepath.Join(dir, manifestName)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add(forgeManifest(good, "r", 1<<40))
+	f.Add(append([]byte(oldManifestMagic), good[len(manifestMagic):]...))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, audits, err := Audit(dir)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Audit: %v does not wrap ErrCorrupt", err)
+			}
+			return
+		}
+		for _, a := range audits {
+			var pe *fs.PathError
+			if a.Err != nil && !errors.Is(a.Err, ErrCorrupt) && !errors.As(a.Err, &pe) {
+				t.Fatalf("relation %q: %v neither wraps ErrCorrupt nor fails to open a file", a.Rel, a.Err)
+			}
+		}
+	})
+}
+
+// A manifest cut short anywhere, or counting more pages than the file
+// holds, is ErrCorrupt.
+func TestManifestTruncatedOrForged(t *testing.T) {
+	dir := t.TempDir()
+	store, err := OpenStore(dir, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := catalog.New()
+	rel := seedRelation(t, "r", testSchema(t), 256, 100)
+	cat.Put(rel)
+	if err := store.Checkpoint(cat, 7); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+	good, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < len(good); n++ {
+		if _, _, err := parseManifest(good[:n]); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("manifest cut to %d of %d bytes: %v, want ErrCorrupt", n, len(good), err)
+		}
+	}
+	for _, pages := range []uint64{uint64(rel.NumPages()) + 1, 1 << 40, math.MaxUint64} {
+		if err := os.WriteFile(filepath.Join(dir, manifestName), forgeManifest(good, "r", pages), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, audits, err := Audit(dir); err != nil || !errors.Is(audits[0].Err, ErrCorrupt) {
+			t.Errorf("manifest counting %d pages in a file of %d: %v, %v; want the file's audit ErrCorrupt", pages, rel.NumPages(), err, audits)
+		}
+	}
 }

@@ -62,7 +62,7 @@ func newRunFixture(t *testing.T, pages, frames int) *runFixture {
 func (fx *runFixture) adopt(t *testing.T, name string, pages int) (*relation.Relation, *File) {
 	t.Helper()
 	rel := seedRelation(t, name, testSchema(t), 256, pages*runTestTuplesPerPage)
-	if err := fx.store.Adopt(rel, 1); err != nil {
+	if err := fx.store.Adopt(rel); err != nil {
 		t.Fatal(err)
 	}
 	if rel.NumPages() != pages {

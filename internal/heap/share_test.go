@@ -272,7 +272,7 @@ func TestHeapSharedPageTailAppend(t *testing.T) {
 	}
 	schema := testSchema(t)
 	rel := seedRelation(t, "r", schema, 256, 3*runTestTuplesPerPage+4) // a partial fourth page
-	if err := store.Adopt(rel, 1); err != nil {
+	if err := store.Adopt(rel); err != nil {
 		t.Fatal(err)
 	}
 	hf := store.file("r")
@@ -301,11 +301,8 @@ func TestHeapSharedPageTailAppend(t *testing.T) {
 	if err := store.Pool().FlushFile(hf); err != nil {
 		t.Fatal(err)
 	}
-	if err := hf.Checkpoint(2); err != nil {
-		t.Fatal(err)
-	}
 	store.Close()
-	reopened, err := Open(hf.Path(), SchemaHash(schema))
+	reopened, err := Open(hf.Path(), SchemaHash(schema), uint64(rel.NumPages()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +326,7 @@ func TestHeapStoredAppendsMatchResident(t *testing.T) {
 	defer store.Close()
 	schema := testSchema(t)
 	stored, resident := seedRelation(t, "r", schema, 256, 7), seedRelation(t, "q", schema, 256, 7)
-	if err := store.Adopt(stored, 1); err != nil {
+	if err := store.Adopt(stored); err != nil {
 		t.Fatal(err)
 	}
 	raw := make([]byte, schema.TupleLen())

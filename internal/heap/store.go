@@ -9,7 +9,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 
@@ -29,9 +28,10 @@ func SchemaHash(s *relation.Schema) uint64 {
 }
 
 // Store manages one heap file per relation under a directory, all
-// sharing one buffer pool. The manifest file is the commit point for
-// the set of relations: a relation exists durably iff the manifest
-// names it and its heap file opens clean.
+// sharing one buffer pool. The manifest file is the commit point of a
+// checkpoint: it names the relations, with each one's schema and page
+// count, and the cover LSN every file reflects. A relation exists
+// durably iff the manifest names it and its heap file opens clean.
 type Store struct {
 	dir  string
 	pool *Pool
@@ -43,7 +43,10 @@ type Store struct {
 const (
 	manifestName  = "manifest"
 	heapSuffix    = ".heap"
-	manifestMagic = "DFDBHMAN"
+	manifestMagic = "DFDBHMN2"
+	// oldManifestMagic is the manifest of the layout whose heap files
+	// carried their own page count and base LSN; it is refused by name.
+	oldManifestMagic = "DFDBHMAN"
 )
 
 // OpenStore opens (creating if needed) a heap store rooted at dir with
@@ -79,34 +82,39 @@ func (s *Store) filePath(name string) string {
 	return filepath.Join(s.dir, name+heapSuffix)
 }
 
-// ManifestExists reports whether the store has a durable manifest —
-// i.e. whether a first checkpoint has committed in this directory.
-func (s *Store) ManifestExists() bool {
-	_, err := os.Stat(filepath.Join(s.dir, manifestName))
-	return err == nil
-}
-
-// manifestEntry is one relation's schema record in the manifest.
+// manifestEntry is one relation's record in the manifest.
 type manifestEntry struct {
 	name     string
 	pageSize int
+	pages    uint64
 	schema   *relation.Schema
 }
 
-// writeManifest atomically persists the current relation set (names
-// and schemas). It is the commit point of a checkpoint — of the first
-// one above all: a directory without a manifest was never seeded.
-func (s *Store) writeManifest(cat *catalog.Catalog) error {
-	names := cat.Names()
-	sort.Strings(names)
+// writeManifest atomically persists cover and the current relation
+// set: names, schemas and page counts. It is the commit point of a
+// checkpoint — of the first one above all: a directory without a
+// manifest was never seeded.
+//
+// Layout: magic, u64 cover, u32 relation count, then per relation its
+// name, u32 page size, u64 page count, u16 attribute count and each
+// attribute's type byte, u32 width and name; a CRC-32C of all that
+// last. A string is a u16 length and its bytes.
+func (s *Store) writeManifest(cat *catalog.Catalog, cover uint64) error {
+	names := cat.Names() // sorted
 	return catalog.WriteFileAtomic(filepath.Join(s.dir, manifestName), func(w io.Writer) error {
 		crcw := crc32.New(castagnoli)
 		bw := bufio.NewWriter(io.MultiWriter(w, crcw))
 		if _, err := bw.WriteString(manifestMagic); err != nil {
 			return err
 		}
+		var u64 [8]byte
 		var u32 [4]byte
 		var u16 [2]byte
+		putU64 := func(v uint64) error {
+			binary.LittleEndian.PutUint64(u64[:], v)
+			_, err := bw.Write(u64[:])
+			return err
+		}
 		putU32 := func(v uint32) error {
 			binary.LittleEndian.PutUint32(u32[:], v)
 			_, err := bw.Write(u32[:])
@@ -118,6 +126,9 @@ func (s *Store) writeManifest(cat *catalog.Catalog) error {
 				return err
 			}
 			_, err := bw.WriteString(str)
+			return err
+		}
+		if err := putU64(cover); err != nil {
 			return err
 		}
 		if err := putU32(uint32(len(names))); err != nil {
@@ -132,6 +143,9 @@ func (s *Store) writeManifest(cat *catalog.Catalog) error {
 				return err
 			}
 			if err := putU32(uint32(rel.PageSize())); err != nil {
+				return err
+			}
+			if err := putU64(uint64(rel.NumPages())); err != nil {
 				return err
 			}
 			sc := rel.Schema()
@@ -162,22 +176,40 @@ func (s *Store) writeManifest(cat *catalog.Catalog) error {
 	})
 }
 
-// readManifest parses the manifest file in dir.
-func readManifest(dir string) ([]manifestEntry, error) {
+// readManifest reads the manifest file in dir: the cover and one entry
+// per relation.
+func readManifest(dir string) (uint64, []manifestEntry, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
-	if len(raw) < len(manifestMagic)+8 || string(raw[:len(manifestMagic)]) != manifestMagic {
-		return nil, fmt.Errorf("%w: manifest: bad magic or truncated", ErrCorrupt)
+	return parseManifest(raw)
+}
+
+// parseManifest decodes a manifest image. It sizes nothing by a count
+// it reads: a forged count runs out of bytes, not of memory.
+func parseManifest(raw []byte) (uint64, []manifestEntry, error) {
+	if len(raw) >= len(oldManifestMagic) && string(raw[:len(oldManifestMagic)]) == oldManifestMagic {
+		return 0, nil, fmt.Errorf("%w: manifest of the layout whose heap files carry their own page count and base LSN; the last build to write it is 9b64140, re-initialize the directory", ErrCorrupt)
+	}
+	if len(raw) < len(manifestMagic)+4 || string(raw[:len(manifestMagic)]) != manifestMagic {
+		return 0, nil, fmt.Errorf("%w: manifest: bad magic or truncated", ErrCorrupt)
 	}
 	body, trailer := raw[:len(raw)-4], raw[len(raw)-4:]
 	if got, want := crc32.Checksum(body, castagnoli), binary.LittleEndian.Uint32(trailer); got != want {
-		return nil, fmt.Errorf("%w: manifest CRC mismatch (computed %08x, stored %08x)", ErrCorrupt, got, want)
+		return 0, nil, fmt.Errorf("%w: manifest CRC mismatch (computed %08x, stored %08x)", ErrCorrupt, got, want)
 	}
 	d := body[len(manifestMagic):]
-	fail := func() ([]manifestEntry, error) {
-		return nil, fmt.Errorf("%w: manifest: truncated record", ErrCorrupt)
+	fail := func() (uint64, []manifestEntry, error) {
+		return 0, nil, fmt.Errorf("%w: manifest: truncated record", ErrCorrupt)
+	}
+	u64 := func() (uint64, bool) {
+		if len(d) < 8 {
+			return 0, false
+		}
+		v := binary.LittleEndian.Uint64(d)
+		d = d[8:]
+		return v, true
 	}
 	u32 := func() (uint32, bool) {
 		if len(d) < 4 {
@@ -200,26 +232,34 @@ func readManifest(dir string) ([]manifestEntry, error) {
 		d = d[n:]
 		return v, true
 	}
+	cover, ok := u64()
+	if !ok {
+		return fail()
+	}
 	count, ok := u32()
 	if !ok {
 		return fail()
 	}
-	out := make([]manifestEntry, 0, count)
-	for r := 0; r < int(count); r++ {
+	var out []manifestEntry
+	for r := uint32(0); r < count; r++ {
 		name, ok := str()
 		if !ok {
 			return fail()
+		}
+		if name == "" || strings.ContainsAny(name, "/\x00") {
+			return 0, nil, fmt.Errorf("%w: manifest: relation name %q is not a file name", ErrCorrupt, name)
 		}
 		pageSize, ok := u32()
 		if !ok {
 			return fail()
 		}
-		if len(d) < 2 {
+		pages, ok := u64()
+		if !ok || len(d) < 2 {
 			return fail()
 		}
 		nAttrs := int(binary.LittleEndian.Uint16(d))
 		d = d[2:]
-		attrs := make([]relation.Attr, 0, nAttrs)
+		var attrs []relation.Attr
 		for a := 0; a < nAttrs; a++ {
 			if len(d) < 1 {
 				return fail()
@@ -238,36 +278,48 @@ func readManifest(dir string) ([]manifestEntry, error) {
 		}
 		sc, err := relation.NewSchema(attrs...)
 		if err != nil {
-			return nil, fmt.Errorf("%w: manifest: relation %q: %v", ErrCorrupt, name, err)
+			return 0, nil, fmt.Errorf("%w: manifest: relation %q: %v", ErrCorrupt, name, err)
 		}
-		out = append(out, manifestEntry{name: name, pageSize: int(pageSize), schema: sc})
+		out = append(out, manifestEntry{name: name, pageSize: int(pageSize), pages: pages, schema: sc})
 	}
-	return out, nil
+	return cover, out, nil
 }
 
-// LoadCatalog opens every heap file named by the manifest, validates
-// it against the recorded schema, and returns a catalog of stored
-// relations attached to this store's buffer pool.
-func (s *Store) LoadCatalog() (*catalog.Catalog, error) {
-	ents, err := readManifest(s.dir)
+// openEntry opens the heap file of manifest entry e at its committed
+// page count and checks its geometry against the entry.
+func openEntry(dir string, e manifestEntry) (*File, error) {
+	hf, err := Open(filepath.Join(dir, e.name+heapSuffix), SchemaHash(e.schema), e.pages)
 	if err != nil {
 		return nil, err
 	}
+	if hf.pageSize != e.pageSize || hf.tupleLen != e.schema.TupleLen() {
+		hf.Close()
+		return nil, fmt.Errorf("%w: file geometry %d/%d does not match manifest %d/%d",
+			ErrCorrupt, hf.pageSize, hf.tupleLen, e.pageSize, e.schema.TupleLen())
+	}
+	return hf, nil
+}
+
+// LoadCatalog opens every heap file named by the manifest at its
+// committed page count, validates it against the recorded schema, and
+// returns a catalog of stored relations attached to this store's
+// buffer pool, and the cover: the LSN of the last record every file
+// reflects.
+func (s *Store) LoadCatalog() (*catalog.Catalog, uint64, error) {
+	cover, ents, err := readManifest(s.dir)
+	if err != nil {
+		return nil, 0, err
+	}
 	cat := catalog.New()
 	for _, e := range ents {
-		hf, err := Open(s.filePath(e.name), SchemaHash(e.schema))
+		hf, err := openEntry(s.dir, e)
 		if err != nil {
-			return nil, fmt.Errorf("heap: relation %q: %w", e.name, err)
-		}
-		if hf.pageSize != e.pageSize || hf.tupleLen != e.schema.TupleLen() {
-			hf.Close()
-			return nil, fmt.Errorf("%w: relation %q: file geometry %d/%d does not match manifest %d/%d",
-				ErrCorrupt, e.name, hf.pageSize, hf.tupleLen, e.pageSize, e.schema.TupleLen())
+			return nil, 0, fmt.Errorf("heap: relation %q: %w", e.name, err)
 		}
 		rel, err := relation.New(e.name, e.schema, e.pageSize)
 		if err != nil {
 			hf.Close()
-			return nil, err
+			return nil, 0, err
 		}
 		s.mu.Lock()
 		s.files[e.name] = hf
@@ -275,19 +327,18 @@ func (s *Store) LoadCatalog() (*catalog.Catalog, error) {
 		rel.SetStore(&backing{pool: s.pool, f: hf})
 		cat.Put(rel)
 	}
-	return cat, nil
+	return cat, cover, nil
 }
 
 // Adopt materializes rel (resident or already stored elsewhere) into
-// a brand-new heap file with base LSN baseLSN, attaches it to the
-// store, and flips rel to stored mode. The manifest is NOT updated —
-// callers batch adoptions and commit once via Checkpoint or
-// writeManifest.
-func (s *Store) Adopt(rel *relation.Relation, baseLSN uint64) error {
+// a brand-new heap file, attaches it to the store, and flips rel to
+// stored mode. The manifest is NOT updated — callers batch adoptions
+// and commit once via Checkpoint.
+func (s *Store) Adopt(rel *relation.Relation) error {
 	if rel.Stored() {
 		return nil
 	}
-	hf, err := CreateFrom(s.filePath(rel.Name()), rel, SchemaHash(rel.Schema()), baseLSN)
+	hf, err := CreateFrom(s.filePath(rel.Name()), rel, SchemaHash(rel.Schema()))
 	if err != nil {
 		return err
 	}
@@ -309,19 +360,24 @@ func (s *Store) file(name string) *File {
 	return s.files[name]
 }
 
-// Checkpoint makes every relation in cat durable at cover: relations
-// not yet stored are adopted (with base LSN cover), dirty frames are
-// flushed, each file's header advances to cover, and the manifest is
-// rewritten. Must run under total write exclusion (the server
-// schedules checkpoints with a full-catalog write footprint).
+// Checkpoint makes every relation in cat durable at cover and commits
+// them all at once. First each relation is made durable in its file:
+// adopted into a new one if it is resident, else its dirty frames
+// written back and the file fsynced. Then the manifest is rewritten
+// with cover and every page count: the commit point. Last the stale
+// slots past each count are trimmed — only now, so that a crash before
+// the commit finds every slot the old manifest counts. Must run under
+// total write exclusion (the server schedules checkpoints with a
+// full-catalog write footprint).
 func (s *Store) Checkpoint(cat *catalog.Catalog, cover uint64) error {
+	var flushed []*File
 	for _, name := range cat.Names() {
 		rel, err := cat.Get(name)
 		if err != nil {
 			return err
 		}
 		if !rel.Stored() {
-			if err := s.Adopt(rel, cover); err != nil {
+			if err := s.Adopt(rel); err != nil {
 				return err
 			}
 			continue
@@ -333,43 +389,20 @@ func (s *Store) Checkpoint(cat *catalog.Catalog, cover uint64) error {
 		if err := s.pool.FlushFile(hf); err != nil {
 			return err
 		}
-		if err := hf.Checkpoint(cover); err != nil {
+		if err := hf.Sync(); err != nil {
+			return err
+		}
+		flushed = append(flushed, hf)
+	}
+	if err := s.writeManifest(cat, cover); err != nil {
+		return err
+	}
+	for _, hf := range flushed {
+		if err := hf.trim(); err != nil {
 			return err
 		}
 	}
-	if err := s.writeManifest(cat); err != nil {
-		return err
-	}
-	return catalog.SyncDir(s.dir)
-}
-
-// MinBaseLSN returns the smallest base LSN across all open files — the
-// LSN from which WAL replay must begin. Zero when no files are open.
-func (s *Store) MinBaseLSN() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var min uint64
-	first := true
-	for _, hf := range s.files {
-		b := hf.BaseLSN()
-		if first || b < min {
-			min, first = b, false
-		}
-	}
-	return min
-}
-
-// MaxBaseLSN returns the largest base LSN across all open files.
-func (s *Store) MaxBaseLSN() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var max uint64
-	for _, hf := range s.files {
-		if b := hf.BaseLSN(); b > max {
-			max = b
-		}
-	}
-	return max
+	return nil
 }
 
 // FileSize returns the physical size of name's heap file.
@@ -382,7 +415,7 @@ func (s *Store) FileSize(name string) (int64, error) {
 }
 
 // Close closes all heap files. Dirty frames are deliberately NOT
-// flushed: everything past each file's base LSN is in the WAL, and an
+// flushed: everything past the manifest's cover is in the WAL, and an
 // unclean close must look exactly like a crash.
 func (s *Store) Close() error {
 	s.mu.Lock()
@@ -408,7 +441,6 @@ type backing struct {
 func (b *backing) NumPages() int        { return b.f.NumPages() }
 func (b *backing) PageTuples(i int) int { return b.f.PageTuples(i) }
 func (b *backing) Cardinality() int     { return b.f.Cardinality() }
-func (b *backing) BaseLSN() uint64      { return b.f.BaseLSN() }
 
 func (b *backing) ReadRun(first int, dst []*relation.Page) (int, error) {
 	return b.pool.ReadRun(b.f, first, dst)

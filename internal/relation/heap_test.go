@@ -32,7 +32,7 @@ func TestEachRunStoredMatchesResident(t *testing.T) {
 	}
 	t.Cleanup(func() { store.Close() })
 	stored := resident.Clone("r")
-	if err := store.Adopt(stored, 1); err != nil {
+	if err := store.Adopt(stored); err != nil {
 		t.Fatal(err)
 	}
 	if !stored.Stored() || stored.NumPages() != 200 {

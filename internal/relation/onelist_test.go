@@ -38,7 +38,7 @@ func TestOneListMixedHolders(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := store.Adopt(rel, 1); err != nil {
+		if err := store.Adopt(rel); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -46,10 +46,6 @@ type PageStore interface {
 	// relation at the last page it installs. A dropped page is never
 	// written back, and a reader's reference keeps it alive.
 	Truncate(n int) error
-	// BaseLSN is the store's recovery horizon: every WAL record with
-	// LSN <= BaseLSN() is already reflected in the durable file, so
-	// replay skips it.
-	BaseLSN() uint64
 }
 
 // SetStore attaches (or with nil detaches) a page store. Attaching
@@ -63,15 +59,6 @@ func (r *Relation) SetStore(ps PageStore) {
 
 // Stored reports whether the relation is disk-backed.
 func (r *Relation) Stored() bool { return r.store != nil }
-
-// StoreBaseLSN returns the attached store's recovery horizon, 0 for
-// resident relations.
-func (r *Relation) StoreBaseLSN() uint64 {
-	if r.store == nil {
-		return 0
-	}
-	return r.store.BaseLSN()
-}
 
 // PageTuples returns the tuple count of page i without materializing
 // its payload (stored relations keep per-page counts in file

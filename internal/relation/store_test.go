@@ -41,7 +41,6 @@ func newGrantStore(t *testing.T, src *Relation, grant int) *grantStore {
 
 func (s *grantStore) NumPages() int        { return len(s.pages) }
 func (s *grantStore) PageTuples(i int) int { return s.pages[i].TupleCount() }
-func (s *grantStore) BaseLSN() uint64      { return 0 }
 
 func (s *grantStore) Cardinality() int {
 	n := 0

@@ -149,8 +149,8 @@ func TestDurableAckRequiresFsync(t *testing.T) {
 
 // TestAutoCheckpoint sets a one-byte threshold so the first durable
 // write schedules a checkpoint job; the job runs under total write
-// exclusion and must reset the log's redo size and advance the heap
-// files' base past the write.
+// exclusion and must reset the log's redo size and commit a cover past
+// the write.
 func TestAutoCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	l, cat := openDurable(t, dir, wal.Options{})
@@ -167,10 +167,17 @@ func TestAutoCheckpoint(t *testing.T) {
 	// LSN 1 is the seeding checkpoint's record, LSN 2 the append: the
 	// auto-checkpoint covers 2.
 	deadline := time.Now().Add(10 * time.Second)
-	for l.SizeSinceCheckpoint() != 0 || l.Heap().MinBaseLSN() != 2 {
+	cover := func() uint64 {
+		rp, err := wal.Inspect(l.Dir(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rp.Cover
+	}
+	for l.SizeSinceCheckpoint() != 0 || cover() != 2 {
 		if time.Now().After(deadline) {
 			t.Fatalf("auto-checkpoint did not run: %d bytes since checkpoint, heap files cover LSN %d",
-				l.SizeSinceCheckpoint(), l.Heap().MinBaseLSN())
+				l.SizeSinceCheckpoint(), cover())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -91,7 +91,7 @@ func BenchmarkGroupCommit(b *testing.B) {
 }
 
 // BenchmarkRecovery measures cold wal.Open over a log with n records
-// past the heap files' base — the replay cost a restart pays per log length.
+// past the manifest's cover — the replay cost a restart pays per log length.
 func BenchmarkRecovery(b *testing.B) {
 	for _, n := range []int{100, 1000, 10000} {
 		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {

@@ -12,6 +12,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"dfdbm/internal/heap"
 )
 
 // TestSeedingCrashReopensFresh kills a fresh directory at every point
@@ -175,6 +177,33 @@ func TestSnapshotLayoutRefused(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "heap")); !os.IsNotExist(err) {
 		t.Fatalf("the refusal touched the directory: heap/ stat = %v", err)
+	}
+}
+
+// TestOldManifestLayoutRefused: testdata/parent-9b64140.manifest is the
+// manifest `dfdbm save` wrote at commit 9b64140, the last build whose
+// heap files carried their own page count and base LSN. A directory
+// holding it is refused by name — by Open and by Inspect, as ErrCorrupt
+// — before any heap file is opened.
+func TestOldManifestLayoutRefused(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", "parent-9b64140.manifest"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "heap"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "heap", "manifest"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const want = "carry their own page count and base LSN; the last build to write it is 9b64140"
+	refused := func(err error) bool { return errors.Is(err, heap.ErrCorrupt) && strings.Contains(err.Error(), want) }
+	if _, _, _, err := Open(dir, Options{}); !refused(err) {
+		t.Fatalf("Open = %v, want ErrCorrupt naming the layout", err)
+	}
+	if _, err := Inspect(dir, nil); !refused(err) {
+		t.Fatalf("Inspect = %v, want ErrCorrupt naming the layout", err)
 	}
 }
 

@@ -22,9 +22,9 @@ type Recovery struct {
 	// seed. A directory whose seeding checkpoint was interrupted is
 	// fresh again.
 	Fresh bool
-	// BaseLSN is the oldest base LSN across the heap files recovery
-	// started from: replay reached back to the records after it.
-	BaseLSN uint64
+	// Cover is the LSN of the last record the heap files reflect, as the
+	// manifest committed it: replay began with the record after it.
+	Cover uint64
 	// Replayed counts log records re-applied on top of the heap files.
 	Replayed int
 	// TornTail is true when the last segment ended in a torn or corrupt
@@ -51,7 +51,7 @@ func (rv Recovery) String() string {
 		return "fresh data directory"
 	}
 	s := fmt.Sprintf("recovered to LSN %d: heap files cover LSN %d, %d records replayed",
-		rv.LastLSN, rv.BaseLSN, rv.Replayed)
+		rv.LastLSN, rv.Cover, rv.Replayed)
 	if rv.TornTail {
 		s += fmt.Sprintf(", torn tail truncated (%d bytes)", rv.TruncatedBytes)
 	}
@@ -65,8 +65,8 @@ func (rv Recovery) String() string {
 // Checkpoint to commit it.
 //
 // Recovery applies the redo rule: load the relations the manifest
-// names, then replay in order every record past its relation's own base
-// LSN. A torn or corrupt record at the very end of the last segment is
+// names at the page counts it committed, then replay in order every
+// record past its cover. A torn or corrupt record at the very end of the last segment is
 // truncated away — it is the unacknowledged write the crash
 // interrupted. Corruption anywhere else is a hard ErrCorrupt: the log
 // no longer proves what was acknowledged, and refusing to serve beats
@@ -130,15 +130,17 @@ func refuseSnapshotLayout(dir string) error {
 // positioned to append (seg open, lsn set).
 //
 // The recovery base is the heap store itself: the catalog loads from
-// the files the manifest names and replay applies only records past
-// each relation's own base LSN (a crash in the middle of a checkpoint
-// leaves some files advanced and others not, so the horizon is per
-// relation, not global). The manifest is the
-// atomic commit of the first checkpoint, so a directory without one
-// was never seeded — or died while seeding — and is fresh, provided
-// its log agrees: a logged write with no base to apply it to means
-// acknowledged data is gone, and that is ErrCorrupt, never an empty
-// catalog.
+// the files the manifest names, at the page counts it committed, and
+// replay applies every record past the manifest's one cover. A crash
+// in the middle of a checkpoint leaves the old manifest: its counts
+// and cover, and files some of which already hold later pages. Replay
+// from that cover re-installs, in LSN order, every image a write-back
+// could have put on disk since, and its gap checks meet the page
+// counts the original run met. The manifest is the atomic commit of
+// every checkpoint, so a directory without one was never seeded — or
+// died while seeding — and is fresh, provided its log agrees: a
+// logged write with no base to apply it to means acknowledged data is
+// gone, and that is ErrCorrupt, never an empty catalog.
 func (l *Log) recover() (Recovery, *catalog.Catalog, error) {
 	var rv Recovery
 
@@ -183,27 +185,19 @@ func (l *Log) recover() (Recovery, *catalog.Catalog, error) {
 	var apply func(*Record) (bool, error)
 	lastLSN := uint64(0)
 	if seeded {
-		// Replay must reach back to the oldest per-relation base LSN; a
-		// later-starting log has lost acknowledged records.
-		cat, err = l.heap.LoadCatalog()
+		// Replay must reach back to the cover; a later-starting log has
+		// lost acknowledged records.
+		cat, rv.Cover, err = l.heap.LoadCatalog()
 		if err != nil {
 			return rv, nil, err
 		}
-		rv.BaseLSN = l.heap.MinBaseLSN()
-		if len(segs) > 0 && segs[0].lsn > rv.BaseLSN+1 {
+		if len(segs) > 0 && segs[0].lsn > rv.Cover+1 {
 			return rv, nil, fmt.Errorf("%w: log starts at LSN %d but heap files only cover LSN %d",
-				ErrCorrupt, segs[0].lsn, rv.BaseLSN)
+				ErrCorrupt, segs[0].lsn, rv.Cover)
 		}
-		lastLSN = l.heap.MaxBaseLSN()
+		lastLSN = rv.Cover
 		apply = func(rec *Record) (bool, error) {
-			if rec.Type == RecCheckpoint {
-				return false, nil
-			}
-			// Per-relation horizon: a crash in the middle of a
-			// checkpoint leaves base LSNs that differ between files, and
-			// a record a file already covers is not redone. (An unknown
-			// relation falls through for Apply to report.)
-			if rel, err := cat.Get(rec.Rel); err == nil && rec.LSN <= rel.StoreBaseLSN() {
+			if rec.Type == RecCheckpoint || rec.LSN <= rv.Cover {
 				return false, nil
 			}
 			_, err := rec.Apply(cat)
@@ -431,9 +425,11 @@ type SegmentInfo struct {
 type Report struct {
 	Segments []SegmentInfo
 	// Heap holds the per-relation heap-file audits (header CRCs, slot
-	// checksums, geometry vs manifest, on-disk sizes). Empty until the
-	// first checkpoint commits a manifest.
-	Heap []heap.FileAudit
+	// checksums, geometry vs manifest, on-disk sizes), and Cover the
+	// LSN the manifest says they reflect. Empty until the first
+	// checkpoint commits a manifest.
+	Heap  []heap.FileAudit
+	Cover uint64
 	// FirstLSN and LastLSN bound the readable records.
 	FirstLSN, LastLSN uint64
 	Records           int
@@ -465,11 +461,11 @@ func Inspect(dir string, fn func(segment string, offset int64, rec *Record)) (*R
 	walDir := filepath.Join(dir, "wal")
 
 	if heapDir := filepath.Join(dir, "heap"); heap.HasManifest(heapDir) {
-		audits, err := heap.Audit(heapDir)
+		cover, audits, err := heap.Audit(heapDir)
 		if err != nil {
 			return nil, err
 		}
-		rp.Heap = audits
+		rp.Heap, rp.Cover = audits, cover
 	} else if err := refuseSnapshotLayout(dir); err != nil {
 		return nil, err
 	}

@@ -140,12 +140,13 @@ func (in *Injector) onSync() error {
 // Log is an open write-ahead log rooted at a data directory:
 //
 //	<dir>/heap/<name>.heap   one slotted heap file per relation
-//	<dir>/heap/manifest      the relation set; its atomic rewrite commits a checkpoint
+//	<dir>/heap/manifest      relations, page counts and cover; its atomic rewrite commits a checkpoint
 //	<dir>/wal/wal-<lsn>.seg  log segments, first LSN in the name
 //
 // Each relation lives in its heap file behind a shared buffer
-// pool; a checkpoint flushes the files and advances their base LSNs,
-// and recovery replays the log tail into them page by page.
+// pool; a checkpoint flushes the files and commits their page counts
+// and its cover in the manifest, and recovery replays the log past the
+// cover into them page by page.
 //
 // Append is safe for concurrent use; records are assigned dense LSNs
 // in arrival order and made durable by a single group-commit flusher
@@ -398,16 +399,16 @@ func (l *Log) openSegment(firstLSN uint64) error {
 }
 
 // Checkpoint makes every relation durable in its heap file — dirty
-// frames flushed, each file fsynced and its header advanced to the
-// current LSN, the set committed by the manifest — then logs a
-// checkpoint record and prunes the segments it obsoletes. The caller
+// frames flushed and each file fsynced — and commits them with the
+// current LSN as the cover in the manifest (heap.Store.Checkpoint),
+// then logs a checkpoint record and prunes the segments it obsoletes. The caller
 // must guarantee no writer mutates the catalog during the call (the
 // server runs checkpoints as a job whose footprint writes every
 // relation). A checkpoint with no writes since the previous one is
 // skipped, provided a committed manifest already exists.
 func (l *Log) Checkpoint(cat *catalog.Catalog) error {
 	gen := cat.Generation()
-	if gen == l.ckptGen.Load() && l.heap.ManifestExists() {
+	if gen == l.ckptGen.Load() && heap.HasManifest(l.heap.Dir()) {
 		l.count("wal.checkpoints_skipped", 1)
 		return nil
 	}
@@ -453,7 +454,7 @@ func (l *Log) prune(cover uint64) error {
 
 // Close flushes pending appends and closes the log. The heap files
 // close WITHOUT flushing dirty buffer-pool frames: every
-// unflushed page is past some file's base LSN and therefore in the
+// unflushed page is past the manifest's cover and therefore in the
 // log, so an unflushed close recovers exactly like a crash — which
 // keeps the close path trivially correct.
 func (l *Log) Close() error {

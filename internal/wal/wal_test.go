@@ -115,8 +115,8 @@ func roundtripRecovery(t *testing.T, opts Options) {
 	if rv.Fresh {
 		t.Fatal("recovery reported a fresh directory")
 	}
-	// A delete is a pages record like an append and moves no file's
-	// base: every op since the seeding checkpoint is redone.
+	// A delete is a pages record like an append and commits no cover:
+	// every op since the seeding checkpoint is redone.
 	if rv.Replayed != len(ops) {
 		t.Fatalf("replayed %d records, want %d", rv.Replayed, len(ops))
 	}
@@ -262,7 +262,7 @@ func TestRotationAndPrune(t *testing.T) {
 	}
 
 	// Checkpoint prunes everything the heap files now cover but the
-	// last segment, and the files' base LSN is what licensed it.
+	// last segment, and the manifest's cover is what licensed it.
 	cover := l.LastLSN()
 	if err := l.Checkpoint(cat); err != nil {
 		t.Fatal(err)
@@ -277,8 +277,8 @@ func TestRotationAndPrune(t *testing.T) {
 	if pruned := reg.Counter("wal.segments_pruned"); int(pruned) != len(segs)-1 {
 		t.Fatalf("wal.segments_pruned = %d, want %d", pruned, len(segs)-1)
 	}
-	if base := l.Heap().MinBaseLSN(); base != cover {
-		t.Fatalf("heap files cover LSN %d after the checkpoint, want %d", base, cover)
+	if rp, err := Inspect(dir, nil); err != nil || rp.Cover != cover {
+		t.Fatalf("the manifest covers LSN %d after the checkpoint (%v), want %d", rp.Cover, err, cover)
 	}
 	want := saveBytes(t, cat)
 	if err := l.Close(); err != nil {
